@@ -128,9 +128,13 @@ class Cursor:
         return batch
 
     def fetchall(self) -> list[tuple]:
-        """Every remaining row of the result set."""
+        """Every remaining row of the result set.
+
+        The call commits to draining, so a stream that pages over a network
+        may use its largest batches (``fetchone``/iteration stay exact-demand).
+        """
         stream = self._require_result()
-        rows = list(stream)
+        rows = stream.materialize().rows
         self._rowcount = stream.rows_produced
         return rows
 

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Any, Callable, Iterable, Iterator, Optional, Union
 
 from .errors import ExecutionError
@@ -141,6 +142,9 @@ class RowStream(ColumnAccess):
     open DBMS cursor); iterating a closed stream raises.
     """
 
+    #: page size once the consumer committed to draining everything
+    DRAIN_BATCH = 512
+
     def __init__(
         self,
         columns: list[str],
@@ -180,17 +184,28 @@ class RowStream(ColumnAccess):
 
     def fetchmany(self, size: int) -> list[tuple]:
         """Up to ``size`` further rows (fewer only near exhaustion)."""
-        batch: list[tuple] = []
-        for _ in range(size):
-            row = self.fetch()
-            if row is None:
-                break
-            batch.append(row)
+        if self._exhausted or size <= 0:
+            return []
+        if self._closed:
+            raise ExecutionError("this row stream is closed")
+        batch, done = self._take(size)
+        self.rows_produced += len(batch)
+        if done:
+            self._exhausted = True
+            self.close()
         return batch
 
+    def _take(self, size: int) -> tuple[list[tuple], bool]:
+        """One page off the producer: ``(rows, whether it ran dry)``."""
+        batch = list(islice(self._rows, size))
+        return batch, len(batch) < size
+
     def materialize(self) -> QueryResult:
-        """Drain the remaining rows into a :class:`QueryResult`."""
-        return QueryResult(columns=self.columns, rows=list(self))
+        """Drain the remaining rows, page by page, into a :class:`QueryResult`."""
+        rows: list[tuple] = []
+        while not self._exhausted:
+            rows.extend(self.fetchmany(self.DRAIN_BATCH))
+        return QueryResult(columns=self.columns, rows=rows)
 
     def close(self) -> None:
         """Release the producing resources; idempotent."""

@@ -15,10 +15,13 @@ Two clients over the same frame protocol:
 SELECT results stay streams across the wire: EXECUTE returns a
 :class:`RemoteRowStream` holding a server-side cursor, and every
 ``fetchmany(n)`` turns into one FETCH frame asking for **exactly** ``n``
-rows — the client never over-fetches, so server-side row production tracks
-client consumption row-for-row (the property the streaming tests pin down,
-and the reason a stalled consumer exerts backpressure instead of filling a
-buffer).
+rows, whose column-major page is decoded once and handed over whole — the
+client never over-fetches, so server-side row production tracks client
+consumption (the property the streaming tests pin down, and the reason a
+stalled consumer exerts backpressure instead of filling a buffer).  Only
+``materialize()`` / ``Cursor.fetchall()``, which commit to draining, page in
+``DRAIN_BATCH`` rows.  Both ends state their protocol revision in HELLO and
+refuse a peer of another one; a malformed page tears the session down.
 
 Error frames reconstruct the server's exception class
 (:func:`~repro.server.protocol.exception_from_frame`), so ``except
@@ -36,6 +39,7 @@ from typing import Any, Optional, Union
 from ..errors import MTSQLError, ProtocolError, ServerError
 from ..result import QueryResult, RowStream, StatementResult
 from .protocol import (
+    PROTOCOL_VERSION,
     decode_rows,
     encode_frame,
     encode_parameters,
@@ -58,52 +62,49 @@ def _scope_text(scope) -> Optional[str]:
     )
 
 
+def _hello(client: int, scope, optimization: Optional[str]) -> dict[str, Any]:
+    """The HELLO request binding tenant ``client`` at this protocol revision."""
+    return {"op": "hello", "protocol": PROTOCOL_VERSION, "client": client,
+            "scope": _scope_text(scope), "optimization": optimization}
+
+
+def _check_protocol(hello: dict[str, Any]) -> None:
+    """Refuse a server that answered HELLO with another protocol revision."""
+    if hello.get("protocol") != PROTOCOL_VERSION:
+        raise ProtocolError(
+            f"server speaks protocol {hello.get('protocol')!r}, this client "
+            f"{PROTOCOL_VERSION}"
+        )
+
+
 class RemoteRowStream(RowStream):
     """A :class:`~repro.result.RowStream` whose producer is a server cursor.
 
     Rows are pulled with FETCH frames sized to the consumer's demand:
-    ``fetchmany(n)`` fetches exactly ``n`` rows, ``fetch()`` exactly one —
-    no read-ahead.  :meth:`materialize` switches to large drain batches
-    since everything will be consumed anyway.  Closing the stream before
-    exhaustion sends CLOSE_CURSOR so the server frees the admission slot.
+    ``fetchmany(n)`` is exactly one ``FETCH n`` whose decoded page is handed
+    over as is, ``fetch()`` exactly one row — no read-ahead.
+    :meth:`materialize` drains in ``DRAIN_BATCH`` batches since everything
+    will be consumed anyway.  Closing the stream before exhaustion sends
+    CLOSE_CURSOR so the server frees the admission slot.
     """
-
-    #: FETCH batch size once the consumer committed to draining everything
-    DRAIN_BATCH = 512
 
     def __init__(self, session: "SyncSession", cursor_id: int, columns: list[str]) -> None:
         self._session = session
         self._cursor_id = cursor_id
-        self._eof = False
-        self._hint = 1
-        self._drain = False
-        super().__init__(columns, self._pull(), on_close=self._release)
+        super().__init__(columns, (), on_close=self._release)
 
-    def _pull(self):
-        while not self._eof:
-            want = self.DRAIN_BATCH if self._drain else max(1, self._hint)
-            self._hint = 1
-            rows, eof = self._session._fetch(self._cursor_id, want)
-            if eof:
-                self._eof = True
-            for row in rows:
-                yield row
+    def _take(self, size: int) -> tuple[list[tuple], bool]:
+        return self._session._fetch(self._cursor_id, size)
 
-    def fetchmany(self, size: int) -> list[tuple]:
-        """Fetch up to ``size`` rows with a single right-sized FETCH frame."""
-        self._hint = size
-        return super().fetchmany(size)
-
-    def materialize(self) -> QueryResult:
-        """Drain the remainder in large batches into a :class:`QueryResult`."""
-        self._drain = True
-        return super().materialize()
+    def fetch(self) -> Optional[tuple]:
+        """The next row (one single-row FETCH), or ``None`` when exhausted."""
+        page = self.fetchmany(1)
+        return page[0] if page else None
 
     def _release(self) -> None:
         # on eof the server already retired the cursor with the final batch;
         # an early close must tell it to free the cursor's admission slot
-        if not self._eof:
-            self._eof = True
+        if not self._exhausted:
             with contextlib.suppress(Exception):
                 self._session._close_cursor(self._cursor_id)
 
@@ -137,14 +138,8 @@ class SyncSession:
         self._socket.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         self._stream = self._socket.makefile("rwb")
         try:
-            hello = self._request(
-                {
-                    "op": "hello",
-                    "client": client,
-                    "scope": _scope_text(scope),
-                    "optimization": optimization,
-                }
-            )
+            hello = self._request(_hello(client, scope, optimization))
+            _check_protocol(hello)
         except BaseException:
             self._teardown()
             raise
@@ -172,7 +167,11 @@ class SyncSession:
 
     def _fetch(self, cursor_id: int, n: int) -> tuple[list[tuple], bool]:
         reply = self._request({"op": "fetch", "cursor": cursor_id, "n": n})
-        return decode_rows(reply.get("rows", [])), bool(reply.get("eof"))
+        try:
+            return decode_rows(reply.get("rows")), bool(reply.get("eof"))
+        except ProtocolError:  # not a peer to keep talking to
+            self._teardown()
+            raise
 
     def _close_cursor(self, cursor_id: int) -> None:
         self._request({"op": "close_cursor", "cursor": cursor_id})
@@ -301,14 +300,8 @@ class AsyncSession:
         reader, writer = await asyncio.open_connection(host, port)
         session = cls(reader, writer, client)
         try:
-            hello = await session.request(
-                {
-                    "op": "hello",
-                    "client": client,
-                    "scope": _scope_text(scope),
-                    "optimization": optimization,
-                }
-            )
+            hello = await session.request(_hello(client, scope, optimization))
+            _check_protocol(hello)
         except BaseException:
             await session._teardown()
             raise
@@ -352,7 +345,11 @@ class AsyncSession:
     async def fetch(self, cursor: int, n: int) -> tuple[list[tuple], bool]:
         """Fetch up to ``n`` rows from a cursor; returns ``(rows, eof)``."""
         reply = await self.request({"op": "fetch", "cursor": cursor, "n": n})
-        return decode_rows(reply.get("rows", [])), bool(reply.get("eof"))
+        try:
+            return decode_rows(reply.get("rows")), bool(reply.get("eof"))
+        except ProtocolError:  # not a peer to keep talking to
+            await self._teardown()
+            raise
 
     async def close_cursor(self, cursor: int) -> None:
         """Close a server-side cursor early, freeing its admission slot."""

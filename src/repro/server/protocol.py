@@ -12,16 +12,24 @@ taxonomy (:data:`WIRE_CODES`), so a client reconstructs the *same* exception
 class the server raised — ``except ParameterError`` works identically on
 both sides of the socket.
 
-Row and bind-parameter values travel JSON-natively except for the two types
-JSON cannot express: :class:`~repro.sql.types.Date` becomes
-``{"$date": days}`` and ``bytes`` becomes ``{"$bytes": hex}`` — both exact
-round-trips, so wire results are value-identical to in-process results.
+FETCH replies carry a **column-major typed page** (:func:`encode_rows`):
+``{"cols": [[...], ...], "tags": [[index, kind], ...]}``.  A column of
+JSON-native cells (``int``/``float``/``str``/``bool``/``None``) ships untouched
+and untagged; an all-:class:`~repro.sql.types.Date` column ships as bare day
+ordinals (kind ``date``), an all-``bytes`` column as hex (``bytes``), ``None``
+staying ``None``; only a genuinely mixed column falls back to per-cell tagged
+scalars (``mixed``).  The type census, the transposes and JSON itself run at C
+speed, so a plain column costs no per-cell Python on either side.  Bind
+parameters use the scalar codec: ``{"$date": days}`` / ``{"$bytes": hex}``.
+Every path round-trips values *and* Python types exactly.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import struct
+import sys
 from typing import Any, Optional
 
 from ..errors import (
@@ -54,7 +62,7 @@ from ..errors import (
 from ..sql.types import Date
 
 #: protocol revision negotiated in HELLO; bumped on incompatible changes
-PROTOCOL_VERSION = 1
+PROTOCOL_VERSION = 2
 
 #: hard ceiling on one frame's payload (a malformed length prefix must not
 #: make either end allocate gigabytes)
@@ -146,27 +154,111 @@ def encode_value(value: Any) -> Any:
     return value
 
 
+_NONE = type(None)
+
+
+@functools.lru_cache(maxsize=4096)
+def _shared_date(days: Optional[int]) -> Optional[Date]:
+    """One (immutable) :class:`Date` per day ordinal across pages, as the
+    in-process result shares the stored object; also skips the constructor."""
+    return None if days is None else Date(days)
+
+
+def _decode_dates(ordinals: list) -> list:
+    if not set(map(type, ordinals)) <= {int, _NONE}:
+        raise ProtocolError("a date's day ordinal must be an integer")
+    return list(map(_shared_date, ordinals))
+
+
+def _decode_bytes(texts: list) -> list:
+    try:
+        return [None if text is None else bytes.fromhex(text) for text in texts]
+    except (TypeError, ValueError) as exc:
+        raise ProtocolError(f"bytes must travel as hex text: {exc}") from exc
+
+
 def decode_value(value: Any) -> Any:
-    """Invert :func:`encode_value` (lists stay lists; rows re-tuple upstream)."""
+    """Invert :func:`encode_value` (lists stay lists; rows re-tuple upstream);
+    a malformed tagged scalar raises :class:`ProtocolError`."""
     if isinstance(value, dict):
         if set(value) == {"$date"}:
-            return Date(int(value["$date"]))
+            return _decode_dates([value["$date"]])[0]
         if set(value) == {"$bytes"}:
-            return bytes.fromhex(value["$bytes"])
+            return _decode_bytes([value["$bytes"]])[0]
         return {key: decode_value(item) for key, item in value.items()}
     if isinstance(value, list):
         return [decode_value(item) for item in value]
     return value
 
 
-def encode_rows(rows: list[tuple]) -> list[list[Any]]:
-    """Encode a row batch for a FETCH response frame."""
-    return [[encode_value(value) for value in row] for row in rows]
+#: cell types JSON carries natively (exact types: a subclass goes ``mixed``)
+_PLAIN = frozenset({int, float, str, bool, _NONE})
 
 
-def decode_rows(rows: list[list[Any]]) -> list[tuple]:
-    """Decode a FETCH response frame's row batch back into row tuples."""
-    return [tuple(decode_value(value) for value in row) for row in rows]
+def encode_rows(rows: list[tuple]) -> dict[str, Any]:
+    """Encode a row batch as the column-major typed page of a FETCH reply."""
+    cols: list[Any] = []
+    tags: list[list[Any]] = []
+    for index, column in enumerate(zip(*rows, strict=True)):
+        census = set(map(type, column))
+        if not census <= _PLAIN:
+            if census <= {Date, _NONE}:
+                kind = "date"
+                column = [None if value is None else value.days for value in column]
+            elif census <= {bytes, _NONE}:
+                kind = "bytes"
+                column = [None if value is None else value.hex() for value in column]
+            else:
+                kind, column = "mixed", [encode_value(value) for value in column]
+            tags.append([index, kind])
+        cols.append(column)
+    return {"cols": cols, "tags": tags}
+
+
+def _decode_plain(column: list) -> list:
+    census = set(map(type, column))
+    if not census <= _PLAIN:
+        raise ProtocolError("an untagged column holds a nested JSON value")
+    # one object per repeated string, as the in-process result shares the
+    # stored value instead of holding one str per cell
+    if census == {str}:
+        return list(map(sys.intern, column))
+    if str in census:
+        return [sys.intern(value) if type(value) is str else value for value in column]
+    return column
+
+
+#: column kind tag -> column decoder (untagged columns are plain)
+_COLUMN_DECODERS = {
+    "date": _decode_dates,
+    "bytes": _decode_bytes,
+    "mixed": lambda column: [decode_value(value) for value in column],
+}
+
+
+def decode_rows(page: Any) -> list[tuple]:
+    """Decode a FETCH reply's page back into row tuples.
+
+    The page comes from outside the process: anything but the layout
+    :func:`encode_rows` writes raises :class:`ProtocolError`.
+    """
+    if not isinstance(page, dict):
+        raise ProtocolError("a FETCH page must be an object with 'cols' and 'tags'")
+    cols, tags = page.get("cols"), page.get("tags")
+    if not isinstance(cols, list) or not all(isinstance(col, list) for col in cols):
+        raise ProtocolError("a FETCH page needs 'cols', a list of column lists")
+    if len(set(map(len, cols))) > 1:
+        raise ProtocolError("FETCH page columns differ in length")
+    if not isinstance(tags, list):
+        raise ProtocolError("a FETCH page needs 'tags', a list of [index, kind] pairs")
+    decoders = [_decode_plain] * len(cols)
+    for tag in tags:
+        if not (isinstance(tag, list) and len(tag) == 2 and type(tag[0]) is int
+                and 0 <= tag[0] < len(cols) and isinstance(tag[1], str)
+                and tag[1] in _COLUMN_DECODERS):
+            raise ProtocolError(f"FETCH page carries an invalid column tag {tag!r}")
+        decoders[tag[0]] = _COLUMN_DECODERS[tag[1]]
+    return list(zip(*(decode(column) for decode, column in zip(decoders, cols))))
 
 
 def encode_parameters(parameters: Any) -> Any:

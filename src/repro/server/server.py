@@ -19,7 +19,8 @@ unbounded server-side buffering.
 SELECT results stream: EXECUTE answers with column metadata only, FETCH
 frames pull row batches straight off the backend's
 :class:`~repro.result.RowStream` — the server never materializes a result
-set on behalf of a client.
+set on behalf of a client — and the worker that produced a page also encodes
+it to frame bytes, so the event loop only ever writes them.
 
 The server runs on a background thread (:meth:`start`/:meth:`stop`, or the
 :func:`serve` context manager), so synchronous programs and tests can embed
@@ -283,7 +284,8 @@ class ReproServer:
                 except Exception as exc:  # noqa: BLE001 - must answer the client
                     logger.exception("unexpected error handling %r", frame.get("op"))
                     reply, close = error_frame(ServerError(str(exc))), False
-                writer.write(encode_frame(reply))
+                # FETCH replies arrive as frame bytes, encoded on their worker
+                writer.write(reply if isinstance(reply, bytes) else encode_frame(reply))
                 await writer.drain()
                 if close:
                     break
@@ -316,7 +318,7 @@ class ReproServer:
 
     async def _dispatch(
         self, conn: _Connection, frame: dict[str, Any]
-    ) -> tuple[dict[str, Any], bool]:
+    ) -> tuple[Union[dict[str, Any], bytes], bool]:
         op = frame.get("op")
         if not isinstance(op, str):
             raise ProtocolError("request frame is missing its 'op' field")
@@ -345,6 +347,11 @@ class ReproServer:
         client = frame.get("client")
         if isinstance(client, bool) or not isinstance(client, int):
             raise ProtocolError("HELLO requires an integer 'client' tenant id")
+        if frame.get("protocol") != PROTOCOL_VERSION:
+            raise ProtocolError(
+                f"client speaks protocol {frame.get('protocol')!r}, this server "
+                f"{PROTOCOL_VERSION}"
+            )
         scope = frame.get("scope")
         optimization = frame.get("optimization")
         session = await self._call(
@@ -430,14 +437,22 @@ class ReproServer:
                     "rowcount": result.rowcount, "type": result.statement_type}
         raise ServerError(f"unexpected execution result {type(result).__name__}")
 
-    async def _op_fetch(self, conn: _Connection, frame: dict) -> dict:
+    async def _op_fetch(self, conn: _Connection, frame: dict) -> bytes:
         cursor = self._cursor_for(conn, frame)
         n = _required_int(frame, "n")
         if n <= 0:
             raise ProtocolError("FETCH requires a positive row count 'n'")
+
+        def page() -> tuple[bytes, bool]:
+            # encoding a page is as blocking as producing it: both stay on
+            # the worker, the event loop only writes the finished bytes
+            rows = cursor.stream.fetchmany(n)
+            eof = len(rows) < n
+            return encode_frame({"ok": True, "rows": encode_rows(rows), "eof": eof}), eof
+
         try:
-            rows = await self._call(
-                lambda: cursor.stream.fetchmany(n),
+            reply, eof = await self._call(
+                page,
                 timeout=self.config.request_timeout,
                 abandoned=lambda _value: self._abandon_cursor(cursor),
             )
@@ -450,10 +465,9 @@ class ReproServer:
             # a failing producer poisons the cursor: release and drop it
             self._drop_cursor(conn, cursor)
             raise
-        eof = len(rows) < n
         if eof:
             self._drop_cursor(conn, cursor)
-        return {"ok": True, "rows": encode_rows(rows), "eof": eof}
+        return reply
 
     async def _op_close_cursor(self, conn: _Connection, frame: dict) -> dict:
         cursor = self._cursor_for(conn, frame)

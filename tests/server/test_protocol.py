@@ -2,10 +2,16 @@
 
 from __future__ import annotations
 
+import copy
 import io
+import math
 import struct
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.server import protocol
 
 from repro.errors import (
     BackendError,
@@ -78,21 +84,186 @@ def test_non_object_payload_is_a_protocol_error():
 # ---------------------------------------------------------------------------
 
 
+def wire_trip(rows):
+    """A page through a real reply frame: encode, JSON bytes, decode."""
+    frame = encode_frame({"ok": True, "rows": encode_rows(rows), "eof": False})
+    return decode_rows(decode_payload(frame[4:])["rows"])
+
+
+def same_cell(left, right) -> bool:
+    """Equal value AND equal Python type (NaN equals NaN, -0.0 is not 0.0)."""
+    if type(left) is not type(right):
+        return False
+    if isinstance(left, float):
+        return math.isnan(left) and math.isnan(right) or (
+            left == right and math.copysign(1.0, left) == math.copysign(1.0, right)
+        )
+    return left == right
+
+
 def test_rows_round_trip_exactly_including_dates_and_bytes():
     rows = [
-        (1, "name", 2.5, None, True),
-        (Date(9131), b"\x00\xffbinary", -0.1),
+        (1, "name", 2.5, None, True, Date(9131), b"\x00\xffbinary"),
+        (2, None, -0.1, None, False, None, b""),
     ]
-    decoded = decode_rows(encode_rows(rows))
+    decoded = wire_trip(rows)
     assert decoded == rows
-    assert isinstance(decoded[1][0], Date)
-    assert isinstance(decoded[1][1], bytes)
+    assert isinstance(decoded[0][5], Date)
+    assert isinstance(decoded[0][6], bytes)
 
 
 def test_floats_round_trip_bit_exactly():
     values = [0.1, 1e-300, 123456.789012345, float(2**53)]
-    (decoded,) = decode_rows(encode_rows([tuple(values)]))
+    (decoded,) = wire_trip([tuple(values)])
     assert list(decoded) == values
+
+
+#: one strategy per column shape the codec distinguishes; every draw fills
+#: a whole column, so a page is rectangular like a backend's
+COLUMN_CELLS = [
+    st.integers(min_value=-(2**70), max_value=2**70),  # beyond int64 too
+    st.floats(allow_nan=True, allow_infinity=True)
+    | st.sampled_from([-0.0, 0.0, math.inf, -math.inf, math.nan]),
+    st.text(max_size=6),
+    st.booleans() | st.integers(min_value=0, max_value=1),  # bool next to int
+    st.none(),
+    st.none() | st.builds(Date, st.integers(min_value=-800_000, max_value=800_000)),
+    st.none() | st.binary(max_size=5),
+    # deliberately mixed: no single kind covers the column
+    st.one_of(
+        st.builds(Date, st.integers(0, 20_000)), st.binary(max_size=3),
+        st.integers(), st.text(max_size=3), st.none(), st.booleans(),
+    ),
+]
+
+
+@st.composite
+def pages(draw):
+    height = draw(st.sampled_from([0, 1, 2, 7, 64]))
+    shapes = draw(st.lists(st.sampled_from(COLUMN_CELLS), min_size=1, max_size=6))
+    columns = [
+        draw(st.lists(cells, min_size=height, max_size=height)) for cells in shapes
+    ]
+    return list(zip(*columns))
+
+
+@given(pages())
+@settings(max_examples=150, deadline=None)
+def test_page_round_trip_preserves_values_and_python_types(rows):
+    decoded = wire_trip(rows)
+    assert len(decoded) == len(rows)  # an empty page and a page of exactly n
+    for sent, received in zip(rows, decoded):
+        assert type(received) is tuple and len(received) == len(sent)
+        assert all(map(same_cell, sent, received)), (sent, received)
+
+
+def test_plain_and_date_columns_never_touch_the_scalar_codec(monkeypatch):
+    def forbidden(value):
+        raise AssertionError(f"per-cell codec called for {value!r}")
+
+    monkeypatch.setattr(protocol, "encode_value", forbidden)
+    monkeypatch.setattr(protocol, "decode_value", forbidden)
+    rows = [(n, float(n), f"s{n % 3}", n % 2 == 0, None, Date(9000 + n)) for n in range(50)]
+    page = encode_rows(rows)
+    assert page["tags"] == [[5, "date"]]
+    assert wire_trip(rows) == rows
+
+
+def test_decoded_pages_share_repeated_strings_and_dates():
+    rows = [("RAIL" + str(n % 2), Date(9000 + n % 2)) for n in range(40)]
+    first, second = wire_trip(rows), wire_trip(rows)
+    assert len({id(row[0]) for row in first + second}) == 2
+    assert len({id(row[1]) for row in first + second}) == 2
+
+
+def test_only_a_mixed_column_falls_back_to_tagged_cells():
+    page = encode_rows([(Date(1), 1), (b"x", 2)])
+    assert page["tags"] == [[0, "mixed"]]
+    assert page["cols"][0] == [{"$date": 1}, {"$bytes": "78"}]
+
+
+# hostile pages: whatever a peer sends under "rows", the client raises
+# ProtocolError — never IndexError/TypeError, never a silently short page
+
+GOOD_PAGE = {
+    "cols": [[1, 2, 3], ["a", "b", "c"], [10, None, 12], ["00", "ff", None], [{"$date": 1}, 2, "x"]],
+    "tags": [[2, "date"], [3, "bytes"], [4, "mixed"]],
+}
+
+HOSTILE_PAGES = {
+    "not an object": [[1, "x"]],
+    "no cols": {"tags": []},
+    "no tags": {"cols": [[1]]},
+    "cols not a list": {"cols": "abc", "tags": []},
+    "column not a list": {"cols": [[1, 2], 7], "tags": []},
+    "ragged columns": {"cols": [[1, 2, 3], ["a", "b"]], "tags": []},
+    "unknown kind": {"cols": [[1]], "tags": [[0, "decimal"]]},
+    "unhashable kind": {"cols": [[1]], "tags": [[0, ["date"]]]},
+    "tag index out of range": {"cols": [[1]], "tags": [[1, "date"]]},
+    "negative tag index": {"cols": [[1]], "tags": [[-1, "date"]]},
+    "boolean tag index": {"cols": [[1], [2]], "tags": [[True, "date"]]},
+    "tag not a pair": {"cols": [[1]], "tags": [[0, "date", 3]]},
+    "tags not a list": {"cols": [[1]], "tags": {"0": "date"}},
+    "float day ordinal": {"cols": [[1.5]], "tags": [[0, "date"]]},
+    "text day ordinal": {"cols": [["12"]], "tags": [[0, "date"]]},
+    "boolean day ordinal": {"cols": [[True]], "tags": [[0, "date"]]},
+    "non-hex bytes": {"cols": [["zz"]], "tags": [[0, "bytes"]]},
+    "non-text bytes": {"cols": [[5]], "tags": [[0, "bytes"]]},
+    "nested value in a plain column": {"cols": [[1, [2]]], "tags": []},
+    "bad $date in a mixed column": {"cols": [[{"$date": "1"}]], "tags": [[0, "mixed"]]},
+    "bad $bytes in a mixed column": {"cols": [[{"$bytes": 5}]], "tags": [[0, "mixed"]]},
+}
+
+
+def test_the_reference_page_decodes():
+    assert decode_rows(copy.deepcopy(GOOD_PAGE)) == [
+        (1, "a", Date(10), b"\x00", Date(1)),
+        (2, "b", None, b"\xff", 2),
+        (3, "c", Date(12), None, "x"),
+    ]
+
+
+@pytest.mark.parametrize("name", HOSTILE_PAGES)
+def test_hostile_pages_raise_protocol_error(name):
+    with pytest.raises(ProtocolError):
+        decode_rows(HOSTILE_PAGES[name])
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-5, 5) | st.floats(allow_nan=False)
+    | st.sampled_from(["date", "bytes", "mixed", "zz", "0a"]),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.sampled_from(["cols", "tags", "$date", "$bytes"]), children, max_size=3),
+    max_leaves=12,
+)
+
+
+@st.composite
+def mutated_pages(draw):
+    """The reference page with one JSON subtree replaced by an arbitrary one."""
+    page = copy.deepcopy(GOOD_PAGE)
+    path = draw(st.sampled_from([
+        ("cols",), ("tags",), ("cols", 0), ("cols", 2), ("cols", 3), ("cols", 4),
+        ("cols", 2, 0), ("cols", 3, 1), ("cols", 4, 0), ("tags", 0), ("tags", 1, 0),
+        ("tags", 2, 1),
+    ]))
+    target = page
+    for step in path[:-1]:
+        target = target[step]
+    target[path[-1]] = draw(JSON_VALUES)
+    return page
+
+
+@given(mutated_pages())
+@settings(max_examples=300, deadline=None)
+def test_mutated_pages_decode_fully_or_raise_protocol_error(page):
+    try:
+        rows = decode_rows(page)
+    except ProtocolError:
+        return
+    heights = {len(column) for column in page["cols"]}
+    assert len(heights) <= 1 and len(rows) == (heights.pop() if heights else 0)
+    assert all(type(row) is tuple and len(row) == len(page["cols"]) for row in rows)
 
 
 def test_positional_parameters_come_back_as_a_tuple():

@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import asyncio
+import contextlib
 import socket
 import struct
+import threading
 
 import pytest
 
@@ -14,11 +16,12 @@ from repro.errors import (
     ParameterError,
     ProtocolError,
     ScopeError,
+    ServerError,
 )
 from repro.server import ReproServer, ServerConfig, SyncSession, serve
 from repro.server.client import AsyncSession, RemoteRowStream
 from repro.server.loopback import loopback_server, shutdown_loopbacks
-from repro.server.protocol import encode_frame, read_frame_blocking
+from repro.server.protocol import PROTOCOL_VERSION, encode_frame, read_frame_blocking
 
 from tests.conftest import build_paper_example
 
@@ -234,8 +237,140 @@ def test_loopback_reroutes_middleware_and_gateway(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# paging: round trips per drain, and where a page is encoded
+# ---------------------------------------------------------------------------
+
+
+def test_fetchall_drains_in_pages_while_row_access_stays_exact_demand(server, spec):
+    with api.connect(spec, client=0, scope="IN (0, 1)") as connection:
+        cursor = connection.cursor()
+        cursor.execute(SQL_BY_NAME)  # prepares: later executes are one request
+        assert len(cursor.fetchall()) == 6
+
+        before = server.requests_served
+        cursor.execute(SQL_BY_NAME)
+        assert len(cursor.fetchall()) == 6
+        # EXECUTE + one DRAIN_BATCH page (was one FETCH per row, plus the eof probe)
+        assert server.requests_served - before == 2
+        assert cursor.rowcount == 6
+
+        before = server.requests_served
+        cursor.execute(SQL_BY_NAME)
+        assert cursor.fetchone() is not None
+        assert len(list(cursor)) == 5
+        # EXECUTE + six single-row FETCHes + the empty eof page: no read-ahead
+        assert server.requests_served - before == 8
+
+
+def test_fetch_replies_are_encoded_on_a_worker_thread(server, spec, monkeypatch):
+    import repro.server.server as server_module
+
+    encoders = []
+
+    def recording(rows):
+        encoders.append(threading.current_thread().name)
+        return real(rows)
+
+    real = server_module.encode_rows
+    monkeypatch.setattr(server_module, "encode_rows", recording)
+    with api.connect(spec, client=0, scope="IN (0, 1)") as connection:
+        cursor = connection.cursor()
+        cursor.execute(SQL_BY_NAME)
+        assert len(cursor.fetchmany(4)) == 4 and len(cursor.fetchmany(4)) == 2
+    assert len(encoders) == 2
+    # the pool's threads are "repro-server_<n>", the event loop "repro-server-loop"
+    assert all(name.startswith("repro-server_") for name in encoders), encoders
+
+
+# ---------------------------------------------------------------------------
 # lifecycle and protocol robustness
 # ---------------------------------------------------------------------------
+
+
+@contextlib.contextmanager
+def scripted_server(*replies):
+    """A one-connection peer answering each request with the next scripted reply."""
+    listener = socket.create_server(("127.0.0.1", 0))
+
+    def run():
+        peer, _ = listener.accept()
+        with peer, peer.makefile("rwb") as stream:
+            for reply in replies:
+                if read_frame_blocking(stream) is None:
+                    return
+                stream.write(encode_frame(reply))
+                stream.flush()
+
+    thread = threading.Thread(target=run, daemon=True)
+    thread.start()
+    try:
+        yield listener.getsockname()
+    finally:
+        listener.close()
+        thread.join(timeout=5)
+        assert not thread.is_alive()
+
+
+HELLO_OK = {"ok": True, "session_id": 1, "protocol": PROTOCOL_VERSION}
+ROWS_CURSOR = {"ok": True, "kind": "rows", "cursor": 1, "columns": ["a", "b"]}
+
+
+@pytest.mark.parametrize(
+    "page",
+    [
+        {"cols": [[1, 2, 3], ["x", "y"]], "tags": []},  # ragged
+        {"cols": [[1], [2]], "tags": [[5, "date"]]},  # tag index out of range
+        {"cols": [[1], [2.5]], "tags": [[1, "date"]]},  # non-int day ordinal
+        [[1, "x"]],  # the version-1 row list
+        None,
+    ],
+)
+def test_a_hostile_page_tears_the_sync_session_down(page):
+    fetch = {"ok": True, "eof": False} if page is None else {"ok": True, "rows": page, "eof": False}
+    with scripted_server(HELLO_OK, ROWS_CURSOR, fetch) as (host, port):
+        session = SyncSession(host, port, client=0, timeout=5)
+        stream = session.execute_incremental("SELECT a, b FROM t")
+        with pytest.raises(ProtocolError):
+            stream.fetchmany(3)
+        with pytest.raises(ServerError, match="closed"):
+            session.prepare("SELECT 1")
+
+
+def test_a_hostile_page_tears_the_async_session_down():
+    async def scenario(host, port):
+        session = await AsyncSession.open(host, port, client=0)
+        reply = await session.begin_execute("SELECT a, b FROM t")
+        with pytest.raises(ProtocolError):
+            await session.fetch(reply["cursor"], 3)
+        with pytest.raises(ServerError, match="closed"):
+            await session.prepare("SELECT 1")
+
+    ragged = {"ok": True, "rows": {"cols": [[1, 2], [3]], "tags": []}, "eof": True}
+    with scripted_server(HELLO_OK, ROWS_CURSOR, ragged) as (host, port):
+        asyncio.run(scenario(host, port))
+
+
+@pytest.mark.parametrize("hello", [{"protocol": PROTOCOL_VERSION - 1}, {}])
+def test_server_refuses_a_client_of_another_protocol_version(server, hello):
+    host, port = server.address
+    with socket.create_connection((host, port)) as raw:
+        stream = raw.makefile("rwb")
+        stream.write(encode_frame({"op": "hello", "client": 0, **hello}))
+        stream.flush()
+        reply = read_frame_blocking(stream)
+        assert reply["ok"] is False and reply["error"] == "PROTOCOL"
+        assert "protocol" in reply["message"]
+        assert stream.read(1) == b""  # and the connection is closed
+
+
+def test_clients_refuse_a_server_of_another_protocol_version():
+    other = {**HELLO_OK, "protocol": PROTOCOL_VERSION + 1}
+    with scripted_server(other) as (host, port):
+        with pytest.raises(ProtocolError, match="protocol"):
+            SyncSession(host, port, client=0, timeout=5)
+    with scripted_server(other) as (host, port):
+        with pytest.raises(ProtocolError, match="protocol"):
+            asyncio.run(AsyncSession.open(host, port, client=0))
 
 
 def test_graceful_stop_drains_and_refuses_further_requests():
