@@ -44,7 +44,9 @@ from ..errors import (
     TypeMismatchError,
 )
 from ..errors import NotSupportedError as _NotSupportedError
-from ..sql.types import Date as _Date
+# PEP 249 ``Date(year, month, day)``: the class of every DATE value the
+# driver returns or binds, stdlib ``datetime.date``
+from ..sql.types import Date
 from .connection import Connection, connect
 from .cursor import Cursor
 
@@ -99,17 +101,9 @@ NotSupportedError = _NotSupportedError
 # -- PEP 249 type constructors ----------------------------------------------
 
 
-def Date(year: int, month: int, day: int) -> _Date:
-    """Construct a date bind value (PEP 249 ``Date(year, month, day)``)."""
-    return _Date.from_ymd(year, month, day)
-
-
-def DateFromTicks(ticks: float) -> _Date:
-    """Construct a date bind value from a POSIX timestamp."""
-    import time as _time
-
-    struct = _time.localtime(ticks)
-    return _Date.from_ymd(struct.tm_year, struct.tm_mon, struct.tm_mday)
+def DateFromTicks(ticks: float) -> Date:
+    """Construct a date bind value from a POSIX timestamp (local time)."""
+    return Date.fromtimestamp(ticks)
 
 
 def Binary(data) -> bytes:

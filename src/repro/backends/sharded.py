@@ -47,7 +47,7 @@ from ..sql import ast
 from ..sql.dialect import Dialect
 from ..sql.params import bind_parameters, statement_parameters
 from ..sql.parser import parse_statement
-from ..sql.types import Date
+from ..sql.types import date_from_days
 from .base import Backend, BackendConnection, Statement
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -77,7 +77,7 @@ class _TableSchema:
         if type_name.startswith(("FLOAT", "DOUBLE", "REAL")):
             return 0.0
         if type_name.startswith("DATE"):
-            return Date(0)
+            return date_from_days(0)
         return ""
 
 
@@ -911,6 +911,7 @@ class ShardedConnection(BackendConnection):
                 udf_cache_hits=stats.udf_cache_hits,
                 subquery_runs=stats.subquery_runs,
                 statements=stats.statements,
+                join_rows_materialized=stats.join_rows_materialized,
             )
         return total
 

@@ -49,7 +49,7 @@ from ..sql import ast
 from ..sql.dialect import SQLITE_DIALECT
 from ..sql.parser import parse_query, parse_statement
 from ..sql.printer import to_sql
-from ..sql.types import Date
+from ..sql.types import Date, date_from_string
 from .base import Backend, BackendConnection, Statement
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -606,7 +606,7 @@ def _to_sqlite(value: Any) -> Any:
 def _from_sqlite(value: Any) -> Any:
     if isinstance(value, str) and len(value) == 10 and _ISO_DATE.match(value):
         try:
-            return Date.from_string(value)
+            return date_from_string(value)
         except ValueError:  # pragma: no cover - e.g. '9999-99-99' in user data
             return value
     return value

@@ -36,6 +36,7 @@ from typing import Iterable, Mapping, Optional, Sequence
 
 from ..errors import ConfigurationError
 from ..sql import ast
+from ..sql.types import Date, date_days
 from ..sql.transform import (
     transform_expression,
     walk_expression,
@@ -297,8 +298,7 @@ def _range_fraction(low, high, value) -> Optional[float]:
 
 def _as_ordinal(value):
     """A subtractable stand-in for interpolation (dates become day counts)."""
-    days = getattr(value, "days", None)
-    return days if days is not None else value
+    return date_days(value) if isinstance(value, Date) else value
 
 
 # ---------------------------------------------------------------------------

@@ -358,6 +358,9 @@ class MTConnection:
                 proven = profile.proven_kernels - (
                     prior.proven_kernels if prior else 0
                 )
+                materialized = profile.join_rows_materialized - (
+                    prior.join_rows_materialized if prior else 0
+                )
                 if batches > 0 or rows > 0:
                     operators.append(
                         OperatorProfile(
@@ -368,6 +371,7 @@ class MTConnection:
                             typed_kernels=typed,
                             generic_kernels=generic,
                             proven_kernels=proven,
+                            join_rows_materialized=materialized,
                         )
                     )
         return operators, actual_rows

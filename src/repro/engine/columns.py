@@ -18,7 +18,7 @@ back to the generic object-list kernels, which remain the semantic source
 of truth.  Bit-identity is preserved by construction because every payload
 round-trips its values exactly: ``array('d')`` stores IEEE-754 doubles (the
 engine's ``DECIMAL``), ``array('q')`` stores 64-bit integers, and dates are
-stored as their :attr:`~repro.sql.types.Date.days` ordinal, whose ordering
+stored as their :func:`~repro.sql.types.date_days` ordinal, whose ordering
 equals calendar ordering.
 
 :meth:`repro.engine.storage.Table.typed_column` caches one
@@ -33,7 +33,7 @@ from __future__ import annotations
 from array import array
 from typing import Optional, Sequence
 
-from ..sql.types import Date, SQLType
+from ..sql.types import Date, SQLType, date_days, date_from_string
 
 #: payload kinds whose elements behave like plain Python numbers under the
 #: comparison/arithmetic operators (the codegen kernels require these)
@@ -52,7 +52,7 @@ class TypedColumn:
     * ``"int"``   — ``values`` is an ``array('q')``; NULL slots hold ``0``,
     * ``"float"`` — ``values`` is an ``array('d')``; NULL slots hold ``0.0``,
     * ``"date"``  — ``values`` is an ``array('q')`` of day ordinals
-      (:attr:`repro.sql.types.Date.days`); NULL slots hold ``0``,
+      (:func:`repro.sql.types.date_days`); NULL slots hold ``0``,
     * ``"str"``   — ``values`` is the object list itself (strings and
       ``None``), kept by reference for zero-copy column access.
 
@@ -140,7 +140,7 @@ def _build_date(values: Sequence) -> Optional[TypedColumn]:
 
     DATE slots commonly hold ISO strings (the engine stores dates as
     inserted); :func:`~repro.sql.types.sql_compare` parses those through
-    :meth:`Date.from_string` when comparing against a ``Date``, so
+    :func:`~repro.sql.types.date_from_string` when comparing against a ``Date``, so
     pre-parsing to the same ordinal here is bit-identical.  A string that
     does not parse refuses the whole column — the generic path keeps the
     runtime error for it.
@@ -150,10 +150,10 @@ def _build_date(values: Sequence) -> Optional[TypedColumn]:
     nulls: list[int] = []
     for position, value in enumerate(values):
         if type(value) is Date:
-            append(value.days)
+            append(date_days(value))
         elif type(value) is str:
             try:
-                append(Date.from_string(value).days)
+                append(date_days(date_from_string(value)))
             except ValueError:
                 return None
         elif value is None:

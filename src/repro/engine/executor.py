@@ -28,7 +28,7 @@ from .expressions import (
     Scope,
     find_aggregates,
 )
-from .functions import BUILTIN_SCALARS, CountAggregate, Function, make_aggregate
+from .functions import BUILTIN_SCALARS, CountAggregate, Function, aggregate_factory
 from .planner import EmptyPipeline, JoinPipeline, Planner
 from .vector import (
     BatchExpressionCompiler,
@@ -264,7 +264,9 @@ class PreparedSelect:
                 arg_fn = compiler.compile(aggregate.args[0])
             else:
                 arg_fn = None
-            self._aggregate_specs.append((aggregate, arg_fn))
+            # (accumulator factory, argument kernel): resolved once, so a new
+            # group costs one call per aggregate
+            self._aggregate_specs.append((aggregate_factory(aggregate), arg_fn))
 
         self._group_key_fns = [compiler.compile(expr) for expr in group_exprs]
 
@@ -407,7 +409,7 @@ class PreparedSelect:
     def stream(self, outers: tuple = ()):
         """Yield projected rows lazily (see :attr:`streamable`).
 
-        In vectorized mode the lazy path pulls bounded row chunks from
+        In vectorized mode the lazy path pulls bounded batches from
         :meth:`~repro.engine.planner.JoinPipeline.iter_batches`, applies the
         post-filters and the projection per *batch* and honours ``LIMIT`` by
         stopping the pull early — an early ``LIMIT`` therefore materializes
@@ -429,8 +431,7 @@ class PreparedSelect:
         limit = self._limit
         produced = 0
         if self._vectorized:
-            for chunk in self._pipeline.iter_batches(outers, self._vector.batch_size):
-                batch = RowBatch(chunk)
+            for batch in self._pipeline.iter_batches(outers, self._vector.batch_size):
                 if filters:
                     batch = apply_batch_predicates(batch, filters, outers)
                     if batch.n == 0:
@@ -459,25 +460,28 @@ class PreparedSelect:
         batch_size = self._vector.batch_size
         if profiled:
             kernels = stats.kernels
-            marks = [perf_counter(), kernels.typed, kernels.generic, kernels.proven]
+
+            def mark() -> tuple:
+                return (perf_counter(), *kernels.snapshot(), stats.join_rows_materialized)
+
+            marks = [mark()]
 
             def record(operator: str, rows_count: int, batches: int = 1) -> None:
-                # each stage's profile carries the wall time and the
-                # typed/generic/proven kernel dispatches since the previous mark
-                now = perf_counter()
+                # each stage's profile carries the wall time, the kernel
+                # dispatches and the joined rows materialized since the
+                # previous mark
+                then, now = marks[0], mark()
                 stats.record_operator(
                     operator,
                     rows_count,
-                    now - marks[0],
+                    now[0] - then[0],
                     batches=batches,
-                    typed_kernels=kernels.typed - marks[1],
-                    generic_kernels=kernels.generic - marks[2],
-                    proven_kernels=kernels.proven - marks[3],
+                    typed_kernels=now[1] - then[1],
+                    generic_kernels=now[2] - then[2],
+                    proven_kernels=now[3] - then[3],
+                    join_rows_materialized=now[4] - then[4],
                 )
                 marks[0] = now
-                marks[1] = kernels.typed
-                marks[2] = kernels.generic
-                marks[3] = kernels.proven
 
         if self._vectorized:
             batch = self._pipeline.execute_batch(outers)
@@ -588,9 +592,7 @@ class PreparedSelect:
             for key, indices in partition.items():
                 accumulators = groups.get(key)
                 if accumulators is None:
-                    accumulators = [
-                        make_aggregate(aggregate) for aggregate, _ in specs
-                    ]
+                    accumulators = [factory() for factory, _ in specs]
                     groups[key] = accumulators
                 count = len(indices)
                 for accumulator, column in zip(accumulators, argument_columns):
@@ -607,7 +609,7 @@ class PreparedSelect:
                     else:
                         accumulator.add_indexed(column, indices)
         if not groups and not has_keys:
-            groups[()] = [make_aggregate(aggregate) for aggregate, _ in specs]
+            groups[()] = [factory() for factory, _ in specs]
 
         group_rows = [
             key + tuple(accumulator.result() for accumulator in accumulators)
@@ -658,12 +660,12 @@ class PreparedSelect:
             key = tuple(fn(row, outers) for fn in group_key_fns) if has_keys else ()
             bucket = groups.get(key)
             if bucket is None:
-                bucket = [make_aggregate(aggregate) for aggregate, _ in self._aggregate_specs]
+                bucket = [factory() for factory, _ in self._aggregate_specs]
                 groups[key] = bucket
             for accumulator, (_, arg_fn) in zip(bucket, self._aggregate_specs):
                 accumulator.add(arg_fn(row, outers) if arg_fn is not None else row)
         if not groups and not has_keys:
-            groups[()] = [make_aggregate(aggregate) for aggregate, _ in self._aggregate_specs]
+            groups[()] = [factory() for factory, _ in self._aggregate_specs]
 
         projected = []
         for key, accumulators in groups.items():

@@ -23,6 +23,8 @@ from ..sql.types import (
     Date,
     Interval,
     add_date_interval,
+    date_add_days,
+    date_from_string,
     sql_compare,
     sql_equal,
 )
@@ -104,9 +106,19 @@ class Scope:
 class ExpressionCompiler:
     """Compiles AST expressions against a scope into evaluation closures."""
 
-    def __init__(self, scope: Scope, context) -> None:
+    def __init__(self, scope: Scope, context, planned: Optional[dict] = None) -> None:
         self.scope = scope
         self.context = context
+        # sub-queries the caller already planned against this scope, keyed
+        # by ``id(query)`` (the batch compiler plans one to learn whether it
+        # is correlated before falling back to this compiler)
+        self._planned = planned or {}
+
+    def _prepare_subquery(self, query: ast.Select):
+        planned = self._planned.get(id(query))
+        if planned is not None:
+            return planned
+        return self.context.prepare_subquery(query, self.scope)
 
     # -- public API ---------------------------------------------------------
 
@@ -279,7 +291,7 @@ class ExpressionCompiler:
             value = value_fn(row, outers)
             if value is None:
                 return None
-            date = value if isinstance(value, Date) else Date.from_string(str(value))
+            date = value if isinstance(value, Date) else date_from_string(str(value))
             if part == "YEAR":
                 return date.year
             if part == "MONTH":
@@ -331,7 +343,7 @@ class ExpressionCompiler:
     # -- sub-queries ---------------------------------------------------------
 
     def _compile_scalarsubquery(self, expr: ast.ScalarSubquery) -> CompiledExpr:
-        prepared = self.context.prepare_subquery(expr.query, self.scope)
+        prepared = self._prepare_subquery(expr.query)
 
         def evaluate(row: tuple, outers: tuple) -> Any:
             rows = prepared.run((row,) + outers)
@@ -344,7 +356,7 @@ class ExpressionCompiler:
         return evaluate
 
     def _compile_insubquery(self, expr: ast.InSubquery) -> CompiledExpr:
-        prepared = self.context.prepare_subquery(expr.query, self.scope)
+        prepared = self._prepare_subquery(expr.query)
         value_fn = self.compile(expr.expr)
         negated = expr.negated
 
@@ -362,7 +374,7 @@ class ExpressionCompiler:
         return evaluate
 
     def _compile_exists(self, expr: ast.Exists) -> CompiledExpr:
-        prepared = self.context.prepare_subquery(expr.query, self.scope)
+        prepared = self._prepare_subquery(expr.query)
         negated = expr.negated
 
         def evaluate(row: tuple, outers: tuple) -> bool:
@@ -448,12 +460,12 @@ def _date_arithmetic(left: Any, right: Any, operator: str) -> Any:
     if isinstance(left, Interval) and isinstance(right, Date) and operator == "+":
         return add_date_interval(right, left, 1)
     if isinstance(left, Date) and isinstance(right, Date) and operator == "-":
-        return left.days - right.days
+        return (left - right).days
     if isinstance(left, Date) and isinstance(right, (int, float)):
         if operator == "+":
-            return left.add_days(int(right))
+            return date_add_days(left, int(right))
         if operator == "-":
-            return left.add_days(-int(right))
+            return date_add_days(left, -int(right))
     raise ExecutionError(f"unsupported date arithmetic: {type(left).__name__} {operator} {type(right).__name__}")
 
 

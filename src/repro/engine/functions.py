@@ -18,6 +18,7 @@ appendix experiments of the paper.
 
 from __future__ import annotations
 
+import functools
 import math
 import threading
 from dataclasses import dataclass, field
@@ -26,7 +27,7 @@ from typing import Any, Callable, Optional, Sequence
 from ..errors import FunctionError
 from ..sql import ast
 from ..sql.parser import parse_query
-from ..sql.types import Date
+from ..sql.types import Date, date_from_string
 
 
 # ---------------------------------------------------------------------------
@@ -219,7 +220,7 @@ def _fn_year(value: Any) -> Optional[int]:
         return None
     if isinstance(value, Date):
         return value.year
-    return Date.from_string(str(value)).year
+    return date_from_string(str(value)).year
 
 
 BUILTIN_SCALARS: dict[str, Callable[..., Any]] = {
@@ -254,8 +255,12 @@ class Aggregate:
     applies values in column order with the exact per-element arithmetic of
     :meth:`add` — in particular floats accumulate by the same sequence of
     binary additions — so batch and row execution produce bit-identical
-    results.
+    results.  Accumulators are built per group (tens of thousands per
+    query), so every class declares ``__slots__``: one allocation, no
+    ``__dict__``.
     """
+
+    __slots__ = ()
 
     def add(self, value: Any) -> None:
         raise NotImplementedError
@@ -276,6 +281,8 @@ class Aggregate:
 
 
 class CountAggregate(Aggregate):
+    __slots__ = ("_count", "_count_star")
+
     def __init__(self, count_star: bool = False) -> None:
         self._count = 0
         self._count_star = count_star
@@ -305,6 +312,8 @@ class CountAggregate(Aggregate):
 
 
 class SumAggregate(Aggregate):
+    __slots__ = ("_total",)
+
     def __init__(self) -> None:
         self._total: Any = None
 
@@ -333,6 +342,8 @@ class SumAggregate(Aggregate):
 
 
 class AvgAggregate(Aggregate):
+    __slots__ = ("_total", "_count")
+
     def __init__(self) -> None:
         self._total = 0.0
         self._count = 0
@@ -371,6 +382,8 @@ class AvgAggregate(Aggregate):
 
 
 class MinAggregate(Aggregate):
+    __slots__ = ("_value",)
+
     def __init__(self) -> None:
         self._value: Any = None
 
@@ -400,6 +413,8 @@ class MinAggregate(Aggregate):
 
 
 class MaxAggregate(Aggregate):
+    __slots__ = ("_value",)
+
     def __init__(self) -> None:
         self._value: Any = None
 
@@ -430,6 +445,8 @@ class MaxAggregate(Aggregate):
 
 class DistinctAggregate(Aggregate):
     """Wraps another aggregate, feeding it each distinct value exactly once."""
+
+    __slots__ = ("_inner", "_seen")
 
     def __init__(self, inner: Aggregate) -> None:
         self._inner = inner
@@ -469,22 +486,29 @@ class DistinctAggregate(Aggregate):
         return self._inner.result()
 
 
-def make_aggregate(call: ast.FunctionCall) -> Aggregate:
-    """Build the accumulator matching an aggregate FunctionCall node."""
+_AGGREGATES: dict[str, Callable[[], Aggregate]] = {
+    "SUM": SumAggregate,
+    "AVG": AvgAggregate,
+    "MIN": MinAggregate,
+    "MAX": MaxAggregate,
+}
+
+
+def aggregate_factory(call: ast.FunctionCall) -> Callable[[], Aggregate]:
+    """Resolve an aggregate FunctionCall node to its accumulator factory.
+
+    Resolved once per aggregate at prepare time; the executor then calls
+    the factory once per group without re-reading the AST node.
+    """
     name = call.name.upper()
     if name == "COUNT":
         count_star = len(call.args) == 1 and isinstance(call.args[0], ast.Star)
-        base: Aggregate = CountAggregate(count_star=count_star)
-    elif name == "SUM":
-        base = SumAggregate()
-    elif name == "AVG":
-        base = AvgAggregate()
-    elif name == "MIN":
-        base = MinAggregate()
-    elif name == "MAX":
-        base = MaxAggregate()
+        base: Callable[[], Aggregate] = functools.partial(CountAggregate, count_star)
+    elif name in _AGGREGATES:
+        base = _AGGREGATES[name]
     else:
         raise FunctionError(f"unknown aggregate function {call.name!r}")
     if call.distinct:
-        return DistinctAggregate(base)
+        return lambda: DistinctAggregate(base())
     return base
+

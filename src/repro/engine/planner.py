@@ -18,6 +18,14 @@ collected statistics (:mod:`repro.compile.cost`): start from the smallest
 smallest filtered estimate.  In uncosted mode the historic structural order
 is used — raw base-table cardinalities, first connected candidate — which is
 the differential oracle the costed order is tested against.
+
+In vectorized mode joins are *late-materialized*: a join step hashes the
+newly joined source, probes it with key columns computed over the current
+batch, and emits ``(left positions, matched build rows)`` — the output is a
+:class:`~repro.engine.vector.JoinedBatch` of references to the source rows,
+so no tuple is allocated per joined row.  Sources hand their rows to joins
+read-only (an unfiltered scan is the table heap itself).  Row mode keeps
+tuple concatenation and stays the oracle.
 """
 
 from __future__ import annotations
@@ -38,6 +46,7 @@ from .expressions import (
 from .vector import (
     BatchExpressionCompiler,
     BatchKernel,
+    JoinedBatch,
     RowBatch,
     apply_batch_predicates,
 )
@@ -46,24 +55,63 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from .executor import ExecutionContext, PreparedSelect
 
 
-def _chunked(rows: list[tuple], batch_size: int):
-    """Slice a row list into bounded windows (the streaming batch currency)."""
-    for start in range(0, len(rows), batch_size):
-        yield rows[start : start + batch_size]
+def _windows(batch: RowBatch, batch_size: int):
+    """Cut a batch into bounded windows (the streaming batch currency)."""
+    for start in range(0, batch.n, batch_size):
+        yield batch.window(start, start + batch_size)
 
 
-def _join_key_column(fns: list, rows: list[tuple], outers: tuple):
+def _join_key_column(fns: list, batch: RowBatch, outers: tuple):
     """Key-per-row list for a hash-join side, computed columnwise.
 
     ``fns`` are batch kernels: single-key joins use the kernel's column
     directly, multi-key joins zip the key columns into tuples — the batch
     analogue of ``tuple(fn(row, outers) for fn in fns)`` per row.
     """
-    batch = RowBatch(rows)
     columns = [fn(batch, outers) for fn in fns]
     if len(columns) == 1:
         return columns[0]
     return list(zip(*columns))
+
+
+def _hash_build(build_fns: list, batch: RowBatch, outers: tuple) -> dict:
+    """Hash a join's build side: key -> its rows, in source order."""
+    table: dict = {}
+    for row, key in zip(batch.rows, _join_key_column(build_fns, batch, outers)):
+        bucket = table.get(key)
+        if bucket is None:
+            table[key] = [row]
+        else:
+            bucket.append(row)
+    return table
+
+
+def _hash_probe(
+    probe_fns: list, batch: RowBatch, table: dict, outers: tuple
+) -> tuple[list[int], list[tuple]]:
+    """Probe ``table`` with every row of ``batch``.
+
+    Returns the matches as ``(left positions, build rows)``, aligned, in the
+    row-mode nesting order (left row major, bucket order minor) — the inputs
+    of :meth:`JoinedBatch.extend`; no joined tuple is built.
+    """
+    positions: list[int] = []
+    matched: list[tuple] = []
+    get, add_position, add_row = table.get, positions.append, matched.append
+    for position, key in enumerate(_join_key_column(probe_fns, batch, outers)):
+        bucket = get(key)
+        if bucket:
+            for row in bucket:
+                add_position(position)
+                add_row(row)
+    return positions, matched
+
+
+def _cross_pairs(left_n: int, right_rows) -> tuple[list[int], list[tuple]]:
+    """Every left position paired with every right row (a keyless join)."""
+    width = len(right_rows)
+    positions = [position for position in range(left_n) for _ in range(width)]
+    return positions, list(right_rows) * left_n
 
 
 class _OuterSentinel:
@@ -90,25 +138,16 @@ class SourcePlan:
         self._batch_filters: list[BatchKernel] = []
 
     def add_filter(self, predicate: CompiledExpr) -> None:
+        """Push a row-mode predicate down onto this source."""
         self._filters.append(predicate)
 
     def add_batch_filter(self, kernel: BatchKernel) -> None:
+        """Push a batch predicate kernel down onto this source."""
         self._batch_filters.append(kernel)
 
-    def _apply_filters(
-        self,
-        rows: list[tuple],
-        outers: tuple,
-        col_source=None,
-        typed_source=None,
-    ) -> list[tuple]:
+    def _apply_filters(self, rows: list[tuple], outers: tuple) -> list[tuple]:
         if self._batch_filters:
-            batch = apply_batch_predicates(
-                RowBatch(rows, col_source, typed_source), self._batch_filters, outers
-            )
-            out = batch.rows
-            # never hand out the caller's own list (table heaps are shared)
-            return list(out) if out is rows else out
+            return self._filter_batch(RowBatch(rows), outers).rows
         if not self._filters:
             return rows
         filters = self._filters
@@ -119,21 +158,14 @@ class SourcePlan:
         ]
 
     def _filter_batch(self, batch: RowBatch, outers: tuple) -> RowBatch:
-        """Apply the pushed-down filters to a batch, compacting by selection."""
-        if self._batch_filters:
-            batch = apply_batch_predicates(batch, self._batch_filters, outers)
-        if self._filters:
-            filters = self._filters
-            batch = RowBatch(
-                [
-                    row
-                    for row in batch.rows
-                    if all(predicate(row, outers) is True for predicate in filters)
-                ]
-            )
-        return batch
+        """Apply the pushed-down batch filters, compacting by selection."""
+        return apply_batch_predicates(batch, self._batch_filters, outers)
 
     def rows(self, outers: tuple) -> list[tuple]:
+        """The plan's filtered rows, **read-only**: an unfiltered scan hands
+        out the table heap itself and a cached sub-plan its cached list, so
+        joins build and probe without copying.  A consumer that outlives the
+        statement (a stream) snapshots them."""
         raise NotImplementedError
 
     def batch(self, outers: tuple) -> RowBatch:
@@ -147,6 +179,7 @@ class SourcePlan:
         return RowBatch(self.rows(outers))
 
     def estimate(self) -> int:
+        """Unfiltered cardinality guess used for join ordering."""
         raise NotImplementedError
 
     def children(self) -> list["PreparedSelect"]:
@@ -175,34 +208,35 @@ class TableSource(SourcePlan):
         self._key_lookup: Optional[tuple[int, CompiledExpr]] = None
 
     def set_key_lookup(self, column_index: int, value_fn: CompiledExpr) -> None:
+        """Turn the scan into a point look-up ``key column = value_fn()``."""
         self._key_lookup = (column_index, value_fn)
 
     @property
     def has_key_lookup(self) -> bool:
+        """Whether a primary-key point look-up replaced the scan."""
         return self._key_lookup is not None
 
     def estimate(self) -> int:
+        """1 for a point look-up, else the table's row count."""
         if self._key_lookup is not None:
             return 1
         return max(len(self.table.rows), 1)
 
     def rows(self, outers: tuple) -> list[tuple]:
+        """The filtered scan (or look-up bucket); unfiltered = the heap itself."""
         if self._key_lookup is not None:
             column_index, value_fn = self._key_lookup
             value = value_fn((), outers)
             candidates = self._hash_index(column_index).get(value, [])
-            return self._apply_filters(list(candidates), outers)
-        # full scan: batch kernels read the table's version-cached column
-        # arrays (and typed payloads) directly instead of gathering per query
-        filtered = self._apply_filters(
-            self.table.rows,
-            outers,
-            col_source=self.table.column_array,
-            typed_source=self.table.typed_column if self._typed else None,
-        )
-        return list(filtered) if filtered is self.table.rows else filtered
+            return self._apply_filters(candidates, outers)
+        if self._batch_filters:
+            # batch kernels read the table's version-cached column arrays
+            # (and typed payloads) directly instead of gathering per query
+            return self.batch(outers).rows
+        return self._apply_filters(self.table.rows, outers)
 
     def batch(self, outers: tuple) -> RowBatch:
+        """The filtered scan as a selection over the table's column caches."""
         if self._key_lookup is not None:
             return RowBatch(self.rows(outers))
         scan = RowBatch(
@@ -237,13 +271,16 @@ class PreparedSource(SourcePlan):
         self._prepared = prepared
 
     def children(self) -> list["PreparedSelect"]:
+        """The nested plan."""
         return [self._prepared]
 
     def estimate(self) -> int:
+        """The nested plan's estimate."""
         return self._prepared.estimate()
 
     def rows(self, outers: tuple) -> list[tuple]:
-        return self._apply_filters(list(self._prepared.run(outers)), outers)
+        """The nested plan's (possibly cached) result, filtered."""
+        return self._apply_filters(self._prepared.run(outers), outers)
 
 
 class JoinSource(SourcePlan):
@@ -253,7 +290,9 @@ class JoinSource(SourcePlan):
     batch-compiled: build/probe key columns come from batch kernels, the
     residual condition evaluates once over the whole candidate batch, and
     LEFT-join null padding is reconstructed from a candidate→left-position
-    index array — no per-row closure dispatch anywhere on the join path.
+    index array — no per-row closure dispatch anywhere on the join path, and
+    the output is a :class:`~repro.engine.vector.JoinedBatch` (``stats``
+    counts the rows a consumer makes it concatenate).
     """
 
     def __init__(
@@ -264,6 +303,7 @@ class JoinSource(SourcePlan):
         key_pairs: list[tuple[CompiledExpr, CompiledExpr]],
         residual: Optional[CompiledExpr],
         vectorized: bool = False,
+        stats=None,
     ) -> None:
         super().__init__(list(left.schema) + list(right.schema), left.bindings | right.bindings)
         self._left = left
@@ -273,79 +313,74 @@ class JoinSource(SourcePlan):
         self._residual = residual
         self._right_width = len(right.schema)
         self._vectorized = vectorized
+        self._stats = stats
 
     def children(self) -> list["PreparedSelect"]:
+        """Nested plans of both sides."""
         return self._left.children() + self._right.children()
 
     def estimate(self) -> int:
+        """The larger side's estimate."""
         return max(self._left.estimate(), self._right.estimate())
 
-    def _rows_vectorized(self, outers: tuple) -> list[tuple]:
+    def batch(self, outers: tuple) -> RowBatch:
         """Batch ON-clause join: key columns, one residual mask, index padding.
 
         Candidate pairs are collected in exactly the row-mode nesting order
-        together with a parallel array of left-row positions; the residual
-        (a batch kernel here) is evaluated once over the candidate batch —
-        never over unmatched rows, which row mode also never sees — and for
-        LEFT joins the output is rebuilt in one pass over the left side,
-        padding rows whose candidates all failed.  Output order is therefore
-        bit-identical to the row-at-a-time loop.
+        as ``(left position, right row)``; the residual (a batch kernel here)
+        is evaluated once over the candidate batch — never over unmatched
+        rows, which row mode also never sees — and for LEFT joins the output
+        is rebuilt in one pass over the left side, pairing rows whose
+        candidates all failed with the shared null-pad tuple.  Output order
+        is therefore bit-identical to the row-at-a-time loop, and the result
+        is a :class:`~repro.engine.vector.JoinedBatch`: no joined tuple is
+        built.
         """
-        left_rows = self._left.rows(outers)
-        right_rows = self._right.rows(outers)
-        candidates: list[tuple] = []
-        cand_left_pos: list[int] = []
+        left = self._left.batch(outers)
+        right = self._right.batch(outers)
         if self._key_pairs:
-            probe_fns = [pair[0] for pair in self._key_pairs]
-            build_fns = [pair[1] for pair in self._key_pairs]
-            table: dict = {}
-            for row, key in zip(
-                right_rows, _join_key_column(build_fns, right_rows, outers)
-            ):
-                bucket = table.get(key)
-                if bucket is None:
-                    table[key] = [row]
-                else:
-                    bucket.append(row)
-            get = table.get
-            for position, (left_row, key) in enumerate(
-                zip(left_rows, _join_key_column(probe_fns, left_rows, outers))
-            ):
-                bucket = get(key)
-                if bucket:
-                    for right_row in bucket:
-                        candidates.append(left_row + right_row)
-                        cand_left_pos.append(position)
+            table = _hash_build([pair[1] for pair in self._key_pairs], right, outers)
+            positions, matched = _hash_probe(
+                [pair[0] for pair in self._key_pairs], left, table, outers
+            )
         else:
-            for position, left_row in enumerate(left_rows):
-                for right_row in right_rows:
-                    candidates.append(left_row + right_row)
-                    cand_left_pos.append(position)
+            positions, matched = _cross_pairs(left.n, right.rows)
+        left_width = len(self._left.schema)
+
+        def joined(positions: list[int], right_rows: list[tuple]) -> RowBatch:
+            return JoinedBatch.extend(
+                left, left_width, positions, right_rows, self._right_width, self._stats
+            )
+
         mask = None
-        if self._residual is not None and candidates:
-            mask = self._residual(RowBatch(candidates), outers)
-        if self._join_type is not ast.JoinType.LEFT:
-            if mask is None:
-                return candidates
-            return [row for row, keep in zip(candidates, mask) if keep is True]
-        null_pad = (None,) * self._right_width
-        combined: list[tuple] = []
-        index = 0
-        total = len(candidates)
-        for position, left_row in enumerate(left_rows):
-            matched = False
-            while index < total and cand_left_pos[index] == position:
-                if mask is None or mask[index] is True:
-                    combined.append(candidates[index])
-                    matched = True
-                index += 1
-            if not matched:
-                combined.append(left_row + null_pad)
-        return combined
+        if self._residual is not None and positions:
+            mask = self._residual(joined(positions, matched), outers)
+        if self._join_type is ast.JoinType.LEFT:
+            null_pad = (None,) * self._right_width
+            cand_positions, cand_rows = positions, matched
+            positions, matched = [], []
+            index, total = 0, len(cand_positions)
+            for left_position in range(left.n):
+                unmatched = True
+                while index < total and cand_positions[index] == left_position:
+                    if mask is None or mask[index] is True:
+                        positions.append(left_position)
+                        matched.append(cand_rows[index])
+                        unmatched = False
+                    index += 1
+                if unmatched:
+                    positions.append(left_position)
+                    matched.append(null_pad)
+        elif mask is not None:
+            kept = [index for index, keep in enumerate(mask) if keep is True]
+            positions = [positions[index] for index in kept]
+            matched = [matched[index] for index in kept]
+        return self._filter_batch(joined(positions, matched), outers)
 
     def rows(self, outers: tuple) -> list[tuple]:
+        """The joined rows as tuples (row mode: the nested-loop oracle)."""
         if self._vectorized:
-            return self._apply_filters(self._rows_vectorized(outers), outers)
+            return self.batch(outers).rows
         left_rows = self._left.rows(outers)
         right_rows = self._right.rows(outers)
         null_pad = (None,) * self._right_width
@@ -401,6 +436,14 @@ class _JoinStep:
         self.build_fns = build_fns
         self.residuals = residuals
 
+    def build(self, outers: tuple):
+        """What a vectorized probe needs of the newly joined source: its hash
+        table (keyed step) or just its rows (cross product)."""
+        batch = self.source.batch(outers)
+        if self.probe_fns:
+            return _hash_build(self.build_fns, batch, outers)
+        return batch.rows
+
 
 class JoinPipeline:
     """Executes the planned sequence of scans, hash joins and residual filters.
@@ -408,8 +451,10 @@ class JoinPipeline:
     In vectorized mode (``vectorized=True``) the probe/build key functions
     and residual filters are batch kernels: join keys are computed as key
     *columns* over whole row windows, residuals via
-    :func:`~repro.engine.vector.apply_batch_predicates`.  The streaming
-    spine is :meth:`iter_batches`, which emits bounded row chunks
+    :func:`~repro.engine.vector.apply_batch_predicates`, and every step's
+    output is a late-materialized :class:`~repro.engine.vector.JoinedBatch`
+    (``stats`` counts the rows a consumer makes it concatenate).  The
+    streaming spine is :meth:`iter_batches`, which emits bounded batches
     (``batch_size`` rows) so ``LIMIT`` consumers touch O(batch) rows.
     """
 
@@ -421,6 +466,7 @@ class JoinPipeline:
         schema: list[tuple[Optional[str], str]],
         vectorized: bool = False,
         batch_size: int = DEFAULT_BATCH_SIZE,
+        stats=None,
     ) -> None:
         self._first = first
         self._steps = steps
@@ -428,26 +474,34 @@ class JoinPipeline:
         self.schema = schema
         self._vectorized = vectorized
         self._batch_size = batch_size
+        self._stats = stats
 
     def execute_batch(self, outers: tuple) -> RowBatch:
         """The pipeline's joined rows as one :class:`RowBatch` (vectorized).
 
         With no join steps the first source's batch flows through directly,
         so a filtered base-table scan keeps its typed columns and selection
-        view for the projection/aggregation stage; join outputs are plain
-        row-tuple batches (join intermediates have no stable storage
-        columns to specialize over).
+        view for the projection/aggregation stage; every join step extends
+        a :class:`~repro.engine.vector.JoinedBatch` by the matched rows of
+        the newly joined source — references only, no joined tuple is built
+        (join intermediates have no stable storage columns to specialize
+        over, so they carry no typed columns either).
         """
-        if not self._steps:
-            batch = self._first.batch(outers)
-            if self._final_residuals and batch.n:
-                batch = apply_batch_predicates(batch, self._final_residuals, outers)
-            return batch
-        return RowBatch(self._execute_vectorized(outers))
+        current = self._first.batch(outers)
+        width = len(self._first.schema)
+        for step in self._steps:
+            if current.n == 0:
+                return current
+            current = self._join_batch(step, current, width, step.build(outers), outers)
+            width += len(step.source.schema)
+        if self._final_residuals and current.n:
+            current = apply_batch_predicates(current, self._final_residuals, outers)
+        return current
 
     def execute(self, outers: tuple) -> list[tuple]:
+        """The pipeline's joined rows as concatenated tuples (row mode)."""
         if self._vectorized:
-            return self._execute_vectorized(outers)
+            return self.execute_batch(outers).rows
         current = self._first.rows(outers)
         for step in self._steps:
             if not current:
@@ -462,48 +516,21 @@ class JoinPipeline:
             ]
         return current
 
-    def _execute_vectorized(self, outers: tuple) -> list[tuple]:
-        current = self._first.rows(outers)
-        for step in self._steps:
-            if not current:
-                return []
-            current = self._execute_step_batch(step, current, outers)
-        if self._final_residuals and current:
-            current = apply_batch_predicates(
-                RowBatch(current), self._final_residuals, outers
-            ).rows
-        return current
-
-    @staticmethod
-    def _execute_step_batch(
-        step: _JoinStep, current: list[tuple], outers: tuple
-    ) -> list[tuple]:
-        new_rows = step.source.rows(outers)
-        joined: list[tuple] = []
+    def _join_batch(
+        self, step: _JoinStep, current: RowBatch, width: int, built, outers: tuple
+    ) -> RowBatch:
+        """One vectorized join step: ``current`` (``width`` slots) joined to
+        the step's source (``built``, see :meth:`_JoinStep.build`), then the
+        step's residual filters."""
         if step.probe_fns:
-            table: dict = {}
-            for row, key in zip(new_rows, _join_key_column(step.build_fns, new_rows, outers)):
-                bucket = table.get(key)
-                if bucket is None:
-                    table[key] = [row]
-                else:
-                    bucket.append(row)
-            get = table.get
-            for left_row, key in zip(
-                current, _join_key_column(step.probe_fns, current, outers)
-            ):
-                bucket = get(key)
-                if bucket:
-                    for right_row in bucket:
-                        joined.append(left_row + right_row)
+            positions, matched = _hash_probe(step.probe_fns, current, built, outers)
         else:
-            for left_row in current:
-                for right_row in new_rows:
-                    joined.append(left_row + right_row)
-        if step.residuals and joined:
-            joined = apply_batch_predicates(
-                RowBatch(joined), step.residuals, outers
-            ).rows
+            positions, matched = _cross_pairs(current.n, built)
+        joined = JoinedBatch.extend(
+            current, width, positions, matched, len(step.source.schema), self._stats
+        )
+        if step.residuals and joined.n:
+            joined = apply_batch_predicates(joined, step.residuals, outers)
         return joined
 
     def iter_rows(self, outers: tuple):
@@ -514,9 +541,10 @@ class JoinPipeline:
         the join *output*: left rows flow through one at a time, so the
         first joined row is produced without computing the full cross
         product — the engine's streaming path
-        (:meth:`repro.engine.executor.PreparedSelect.stream`).
+        (:meth:`repro.engine.executor.PreparedSelect.stream`).  The first
+        source's rows are snapshotted: the stream outlives the statement.
         """
-        current = iter(self._first.rows(outers))
+        current = iter(list(self._first.rows(outers)))
         for step in self._steps:
             current = self._iter_step(step, current, outers)
         if self._final_residuals:
@@ -529,65 +557,40 @@ class JoinPipeline:
         yield from current
 
     def iter_batches(self, outers: tuple, batch_size: Optional[int] = None):
-        """Yield joined rows lazily as bounded chunks (vectorized streaming).
+        """Yield joined rows lazily as bounded batches (vectorized streaming).
 
         The batch analogue of :meth:`iter_rows`: each source still
         materializes its own (filtered) scan and each join step builds its
         hash table when first pulled, but left rows flow through the spine
-        ``batch_size`` at a time and every yielded chunk is re-bounded to at
+        ``batch_size`` at a time and every yielded batch is re-bounded to at
         most ``batch_size`` rows — an early-``LIMIT`` consumer therefore
-        materializes O(batch) rows, never the join output.
+        materializes O(batch) rows, never the join output.  The first
+        source's rows are snapshotted: the stream outlives the statement,
+        the table heap may grow under it.
         """
         size = batch_size or self._batch_size
-        current = _chunked(self._first.rows(outers), size)
+        current = _windows(RowBatch(list(self._first.rows(outers))), size)
+        width = len(self._first.schema)
         for step in self._steps:
-            current = self._iter_step_batch(step, current, outers, size)
-        for chunk in current:
+            current = self._iter_step_batch(step, current, width, outers, size)
+            width += len(step.source.schema)
+        for batch in current:
             if self._final_residuals:
-                chunk = apply_batch_predicates(
-                    RowBatch(chunk), self._final_residuals, outers
-                ).rows
-            if chunk:
-                yield chunk
+                batch = apply_batch_predicates(batch, self._final_residuals, outers)
+            if batch.n:
+                yield batch
 
-    @staticmethod
-    def _iter_step_batch(step: _JoinStep, current, outers: tuple, batch_size: int):
-        table: Optional[dict] = None
-        new_rows: list[tuple] = []
-        for chunk in current:
-            if table is None:
+    def _iter_step_batch(
+        self, step: _JoinStep, current, width: int, outers: tuple, batch_size: int
+    ):
+        built = None
+        for batch in current:
+            if built is None:
                 # built on first demand, exactly like the row-mode spine
-                new_rows = step.source.rows(outers)
-                table = {}
-                if step.probe_fns:
-                    for row, key in zip(
-                        new_rows, _join_key_column(step.build_fns, new_rows, outers)
-                    ):
-                        bucket = table.get(key)
-                        if bucket is None:
-                            table[key] = [row]
-                        else:
-                            bucket.append(row)
-            joined: list[tuple] = []
-            if step.probe_fns:
-                get = table.get
-                for left_row, key in zip(
-                    chunk, _join_key_column(step.probe_fns, chunk, outers)
-                ):
-                    bucket = get(key)
-                    if bucket:
-                        for right_row in bucket:
-                            joined.append(left_row + right_row)
-            else:
-                for left_row in chunk:
-                    for right_row in new_rows:
-                        joined.append(left_row + right_row)
-            if step.residuals and joined:
-                joined = apply_batch_predicates(
-                    RowBatch(joined), step.residuals, outers
-                ).rows
-            # one-to-many joins can fan a chunk out past the bound; re-slice
-            yield from _chunked(joined, batch_size)
+                built = step.build(outers)
+            joined = self._join_batch(step, batch, width, built, outers)
+            # one-to-many joins can fan a batch out past the bound; re-slice
+            yield from _windows(joined, batch_size)
 
     @staticmethod
     def _iter_step(step: _JoinStep, current, outers: tuple):
@@ -650,12 +653,14 @@ class JoinPipeline:
         return joined
 
     def children(self) -> list["PreparedSelect"]:
+        """Nested plans of every source, in join order."""
         collected = list(self._first.children())
         for step in self._steps:
             collected.extend(step.source.children())
         return collected
 
     def estimate(self) -> int:
+        """The largest source estimate along the pipeline."""
         estimate = self._first.estimate()
         for step in self._steps:
             estimate = max(estimate, step.source.estimate())
@@ -668,6 +673,7 @@ class EmptyPipeline:
     schema: list[tuple[Optional[str], str]] = []
 
     def execute(self, outers: tuple) -> list[tuple]:
+        """The single empty row."""
         return [()]
 
     def execute_batch(self, outers: tuple) -> RowBatch:
@@ -680,12 +686,14 @@ class EmptyPipeline:
 
     def iter_batches(self, outers: tuple, batch_size: Optional[int] = None):
         """The single empty row as a one-row batch."""
-        yield [()]
+        yield RowBatch([()])
 
     def children(self) -> list["PreparedSelect"]:
+        """No sources, no nested plans."""
         return []
 
     def estimate(self) -> int:
+        """One row."""
         return 1
 
 
@@ -851,7 +859,13 @@ class Planner:
             combined_compiler = self._mode_compiler(list(left.schema) + list(right.schema))
             residual = combined_compiler.compile_predicate(ast.and_(*residual_parts))
         return JoinSource(
-            left, right, item.join_type, key_pairs, residual, vectorized=self._vectorized
+            left,
+            right,
+            item.join_type,
+            key_pairs,
+            residual,
+            vectorized=self._vectorized,
+            stats=self._context.database.stats,
         )
 
     def _equi_join_pair(
@@ -1144,6 +1158,7 @@ class Planner:
             placed_schema,
             vectorized=self._vectorized,
             batch_size=self._batch_size,
+            stats=self._context.database.stats,
         )
 
     def _split_ready(

@@ -20,10 +20,15 @@ through :meth:`repro.engine.executor.ExecutionContext.batch_call_function`:
 duplicate ``(function, args)`` keys inside a batch hit the memo once per
 distinct key and scatter the result, with counter parity to the row mode.
 
-Sub-query nodes (scalar, ``IN``, ``EXISTS``) are evaluated through the row
-compiler inside the batch (the *rowwise fallback*): their per-row cost is an
-uncorrelated-cache lookup either way, and correlated sub-queries are
-inherently row-at-a-time.
+Uncorrelated sub-query nodes (scalar, ``IN``, ``EXISTS``) are batch kernels
+too: one cached sub-query answer per batch, applied to the value column
+(membership pass) or broadcast.  Correlated sub-queries are inherently
+row-at-a-time and evaluate through the row compiler inside the batch (the
+*rowwise fallback*).
+
+Join intermediates are :class:`JoinedBatch` es — aligned per-source lists of
+references to the source rows instead of one concatenated tuple per joined
+row; kernels read them through the same ``batch.column(...)`` seam.
 
 On top of the generic object-list kernels sits the **typed specialization
 layer** (``REPRO_ENGINE_TYPED``, default on): where a base-table column is
@@ -43,11 +48,12 @@ instead of rebuilding row-tuple lists between conjuncts.
 from __future__ import annotations
 
 import operator
+from itertools import chain
 from typing import Any, Callable, Optional, Sequence
 
 from ..errors import ExecutionError
 from ..sql import ast
-from ..sql.types import Date, sql_compare, sql_equal
+from ..sql.types import Date, date_days, date_from_string, sql_compare, sql_equal
 from .columns import NUMERIC_KINDS, TypedColumn
 from .expressions import (
     ExpressionCompiler,
@@ -210,6 +216,89 @@ class RowBatch:
         return RowBatch(self._rows[start:stop])
 
 
+class JoinedBatch(RowBatch):
+    """A join intermediate that references its source rows instead of copying.
+
+    ``parts`` are aligned lists, one per joined source: output row ``i`` is
+    the concatenation of ``parts[k][i]`` over all ``k``, but no such tuple is
+    built — every entry is a reference to a row that already exists (a table
+    heap row, a derived-table row, or a LEFT join's shared null-pad tuple).
+    ``layout`` maps an output slot to ``(part, slot within that part's
+    rows)``.  Columns gather from one part; ``filter`` / ``select`` /
+    ``window`` gather or slice the parts by position; there are no typed
+    columns.  Only :attr:`rows` concatenates (cached, and counted in
+    ``stats.join_rows_materialized``) — for the consumers that need a row
+    tuple: row-interpreter fallbacks, correlated sub-queries, a join used as
+    another join's build side.
+    """
+
+    __slots__ = ("_parts", "_layout", "_stats")
+
+    def __init__(self, parts: list[Sequence[tuple]], layout: list, stats) -> None:
+        super().__init__(())
+        self.n = len(parts[0])
+        self._parts = parts
+        self._layout = layout
+        self._stats = stats
+
+    @classmethod
+    def extend(
+        cls,
+        left: RowBatch,
+        left_width: int,
+        positions: Sequence[int],
+        right_rows: Sequence[tuple],
+        right_width: int,
+        stats,
+    ) -> "JoinedBatch":
+        """``left``'s rows at ``positions``, each joined to the aligned
+        entry of ``right_rows`` (rows of ``right_width`` slots)."""
+        if isinstance(left, JoinedBatch):
+            parts = [[part[i] for i in positions] for part in left._parts]
+            layout = list(left._layout)
+        else:
+            rows = left.rows
+            parts = [[rows[i] for i in positions]]
+            layout = [(0, slot) for slot in range(left_width)]
+        layout.extend((len(parts), slot) for slot in range(right_width))
+        parts.append(right_rows)
+        return cls(parts, layout, stats)
+
+    @property
+    def rows(self) -> Sequence[tuple]:
+        """The joined row tuples: concatenated on first use, cached, counted."""
+        mat = self._mat
+        if mat is None:
+            mat = list(map(tuple, map(chain.from_iterable, zip(*self._parts))))
+            self._mat = mat
+            self._stats.add(join_rows_materialized=self.n)
+        return mat
+
+    def column(self, index: int) -> Sequence[Any]:
+        """The column for slot ``index``, gathered from its part (cached)."""
+        col = self._cols.get(index)
+        if col is None:
+            part, slot = self._layout[index]
+            col = [row[slot] for row in self._parts[part]]
+            self._cols[index] = col
+        return col
+
+    def filter(self, mask: Sequence[Any]) -> "RowBatch":
+        """The rows whose mask entry ``is True`` (``self`` when all are)."""
+        kept = [i for i, keep in enumerate(mask) if keep is True]
+        return self if len(kept) == self.n else self.select(kept)
+
+    def select(self, indices: Sequence[int]) -> "RowBatch":
+        """The rows at batch-local ``indices``: every part gathered alike."""
+        parts = [[part[i] for i in indices] for part in self._parts]
+        return JoinedBatch(parts, self._layout, self._stats)
+
+    def window(self, start: int, stop: int) -> "RowBatch":
+        """Batch positions ``[start, stop)``: every part sliced alike."""
+        parts = [part[start:stop] for part in self._parts]
+        return JoinedBatch(parts, self._layout, self._stats)
+
+
 def apply_batch_predicates(
     batch: RowBatch, kernels: Sequence[BatchKernel], outers: tuple
 ) -> RowBatch:
@@ -299,14 +388,12 @@ class BatchExpressionCompiler:
 
     # -- fallback -----------------------------------------------------------
 
-    def _rowwise(self, expr: ast.Expression) -> BatchKernel:
-        """Evaluate through the row interpreter, one call per batch row.
-
-        Used for sub-query nodes: uncorrelated sub-queries answer from their
-        per-statement cache (same cost as the row mode paid), correlated
-        ones re-run per row by definition.
-        """
-        row_fn = ExpressionCompiler(self.scope, self.context).compile(expr)
+    def _rowwise(self, expr: ast.Expression, prepared=None) -> BatchKernel:
+        """Evaluate through the row interpreter, one call per batch row
+        (correlated sub-queries, non-literal IN lists); ``prepared`` is the
+        already planned sub-query of a sub-query node ``expr``."""
+        plans = {} if prepared is None else {id(expr.query): prepared}
+        row_fn = ExpressionCompiler(self.scope, self.context, plans).compile(expr)
         return lambda batch, outers: [row_fn(row, outers) for row in batch.rows]
 
     # -- leaves -------------------------------------------------------------
@@ -662,7 +749,7 @@ class BatchExpressionCompiler:
                     continue
                 if attribute is None:
                     raise ExecutionError(f"unsupported EXTRACT part {part!r}")
-                date = value if isinstance(value, Date) else Date.from_string(str(value))
+                date = value if isinstance(value, Date) else date_from_string(str(value))
                 append(getattr(date, attribute))
             return out
 
@@ -713,14 +800,59 @@ class BatchExpressionCompiler:
 
     # -- sub-queries ---------------------------------------------------------
 
+    # An uncorrelated sub-query never reads its outer rows, so it answers
+    # once per batch (from its per-statement cache) and the answer is applied
+    # to the whole column; correlated ones re-run per row by definition.
+
     def _compile_scalarsubquery(self, expr: ast.ScalarSubquery) -> BatchKernel:
-        return self._rowwise(expr)
+        prepared = self.context.prepare_subquery(expr.query, self.scope)
+        if prepared.correlated:
+            return self._rowwise(expr, prepared)
+
+        def kernel(batch: RowBatch, outers: tuple) -> list:
+            if batch.n == 0:
+                return []
+            rows = prepared.run(outers)
+            if rows and len(rows[0]) != 1:
+                raise ExecutionError("scalar sub-query must return a single column")
+            return [rows[0][0] if rows else None] * batch.n
+
+        return kernel
 
     def _compile_insubquery(self, expr: ast.InSubquery) -> BatchKernel:
-        return self._rowwise(expr)
+        prepared = self.context.prepare_subquery(expr.query, self.scope)
+        if prepared.correlated:
+            return self._rowwise(expr, prepared)
+        value_k = self.compile(expr.expr)
+        negated = expr.negated
+
+        def kernel(batch: RowBatch, outers: tuple) -> list:
+            values = value_k(batch, outers)
+            if all(value is None for value in values):
+                return [None] * len(values)  # like row mode: nothing to look up
+            members = prepared.run_value_set(outers)
+            present = members.values
+            missing = None if members.has_null else negated
+            found = not negated
+            return [
+                None if value is None else found if value in present else missing
+                for value in values
+            ]
+
+        return kernel
 
     def _compile_exists(self, expr: ast.Exists) -> BatchKernel:
-        return self._rowwise(expr)
+        prepared = self.context.prepare_subquery(expr.query, self.scope)
+        if prepared.correlated:
+            return self._rowwise(expr, prepared)
+        negated = expr.negated
+
+        def kernel(batch: RowBatch, outers: tuple) -> list:
+            if batch.n == 0:
+                return []
+            return [bool(prepared.run(outers, limit=1)) != negated] * batch.n
+
+        return kernel
 
     # -- typed-column specialization ----------------------------------------
     #
@@ -910,8 +1042,8 @@ class BatchExpressionCompiler:
     ) -> Optional[BatchKernel]:
         """``date_column OP DATE-literal`` reduced to day-ordinal compares.
 
-        :class:`~repro.sql.types.Date` is ordered by its single ``days``
-        field, so comparing ordinals is exactly comparing dates.  A literal
+        Dates order by their :func:`~repro.sql.types.date_days` ordinal, so
+        comparing ordinals is exactly comparing dates.  A literal
         on the left flips to the mirrored operator so the loop always runs
         ``op(value, const)``.
         """
@@ -924,7 +1056,7 @@ class BatchExpressionCompiler:
             if slot is None or const is None or type(const.value) is not Date:
                 return None
             py_op = _MIRRORED_OPS[py_op]
-        const_days = const.value.days
+        const_days = date_days(const.value)
         counters = self._kernels
         if slot in self._proven:
 
@@ -991,7 +1123,7 @@ class BatchExpressionCompiler:
             if slot is None:
                 return None
             return self._typed_date_between(
-                slot, low.value.days, high.value.days, expr.negated, generic
+                slot, date_days(low.value), date_days(high.value), expr.negated, generic
             )
         return None
 

@@ -22,7 +22,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Iterable
 
-from ..sql.types import Date
+from ..sql.types import Date, date_add_days
 
 REGIONS = ("AFRICA", "AMERICA", "ASIA", "EUROPE", "MIDDLE EAST")
 
@@ -68,8 +68,10 @@ COMMENT_WORDS = (
     "dependencies", "excuses", "customer", "complaints", "warhorses", "sheaves",
 )
 
-_CURRENT_DATE_START = Date.from_ymd(1992, 1, 1)
-_ORDER_DATE_SPAN_DAYS = (Date.from_ymd(1998, 8, 2).days - _CURRENT_DATE_START.days)
+_CURRENT_DATE_START = Date(1992, 1, 1)
+_ORDER_DATE_SPAN_DAYS = (Date(1998, 8, 2) - _CURRENT_DATE_START).days
+#: line items shipped / received up to here are final (TPC-H CURRENTDATE)
+_CURRENT_DATE = Date(1995, 6, 17)
 
 
 @dataclass
@@ -265,7 +267,7 @@ def _generate_orders_and_lineitems(
             continue
         for _ in range(max(1, sizes.orders_per_customer // 2 + rng.randint(0, sizes.orders_per_customer // 2))):
             orderkey += 1
-            order_date = _CURRENT_DATE_START.add_days(rng.randint(0, _ORDER_DATE_SPAN_DAYS - 151))
+            order_date = date_add_days(_CURRENT_DATE_START, rng.randint(0, _ORDER_DATE_SPAN_DAYS - 151))
             line_count = rng.randint(1, 7)
             total_price = 0.0
             order_lineitems = []
@@ -276,14 +278,14 @@ def _generate_orders_and_lineitems(
                 extended_price = round(quantity * (900 + (partkey % 1000) * 0.1), 2)
                 discount = round(rng.uniform(0.0, 0.10), 2)
                 tax = round(rng.uniform(0.0, 0.08), 2)
-                ship_date = order_date.add_days(rng.randint(1, 121))
-                commit_date = order_date.add_days(rng.randint(30, 90))
-                receipt_date = ship_date.add_days(rng.randint(1, 30))
-                if receipt_date.days <= Date.from_ymd(1995, 6, 17).days:
+                ship_date = date_add_days(order_date, rng.randint(1, 121))
+                commit_date = date_add_days(order_date, rng.randint(30, 90))
+                receipt_date = date_add_days(ship_date, rng.randint(1, 30))
+                if receipt_date <= _CURRENT_DATE:
                     return_flag = rng.choice(("R", "A"))
                 else:
                     return_flag = "N"
-                line_status = "F" if ship_date.days <= Date.from_ymd(1995, 6, 17).days else "O"
+                line_status = "F" if ship_date <= _CURRENT_DATE else "O"
                 total_price += extended_price * (1 + tax) * (1 - discount)
                 order_lineitems.append(
                     (

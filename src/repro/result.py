@@ -279,7 +279,9 @@ class OperatorProfile:
     next to the compile-side per-pass timings so compile cost and execution
     cost are separable at a glance.  ``typed_kernels`` / ``generic_kernels``
     count specialization-capable kernel evaluations attributed to the
-    operator's stage (both stay 0 in row-at-a-time mode).
+    operator's stage (both stay 0 in row-at-a-time mode);
+    ``join_rows_materialized`` counts the joined rows the stage forced out
+    of a late-materialized join intermediate into concatenated tuples.
     """
 
     operator: str
@@ -289,6 +291,7 @@ class OperatorProfile:
     typed_kernels: int = 0
     generic_kernels: int = 0
     proven_kernels: int = 0
+    join_rows_materialized: int = 0
 
     @property
     def rows_per_batch(self) -> float:
@@ -308,6 +311,8 @@ class OperatorProfile:
                 f", kernels typed={self.typed_kernels} "
                 f"generic={self.generic_kernels} proven={self.proven_kernels}"
             )
+        if self.join_rows_materialized:
+            line += f", join rows materialized={self.join_rows_materialized}"
         return line
 
 
@@ -328,6 +333,9 @@ class ExecutionStats:
     udf_cache_hits: int = 0
     subquery_runs: int = 0
     statements: int = 0
+    #: joined rows a consumer made a ``JoinedBatch`` concatenate into tuples
+    #: (row-interpreter fallbacks, correlated sub-queries, nested build sides)
+    join_rows_materialized: int = 0
     operator_profiles: dict = field(default_factory=dict, compare=False)
     #: typed-vs-generic kernel dispatch tally; identity-stable for the
     #: engine's lifetime because compiled kernels close over it
@@ -361,13 +369,15 @@ class ExecutionStats:
         typed_kernels: int = 0,
         generic_kernels: int = 0,
         proven_kernels: int = 0,
+        join_rows_materialized: int = 0,
     ) -> None:
         """Fold one measurement into an operator's profile.
 
         ``batches`` carries the number of bounded windows the operator
         consumed (1 for row-at-a-time or single-batch stages);
         ``typed_kernels`` / ``generic_kernels`` / ``proven_kernels`` the
-        kernel-dispatch deltas attributed to this stage.
+        kernel-dispatch deltas attributed to this stage, and
+        ``join_rows_materialized`` the joined rows it forced into tuples.
         """
         with self._lock:
             profile = self.operator_profiles.get(operator)
@@ -380,6 +390,7 @@ class ExecutionStats:
             profile.typed_kernels += typed_kernels
             profile.generic_kernels += generic_kernels
             profile.proven_kernels += proven_kernels
+            profile.join_rows_materialized += join_rows_materialized
 
     def operator_snapshot(self) -> list[OperatorProfile]:
         """A point-in-time copy of the operator profiles (insertion order)."""
@@ -393,6 +404,7 @@ class ExecutionStats:
                     typed_kernels=profile.typed_kernels,
                     generic_kernels=profile.generic_kernels,
                     proven_kernels=profile.proven_kernels,
+                    join_rows_materialized=profile.join_rows_materialized,
                 )
                 for profile in self.operator_profiles.values()
             ]
@@ -405,5 +417,6 @@ class ExecutionStats:
             self.udf_cache_hits = 0
             self.subquery_runs = 0
             self.statements = 0
+            self.join_rows_materialized = 0
             self.operator_profiles = {}
             self.kernels.reset()

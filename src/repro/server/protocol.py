@@ -26,7 +26,6 @@ Every path round-trips values *and* Python types exactly.
 
 from __future__ import annotations
 
-import functools
 import json
 import struct
 import sys
@@ -59,7 +58,7 @@ from ..errors import (
     TypeCheckError,
     TypeMismatchError,
 )
-from ..sql.types import Date
+from ..sql.types import Date, date_days, date_from_days
 
 #: protocol revision negotiated in HELLO; bumped on incompatible changes
 PROTOCOL_VERSION = 2
@@ -144,7 +143,7 @@ def exception_from_frame(frame: dict[str, Any]) -> ReproError:
 def encode_value(value: Any) -> Any:
     """Encode one cell/bind value into its JSON-representable form."""
     if isinstance(value, Date):
-        return {"$date": value.days}
+        return {"$date": date_days(value)}
     if isinstance(value, (bytes, bytearray)):
         return {"$bytes": bytes(value).hex()}
     if isinstance(value, (list, tuple)):
@@ -157,17 +156,15 @@ def encode_value(value: Any) -> Any:
 _NONE = type(None)
 
 
-@functools.lru_cache(maxsize=4096)
-def _shared_date(days: Optional[int]) -> Optional[Date]:
-    """One (immutable) :class:`Date` per day ordinal across pages, as the
-    in-process result shares the stored object; also skips the constructor."""
-    return None if days is None else Date(days)
-
-
 def _decode_dates(ordinals: list) -> list:
     if not set(map(type, ordinals)) <= {int, _NONE}:
         raise ProtocolError("a date's day ordinal must be an integer")
-    return list(map(_shared_date, ordinals))
+    # date_from_days shares one object per day across pages, as the
+    # in-process result shares the stored object
+    try:
+        return [None if days is None else date_from_days(days) for days in ordinals]
+    except (OverflowError, ValueError) as exc:
+        raise ProtocolError(f"a date's day ordinal is out of range: {exc}") from exc
 
 
 def _decode_bytes(texts: list) -> list:
@@ -204,7 +201,7 @@ def encode_rows(rows: list[tuple]) -> dict[str, Any]:
         if not census <= _PLAIN:
             if census <= {Date, _NONE}:
                 kind = "date"
-                column = [None if value is None else value.days for value in column]
+                column = [None if value is None else date_days(value) for value in column]
             elif census <= {bytes, _NONE}:
                 kind = "bytes"
                 column = [None if value is None else value.hex() for value in column]

@@ -15,7 +15,7 @@ from typing import Optional
 from ..errors import InvalidStatementError, LexerError, ParseError
 from . import ast
 from .lexer import Token, TokenType, tokenize
-from .types import Date, Interval, IntervalUnit
+from .types import Interval, IntervalUnit, date_from_string
 
 # Words that terminate a table reference / cannot be used as an implicit alias.
 _RESERVED = {
@@ -509,7 +509,7 @@ class Parser:
             return ast.Literal(keyword == "TRUE")
         if keyword == "DATE" and self._peek(1).type is TokenType.STRING:
             self._advance()
-            return ast.Literal(Date.from_string(self.expect_string()))
+            return ast.Literal(date_from_string(self.expect_string()))
         if keyword == "INTERVAL" and self._peek(1).type is TokenType.STRING:
             self._advance()
             amount = int(self.expect_string())

@@ -6,7 +6,8 @@ The engine stores values as plain Python objects:
 * ``INTEGER``     -> ``int``
 * ``DECIMAL``     -> ``float`` (sufficient precision for the MT-H workload)
 * ``VARCHAR``     -> ``str``
-* ``DATE``        -> :class:`Date`
+* ``DATE``        -> :class:`Date`, which *is* stdlib :class:`datetime.date`
+  (day ordinals, parsing and calendar shifts are the ``date_*`` functions)
 * ``INTERVAL``    -> :class:`Interval`
 * ``BOOLEAN``     -> ``bool``
 
@@ -17,7 +18,9 @@ queries (``date '1998-12-01' - interval '90' day``).
 
 from __future__ import annotations
 
+import calendar
 import datetime as _dt
+import functools
 from dataclasses import dataclass
 from enum import Enum
 from typing import Any, Optional
@@ -106,65 +109,50 @@ def arithmetic_result(
     return SQLType.DECIMAL
 
 
-@dataclass(frozen=True, order=True)
-class Date:
-    """A calendar date, stored as days since 1970-01-01.
+#: DATE values *are* stdlib dates: a C-level ``datetime.date`` is not
+#: GC-tracked (so row tuples holding only atoms and dates get untracked by
+#: the collector), compares and extracts in C, and is what PEP 249 expects.
+Date = _dt.date
 
-    Ordering and equality follow calendar order, which makes dates directly
-    usable as sort keys and group keys.
+_EPOCH_ORDINAL = _dt.date(1970, 1, 1).toordinal()
+
+
+@functools.lru_cache(maxsize=4096)
+def date_from_days(days: int) -> Date:
+    """The date ``days`` after 1970-01-01 (the wire / typed-column ordinal).
+
+    The one shared constructor: generated data, wire pages, sqlite results
+    and parsed literals hold one object per distinct day (bounded cache).
     """
-
-    days: int
-
-    @classmethod
-    def from_string(cls, text: str) -> "Date":
-        """Parse an ISO ``YYYY-MM-DD`` string."""
-        parsed = _dt.date.fromisoformat(text.strip())
-        return cls((parsed - _dt.date(1970, 1, 1)).days)
-
-    @classmethod
-    def from_ymd(cls, year: int, month: int, day: int) -> "Date":
-        return cls((_dt.date(year, month, day) - _dt.date(1970, 1, 1)).days)
-
-    def to_date(self) -> _dt.date:
-        return _dt.date(1970, 1, 1) + _dt.timedelta(days=self.days)
-
-    @property
-    def year(self) -> int:
-        return self.to_date().year
-
-    @property
-    def month(self) -> int:
-        return self.to_date().month
-
-    @property
-    def day(self) -> int:
-        return self.to_date().day
-
-    def add_days(self, days: int) -> "Date":
-        return Date(self.days + days)
-
-    def add_months(self, months: int) -> "Date":
-        base = self.to_date()
-        month_index = base.year * 12 + (base.month - 1) + months
-        year, month = divmod(month_index, 12)
-        month += 1
-        day = min(base.day, _days_in_month(year, month))
-        return Date.from_ymd(year, month, day)
-
-    def __str__(self) -> str:  # pragma: no cover - repr convenience
-        return self.to_date().isoformat()
+    return _dt.date.fromordinal(days + _EPOCH_ORDINAL)
 
 
-def _days_in_month(year: int, month: int) -> int:
-    if month == 12:
-        nxt = _dt.date(year + 1, 1, 1)
-    else:
-        nxt = _dt.date(year, month + 1, 1)
-    return (nxt - _dt.date(year, month, 1)).days
+def date_days(value: Date) -> int:
+    """Days since 1970-01-01; inverse of :func:`date_from_days`."""
+    return value.toordinal() - _EPOCH_ORDINAL
+
+
+def date_from_string(text: str) -> Date:
+    """Parse an ISO ``YYYY-MM-DD`` string (surrounding whitespace ignored)."""
+    return date_from_days(date_days(_dt.date.fromisoformat(text.strip())))
+
+
+def date_add_days(value: Date, days: int) -> Date:
+    """``value`` shifted by a (possibly negative) number of days."""
+    return date_from_days(date_days(value) + days)
+
+
+def date_add_months(value: Date, months: int) -> Date:
+    """``value`` shifted by whole months, clamping the day to the month's end."""
+    year, month = divmod(value.year * 12 + (value.month - 1) + months, 12)
+    month += 1
+    day = min(value.day, calendar.monthrange(year, month)[1])
+    return date_from_days(date_days(_dt.date(year, month, day)))
 
 
 class IntervalUnit(Enum):
+    """The calendar unit of an :class:`Interval`."""
+
     DAY = "DAY"
     MONTH = "MONTH"
     YEAR = "YEAR"
@@ -178,6 +166,7 @@ class Interval:
     unit: IntervalUnit
 
     def months(self) -> int:
+        """The interval in months (MONTH/YEAR units only)."""
         if self.unit is IntervalUnit.MONTH:
             return self.amount
         if self.unit is IntervalUnit.YEAR:
@@ -191,11 +180,12 @@ class Interval:
 def add_date_interval(date: Date, interval: Interval, sign: int = 1) -> Date:
     """Compute ``date + sign * interval`` with calendar-aware month math."""
     if interval.unit is IntervalUnit.DAY:
-        return date.add_days(sign * interval.amount)
-    return date.add_months(sign * interval.months())
+        return date_add_days(date, sign * interval.amount)
+    return date_add_months(date, sign * interval.months())
 
 
 def is_null(value: Any) -> bool:
+    """SQL ``IS NULL`` over the value model (NULL is ``None``)."""
     return value is None
 
 
@@ -229,9 +219,9 @@ def _coerce_pair(left: Any, right: Any) -> tuple[Any, Any]:
         return left, right
     if isinstance(left, Date) or isinstance(right, Date):
         if isinstance(left, str):
-            return Date.from_string(left), right
+            return date_from_string(left), right
         if isinstance(right, str):
-            return left, Date.from_string(right)
+            return left, date_from_string(right)
         raise TypeMismatchError(
             f"cannot compare {type(left).__name__} with {type(right).__name__}"
         )
@@ -257,7 +247,7 @@ def sort_key(value: Any) -> tuple:
     if isinstance(value, (int, float)):
         return (1, float(value))
     if isinstance(value, Date):
-        return (2, value.days)
+        return (2, value)
     return (3, str(value))
 
 

@@ -15,7 +15,7 @@ from repro.backends import (
 )
 from repro.errors import BackendError, ExecutionError
 from repro.result import QueryResult, StatementResult
-from repro.sql.types import Date
+from repro.sql.types import date_from_string
 
 
 @pytest.fixture(params=["engine", "sqlite"])
@@ -29,9 +29,9 @@ def connection(request):
     connection.insert_rows(
         "items",
         [
-            (1, 10.5, "alpha", Date.from_string("1994-01-01")),
-            (2, 20.0, "beta", Date.from_string("1995-06-15")),
-            (3, 30.25, "gamma", Date.from_string("1996-12-31")),
+            (1, 10.5, "alpha", date_from_string("1994-01-01")),
+            (2, 20.0, "beta", date_from_string("1995-06-15")),
+            (3, 30.25, "gamma", date_from_string("1996-12-31")),
         ],
     )
     yield connection
@@ -47,7 +47,22 @@ class TestExecution:
 
     def test_dates_round_trip(self, connection):
         result = connection.query("SELECT added FROM items WHERE id = 1")
-        assert result.rows == [(Date.from_string("1994-01-01"),)]
+        assert result.rows == [(date_from_string("1994-01-01"),)]
+
+    def test_dates_are_stdlib_dates_on_every_backend(self, connection):
+        import datetime
+
+        inserted = datetime.date(1994, 1, 1)
+        connection.insert_rows("items", [(4, 1.0, "delta", inserted)])
+        rows = connection.query("SELECT added FROM items WHERE id IN (1, 4) ORDER BY id").rows
+        assert [type(row[0]) for row in rows] == [datetime.date, datetime.date]
+        assert rows[0][0] == rows[1][0] == inserted
+        if connection.dialect.name == "sqlite":
+            # stored as ISO text, converted back through the shared
+            # constructor: one object per distinct day
+            assert rows[0][0] is rows[1][0] is date_from_string("1994-01-01")
+        else:
+            assert rows[1][0] is inserted  # the engine hands back the stored object
 
     def test_date_comparison_and_arithmetic(self, connection):
         result = connection.query(
@@ -128,7 +143,7 @@ class TestIntegrity:
         assert connection.check_integrity() == []
 
     def test_duplicate_primary_key(self, connection):
-        connection.insert_rows("items", [(1, 99.0, "dup", Date.from_string("2000-01-01"))])
+        connection.insert_rows("items", [(1, 99.0, "dup", date_from_string("2000-01-01"))])
         violations = connection.check_integrity()
         assert any("duplicate primary key" in violation for violation in violations)
 
@@ -192,7 +207,7 @@ class TestQueryResultConveniences:
 
 class TestNormalization:
     def test_normalize_row(self):
-        row = normalize_row((True, 1.0000000000001, Date.from_string("1994-01-01"), "x"))
+        row = normalize_row((True, 1.0000000000001, date_from_string("1994-01-01"), "x"))
         assert row == (1, 1.0, "1994-01-01", "x")
 
     def test_normalized_rows_sort_order_insensitively(self):
@@ -231,7 +246,7 @@ class TestDateConversionFlag:
         connection = backend.connect()
         connection.execute("CREATE TABLE s (label VARCHAR(10) NOT NULL)")
         connection.insert_rows("s", [("2024-01-01",)])
-        assert connection.query("SELECT label FROM s").scalar() == Date.from_string(
+        assert connection.query("SELECT label FROM s").scalar() == date_from_string(
             "2024-01-01"
         )
         connection.convert_iso_dates = False

@@ -99,6 +99,26 @@ class TestErrorsAndDates:
         ).rows
         assert rows == [(28,)]
 
+    def test_date_expressions_yield_stdlib_dates(self, db):
+        import datetime
+
+        rows = db.query(
+            "SELECT d, d + INTERVAL '1' YEAR, d - INTERVAL '1' MONTH, d + 2, d - 60, "
+            "DATE '2000-01-31' + INTERVAL '1' MONTH, "
+            "EXTRACT(YEAR FROM d), EXTRACT(MONTH FROM d), EXTRACT(DAY FROM d) "
+            "FROM t WHERE a = 1"
+        ).rows
+        assert rows == [(
+            datetime.date(2000, 2, 29),
+            datetime.date(2001, 2, 28),  # clamped to the month's end
+            datetime.date(2000, 1, 29),
+            datetime.date(2000, 3, 2),
+            datetime.date(1999, 12, 31),
+            datetime.date(2000, 2, 29),
+            2000, 2, 29,
+        )]
+        assert all(type(value) is datetime.date for value in rows[0][:6])
+
     def test_interval_year_arithmetic(self, db):
         rows = db.query(
             "SELECT a FROM t WHERE d >= DATE '1999-02-01' + INTERVAL '1' YEAR"

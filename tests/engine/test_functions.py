@@ -10,7 +10,7 @@ from repro.engine.functions import (
     MaxAggregate,
     MinAggregate,
     SumAggregate,
-    make_aggregate,
+    aggregate_factory,
 )
 from repro.errors import FunctionError
 from repro.sql import ast
@@ -56,13 +56,24 @@ class TestAggregateAccumulators:
             aggregate.add(value)
         assert aggregate.result() == 7
 
-    def test_make_aggregate_dispatch(self):
+    def test_aggregate_factory_dispatch(self):
         call = ast.FunctionCall(name="AVG", args=(ast.Column("x"),))
-        assert isinstance(make_aggregate(call), AvgAggregate)
+        assert isinstance(aggregate_factory(call)(), AvgAggregate)
         distinct = ast.FunctionCall(name="SUM", args=(ast.Column("x"),), distinct=True)
-        assert isinstance(make_aggregate(distinct), DistinctAggregate)
+        assert isinstance(aggregate_factory(distinct)(), DistinctAggregate)
+        star = aggregate_factory(ast.FunctionCall(name="count", args=(ast.Star(),)))
+        first, second = star(), star()
+        first.add(None)
+        assert (first.result(), second.result()) == (1, 0)  # one fresh accumulator per call
         with pytest.raises(FunctionError):
-            make_aggregate(ast.FunctionCall(name="MEDIAN", args=(ast.Column("x"),)))
+            aggregate_factory(ast.FunctionCall(name="MEDIAN", args=(ast.Column("x"),)))
+
+    def test_accumulators_carry_no_instance_dict(self):
+        for accumulator in (
+            CountAggregate(), SumAggregate(), AvgAggregate(), MinAggregate(),
+            MaxAggregate(), DistinctAggregate(SumAggregate()),
+        ):
+            assert not hasattr(accumulator, "__dict__")
 
 
 class TestBuiltinScalars:

@@ -127,3 +127,28 @@ class TestCorrelationDetection:
             "(SELECT MIN(ref) FROM big WHERE big.ref = small.id)"
         )
         assert len(result.rows) == 10
+
+
+class TestReadOnlyScans:
+    """Sources hand their rows to joins read-only; only streams snapshot."""
+
+    def test_unfiltered_scan_is_the_heap_not_a_copy(self, db):
+        from repro.engine.planner import TableSource
+
+        table = db.catalog.table("small")
+        assert TableSource(table, "small").rows(()) is table.rows
+        assert TableSource(table, "small").batch(()).rows is table.rows
+
+    def test_join_does_not_disturb_the_heap(self, db):
+        heap = db.catalog.table("small").rows
+        before = list(heap)
+        db.query("SELECT COUNT(*) FROM big, small WHERE big.ref = small.id")
+        db.query("SELECT * FROM small")
+        assert db.catalog.table("small").rows is heap and heap == before
+
+    def test_open_stream_does_not_see_rows_inserted_under_it(self, db):
+        stream = db.execute_stream("SELECT id FROM small")
+        first = stream.fetchmany(3)
+        db.execute("INSERT INTO small VALUES (10, 'label10')")
+        assert len(first) + len(list(stream)) == 10
+        assert db.query("SELECT COUNT(*) FROM small").scalar() == 11

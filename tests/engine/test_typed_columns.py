@@ -17,7 +17,7 @@ from repro.engine import Database, VectorConfig
 from repro.engine.columns import build_typed_column
 from repro.engine.config import env_typed
 from repro.errors import ConfigurationError
-from repro.sql.types import Date, SQLType
+from repro.sql.types import SQLType, date_days, date_from_string
 
 
 # ---------------------------------------------------------------------------
@@ -72,12 +72,12 @@ def test_mixed_numeric_types_refuse():
 
 def test_date_column_stores_day_ordinals():
     column = build_typed_column(
-        SQLType.DATE, [Date.from_string("1970-01-02"), "2020-01-05", None]
+        SQLType.DATE, [date_from_string("1970-01-02"), "2020-01-05", None]
     )
     assert column is not None
     assert column.kind == "date"
     assert column.values[0] == 1  # one day past the 1970-01-01 epoch
-    assert column.values[1] == Date.from_string("2020-01-05").days
+    assert column.values[1] == date_days(date_from_string("2020-01-05"))
     assert column.nulls == frozenset({2})
     # day ordinals are not the stored objects: no zero-copy object view
     assert column.object_values() is None

@@ -62,14 +62,14 @@ class TestGenerator:
     def test_dates_within_tpch_range(self, data):
         from repro.sql.types import Date
 
-        low, high = Date.from_ymd(1992, 1, 1), Date.from_ymd(1998, 12, 31)
+        low, high = Date(1992, 1, 1), Date(1998, 12, 31)
         assert all(low <= order[4] <= high for order in data.orders)
         assert all(low <= item[10] <= high for item in data.lineitem[:200])
 
     def test_returnflag_consistent_with_receiptdate(self, data):
         from repro.sql.types import Date
 
-        cutoff = Date.from_ymd(1995, 6, 17)
+        cutoff = Date(1995, 6, 17)
         for item in data.lineitem[:500]:
             if item[8] == "N":
                 assert item[12] > cutoff

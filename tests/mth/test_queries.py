@@ -64,7 +64,7 @@ class TestQueriesOnBaseline:
     def test_q6_revenue_matches_manual_computation(self, tiny_baseline, tiny_tpch_data):
         from repro.sql.types import Date
 
-        low, high = Date.from_ymd(1994, 1, 1), Date.from_ymd(1995, 1, 1)
+        low, high = Date(1994, 1, 1), Date(1995, 1, 1)
         expected = sum(
             item[5] * item[6]
             for item in tiny_tpch_data.lineitem

@@ -64,10 +64,10 @@ class TestValidationHarness:
         assert results_match(first, second) is None
 
     def test_normalize_value(self):
-        from repro.sql.types import Date
+        from repro.sql.types import date_from_string
 
         assert normalize_value(1.23456) == 1.23
-        assert normalize_value(Date.from_string("1994-01-01")) == "1994-01-01"
+        assert normalize_value(date_from_string("1994-01-01")) == "1994-01-01"
         assert normalize_value("text") == "text"
 
     def test_report_dataclass(self):

@@ -39,7 +39,7 @@ from repro.server.protocol import (
     payload_length,
     read_frame_blocking,
 )
-from repro.sql.types import Date
+from repro.sql.types import Date, date_from_days
 
 
 # ---------------------------------------------------------------------------
@@ -103,7 +103,7 @@ def same_cell(left, right) -> bool:
 
 def test_rows_round_trip_exactly_including_dates_and_bytes():
     rows = [
-        (1, "name", 2.5, None, True, Date(9131), b"\x00\xffbinary"),
+        (1, "name", 2.5, None, True, date_from_days(9131), b"\x00\xffbinary"),
         (2, None, -0.1, None, False, None, b""),
     ]
     decoded = wire_trip(rows)
@@ -127,11 +127,11 @@ COLUMN_CELLS = [
     st.text(max_size=6),
     st.booleans() | st.integers(min_value=0, max_value=1),  # bool next to int
     st.none(),
-    st.none() | st.builds(Date, st.integers(min_value=-800_000, max_value=800_000)),
+    st.none() | st.builds(date_from_days, st.integers(min_value=-700_000, max_value=800_000)),
     st.none() | st.binary(max_size=5),
     # deliberately mixed: no single kind covers the column
     st.one_of(
-        st.builds(Date, st.integers(0, 20_000)), st.binary(max_size=3),
+        st.builds(date_from_days, st.integers(0, 20_000)), st.binary(max_size=3),
         st.integers(), st.text(max_size=3), st.none(), st.booleans(),
     ),
 ]
@@ -163,21 +163,21 @@ def test_plain_and_date_columns_never_touch_the_scalar_codec(monkeypatch):
 
     monkeypatch.setattr(protocol, "encode_value", forbidden)
     monkeypatch.setattr(protocol, "decode_value", forbidden)
-    rows = [(n, float(n), f"s{n % 3}", n % 2 == 0, None, Date(9000 + n)) for n in range(50)]
+    rows = [(n, float(n), f"s{n % 3}", n % 2 == 0, None, date_from_days(9000 + n)) for n in range(50)]
     page = encode_rows(rows)
     assert page["tags"] == [[5, "date"]]
     assert wire_trip(rows) == rows
 
 
 def test_decoded_pages_share_repeated_strings_and_dates():
-    rows = [("RAIL" + str(n % 2), Date(9000 + n % 2)) for n in range(40)]
+    rows = [("RAIL" + str(n % 2), date_from_days(9000 + n % 2)) for n in range(40)]
     first, second = wire_trip(rows), wire_trip(rows)
     assert len({id(row[0]) for row in first + second}) == 2
     assert len({id(row[1]) for row in first + second}) == 2
 
 
 def test_only_a_mixed_column_falls_back_to_tagged_cells():
-    page = encode_rows([(Date(1), 1), (b"x", 2)])
+    page = encode_rows([(date_from_days(1), 1), (b"x", 2)])
     assert page["tags"] == [[0, "mixed"]]
     assert page["cols"][0] == [{"$date": 1}, {"$bytes": "78"}]
 
@@ -207,6 +207,9 @@ HOSTILE_PAGES = {
     "float day ordinal": {"cols": [[1.5]], "tags": [[0, "date"]]},
     "text day ordinal": {"cols": [["12"]], "tags": [[0, "date"]]},
     "boolean day ordinal": {"cols": [[True]], "tags": [[0, "date"]]},
+    "day ordinal before year 1": {"cols": [[-719_163]], "tags": [[0, "date"]]},
+    "day ordinal beyond year 9999": {"cols": [[10**12]], "tags": [[0, "date"]]},
+    "out-of-calendar $date in a mixed column": {"cols": [[{"$date": 10**12}]], "tags": [[0, "mixed"]]},
     "non-hex bytes": {"cols": [["zz"]], "tags": [[0, "bytes"]]},
     "non-text bytes": {"cols": [[5]], "tags": [[0, "bytes"]]},
     "nested value in a plain column": {"cols": [[1, [2]]], "tags": []},
@@ -217,10 +220,23 @@ HOSTILE_PAGES = {
 
 def test_the_reference_page_decodes():
     assert decode_rows(copy.deepcopy(GOOD_PAGE)) == [
-        (1, "a", Date(10), b"\x00", Date(1)),
+        (1, "a", date_from_days(10), b"\x00", date_from_days(1)),
         (2, "b", None, b"\xff", 2),
-        (3, "c", Date(12), None, "x"),
+        (3, "c", date_from_days(12), None, "x"),
     ]
+
+
+def test_date_pages_decode_to_shared_stdlib_dates():
+    import datetime
+    import json
+
+    day = Date(1998, 9, 2)
+    page = json.loads(json.dumps(encode_rows([(day, 1), (None, 2), (day, 3)])))
+    assert page == {"cols": [[10471, None, 10471], [1, 2, 3]], "tags": [[0, "date"]]}
+    rows = decode_rows(page)
+    assert type(rows[0][0]) is datetime.date and rows[1][0] is None
+    # one object per distinct day, shared with every other producer of dates
+    assert rows[0][0] is rows[2][0] is date_from_days(10471)
 
 
 @pytest.mark.parametrize("name", HOSTILE_PAGES)
@@ -267,12 +283,12 @@ def test_mutated_pages_decode_fully_or_raise_protocol_error(page):
 
 
 def test_positional_parameters_come_back_as_a_tuple():
-    assert decode_parameters(encode_parameters((1, "a", Date(10)))) == (1, "a", Date(10))
+    assert decode_parameters(encode_parameters((1, "a", date_from_days(10)))) == (1, "a", date_from_days(10))
     assert isinstance(decode_parameters(encode_parameters([1, 2])), tuple)
 
 
 def test_named_parameters_round_trip_as_a_mapping():
-    bound = {"low": 5, "day": Date(42), "blob": b"\x01"}
+    bound = {"low": 5, "day": date_from_days(42), "blob": b"\x01"}
     assert decode_parameters(encode_parameters(bound)) == bound
     assert decode_parameters(encode_parameters(None)) is None
 

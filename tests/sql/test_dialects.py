@@ -17,7 +17,7 @@ from repro.sql.dialect import (
 )
 from repro.sql.parser import parse_query, parse_statement
 from repro.sql.printer import to_sql
-from repro.sql.types import Date, Interval, IntervalUnit
+from repro.sql.types import Interval, IntervalUnit, date_from_string
 
 
 class TestDialectRegistry:
@@ -81,7 +81,7 @@ class TestLiteralRendering:
         assert row == ("'",)
 
     def test_dates(self):
-        date = Date.from_string("1994-01-01")
+        date = date_from_string("1994-01-01")
         assert DEFAULT_DIALECT.format_literal(date) == "DATE '1994-01-01'"
         assert SQLITE_DIALECT.format_literal(date) == "'1994-01-01'"
 

@@ -5,7 +5,7 @@ import pytest
 from repro.errors import ParseError
 from repro.sql import ast
 from repro.sql.parser import parse_expression, parse_query, parse_statement, parse_statements
-from repro.sql.types import Date, Interval, IntervalUnit
+from repro.sql.types import Interval, IntervalUnit, date_from_string
 
 
 class TestSelectParsing:
@@ -136,7 +136,7 @@ class TestExpressionParsing:
 
     def test_date_and_interval_literals(self):
         date_literal = parse_expression("DATE '1998-12-01'")
-        assert date_literal.value == Date.from_string("1998-12-01")
+        assert date_literal.value == date_from_string("1998-12-01")
         interval = parse_expression("INTERVAL '3' MONTH")
         assert interval.value == Interval(3, IntervalUnit.MONTH)
         assert parse_expression("INTERVAL '90' day").value.unit is IntervalUnit.DAY

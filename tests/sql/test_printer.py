@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from repro.sql import ast
 from repro.sql.parser import parse_expression, parse_query, parse_statement
 from repro.sql.printer import to_sql
-from repro.sql.types import Date
+from repro.sql.types import date_from_string
 
 
 class TestPrinterBasics:
@@ -67,7 +67,7 @@ class TestPrinterBasics:
         assert to_sql(ast.Literal("it's")) == "'it''s'"
 
     def test_date_literal_printing(self):
-        assert to_sql(ast.Literal(Date.from_string("1994-01-01"))) == "DATE '1994-01-01'"
+        assert to_sql(ast.Literal(date_from_string("1994-01-01"))) == "DATE '1994-01-01'"
 
     def test_create_function_round_trip(self):
         sql = (

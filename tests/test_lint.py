@@ -1,6 +1,6 @@
 """The repo lint suite: green on the repo, and each rule catches a seed.
 
-Gates ``tools/lint/`` into tier-1 twice over: the three checkers must find
+Gates ``tools/lint/`` into tier-1 twice over: the four checkers must find
 nothing in the repository as committed (the same result the CI ``lint``
 job enforces), and each rule must still *detect* a seeded violation — a
 checker that silently stopped matching would otherwise stay green
@@ -19,7 +19,7 @@ import pytest
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "tools"))
 
-from lint import Violation, envknobs, execguard, lockcheck  # noqa: E402
+from lint import Violation, envknobs, execguard, gcguard, lockcheck  # noqa: E402
 
 
 def _write(tmp_path: Path, name: str, source: str) -> Path:
@@ -35,7 +35,7 @@ def local_paths(monkeypatch, tmp_path):
     The checkers render repo-relative paths; seeded files live outside the
     repo, so the test swaps ``relative`` for the bare file name.
     """
-    for module in (envknobs, execguard, lockcheck):
+    for module in (envknobs, execguard, gcguard, lockcheck):
         monkeypatch.setattr(module, "relative", lambda path: path.name)
     return tmp_path
 
@@ -53,6 +53,10 @@ def test_execguard_clean_on_repo():
     assert execguard.check() == []
 
 
+def test_gcguard_clean_on_repo():
+    assert gcguard.check() == []
+
+
 def test_lockcheck_clean_on_repo():
     assert lockcheck.check() == []
 
@@ -64,7 +68,7 @@ def test_lint_runner_exits_zero():
         text=True,
     )
     assert completed.returncode == 0, completed.stdout + completed.stderr
-    for name in ("envknobs", "execguard", "lockcheck"):
+    for name in ("envknobs", "execguard", "gcguard", "lockcheck"):
         assert f"{name}: OK" in completed.stdout
 
 
@@ -208,6 +212,59 @@ def test_execguard_accepts_the_vetted_shape(local_paths, monkeypatch):
     # the first call's namespace is a name, not a dict literal — still flagged;
     # the second (literal sandbox, assembled source) is the accepted shape
     assert len(findings) == 1
+
+
+# ---------------------------------------------------------------------------
+# gcguard: collector-policy calls are caught however gc was imported
+# ---------------------------------------------------------------------------
+
+
+def test_gcguard_flags_policy_calls(local_paths):
+    _write(
+        local_paths,
+        "bad_gc.py",
+        """
+        import gc
+        import gc as collector
+        from gc import freeze, set_threshold as tune
+
+        def load():
+            gc.disable()
+            try:
+                pass
+            finally:
+                gc.enable()
+            collector.collect()
+            freeze()
+            tune(100_000)
+        """,
+    )
+    findings = gcguard.check(roots=(local_paths,))
+    assert [v.line for v in findings] == [7, 11, 12, 13, 14]
+    assert all("process-global collector policy" in v.message for v in findings)
+    for name in ("disable", "enable", "collect", "freeze", "set_threshold"):
+        assert any(f"gc.{name}()" in v.message for v in findings)
+
+
+def test_gcguard_allows_reading_the_collector(local_paths):
+    _write(
+        local_paths,
+        "good_gc.py",
+        """
+        import gc
+
+        def census(rows):
+            gc.callbacks.append(print)
+            other.collect()  # not the gc module
+            return sum(map(gc.is_tracked, rows)), len(gc.get_objects())
+
+        def collect():  # a local function of the same name
+            return 1
+
+        collect()
+        """,
+    )
+    assert gcguard.check(roots=(local_paths,)) == []
 
 
 # ---------------------------------------------------------------------------

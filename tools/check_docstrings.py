@@ -69,10 +69,12 @@ PUBLIC_MODULES = (
     "repro/engine/config.py",
     "repro/engine/columns.py",
     "repro/engine/vector.py",
+    "repro/engine/planner.py",
     "repro/mth/loader.py",
     "repro/bench/workload.py",
     "repro/bench/sharding.py",
     "repro/sql/dialect.py",
+    "repro/sql/types.py",
     "repro/sql/params.py",
     "repro/sql/transform.py",
 )

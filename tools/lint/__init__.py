@@ -1,6 +1,6 @@
 """Repo-specific stdlib-``ast`` lint suite.
 
-Three checkers police invariants the generic linters cannot express:
+Four checkers police invariants the generic linters cannot express:
 
 * :mod:`tools.lint.envknobs` — every ``REPRO_*`` environment variable is
   read through a strict parser (raises ``ConfigurationError`` on malformed
@@ -10,6 +10,10 @@ Three checkers police invariants the generic linters cannot express:
   only in the two vetted engine modules, pre-compiled, sandboxed with an
   empty ``__builtins__`` and assembled before the call site (never an
   inline literal);
+* :mod:`tools.lint.gcguard` — nothing under ``src/`` calls a collector
+  policy function (``gc.disable/enable/freeze/set_threshold/collect``): the
+  engine keeps collections cheap through the shape of its heap, never
+  through a process-global switch;
 * :mod:`tools.lint.lockcheck` — classes registered as lock-guarded
   (``ExecutionStats``, the gateway cache/metrics) never mutate their
   attributes outside a ``with self._lock`` block.

@@ -14,13 +14,14 @@ from pathlib import Path
 
 if __package__ in (None, ""):  # direct invocation: python tools/lint/run.py
     sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
-    from lint import envknobs, execguard, lockcheck
+    from lint import envknobs, execguard, gcguard, lockcheck
 else:
-    from . import envknobs, execguard, lockcheck
+    from . import envknobs, execguard, gcguard, lockcheck
 
 CHECKERS = (
     ("envknobs", envknobs.check),
     ("execguard", execguard.check),
+    ("gcguard", gcguard.check),
     ("lockcheck", lockcheck.check),
 )
 
