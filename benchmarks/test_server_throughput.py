@@ -168,6 +168,8 @@ def test_network_throughput_vs_thread_pool(benchmark, mth, gateway):
     server.stop()
     assert summary.count == total
     assert summary.p99 >= summary.p95 >= summary.p50 > 0
+    # the server-wide peak is a true concurrent peak, not a sum of tenant peaks
+    assert 0 < snapshot.load.peak_in_flight <= min(CONNECTIONS, TENANTS * config.concurrency)
 
 
 def test_streaming_fetch_keeps_client_memory_bounded(benchmark, mth):

@@ -5,9 +5,10 @@ A :class:`Connection` owns a *target* — a thin adapter giving cursors one
 statement:
 
 * :class:`_GatewayTarget` — a :class:`~repro.gateway.session.GatewaySession`;
-  the production path: statements are prepared once (fingerprint + parse
-  cached), compiled artifacts come from the gateway's rewrite cache keyed on
-  the *parameterized* text, so one compilation serves every binding,
+  the production path: statements are prepared once, by their first
+  execution (fingerprint + parse cached), compiled artifacts come from the
+  gateway's rewrite cache keyed on the *parameterized* text, so one
+  compilation serves every binding,
 * :class:`_MTConnectionTarget` — a direct
   :class:`~repro.core.client.MTConnection` (full pipeline per statement, no
   cache),
@@ -69,33 +70,38 @@ class _GatewayTarget:
         return f"gateway session {self._session.session_id} (client {self._session.client})"
 
     def run(self, operation: str, parameters: Optional[Any]) -> RunResult:
-        """Prepare-once, execute-many through the session's cache."""
+        """Prepare-once, execute-many through the session's cache.
+
+        A new text is prepared by its first execution (``prepare_execute``:
+        one round trip over a network session, not two).
+        """
         with self._handles_lock:
             handle = self._handles.get(operation)
             if handle is not None:
                 self._handles.move_to_end(operation)
-        if handle is None:
-            handle = self._session.prepare(operation)
-            with self._handles_lock:
-                known = self._handles.get(operation)
-                if known is not None:  # lost a prepare race: keep one handle
-                    self._session.close_prepared(handle)
-                    handle = known
-                else:
-                    self._handles[operation] = handle
-                    while len(self._handles) > self.MAX_PREPARED:
-                        _, evicted = self._handles.popitem(last=False)
-                        self._session.close_prepared(evicted)
-        return self._session.execute_incremental(handle, parameters=parameters)
+        if handle is not None:
+            return self._session.execute_incremental(handle, parameters=parameters)
+        handle, result = self._session.prepare_execute(operation, parameters=parameters)
+        with self._handles_lock:
+            if operation in self._handles:  # lost a prepare race: keep one handle
+                self._session.close_prepared(handle)
+            else:
+                self._handles[operation] = handle
+                while len(self._handles) > self.MAX_PREPARED:
+                    _, evicted = self._handles.popitem(last=False)
+                    self._session.close_prepared(evicted)
+        return result
 
     def close(self) -> None:
-        """Drop prepared handles; release the session if this target made it."""
+        """Release the session if this target made it — its prepared handles
+        go with it — else drop just the handles this target registered."""
         with self._handles_lock:
             handles, self._handles = list(self._handles.values()), OrderedDict()
-        for handle in handles:
-            self._session.close_prepared(handle)
         if self._owned:
             self._session.close()
+            return
+        for handle in handles:
+            self._session.close_prepared(handle)
 
 
 class _MTConnectionTarget:

@@ -179,6 +179,23 @@ class GatewaySession:
         """
         return self._run(statement, scope, parameters, stream=True)
 
+    def prepare_execute(self, sql: str, scope=None, parameters=None):
+        """Prepare ``sql`` and run its first execution: ``(handle, result)``.
+
+        :meth:`prepare` + :meth:`execute_incremental` as one call — over a
+        network session one round trip.  A failing execution drops the handle
+        again, so the caller never owns a handle it was not told about.
+        """
+        with self._lock:
+            handle = self.prepare(sql)
+            try:
+                return handle, self.execute_incremental(
+                    handle, scope=scope, parameters=parameters
+                )
+            except BaseException:
+                self.close_prepared(handle)
+                raise
+
     def _run(
         self,
         statement: Union[str, int],

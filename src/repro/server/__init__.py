@@ -6,10 +6,11 @@ an asyncio TCP server speaking a length-prefixed JSON frame protocol
 admission control — bounded queues, concurrency caps, retryable
 ``SERVER_BUSY`` shedding, per-request timeouts — and graceful drain.
 Blocking backend work runs on a worker-thread pool behind the event loop;
-SELECT results stream to clients in demand-sized FETCH batches, and an open
-result cursor keeps holding its tenant's admission slot, which is what turns
-a slow consumer into backpressure on *that tenant* instead of server-side
-buffering.
+an EXECUTE reply carries a SELECT's first page (a result that fits it is one
+round trip), the rest streams to clients in demand-sized FETCH batches, and
+an open result cursor keeps holding its tenant's admission slot, which is
+what turns a slow consumer into backpressure on *that tenant* instead of
+server-side buffering.
 
 Server side::
 

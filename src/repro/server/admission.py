@@ -1,7 +1,7 @@
 """Per-tenant admission control: bounded queues, concurrency caps, shedding.
 
-Every EXECUTE/FETCH request passes through the connection's tenant gate
-before it may touch a worker thread:
+Every EXECUTE request passes through the connection's tenant gate before it
+may touch a worker thread:
 
 * up to ``concurrency`` requests of one tenant run (or hold an open cursor)
   at once,
@@ -11,14 +11,18 @@ before it may touch a worker thread:
   resources, and the client knows a backoff-and-retry is safe.
 
 Slots are held for the whole life of a request **including its result
-stream**: a client that executes a large SELECT and stops fetching keeps its
-slot pinned until the cursor is exhausted or closed, so one slow consumer
-throttles *its own tenant* (further statements shed) instead of stalling the
-event loop or other tenants — that is the backpressure story.
+stream**: a result that fits the first page of its EXECUTE reply gives the
+slot back before that reply is written, but a client that executes a large
+SELECT and stops fetching keeps its slot pinned until the cursor is exhausted
+or closed, so one slow consumer throttles *its own tenant* (further
+statements shed) instead of stalling the event loop or other tenants — that
+is the backpressure story.
 
 Load is tracked with the same :class:`~repro.gateway.metrics.LoadGauge` the
 thread-pool :class:`~repro.gateway.executor.ConcurrentExecutor` uses, so the
-two serving tiers report comparable in-flight/queue-depth numbers.
+two serving tiers report comparable in-flight/queue-depth numbers; every gate
+updates its own gauge and the controller's, so the server-wide peaks are
+peaks that really happened, not sums of per-tenant peaks.
 """
 
 from __future__ import annotations
@@ -49,19 +53,29 @@ class TenantGate:
 
     Single-loop discipline: ``admit``/``release`` run on the event-loop
     thread (worker threads release via ``loop.call_soon_threadsafe``), so the
-    counters need no locking; the shared :class:`LoadGauge` is thread-safe on
-    its own.
+    counters need no locking; the :class:`LoadGauge` pair — this tenant's and
+    the controller's server-wide ``total`` — is thread-safe on its own.
     """
 
-    def __init__(self, ttid: int, concurrency: int, queue_depth: int) -> None:
+    def __init__(
+        self, ttid: int, concurrency: int, queue_depth: int, total: LoadGauge
+    ) -> None:
         self.ttid = ttid
         self.concurrency = concurrency
         self.queue_depth = queue_depth
         self.gauge = LoadGauge()
+        self._gauges = (self.gauge, total)
         self.admitted = 0
         self.shed = 0
         self._in_flight = 0
         self._waiters: list[asyncio.Future] = []
+
+    def try_admit(self) -> bool:
+        """Take one execution slot if one is free and nobody queues for it."""
+        if self._in_flight < self.concurrency and not self._waiters:
+            self._grant()
+            return True
+        return False
 
     async def admit(self) -> None:
         """Take one execution slot, waiting in the bounded queue if needed.
@@ -69,8 +83,7 @@ class TenantGate:
         Raises :class:`~repro.errors.ServerBusyError` without waiting when
         the queue is already full — the load-shedding path.
         """
-        if self._in_flight < self.concurrency and not self._waiters:
-            self._grant()
+        if self.try_admit():
             return
         if len(self._waiters) >= self.queue_depth:
             self.shed += 1
@@ -80,28 +93,33 @@ class TenantGate:
             )
         waiter: asyncio.Future = asyncio.get_running_loop().create_future()
         self._waiters.append(waiter)
-        self.gauge.enqueue()
+        for gauge in self._gauges:
+            gauge.enqueue()
         try:
             await waiter
         except asyncio.CancelledError:
             if waiter in self._waiters:
                 # timed out / disconnected while still queued: withdraw
                 self._waiters.remove(waiter)
-                self.gauge.dequeue()
+                self._dequeued()
             elif waiter.done() and not waiter.cancelled():
                 # granted in the same instant the wait was cancelled: hand
                 # the slot straight back (to the next waiter, if any)
-                self.gauge.dequeue()
                 self._release_slot()
-            # else: _release_slot already saw the cancelled waiter and
-            # dequeued it on our behalf
+            # else: _release_slot already skipped the cancelled waiter
             raise
-        self.gauge.dequeue()
+
+    def _dequeued(self) -> None:
+        """A waiter left ``_waiters``: the gauges' queue depth tracks the list
+        itself, not the moment the waiting coroutine next runs."""
+        for gauge in self._gauges:
+            gauge.dequeue()
 
     def _grant(self) -> None:
         self._in_flight += 1
         self.admitted += 1
-        self.gauge.enter()
+        for gauge in self._gauges:
+            gauge.enter()
 
     def release(self) -> None:
         """Give one slot back; a queued waiter (if any) takes it over."""
@@ -109,11 +127,12 @@ class TenantGate:
 
     def _release_slot(self) -> None:
         self._in_flight -= 1
-        self.gauge.exit()
+        for gauge in self._gauges:
+            gauge.exit()
         while self._waiters:
             waiter = self._waiters.pop(0)
+            self._dequeued()
             if waiter.cancelled():
-                self.gauge.dequeue()
                 continue
             self._grant()
             waiter.set_result(None)
@@ -142,34 +161,27 @@ class AdmissionController:
     def __init__(self, concurrency: int, queue_depth: int) -> None:
         self.concurrency = concurrency
         self.queue_depth = queue_depth
+        #: server-wide load, updated by every gate alongside its own gauge
+        self.gauge = LoadGauge()
         self._gates: dict[int, TenantGate] = {}
 
     def gate(self, ttid: int) -> TenantGate:
         """The (lazily created) gate of tenant ``ttid``."""
         gate = self._gates.get(ttid)
         if gate is None:
-            gate = TenantGate(ttid, self.concurrency, self.queue_depth)
+            gate = TenantGate(ttid, self.concurrency, self.queue_depth, self.gauge)
             self._gates[ttid] = gate
         return gate
 
     def snapshot(self) -> AdmissionSnapshot:
-        """Aggregate counters across every tenant gate.
-
-        Peaks sum per-gate peaks, so the aggregate is an upper bound (the
-        per-tenant peaks need not have coincided) — fine for the "how close
-        to capacity did we get" question the number answers.
-        """
+        """Server-wide counters: admitted/shed summed over the tenant gates,
+        ``load`` the controller's own gauge — its peaks are the most requests
+        that ever held a slot (or queued) *at the same time* on this server."""
         gates = list(self._gates.values())
-        snapshots = [gate.snapshot() for gate in gates]
         return AdmissionSnapshot(
-            admitted=sum(s.admitted for s in snapshots),
-            shed=sum(s.shed for s in snapshots),
-            load=LoadSnapshot(
-                in_flight=sum(s.load.in_flight for s in snapshots),
-                queued=sum(s.load.queued for s in snapshots),
-                peak_in_flight=sum(s.load.peak_in_flight for s in snapshots),
-                peak_queued=sum(s.load.peak_queued for s in snapshots),
-            ),
+            admitted=sum(gate.admitted for gate in gates),
+            shed=sum(gate.shed for gate in gates),
+            load=self.gauge.snapshot(),
         )
 
     def tenant_snapshot(self, ttid: int) -> Optional[AdmissionSnapshot]:

@@ -7,21 +7,27 @@ Two clients over the same frame protocol:
   backpressure tests drive.
 * :class:`SyncSession` — a blocking adapter that **duck-types**
   :class:`~repro.gateway.session.GatewaySession` (``prepare`` /
-  ``execute_incremental`` / ``close_prepared`` / ``set_scope`` / ``close``),
+  ``prepare_execute`` / ``execute_incremental`` / ``close_prepared`` /
+  ``set_scope`` / ``close``),
   so the DB-API layer's ``_GatewayTarget`` — and therefore the whole
   ``repro.api`` surface — runs unchanged over the network:
   ``api.connect("server://host:port", client=...)``.
 
-SELECT results stay streams across the wire: EXECUTE returns a
-:class:`RemoteRowStream` holding a server-side cursor, and every
-``fetchmany(n)`` turns into one FETCH frame asking for **exactly** ``n``
-rows, whose column-major page is decoded once and handed over whole — the
-client never over-fetches, so server-side row production tracks client
-consumption (the property the streaming tests pin down, and the reason a
-stalled consumer exerts backpressure instead of filling a buffer).  Only
-``materialize()`` / ``Cursor.fetchall()``, which commit to draining, page in
-``DRAIN_BATCH`` rows.  Both ends state their protocol revision in HELLO and
-refuse a peer of another one; a malformed page tears the session down.
+SELECT results stay streams across the wire.  An EXECUTE asks for a **first
+page** with its reply (``fetch``; :data:`~repro.server.protocol.FIRST_PAGE_ROWS`
+from :class:`SyncSession`), so a result that fits the page is **one round
+trip**: the :class:`RemoteRowStream` starts out holding the decoded page, the
+server keeps no cursor and no admission slot for it, and ``fetchone`` /
+``fetchmany`` / ``fetchall`` / ``close`` send nothing.  A longer result leaves
+a server-side cursor behind; once the buffered page is used up every
+``fetchmany(n)`` is one FETCH frame asking for **exactly** ``n`` rows, whose
+column-major page is decoded once and handed over whole.  The client's
+read-ahead is therefore bounded by that one first page — past it, server-side
+row production tracks client consumption, which is why a stalled consumer
+exerts backpressure instead of filling a buffer.  Only ``materialize()`` /
+``Cursor.fetchall()``, which commit to draining, page in ``DRAIN_BATCH`` rows.
+Both ends state their protocol revision in HELLO and refuse a peer of another
+one; a malformed reply or page tears the session down.
 
 Error frames reconstruct the server's exception class
 (:func:`~repro.server.protocol.exception_from_frame`), so ``except
@@ -39,8 +45,10 @@ from typing import Any, Optional, Union
 from ..errors import MTSQLError, ProtocolError, ServerError
 from ..result import QueryResult, RowStream, StatementResult
 from .protocol import (
+    FIRST_PAGE_ROWS,
     PROTOCOL_VERSION,
     decode_rows,
+    decode_rows_reply,
     encode_frame,
     encode_parameters,
     exception_from_frame,
@@ -77,34 +85,79 @@ def _check_protocol(hello: dict[str, Any]) -> None:
         )
 
 
-class RemoteRowStream(RowStream):
-    """A :class:`~repro.result.RowStream` whose producer is a server cursor.
+def _execute_request(
+    statement: Union[str, int], scope, parameters, fetch: int, prepare: bool = False
+) -> dict[str, Any]:
+    """The EXECUTE request: ``fetch`` rows wanted with the reply, and whether
+    the server should register the statement text and answer its handle."""
+    message = {
+        "op": "execute",
+        "statement": statement,
+        "scope": _scope_text(scope),
+        "parameters": encode_parameters(parameters),
+        "fetch": fetch,
+    }
+    if prepare:
+        message["prepare"] = True
+    return message
 
-    Rows are pulled with FETCH frames sized to the consumer's demand:
-    ``fetchmany(n)`` is exactly one ``FETCH n`` whose decoded page is handed
-    over as is, ``fetch()`` exactly one row — no read-ahead.
-    :meth:`materialize` drains in ``DRAIN_BATCH`` batches since everything
-    will be consumed anyway.  Closing the stream before exhaustion sends
+
+def _statement_result(reply: dict[str, Any]) -> StatementResult:
+    """The result of a non-``rows`` EXECUTE reply."""
+    return StatementResult(
+        statement_type=reply.get("type", "STATEMENT"),
+        rowcount=int(reply.get("rowcount", 0)),
+    )
+
+
+class RemoteRowStream(RowStream):
+    """A :class:`~repro.result.RowStream` fed by an EXECUTE reply's first page
+    and, past it, by a server cursor.
+
+    The stream starts out buffering the page that came with the reply; rows
+    are handed out of the buffer first.  ``cursor_id`` is ``None`` when that
+    page was the whole result — then nothing here ever touches the wire.
+    Otherwise rows past the buffer are pulled with FETCH frames sized to the
+    consumer's demand: ``fetchmany(n)`` tops a short buffer up with one
+    ``FETCH n-k`` and is exactly one ``FETCH n`` thereafter, ``fetch()`` one
+    row — no read-ahead beyond the first page.  :meth:`materialize` drains in
+    ``DRAIN_BATCH`` batches since everything will be consumed anyway.
+    Closing the stream while the server still holds its cursor sends
     CLOSE_CURSOR so the server frees the admission slot.
     """
 
-    def __init__(self, session: "SyncSession", cursor_id: int, columns: list[str]) -> None:
+    def __init__(
+        self,
+        session: "SyncSession",
+        columns: list[str],
+        page: list[tuple],
+        cursor_id: Optional[int],
+    ) -> None:
         self._session = session
+        self._buffer = page
+        #: the server-side cursor; ``None`` once the server said eof
         self._cursor_id = cursor_id
         super().__init__(columns, (), on_close=self._release)
 
     def _take(self, size: int) -> tuple[list[tuple], bool]:
-        return self._session._fetch(self._cursor_id, size)
+        rows = self._buffer[:size]
+        del self._buffer[:size]
+        if self._cursor_id is not None and len(rows) < size:
+            more, eof = self._session._fetch(self._cursor_id, size - len(rows))
+            rows += more
+            if eof:  # the server retired the cursor with its final batch
+                self._cursor_id = None
+        return rows, self._cursor_id is None and not self._buffer
 
     def fetch(self) -> Optional[tuple]:
-        """The next row (one single-row FETCH), or ``None`` when exhausted."""
+        """The next row (buffered, else one single-row FETCH), or ``None``."""
         page = self.fetchmany(1)
         return page[0] if page else None
 
     def _release(self) -> None:
-        # on eof the server already retired the cursor with the final batch;
-        # an early close must tell it to free the cursor's admission slot
-        if not self._exhausted:
+        # an early close must tell the server to free the cursor's slot
+        self._buffer.clear()
+        if self._cursor_id is not None:
             with contextlib.suppress(Exception):
                 self._session._close_cursor(self._cursor_id)
 
@@ -194,24 +247,35 @@ class SyncSession:
     ):
         """Execute text or a prepared handle; SELECTs return a live stream.
 
-        The DB-API entry point: the returned :class:`RemoteRowStream` pulls
-        rows on demand, holding a server-side cursor (and its admission
-        slot) until exhausted or closed.
+        The DB-API entry point: the returned :class:`RemoteRowStream` holds
+        the reply's first page (``FIRST_PAGE_ROWS``) and — only if the result
+        is longer — a server-side cursor with its admission slot, until
+        exhausted or closed.
         """
-        reply = self._request(
-            {
-                "op": "execute",
-                "statement": statement,
-                "scope": _scope_text(scope),
-                "parameters": encode_parameters(parameters),
-            }
-        )
-        if reply.get("kind") == "rows":
-            return RemoteRowStream(self, reply["cursor"], list(reply["columns"]))
-        return StatementResult(
-            statement_type=reply.get("type", "STATEMENT"),
-            rowcount=int(reply.get("rowcount", 0)),
-        )
+        request = _execute_request(statement, scope, parameters, FIRST_PAGE_ROWS)
+        return self._result(self._request(request))
+
+    def prepare_execute(self, sql: str, scope=None, parameters=None):
+        """Prepare ``sql`` and run its first execution in one round trip:
+        ``(handle, result)``, as :meth:`GatewaySession.prepare_execute`."""
+        request = _execute_request(sql, scope, parameters, FIRST_PAGE_ROWS, prepare=True)
+        reply = self._request(request)
+        handle = reply.get("handle")
+        if type(handle) is not int:
+            self._teardown()
+            raise ProtocolError("the reply to a preparing EXECUTE must name its handle")
+        return handle, self._result(reply)
+
+    def _result(self, reply: dict[str, Any]):
+        """Turn an EXECUTE reply into a statement result or a row stream."""
+        if reply.get("kind") != "rows":
+            return _statement_result(reply)
+        try:
+            columns, page, cursor_id = decode_rows_reply(reply)
+        except ProtocolError:  # not a peer to keep talking to
+            self._teardown()
+            raise
+        return RemoteRowStream(self, columns, page, cursor_id)
 
     def execute(self, statement: Union[str, int], scope=None, parameters=None):
         """Execute and materialize (SELECT rows drained in large batches)."""
@@ -326,21 +390,15 @@ class AsyncSession:
     # -- low-level cursor protocol -------------------------------------------
 
     async def begin_execute(
-        self, statement: Union[str, int], scope=None, parameters=None
+        self, statement: Union[str, int], scope=None, parameters=None, fetch: int = 0
     ) -> dict[str, Any]:
         """Send EXECUTE and return the raw reply frame (cursor not drained).
 
-        A ``rows`` reply holds a server-side cursor — and its admission
-        slot — until :meth:`fetch` hits eof or :meth:`close_cursor` runs.
+        With the default ``fetch=0`` a ``rows`` reply carries no rows and
+        always holds a server-side cursor — and its admission slot — until
+        :meth:`fetch` hits eof or :meth:`close_cursor` runs.
         """
-        return await self.request(
-            {
-                "op": "execute",
-                "statement": statement,
-                "scope": _scope_text(scope),
-                "parameters": encode_parameters(parameters),
-            }
-        )
+        return await self.request(_execute_request(statement, scope, parameters, fetch))
 
     async def fetch(self, cursor: int, n: int) -> tuple[list[tuple], bool]:
         """Fetch up to ``n`` rows from a cursor; returns ``(rows, eof)``."""
@@ -368,19 +426,23 @@ class AsyncSession:
         parameters=None,
         batch: int = 256,
     ):
-        """Execute and materialize: SELECTs drain in ``batch``-row FETCHes."""
-        reply = await self.begin_execute(statement, scope=scope, parameters=parameters)
+        """Execute and materialize: the first ``batch`` rows arrive with the
+        reply, the rest of a longer SELECT in ``batch``-row FETCHes."""
+        reply = await self.begin_execute(
+            statement, scope=scope, parameters=parameters, fetch=batch
+        )
         if reply.get("kind") != "rows":
-            return StatementResult(
-                statement_type=reply.get("type", "STATEMENT"),
-                rowcount=int(reply.get("rowcount", 0)),
-            )
-        rows: list[tuple] = []
-        eof = False
+            return _statement_result(reply)
+        try:
+            columns, rows, cursor = decode_rows_reply(reply)
+        except ProtocolError:  # not a peer to keep talking to
+            await self._teardown()
+            raise
+        eof = cursor is None
         while not eof:
-            chunk, eof = await self.fetch(reply["cursor"], batch)
+            chunk, eof = await self.fetch(cursor, batch)
             rows.extend(chunk)
-        return QueryResult(columns=list(reply["columns"]), rows=rows)
+        return QueryResult(columns=columns, rows=rows)
 
     async def set_scope(self, scope) -> None:
         """``SET SCOPE`` (or reset, with ``None``) for the server session."""

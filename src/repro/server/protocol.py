@@ -12,7 +12,11 @@ taxonomy (:data:`WIRE_CODES`), so a client reconstructs the *same* exception
 class the server raised — ``except ParameterError`` works identically on
 both sides of the socket.
 
-FETCH replies carry a **column-major typed page** (:func:`encode_rows`):
+An EXECUTE request states in ``fetch`` how many rows it wants with the reply
+(:data:`FIRST_PAGE_ROWS` from the blocking client): a SELECT whose result fits
+that **first page** is one round trip and opens no server-side cursor.  The
+first page and every FETCH reply carry a **column-major typed page**
+(:func:`encode_rows`):
 ``{"cols": [[...], ...], "tags": [[index, kind], ...]}``.  A column of
 JSON-native cells (``int``/``float``/``str``/``bool``/``None``) ships untouched
 and untagged; an all-:class:`~repro.sql.types.Date` column ships as bare day
@@ -61,7 +65,12 @@ from ..errors import (
 from ..sql.types import Date, date_days, date_from_days
 
 #: protocol revision negotiated in HELLO; bumped on incompatible changes
-PROTOCOL_VERSION = 2
+PROTOCOL_VERSION = 3
+
+#: rows the blocking client asks for with an EXECUTE reply (its ``fetch``
+#: field): the read-ahead bound of a served SELECT, a quarter of the engine's
+#: own 1024-row read-ahead
+FIRST_PAGE_ROWS = 256
 
 #: hard ceiling on one frame's payload (a malformed length prefix must not
 #: make either end allocate gigabytes)
@@ -193,7 +202,7 @@ _PLAIN = frozenset({int, float, str, bool, _NONE})
 
 
 def encode_rows(rows: list[tuple]) -> dict[str, Any]:
-    """Encode a row batch as the column-major typed page of a FETCH reply."""
+    """Encode a row batch as the column-major typed page of a reply."""
     cols: list[Any] = []
     tags: list[list[Any]] = []
     for index, column in enumerate(zip(*rows, strict=True)):
@@ -234,28 +243,59 @@ _COLUMN_DECODERS = {
 
 
 def decode_rows(page: Any) -> list[tuple]:
-    """Decode a FETCH reply's page back into row tuples.
+    """Decode the page of an EXECUTE or FETCH reply back into row tuples.
 
     The page comes from outside the process: anything but the layout
     :func:`encode_rows` writes raises :class:`ProtocolError`.
     """
     if not isinstance(page, dict):
-        raise ProtocolError("a FETCH page must be an object with 'cols' and 'tags'")
+        raise ProtocolError("a result page must be an object with 'cols' and 'tags'")
     cols, tags = page.get("cols"), page.get("tags")
     if not isinstance(cols, list) or not all(isinstance(col, list) for col in cols):
-        raise ProtocolError("a FETCH page needs 'cols', a list of column lists")
+        raise ProtocolError("a result page needs 'cols', a list of column lists")
     if len(set(map(len, cols))) > 1:
-        raise ProtocolError("FETCH page columns differ in length")
+        raise ProtocolError("result page columns differ in length")
     if not isinstance(tags, list):
-        raise ProtocolError("a FETCH page needs 'tags', a list of [index, kind] pairs")
+        raise ProtocolError("a result page needs 'tags', a list of [index, kind] pairs")
     decoders = [_decode_plain] * len(cols)
     for tag in tags:
         if not (isinstance(tag, list) and len(tag) == 2 and type(tag[0]) is int
                 and 0 <= tag[0] < len(cols) and isinstance(tag[1], str)
                 and tag[1] in _COLUMN_DECODERS):
-            raise ProtocolError(f"FETCH page carries an invalid column tag {tag!r}")
+            raise ProtocolError(f"result page carries an invalid column tag {tag!r}")
         decoders[tag[0]] = _COLUMN_DECODERS[tag[1]]
     return list(zip(*(decode(column) for decode, column in zip(decoders, cols))))
+
+
+def encode_rows_reply(
+    columns: list[str], rows: list[tuple], eof: bool, cursor: int
+) -> dict[str, Any]:
+    """The EXECUTE reply of a SELECT: its first page, and — unless the page
+    ran the result dry (``eof``) — the ``cursor`` holding the remainder."""
+    reply = {"ok": True, "kind": "rows", "columns": list(columns),
+             "rows": encode_rows(rows), "eof": eof}
+    if not eof:
+        reply["cursor"] = cursor
+    return reply
+
+
+def decode_rows_reply(reply: dict[str, Any]) -> tuple[list[str], list[tuple], Optional[int]]:
+    """Validate a ``rows`` EXECUTE reply: ``(columns, first page, cursor)``.
+
+    ``cursor`` is ``None`` exactly when the reply said ``eof``.  Hostile
+    input like any page: a reply without ``eof``, with ``eof`` *and* a
+    cursor, or short of eof without one raises :class:`ProtocolError`.
+    """
+    columns, eof, cursor = reply.get("columns"), reply.get("eof"), reply.get("cursor")
+    if not isinstance(columns, list) or not all(isinstance(name, str) for name in columns):
+        raise ProtocolError("a rows reply needs 'columns', a list of names")
+    if not isinstance(eof, bool):
+        raise ProtocolError("a rows reply must state 'eof' as a boolean")
+    if eof and cursor is not None:
+        raise ProtocolError("a rows reply at eof must not name a cursor")
+    if not eof and type(cursor) is not int:
+        raise ProtocolError("a rows reply short of eof must name its integer cursor")
+    return columns, decode_rows(reply.get("rows")), cursor
 
 
 def encode_parameters(parameters: Any) -> Any:

@@ -16,11 +16,20 @@ admission slot is held for the whole life of a request *including its result
 stream*, which is what gives slow consumers backpressure instead of
 unbounded server-side buffering.
 
-SELECT results stream: EXECUTE answers with column metadata only, FETCH
-frames pull row batches straight off the backend's
+SELECT results stream: EXECUTE answers with the column names and the **first
+page** — as many rows as the request's ``fetch`` field asked for, taken by the
+worker that ran the statement.  A result that fits the page is complete in
+that one reply: no cursor is registered and the admission slot is free before
+the reply is written.  Otherwise the reply names a cursor, and FETCH frames
+pull further row batches straight off the backend's
 :class:`~repro.result.RowStream` — the server never materializes a result
-set on behalf of a client — and the worker that produced a page also encodes
-it to frame bytes, so the event loop only ever writes them.
+set on behalf of a client.  The worker that produced a page also encodes it
+to frame bytes, so the event loop only ever writes them.
+
+The event loop spends no task or timer on a request that needs none: a
+connection handler awaits its next frame directly, a free admission slot is
+taken synchronously, and a worker call is one wrapped future with one
+deadline handle.
 
 The server runs on a background thread (:meth:`start`/:meth:`stop`, or the
 :func:`serve` context manager), so synchronous programs and tests can embed
@@ -52,6 +61,7 @@ from .protocol import (
     decode_parameters,
     encode_frame,
     encode_rows,
+    encode_rows_reply,
     error_frame,
     read_frame,
 )
@@ -93,11 +103,12 @@ class _Connection:
         self.cursors: dict[int, _Cursor] = {}
         self.next_cursor = 1
 
-    def add_cursor(self, stream: RowStream, release: Callable[[], None]) -> _Cursor:
-        cursor = _Cursor(self.next_cursor, stream, release)
+    def reserve_cursor_id(self) -> int:
+        """The id the next cursor will carry (known before its worker runs,
+        so the worker can encode the whole reply; unused if the page hits eof)."""
+        cursor_id = self.next_cursor
         self.next_cursor += 1
-        self.cursors[cursor.cursor_id] = cursor
-        return cursor
+        return cursor_id
 
 
 class ReproServer:
@@ -145,6 +156,8 @@ class ReproServer:
         self._ready = threading.Event()
         self._startup_error: Optional[BaseException] = None
         self._handlers: set[asyncio.Task] = set()
+        #: handlers waiting for their connection's next request frame
+        self._idle: set[asyncio.Task] = set()
         self._stopped = False
         # monotonic counters (plain ints under the GIL: safe to read anywhere)
         self.connections_accepted = 0
@@ -239,9 +252,11 @@ class ReproServer:
         self._ready.set()
         await self._stop_event.wait()
         server.close()
+        # graceful drain: handlers idle between requests are cancelled now,
+        # busy ones answer their in-flight request and then see the stop event
+        for task in list(self._idle):
+            task.cancel()
         await server.wait_closed()
-        # graceful drain: handlers answer their in-flight request, idle ones
-        # notice the stop event and exit between requests
         pending = {task for task in self._handlers if not task.done()}
         if pending:
             await asyncio.wait(pending, timeout=self.config.drain_timeout)
@@ -259,17 +274,14 @@ class ReproServer:
 
     async def _serve_connection(self, reader, writer) -> None:
         conn = _Connection()
-        stop_wait = asyncio.ensure_future(self._stop_event.wait())
+        task = asyncio.current_task()
         try:
             while not self._stop_event.is_set():
-                read = asyncio.ensure_future(read_frame(reader))
-                await asyncio.wait(
-                    {read, stop_wait}, return_when=asyncio.FIRST_COMPLETED
-                )
-                if not read.done():  # draining: stop between requests
-                    await _reap(read)
-                    break
-                frame = read.result()  # a ProtocolError here closes below
+                self._idle.add(task)  # stop() may cancel the wait below
+                try:
+                    frame = await read_frame(reader)  # a ProtocolError closes below
+                finally:
+                    self._idle.discard(task)
                 if frame is None:  # clean EOF
                     break
                 self.requests_served += 1
@@ -284,7 +296,7 @@ class ReproServer:
                 except Exception as exc:  # noqa: BLE001 - must answer the client
                     logger.exception("unexpected error handling %r", frame.get("op"))
                     reply, close = error_frame(ServerError(str(exc))), False
-                # FETCH replies arrive as frame bytes, encoded on their worker
+                # EXECUTE/FETCH replies arrive as frame bytes, encoded on their worker
                 writer.write(reply if isinstance(reply, bytes) else encode_frame(reply))
                 await writer.drain()
                 if close:
@@ -297,7 +309,6 @@ class ReproServer:
         except (ConnectionError, asyncio.CancelledError):
             pass
         finally:
-            await _reap(stop_wait)
             self._cleanup_connection(conn)
             writer.close()
             with contextlib.suppress(Exception):
@@ -324,22 +335,12 @@ class ReproServer:
             raise ProtocolError("request frame is missing its 'op' field")
         if op == "close":
             return {"ok": True, "bye": True}, True
-        if op == "hello":
-            return await self._op_hello(conn, frame), False
-        if conn.session is None:
+        if conn.session is None and op != "hello":
             raise ProtocolError(f"request {op!r} before HELLO bound a session")
-        handler = {
-            "prepare": self._op_prepare,
-            "execute": self._op_execute,
-            "fetch": self._op_fetch,
-            "close_cursor": self._op_close_cursor,
-            "close_prepared": self._op_close_prepared,
-            "set_scope": self._op_set_scope,
-            "explain": self._op_explain,
-        }.get(op)
+        handler = self._OPS.get(op)
         if handler is None:
             raise ProtocolError(f"unknown request op {op!r}")
-        return await handler(conn, frame), False
+        return await handler(self, conn, frame), False
 
     async def _op_hello(self, conn: _Connection, frame: dict) -> dict:
         if conn.session is not None:
@@ -391,23 +392,53 @@ class ReproServer:
             )
         return {"ok": True}
 
-    async def _op_execute(self, conn: _Connection, frame: dict) -> dict:
-        raw = frame.get("statement")
-        if isinstance(raw, bool) or not isinstance(raw, (str, int)):
+    async def _op_execute(self, conn: _Connection, frame: dict) -> bytes:
+        statement = frame.get("statement")
+        if isinstance(statement, bool) or not isinstance(statement, (str, int)):
             raise ProtocolError("EXECUTE requires a 'statement' (SQL text or handle)")
-        statement: Union[str, int] = raw
+        fetch = _required_int(frame, "fetch")
+        if fetch < 0:
+            raise ProtocolError("EXECUTE requires a non-negative first-page row count 'fetch'")
+        prepare = frame.get("prepare", False)
+        if not isinstance(prepare, bool) or (prepare and not isinstance(statement, str)):
+            raise ProtocolError("EXECUTE 'prepare' is a boolean and needs statement text")
         parameters = decode_parameters(frame.get("parameters"))
         scope = frame.get("scope")
         session = conn.session
+        cursor_id = conn.reserve_cursor_id()
+
+        def run() -> tuple[bytes, Optional[RowStream]]:
+            # the statement, its first page and the reply's encoding all stay
+            # on this worker; the stream comes back only if rows remain
+            handle = None
+            if prepare:
+                handle, result = session.prepare_execute(
+                    statement, scope=scope, parameters=parameters
+                )
+            else:
+                result = session.execute_incremental(
+                    statement, scope=scope, parameters=parameters
+                )
+            try:
+                reply, stream = _execute_reply(result, fetch, cursor_id)
+                if prepare:
+                    reply["handle"] = handle
+                return encode_frame(reply), stream
+            except BaseException:
+                # the client never learns of this stream or handle
+                if isinstance(result, RowStream):
+                    result.close()
+                if prepare:
+                    session.close_prepared(handle)
+                raise
+
         loop = asyncio.get_running_loop()
         deadline = loop.time() + self.config.request_timeout
         await self._admit(conn.gate, deadline)
         release = _ReleaseOnce(conn.gate)
         try:
-            result = await self._call(
-                lambda: session.execute_incremental(
-                    statement, scope=scope, parameters=parameters
-                ),
+            reply, stream = await self._call(
+                run,
                 timeout=deadline - loop.time(),
                 abandoned=lambda value: self._abandon_result(value, release),
             )
@@ -420,22 +451,13 @@ class ReproServer:
         except BaseException:
             release.release()
             raise
-        if isinstance(result, RowStream):
+        if stream is None:
+            # complete in this reply: the slot is free before it is written
+            release.release()
+        else:
             # the slot stays pinned until the cursor hits eof or is closed
-            cursor = conn.add_cursor(result, release.release)
-            return {"ok": True, "kind": "rows", "cursor": cursor.cursor_id,
-                    "columns": list(result.columns)}
-        release.release()
-        if isinstance(result, QueryResult):
-            # a shape that had to materialize: replay the rows as a cursor
-            stream = RowStream(columns=result.columns, rows=result.rows)
-            cursor = conn.add_cursor(stream, lambda: None)
-            return {"ok": True, "kind": "rows", "cursor": cursor.cursor_id,
-                    "columns": list(stream.columns)}
-        if isinstance(result, StatementResult):
-            return {"ok": True, "kind": "statement",
-                    "rowcount": result.rowcount, "type": result.statement_type}
-        raise ServerError(f"unexpected execution result {type(result).__name__}")
+            conn.cursors[cursor_id] = _Cursor(cursor_id, stream, release.release)
+        return reply
 
     async def _op_fetch(self, conn: _Connection, frame: dict) -> bytes:
         cursor = self._cursor_for(conn, frame)
@@ -486,6 +508,18 @@ class ReproServer:
         )
         return {"ok": True, "text": text}
 
+    #: request op -> handler; HELLO is the only one served before a session
+    _OPS = {
+        "hello": _op_hello,
+        "prepare": _op_prepare,
+        "execute": _op_execute,
+        "fetch": _op_fetch,
+        "close_cursor": _op_close_cursor,
+        "close_prepared": _op_close_prepared,
+        "set_scope": _op_set_scope,
+        "explain": _op_explain,
+    }
+
     # -- helpers ------------------------------------------------------------------
 
     def _cursor_for(self, conn: _Connection, frame: dict) -> _Cursor:
@@ -505,15 +539,19 @@ class ReproServer:
             cursor.stream.close()
         cursor.release()
 
-    def _abandon_result(self, value, release: _ReleaseOnce) -> None:
-        """A timed-out EXECUTE finally produced a result nobody will read."""
-        if isinstance(value, RowStream):
+    def _abandon_result(
+        self, value: Optional[tuple[bytes, Optional[RowStream]]], release: _ReleaseOnce
+    ) -> None:
+        """A timed-out EXECUTE finally produced a reply nobody will read."""
+        if value is not None and value[1] is not None:
             with contextlib.suppress(Exception):
-                value.close()
+                value[1].close()
         release.release()
 
     async def _admit(self, gate: TenantGate, deadline: float) -> None:
         """Admission with the request deadline: shed fast, queue bounded."""
+        if gate.try_admit():  # a free slot costs no task and no timer
+            return
         loop = asyncio.get_running_loop()
         remaining = deadline - loop.time()
         if remaining <= 0:
@@ -549,37 +587,57 @@ class ReproServer:
             raise RequestTimeoutError("request deadline already passed")
         future = self._pool.submit(fn)
         wrapped = asyncio.wrap_future(future, loop=loop)
-        try:
-            return await asyncio.wait_for(asyncio.shield(wrapped), timeout=timeout)
-        except asyncio.TimeoutError:
-            self.timeouts += 1
+        timed_out = False
 
-            def _on_done(done_future) -> None:
-                try:
-                    value = done_future.result()
-                except BaseException:  # noqa: BLE001 - abandoned failure
-                    value = None
-                if abandoned is not None:
+        def expire() -> None:
+            # cancels the wait, never the work: the cancellation reaches a
+            # still-queued work item (it then never runs), not a running one
+            nonlocal timed_out
+            timed_out = wrapped.cancel()
+
+        deadline = loop.call_later(timeout, expire)
+        try:
+            return await wrapped
+        except asyncio.CancelledError:
+            if not timed_out:
+                raise  # the handler itself was cancelled (drain, disconnect)
+            self.timeouts += 1
+            if abandoned is not None:
+
+                def _on_done(done_future) -> None:
+                    try:
+                        value = done_future.result()
+                    except BaseException:  # noqa: BLE001 - abandoned failure
+                        value = None
                     loop.call_soon_threadsafe(abandoned, value)
 
-            future.add_done_callback(_on_done)
-            # consume the wrapped future's exception (if any) quietly
-            wrapped.add_done_callback(
-                lambda f: f.exception() if not f.cancelled() else None
-            )
+                future.add_done_callback(_on_done)
             error = RequestTimeoutError(
                 f"request exceeded the {self.config.request_timeout:.1f}s "
                 f"per-request timeout; the backend work was abandoned"
             )
             error.work_pending = abandoned is not None
             raise error from None
+        finally:
+            deadline.cancel()
 
 
-async def _reap(future: "asyncio.Future") -> None:
-    """Cancel a pending future and absorb its outcome (CancelledError too)."""
-    future.cancel()
-    with contextlib.suppress(asyncio.CancelledError, Exception):
-        await future
+def _execute_reply(
+    result, fetch: int, cursor_id: int
+) -> tuple[dict[str, Any], Optional[RowStream]]:
+    """The EXECUTE reply for one execution result, plus the stream that still
+    holds rows past the first page (``None`` once the page ran it dry)."""
+    if isinstance(result, StatementResult):
+        return {"ok": True, "kind": "statement",
+                "rowcount": result.rowcount, "type": result.statement_type}, None
+    if isinstance(result, QueryResult):  # a shape that had to materialize
+        result = RowStream(columns=result.columns, rows=result.rows)
+    if not isinstance(result, RowStream):
+        raise ServerError(f"unexpected execution result {type(result).__name__}")
+    rows = result.fetchmany(fetch)
+    eof = len(rows) < fetch
+    reply = encode_rows_reply(result.columns, rows, eof, cursor_id)
+    return reply, None if eof else result
 
 
 def _required_str(frame: dict, field: str) -> str:

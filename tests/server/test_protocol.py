@@ -30,9 +30,11 @@ from repro.server.protocol import (
     decode_parameters,
     decode_payload,
     decode_rows,
+    decode_rows_reply,
     encode_frame,
     encode_parameters,
     encode_rows,
+    encode_rows_reply,
     error_code,
     error_frame,
     exception_from_frame,
@@ -85,9 +87,16 @@ def test_non_object_payload_is_a_protocol_error():
 
 
 def wire_trip(rows):
-    """A page through a real reply frame: encode, JSON bytes, decode."""
+    """A page through both frames that carry one — a FETCH reply and the first
+    page of an EXECUTE reply: encode, JSON bytes, decode."""
     frame = encode_frame({"ok": True, "rows": encode_rows(rows), "eof": False})
-    return decode_rows(decode_payload(frame[4:])["rows"])
+    fetched = decode_rows(decode_payload(frame[4:])["rows"])
+    frame = encode_frame(encode_rows_reply(["c"], rows, eof=False, cursor=3))
+    columns, first_page, cursor = decode_rows_reply(decode_payload(frame[4:]))
+    assert (columns, cursor) == (["c"], 3)
+    assert len(first_page) == len(fetched)
+    assert all(all(map(same_cell, a, b)) for a, b in zip(first_page, fetched))
+    return first_page
 
 
 def same_cell(left, right) -> bool:
@@ -243,6 +252,37 @@ def test_date_pages_decode_to_shared_stdlib_dates():
 def test_hostile_pages_raise_protocol_error(name):
     with pytest.raises(ProtocolError):
         decode_rows(HOSTILE_PAGES[name])
+
+
+def rows_reply(eof: bool) -> dict:
+    """A one-row EXECUTE reply as it comes off the wire."""
+    frame = encode_frame(encode_rows_reply(["a"], [(1,)], eof=eof, cursor=7))
+    return decode_payload(frame[4:])
+
+
+def test_a_rows_reply_names_a_cursor_exactly_when_short_of_eof():
+    open_reply = rows_reply(eof=False)
+    assert open_reply["cursor"] == 7 and open_reply["eof"] is False
+    assert decode_rows_reply(open_reply) == (["a"], [(1,)], 7)
+    done_reply = rows_reply(eof=True)
+    assert "cursor" not in done_reply
+    assert decode_rows_reply(done_reply) == (["a"], [(1,)], None)
+
+
+@pytest.mark.parametrize(
+    "damage",
+    [
+        {"eof": None}, {"eof": 0}, {"eof": "false"},  # eof missing or not a boolean
+        {"eof": True},  # ... together with a cursor
+        {"cursor": None}, {"cursor": True}, {"cursor": "7"}, {"cursor": 7.0},
+        {"columns": None}, {"columns": "a"}, {"columns": [1]},
+        {"rows": None}, {"rows": [[1]]}, {"rows": {"cols": [[1], []], "tags": []}},
+    ],
+)
+def test_hostile_rows_replies_raise_protocol_error(damage):
+    reply = {**rows_reply(eof=False), **damage}
+    with pytest.raises(ProtocolError):
+        decode_rows_reply(reply)
 
 
 JSON_VALUES = st.recursive(

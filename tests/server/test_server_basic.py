@@ -7,6 +7,7 @@ import contextlib
 import socket
 import struct
 import threading
+import time
 
 import pytest
 
@@ -15,13 +16,21 @@ from repro.errors import (
     InvalidStatementError,
     ParameterError,
     ProtocolError,
+    RequestTimeoutError,
     ScopeError,
     ServerError,
 )
+from repro.gateway.session import GatewaySession
+from repro.result import RowStream
 from repro.server import ReproServer, ServerConfig, SyncSession, serve
 from repro.server.client import AsyncSession, RemoteRowStream
 from repro.server.loopback import loopback_server, shutdown_loopbacks
-from repro.server.protocol import PROTOCOL_VERSION, encode_frame, read_frame_blocking
+from repro.server.protocol import (
+    FIRST_PAGE_ROWS,
+    PROTOCOL_VERSION,
+    encode_frame,
+    read_frame_blocking,
+)
 
 from tests.conftest import build_paper_example
 
@@ -241,28 +250,111 @@ def test_loopback_reroutes_middleware_and_gateway(monkeypatch):
 # ---------------------------------------------------------------------------
 
 
-def test_fetchall_drains_in_pages_while_row_access_stays_exact_demand(server, spec):
+def test_a_result_that_fits_the_first_page_is_one_request(server, spec):
     with api.connect(spec, client=0, scope="IN (0, 1)") as connection:
         cursor = connection.cursor()
-        cursor.execute(SQL_BY_NAME)  # prepares: later executes are one request
-        assert len(cursor.fetchall()) == 6
-
         before = server.requests_served
-        cursor.execute(SQL_BY_NAME)
+        cursor.execute(SQL_BY_NAME)  # a new text: prepared by this same request
         assert len(cursor.fetchall()) == 6
-        # EXECUTE + one DRAIN_BATCH page (was one FETCH per row, plus the eof probe)
-        assert server.requests_served - before == 2
+        assert server.requests_served - before == 1
         assert cursor.rowcount == 6
 
         before = server.requests_served
         cursor.execute(SQL_BY_NAME)
         assert cursor.fetchone() is not None
         assert len(list(cursor)) == 5
-        # EXECUTE + six single-row FETCHes + the empty eof page: no read-ahead
-        assert server.requests_served - before == 8
+        assert cursor.fetchone() is None
+        # every row came out of the page buffered with the EXECUTE reply
+        assert server.requests_served - before == 1
+
+        before = server.requests_served
+        cursor.execute(SQL_BY_NAME)
+        assert len(cursor.fetchmany(4)) == 4
+        cursor.close()  # early close of an eof page: nothing to tell the server
+        assert server.requests_served - before == 1
 
 
-def test_fetch_replies_are_encoded_on_a_worker_thread(server, spec, monkeypatch):
+def test_one_row_past_the_first_page_costs_exactly_one_fetch(server, spec):
+    sql = (
+        "SELECT a.E_name FROM Employees a, Employees b, Employees c, Employees d "
+        f"LIMIT {FIRST_PAGE_ROWS + 1}"
+    )
+    with api.connect(spec, client=0, scope="IN (0, 1)") as connection:
+        cursor = connection.cursor()
+        before = server.requests_served
+        assert len(cursor.execute(sql).fetchall()) == FIRST_PAGE_ROWS + 1
+        assert server.requests_served - before == 2  # EXECUTE + one FETCH
+
+        before = server.requests_served
+        cursor.execute(sql)
+        assert len(cursor.fetchmany(FIRST_PAGE_ROWS - 6)) == FIRST_PAGE_ROWS - 6
+        assert server.requests_served - before == 1  # still inside the page
+        # a short buffer is topped up with one FETCH of the difference
+        assert len(cursor.fetchmany(10)) == 7
+        assert server.requests_served - before == 2
+        assert cursor.fetchmany(10) == []
+        assert server.requests_served - before == 2 and cursor.rowcount == FIRST_PAGE_ROWS + 1
+
+        before = server.requests_served
+        cursor.execute(sql)
+        cursor.close()  # the server still holds a cursor: CLOSE_CURSOR frees it
+        assert server.requests_served - before == 2
+    assert server.admission.tenant_snapshot(0).load.in_flight == 0
+
+
+def test_a_dbapi_visit_is_one_frame_per_statement_plus_hello_and_close(server, spec):
+    texts = [
+        f"SELECT E_name FROM Employees WHERE E_age > ? AND E_salary > {floor}"
+        for floor in range(8)
+    ]
+    before = server.requests_served
+    with api.connect(spec, client=1, scope="IN (0, 1)") as connection:
+        cursor = connection.cursor()
+        for _ in range(5):
+            for text in texts:
+                assert len(cursor.execute(text, (0,)).fetchall()) == 6
+    # no PREPARE, no FETCH, no CLOSE_PREPARED: 1 HELLO + 40 EXECUTE + 1 CLOSE
+    assert server.requests_served - before == 42
+
+
+def test_a_direct_prepare_stays_eager(server):
+    host, port = server.address
+    with SyncSession(host, port, client=0) as session:
+        with pytest.raises(InvalidStatementError):
+            session.prepare("SELEC nope")
+        with pytest.raises(InvalidStatementError):
+            session.prepare_execute("SELEC nope")
+        handle, stream = session.prepare_execute(SQL_SALARY, parameters=(0,))
+        assert len(stream.materialize().rows) == 3
+        assert len(session.query(handle, parameters=(0,)).rows) == 3
+
+
+def test_the_slot_is_free_once_an_eof_reply_is_written(server):
+    host, port = server.address
+
+    def in_flight():
+        return server.admission.tenant_snapshot(1).load.in_flight
+
+    async def main():
+        async with await AsyncSession.open(host, port, client=1, scope="IN (0, 1)") as session:
+            reply = await session.begin_execute(SQL_BY_NAME, fetch=FIRST_PAGE_ROWS)
+            assert reply["eof"] is True and "cursor" not in reply
+            assert len(reply["rows"]["cols"][0]) == 6
+            assert in_flight() == 0  # before any client fetch
+            reply = await session.begin_execute(SQL_BY_NAME)  # fetch: 0
+            assert reply["eof"] is False and reply["rows"] == {"cols": [], "tags": []}
+            assert in_flight() == 1  # the open cursor pins the slot
+            exact = await session.begin_execute(SQL_BY_NAME, fetch=6)
+            assert exact["eof"] is False and in_flight() == 2  # eof is a short page
+            await session.close_cursor(exact["cursor"])
+            await session.close_cursor(reply["cursor"])
+            assert in_flight() == 0
+
+    asyncio.run(main())
+
+
+def test_pages_are_encoded_on_a_worker_thread(server, spec, monkeypatch):
+    import repro.server.protocol as protocol_module
     import repro.server.server as server_module
 
     encoders = []
@@ -272,7 +364,9 @@ def test_fetch_replies_are_encoded_on_a_worker_thread(server, spec, monkeypatch)
         return real(rows)
 
     real = server_module.encode_rows
-    monkeypatch.setattr(server_module, "encode_rows", recording)
+    monkeypatch.setattr(server_module, "encode_rows", recording)  # FETCH pages
+    monkeypatch.setattr(protocol_module, "encode_rows", recording)  # the first page
+    monkeypatch.setattr("repro.server.client.FIRST_PAGE_ROWS", 4)
     with api.connect(spec, client=0, scope="IN (0, 1)") as connection:
         cursor = connection.cursor()
         cursor.execute(SQL_BY_NAME)
@@ -312,7 +406,9 @@ def scripted_server(*replies):
 
 
 HELLO_OK = {"ok": True, "session_id": 1, "protocol": PROTOCOL_VERSION}
-ROWS_CURSOR = {"ok": True, "kind": "rows", "cursor": 1, "columns": ["a", "b"]}
+EMPTY_PAGE = {"cols": [], "tags": []}
+ROWS_CURSOR = {"ok": True, "kind": "rows", "columns": ["a", "b"],
+               "rows": EMPTY_PAGE, "eof": False, "cursor": 1}
 
 
 @pytest.mark.parametrize(
@@ -350,6 +446,107 @@ def test_a_hostile_page_tears_the_async_session_down():
         asyncio.run(scenario(host, port))
 
 
+HOSTILE_ROWS_REPLIES = {
+    "rows but no eof": {"rows": EMPTY_PAGE, "cursor": 1},
+    "eof together with a cursor": {"rows": EMPTY_PAGE, "eof": True, "cursor": 1},
+    "short of eof without a cursor": {"rows": EMPTY_PAGE, "eof": False},
+    "a boolean cursor": {"rows": EMPTY_PAGE, "eof": False, "cursor": True},
+    "eof as a number": {"rows": EMPTY_PAGE, "eof": 1},
+    "no first page": {"eof": True},
+    "a ragged first page": {"rows": {"cols": [[1, 2], [3]], "tags": []}, "eof": True},
+    "the version-2 reply": {"cursor": 1},
+}
+
+
+@pytest.mark.parametrize("name", HOSTILE_ROWS_REPLIES)
+def test_a_hostile_execute_reply_tears_both_clients_down(name):
+    reply = {"ok": True, "kind": "rows", "columns": ["a", "b"], **HOSTILE_ROWS_REPLIES[name]}
+    with scripted_server(HELLO_OK, reply) as (host, port):
+        session = SyncSession(host, port, client=0, timeout=5)
+        with pytest.raises(ProtocolError):
+            session.execute_incremental("SELECT a, b FROM t")
+        with pytest.raises(ServerError, match="closed"):
+            session.prepare("SELECT 1")
+
+    async def scenario(host, port):
+        session = await AsyncSession.open(host, port, client=0)
+        with pytest.raises(ProtocolError):
+            await session.execute("SELECT a, b FROM t")
+        with pytest.raises(ServerError, match="closed"):
+            await session.prepare("SELECT 1")
+
+    with scripted_server(HELLO_OK, reply) as (host, port):
+        asyncio.run(scenario(host, port))
+
+
+@pytest.mark.parametrize("handle", [None, "7", True, 1.5])
+def test_a_preparing_execute_reply_must_name_its_handle(handle):
+    reply = {"ok": True, "kind": "rows", "columns": ["a"], "rows": EMPTY_PAGE,
+             "eof": True, "handle": handle}
+    with scripted_server(HELLO_OK, reply) as (host, port):
+        session = SyncSession(host, port, client=0, timeout=5)
+        with pytest.raises(ProtocolError, match="handle"):
+            session.prepare_execute("SELECT a FROM t")
+        with pytest.raises(ServerError, match="closed"):
+            session.prepare("SELECT 1")
+
+
+def raw_request(server, *messages):
+    """HELLO as tenant 0 on a raw socket, send ``messages``, return the replies
+    (``None`` once the server has closed the connection)."""
+    host, port = server.address
+    with socket.create_connection((host, port)) as raw:
+        stream = raw.makefile("rwb")
+        replies = []
+        for message in ({"op": "hello", "protocol": PROTOCOL_VERSION, "client": 0}, *messages):
+            try:
+                stream.write(encode_frame(message))
+                stream.flush()
+                replies.append(read_frame_blocking(stream))
+            except ConnectionError:  # writing into a closed connection resets it
+                replies.append(None)
+        return replies[1:]
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [{}, {"fetch": -1}, {"fetch": True}, {"fetch": 2.0}, {"fetch": "2"}, {"fetch": None},
+     {"fetch": 2, "prepare": "yes"}, {"fetch": 2, "prepare": 1}],
+)
+def test_execute_with_a_malformed_fetch_or_prepare_field_is_a_protocol_violation(server, fields):
+    execute = {"op": "execute", "statement": SQL_BY_NAME, **fields}
+    reply, after = raw_request(server, execute, {"op": "set_scope", "scope": None})
+    assert reply["ok"] is False and reply["error"] == "PROTOCOL"
+    assert "fetch" in reply["message"] or "prepare" in reply["message"]
+    # the existing rule for protocol violations: answered, then disconnected —
+    # and no slot was taken on the way
+    assert after is None
+    assert server.admission.tenant_snapshot(0).load.in_flight == 0
+
+
+def test_execute_cannot_prepare_a_handle(server):
+    (prepared,) = raw_request(server, {"op": "prepare", "sql": SQL_BY_NAME})
+    (reply,) = raw_request(
+        server, {"op": "execute", "statement": prepared["handle"], "fetch": 1, "prepare": True}
+    )
+    assert reply["ok"] is False and reply["error"] == "PROTOCOL"
+
+
+def test_a_preparing_execute_answers_the_handle_and_a_failing_one_keeps_none(server):
+    good = {"op": "execute", "statement": SQL_BY_NAME, "fetch": 2, "prepare": True}
+    bad = {"op": "execute", "statement": SQL_SALARY, "fetch": 2, "prepare": True}
+    first, failed = raw_request(server, good, bad)
+    assert first["kind"] == "rows" and first["eof"] is False and type(first["handle"]) is int
+    assert failed["ok"] is False and failed["error"] == "PARAMETER"
+    # the handle of the failed execution was dropped again, not leaked
+    by_handle = {"op": "execute", "statement": first["handle"] + 1, "fetch": 2}
+    _first, _failed, orphan, reuse = raw_request(
+        server, good, bad, by_handle, {**by_handle, "statement": first["handle"]}
+    )
+    assert orphan["ok"] is False and "unknown prepared-statement handle" in orphan["message"]
+    assert reuse["kind"] == "rows" and "handle" not in reuse
+
+
 @pytest.mark.parametrize("hello", [{"protocol": PROTOCOL_VERSION - 1}, {}])
 def test_server_refuses_a_client_of_another_protocol_version(server, hello):
     host, port = server.address
@@ -363,8 +560,9 @@ def test_server_refuses_a_client_of_another_protocol_version(server, hello):
         assert stream.read(1) == b""  # and the connection is closed
 
 
-def test_clients_refuse_a_server_of_another_protocol_version():
-    other = {**HELLO_OK, "protocol": PROTOCOL_VERSION + 1}
+@pytest.mark.parametrize("version", [2, PROTOCOL_VERSION + 1])
+def test_clients_refuse_a_server_of_another_protocol_version(version):
+    other = {**HELLO_OK, "protocol": version}
     with scripted_server(other) as (host, port):
         with pytest.raises(ProtocolError, match="protocol"):
             SyncSession(host, port, client=0, timeout=5)
@@ -385,6 +583,66 @@ def test_graceful_stop_drains_and_refuses_further_requests():
     with pytest.raises(Exception):
         session.query(SQL_BY_NAME)
     session.close()
+
+
+def slow_execution(monkeypatch, seconds, on_close=None):
+    """Make every gateway execution take ``seconds`` and yield a two-row stream."""
+
+    def execute_incremental(self, statement, scope=None, parameters=None):
+        time.sleep(seconds)
+        return RowStream(["a"], iter([(1,), (2,)]), on_close=on_close)
+
+    monkeypatch.setattr(GatewaySession, "execute_incremental", execute_incremental)
+
+
+def test_a_timed_out_execute_frees_its_slot_only_when_the_worker_finishes(monkeypatch):
+    closed = threading.Event()
+    slow_execution(monkeypatch, 0.6, on_close=closed.set)
+    config = ServerConfig(request_timeout=0.2, drain_timeout=2.0)
+    with serve(build_paper_example(), config=config) as live:
+        host, port = live.address
+        gate = live.admission.gate(0)
+
+        async def main():
+            async with await AsyncSession.open(host, port, client=0) as session:
+                with pytest.raises(RequestTimeoutError):
+                    # fetch=1 of two rows: the worker will come back with an
+                    # open stream nobody is going to read
+                    await session.begin_execute(SQL_BY_NAME, fetch=1)
+                assert gate.in_flight == 1 and not closed.is_set()  # still running
+                assert closed.wait(5)
+                for _ in range(100):
+                    if gate.in_flight == 0:
+                        break
+                    await asyncio.sleep(0.01)
+                assert gate.in_flight == 0
+                await session.set_scope(None)  # the connection survived
+
+        asyncio.run(main())
+        assert live.timeouts == 1
+
+
+def test_stop_cancels_idle_connections_while_a_busy_one_gets_its_answer(monkeypatch):
+    slow_execution(monkeypatch, 0.5)
+    server = ReproServer(build_paper_example(), config=ServerConfig(drain_timeout=5.0))
+    server.start()
+    host, port = server.address
+    idle = SyncSession(host, port, client=0)
+    busy = SyncSession(host, port, client=1)
+    answers = []
+    worker = threading.Thread(target=lambda: answers.append(busy.query(SQL_BY_NAME).rows))
+    worker.start()
+    time.sleep(0.1)  # the busy request is on its worker by now
+    began = time.perf_counter()
+    server.stop()
+    elapsed = time.perf_counter() - began
+    worker.join(timeout=5)
+    assert answers == [[(1,), (2,)]]  # answered during the drain
+    assert 0.2 < elapsed < 3.0  # waited for the busy one, not for drain_timeout
+    with pytest.raises(Exception):
+        idle.reset_scope()
+    idle.close()
+    busy.close()
 
 
 def test_request_before_hello_is_a_protocol_violation():
