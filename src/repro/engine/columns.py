@@ -61,19 +61,26 @@ class TypedColumn:
     Specialized kernels index ``values`` directly and consult ``nulls``
     only when present, so the null-free hot path runs with no per-element
     branching beyond the operator itself.
+
+    ``parsed`` marks a ``"date"`` payload some of whose cells were stored as
+    ISO strings: against a ``Date`` those compare by their parsed ordinal,
+    but two strings compare as text, so column-vs-column kernels leave such
+    a column to the generic path.
     """
 
-    __slots__ = ("kind", "values", "nulls")
+    __slots__ = ("kind", "values", "nulls", "parsed")
 
     def __init__(
         self,
         kind: str,
         values,
         nulls: Optional[frozenset] = None,
+        parsed: bool = False,
     ) -> None:
         self.kind = kind
         self.values = values
         self.nulls = nulls
+        self.parsed = parsed
 
     @property
     def null_free(self) -> bool:
@@ -148,10 +155,12 @@ def _build_date(values: Sequence) -> Optional[TypedColumn]:
     payload = array("q")
     append = payload.append
     nulls: list[int] = []
+    parsed = False
     for position, value in enumerate(values):
         if type(value) is Date:
             append(date_days(value))
         elif type(value) is str:
+            parsed = True
             try:
                 append(date_days(date_from_string(value)))
             except ValueError:
@@ -161,7 +170,7 @@ def _build_date(values: Sequence) -> Optional[TypedColumn]:
             append(0)
         else:
             return None
-    return TypedColumn("date", payload, frozenset(nulls) if nulls else None)
+    return TypedColumn("date", payload, frozenset(nulls) if nulls else None, parsed)
 
 
 def _build_str(values: Sequence) -> Optional[TypedColumn]:

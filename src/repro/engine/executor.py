@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
+from itertools import count, filterfalse
 from time import perf_counter
 from typing import Any, Optional
 
@@ -28,13 +29,25 @@ from .expressions import (
     Scope,
     find_aggregates,
 )
-from .functions import BUILTIN_SCALARS, CountAggregate, Function, aggregate_factory
+from .functions import BUILTIN_SCALARS, Function, aggregate_factory, is_count_star
 from .planner import EmptyPipeline, JoinPipeline, Planner
 from .vector import (
     BatchExpressionCompiler,
     RowBatch,
     apply_batch_predicates,
+    key_column,
 )
+
+
+def _row_positions(batch: RowBatch, outers: tuple) -> range:
+    """Argument "column" of a plain ``COUNT(*)``: it only lends its length."""
+    return range(batch.n)
+
+
+def _row_tuples(batch: RowBatch, outers: tuple):
+    """Argument column of any other argument-less aggregate: like row mode,
+    it is fed the row tuples."""
+    return batch.rows
 
 
 @dataclass
@@ -262,11 +275,16 @@ class PreparedSelect:
             group_columns.append((None, placeholder))
             if aggregate.args and not isinstance(aggregate.args[0], ast.Star):
                 arg_fn = compiler.compile(aggregate.args[0])
+            elif not self._vectorized:
+                arg_fn = None  # the row interpreter feeds the row tuple itself
+            elif is_count_star(aggregate) and not aggregate.distinct:
+                arg_fn = _row_positions
             else:
-                arg_fn = None
-            # (accumulator factory, argument kernel): resolved once, so a new
-            # group costs one call per aggregate
-            self._aggregate_specs.append((aggregate_factory(aggregate), arg_fn))
+                arg_fn = _row_tuples
+            # (accumulator factory, argument kernel), resolved once: row mode
+            # builds an accumulator per group, vectorized one state per run
+            factory = aggregate_factory(aggregate, grouped=self._vectorized)
+            self._aggregate_specs.append((factory, arg_fn))
 
         self._group_key_fns = [compiler.compile(expr) for expr in group_exprs]
 
@@ -555,66 +573,59 @@ class PreparedSelect:
         return projected
 
     def _run_grouped_vector(self, source: RowBatch, outers: tuple) -> list[tuple[tuple, tuple]]:
-        """Batch aggregation: columnwise keys/arguments, per-group folding.
+        """Batch aggregation: hash the keys to dense group ids, fold columns.
 
         Rows are processed in bounded windows of the source batch (windows
         over a scan batch keep typed-column access, so aggregate arguments
-        like ``qty * price`` evaluate through typed kernels); within a
-        window the group keys and every aggregate argument are evaluated as
-        columns, the window is partitioned by key, and each group folds its
-        slice via :meth:`~repro.engine.functions.Aggregate.add_many` (whole
-        window) or :meth:`~repro.engine.functions.Aggregate.add_indexed`
-        (group-index array, no intermediate gather) — in row order either
-        way, so float accumulation is bit-identical to row mode.
+        like ``qty * price`` evaluate through typed kernels).  Per window the
+        group keys and every aggregate argument are evaluated as columns and
+        each row's key is mapped to its group id — ids are dense, handed out
+        in first-seen order, and looked up at C speed (a single-column
+        ``GROUP BY`` keys on the column's values, no tuple per row).  Every
+        aggregate owns one :class:`~repro.engine.functions.GroupedState` for
+        all groups and folds ``(ids, column)`` once per window, in row order,
+        so float accumulation is bit-identical to row mode; while there is
+        only one group (no ``GROUP BY``, or one key value so far) the column
+        folds into it without consulting the ids.
         """
         specs = self._aggregate_specs
         group_key_fns = self._group_key_fns
-        has_keys = bool(group_key_fns)
         batch_size = self._vector.batch_size
-        groups: dict[tuple, list] = {}
+        states = [factory() for factory, _ in specs]
+        # key -> group id; without GROUP BY everything is the one group ()
+        groups: dict = {} if group_key_fns else {(): 0}
+        grown = len(groups)
+        for state in states:
+            state.grow(grown)
+        ids: list = []
         for start in range(0, source.n, batch_size):
             batch = source.window(start, start + batch_size)
-            argument_columns = [
-                fn(batch, outers) if fn is not None else None for _, fn in specs
-            ]
-            partition: dict[tuple, list[int]] = {}
-            if has_keys:
-                key_columns = [fn(batch, outers) for fn in group_key_fns]
-                for index, key in enumerate(zip(*key_columns)):
-                    bucket = partition.get(key)
-                    if bucket is None:
-                        partition[key] = [index]
-                    else:
-                        bucket.append(index)
+            columns = [fn(batch, outers) for _, fn in specs]
+            if group_key_fns:
+                keys = key_column(group_key_fns, batch, outers)
+                try:
+                    ids = list(map(groups.__getitem__, keys))
+                except KeyError:  # the window introduces groups
+                    fresh = list(filterfalse(groups.__contains__, dict.fromkeys(keys)))
+                    groups.update(zip(fresh, count(grown)))
+                    for state in states:
+                        state.grow(len(fresh))
+                    grown = len(groups)
+                    ids = list(map(groups.__getitem__, keys))
+            if grown == 1:
+                for state, column in zip(states, columns):
+                    state.fold_one(0, column)
             else:
-                partition[()] = list(range(batch.n))
-            whole = batch.n
-            for key, indices in partition.items():
-                accumulators = groups.get(key)
-                if accumulators is None:
-                    accumulators = [factory() for factory, _ in specs]
-                    groups[key] = accumulators
-                count = len(indices)
-                for accumulator, column in zip(accumulators, argument_columns):
-                    if column is None:
-                        # COUNT(*) needs no argument column; other argless
-                        # shapes mirror row mode and feed the row tuples
-                        if type(accumulator) is CountAggregate:
-                            accumulator.add_count(count)
-                        else:
-                            batch_rows = batch.rows
-                            accumulator.add_many([batch_rows[i] for i in indices])
-                    elif count == whole:
-                        accumulator.add_many(column)
-                    else:
-                        accumulator.add_indexed(column, indices)
-        if not groups and not has_keys:
-            groups[()] = [factory() for factory, _ in specs]
+                for state, column in zip(states, columns):
+                    state.fold(ids, column)
 
-        group_rows = [
-            key + tuple(accumulator.result() for accumulator in accumulators)
-            for key, accumulators in groups.items()
-        ]
+        if not group_key_fns:
+            key_columns: Any = ()
+        elif len(group_key_fns) == 1:
+            key_columns = (groups,)
+        else:
+            key_columns = zip(*groups)
+        group_rows = list(zip(*key_columns, *(state.results() for state in states)))
         return self._project_groups_vector(group_rows, outers)
 
     def _project_groups_vector(

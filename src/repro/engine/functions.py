@@ -21,7 +21,9 @@ from __future__ import annotations
 import functools
 import math
 import threading
+from collections import Counter
 from dataclasses import dataclass, field
+from itertools import filterfalse, repeat
 from typing import Any, Callable, Optional, Sequence
 
 from ..errors import FunctionError
@@ -246,35 +248,17 @@ BUILTIN_SCALARS: dict[str, Callable[..., Any]] = {
 
 
 class Aggregate:
-    """Streaming accumulator interface for SQL aggregate functions.
+    """Streaming accumulator of one SQL aggregate over one group's values.
 
-    :meth:`add_many` is the vectorized entry point: one call folds a whole
-    column into the accumulator; :meth:`add_indexed` folds the positions of
-    a group-index array without materializing the gathered slice (the
-    grouped-aggregation hot path over typed columns).  Every override
-    applies values in column order with the exact per-element arithmetic of
-    :meth:`add` — in particular floats accumulate by the same sequence of
-    binary additions — so batch and row execution produce bit-identical
-    results.  Accumulators are built per group (tens of thousands per
-    query), so every class declares ``__slots__``: one allocation, no
-    ``__dict__``.
+    The row interpreter builds one per (group, aggregate) and calls
+    :meth:`add` once per row; it is the oracle the vectorized executor's
+    columnar :class:`GroupedState` must match bit for bit.
     """
 
     __slots__ = ()
 
     def add(self, value: Any) -> None:
         raise NotImplementedError
-
-    def add_many(self, values: Sequence[Any]) -> None:
-        """Fold a column of values into the accumulator (batch hot path)."""
-        for value in values:
-            self.add(value)
-
-    def add_indexed(self, values: Sequence[Any], indices: Sequence[int]) -> None:
-        """Fold ``values[i] for i in indices`` (ascending group positions)."""
-        add = self.add
-        for i in indices:
-            add(values[i])
 
     def result(self) -> Any:
         raise NotImplementedError
@@ -291,22 +275,6 @@ class CountAggregate(Aggregate):
         if self._count_star or value is not None:
             self._count += 1
 
-    def add_many(self, values: Sequence[Any]) -> None:
-        if self._count_star:
-            self._count += len(values)
-            return
-        self._count += sum(1 for value in values if value is not None)
-
-    def add_count(self, count: int) -> None:
-        """Count ``count`` rows at once (COUNT(*) over a batch needs no column)."""
-        self._count += count
-
-    def add_indexed(self, values: Sequence[Any], indices: Sequence[int]) -> None:
-        if self._count_star:
-            self._count += len(indices)
-            return
-        self._count += sum(1 for i in indices if values[i] is not None)
-
     def result(self) -> int:
         return self._count
 
@@ -321,21 +289,6 @@ class SumAggregate(Aggregate):
         if value is None:
             return
         self._total = value if self._total is None else self._total + value
-
-    def add_many(self, values: Sequence[Any]) -> None:
-        total = self._total
-        for value in values:
-            if value is not None:
-                total = value if total is None else total + value
-        self._total = total
-
-    def add_indexed(self, values: Sequence[Any], indices: Sequence[int]) -> None:
-        total = self._total
-        for i in indices:
-            value = values[i]
-            if value is not None:
-                total = value if total is None else total + value
-        self._total = total
 
     def result(self) -> Any:
         return self._total
@@ -353,27 +306,6 @@ class AvgAggregate(Aggregate):
             return
         self._total += value
         self._count += 1
-
-    def add_many(self, values: Sequence[Any]) -> None:
-        total = self._total
-        count = self._count
-        for value in values:
-            if value is not None:
-                total += value
-                count += 1
-        self._total = total
-        self._count = count
-
-    def add_indexed(self, values: Sequence[Any], indices: Sequence[int]) -> None:
-        total = self._total
-        count = self._count
-        for i in indices:
-            value = values[i]
-            if value is not None:
-                total += value
-                count += 1
-        self._total = total
-        self._count = count
 
     def result(self) -> Any:
         if self._count == 0:
@@ -393,21 +325,6 @@ class MinAggregate(Aggregate):
         if self._value is None or value < self._value:
             self._value = value
 
-    def add_many(self, values: Sequence[Any]) -> None:
-        best = self._value
-        for value in values:
-            if value is not None and (best is None or value < best):
-                best = value
-        self._value = best
-
-    def add_indexed(self, values: Sequence[Any], indices: Sequence[int]) -> None:
-        best = self._value
-        for i in indices:
-            value = values[i]
-            if value is not None and (best is None or value < best):
-                best = value
-        self._value = best
-
     def result(self) -> Any:
         return self._value
 
@@ -423,21 +340,6 @@ class MaxAggregate(Aggregate):
             return
         if self._value is None or value > self._value:
             self._value = value
-
-    def add_many(self, values: Sequence[Any]) -> None:
-        best = self._value
-        for value in values:
-            if value is not None and (best is None or value > best):
-                best = value
-        self._value = best
-
-    def add_indexed(self, values: Sequence[Any], indices: Sequence[int]) -> None:
-        best = self._value
-        for i in indices:
-            value = values[i]
-            if value is not None and (best is None or value > best):
-                best = value
-        self._value = best
 
     def result(self) -> Any:
         return self._value
@@ -461,54 +363,263 @@ class DistinctAggregate(Aggregate):
         self._seen.add(value)
         self._inner.add(value)
 
-    def add_many(self, values: Sequence[Any]) -> None:
-        seen = self._seen
-        inner_add = self._inner.add
-        for value in values:
-            if value is None:
-                inner_add(value)
-            elif value not in seen:
-                seen.add(value)
-                inner_add(value)
-
-    def add_indexed(self, values: Sequence[Any], indices: Sequence[int]) -> None:
-        seen = self._seen
-        inner_add = self._inner.add
-        for i in indices:
-            value = values[i]
-            if value is None:
-                inner_add(value)
-            elif value not in seen:
-                seen.add(value)
-                inner_add(value)
-
     def result(self) -> Any:
         return self._inner.result()
 
 
-_AGGREGATES: dict[str, Callable[[], Aggregate]] = {
+# ---------------------------------------------------------------------------
+# Grouped state: one columnar accumulator per aggregate, for all groups
+# ---------------------------------------------------------------------------
+
+
+class GroupedState:
+    """One aggregate's accumulator state for *every* group of a query.
+
+    The vectorized executor numbers groups densely in first-seen order and
+    keeps one of these per aggregate: plain lists indexed by group id instead
+    of one :class:`Aggregate` object per (group, aggregate).  Per window it
+    calls :meth:`grow` with the number of groups the window introduced, then
+    :meth:`fold` with the window's group ids and the aligned argument column
+    — or :meth:`fold_one` when every row of the window belongs to one group,
+    which keeps the running value in a local.  Values reach a group in row
+    order through the per-element arithmetic of :meth:`Aggregate.add` (SUM
+    starts from the first value, AVG from ``0.0``, never builtin ``sum``), so
+    float results are bit-identical to row mode.
+    """
+
+    __slots__ = ()
+
+    def grow(self, count: int) -> None:
+        """Append the initial state of ``count`` new groups."""
+        raise NotImplementedError
+
+    def fold(self, ids: Sequence[int], column: Sequence[Any]) -> None:
+        """Fold ``column[i]`` into group ``ids[i]`` for every ``i``, in order."""
+        raise NotImplementedError
+
+    def fold_one(self, group: int, column: Sequence[Any]) -> None:
+        """Fold the whole ``column`` into ``group``, in order."""
+        raise NotImplementedError
+
+    def results(self) -> list:
+        """The aggregate's value per group, indexed by group id."""
+        raise NotImplementedError
+
+
+class CountState(GroupedState):
+    """COUNT(*) (``count_star``: the column only lends its length) / COUNT(x)."""
+
+    __slots__ = ("_counts", "_count_star")
+
+    def __init__(self, count_star: bool = False) -> None:
+        self._counts: list[int] = []
+        self._count_star = count_star
+
+    def grow(self, count: int) -> None:
+        self._counts += [0] * count
+
+    def fold(self, ids: Sequence[int], column: Sequence[Any]) -> None:
+        # all() settles most columns at a third of the cost of the NULL search
+        if not self._count_star and not all(column) and None in column:
+            ids = [group for group, value in zip(ids, column) if value is not None]
+        counts = self._counts
+        for group, count in Counter(ids).items():
+            counts[group] += count
+
+    def fold_one(self, group: int, column: Sequence[Any]) -> None:
+        nulls = 0 if self._count_star else column.count(None)
+        self._counts[group] += len(column) - nulls
+
+    def results(self) -> list:
+        return self._counts
+
+
+class SumState(GroupedState):
+    __slots__ = ("_totals",)
+
+    def __init__(self) -> None:
+        self._totals: list = []
+
+    def grow(self, count: int) -> None:
+        self._totals += [None] * count
+
+    def fold(self, ids: Sequence[int], column: Sequence[Any]) -> None:
+        totals = self._totals
+        for group, value in zip(ids, column):
+            if value is not None:
+                total = totals[group]
+                totals[group] = value if total is None else total + value
+
+    def fold_one(self, group: int, column: Sequence[Any]) -> None:
+        total = self._totals[group]
+        for value in column:
+            if value is not None:
+                total = value if total is None else total + value
+        self._totals[group] = total
+
+    def results(self) -> list:
+        return self._totals
+
+
+class AvgState(GroupedState):
+    __slots__ = ("_totals", "_counts")
+
+    def __init__(self) -> None:
+        self._totals: list = []
+        self._counts: list[int] = []
+
+    def grow(self, count: int) -> None:
+        self._totals += [0.0] * count
+        self._counts += [0] * count
+
+    def fold(self, ids: Sequence[int], column: Sequence[Any]) -> None:
+        totals, counts = self._totals, self._counts
+        for group, value in zip(ids, column):
+            if value is not None:
+                totals[group] += value
+                counts[group] += 1
+
+    def fold_one(self, group: int, column: Sequence[Any]) -> None:
+        total, count = self._totals[group], self._counts[group]
+        for value in column:
+            if value is not None:
+                total += value
+                count += 1
+        self._totals[group], self._counts[group] = total, count
+
+    def results(self) -> list:
+        return [
+            None if count == 0 else total / count
+            for total, count in zip(self._totals, self._counts)
+        ]
+
+
+class _ExtremeState(GroupedState):
+    """Shared storage of MIN and MAX: the best value seen per group."""
+
+    __slots__ = ("_best",)
+
+    def __init__(self) -> None:
+        self._best: list = []
+
+    def grow(self, count: int) -> None:
+        self._best += [None] * count
+
+    def results(self) -> list:
+        return self._best
+
+
+class MinState(_ExtremeState):
+    __slots__ = ()
+
+    def fold(self, ids: Sequence[int], column: Sequence[Any]) -> None:
+        best = self._best
+        for group, value in zip(ids, column):
+            if value is not None:
+                current = best[group]
+                if current is None or value < current:
+                    best[group] = value
+
+    def fold_one(self, group: int, column: Sequence[Any]) -> None:
+        current = self._best[group]
+        for value in column:
+            if value is not None and (current is None or value < current):
+                current = value
+        self._best[group] = current
+
+
+class MaxState(_ExtremeState):
+    __slots__ = ()
+
+    def fold(self, ids: Sequence[int], column: Sequence[Any]) -> None:
+        best = self._best
+        for group, value in zip(ids, column):
+            if value is not None:
+                current = best[group]
+                if current is None or value > current:
+                    best[group] = value
+
+    def fold_one(self, group: int, column: Sequence[Any]) -> None:
+        current = self._best[group]
+        for value in column:
+            if value is not None and (current is None or value > current):
+                current = value
+        self._best[group] = current
+
+
+class DistinctState(GroupedState):
+    """Hands another state each group's distinct values once, first seen first.
+
+    One set of ``(group, value)`` pairs serves all groups.  A NULL passes
+    through (once per group is as good as every time: the inner states skip
+    it), exactly like :class:`DistinctAggregate`.
+    """
+
+    __slots__ = ("_inner", "_seen")
+
+    def __init__(self, inner: GroupedState) -> None:
+        self._inner = inner
+        self._seen: set = set()
+
+    def grow(self, count: int) -> None:
+        self._inner.grow(count)
+
+    def fold(self, ids: Sequence[int], column: Sequence[Any]) -> None:
+        seen = self._seen
+        # dedupe the window in row order, then against earlier windows
+        fresh = list(filterfalse(seen.__contains__, dict.fromkeys(zip(ids, column))))
+        if fresh:
+            seen.update(fresh)
+            self._inner.fold(*zip(*fresh))
+
+    def fold_one(self, group: int, column: Sequence[Any]) -> None:
+        self.fold(repeat(group), column)
+
+    def results(self) -> list:
+        return self._inner.results()
+
+
+_AGGREGATES: dict[str, Callable[..., Aggregate]] = {
+    "COUNT": CountAggregate,
     "SUM": SumAggregate,
     "AVG": AvgAggregate,
     "MIN": MinAggregate,
     "MAX": MaxAggregate,
 }
 
+_GROUPED_STATES: dict[str, Callable[..., GroupedState]] = {
+    "COUNT": CountState,
+    "SUM": SumState,
+    "AVG": AvgState,
+    "MIN": MinState,
+    "MAX": MaxState,
+}
 
-def aggregate_factory(call: ast.FunctionCall) -> Callable[[], Aggregate]:
+
+def is_count_star(call: ast.FunctionCall) -> bool:
+    """Whether ``call`` is ``COUNT(*)``, which counts rows, not values."""
+    return (
+        call.name.upper() == "COUNT"
+        and len(call.args) == 1
+        and isinstance(call.args[0], ast.Star)
+    )
+
+
+def aggregate_factory(call: ast.FunctionCall, grouped: bool = False) -> Callable[[], Any]:
     """Resolve an aggregate FunctionCall node to its accumulator factory.
 
-    Resolved once per aggregate at prepare time; the executor then calls
-    the factory once per group without re-reading the AST node.
+    Resolved once per aggregate at prepare time.  The row interpreter calls
+    the factory once per group (an :class:`Aggregate`); with ``grouped`` it
+    builds the vectorized executor's :class:`GroupedState`, once per run.
     """
+    classes = _GROUPED_STATES if grouped else _AGGREGATES
     name = call.name.upper()
-    if name == "COUNT":
-        count_star = len(call.args) == 1 and isinstance(call.args[0], ast.Star)
-        base: Callable[[], Aggregate] = functools.partial(CountAggregate, count_star)
-    elif name in _AGGREGATES:
-        base = _AGGREGATES[name]
-    else:
+    if name not in classes:
         raise FunctionError(f"unknown aggregate function {call.name!r}")
+    base = classes[name]
+    if name == "COUNT":
+        base = functools.partial(base, is_count_star(call))
     if call.distinct:
-        return lambda: DistinctAggregate(base())
+        distinct = DistinctState if grouped else DistinctAggregate
+        return lambda: distinct(base())
     return base
-

@@ -30,6 +30,7 @@ tuple concatenation and stays the oracle.
 
 from __future__ import annotations
 
+from itertools import compress
 from typing import TYPE_CHECKING, Optional
 
 from ..compile.cost import predicate_selectivity
@@ -49,6 +50,7 @@ from .vector import (
     JoinedBatch,
     RowBatch,
     apply_batch_predicates,
+    key_column,
 )
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -61,23 +63,19 @@ def _windows(batch: RowBatch, batch_size: int):
         yield batch.window(start, start + batch_size)
 
 
-def _join_key_column(fns: list, batch: RowBatch, outers: tuple):
-    """Key-per-row list for a hash-join side, computed columnwise.
+def _hash_build(build_fns: list, nullable: bool, batch: RowBatch, outers: tuple) -> dict:
+    """Hash a join's build side: key -> its rows, in source order.
 
-    ``fns`` are batch kernels: single-key joins use the kernel's column
-    directly, multi-key joins zip the key columns into tuples — the batch
-    analogue of ``tuple(fn(row, outers) for fn in fns)`` per row.
+    A row whose key has a NULL component can match nothing and is left out
+    (``nullable`` false: the planner proved every key NOT NULL, skip the
+    test), so probing with a NULL key misses without a check of its own.
     """
-    columns = [fn(batch, outers) for fn in fns]
-    if len(columns) == 1:
-        return columns[0]
-    return list(zip(*columns))
-
-
-def _hash_build(build_fns: list, batch: RowBatch, outers: tuple) -> dict:
-    """Hash a join's build side: key -> its rows, in source order."""
+    columns = [fn(batch, outers) for fn in build_fns]
+    pairs = zip(batch.rows, columns[0] if len(columns) == 1 else zip(*columns))
+    if nullable and any(None in column for column in columns):
+        pairs = compress(pairs, [None not in parts for parts in zip(*columns)])
     table: dict = {}
-    for row, key in zip(batch.rows, _join_key_column(build_fns, batch, outers)):
+    for row, key in pairs:
         bucket = table.get(key)
         if bucket is None:
             table[key] = [row]
@@ -98,7 +96,7 @@ def _hash_probe(
     positions: list[int] = []
     matched: list[tuple] = []
     get, add_position, add_row = table.get, positions.append, matched.append
-    for position, key in enumerate(_join_key_column(probe_fns, batch, outers)):
+    for position, key in enumerate(key_column(probe_fns, batch, outers)):
         bucket = get(key)
         if bucket:
             for row in bucket:
@@ -107,11 +105,33 @@ def _hash_probe(
     return positions, matched
 
 
+def _hash_build_rows(
+    build_fns: list, nullable: bool, rows: list[tuple], outers: tuple
+) -> dict[tuple, list[tuple]]:
+    """Row mode's build side: key tuple -> its rows, NULL keys left out."""
+    table: dict[tuple, list[tuple]] = {}
+    for row in rows:
+        key = tuple(fn(row, outers) for fn in build_fns)
+        if nullable and None in key:
+            continue
+        table.setdefault(key, []).append(row)
+    return table
+
+
 def _cross_pairs(left_n: int, right_rows) -> tuple[list[int], list[tuple]]:
     """Every left position paired with every right row (a keyless join)."""
     width = len(right_rows)
     positions = [position for position in range(left_n) for _ in range(width)]
     return positions, list(right_rows) * left_n
+
+
+def _can_be_null(expr: ast.Expression, scope: Scope) -> bool:
+    """Whether a join key may evaluate to NULL: anything but a column of
+    ``scope`` the analyzer proved NOT NULL."""
+    if not isinstance(expr, ast.Column):
+        return True
+    resolved = scope.resolve_local(expr.name, expr.table)
+    return resolved is None or resolved not in scope.proven
 
 
 class _OuterSentinel:
@@ -227,7 +247,10 @@ class TableSource(SourcePlan):
         if self._key_lookup is not None:
             column_index, value_fn = self._key_lookup
             value = value_fn((), outers)
-            candidates = self._hash_index(column_index).get(value, [])
+            # key = NULL is never true, whatever the index holds under None
+            candidates = (
+                [] if value is None else self.table.hash_index(column_index).get(value, [])
+            )
             return self._apply_filters(candidates, outers)
         if self._batch_filters:
             # batch kernels read the table's version-cached column arrays
@@ -245,21 +268,6 @@ class TableSource(SourcePlan):
             typed_source=self.table.typed_column if self._typed else None,
         )
         return self._filter_batch(scan, outers)
-
-    def _hash_index(self, column_index: int) -> dict:
-        cache = getattr(self.table, "_planner_indexes", None)
-        if cache is None:
-            cache = {}
-            setattr(self.table, "_planner_indexes", cache)
-        entry = cache.get(column_index)
-        version = getattr(self.table, "version", len(self.table.rows))
-        if entry is None or entry[1] != version:
-            index: dict = {}
-            for row in self.table.rows:
-                index.setdefault(row[column_index], []).append(row)
-            cache[column_index] = (index, version)
-            return index
-        return entry[0]
 
 
 class PreparedSource(SourcePlan):
@@ -302,6 +310,7 @@ class JoinSource(SourcePlan):
         join_type: ast.JoinType,
         key_pairs: list[tuple[CompiledExpr, CompiledExpr]],
         residual: Optional[CompiledExpr],
+        nullable: bool,
         vectorized: bool = False,
         stats=None,
     ) -> None:
@@ -310,6 +319,8 @@ class JoinSource(SourcePlan):
         self._right = right
         self._join_type = join_type
         self._key_pairs = key_pairs
+        # whether a build (right) key can be NULL; see _hash_build
+        self._nullable = nullable
         self._residual = residual
         self._right_width = len(right.schema)
         self._vectorized = vectorized
@@ -339,7 +350,9 @@ class JoinSource(SourcePlan):
         left = self._left.batch(outers)
         right = self._right.batch(outers)
         if self._key_pairs:
-            table = _hash_build([pair[1] for pair in self._key_pairs], right, outers)
+            table = _hash_build(
+                [pair[1] for pair in self._key_pairs], self._nullable, right, outers
+            )
             positions, matched = _hash_probe(
                 [pair[0] for pair in self._key_pairs], left, table, outers
             )
@@ -389,10 +402,7 @@ class JoinSource(SourcePlan):
         if self._key_pairs:
             probe_fns = [pair[0] for pair in self._key_pairs]
             build_fns = [pair[1] for pair in self._key_pairs]
-            table: dict[tuple, list[tuple]] = {}
-            for row in right_rows:
-                key = tuple(fn(row, outers) for fn in build_fns)
-                table.setdefault(key, []).append(row)
+            table = _hash_build_rows(build_fns, self._nullable, right_rows, outers)
             for left_row in left_rows:
                 key = tuple(fn(left_row, outers) for fn in probe_fns)
                 matched = False
@@ -430,19 +440,28 @@ class _JoinStep:
         probe_fns: list[CompiledExpr],
         build_fns: list[CompiledExpr],
         residuals: list[CompiledExpr],
+        nullable: bool,
     ) -> None:
         self.source = source
         self.probe_fns = probe_fns
         self.build_fns = build_fns
         self.residuals = residuals
+        # whether a build key can be NULL; see _hash_build
+        self.nullable = nullable
 
     def build(self, outers: tuple):
         """What a vectorized probe needs of the newly joined source: its hash
         table (keyed step) or just its rows (cross product)."""
         batch = self.source.batch(outers)
         if self.probe_fns:
-            return _hash_build(self.build_fns, batch, outers)
+            return _hash_build(self.build_fns, self.nullable, batch, outers)
         return batch.rows
+
+    def build_rows(self, outers: tuple) -> dict[tuple, list[tuple]]:
+        """The row-mode hash table of a keyed step."""
+        return _hash_build_rows(
+            self.build_fns, self.nullable, self.source.rows(outers), outers
+        )
 
 
 class JoinPipeline:
@@ -594,13 +613,9 @@ class JoinPipeline:
 
     @staticmethod
     def _iter_step(step: _JoinStep, current, outers: tuple):
-        new_rows = step.source.rows(outers)
         residuals = step.residuals
         if step.probe_fns:
-            table: dict[tuple, list[tuple]] = {}
-            for row in new_rows:
-                key = tuple(fn(row, outers) for fn in step.build_fns)
-                table.setdefault(key, []).append(row)
+            table = step.build_rows(outers)
             for left_row in current:
                 key = tuple(fn(left_row, outers) for fn in step.probe_fns)
                 bucket = table.get(key)
@@ -614,6 +629,7 @@ class JoinPipeline:
                         continue
                     yield joined
         else:
+            new_rows = step.source.rows(outers)
             for left_row in current:
                 for right_row in new_rows:
                     joined = left_row + right_row
@@ -625,13 +641,9 @@ class JoinPipeline:
 
     @staticmethod
     def _execute_step(step: _JoinStep, current: list[tuple], outers: tuple) -> list[tuple]:
-        new_rows = step.source.rows(outers)
         joined: list[tuple] = []
         if step.probe_fns:
-            table: dict[tuple, list[tuple]] = {}
-            for row in new_rows:
-                key = tuple(fn(row, outers) for fn in step.build_fns)
-                table.setdefault(key, []).append(row)
+            table = step.build_rows(outers)
             for left_row in current:
                 key = tuple(fn(left_row, outers) for fn in step.probe_fns)
                 bucket = table.get(key)
@@ -640,6 +652,7 @@ class JoinPipeline:
                 for right_row in bucket:
                     joined.append(left_row + right_row)
         else:
+            new_rows = step.source.rows(outers)
             for left_row in current:
                 for right_row in new_rows:
                     joined.append(left_row + right_row)
@@ -842,6 +855,7 @@ class Planner:
                 self._proven_bindings.pop(binding, None)
         key_pairs: list[tuple[CompiledExpr, CompiledExpr]] = []
         residual_parts: list[ast.Expression] = []
+        nullable = False
         if item.condition is not None:
             left_compiler = self._mode_compiler(left.schema)
             right_compiler = self._mode_compiler(right.schema)
@@ -852,6 +866,7 @@ class Planner:
                     key_pairs.append(
                         (left_compiler.compile(left_expr), right_compiler.compile(right_expr))
                     )
+                    nullable = nullable or _can_be_null(right_expr, right_compiler.scope)
                 else:
                     residual_parts.append(conjunct)
         residual = None
@@ -864,6 +879,7 @@ class Planner:
             item.join_type,
             key_pairs,
             residual,
+            nullable,
             vectorized=self._vectorized,
             stats=self._context.database.stats,
         )
@@ -1118,15 +1134,15 @@ class Planner:
 
             probe_fns: list = []
             build_fns: list = []
+            nullable = False
             current_compiler = self._mode_compiler(placed_schema)
             candidate_compiler = self._mode_compiler(candidate.schema)
             for left_bindings, left_expr, right_bindings, right_expr in edges:
-                if left_bindings <= placed_bindings:
-                    probe_fns.append(current_compiler.compile(left_expr))
-                    build_fns.append(candidate_compiler.compile(right_expr))
-                else:
-                    probe_fns.append(current_compiler.compile(right_expr))
-                    build_fns.append(candidate_compiler.compile(left_expr))
+                if not left_bindings <= placed_bindings:
+                    left_expr, right_expr = right_expr, left_expr
+                probe_fns.append(current_compiler.compile(left_expr))
+                build_fns.append(candidate_compiler.compile(right_expr))
+                nullable = nullable or _can_be_null(right_expr, candidate_compiler.scope)
 
             placed_bindings |= candidate.bindings
             placed_schema = placed_schema + list(candidate.schema)
@@ -1142,7 +1158,7 @@ class Planner:
             if ready:
                 combined_compiler = self._mode_compiler(placed_schema)
                 residual_fns = [combined_compiler.compile_predicate(predicate) for predicate in ready]
-            steps.append(_JoinStep(candidate, probe_fns, build_fns, residual_fns))
+            steps.append(_JoinStep(candidate, probe_fns, build_fns, residual_fns, nullable))
 
         final_residuals: list = []
         leftover = pending_residuals + [

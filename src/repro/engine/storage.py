@@ -76,13 +76,15 @@ class Table:
     def __init__(self, schema: TableSchema) -> None:
         self.schema = schema
         self.rows: list[tuple] = []
-        #: bumped on every mutation; planners use it to invalidate hash
-        #: indexes, and column_array() to invalidate cached column slices
+        #: bumped on every mutation; invalidates the cached column slices,
+        #: typed payloads and hash indexes below
         self.version = 0
         self._column_cache: dict[int, list] = {}
         self._column_cache_version = -1
         self._typed_cache: dict[int, Optional[TypedColumn]] = {}
         self._typed_cache_version = -1
+        self._index_cache: dict[int, dict] = {}
+        self._index_cache_version = -1
 
     def __len__(self) -> int:
         return len(self.rows)
@@ -120,6 +122,20 @@ class Table:
         typed = build_typed_column(self.schema.columns[index].sql_type, self.column_array(index))
         self._typed_cache[index] = typed
         return typed
+
+    def hash_index(self, index: int) -> dict:
+        """Column ``index``'s value -> its rows in heap order, cached per
+        table version (the planner's primary-key point look-ups)."""
+        if self._index_cache_version != self.version:
+            self._index_cache = {}
+            self._index_cache_version = self.version
+        lookup = self._index_cache.get(index)
+        if lookup is None:
+            lookup = {}
+            for row in self.rows:
+                lookup.setdefault(row[index], []).append(row)
+            self._index_cache[index] = lookup
+        return lookup
 
     def insert_row(self, values: Sequence[Any]) -> None:
         """Insert a full row (values in schema column order)."""

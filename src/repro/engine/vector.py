@@ -318,6 +318,19 @@ def apply_batch_predicates(
     return batch
 
 
+def key_column(fns: Sequence[BatchKernel], batch: RowBatch, outers: tuple) -> Sequence:
+    """Key-per-row sequence of a hash join side or a ``GROUP BY``, columnwise.
+
+    A single key uses its kernel's column directly (no tuple per row),
+    several keys zip their columns into tuples — the batch analogue of
+    ``tuple(fn(row, outers) for fn in fns)`` per row.
+    """
+    columns = [fn(batch, outers) for fn in fns]
+    if len(columns) == 1:
+        return columns[0]
+    return list(zip(*columns))
+
+
 # ---------------------------------------------------------------------------
 # kernel compiler
 # ---------------------------------------------------------------------------
@@ -955,9 +968,15 @@ class BatchExpressionCompiler:
         )
 
     def _typed_numeric_kernel(
-        self, plan: "_TypedPlan", generic: BatchKernel
+        self, plan: "_TypedPlan", generic: BatchKernel, dates: bool = False
     ) -> BatchKernel:
-        """Wrap a typed plan with the per-batch numeric guard + fallback.
+        """Wrap a typed plan with the per-batch payload guard + fallback.
+
+        The plan's operators apply when every referenced slot has a numeric
+        payload — or, with ``dates`` (a bare column-vs-column comparison),
+        when every slot is a DATE column stored as dates: day ordinals order
+        and equal exactly like the dates.  A DATE column holding ISO strings
+        stays generic, where two strings compare as text.
 
         When every referenced slot is analyzer-proven NOT NULL the kernel
         skips null-set collection entirely — no per-column ``nulls`` check,
@@ -969,17 +988,27 @@ class BatchExpressionCompiler:
         nullaware = plan.nullaware
         counters = self._kernels
         proven = self._proven
+
+        def typed_columns(batch: RowBatch) -> Optional[list[TypedColumn]]:
+            columns = [batch.typed_column(slot) for slot in slots]
+            if None in columns:
+                return None
+            kinds = {typed.kind for typed in columns}
+            if kinds <= NUMERIC_KINDS:
+                return columns
+            if dates and kinds == {"date"} and not any(typed.parsed for typed in columns):
+                return columns
+            return None
+
         if proven and all(slot in proven for slot in slots):
 
             def proven_kernel(batch: RowBatch, outers: tuple) -> list:
-                payloads = []
-                for slot in slots:
-                    typed = batch.typed_column(slot)
-                    if typed is None or typed.kind not in NUMERIC_KINDS:
-                        counters.generic += 1
-                        return generic(batch, outers)
-                    payloads.append(typed.values)
+                columns = typed_columns(batch)
+                if columns is None:
+                    counters.generic += 1
+                    return generic(batch, outers)
                 counters.proven += 1
+                payloads = [typed.values for typed in columns]
                 sel = batch.sel
                 if sel is None:
                     return dense(*payloads)
@@ -988,17 +1017,16 @@ class BatchExpressionCompiler:
             return proven_kernel
 
         def kernel(batch: RowBatch, outers: tuple) -> list:
-            payloads = []
+            columns = typed_columns(batch)
+            if columns is None:
+                counters.generic += 1
+                return generic(batch, outers)
+            counters.typed += 1
+            payloads = [typed.values for typed in columns]
             nulls = None
-            for slot in slots:
-                typed = batch.typed_column(slot)
-                if typed is None or typed.kind not in NUMERIC_KINDS:
-                    counters.generic += 1
-                    return generic(batch, outers)
-                payloads.append(typed.values)
+            for typed in columns:
                 if typed.nulls is not None:
                     nulls = typed.nulls if nulls is None else nulls | typed.nulls
-            counters.typed += 1
             sel = batch.sel
             if nulls is not None:
                 return nullaware(
@@ -1017,7 +1045,8 @@ class BatchExpressionCompiler:
         op_src: str,
         generic: BatchKernel,
     ) -> Optional[BatchKernel]:
-        """Typed kernel for ``left OP right``: numeric codegen, else dates."""
+        """Typed kernel for ``left OP right``: codegen over numeric payloads
+        (or two DATE columns' day ordinals), else ``date_column OP literal``."""
         slot_vars: dict[int, int] = {}
         try:
             left_d, left_s = self._typed_render(left, slot_vars)
@@ -1031,7 +1060,8 @@ class BatchExpressionCompiler:
             f"({left_s} {op_src} {right_s})",
             slot_vars,
         )
-        return self._typed_numeric_kernel(plan, generic)
+        bare = isinstance(left, ast.Column) and isinstance(right, ast.Column)
+        return self._typed_numeric_kernel(plan, generic, dates=bare)
 
     def _typed_date_compare(
         self,

@@ -17,7 +17,9 @@ import repro.api as api
 from repro.backends import EngineBackend
 from repro.engine import Database, VectorConfig
 from repro.engine.config import env_batch_size, env_vectorize
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, TypeMismatchError
+from repro.mth import load_mth, query_text
+from repro.sql.types import Date
 
 
 def _db(enabled: bool = True, batch_size: int = 4, profile: str = "postgres"):
@@ -298,3 +300,75 @@ def test_limit_and_fetchmany_consume_at_most_one_extra_batch():
         assert probe.calls <= 2 * batch
         assert len(cursor.fetchall()) == 960
         assert probe.calls == 1000
+
+
+# ---------------------------------------------------------------------------
+# date column vs date column: day ordinals, not sql_compare per row
+# ---------------------------------------------------------------------------
+
+_DATE_PREDICATES = ["c < r", "c <= r", "c > r", "c >= r", "c = r", "c <> r", "r > c AND c > s"]
+
+
+def _date_table(db, cells=lambda value: value) -> None:
+    db.execute("CREATE TABLE t (id INTEGER, c DATE, r DATE, s DATE, n INTEGER)")
+    days = [Date(1994, 1, day) for day in range(1, 11)]
+    db.insert_rows(
+        "t",
+        [
+            (i, cells(days[i]), cells(days[(i * 3) % 10]), cells(days[0]), i)
+            for i in range(10)
+        ]
+        + [(10, None, cells(days[2]), cells(days[0]), 10)],
+    )
+
+
+def _date_run(typed: bool, enabled: bool, predicate: str, cells=lambda value: value):
+    db = Database(vector=VectorConfig(enabled=enabled, batch_size=4, typed=typed))
+    _date_table(db, cells)
+    rows = db.query(f"SELECT id, {predicate} FROM t WHERE n < 100").rows
+    kernels = db.stats.kernels
+    return rows, (kernels.typed, kernels.generic)
+
+
+@pytest.mark.parametrize("predicate", _DATE_PREDICATES)
+def test_date_column_comparisons_run_typed_and_bit_identical(predicate):
+    typed_rows, (typed, generic) = _date_run(True, True, predicate)
+    generic_rows, _ = _date_run(False, True, predicate)
+    row_rows, _ = _date_run(False, False, predicate)
+    assert typed_rows == generic_rows == row_rows
+    assert typed_rows[10][1] is None  # the NULL date keeps three-valued logic
+    # every batch of the comparison took the ordinal kernel (plus n < 100)
+    assert typed > 0 and generic == 0
+
+
+def test_date_columns_holding_iso_strings_compare_generically():
+    """Two ISO strings compare as text in the row interpreter, so a DATE
+    column stored as strings is left to the generic kernel."""
+    rows, (_, generic) = _date_run(True, True, "c < r", cells=str)
+    assert generic > 0
+    assert rows == _date_run(False, False, "c < r", cells=str)[0]
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_date_vs_number_column_still_raises(enabled):
+    db = Database(vector=VectorConfig(enabled=enabled, batch_size=4))
+    _date_table(db)
+    with pytest.raises(TypeMismatchError):
+        db.query("SELECT id FROM t WHERE c < n")
+
+
+def test_q4_scan_filter_is_proven_not_generic(tiny_tpch_data):
+    """``l_commitdate < l_receiptdate`` (MT-H Q4) dispatches a proven kernel;
+    it used to pass the compile-time shape test and fall back per batch."""
+    database = Database(vector=VectorConfig(enabled=True, typed=True))
+    instance = load_mth(
+        data=tiny_tpch_data, tenants=4, backend=EngineBackend(database=database)
+    )
+    instance.middleware.compiler.typecheck = True
+    connection = instance.middleware.connect(1, optimization="o4")
+    connection.set_scope("IN ()")
+    instance.middleware.backend.reset_stats()
+    connection.query(query_text(4))
+    kernels = database.stats.kernels
+    assert kernels.generic == 0
+    assert kernels.proven >= 3  # two o_orderdate bounds and the date pair
