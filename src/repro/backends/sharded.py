@@ -29,7 +29,6 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable, Optional, Sequence, Union
 
 from ..cluster.coordinator import ShardCoordinator
-from ..cluster.merge import default_scalar_functions
 from ..cluster.placement import HashPlacement, PlacementPolicy
 from ..cluster.planner import (
     ClusterCatalog,
@@ -115,21 +114,18 @@ class ShardedConnection(BackendConnection):
         self.dialect = _ClusterDialect(self._shards[0].dialect, len(self._shards))
         self.stats = ExecutionStats()
         self.catalog = ClusterCatalog()
-        self._merge_functions = default_scalar_functions()
+        self.coordinator = ShardCoordinator(self._shards)
         #: physical column order per table, shared with the planner's cost
         #: pass (maintained by :meth:`_execute_ddl`)
         self._columns_of: dict[str, tuple[str, ...]] = {}
         self.planner = ClusterPlanner(
             self.catalog,
             scatter_gather=backend.scatter_gather,
-            functions=self._merge_functions,
+            functions=self.coordinator.functions,
             cost=CostConfig.from_env(),
             columns_of=self._columns_of,
             statistics_provider=self.statistics,
             udf_statements_provider=self._sql_udf_statements,
-        )
-        self.coordinator = ShardCoordinator(
-            self._shards, functions=self._merge_functions
         )
         #: the most recent query plan, for tests/examples/monitoring
         self.last_plan: Optional[Plan] = None
@@ -772,13 +768,13 @@ class ShardedConnection(BackendConnection):
     ) -> None:
         """Register a Python UDF on every shard (and the scratch backend).
 
-        The callable also joins the coordinator's merge-function registry, so
-        post-aggregation calls (the optimizer's inlined conversion rates) can
-        be evaluated after gathering without another backend round-trip.
+        The callable is also registered with the coordinator, so merge
+        queries can call it (the optimizer's inlined conversion rates sit
+        outside the aggregates) without another backend round-trip.
         """
         with self._lock:
             self._udf_log.append(("python", name, fn, immutable))
-            self._merge_functions[name.lower()] = fn
+            self.coordinator.register_python_function(name, fn)
             for shard in self._shards:
                 shard.register_python_function(name, fn, immutable=immutable)
             if self._scratch is not None:

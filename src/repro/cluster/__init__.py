@@ -9,10 +9,15 @@ scatter-gather:
 * :mod:`repro.cluster.planner`     — choose the execution strategy per query
   (single-shard fast path, UNION row stream, partial-aggregate
   re-aggregation, federated fallback),
-* :mod:`repro.cluster.merge`       — partial-aggregate merging and the
-  coordinator-side expression evaluator,
 * :mod:`repro.cluster.coordinator` — scatter the per-shard queries, gather
-  and merge the results.
+  the results in shard order and merge them: a partial-aggregate plan's
+  gathered rows are the input of its *merge query* (the outer half of the
+  paper's §4.2.2 aggregation distribution, built by
+  :func:`repro.sql.transform.split_partial_aggregates`), which the
+  coordinator's own engine database executes — the cluster has no
+  expression evaluator of its own,
+* :mod:`repro.cluster.merge`       — ``DISTINCT`` / ``ORDER BY`` over
+  gathered row streams.
 
 The user-facing entry point is :class:`repro.backends.sharded.ShardedBackend`,
 which implements the ordinary backend protocol on top of these pieces — the
@@ -22,14 +27,7 @@ middleware and the gateway work unchanged over a cluster.
 from __future__ import annotations
 
 from .coordinator import ShardCoordinator
-from .merge import (
-    BatchMergeEvaluator,
-    MergeEvaluator,
-    PartialAggregateState,
-    distinct_rows,
-    merge_partial_rows,
-    sort_rows,
-)
+from .merge import distinct_rows, sort_rows
 from .placement import ExplicitPlacement, HashPlacement, PlacementPolicy
 from .planner import (
     ClusterCatalog,
@@ -43,15 +41,12 @@ from .planner import (
 )
 
 __all__ = [
-    "BatchMergeEvaluator",
     "ClusterCatalog",
     "ClusterPlanner",
     "ExplicitPlacement",
     "FederatedPlan",
     "HashPlacement",
-    "MergeEvaluator",
     "PartialAggregatePlan",
-    "PartialAggregateState",
     "PartitionInfo",
     "Plan",
     "PlacementPolicy",
@@ -59,6 +54,5 @@ __all__ = [
     "ShardCoordinator",
     "SingleShardPlan",
     "distinct_rows",
-    "merge_partial_rows",
     "sort_rows",
 ]

@@ -6,10 +6,13 @@ Given a :mod:`plan <repro.cluster.planner>` the coordinator
   one worker per shard — shards are independent databases),
 * **gathers** the shard results in shard order (so repeated executions are
   deterministic), and
-* **merges**: plain concatenation for row streams, group-wise
-  partial-aggregate re-aggregation for aggregate queries, then re-applies
-  ``HAVING``, ``ORDER BY``, ``DISTINCT`` and ``LIMIT`` exactly as the engine
-  would have on a single backend.
+* **merges**: row streams are concatenated and have ``DISTINCT`` / ``ORDER
+  BY`` / ``LIMIT`` re-applied (:mod:`repro.cluster.merge`); partial
+  aggregates become the input relation of the plan's *merge query* — the
+  outer half of the paper's aggregation distribution (§4.2.2) — which an
+  engine :class:`~repro.engine.database.Database` owned by the coordinator
+  executes, so re-aggregation, ``HAVING``, projection, ``ORDER BY`` and
+  ``LIMIT`` are the engine's own.
 
 Federated plans are *not* handled here — they need the owning
 :class:`~repro.backends.sharded.ShardedConnection`'s scratch backend and are
@@ -18,45 +21,58 @@ executed there.
 
 from __future__ import annotations
 
+import copy
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from typing import Any, Optional, Sequence, Union
+from typing import Any, Callable, Optional, Sequence, Union
 
-from ..engine.config import VectorConfig
+from ..engine.database import Database
+from ..engine.functions import BUILTIN_SCALARS
 from ..result import QueryResult
 from ..sql import ast
+from ..sql.params import bind_parameters
 from ..sql.printer import to_sql
-from .merge import (
-    BatchMergeEvaluator,
-    MergeEvaluator,
-    distinct_rows,
-    merge_partial_rows,
-    sort_rows,
-)
+from ..sql.transform import MERGE_RELATION
+from .merge import distinct_rows, sort_rows
 from .planner import PartialAggregatePlan, RowStreamPlan, SingleShardPlan
 
 
 class ShardCoordinator:
     """Executes single-shard and scatter-gather plans over shard connections.
 
-    ``vector`` selects the merge-side evaluation mode: when enabled (the
-    default, following ``REPRO_ENGINE_VECTORIZE``), post-merge residual
-    expressions are compiled once per statement into batch kernels and
-    evaluated over all merged groups at once; when disabled the per-group
-    :class:`~repro.cluster.merge.MergeEvaluator` row oracle runs instead.
+    ``functions`` are Python scalar UDFs (name → callable) merge queries may
+    call, next to the engine builtins; :meth:`register_python_function` adds
+    more later.
     """
 
     def __init__(
         self,
         shards: Sequence[Any],
-        functions: Optional[dict[str, Any]] = None,
-        vector: Optional[VectorConfig] = None,
+        functions: Optional[dict[str, Callable[..., Any]]] = None,
     ) -> None:
         self._shards = list(shards)
-        self._functions = functions if functions is not None else {}
-        self._vector = vector if vector is not None else VectorConfig.from_env()
+        #: the engine that runs merge queries.  It holds no tables (each
+        #: query brings its rows inline) and is not a shard: its statement,
+        #: UDF and kernel counters stay out of the cluster's execution stats.
+        #: Expression mode follows the process-wide ``VectorConfig`` like any
+        #: engine; ``merge_database.set_vectorize()`` flips it.
+        self.merge_database = Database()
+        #: lower-cased names of the scalar functions a merge query may call;
+        #: the cluster planner's evaluability check shares this set
+        self.functions: set[str] = set(BUILTIN_SCALARS)
+        for name, fn in (functions or {}).items():
+            self.register_python_function(name, fn)
         self._pool: Optional[ThreadPoolExecutor] = None
         self._pool_lock = threading.Lock()
+
+    def register_python_function(self, name: str, fn: Callable[..., Any]) -> None:
+        """Make a Python scalar UDF callable from merge queries.
+
+        Registered non-immutable: the handful of merged rows needs no memo,
+        so there is no cache to invalidate when the UDF's inputs change.
+        """
+        self.merge_database.register_python_function(name, fn)
+        self.functions.add(name.lower())
 
     # -- plan execution ------------------------------------------------------
 
@@ -134,147 +150,25 @@ class ShardCoordinator:
         self, plan: PartialAggregatePlan, parameters: Optional[Sequence[Any]]
     ) -> QueryResult:
         split = plan.split
-        statement = plan.statement
         results = self._scatter(split.shard_query, plan.shards, parameters)
+        # shard order, then each shard's row order: the merge query's SUMs add
+        # in this order, which keeps float results reproducible
         gathered: list[tuple] = []
         for result in results:
             gathered.extend(result.rows)
-        groups = merge_partial_rows(gathered, len(split.key_texts), split.partials)
-
-        aliases_by_position = [
-            item.alias.lower() if item.alias is not None else None
-            for item in statement.items
+        query = copy.copy(split.merge_query)
+        query.from_items = [
+            ast.RowsRef(
+                columns=tuple(item.alias for item in split.shard_query.items),
+                rows=gathered,
+                alias=MERGE_RELATION,
+            )
         ]
-        order_specs = [(order.expr, order.descending) for order in statement.order_by]
-        if self._vector.enabled and groups:
-            merged_rows = self._merge_groups_batch(
-                split, statement, groups, aliases_by_position, order_specs, parameters
-            )
-        else:
-            merged_rows = self._merge_groups_rowwise(
-                split, statement, groups, aliases_by_position, order_specs, parameters
-            )
-
-        if statement.distinct:
-            merged_rows = distinct_rows(merged_rows, key=lambda entry: entry[0])
-        if order_specs:
-            sort_columns = [
-                (position, descending)
-                for position, (_, descending) in enumerate(order_specs)
-            ]
-            ordered = sort_rows(
-                [values + keys for values, keys in merged_rows],
-                [(len(statement.items) + position, desc) for position, desc in sort_columns],
-            )
-            rows = [row[: len(statement.items)] for row in ordered]
-        else:
-            rows = [values for values, _ in merged_rows]
-        if statement.limit is not None:
-            rows = rows[: statement.limit]
-        columns = [_output_name(item) for item in statement.items]
-        return QueryResult(columns=columns, rows=rows)
-
-    def _merge_groups_rowwise(
-        self,
-        split: Any,
-        statement: ast.Select,
-        groups: dict[tuple, list],
-        aliases_by_position: list[Optional[str]],
-        order_specs: list[tuple[ast.Expression, bool]],
-        parameters: Optional[Sequence[Any]],
-    ) -> list[tuple[tuple, tuple]]:
-        """Per-group residual evaluation (the ``REPRO_ENGINE_VECTORIZE=0``
-        oracle): one fresh :class:`MergeEvaluator` pair per merged group."""
-        merged_rows: list[tuple[tuple, tuple]] = []  # (visible row, sort keys)
-        for key, states in groups.items():
-            bindings: dict[str, Any] = dict(zip(split.key_texts, key))
-            for state in states:
-                bindings[state.spec.text] = state.result()
-            evaluator = MergeEvaluator(
-                bindings, functions=self._functions, parameters=parameters
-            )
-            values = tuple(evaluator.evaluate(item.expr) for item in statement.items)
-            aliases = {
-                alias: value
-                for alias, value in zip(aliases_by_position, values)
-                if alias is not None
-            }
-            final = MergeEvaluator(
-                bindings, aliases, functions=self._functions, parameters=parameters
-            )
-            if statement.having is not None and final.evaluate(statement.having) is not True:
-                continue
-            sort_values = tuple(final.evaluate(expr) for expr, _ in order_specs)
-            merged_rows.append((values, sort_values))
-        return merged_rows
-
-    def _merge_groups_batch(
-        self,
-        split: Any,
-        statement: ast.Select,
-        groups: dict[tuple, list],
-        aliases_by_position: list[Optional[str]],
-        order_specs: list[tuple[ast.Expression, bool]],
-        parameters: Optional[Sequence[Any]],
-    ) -> list[tuple[tuple, tuple]]:
-        """Vectorized residual evaluation over all merged groups at once.
-
-        Each residual expression compiles once per statement; the merged
-        groups form a single batch whose rows are ``group key + merged
-        aggregate values`` (plus the computed alias columns for ``HAVING``
-        and ``ORDER BY``).  The stage order mirrors row mode exactly:
-        SELECT items first (without alias visibility), then the ``HAVING``
-        filter, and only then the sort keys — so groups the filter drops
-        never see the ORDER BY expressions, in either mode.
-        """
-        from ..engine.vector import RowBatch
-
-        binding_texts = list(split.key_texts) + [spec.text for spec in split.partials]
-        group_rows = [
-            key + tuple(state.result() for state in states)
-            for key, states in groups.items()
-        ]
-        item_evaluator = BatchMergeEvaluator(
-            binding_texts, functions=self._functions, parameters=parameters
-        )
-        item_kernels = [item_evaluator.compile(item.expr) for item in statement.items]
-        batch = RowBatch(group_rows)
-        value_columns = [kernel(batch, ()) for kernel in item_kernels]
-        values_rows = list(zip(*value_columns))
-
-        alias_positions = [
-            position
-            for position, alias in enumerate(aliases_by_position)
-            if alias is not None
-        ]
-        alias_names = [aliases_by_position[position] for position in alias_positions]
-        final_evaluator = BatchMergeEvaluator(
-            binding_texts,
-            alias_names,
-            functions=self._functions,
-            parameters=parameters,
-        )
-        extended_rows = [
-            row + tuple(values[position] for position in alias_positions)
-            for row, values in zip(group_rows, values_rows)
-        ]
-        if statement.having is not None:
-            having_kernel = final_evaluator.compile(statement.having)
-            mask = having_kernel(RowBatch(extended_rows), ())
-            kept = [index for index, flag in enumerate(mask) if flag is True]
-            if len(kept) != len(extended_rows):
-                extended_rows = [extended_rows[index] for index in kept]
-                values_rows = [values_rows[index] for index in kept]
-        if order_specs and extended_rows:
-            order_kernels = [
-                final_evaluator.compile(expr) for expr, _ in order_specs
-            ]
-            final_batch = RowBatch(extended_rows)
-            sort_columns = [kernel(final_batch, ()) for kernel in order_kernels]
-            sort_rows_keys = list(zip(*sort_columns))
-        else:
-            sort_rows_keys = [()] * len(extended_rows)
-        return list(zip(values_rows, sort_rows_keys))
+        if parameters:
+            query = bind_parameters(query, parameters)
+        merged = self.merge_database.query(query)
+        columns = [_output_name(item) for item in plan.statement.items]
+        return QueryResult(columns=columns, rows=merged.rows)
 
 
 def _output_name(item: ast.SelectItem) -> str:

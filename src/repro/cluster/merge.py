@@ -1,522 +1,27 @@
-"""Gather-side merging: partial-aggregate combination and final evaluation.
+"""Gather-side merging of row streams: deduplication and ordering.
 
-The scatter phase leaves the coordinator with per-shard rows; this module
-turns them back into the single-backend answer:
+A row-stream plan leaves the coordinator with per-shard rows that only need
+the engine's ``DISTINCT`` and ``ORDER BY`` re-applied — no expression is
+evaluated — so two list helpers do it:
 
-* :class:`PartialAggregateState` / :func:`merge_partial_rows` — combine the
-  shards' partial aggregates per group (``SUM``/``COUNT`` add, ``MIN``/
-  ``MAX`` keep the extremum, ``AVG`` divides total ``SUM`` by total
-  ``COUNT``), preserving SQL NULL semantics (``SUM`` of an all-NULL group is
-  NULL, ``AVG`` of an empty group is NULL),
-* :class:`MergeEvaluator` — evaluate the query's final SELECT list,
-  ``HAVING`` and ``ORDER BY`` expressions over the merged values, mirroring
-  the engine's SQL semantics (three-valued logic, NULL propagation, division
-  by zero) via the shared :func:`repro.sql.types.sql_equal` /
-  :func:`~repro.sql.types.sql_compare` helpers,
-* :class:`BatchMergeEvaluator` — the vectorized counterpart: residual
-  expressions are rewritten against the merged binding/alias columns and
-  compiled *once per statement* into the engine's batch kernels
-  (:class:`repro.engine.vector.BatchExpressionCompiler`), then evaluated
-  over all merged groups in one pass instead of re-walking the AST (and
-  re-printing every node through ``to_sql``) once per group,
+* :func:`distinct_rows` — first-occurrence-wins deduplication,
 * :func:`sort_rows` — the engine's ``ORDER BY`` algorithm (stable per-key
-  sorts over :func:`repro.sql.types.sort_key`) on gathered rows.
+  sorts over :func:`repro.sql.types.sort_key`).
+
+Partial-aggregate plans need no code here: their merge is a query
+(:class:`~repro.sql.transform.AggregateSplit`) the coordinator's engine runs.
 """
 
 from __future__ import annotations
 
-import dataclasses
-from typing import Any, Iterable, Optional, Sequence
+from typing import Sequence
 
-from ..errors import ExecutionError
-from ..sql import ast
-from ..sql.printer import to_sql
-from ..sql.transform import PartialAggregate
-from ..sql.types import Date, sort_key, sql_compare, sql_equal
-
-# ---------------------------------------------------------------------------
-# Partial-aggregate states
-# ---------------------------------------------------------------------------
+from ..sql.types import sort_key
 
 
-class PartialAggregateState:
-    """Accumulates one aggregate's per-shard partials into the global value."""
-
-    def __init__(self, spec: PartialAggregate) -> None:
-        self.spec = spec
-        self._sum: Any = None
-        self._count = 0
-        self._extremum: Any = None
-
-    def merge(self, row: tuple) -> None:
-        """Fold one shard row's partial column(s) into the state."""
-        kind = self.spec.kind
-        if kind == "avg":
-            partial_sum, partial_count = (row[index] for index in self.spec.columns)
-            self._add_sum(partial_sum)
-            self._count += int(partial_count or 0)
-            return
-        value = row[self.spec.columns[0]]
-        if kind == "sum":
-            self._add_sum(value)
-        elif kind == "count":
-            self._count += int(value or 0)
-        elif kind in ("min", "max"):
-            if value is None:
-                return
-            if self._extremum is None:
-                self._extremum = value
-            elif kind == "min":
-                self._extremum = min(self._extremum, value)
-            else:
-                self._extremum = max(self._extremum, value)
-        else:  # pragma: no cover - the split rejects unknown kinds
-            raise ExecutionError(f"unknown partial-aggregate kind {kind!r}")
-
-    def _add_sum(self, value: Any) -> None:
-        if value is None:
-            return
-        self._sum = value if self._sum is None else self._sum + value
-
-    def result(self) -> Any:
-        """The merged aggregate value (matching single-backend semantics)."""
-        kind = self.spec.kind
-        if kind == "sum":
-            return self._sum
-        if kind == "count":
-            return self._count
-        if kind in ("min", "max"):
-            return self._extremum
-        # AVG: the engine accumulates into a float and divides by the count
-        if self._count == 0:
-            return None
-        return (self._sum if self._sum is not None else 0.0) / self._count
-
-
-def merge_partial_rows(
-    shard_rows: Iterable[tuple],
-    key_width: int,
-    partials: Sequence[PartialAggregate],
-) -> dict[tuple, list[PartialAggregateState]]:
-    """Merge gathered partial rows into per-group aggregate states.
-
-    Groups are keyed on the leading ``key_width`` columns; for a global
-    aggregate (no GROUP BY) every shard contributes exactly one row to the
-    ``()`` group.
-    """
-    groups: dict[tuple, list[PartialAggregateState]] = {}
-    for row in shard_rows:
-        key = tuple(row[:key_width])
-        states = groups.get(key)
-        if states is None:
-            states = [PartialAggregateState(spec) for spec in partials]
-            groups[key] = states
-        for state in states:
-            state.merge(row)
-    return groups
-
-
-# ---------------------------------------------------------------------------
-# Final-expression evaluation
-# ---------------------------------------------------------------------------
-
-
-def default_scalar_functions() -> dict[str, Any]:
-    """The coordinator's scalar-function registry seed: the engine builtins.
-
-    The optimizer's conversion push-up leaves ``COALESCE`` and constant-arg
-    rate look-ups *outside* the aggregates, so the coordinator must evaluate
-    them after re-aggregation exactly as a backend would.
-    """
-    from ..engine.functions import BUILTIN_SCALARS
-
-    return dict(BUILTIN_SCALARS)
-
-
-class MergeEvaluator:
-    """Evaluates residual expressions over merged group/aggregate bindings.
-
-    ``bindings`` maps the printed form of an expression (a group-key text or
-    an aggregate-call text) to its merged value; ``aliases`` maps output
-    aliases to already-computed SELECT-item values, which is how ``HAVING``
-    and ``ORDER BY`` reference the projection; ``functions`` maps scalar
-    function names to Python callables (builtins plus registered Python
-    UDFs).  Only the node types the planner's evaluability check admits are
-    implemented.
-    """
-
-    def __init__(
-        self,
-        bindings: dict[str, Any],
-        aliases: Optional[dict[str, Any]] = None,
-        functions: Optional[dict[str, Any]] = None,
-        parameters: Optional[Sequence[Any]] = None,
-    ) -> None:
-        self.bindings = bindings
-        self.aliases = aliases or {}
-        self.functions = functions if functions is not None else {}
-        self.parameters = tuple(parameters) if parameters is not None else None
-
-    def evaluate(self, expr: ast.Expression) -> Any:
-        """Evaluate one expression tree to a Python value."""
-        bound = self.bindings.get(to_sql(expr), _MISSING)
-        if bound is not _MISSING:
-            return bound
-        if isinstance(expr, ast.Literal):
-            return expr.value
-        if isinstance(expr, ast.Parameter):
-            if self.parameters is None or not 1 <= expr.index <= len(self.parameters):
-                raise ExecutionError(
-                    f"merge evaluator has no value for parameter {to_sql(expr)}"
-                )
-            return self.parameters[expr.index - 1]
-        if isinstance(expr, ast.Column):
-            if expr.table is None and expr.name.lower() in self.aliases:
-                return self.aliases[expr.name.lower()]
-            raise ExecutionError(f"unbound merge column {to_sql(expr)!r}")
-        if isinstance(expr, ast.BinaryOp):
-            return self._binary(expr)
-        if isinstance(expr, ast.UnaryOp):
-            return self._unary(expr)
-        if isinstance(expr, ast.Case):
-            return self._case(expr)
-        if isinstance(expr, ast.IsNull):
-            null = self.evaluate(expr.expr) is None
-            return not null if expr.negated else null
-        if isinstance(expr, ast.Between):
-            return self._between(expr)
-        if isinstance(expr, ast.InList):
-            return self._in_list(expr)
-        if isinstance(expr, ast.FunctionCall):
-            fn = self.functions.get(expr.name.lower())
-            if fn is not None:
-                return fn(*(self.evaluate(argument) for argument in expr.args))
-        raise ExecutionError(
-            f"merge evaluator cannot evaluate {type(expr).__name__}: {to_sql(expr)}"
-        )
-
-    # -- operators (mirroring repro.engine.expressions) ----------------------
-
-    def _binary(self, expr: ast.BinaryOp) -> Any:
-        operator = expr.op.upper()
-        if operator == "AND":
-            left, right = self.evaluate(expr.left), self.evaluate(expr.right)
-            if left is False or right is False:
-                return False
-            if left is None or right is None:
-                return None
-            return True
-        if operator == "OR":
-            left, right = self.evaluate(expr.left), self.evaluate(expr.right)
-            if left is True or right is True:
-                return True
-            if left is None or right is None:
-                return None
-            return False
-        left, right = self.evaluate(expr.left), self.evaluate(expr.right)
-        if operator == "=":
-            return sql_equal(left, right)
-        if operator == "<>":
-            equal = sql_equal(left, right)
-            return None if equal is None else not equal
-        if operator in ("<", "<=", ">", ">="):
-            ordering = sql_compare(left, right)
-            if ordering is None:
-                return None
-            return {
-                "<": ordering < 0,
-                "<=": ordering <= 0,
-                ">": ordering > 0,
-                ">=": ordering >= 0,
-            }[operator]
-        if left is None or right is None:
-            return None
-        if operator in ("+", "-", "*", "/") and (
-            isinstance(left, Date) or isinstance(right, Date)
-        ):
-            # mirror the engine's date ± interval semantics (an ORDER BY key
-            # like ``d + INTERVAL '1' MONTH`` is planner-evaluable)
-            from ..engine.expressions import _date_arithmetic
-
-            return _date_arithmetic(left, right, operator)
-        if operator == "+":
-            return left + right
-        if operator == "-":
-            return left - right
-        if operator == "*":
-            return left * right
-        if operator == "/":
-            if right == 0:
-                raise ExecutionError("division by zero")
-            return left / right
-        if operator == "%":
-            if right == 0:
-                raise ExecutionError("division by zero")
-            return left % right
-        if operator == "||":
-            return f"{left}{right}"
-        raise ExecutionError(f"merge evaluator cannot apply operator {expr.op!r}")
-
-    def _unary(self, expr: ast.UnaryOp) -> Any:
-        value = self.evaluate(expr.operand)
-        if expr.op.upper() == "NOT":
-            return None if value is None else not value
-        if expr.op == "-":
-            return None if value is None else -value
-        raise ExecutionError(f"merge evaluator cannot apply operator {expr.op!r}")
-
-    def _case(self, expr: ast.Case) -> Any:
-        for when in expr.whens:
-            if self.evaluate(when.condition) is True:
-                return self.evaluate(when.result)
-        if expr.else_result is not None:
-            return self.evaluate(expr.else_result)
-        return None
-
-    def _between(self, expr: ast.Between) -> Optional[bool]:
-        value = self.evaluate(expr.expr)
-        low, high = self.evaluate(expr.low), self.evaluate(expr.high)
-        if value is None or low is None or high is None:
-            return None
-        result = sql_compare(value, low) >= 0 and sql_compare(value, high) <= 0
-        return not result if expr.negated else result
-
-    def _in_list(self, expr: ast.InList) -> Optional[bool]:
-        value = self.evaluate(expr.expr)
-        if value is None:
-            return None
-        saw_null = False
-        for item in expr.items:
-            candidate = self.evaluate(item)
-            if candidate is None:
-                saw_null = True
-                continue
-            if sql_equal(value, candidate) is True:
-                return not expr.negated
-        if saw_null:
-            return None
-        return expr.negated
-
-
-_MISSING = object()
-
-
-# ---------------------------------------------------------------------------
-# Vectorized final-expression evaluation
-# ---------------------------------------------------------------------------
-
-
-class _UnsupportedResidual(Exception):
-    """Internal: the expression must go through the row-mode evaluator.
-
-    Raised during residual rewriting for constructs the batch path cannot
-    (or, for error-message parity, must not) compile: node types outside
-    :class:`MergeEvaluator`'s whitelist, unbound parameters, unregistered
-    functions and unknown columns.  The fallback kernel re-raises the
-    canonical row-mode error at evaluation time, so both modes fail
-    identically.
-    """
-
-
-class _BatchFunctionContext:
-    """The minimal execution-context surface merge-side batch kernels need.
-
-    The engine's :class:`~repro.engine.vector.BatchExpressionCompiler`
-    dispatches scalar calls through ``context.batch_call_function``; on the
-    coordinator the registry holds plain Python callables (builtins plus
-    registered Python UDFs), applied positionally with no memoization —
-    exactly what :meth:`MergeEvaluator.evaluate` does per group.
-    """
-
-    def __init__(self, functions: dict[str, Any]) -> None:
-        self._functions = functions
-
-    def batch_call_function(self, name: str, columns: list, n: int) -> list:
-        """Apply one scalar function over argument columns of length ``n``."""
-        fn = self._functions[name.lower()]
-        if not columns:
-            return [fn() for _ in range(n)]
-        return [fn(*values) for values in zip(*columns)]
-
-
-class BatchMergeEvaluator:
-    """Compiles residual expressions into batch kernels over merged groups.
-
-    The vectorized counterpart of :class:`MergeEvaluator`: instead of binding
-    a fresh evaluator per group and re-walking (and re-printing) the AST for
-    every group, the coordinator compiles each SELECT-item / ``HAVING`` /
-    ``ORDER BY`` expression *once per statement*.  Compilation rewrites the
-    tree bottom-up — any subtree whose printed form matches a binding text
-    becomes a synthetic column reference, alias references become alias
-    columns, parameters are pre-bound to literals — and hands the result to
-    the engine's :class:`~repro.engine.vector.BatchExpressionCompiler`, so
-    the kernels (NULL semantics, comparison coercion, CASE short-circuiting)
-    are the very ones the engine itself executes.
-
-    A kernel's batch rows are ``binding values + alias values`` in the
-    constructor's order; alias columns exist only on evaluators constructed
-    with ``alias_names`` (the items-evaluator omits them, mirroring row
-    mode where SELECT items cannot see their own aliases).
-    """
-
-    def __init__(
-        self,
-        binding_texts: Sequence[str],
-        alias_names: Sequence[str] = (),
-        functions: Optional[dict[str, Any]] = None,
-        parameters: Optional[Sequence[Any]] = None,
-    ) -> None:
-        from ..engine.vector import BatchExpressionCompiler
-
-        self.binding_texts = list(binding_texts)
-        self.alias_names = [name.lower() for name in alias_names]
-        self.functions = functions if functions is not None else {}
-        self.parameters = tuple(parameters) if parameters is not None else None
-        self._slots = {text: index for index, text in enumerate(self.binding_texts)}
-        base = len(self.binding_texts)
-        self._alias_slots = {
-            name: base + offset for offset, name in enumerate(self.alias_names)
-        }
-        # synthetic scope: one unqualified column per binding, then per alias
-        # ('#' keeps the names out of any parsable identifier space)
-        self._names = [f"#m{index}" for index in range(base)] + [
-            f"#a{offset}" for offset in range(len(self.alias_names))
-        ]
-        from ..engine.expressions import Scope
-
-        scope = Scope([(None, name) for name in self._names])
-        self._compiler = BatchExpressionCompiler(
-            scope, _BatchFunctionContext(self.functions)
-        )
-
-    def compile(self, expr: ast.Expression):
-        """Compile one residual expression into ``kernel(batch, ()) -> column``."""
-        try:
-            rewritten = self._rewrite(expr)
-        except _UnsupportedResidual:
-            return self._rowwise(expr)
-        return self._compiler.compile(rewritten)
-
-    # -- fallback ------------------------------------------------------------
-
-    def _rowwise(self, expr: ast.Expression):
-        """Per-group evaluation through :class:`MergeEvaluator`.
-
-        Reached only for residuals the rewrite refused (see
-        :class:`_UnsupportedResidual`); keeps error behaviour and messages
-        identical to row mode.
-        """
-        texts = self.binding_texts
-        width = len(texts)
-        alias_names = self.alias_names
-        functions = self.functions
-        parameters = self.parameters
-
-        def kernel(batch, outers) -> list:
-            out = []
-            for row in batch.rows:
-                evaluator = MergeEvaluator(
-                    dict(zip(texts, row)),
-                    dict(zip(alias_names, row[width:])),
-                    functions=functions,
-                    parameters=parameters,
-                )
-                out.append(evaluator.evaluate(expr))
-            return out
-
-        return kernel
-
-    # -- residual rewriting --------------------------------------------------
-
-    def _rewrite(self, expr: ast.Expression) -> ast.Expression:
-        """Rewrite a residual tree against the synthetic merge columns.
-
-        Mirrors :meth:`MergeEvaluator.evaluate`'s resolution order: the
-        binding texts win over everything (an aggregate-call subtree inside a
-        larger expression resolves as a whole), then literals / pre-bound
-        parameters / alias columns, then the structural node types of the
-        row evaluator's whitelist.  Anything else is a row-mode fallback.
-        """
-        slot = self._slots.get(to_sql(expr))
-        if slot is not None:
-            return ast.Column(name=self._names[slot])
-        if isinstance(expr, ast.Literal):
-            return expr
-        if isinstance(expr, ast.Parameter):
-            if self.parameters is None or not 1 <= expr.index <= len(self.parameters):
-                raise _UnsupportedResidual
-            return ast.Literal(value=self.parameters[expr.index - 1])
-        if isinstance(expr, ast.Column):
-            if expr.table is None:
-                alias_slot = self._alias_slots.get(expr.name.lower())
-                if alias_slot is not None:
-                    return ast.Column(name=self._names[alias_slot])
-            raise _UnsupportedResidual
-        if isinstance(expr, ast.BinaryOp):
-            return dataclasses.replace(
-                expr, left=self._rewrite(expr.left), right=self._rewrite(expr.right)
-            )
-        if isinstance(expr, ast.UnaryOp):
-            return dataclasses.replace(expr, operand=self._rewrite(expr.operand))
-        if isinstance(expr, ast.Case):
-            whens = tuple(
-                dataclasses.replace(
-                    when,
-                    condition=self._rewrite(when.condition),
-                    result=self._rewrite(when.result),
-                )
-                for when in expr.whens
-            )
-            else_result = (
-                None
-                if expr.else_result is None
-                else self._rewrite(expr.else_result)
-            )
-            return dataclasses.replace(expr, whens=whens, else_result=else_result)
-        if isinstance(expr, ast.IsNull):
-            return dataclasses.replace(expr, expr=self._rewrite(expr.expr))
-        if isinstance(expr, ast.Between):
-            return dataclasses.replace(
-                expr,
-                expr=self._rewrite(expr.expr),
-                low=self._rewrite(expr.low),
-                high=self._rewrite(expr.high),
-            )
-        if isinstance(expr, ast.InList):
-            return dataclasses.replace(
-                expr,
-                expr=self._rewrite(expr.expr),
-                items=tuple(self._rewrite(item) for item in expr.items),
-            )
-        if isinstance(expr, ast.FunctionCall):
-            if expr.is_aggregate or self.functions.get(expr.name.lower()) is None:
-                raise _UnsupportedResidual
-            return dataclasses.replace(
-                expr, args=tuple(self._rewrite(argument) for argument in expr.args)
-            )
-        raise _UnsupportedResidual
-
-
-# ---------------------------------------------------------------------------
-# Gathered-row ordering
-# ---------------------------------------------------------------------------
-
-
-def distinct_rows(rows: list, key: Optional[Any] = None) -> list:
-    """First-occurrence-wins deduplication, matching the engine's DISTINCT.
-
-    ``key`` extracts the identity to deduplicate on (default: the row
-    itself) while the returned list keeps the full entries.
-    """
-    seen: set = set()
-    unique = []
-    for row in rows:
-        identity = row if key is None else key(row)
-        if identity in seen:
-            continue
-        seen.add(identity)
-        unique.append(row)
-    return unique
+def distinct_rows(rows: list[tuple]) -> list[tuple]:
+    """First-occurrence-wins deduplication, matching the engine's DISTINCT."""
+    return list(dict.fromkeys(rows))
 
 
 def sort_rows(

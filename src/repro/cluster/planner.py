@@ -13,8 +13,9 @@ planner picks the cheapest sound strategy:
    ``ORDER BY``/``LIMIT``/``DISTINCT`` re-applied by the coordinator.
 3. :class:`PartialAggregatePlan` — an aggregate query over a partitioned row
    stream: shards compute partial aggregates per group (``SUM``/``COUNT``/
-   ``MIN``/``MAX``, ``AVG`` as ``SUM``÷``COUNT``), the coordinator
-   re-aggregates and re-applies ``HAVING``/``ORDER BY``/``LIMIT``.
+   ``MIN``/``MAX``, ``AVG`` as ``SUM``÷``COUNT``), the coordinator's engine
+   runs the merge query that re-aggregates and re-applies ``HAVING``/
+   ``ORDER BY``/``LIMIT``.
 4. :class:`FederatedPlan` — everything else: the coordinator pulls the
    referenced base rows into a scratch backend and executes the original
    query there.  Slow but always correct; it is the safety net that makes
@@ -36,7 +37,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Collection, Optional, Union
 
 # Re-exported for backward compatibility: the partitioning catalog moved to
 # repro.compile.analysis so the compiler and the planner share one analysis.
@@ -94,7 +95,7 @@ class RowStreamPlan:
 
 @dataclass(frozen=True)
 class PartialAggregatePlan:
-    """Scatter partial aggregates, re-aggregate groups at the coordinator."""
+    """Scatter partial aggregates, run the merge query at the coordinator."""
 
     shards: tuple[int, ...]
     split: AggregateSplit
@@ -104,7 +105,7 @@ class PartialAggregatePlan:
         """One-line plan summary for logs and examples."""
         return (
             f"partial-aggregate(shards={list(self.shards)}, "
-            f"partials={len(self.split.partials)})"
+            f"partials={len(self.split.aggregate_texts)})"
         )
 
 
@@ -186,7 +187,7 @@ class ClusterPlanner:
         self,
         catalog: ClusterCatalog,
         scatter_gather: bool = True,
-        functions: Optional[dict] = None,
+        functions: Optional[Collection[str]] = None,
         cost: Optional[CostConfig] = None,
         columns_of: Optional[dict] = None,
         statistics_provider=None,
@@ -198,9 +199,9 @@ class ClusterPlanner:
         #: when False, every multi-shard query uses the federated strategy
         #: (escape hatch for workloads that break the co-location assumption)
         self.scatter_gather = scatter_gather
-        #: scalar functions the coordinator can evaluate post-merge (shared,
-        #: mutable: the owning connection adds Python UDFs as they register)
-        self.functions = functions if functions is not None else {}
+        #: lower-cased names of the scalar functions a merge query may call
+        #: (shared, mutable: the coordinator adds Python UDFs as they register)
+        self.functions = functions if functions is not None else frozenset()
         #: cost-model configuration gating the federated pushdown derivation
         self.cost = cost if cost is not None else CostConfig.from_env()
         #: table → ordered column names (shared, mutable: the owning
@@ -340,7 +341,7 @@ class ClusterPlanner:
             split = split_partial_aggregates(select)
         except SplitError:
             return None
-        texts = set(split.key_texts) | {partial.text for partial in split.partials}
+        texts = set(split.key_texts) | set(split.aggregate_texts)
         aliases = {
             item.alias.lower() for item in select.items if item.alias is not None
         }
@@ -360,7 +361,12 @@ class ClusterPlanner:
         texts: set[str],
         aliases: frozenset[str],
     ) -> bool:
-        """Whether the coordinator can evaluate ``expr`` over merged bindings."""
+        """Whether ``expr`` may appear in a merge query.
+
+        The one whitelist of residual shapes: ``texts`` (group keys and
+        aggregate calls) become columns and combine forms of the merge
+        query, ``aliases`` are the SELECT aliases visible at this position.
+        """
         if expr is None:
             return True
         if to_sql(expr) in texts:
@@ -397,7 +403,7 @@ class ClusterPlanner:
             )
         if isinstance(expr, ast.FunctionCall):
             # non-aggregate scalar call (aggregates were bound by text above):
-            # evaluable when the coordinator holds the function
+            # evaluable when the coordinator's engine holds the function
             return expr.name.lower() in self.functions and all(
                 self._evaluable(argument, texts, aliases) for argument in expr.args
             )

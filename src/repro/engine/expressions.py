@@ -28,6 +28,7 @@ from ..sql.types import (
     sql_compare,
     sql_equal,
 )
+from .functions import _fn_mod as _modulo  # ``a % b`` is ``MOD(a, b)``
 
 CompiledExpr = Callable[[tuple, tuple], Any]
 
@@ -473,12 +474,6 @@ def _concat(left: Any, right: Any) -> Optional[str]:
     if left is None or right is None:
         return None
     return str(left) + str(right)
-
-
-def _modulo(left: Any, right: Any) -> Any:
-    if left is None or right is None:
-        return None
-    return left % right
 
 
 def _negate(value: Any) -> Any:

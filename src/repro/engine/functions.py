@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from itertools import filterfalse, repeat
 from typing import Any, Callable, Optional, Sequence
 
-from ..errors import FunctionError
+from ..errors import ExecutionError, FunctionError
 from ..sql import ast
 from ..sql.parser import parse_query
 from ..sql.types import Date, date_from_string
@@ -214,6 +214,8 @@ def _fn_coalesce(*args: Any) -> Any:
 def _fn_mod(left: Any, right: Any) -> Any:
     if left is None or right is None:
         return None
+    if right == 0:
+        raise ExecutionError("division by zero")
     return left % right
 
 

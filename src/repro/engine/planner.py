@@ -291,6 +291,23 @@ class PreparedSource(SourcePlan):
         return self._apply_filters(self._prepared.run(outers), outers)
 
 
+class RowsSource(SourcePlan):
+    """A scan over the inline rows of an :class:`~repro.sql.ast.RowsRef`."""
+
+    def __init__(self, item: ast.RowsRef) -> None:
+        schema = [(item.alias, column) for column in item.columns]
+        super().__init__(schema, {item.alias.lower()})
+        self._rows = item.rows
+
+    def estimate(self) -> int:
+        """The row count (at least 1, like a table scan)."""
+        return max(len(self._rows), 1)
+
+    def rows(self, outers: tuple) -> list[tuple]:
+        """The inline rows, filtered."""
+        return self._apply_filters(self._rows, outers)
+
+
 class JoinSource(SourcePlan):
     """An explicit ``A [LEFT] JOIN B ON cond`` treated as one composite source.
 
@@ -828,6 +845,8 @@ class Planner:
             return PreparedSource(prepared, item.alias)
         if isinstance(item, ast.Join):
             return self._plan_join(item)
+        if isinstance(item, ast.RowsRef):
+            return RowsSource(item)
         raise ExecutionError(f"unsupported FROM item {type(item).__name__}")
 
     def _plan_table(self, item: ast.TableRef) -> SourcePlan:

@@ -60,6 +60,7 @@ from .expressions import (
     Scope,
     _date_arithmetic,
     _like_regex,
+    _modulo,
 )
 
 #: a compiled batch kernel: one call evaluates a node over a whole batch
@@ -362,26 +363,19 @@ class BatchExpressionCompiler:
     need ``prepare_subquery`` because they compile through the row
     interpreter (see the module docstring).
 
-    When the context exposes an engine database with typed columns enabled
+    When the context's engine database has typed columns enabled
     (``context.database.vector.typed``), eligible kernels are additionally
-    compiled with a typed fast path and per-batch generic fallback; contexts
-    without a database (e.g. the cluster's post-merge evaluator, whose rows
-    never come from a base table) compile pure-generic kernels.
+    compiled with a typed fast path and per-batch generic fallback.
     """
 
     def __init__(self, scope: Scope, context) -> None:
         self.scope = scope
         self.context = context
-        database = getattr(context, "database", None)
-        vector = getattr(database, "vector", None) if database is not None else None
-        if vector is not None and getattr(vector, "typed", False):
-            self._typed = True
-            self._kernels = database.stats.kernels
-        else:
-            self._typed = False
-            self._kernels = None
+        database = context.database
+        self._typed = database.vector.typed
+        self._kernels = database.stats.kernels if self._typed else None
         # slots the static analyzer proved NOT NULL (repro.compile.typecheck):
-        # typed kernels over only-proven slots skip null-set collection
+        # typed kernels over only-proven slots count as proven dispatches
         self._proven: frozenset = getattr(scope, "proven", frozenset())
 
     # -- public API ---------------------------------------------------------
@@ -459,10 +453,7 @@ class BatchExpressionCompiler:
             return concat
         if op == "%":
             def modulo(batch: RowBatch, outers: tuple) -> list:
-                return [
-                    None if a is None or b is None else a % b
-                    for a, b in zip(left(batch, outers), right(batch, outers))
-                ]
+                return list(map(_modulo, left(batch, outers), right(batch, outers)))
 
             return modulo
         raise ExecutionError(f"unsupported operator {expr.op!r}")
@@ -978,16 +969,15 @@ class BatchExpressionCompiler:
         and equal exactly like the dates.  A DATE column holding ISO strings
         stays generic, where two strings compare as text.
 
-        When every referenced slot is analyzer-proven NOT NULL the kernel
-        skips null-set collection entirely — no per-column ``nulls`` check,
-        never the null-aware loop — and counts as a *proven* dispatch.
+        A dispatch counts as *proven* instead of *typed* when the analyzer
+        proved every referenced slot NOT NULL (see :meth:`_typed_hit`).
         """
         slots = plan.slots
         dense = plan.dense
         selected = plan.selected
         nullaware = plan.nullaware
         counters = self._kernels
-        proven = self._proven
+        hit = self._typed_hit(slots)
 
         def typed_columns(batch: RowBatch) -> Optional[list[TypedColumn]]:
             columns = [batch.typed_column(slot) for slot in slots]
@@ -1000,28 +990,12 @@ class BatchExpressionCompiler:
                 return columns
             return None
 
-        if proven and all(slot in proven for slot in slots):
-
-            def proven_kernel(batch: RowBatch, outers: tuple) -> list:
-                columns = typed_columns(batch)
-                if columns is None:
-                    counters.generic += 1
-                    return generic(batch, outers)
-                counters.proven += 1
-                payloads = [typed.values for typed in columns]
-                sel = batch.sel
-                if sel is None:
-                    return dense(*payloads)
-                return selected(*payloads, sel)
-
-            return proven_kernel
-
         def kernel(batch: RowBatch, outers: tuple) -> list:
             columns = typed_columns(batch)
             if columns is None:
                 counters.generic += 1
                 return generic(batch, outers)
-            counters.typed += 1
+            hit()
             payloads = [typed.values for typed in columns]
             nulls = None
             for typed in columns:
@@ -1037,6 +1011,28 @@ class BatchExpressionCompiler:
             return selected(*payloads, sel)
 
         return kernel
+
+    def _typed_hit(self, slots: Sequence[int]) -> Callable[[], None]:
+        """The census bump of a typed kernel reading ``slots``.
+
+        ``proven`` when the analyzer proved every slot NOT NULL, ``typed``
+        otherwise.  The proof only picks the counter: the kernel takes its
+        null-free loop whenever the batch's payloads carry no null set, which
+        is what a proven column's payload looks like.
+        """
+        counters = self._kernels
+        proven = self._proven
+        if proven and all(slot in proven for slot in slots):
+
+            def hit() -> None:
+                counters.proven += 1
+
+        else:
+
+            def hit() -> None:
+                counters.typed += 1
+
+        return hit
 
     def _typed_predicate(
         self,
@@ -1088,28 +1084,14 @@ class BatchExpressionCompiler:
             py_op = _MIRRORED_OPS[py_op]
         const_days = date_days(const.value)
         counters = self._kernels
-        if slot in self._proven:
-
-            def proven_kernel(batch: RowBatch, outers: tuple) -> list:
-                typed = batch.typed_column(slot)
-                if typed is None or typed.kind != "date":
-                    counters.generic += 1
-                    return generic(batch, outers)
-                counters.proven += 1
-                values = typed.values
-                sel = batch.sel
-                if sel is None:
-                    return [py_op(value, const_days) for value in values]
-                return [py_op(values[i], const_days) for i in sel]
-
-            return proven_kernel
+        hit = self._typed_hit((slot,))
 
         def kernel(batch: RowBatch, outers: tuple) -> list:
             typed = batch.typed_column(slot)
             if typed is None or typed.kind != "date":
                 counters.generic += 1
                 return generic(batch, outers)
-            counters.typed += 1
+            hit()
             values = typed.values
             sel = batch.sel
             if typed.nulls is None:
@@ -1167,34 +1149,14 @@ class BatchExpressionCompiler:
     ) -> BatchKernel:
         """``date_column BETWEEN DATE-literals`` over day ordinals."""
         counters = self._kernels
-        if slot in self._proven:
-
-            def proven_kernel(batch: RowBatch, outers: tuple) -> list:
-                typed = batch.typed_column(slot)
-                if typed is None or typed.kind != "date":
-                    counters.generic += 1
-                    return generic(batch, outers)
-                counters.proven += 1
-                values = typed.values
-                sel = batch.sel
-                if sel is None:
-                    if negated:
-                        return [
-                            not (low_days <= value <= high_days) for value in values
-                        ]
-                    return [low_days <= value <= high_days for value in values]
-                if negated:
-                    return [not (low_days <= values[i] <= high_days) for i in sel]
-                return [low_days <= values[i] <= high_days for i in sel]
-
-            return proven_kernel
+        hit = self._typed_hit((slot,))
 
         def kernel(batch: RowBatch, outers: tuple) -> list:
             typed = batch.typed_column(slot)
             if typed is None or typed.kind != "date":
                 counters.generic += 1
                 return generic(batch, outers)
-            counters.typed += 1
+            hit()
             values = typed.values
             sel = batch.sel
             if typed.nulls is None:
@@ -1232,36 +1194,14 @@ class BatchExpressionCompiler:
     ) -> BatchKernel:
         """Typed set-membership for a numeric column against numeric literals."""
         counters = self._kernels
-        if slot in self._proven:
-
-            def proven_kernel(batch: RowBatch, outers: tuple) -> list:
-                typed = batch.typed_column(slot)
-                if typed is None or typed.kind not in NUMERIC_KINDS:
-                    counters.generic += 1
-                    return generic(batch, outers)
-                counters.proven += 1
-                values = typed.values
-                sel = batch.sel
-                if not saw_null:
-                    if sel is None:
-                        return [(value in members) != negated for value in values]
-                    return [(values[i] in members) != negated for i in sel]
-                if sel is None:
-                    return [
-                        (not negated) if value in members else None for value in values
-                    ]
-                return [
-                    (not negated) if values[i] in members else None for i in sel
-                ]
-
-            return proven_kernel
+        hit = self._typed_hit((slot,))
 
         def kernel(batch: RowBatch, outers: tuple) -> list:
             typed = batch.typed_column(slot)
             if typed is None or typed.kind not in NUMERIC_KINDS:
                 counters.generic += 1
                 return generic(batch, outers)
-            counters.typed += 1
+            hit()
             values = typed.values
             sel = batch.sel
             nulls = typed.nulls

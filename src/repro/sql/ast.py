@@ -232,6 +232,20 @@ class SubqueryRef(FromItem):
         return self.alias
 
 
+@dataclass
+class RowsRef(FromItem):
+    """Already-materialized rows scanned as a named relation.
+
+    Not produced by the parser and not printable: the cluster coordinator
+    builds one per execution to hand the gathered per-shard partial rows to
+    the engine as the FROM item of a merge query.
+    """
+
+    columns: tuple[str, ...]
+    rows: list[tuple]
+    alias: str = ""
+
+
 class JoinType(Enum):
     INNER = "INNER"
     LEFT = "LEFT"

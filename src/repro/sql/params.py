@@ -13,8 +13,8 @@ module is the one place the rest of the system reasons about them:
   backend consumes,
 * :func:`bind_parameters` substitutes resolved values as literals into a new
   statement tree — the binding strategy for backends without native
-  placeholder support (the in-memory engine, and the cluster's merge-side
-  evaluation); the SQLite backend instead renders ``?NNN`` text and binds
+  placeholder support (the in-memory engine, and the cluster's merge
+  queries); the SQLite backend instead renders ``?NNN`` text and binds
   natively.
 
 All validation failures raise :class:`~repro.errors.ParameterError`.

@@ -9,14 +9,15 @@ case their SELECT/WHERE/... expressions are transformed with the same
 function.
 
 The second half of the module splits a (rewritten, plain-SQL) ``SELECT`` into
-a *per-shard query* plus a *merge plan* for scatter-gather execution over a
+a *per-shard query* plus its *merge* for scatter-gather execution over a
 tenant-partitioned cluster (:mod:`repro.cluster`):
 
 * :func:`split_row_stream` — non-aggregate queries: the shards stream rows,
   the coordinator re-sorts, deduplicates and applies ``LIMIT``,
 * :func:`split_partial_aggregates` — aggregate queries: the shards compute
-  partial aggregates per group (``AVG`` decomposed into ``SUM``/``COUNT``),
-  the coordinator re-aggregates and re-applies ``HAVING``/``ORDER BY``.
+  partial aggregates per group (``AVG`` decomposed into ``SUM``/``COUNT``);
+  a *merge query* over their output re-aggregates and re-applies
+  ``HAVING``/``ORDER BY``, and the coordinator's engine runs it.
 
 Both raise :class:`~repro.errors.SplitError` when the statement has no such
 decomposition; the cluster planner then falls back to a plan that does not
@@ -342,7 +343,7 @@ def select_aggregate_calls(select: ast.Select) -> list[ast.FunctionCall]:
 
 
 # ---------------------------------------------------------------------------
-# Per-shard query + merge plan splits
+# Per-shard query + merge splits
 # ---------------------------------------------------------------------------
 
 
@@ -365,38 +366,36 @@ class RowStreamSplit:
 
 
 @dataclass(frozen=True)
-class PartialAggregate:
-    """How one aggregate call is merged from per-shard partial columns.
-
-    ``kind`` is the merge rule — ``sum``/``count`` add partials, ``min``/
-    ``max`` keep the extremum and ``avg`` divides a partial-SUM column by a
-    partial-COUNT column (the classic AVG = SUM ÷ COUNT decomposition).
-    ``columns`` are the positions of the partial column(s) in the per-shard
-    result row (one position, except two for ``avg``).
-    """
-
-    text: str
-    kind: str
-    columns: tuple[int, ...]
-
-
-@dataclass(frozen=True)
 class AggregateSplit:
-    """An aggregate query split into per-shard partials plus a merge plan.
+    """An aggregate query split into a per-shard query and a merge query.
 
-    The per-shard query projects the group-key expressions first (positions
-    ``0 .. len(key_texts)-1``) followed by the partial-aggregate columns; it
-    drops ``HAVING``/``ORDER BY``/``LIMIT``/``DISTINCT``, which the
-    coordinator re-applies after re-aggregation.  ``key_texts`` are the
-    printed group-key expressions — the merge evaluator binds them (and each
-    :class:`PartialAggregate`'s ``text``) to merged values when evaluating
-    the final SELECT list, ``HAVING`` and ``ORDER BY``.
+    The two halves are the paper's aggregation distribution (§4.2.2,
+    Listing 16) cut at the shard boundary.  ``shard_query`` is the inner
+    half: it projects the group-key expressions as ``mt_key_<i>`` followed by
+    one partial-aggregate column per distinct aggregate call
+    (``mt_part_<k>``; ``AVG`` ships a partial ``SUM`` and ``COUNT`` as
+    ``mt_part_<k>s`` / ``mt_part_<k>c``) and drops ``HAVING`` / ``ORDER BY``
+    / ``LIMIT`` / ``DISTINCT``.  ``merge_query`` is the outer half, written
+    over exactly those output aliases as the relation
+    :data:`MERGE_RELATION`: the original SELECT items, ``HAVING`` and
+    ``ORDER BY`` with every group-key text replaced by its key column and
+    every aggregate text by its combine form, ``GROUP BY`` the key columns,
+    ``DISTINCT`` / ``LIMIT`` carried over.  The coordinator substitutes the
+    gathered shard rows for the relation and lets the engine run it.
+
+    ``key_texts`` and ``aggregate_texts`` are the printed group-key
+    expressions and aggregate calls the merge query resolved — the texts the
+    cluster planner's evaluability check treats as bound.
     """
 
     shard_query: ast.Select
+    merge_query: ast.Select
     key_texts: tuple[str, ...]
-    partials: tuple[PartialAggregate, ...]
+    aggregate_texts: tuple[str, ...]
 
+
+#: name of the relation a merge query reads: the gathered shard-query rows
+MERGE_RELATION = "mt_partials"
 
 _MERGEABLE_AGGREGATES = frozenset({"SUM", "COUNT", "MIN", "MAX", "AVG"})
 
@@ -456,7 +455,7 @@ def _order_key_position(
 
 
 def split_partial_aggregates(select: ast.Select) -> AggregateSplit:
-    """Split an aggregate SELECT into per-shard partials plus a merge plan.
+    """Split an aggregate SELECT into a per-shard query plus a merge query.
 
     Raises :class:`SplitError` when any aggregate is not partial-mergeable
     (DISTINCT aggregates, unknown functions).
@@ -470,33 +469,39 @@ def split_partial_aggregates(select: ast.Select) -> AggregateSplit:
         unique.setdefault(ast.Node.to_sql(call), call)
 
     key_texts = tuple(ast.Node.to_sql(expr) for expr in select.group_by)
+    keys = [ast.Column(name=f"mt_key_{position}") for position in range(len(key_texts))]
     items = [
-        ast.SelectItem(expr=expr, alias=f"mt_key_{position}")
-        for position, expr in enumerate(select.group_by)
+        ast.SelectItem(expr=expr, alias=key.name)
+        for expr, key in zip(select.group_by, keys)
     ]
-    partials: list[PartialAggregate] = []
-    for text, call in unique.items():
-        if call.distinct or call.name.upper() not in _MERGEABLE_AGGREGATES:
+    # printed sub-expression of the original -> its form over the shard rows
+    merged: dict[str, ast.Expression] = {}
+    for text, key in zip(key_texts, keys):
+        merged.setdefault(text, key)
+    for position, (text, call) in enumerate(unique.items()):
+        name = call.name.upper()
+        if call.distinct or name not in _MERGEABLE_AGGREGATES:
             raise SplitError(f"aggregate {text} is not partial-mergeable")
-        if call.name.upper() == "AVG":
-            columns = (len(items), len(items) + 1)
-            items.append(
-                ast.SelectItem(
-                    expr=ast.func("SUM", *call.args), alias=f"mt_part_{len(partials)}s"
+        partial = f"mt_part_{position}"
+        if name == "AVG":
+            items.append(ast.SelectItem(expr=ast.func("SUM", *call.args), alias=f"{partial}s"))
+            items.append(ast.SelectItem(expr=ast.func("COUNT", *call.args), alias=f"{partial}c"))
+            total = ast.func("SUM", ast.Column(name=f"{partial}s"))
+            count = ast.func("SUM", ast.Column(name=f"{partial}c"))
+            # every shard of a global aggregate answers with a count of 0:
+            # AVG over no rows is NULL, not a division by zero
+            merged[text] = ast.Case(
+                whens=(
+                    ast.CaseWhen(
+                        condition=ast.BinaryOp(">", count, ast.Literal(0)),
+                        result=ast.BinaryOp("/", total, count),
+                    ),
                 )
             )
-            items.append(
-                ast.SelectItem(
-                    expr=ast.func("COUNT", *call.args), alias=f"mt_part_{len(partials)}c"
-                )
-            )
-            partials.append(PartialAggregate(text=text, kind="avg", columns=columns))
         else:
-            columns = (len(items),)
-            items.append(ast.SelectItem(expr=call, alias=f"mt_part_{len(partials)}"))
-            partials.append(
-                PartialAggregate(text=text, kind=call.name.lower(), columns=columns)
-            )
+            items.append(ast.SelectItem(expr=call, alias=partial))
+            combine = name if name in ("MIN", "MAX") else "SUM"
+            merged[text] = ast.func(combine, ast.Column(name=partial))
 
     shard_query = clone_select(select)
     shard_query.items = items
@@ -504,6 +509,33 @@ def split_partial_aggregates(select: ast.Select) -> AggregateSplit:
     shard_query.order_by = []
     shard_query.limit = None
     shard_query.distinct = False
+
+    def over_shard_rows(node: ast.Expression) -> Optional[ast.Expression]:
+        return merged.get(ast.Node.to_sql(node))
+
+    merge_query = ast.Select(
+        items=[
+            ast.SelectItem(
+                expr=transform_expression(item.expr, over_shard_rows), alias=item.alias
+            )
+            for item in select.items
+        ],
+        from_items=[ast.TableRef(name=MERGE_RELATION)],
+        group_by=list(keys),
+        having=transform_expression(select.having, over_shard_rows),
+        order_by=[
+            ast.OrderItem(
+                expr=transform_expression(order.expr, over_shard_rows),
+                descending=order.descending,
+            )
+            for order in select.order_by
+        ],
+        limit=select.limit,
+        distinct=select.distinct,
+    )
     return AggregateSplit(
-        shard_query=shard_query, key_texts=key_texts, partials=tuple(partials)
+        shard_query=shard_query,
+        merge_query=merge_query,
+        key_texts=key_texts,
+        aggregate_texts=tuple(unique),
     )

@@ -1,175 +1,328 @@
-"""Unit tests for partial-aggregate merging and the merge evaluator."""
+"""The gather side: merge queries run by the coordinator's engine, row-stream helpers.
+
+A partial-aggregate plan's merge is a SQL query over the gathered shard rows
+(:func:`repro.sql.transform.split_partial_aggregates` builds it, the
+coordinator's engine database runs it).  The tests drive that seam directly:
+a :class:`ShardCoordinator` over fake shard connections that answer the shard
+query with canned partial rows, in both expression modes of the merge engine.
+"""
 
 from __future__ import annotations
 
+import datetime
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from repro.cluster import BatchMergeEvaluator, MergeEvaluator, merge_partial_rows, sort_rows
-from repro.cluster.merge import default_scalar_functions
-from repro.engine.vector import RowBatch
-from repro.errors import ExecutionError
+from repro.cluster import PartialAggregatePlan, ShardCoordinator, sort_rows
+from repro.engine import Database
+from repro.errors import ExecutionError, FunctionError, ParameterError, SplitError
+from repro.result import QueryResult
 from repro.sql.parser import parse_query
-from repro.sql.transform import (
-    PartialAggregate,
-    split_partial_aggregates,
-    split_row_stream,
-)
+from repro.sql.printer import to_sql
+from repro.sql.transform import split_partial_aggregates, split_row_stream
 
 
-def _merge(rows, key_width, partials):
-    groups = merge_partial_rows(rows, key_width, partials)
-    return {
-        key: tuple(state.result() for state in states)
-        for key, states in groups.items()
-    }
+class _CannedShard:
+    """A shard connection that answers every query with fixed rows."""
+
+    def __init__(self, rows):
+        self.rows = rows
+
+    def query(self, statement, parameters=None):
+        columns = [item.alias for item in statement.items]
+        return QueryResult(columns=columns, rows=list(self.rows))
+
+
+class _EngineShard:
+    """A shard connection over a bare engine database (no backend protocol)."""
+
+    def __init__(self, database):
+        self.database = database
+
+    def query(self, statement, parameters=None):
+        return self.database.query(statement)
+
+
+@pytest.fixture(params=[True, False], ids=["vectorized", "rowmode"])
+def vectorize(request):
+    """The merge engine's expression mode (batch kernels / row interpreter)."""
+    return request.param
+
+
+def _merge(sql, shards, vectorize, functions=None, parameters=None):
+    """Run ``sql`` as a partial-aggregate plan over ``shards``.
+
+    ``shards`` are shard connections, or row lists — the partial rows one
+    shard returns for the shard query (group keys, then one column per
+    distinct aggregate in first-use order, two for ``AVG``).
+    """
+    statement = parse_query(sql)
+    connections = [
+        shard if hasattr(shard, "query") else _CannedShard(shard) for shard in shards
+    ]
+    coordinator = ShardCoordinator(connections, functions=functions)
+    coordinator.merge_database.set_vectorize(vectorize)
+    plan = PartialAggregatePlan(
+        shards=tuple(range(len(connections))),
+        split=split_partial_aggregates(statement),
+        statement=statement,
+    )
+    try:
+        return coordinator.execute(plan, parameters)
+    finally:
+        coordinator.close()
+
+
+def _typed(rows):
+    return [tuple((type(value), value) for value in row) for row in rows]
 
 
 class TestPartialMerge:
-    def test_sum_count_min_max_across_shards(self):
-        partials = (
-            PartialAggregate(text="SUM(x)", kind="sum", columns=(1,)),
-            PartialAggregate(text="COUNT(x)", kind="count", columns=(2,)),
-            PartialAggregate(text="MIN(x)", kind="min", columns=(3,)),
-            PartialAggregate(text="MAX(x)", kind="max", columns=(4,)),
+    def test_sum_count_min_max_across_shards(self, vectorize):
+        result = _merge(
+            "SELECT g, SUM(x), COUNT(x), MIN(x), MAX(x) FROM t GROUP BY g",
+            [
+                [("a", 10.0, 2, 1, 9)],
+                [("a", 5.0, 1, 0, 5), ("b", 7.0, 3, 2, 4)],
+            ],
+            vectorize,
         )
-        rows = [
-            ("a", 10.0, 2, 1, 9),  # shard 0
-            ("a", 5.0, 1, 0, 5),  # shard 1
-            ("b", 7.0, 3, 2, 4),  # shard 1 only
-        ]
-        merged = _merge(rows, 1, partials)
-        assert merged[("a",)] == (15.0, 3, 0, 9)
-        assert merged[("b",)] == (7.0, 3, 2, 4)
+        assert result.columns == ["g", "SUM(x)", "COUNT(x)", "MIN(x)", "MAX(x)"]
+        assert result.rows == [("a", 15.0, 3, 0, 9), ("b", 7.0, 3, 2, 4)]
 
-    def test_avg_is_global_sum_over_global_count(self):
+    def test_avg_is_global_sum_over_global_count(self, vectorize):
         """AVG must not average the per-shard averages."""
-        partials = (PartialAggregate(text="AVG(x)", kind="avg", columns=(0, 1)),)
         # shard 0: one row of 10; shard 1: three rows of 1 -> global AVG 3.25
-        merged = _merge([(10.0, 1), (3.0, 3)], 0, partials)
-        assert merged[()] == (3.25,)
+        result = _merge("SELECT AVG(x) FROM t", [[(10.0, 1)], [(3.0, 3)]], vectorize)
+        assert result.rows == [(3.25,)]
 
-    def test_null_semantics(self):
-        """SUM of an all-NULL group is NULL; AVG of an empty group is NULL;
-        COUNT is 0 — matching the engine's aggregates."""
-        partials = (
-            PartialAggregate(text="SUM(x)", kind="sum", columns=(0,)),
-            PartialAggregate(text="COUNT(x)", kind="count", columns=(1,)),
-            PartialAggregate(text="AVG(x)", kind="avg", columns=(0, 1)),
-            PartialAggregate(text="MIN(x)", kind="min", columns=(2,)),
+    def test_null_semantics(self, vectorize):
+        """SUM of an all-NULL input is NULL, COUNT is the int 0, AVG and MIN
+        over no rows are NULL — every shard of a global aggregate answers
+        one row, and a zero total count must not divide."""
+        result = _merge(
+            "SELECT SUM(x), COUNT(x), AVG(x), MIN(x) FROM t",
+            [[(None, 0, None, 0, None)], [(None, 0, None, 0, None)]],
+            vectorize,
         )
-        merged = _merge([(None, 0, None), (None, 0, None)], 0, partials)
-        assert merged[()] == (None, 0, None, None)
+        assert _typed(result.rows) == _typed([(None, 0, None, None)])
 
-
-class TestMergeEvaluator:
-    def test_arithmetic_over_bindings(self):
-        query = parse_query("SELECT SUM(a) / SUM(b) AS ratio FROM t")
-        expr = query.items[0].expr
-        evaluator = MergeEvaluator({"SUM(a)": 10.0, "SUM(b)": 4.0})
-        assert evaluator.evaluate(expr) == 2.5
-
-    def test_case_and_comparison(self):
-        query = parse_query(
-            "SELECT CASE WHEN SUM(a) > 5 THEN 'big' ELSE 'small' END FROM t"
+    def test_null_group_keys_merge_into_one_group(self, vectorize):
+        result = _merge(
+            "SELECT g, h, SUM(x) FROM t GROUP BY g, h",
+            [[(None, 1, 2), ("a", None, 3)], [(None, 1, 5), ("a", None, 7)]],
+            vectorize,
         )
-        expr = query.items[0].expr
-        assert MergeEvaluator({"SUM(a)": 10}).evaluate(expr) == "big"
-        assert MergeEvaluator({"SUM(a)": 1}).evaluate(expr) == "small"
+        assert result.rows == [(None, 1, 7), ("a", None, 10)]
 
-    def test_division_by_zero_matches_engine(self):
-        query = parse_query("SELECT SUM(a) / SUM(b) FROM t")
-        expr = query.items[0].expr
+    def test_groups_keep_first_seen_order_in_shard_order(self, vectorize):
+        result = _merge(
+            "SELECT g, COUNT(*) FROM t GROUP BY g",
+            [[("b", 1), ("a", 1)], [("c", 2), ("a", 4)]],
+            vectorize,
+        )
+        assert result.rows == [("b", 1), ("a", 5), ("c", 2)]
+
+
+class TestResiduals:
+    """Expressions around the merged aggregates are the engine's own."""
+
+    def test_arithmetic_over_merged_aggregates(self, vectorize):
+        result = _merge(
+            "SELECT SUM(a) / SUM(b) AS ratio FROM t", [[(4.0, 1.0)], [(6.0, 3.0)]], vectorize
+        )
+        assert result.columns == ["ratio"]
+        assert result.rows == [(2.5,)]
+
+    def test_null_propagation(self, vectorize):
+        result = _merge("SELECT SUM(a) * 2 FROM t", [[(None,)], [(None,)]], vectorize)
+        assert result.rows == [(None,)]
+
+    @pytest.mark.parametrize(
+        "expression, expected",
+        [
+            ("CASE WHEN SUM(a) > 5 THEN 'big' ELSE 'small' END", ["big", "small", "small"]),
+            ("COALESCE(SUM(a), 0) + COUNT(a)", [14.0, 0, -1.5]),
+            ("g * 2 - COUNT(a)", [-2, 4, 5]),
+            ("SUM(a) IS NULL", [False, True, False]),
+            ("SUM(a) IS NOT NULL", [True, False, True]),
+            ("SUM(a) BETWEEN 0 AND 100", [True, None, False]),
+            ("g IN (1, 3)", [True, False, True]),
+            ("SUM(a) NOT IN (10, NULL)", [False, None, None]),
+            ("NOT (COUNT(a) > 2)", [False, True, True]),
+            ("-SUM(a)", [-10.0, None, 2.5]),
+            ("g || '/' || COUNT(a)", ["1/4", "2/0", "3/1"]),
+        ],
+    )
+    def test_residual_shapes(self, vectorize, expression, expected):
+        # the leading items pin the partial layout to (g, SUM(a), COUNT(a))
+        result = _merge(
+            f"SELECT SUM(a), COUNT(a), {expression} FROM t GROUP BY g",
+            [[(1, 4.0, 3), (2, None, 0)], [(1, 6.0, 1), (3, -2.5, 1)]],
+            vectorize,
+        )
+        assert _typed(row[2:] for row in result.rows) == _typed(
+            (value,) for value in expected
+        )
+
+    def test_division_by_zero_matches_the_engine(self, vectorize):
         with pytest.raises(ExecutionError, match="division by zero"):
-            MergeEvaluator({"SUM(a)": 1.0, "SUM(b)": 0}).evaluate(expr)
+            _merge("SELECT SUM(a) / SUM(b) FROM t", [[(1.0, 0)], [(2.0, 0)]], vectorize)
 
-    def test_null_propagation(self):
-        query = parse_query("SELECT SUM(a) * 2 FROM t")
-        expr = query.items[0].expr
-        assert MergeEvaluator({"SUM(a)": None}).evaluate(expr) is None
-
-    def test_alias_lookup_for_having_and_order(self):
-        query = parse_query("SELECT SUM(a) AS total FROM t GROUP BY g HAVING total > 3")
-        evaluator = MergeEvaluator({}, aliases={"total": 7})
-        assert evaluator.evaluate(query.having) is True
-
-    def test_scalar_functions(self):
+    def test_python_udf_over_a_merged_aggregate(self, vectorize):
         """COALESCE and registered Python UDFs evaluate post-merge."""
-        functions = default_scalar_functions()
-        functions["my_rate"] = lambda key: {1: 2.0}[key]
-        query = parse_query("SELECT COALESCE(SUM(a), 0) * my_rate(1) FROM t")
-        expr = query.items[0].expr
-        assert MergeEvaluator({"SUM(a)": None}, functions=functions).evaluate(expr) == 0.0
-        assert MergeEvaluator({"SUM(a)": 3.0}, functions=functions).evaluate(expr) == 6.0
+        functions = {"my_rate": lambda key: {1: 2.0}[key]}
+        sql = "SELECT COALESCE(SUM(a), 0) * MY_RATE(1) FROM t"
+        assert _merge(sql, [[(None,)], [(None,)]], vectorize, functions).rows == [(0.0,)]
+        assert _merge(sql, [[(1.0,)], [(2.0,)]], vectorize, functions).rows == [(6.0,)]
 
-    def test_unknown_function_raises(self):
-        query = parse_query("SELECT mystery(1) FROM t")
-        with pytest.raises(ExecutionError, match="cannot evaluate"):
-            MergeEvaluator({}).evaluate(query.items[0].expr)
+    def test_unknown_function_raises(self, vectorize):
+        with pytest.raises(FunctionError, match="unknown function 'mystery'"):
+            _merge("SELECT mystery(SUM(a)) FROM t", [[(1.0,)]], vectorize)
+
+    def test_unbound_column_raises(self, vectorize):
+        with pytest.raises(ExecutionError, match="unknown column 'stray'"):
+            _merge("SELECT stray, SUM(a) FROM t", [[(1.0,)]], vectorize)
+
+    def test_parameters_bind_into_the_merge_query(self, vectorize):
+        sql = "SELECT SUM(a) * ? FROM t HAVING SUM(a) > ?"
+        shards = [[(1.0,)], [(2.0,)]]
+        assert _merge(sql, shards, vectorize, parameters=(10, 2)).rows == [(30.0,)]
+        assert _merge(sql, shards, vectorize, parameters=(10, 3)).rows == []
+
+    def test_unbound_parameter_raises(self, vectorize):
+        with pytest.raises(ExecutionError, match="unbound parameter"):
+            _merge("SELECT SUM(a) * ? FROM t", [[(1.0,)]], vectorize)
+        with pytest.raises(ParameterError, match="only 1 value"):
+            _merge("SELECT SUM(a) * ?2 FROM t", [[(1.0,)]], vectorize, parameters=(5,))
 
 
-class TestBatchMergeEvaluator:
-    """The vectorized merge path mirrors :class:`MergeEvaluator` per column."""
+class TestClauses:
+    """HAVING, ORDER BY, DISTINCT and LIMIT re-applied over the merged groups."""
 
-    def _column(self, sql, bindings_rows, binding_texts, aliases=(), functions=None):
-        query = parse_query(f"SELECT {sql} FROM t")
-        evaluator = BatchMergeEvaluator(
-            binding_texts, alias_names=aliases, functions=functions or {}
+    def test_alias_visible_in_having_and_order_by(self, vectorize):
+        result = _merge(
+            "SELECT g, SUM(a) AS total FROM t GROUP BY g HAVING total > 3 "
+            "ORDER BY total DESC",
+            [[("x", 1), ("y", 2), ("z", 9)], [("x", 1), ("y", 2)]],
+            vectorize,
         )
-        kernel = evaluator.compile(query.items[0].expr)
-        return kernel(RowBatch(bindings_rows), ())
+        assert result.columns == ["g", "total"]
+        assert result.rows == [("z", 9), ("y", 4)]
 
-    def test_compiled_kernel_evaluates_all_groups_at_once(self):
-        column = self._column(
-            "SUM(a) / SUM(b)",
-            [(10.0, 4.0), (9.0, 3.0), (1.0, 2.0)],
-            ["SUM(a)", "SUM(b)"],
+    def test_alias_not_visible_in_sibling_items(self, vectorize):
+        with pytest.raises(ExecutionError, match="unknown column 'total'"):
+            _merge("SELECT SUM(a) AS total, total + 1 FROM t", [[(1,)]], vectorize)
+
+    def test_having_on_an_aggregate_outside_the_select_list(self, vectorize):
+        result = _merge(
+            "SELECT g FROM t GROUP BY g HAVING COUNT(*) > 1 ORDER BY MAX(a)",
+            [[("x", 1, 5), ("y", 1, 3)], [("x", 1, 7), ("y", 1, 2), ("z", 1, 0)]],
+            vectorize,
         )
-        assert column == [2.5, 3.0, 0.5]
+        assert result.rows == [("y",), ("x",)]
 
-    def test_matches_row_evaluator_on_mixed_expressions(self):
-        functions = default_scalar_functions()
-        texts = ["g", "SUM(a)", "COUNT(a)"]
-        rows = [(1, 10.0, 4), (2, None, 0), (3, -2.5, 1)]
-        for sql in (
-            "CASE WHEN SUM(a) > 5 THEN 'big' ELSE 'small' END",
-            "COALESCE(SUM(a), 0) + COUNT(a)",
-            "g * 2 - COUNT(a)",
-            "SUM(a) IS NULL",
-            "SUM(a) BETWEEN 0 AND 100",
-            "g IN (1, 3)",
-            "NOT (COUNT(a) > 2)",
-        ):
-            query = parse_query(f"SELECT {sql} FROM t")
-            expr = query.items[0].expr
-            batch_column = self._column(sql, rows, texts, functions=functions)
-            row_values = [
-                MergeEvaluator(dict(zip(texts, row)), functions=functions).evaluate(expr)
-                for row in rows
-            ]
-            assert batch_column == row_values, sql
-
-    def test_alias_columns_resolve_in_having_position(self):
-        query = parse_query(
-            "SELECT SUM(a) AS total FROM t GROUP BY g HAVING total > 3"
+    def test_date_plus_interval_sort_key(self, vectorize):
+        """An ORDER BY key like ``d + INTERVAL '1' MONTH`` evaluates post-merge."""
+        january, march = datetime.date(1998, 1, 31), datetime.date(1998, 3, 1)
+        result = _merge(
+            "SELECT d, d + INTERVAL '1' MONTH AS due, COUNT(*) FROM t GROUP BY d "
+            "ORDER BY d + INTERVAL '1' MONTH DESC",
+            [[(january, 1)], [(march, 2), (january, 1)]],
+            vectorize,
         )
-        evaluator = BatchMergeEvaluator(["g", "SUM(a)"], alias_names=["total"])
-        kernel = evaluator.compile(query.having)
-        # batch rows: bindings then alias values
-        assert kernel(RowBatch([(1, 7.0, 7.0), (2, 1.0, 1.0)]), ()) == [True, False]
+        assert result.rows == [
+            (march, datetime.date(1998, 4, 1), 2),
+            (january, datetime.date(1998, 2, 28), 2),
+        ]
 
-    def test_unknown_function_falls_back_to_the_row_error(self):
-        query = parse_query("SELECT mystery(SUM(a)) FROM t")
-        evaluator = BatchMergeEvaluator(["SUM(a)"])
-        kernel = evaluator.compile(query.items[0].expr)
-        with pytest.raises(ExecutionError, match="cannot evaluate"):
-            kernel(RowBatch([(1.0,)]), ())
+    def test_distinct_then_order_by_then_limit(self, vectorize):
+        result = _merge(
+            "SELECT DISTINCT SUM(a) AS s FROM t GROUP BY g ORDER BY s DESC LIMIT 2",
+            [[("p", 1), ("q", 2), ("r", 3)], [("p", 2), ("q", 1), ("s", 1)]],
+            vectorize,
+        )
+        # sums are p=3, q=3, r=3, s=1: DISTINCT first, then the sort, then LIMIT
+        assert result.rows == [(3,), (1,)]
 
-    def test_unbound_column_falls_back_to_the_row_error(self):
-        query = parse_query("SELECT stray FROM t")
-        evaluator = BatchMergeEvaluator(["SUM(a)"])
-        kernel = evaluator.compile(query.items[0].expr)
-        with pytest.raises(ExecutionError, match="unbound merge column"):
-            kernel(RowBatch([(1.0,)]), ())
+    def test_limit_without_order_keeps_first_seen_groups(self, vectorize):
+        result = _merge(
+            "SELECT g, SUM(a) FROM t GROUP BY g LIMIT 2",
+            [[("p", 1), ("q", 2)], [("r", 3), ("p", 1)]],
+            vectorize,
+        )
+        assert result.rows == [("p", 2), ("q", 2)]
+
+
+def test_sharded_modulo_by_zero_in_having(paper_example_factory):
+    """A merged ``HAVING SUM(a) % SUM(b)`` with a zero divisor is the engine's
+    typed error, raised out of a real two-shard partial-aggregate plan."""
+    from repro.backends import ShardedBackend
+    from repro.cluster import ExplicitPlacement
+
+    backend = ShardedBackend(placement=ExplicitPlacement({0: 0, 1: 1}, shard_count=2))
+    paper_example_factory(backend=backend)
+    cluster = backend.connect()
+    query = (
+        "SELECT E_reg_id, SUM(E_age) FROM Employees GROUP BY E_reg_id "
+        "HAVING SUM(E_age) % SUM(E_age - E_age) = 0"
+    )
+    with pytest.raises(ExecutionError, match="division by zero"):
+        cluster.execute(query)
+    assert isinstance(cluster.last_plan, PartialAggregatePlan)
+    assert cluster.execute(query.replace("E_age - E_age", "1")).rows
+
+
+# -- property: sharded merge == the engine on the union ----------------------------
+
+_PROPERTY_QUERIES = (
+    "SELECT g, SUM(a), COUNT(a), COUNT(*), MIN(a), MAX(a), AVG(a), SUM(b), AVG(b), MIN(b) "
+    "FROM t GROUP BY g",
+    "SELECT SUM(a), COUNT(b), AVG(a), MAX(b), COUNT(*) FROM t",
+    "SELECT g, SUM(a) + COALESCE(MAX(b), 0) AS v, CASE WHEN AVG(b) > 0 THEN 'pos' END "
+    "FROM t GROUP BY g HAVING COUNT(*) > 1 ORDER BY v DESC, g LIMIT 3",
+    "SELECT DISTINCT COUNT(a) AS n FROM t GROUP BY g ORDER BY n",
+)
+
+# ints and dyadic rationals: every partial sum is exact, so regrouping the
+# additions across shards cannot change a float's bits
+_ROWS = st.lists(
+    st.tuples(
+        st.sampled_from([None, "x", "y", "z"]),
+        st.none() | st.integers(min_value=-50, max_value=50),
+        st.none() | st.integers(min_value=-200, max_value=200).map(lambda n: n / 4),
+    ),
+    max_size=24,
+)
+
+
+def _database(rows, vectorize):
+    database = Database()
+    database.set_vectorize(vectorize)
+    database.execute("CREATE TABLE t (g VARCHAR(4), a INTEGER, b DOUBLE)")
+    database.insert_rows("t", rows)
+    return database
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    rows=_ROWS,
+    cuts=st.lists(st.integers(min_value=0, max_value=24), min_size=1, max_size=3),
+    vectorize=st.booleans(),
+)
+def test_merge_equals_the_engine_on_the_union(rows, cuts, vectorize):
+    """Rows split over 2–4 shards and merged give, value for value and type
+    for type, what the engine gives for the original query on their union."""
+    bounds = [0, *sorted(cuts), len(rows)]
+    slices = [rows[low:high] for low, high in zip(bounds, bounds[1:])]
+    shards = [_EngineShard(_database(part, vectorize)) for part in slices]
+    union = _database(rows, vectorize)
+    for sql in _PROPERTY_QUERIES:
+        merged = _merge(sql, shards, vectorize)
+        expected = union.query(sql)
+        assert merged.columns == expected.columns, sql
+        assert _typed(merged.rows) == _typed(expected.rows), sql
 
 
 class TestSortRows:
@@ -191,17 +344,31 @@ class TestSplits:
         )
         split = split_partial_aggregates(query)
         assert split.key_texts == ("g",)
-        kinds = [partial.kind for partial in split.partials]
-        assert kinds == ["sum", "avg", "count"]
+        assert split.aggregate_texts == ("SUM(a)", "AVG(b)", "COUNT(*)")
         # shard query: keys first, then partials; merge clauses stripped
-        assert split.shard_query.having is None
-        assert split.shard_query.order_by == []
-        assert split.shard_query.limit is None
-        assert len(split.shard_query.items) == 1 + 4  # g + sum + (avg sum, avg count) + count
+        assert to_sql(split.shard_query) == (
+            "SELECT g AS mt_key_0, SUM(a) AS mt_part_0, SUM(b) AS mt_part_1s, "
+            "COUNT(b) AS mt_part_1c, COUNT(*) AS mt_part_2 FROM t GROUP BY g"
+        )
+        # merge query: the same clauses over the shard query's output aliases
+        assert to_sql(split.merge_query) == (
+            "SELECT mt_key_0, SUM(mt_part_0) AS s, "
+            "CASE WHEN SUM(mt_part_1c) > 0 "
+            "THEN SUM(mt_part_1s) / SUM(mt_part_1c) END AS m, "
+            "SUM(mt_part_2) AS n FROM mt_partials GROUP BY mt_key_0 "
+            "HAVING SUM(mt_part_0) > 1 ORDER BY s DESC LIMIT 5"
+        )
+
+    def test_whole_subtree_texts_win_over_their_parts(self):
+        """``SUM(g)`` is an aggregate, not an aggregate over the key column."""
+        query = parse_query("SELECT g + 1, SUM(g), MIN(g + 1) FROM t GROUP BY g + 1, g")
+        merge = split_partial_aggregates(query).merge_query
+        assert to_sql(merge) == (
+            "SELECT mt_key_0, SUM(mt_part_0), MIN(mt_part_1) FROM mt_partials "
+            "GROUP BY mt_key_0, mt_key_1"
+        )
 
     def test_split_rejects_distinct_aggregates(self):
-        from repro.errors import SplitError
-
         query = parse_query("SELECT COUNT(DISTINCT a) FROM t")
         with pytest.raises(SplitError, match="not partial-mergeable"):
             split_partial_aggregates(query)
@@ -216,8 +383,6 @@ class TestSplits:
         assert split.shard_query.limit is None
 
     def test_split_row_stream_rejects_distinct_with_hidden_key(self):
-        from repro.errors import SplitError
-
         query = parse_query("SELECT DISTINCT a FROM t ORDER BY b")
         with pytest.raises(SplitError, match="DISTINCT"):
             split_row_stream(query)

@@ -329,15 +329,3 @@ class TestCrossShardDMLRejection:
     def test_ttid_reassignment_rejected(self, cluster):
         with pytest.raises(ClusterError, match="partitioning column"):
             cluster.execute("UPDATE Employees SET E_ttid = 0 WHERE E_emp_id = 0")
-
-
-def test_merge_evaluator_date_arithmetic():
-    """An ORDER BY key like ``d + INTERVAL '1' MONTH`` evaluates post-merge."""
-    from repro.cluster import MergeEvaluator
-    from repro.sql.parser import parse_query
-    from repro.sql.types import date_from_string
-
-    query = parse_query("SELECT d FROM t ORDER BY d + INTERVAL '1' MONTH")
-    expr = query.order_by[0].expr
-    value = MergeEvaluator({"d": date_from_string("1998-01-15")}).evaluate(expr)
-    assert str(value) == "1998-02-15"

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.engine import Database
+from repro.engine.config import VectorConfig
 from repro.errors import ExecutionError
 
 
@@ -82,6 +83,29 @@ class TestErrorsAndDates:
     def test_division_by_zero_raises(self, db):
         with pytest.raises(ExecutionError):
             db.query("SELECT a / b AS x FROM t WHERE a = 2")
+
+    @pytest.mark.parametrize(
+        "vector",
+        [
+            VectorConfig(enabled=True, typed=True),
+            VectorConfig(enabled=True, typed=False),
+            VectorConfig(enabled=False),
+        ],
+        ids=["typed", "generic", "row"],
+    )
+    @pytest.mark.parametrize("expression", ["a % b", "MOD(a, b)"])
+    def test_modulo_by_zero_is_a_typed_error(self, vector, expression):
+        """``%`` and ``MOD`` by zero raise like ``/``, never ``ZeroDivisionError``."""
+        database = Database(vector=vector)
+        database.execute("CREATE TABLE t (a INTEGER NOT NULL, b INTEGER)")
+        database.execute("INSERT INTO t VALUES (7, 2), (5, 0), (3, NULL)")
+        with pytest.raises(ExecutionError, match="division by zero"):
+            database.query(f"SELECT {expression} AS x FROM t")
+        # a NULL divisor yields NULL, and a filtered-out zero divisor is no error
+        rows = database.query(
+            f"SELECT {expression} AS x FROM t WHERE b <> 0 OR b IS NULL"
+        ).rows
+        assert rows == [(1,), (None,)]
 
     def test_comparing_string_with_number_raises(self, db):
         from repro.errors import TypeMismatchError

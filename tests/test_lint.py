@@ -70,6 +70,9 @@ def test_lint_runner_exits_zero():
     assert completed.returncode == 0, completed.stdout + completed.stderr
     for name in ("envknobs", "execguard", "gcguard", "lockcheck"):
         assert f"{name}: OK" in completed.stdout
+    # the informational line budget: the src/ total and the ten largest modules
+    budget = completed.stdout[completed.stdout.index("line budget: src/ holds ") :]
+    assert len(budget.splitlines()) == 11 and "src/repro/engine/vector.py" in budget
 
 
 def test_violation_renders_compiler_style():
