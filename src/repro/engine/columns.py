@@ -21,11 +21,12 @@ engine's ``DECIMAL``), ``array('q')`` stores 64-bit integers, and dates are
 stored as their :func:`~repro.sql.types.date_days` ordinal, whose ordering
 equals calendar ordering.
 
-:meth:`repro.engine.storage.Table.typed_column` caches one
-:class:`TypedColumn` (or the ``None`` refusal) per column per table
-*version*, so repeated scans of a stable table pay the stability check
-once per mutation epoch.  ``REPRO_ENGINE_TYPED=0`` switches the whole
-layer off (see :mod:`repro.engine.config`).
+:meth:`repro.engine.storage.TableData.typed_column` builds one
+:class:`TypedColumn` (or the ``None`` refusal) per column of an immutable
+table version and keeps it for that version's lifetime, so repeated scans of
+a stable table pay the stability check once per write.
+``REPRO_ENGINE_TYPED=0`` switches the whole layer off (see
+:mod:`repro.engine.config`).
 """
 
 from __future__ import annotations

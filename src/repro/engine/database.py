@@ -86,10 +86,10 @@ class Database:
         self._stat_mutations: dict[str, int] = {}
         self._ttid_hints: dict[str, str] = {}
         self._refresh_policy = RefreshPolicy()
-        # Serializes writers (DML is read-copy-replace on table.rows, DDL
-        # mutates the catalog) so concurrent gateway sessions cannot lose
-        # updates.  Readers stay lock-free: they see the old or the new rows
-        # list, never a torn one.
+        # Serializes writers (DML builds a table's next version from the
+        # current one and publishes it, DDL mutates the catalog) so concurrent
+        # gateway sessions cannot lose updates.  Readers stay lock-free: a
+        # scan pins one immutable TableData, the old version or the new.
         self._write_lock = threading.RLock()
 
     # -- statement execution --------------------------------------------------
@@ -205,7 +205,7 @@ class Database:
         return function
 
     def insert_rows(self, table_name: str, rows: list[tuple]) -> int:
-        """Bulk-load rows (already in schema order) into a table."""
+        """Bulk-load rows (already in schema order) into a table, all or none."""
         with self._write_lock:
             table = self.catalog.table(table_name)
             table.insert_many(rows)

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from ..errors import ExecutionError
 from ..sql import ast
 from .expressions import ExpressionCompiler, Scope
 
@@ -13,31 +12,26 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 
 def execute_insert(context: "ExecutionContext", statement: ast.Insert) -> int:
-    """Insert literal rows or the result of a SELECT; returns the row count."""
+    """Insert literal rows or the result of a SELECT, all or none; returns
+    the row count."""
     table = context.database.catalog.table(statement.table)
-    inserted = 0
     if statement.query is not None:
-        result = context.executor.execute(statement.query)
-        for row in result.rows:
-            if statement.columns:
-                table.insert_named(statement.columns, row)
-            else:
-                table.insert_row(row)
-            inserted += 1
-        return inserted
-    compiler = ExpressionCompiler(Scope([]), context)
-    for value_exprs in statement.rows:
-        values = [compiler.compile(expr)((), ()) for expr in value_exprs]
-        if statement.columns:
-            table.insert_named(statement.columns, values)
-        else:
-            table.insert_row(values)
-        inserted += 1
-    return inserted
+        rows = context.executor.execute(statement.query).rows
+    else:
+        compiler = ExpressionCompiler(Scope([]), context)
+        rows = [
+            [compiler.compile(expr)((), ()) for expr in value_exprs]
+            for value_exprs in statement.rows
+        ]
+    if statement.columns:
+        rows = [table.complete_row(statement.columns, row) for row in rows]
+    table.insert_many(rows)
+    return len(rows)
 
 
 def execute_update(context: "ExecutionContext", statement: ast.Update) -> int:
-    """Update rows in place; returns the number of rows changed."""
+    """Publish the table with the matching rows rewritten; returns the
+    number of rows changed."""
     table = context.database.catalog.table(statement.table)
     scope = Scope([(statement.table, column.name) for column in table.schema.columns])
     compiler = ExpressionCompiler(scope, context)
@@ -60,23 +54,21 @@ def execute_update(context: "ExecutionContext", statement: ast.Update) -> int:
             changed += 1
         else:
             new_rows.append(row)
-    table.rows = new_rows
-    table.version += 1
+    table.publish(new_rows)
     return changed
 
 
 def execute_delete(context: "ExecutionContext", statement: ast.Delete) -> int:
-    """Delete matching rows; returns the number of rows removed."""
+    """Publish the table without the matching rows; returns the number of
+    rows removed."""
     table = context.database.catalog.table(statement.table)
+    rows = table.rows
     if statement.where is None:
-        removed = len(table.rows)
         table.truncate()
-        return removed
+        return len(rows)
     scope = Scope([(statement.table, column.name) for column in table.schema.columns])
     compiler = ExpressionCompiler(scope, context)
     predicate = compiler.compile_predicate(statement.where)
-    kept = [row for row in table.rows if predicate(row, ()) is not True]
-    removed = len(table.rows) - len(kept)
-    table.rows = kept
-    table.version += 1
-    return removed
+    kept = [row for row in rows if predicate(row, ()) is not True]
+    table.publish(kept)
+    return len(rows) - len(kept)

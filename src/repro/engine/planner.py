@@ -23,15 +23,21 @@ In vectorized mode joins are *late-materialized*: a join step hashes the
 newly joined source, probes it with key columns computed over the current
 batch, and emits ``(left positions, matched build rows)`` — the output is a
 :class:`~repro.engine.vector.JoinedBatch` of references to the source rows,
-so no tuple is allocated per joined row.  Sources hand their rows to joins
-read-only (an unfiltered scan is the table heap itself).  Row mode keeps
-tuple concatenation and stays the oracle.
+so no tuple is allocated per joined row.  Row mode keeps tuple concatenation
+and stays the oracle.
+
+A :class:`TableSource` reads its table's current
+:class:`~repro.engine.storage.TableData` exactly once per scan, so a scan, all
+of its conjuncts and its typed kernels see one table version whatever
+concurrent DML publishes; an unfiltered scan hands out that version's row
+tuple itself — read-only as a type fact, not a convention — which is also why
+a stream that outlives its statement needs no copy.
 """
 
 from __future__ import annotations
 
 from itertools import compress
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from ..compile.cost import predicate_selectivity
 from ..errors import ExecutionError
@@ -44,6 +50,7 @@ from .expressions import (
     contains_subquery,
     referenced_columns,
 )
+from .storage import TableData
 from .vector import (
     BatchExpressionCompiler,
     BatchKernel,
@@ -165,7 +172,7 @@ class SourcePlan:
         """Push a batch predicate kernel down onto this source."""
         self._batch_filters.append(kernel)
 
-    def _apply_filters(self, rows: list[tuple], outers: tuple) -> list[tuple]:
+    def _apply_filters(self, rows: Sequence[tuple], outers: tuple) -> Sequence[tuple]:
         if self._batch_filters:
             return self._filter_batch(RowBatch(rows), outers).rows
         if not self._filters:
@@ -181,11 +188,10 @@ class SourcePlan:
         """Apply the pushed-down batch filters, compacting by selection."""
         return apply_batch_predicates(batch, self._batch_filters, outers)
 
-    def rows(self, outers: tuple) -> list[tuple]:
+    def rows(self, outers: tuple) -> Sequence[tuple]:
         """The plan's filtered rows, **read-only**: an unfiltered scan hands
-        out the table heap itself and a cached sub-plan its cached list, so
-        joins build and probe without copying.  A consumer that outlives the
-        statement (a stream) snapshots them."""
+        out its table version's immutable row tuple and a cached sub-plan its
+        cached list, so joins build and probe without copying."""
         raise NotImplementedError
 
     def batch(self, outers: tuple) -> RowBatch:
@@ -215,9 +221,14 @@ class TableSource(SourcePlan):
     look-up in a lazily-built hash index on that key column.
 
     With ``typed=True`` (vectorized mode with ``REPRO_ENGINE_TYPED=1``) the
-    scan batch additionally exposes the table's version-cached
+    scan batch additionally exposes that version's
     :class:`~repro.engine.columns.TypedColumn` payloads, which is what lets
     downstream kernels run their specialized loops.
+
+    :meth:`rows` and :meth:`batch` each read ``table.data`` once and hand
+    that one :class:`~repro.engine.storage.TableData` on: rows, column
+    arrays, typed payloads and the look-up index of a scan all belong to the
+    same table version.
     """
 
     def __init__(self, table, binding: str, typed: bool = False) -> None:
@@ -242,30 +253,37 @@ class TableSource(SourcePlan):
             return 1
         return max(len(self.table.rows), 1)
 
-    def rows(self, outers: tuple) -> list[tuple]:
-        """The filtered scan (or look-up bucket); unfiltered = the heap itself."""
+    def rows(self, outers: tuple) -> Sequence[tuple]:
+        """The filtered scan (or look-up bucket) of the current table
+        version; unfiltered = that version's row tuple itself."""
+        data = self.table.data
         if self._key_lookup is not None:
-            column_index, value_fn = self._key_lookup
-            value = value_fn((), outers)
-            # key = NULL is never true, whatever the index holds under None
-            candidates = (
-                [] if value is None else self.table.hash_index(column_index).get(value, [])
-            )
-            return self._apply_filters(candidates, outers)
+            return self._apply_filters(self._bucket(data, outers), outers)
         if self._batch_filters:
-            # batch kernels read the table's version-cached column arrays
-            # (and typed payloads) directly instead of gathering per query
-            return self.batch(outers).rows
-        return self._apply_filters(self.table.rows, outers)
+            return self._scan(data, outers).rows
+        return self._apply_filters(data.rows, outers)
 
     def batch(self, outers: tuple) -> RowBatch:
-        """The filtered scan as a selection over the table's column caches."""
+        """The filtered scan as a selection over one version's column caches."""
+        data = self.table.data
         if self._key_lookup is not None:
-            return RowBatch(self.rows(outers))
+            return RowBatch(self._apply_filters(self._bucket(data, outers), outers))
+        return self._scan(data, outers)
+
+    def _bucket(self, data: TableData, outers: tuple) -> list[tuple]:
+        """The rows of ``data`` the point look-up's key value selects."""
+        column_index, value_fn = self._key_lookup
+        value = value_fn((), outers)
+        # key = NULL is never true, whatever the index holds under None
+        return [] if value is None else data.hash_index(column_index).get(value, [])
+
+    def _scan(self, data: TableData, outers: tuple) -> RowBatch:
+        """The filtered full scan of ``data``: batch kernels read its column
+        arrays (and typed payloads) instead of gathering ``row[index]``."""
         scan = RowBatch(
-            self.table.rows,
-            col_source=self.table.column_array,
-            typed_source=self.table.typed_column if self._typed else None,
+            data.rows,
+            col_source=data.column_array,
+            typed_source=data.typed_column if self._typed else None,
         )
         return self._filter_batch(scan, outers)
 
@@ -577,10 +595,9 @@ class JoinPipeline:
         the join *output*: left rows flow through one at a time, so the
         first joined row is produced without computing the full cross
         product — the engine's streaming path
-        (:meth:`repro.engine.executor.PreparedSelect.stream`).  The first
-        source's rows are snapshotted: the stream outlives the statement.
+        (:meth:`repro.engine.executor.PreparedSelect.stream`).
         """
-        current = iter(list(self._first.rows(outers)))
+        current = iter(self._first.rows(outers))
         for step in self._steps:
             current = self._iter_step(step, current, outers)
         if self._final_residuals:
@@ -600,12 +617,10 @@ class JoinPipeline:
         hash table when first pulled, but left rows flow through the spine
         ``batch_size`` at a time and every yielded batch is re-bounded to at
         most ``batch_size`` rows — an early-``LIMIT`` consumer therefore
-        materializes O(batch) rows, never the join output.  The first
-        source's rows are snapshotted: the stream outlives the statement,
-        the table heap may grow under it.
+        materializes O(batch) rows, never the join output.
         """
         size = batch_size or self._batch_size
-        current = _windows(RowBatch(list(self._first.rows(outers))), size)
+        current = _windows(RowBatch(self._first.rows(outers)), size)
         width = len(self._first.schema)
         for step in self._steps:
             current = self._iter_step_batch(step, current, width, outers, size)

@@ -1,9 +1,10 @@
 """In-memory storage: column descriptors, tables and rows.
 
-Rows are plain tuples; a :class:`Table` pairs a :class:`TableSchema` with a
-list of rows.  All identifier matching in the engine is case-insensitive, so
-schemas normalize names to lower case while remembering the original spelling
-for display purposes.
+Rows are plain tuples; a :class:`Table` pairs a :class:`TableSchema` with its
+current :class:`TableData` — an immutable version of the rows that writers
+replace whole and readers pin.  All identifier matching in the engine is
+case-insensitive, so schemas normalize names to lower case while remembering
+the original spelling for display purposes.
 """
 
 from __future__ import annotations
@@ -70,75 +71,100 @@ class TableSchema:
         self.columns.append(column)
 
 
-class Table:
-    """A heap of rows with schema-aware insertion."""
+class TableData:
+    """One immutable version of a table: its rows and what is derived from them.
 
-    def __init__(self, schema: TableSchema) -> None:
+    ``rows`` is a tuple nobody changes, so the column slices, typed payloads
+    and hash indexes built from it are filled lazily and never invalidated —
+    they live and die with the version.  A reader that holds one
+    ``TableData`` (a scan pins it, see
+    :class:`repro.engine.planner.TableSource`) sees one consistent table
+    however many writers publish in the meantime.
+    """
+
+    __slots__ = ("schema", "rows", "_columns", "_typed", "_indexes")
+
+    def __init__(self, schema: TableSchema, rows: tuple = ()) -> None:
         self.schema = schema
-        self.rows: list[tuple] = []
-        #: bumped on every mutation; invalidates the cached column slices,
-        #: typed payloads and hash indexes below
-        self.version = 0
-        self._column_cache: dict[int, list] = {}
-        self._column_cache_version = -1
-        self._typed_cache: dict[int, Optional[TypedColumn]] = {}
-        self._typed_cache_version = -1
-        self._index_cache: dict[int, dict] = {}
-        self._index_cache_version = -1
-
-    def __len__(self) -> int:
-        return len(self.rows)
+        self.rows = rows
+        self._columns: dict[int, list] = {}
+        self._typed: dict[int, Optional[TypedColumn]] = {}
+        self._indexes: dict[int, dict] = {}
 
     def column_array(self, index: int) -> list:
-        """The full column at ``index`` as a list, cached per table version.
+        """The full column at ``index`` as a list (gathered once).
 
-        The vectorized executor reads table data column-wise; gathering a
-        column once per mutation epoch (instead of once per query) makes
-        repeated scans of a stable table allocation-free.  Any mutation bumps
-        ``version`` and the next call rebuilds the requested column.
+        The vectorized executor reads table data column-wise; repeated scans
+        of one version are allocation-free.
         """
-        if self._column_cache_version != self.version:
-            self._column_cache = {}
-            self._column_cache_version = self.version
-        column = self._column_cache.get(index)
+        column = self._columns.get(index)
         if column is None:
-            column = [row[index] for row in self.rows]
-            self._column_cache[index] = column
+            column = self._columns[index] = [row[index] for row in self.rows]
         return column
 
     def typed_column(self, index: int) -> Optional[TypedColumn]:
-        """The typed payload for column ``index``, cached per table version.
+        """The typed payload for column ``index`` (built once).
 
-        Returns ``None`` when the column is not provably type-stable (see
+        ``None`` when the column is not provably type-stable (see
         :func:`repro.engine.columns.build_typed_column`); the refusal is
-        cached too, so an unstable column costs one scan per mutation epoch
-        rather than one per query.
+        cached too, so an unstable column costs one check per version rather
+        than one per query.
         """
-        if self._typed_cache_version != self.version:
-            self._typed_cache = {}
-            self._typed_cache_version = self.version
-        if index in self._typed_cache:
-            return self._typed_cache[index]
+        if index in self._typed:
+            return self._typed[index]
         typed = build_typed_column(self.schema.columns[index].sql_type, self.column_array(index))
-        self._typed_cache[index] = typed
+        self._typed[index] = typed
         return typed
 
     def hash_index(self, index: int) -> dict:
-        """Column ``index``'s value -> its rows in heap order, cached per
-        table version (the planner's primary-key point look-ups)."""
-        if self._index_cache_version != self.version:
-            self._index_cache = {}
-            self._index_cache_version = self.version
-        lookup = self._index_cache.get(index)
+        """Column ``index``'s value -> its rows in heap order (built once;
+        the planner's primary-key point look-ups)."""
+        lookup = self._indexes.get(index)
         if lookup is None:
             lookup = {}
             for row in self.rows:
                 lookup.setdefault(row[index], []).append(row)
-            self._index_cache[index] = lookup
+            self._indexes[index] = lookup
         return lookup
 
-    def insert_row(self, values: Sequence[Any]) -> None:
-        """Insert a full row (values in schema column order)."""
+
+class Table:
+    """A named, schema-checked sequence of :class:`TableData` versions.
+
+    ``data`` is the table's one mutable attribute: the current version,
+    swapped whole by :meth:`publish`.  Every writer validates and builds its
+    new rows first and publishes once, so a failed statement leaves nothing
+    behind and a reader never sees a half-applied one.  Writers are
+    serialized by the owning database (``Database._write_lock``); readers
+    take no lock — they read ``data`` once and keep that version.
+    """
+
+    def __init__(self, schema: TableSchema) -> None:
+        self.schema = schema
+        self.data = TableData(schema)
+
+    @property
+    def rows(self) -> tuple:
+        """The current version's rows."""
+        return self.data.rows
+
+    def __len__(self) -> int:
+        return len(self.data.rows)
+
+    def publish(self, rows: Iterable[tuple]) -> None:
+        """Make ``rows`` (already validated) the table's next version."""
+        self.data = TableData(self.schema, tuple(rows))
+
+    def complete_row(self, names: Sequence[str], values: Sequence[Any]) -> list:
+        """A full row from a subset of columns; missing columns get defaults."""
+        if len(names) != len(values):
+            raise ConstraintViolation("column list and value list differ in length")
+        provided = {name.lower(): value for name, value in zip(names, values)}
+        return [provided.get(column.key, column.default) for column in self.schema.columns]
+
+    def _checked_row(self, values: Sequence[Any]) -> tuple:
+        """``values`` (schema column order) as a row tuple, or the
+        :class:`~repro.errors.ConstraintViolation` that refuses it."""
         if len(values) != len(self.schema.columns):
             raise ConstraintViolation(
                 f"table {self.schema.name!r} expects {len(self.schema.columns)} values, "
@@ -146,25 +172,7 @@ class Table:
             )
         row = tuple(values)
         self._check_not_null(row)
-        self.rows.append(row)
-        self.version += 1
-
-    def insert_named(self, names: Sequence[str], values: Sequence[Any]) -> None:
-        """Insert a row given a subset of columns; missing columns get defaults."""
-        if len(names) != len(values):
-            raise ConstraintViolation("column list and value list differ in length")
-        provided = {name.lower(): value for name, value in zip(names, values)}
-        row = []
-        for column in self.schema.columns:
-            if column.key in provided:
-                row.append(provided[column.key])
-            else:
-                row.append(column.default)
-        self.insert_row(row)
-
-    def insert_many(self, rows: Iterable[Sequence[Any]]) -> None:
-        for row in rows:
-            self.insert_row(row)
+        return row
 
     def _check_not_null(self, row: tuple) -> None:
         for column, value in zip(self.schema.columns, row):
@@ -173,9 +181,22 @@ class Table:
                     f"column {column.name!r} of table {self.schema.name!r} is NOT NULL"
                 )
 
+    def insert_many(self, rows: Iterable[Sequence[Any]]) -> None:
+        """Append full rows, all or none: every row is checked before the
+        one publish (one heap concatenation per call, not per row)."""
+        new_rows = tuple(map(self._checked_row, rows))
+        self.publish(self.data.rows + new_rows)
+
+    def insert_row(self, values: Sequence[Any]) -> None:
+        """Insert a full row (values in schema column order)."""
+        self.insert_many((values,))
+
+    def insert_named(self, names: Sequence[str], values: Sequence[Any]) -> None:
+        """Insert a row given a subset of columns; missing columns get defaults."""
+        self.insert_row(self.complete_row(names, values))
+
     def truncate(self) -> None:
-        self.rows.clear()
-        self.version += 1
+        self.publish(())
 
 
 @dataclass

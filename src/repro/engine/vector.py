@@ -78,12 +78,14 @@ class RowBatch:
     consumer actually asks for them.
 
     Columns materialize on first access via :meth:`column` — from the
-    ``typed_source`` payload when it is zero-copy usable, from the table's
-    version-cached object columns (``col_source``), or by gathering
-    ``row[index]``.  Specialized kernels bypass the object columns entirely
-    through :meth:`typed_column` + :attr:`sel`.  Invariant: a batch with
-    sources and ``sel is None`` spans its table payload *in full, in payload
-    order* (windows and filters over it always carry a selection).
+    ``typed_source`` payload when it is zero-copy usable, from the object
+    columns of ``col_source``, or by gathering ``row[index]``.  Specialized
+    kernels bypass the object columns entirely through :meth:`typed_column`
+    + :attr:`sel`.  A scan passes ``rows`` and both sources from **one**
+    :class:`~repro.engine.storage.TableData`, so every view derived from
+    the batch reads the same immutable table version.  Invariant: a batch
+    with sources and ``sel is None`` spans its table payload *in full, in
+    payload order* (windows and filters over it always carry a selection).
     """
 
     __slots__ = ("n", "_rows", "_mat", "_sel", "_cols", "_col_source", "_typed_source")
@@ -925,9 +927,21 @@ class BatchExpressionCompiler:
         raise _TypedUnsupported
 
     def _typed_plan(
-        self, dense_body: str, selected_body: str, slot_vars: dict[int, int]
-    ) -> "_TypedPlan":
-        """``exec`` the three loop variants for one rendered expression."""
+        self,
+        dense_body: str,
+        selected_body: str,
+        slot_vars: dict[int, int],
+        names: Optional[dict[str, Any]] = None,
+    ) -> tuple:
+        """``exec`` the loop variants of one rendered expression.
+
+        Returns ``(slots, dense, selected, nullaware)``: the storage slots
+        feeding the expression in payload-argument order, and its loops over
+        full payloads, over the payload positions of a selection, and over a
+        selection yielding ``None`` at the positions of a null set (the union
+        of the columns' null sets — every generated operator is NULL-strict).
+        ``names`` are the constants the bodies refer to by name.
+        """
         slots = [0] * len(slot_vars)
         for slot, var in slot_vars.items():
             slots[var] = slot
@@ -951,31 +965,28 @@ class BatchExpressionCompiler:
         namespace: dict[str, Any] = {}
         exec(  # noqa: S102 - source assembled from vetted fragments only
             compile(dense_src + selected_src + nullaware_src, "<typed-kernel>", "exec"),
-            {"__builtins__": {}, "zip": zip},
+            {"__builtins__": {}, "zip": zip, **(names or {})},
             namespace,
         )
-        return _TypedPlan(
-            slots, namespace["dense"], namespace["selected"], namespace["nullaware"]
-        )
+        return slots, namespace["dense"], namespace["selected"], namespace["nullaware"]
 
     def _typed_numeric_kernel(
-        self, plan: "_TypedPlan", generic: BatchKernel, dates: bool = False
+        self, plan: tuple, generic: BatchKernel, accepts: str = "numeric"
     ) -> BatchKernel:
         """Wrap a typed plan with the per-batch payload guard + fallback.
 
-        The plan's operators apply when every referenced slot has a numeric
-        payload — or, with ``dates`` (a bare column-vs-column comparison),
-        when every slot is a DATE column stored as dates: day ordinals order
-        and equal exactly like the dates.  A DATE column holding ISO strings
-        stays generic, where two strings compare as text.
+        The plan's operators apply when every referenced slot has a payload
+        ``accepts`` names: ``"numeric"``; ``"numeric-or-dates"`` (a bare
+        column-vs-column comparison) also takes DATE columns stored as dates
+        — day ordinals order and equal exactly like the dates, while a DATE
+        column holding ISO strings stays generic, where two strings compare
+        as text; ``"date"`` (a DATE column against literal day ordinals)
+        takes any date payload.
 
         A dispatch counts as *proven* instead of *typed* when the analyzer
         proved every referenced slot NOT NULL (see :meth:`_typed_hit`).
         """
-        slots = plan.slots
-        dense = plan.dense
-        selected = plan.selected
-        nullaware = plan.nullaware
+        slots, dense, selected, nullaware = plan
         counters = self._kernels
         hit = self._typed_hit(slots)
 
@@ -984,11 +995,15 @@ class BatchExpressionCompiler:
             if None in columns:
                 return None
             kinds = {typed.kind for typed in columns}
-            if kinds <= NUMERIC_KINDS:
-                return columns
-            if dates and kinds == {"date"} and not any(typed.parsed for typed in columns):
-                return columns
-            return None
+            if accepts == "date":
+                accepted = kinds == {"date"}
+            else:
+                accepted = kinds <= NUMERIC_KINDS or (
+                    accepts == "numeric-or-dates"
+                    and kinds == {"date"}
+                    and not any(typed.parsed for typed in columns)
+                )
+            return columns if accepted else None
 
         def kernel(batch: RowBatch, outers: tuple) -> list:
             columns = typed_columns(batch)
@@ -1034,6 +1049,15 @@ class BatchExpressionCompiler:
 
         return hit
 
+    def _typed_slot_kernel(
+        self, slot: int, body: str, generic: BatchKernel, accepts: str, **names: Any
+    ) -> BatchKernel:
+        """Typed kernel of a one-column ``body`` (``{v}`` is the element)."""
+        plan = self._typed_plan(
+            body.format(v="v0"), body.format(v="c0[i]"), {slot: 0}, names
+        )
+        return self._typed_numeric_kernel(plan, generic, accepts)
+
     def _typed_predicate(
         self,
         left: ast.Expression,
@@ -1057,7 +1081,9 @@ class BatchExpressionCompiler:
             slot_vars,
         )
         bare = isinstance(left, ast.Column) and isinstance(right, ast.Column)
-        return self._typed_numeric_kernel(plan, generic, dates=bare)
+        return self._typed_numeric_kernel(
+            plan, generic, "numeric-or-dates" if bare else "numeric"
+        )
 
     def _typed_date_compare(
         self,
@@ -1066,46 +1092,18 @@ class BatchExpressionCompiler:
         op_src: str,
         generic: BatchKernel,
     ) -> Optional[BatchKernel]:
-        """``date_column OP DATE-literal`` reduced to day-ordinal compares.
-
-        Dates order by their :func:`~repro.sql.types.date_days` ordinal, so
-        comparing ordinals is exactly comparing dates.  A literal
-        on the left flips to the mirrored operator so the loop always runs
-        ``op(value, const)``.
-        """
-        py_op = _PY_OP_BY_SRC[op_src]
-        slot = self._depth0_slot(left)
-        const = _fold_literal(right)
-        if slot is None or const is None or type(const.value) is not Date:
-            slot = self._depth0_slot(right)
-            const = _fold_literal(left)
-            if slot is None or const is None or type(const.value) is not Date:
-                return None
-            py_op = _MIRRORED_OPS[py_op]
-        const_days = date_days(const.value)
-        counters = self._kernels
-        hit = self._typed_hit((slot,))
-
-        def kernel(batch: RowBatch, outers: tuple) -> list:
-            typed = batch.typed_column(slot)
-            if typed is None or typed.kind != "date":
-                counters.generic += 1
-                return generic(batch, outers)
-            hit()
-            values = typed.values
-            sel = batch.sel
-            if typed.nulls is None:
-                if sel is None:
-                    return [py_op(value, const_days) for value in values]
-                return [py_op(values[i], const_days) for i in sel]
-            nulls = typed.nulls
-            if sel is None:
-                sel = range(batch.n)
-            return [
-                None if i in nulls else py_op(values[i], const_days) for i in sel
-            ]
-
-        return kernel
+        """``date_column OP DATE-literal`` (either way round) reduced to a
+        day-ordinal compare: dates order by their
+        :func:`~repro.sql.types.date_days` ordinal."""
+        for column, literal, body in (
+            (left, right, "({{v}} {op} {days})"),
+            (right, left, "({days} {op} {{v}})"),
+        ):
+            slot, const = self._depth0_slot(column), _fold_literal(literal)
+            if slot is not None and const is not None and type(const.value) is Date:
+                body = body.format(op=op_src, days=date_days(const.value))
+                return self._typed_slot_kernel(slot, body, generic, "date")
+        return None
 
     def _typed_between(
         self, expr: ast.Between, generic: BatchKernel
@@ -1115,6 +1113,7 @@ class BatchExpressionCompiler:
         high = _fold_literal(expr.high)
         if low is None or high is None:
             return None
+        negation = "not " if expr.negated else ""
         if _is_plain_number(low.value) and _is_plain_number(high.value):
             slot_vars: dict[int, int] = {}
             try:
@@ -1123,66 +1122,19 @@ class BatchExpressionCompiler:
                 return None
             if not slot_vars:
                 return None
-            dense_body = f"({low.value!r} <= {dense} <= {high.value!r})"
-            selected_body = f"({low.value!r} <= {selected} <= {high.value!r})"
-            if expr.negated:
-                dense_body = f"(not {dense_body})"
-                selected_body = f"(not {selected_body})"
-            plan = self._typed_plan(dense_body, selected_body, slot_vars)
+            plan = self._typed_plan(
+                f"({negation}({low.value!r} <= {dense} <= {high.value!r}))",
+                f"({negation}({low.value!r} <= {selected} <= {high.value!r}))",
+                slot_vars,
+            )
             return self._typed_numeric_kernel(plan, generic)
         if type(low.value) is Date and type(high.value) is Date:
             slot = self._depth0_slot(expr.expr)
             if slot is None:
                 return None
-            return self._typed_date_between(
-                slot, date_days(low.value), date_days(high.value), expr.negated, generic
-            )
+            body = f"({negation}({date_days(low.value)} <= {{v}} <= {date_days(high.value)}))"
+            return self._typed_slot_kernel(slot, body, generic, "date")
         return None
-
-    def _typed_date_between(
-        self,
-        slot: int,
-        low_days: int,
-        high_days: int,
-        negated: bool,
-        generic: BatchKernel,
-    ) -> BatchKernel:
-        """``date_column BETWEEN DATE-literals`` over day ordinals."""
-        counters = self._kernels
-        hit = self._typed_hit((slot,))
-
-        def kernel(batch: RowBatch, outers: tuple) -> list:
-            typed = batch.typed_column(slot)
-            if typed is None or typed.kind != "date":
-                counters.generic += 1
-                return generic(batch, outers)
-            hit()
-            values = typed.values
-            sel = batch.sel
-            if typed.nulls is None:
-                if sel is None:
-                    if negated:
-                        return [
-                            not (low_days <= value <= high_days) for value in values
-                        ]
-                    return [low_days <= value <= high_days for value in values]
-                if negated:
-                    return [not (low_days <= values[i] <= high_days) for i in sel]
-                return [low_days <= values[i] <= high_days for i in sel]
-            nulls = typed.nulls
-            if sel is None:
-                sel = range(batch.n)
-            if negated:
-                return [
-                    None if i in nulls else not (low_days <= values[i] <= high_days)
-                    for i in sel
-                ]
-            return [
-                None if i in nulls else (low_days <= values[i] <= high_days)
-                for i in sel
-            ]
-
-        return kernel
 
     def _typed_inlist(
         self,
@@ -1192,83 +1144,17 @@ class BatchExpressionCompiler:
         negated: bool,
         generic: BatchKernel,
     ) -> BatchKernel:
-        """Typed set-membership for a numeric column against numeric literals."""
-        counters = self._kernels
-        hit = self._typed_hit((slot,))
-
-        def kernel(batch: RowBatch, outers: tuple) -> list:
-            typed = batch.typed_column(slot)
-            if typed is None or typed.kind not in NUMERIC_KINDS:
-                counters.generic += 1
-                return generic(batch, outers)
-            hit()
-            values = typed.values
-            sel = batch.sel
-            nulls = typed.nulls
-            if nulls is None and not saw_null:
-                if sel is None:
-                    return [(value in members) != negated for value in values]
-                return [(values[i] in members) != negated for i in sel]
-            if sel is None:
-                sel = range(batch.n)
-            out = []
-            append = out.append
-            for i in sel:
-                if nulls is not None and i in nulls:
-                    append(None)
-                elif values[i] in members:
-                    append(not negated)
-                elif saw_null:
-                    append(None)
-                else:
-                    append(negated)
-            return out
-
-        return kernel
+        """Typed set-membership for a numeric column against numeric
+        literals; a NULL in the list turns every miss into NULL."""
+        if saw_null:
+            body = f"({not negated} if {{v}} in members else None)"
+        else:
+            body = "({v} not in members)" if negated else "({v} in members)"
+        return self._typed_slot_kernel(slot, body, generic, "numeric", members=members)
 
 
 class _TypedUnsupported(Exception):
     """Internal: a subtree cannot compile into a typed numeric kernel."""
-
-
-class _TypedPlan:
-    """A codegen'd kernel triple over typed payloads for one expression.
-
-    ``slots`` are the storage column indexes feeding the expression (in
-    payload-argument order); ``dense`` evaluates full payloads in one zip
-    loop, ``selected`` evaluates the payload positions of a selection
-    array, and ``nullaware`` additionally yields ``None`` at positions in
-    a null set (the union of the referenced columns' null sets — every
-    generated operator is NULL-strict, so any NULL operand nulls the row).
-    """
-
-    __slots__ = ("slots", "dense", "selected", "nullaware")
-
-    def __init__(self, slots, dense, selected, nullaware) -> None:
-        self.slots = slots
-        self.dense = dense
-        self.selected = selected
-        self.nullaware = nullaware
-
-
-_PY_OP_BY_SRC = {
-    "<": operator.lt,
-    "<=": operator.le,
-    ">": operator.gt,
-    ">=": operator.ge,
-    "==": operator.eq,
-    "!=": operator.ne,
-}
-
-#: op(a, b) == mirrored_op(b, a) — used to flip const-on-the-left compares
-_MIRRORED_OPS = {
-    operator.lt: operator.gt,
-    operator.le: operator.ge,
-    operator.gt: operator.lt,
-    operator.ge: operator.le,
-    operator.eq: operator.eq,
-    operator.ne: operator.ne,
-}
 
 
 # ---------------------------------------------------------------------------

@@ -78,6 +78,69 @@ class TestInsert:
         assert db.query("SELECT id, name, balance FROM customer").rows == [(2, "ADA", 10)]
 
 
+class TestFailedInsertLeavesNothingBehind:
+    """A statement (or bulk load) whose n-th row is refused inserts none of
+    the rows before it — what sqlite, the differential oracle, does."""
+
+    @pytest.fixture
+    def t(self):
+        database = Database()
+        database.execute("CREATE TABLE t (a INTEGER NOT NULL, b INTEGER DEFAULT 7)")
+        database.execute("CREATE TABLE src (a INTEGER, b INTEGER)")
+        database.execute("INSERT INTO src VALUES (1, 1), (NULL, 2), (3, 3)")
+        database.execute("INSERT INTO t VALUES (0, 0)")
+        return database
+
+    @pytest.mark.parametrize(
+        "sql",
+        [
+            "INSERT INTO t VALUES (1, 1), (NULL, 2), (3, 3)",
+            "INSERT INTO t SELECT a, b FROM src",
+            "INSERT INTO t (b, a) SELECT b, a FROM src",
+            "INSERT INTO t (a) VALUES (1), (NULL), (3)",
+            "INSERT INTO t (b) VALUES (5)",
+            "INSERT INTO t VALUES (1, 1), (2, 2, 2)",
+        ],
+    )
+    def test_statement_is_all_or_none(self, t, sql):
+        before = t.catalog.table("t").data
+        with pytest.raises(ConstraintViolation):
+            t.execute(sql)
+        assert t.catalog.table("t").data is before
+        assert t.query("SELECT a, b FROM t").rows == [(0, 0)]
+
+    def test_bulk_load_is_all_or_none(self, t):
+        with pytest.raises(ConstraintViolation):
+            t.insert_rows("t", [(5, 5), (None, 6)])
+        assert t.query("SELECT a, b FROM t").rows == [(0, 0)]
+        assert t.insert_rows("t", [(5, 5), (6, None)]) == 2
+        assert t.query("SELECT a, b FROM t").rows == [(0, 0), (5, 5), (6, None)]
+
+    def test_engine_keeps_what_sqlite_keeps(self, t):
+        from repro.backends import SQLiteBackend
+        from repro.errors import ReproError
+
+        def replay(target) -> list[tuple]:
+            for attempt in (
+                lambda: target.execute("INSERT INTO t VALUES (1, 1), (NULL, 2), (3, 3)"),
+                lambda: target.insert_rows("t", [(5, 5), (None, 6)]),
+                lambda: target.execute("INSERT INTO t (a) VALUES (8), (9)"),
+            ):
+                try:
+                    attempt()
+                except ReproError:
+                    pass
+            return [tuple(row) for row in target.query("SELECT a, b FROM t ORDER BY a").rows]
+
+        with SQLiteBackend() as backend:
+            sqlite = backend.connect()
+            sqlite.execute("CREATE TABLE t (a INTEGER NOT NULL, b INTEGER DEFAULT 7)")
+            sqlite.execute("INSERT INTO t VALUES (0, 0)")
+            expected = replay(sqlite)
+        assert expected == [(0, 0), (8, 7), (9, 7)]
+        assert replay(t) == expected
+
+
 class TestUpdateDelete:
     def test_update_with_where(self, db):
         db.execute("INSERT INTO customer VALUES (1, 'ada', 10), (2, 'bob', 20)")

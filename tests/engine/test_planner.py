@@ -130,7 +130,8 @@ class TestCorrelationDetection:
 
 
 class TestReadOnlyScans:
-    """Sources hand their rows to joins read-only; only streams snapshot."""
+    """Sources hand their rows to joins read-only — a table version is
+    immutable, so not even a stream that outlives its statement copies."""
 
     def test_unfiltered_scan_is_the_heap_not_a_copy(self, db):
         from repro.engine.planner import TableSource
@@ -141,7 +142,7 @@ class TestReadOnlyScans:
 
     def test_join_does_not_disturb_the_heap(self, db):
         heap = db.catalog.table("small").rows
-        before = list(heap)
+        before = tuple(heap)
         db.query("SELECT COUNT(*) FROM big, small WHERE big.ref = small.id")
         db.query("SELECT * FROM small")
         assert db.catalog.table("small").rows is heap and heap == before
@@ -152,3 +153,24 @@ class TestReadOnlyScans:
         db.execute("INSERT INTO small VALUES (10, 'label10')")
         assert len(first) + len(list(stream)) == 10
         assert db.query("SELECT COUNT(*) FROM small").scalar() == 11
+
+    def test_open_stream_does_not_see_rows_updated_under_it(self, db):
+        stream = db.execute_stream("SELECT id, label FROM small")
+        first = stream.fetchmany(3)
+        db.execute("UPDATE small SET label = 'changed'")
+        assert first + list(stream) == [(i, f"label{i}") for i in range(10)]
+        assert db.query("SELECT DISTINCT label FROM small").rows == [("changed",)]
+
+    def test_open_stream_does_not_miss_rows_deleted_under_it(self, db):
+        stream = db.execute_stream("SELECT id FROM small")
+        first = stream.fetchmany(3)
+        db.execute("DELETE FROM small WHERE id >= 2")
+        assert first + list(stream) == [(i,) for i in range(10)]
+        assert db.query("SELECT COUNT(*) FROM small").scalar() == 2
+
+    def test_open_stream_survives_a_truncate_under_it(self, db):
+        stream = db.execute_stream("SELECT id FROM small")
+        first = stream.fetchmany(3)
+        db.execute("DELETE FROM small")
+        assert first + list(stream) == [(i,) for i in range(10)]
+        assert db.query("SELECT COUNT(*) FROM small").scalar() == 0

@@ -73,14 +73,20 @@ class TestTable:
         with pytest.raises(ConstraintViolation):
             Table(make_schema()).insert_named(("id",), (1, 2))
 
-    def test_version_bumps_on_mutation(self):
+    def test_every_mutation_publishes_a_new_data(self):
         table = Table(make_schema())
-        before = table.version
-        table.insert_row((1, "ada", 36))
-        assert table.version > before
-        before = table.version
-        table.truncate()
-        assert table.version > before
+        seen = [table.data]
+        for mutate in (
+            lambda: table.insert_row((1, "ada", 36)),
+            lambda: table.insert_named(("id", "name"), (2, "bob")),
+            lambda: table.insert_many([(3, "cy", 1), (4, "di", 2)]),
+            lambda: table.publish(table.rows[1:]),
+            table.truncate,
+        ):
+            mutate()
+            assert all(table.data is not data for data in seen)
+            seen.append(table.data)
+        assert [len(data.rows) for data in seen] == [0, 1, 2, 4, 3, 0]
 
 
 class TestCatalog:

@@ -99,42 +99,6 @@ def test_varchar_column_is_zero_copy():
 
 
 # ---------------------------------------------------------------------------
-# storage: per-version typed cache
-# ---------------------------------------------------------------------------
-
-
-def _table(db: Database):
-    db.execute("CREATE TABLE t (a INTEGER, s VARCHAR(10))")
-    db.insert_rows("t", [(1, "x"), (2, "y")])
-    return db.catalog.table("t")
-
-
-def test_typed_cache_is_reused_within_a_version():
-    table = _table(Database(vector=VectorConfig(enabled=True)))
-    first = table.typed_column(0)
-    assert first is not None and list(first.values) == [1, 2]
-    assert table.typed_column(0) is first  # cached, not rebuilt
-
-
-def test_typed_cache_invalidates_on_mutation():
-    db = Database(vector=VectorConfig(enabled=True))
-    table = _table(db)
-    before = table.typed_column(0)
-    db.insert_rows("t", [(3, "z")])
-    after = table.typed_column(0)
-    assert after is not before
-    assert list(after.values) == [1, 2, 3]
-
-
-def test_typed_cache_remembers_refusals():
-    db = Database(vector=VectorConfig(enabled=True))
-    table = _table(db)
-    db.insert_rows("t", [(True, "w")])  # destabilize column 0
-    assert table.typed_column(0) is None
-    assert 0 in table._typed_cache  # the refusal itself is cached
-
-
-# ---------------------------------------------------------------------------
 # configuration: env knob and runtime switch
 # ---------------------------------------------------------------------------
 

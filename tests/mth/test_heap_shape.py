@@ -34,6 +34,14 @@ def test_stored_rows_are_untracked_after_one_collection():
         rows = catalog.table(name).rows
         assert rows
         assert not any(map(gc.is_tracked, rows)), name
+    # a tuple of untracked tuples is itself untracked by the next collection
+    # that visits it (a pass that finds a row still tracked when it looks at
+    # the sequence leaves the sequence for the pass after): from then on the
+    # collector does not even walk a table's rows
+    gc.collect()
+    for name in ("lineitem", "orders"):
+        rows = catalog.table(name).rows
+        assert type(rows) is tuple and not gc.is_tracked(rows), name
     shipdate = catalog.table("lineitem").schema.column_index("l_shipdate")
     cell = catalog.table("lineitem").rows[0][shipdate]
     assert type(cell) is datetime.date and not gc.is_tracked(cell)

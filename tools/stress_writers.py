@@ -1,0 +1,146 @@
+#!/usr/bin/env python3
+"""Concurrent writers against lock-free readers on one engine table.
+
+Run with the checkout to test on ``PYTHONPATH`` (``PYTHONPATH=src python
+tools/stress_writers.py --seconds 8 --writers 2 --readers 2``); it uses only
+calls every revision has, so the same file stresses a parent checkout and a
+change.  In process: one :class:`repro.engine.Database`, one table of
+``--rows`` base rows that never change, and on top of them each writer thread
+inserts, negates (``UPDATE``) and deletes *groups* of four rows of its own,
+one statement per group.  Every statement keeps, over the writers' rows,
+
+* ``COUNT(*)`` a multiple of four, ``SUM(a) = 0``,
+* ``MIN(b) = 10`` and ``MAX(b) = 90`` (all three NULL while the count is 0),
+
+so the invariant holds in every table version, and a reader's two-conjunct
+scan (``w > 0 AND b >= 10``, both true of every writer row) can only break it
+by judging one row on two versions — a *torn answer*.  Readers also look a
+base row up by primary key.  Prints reads / writes / errors / torn answers;
+the exit code is 1 if any read raised or was torn.
+"""
+
+from __future__ import annotations
+
+import argparse
+import random
+import sys
+import threading
+import time
+
+from repro.engine import Database
+
+LOW, HIGH = 10, 90
+SCAN = f"SELECT COUNT(*), SUM(a), MIN(b), MAX(b) FROM t WHERE w > 0 AND b >= {LOW}"
+
+
+def torn(row: tuple) -> bool:
+    """Whether a :data:`SCAN` answer breaks the every-version invariant."""
+    count, total, low, high = row
+    if count == 0:
+        return (total, low, high) != (None, None, None)
+    return count % 4 != 0 or total != 0 or low != LOW or high != HIGH
+
+
+def _failed(report: dict, exc: Exception) -> None:
+    report["errors"] += 1
+    report.setdefault("first_error", f"{type(exc).__name__}: {exc}")
+
+
+def _writer(database: Database, writer: int, rng: random.Random, stop, report: dict) -> None:
+    live: list[int] = []
+    group = 0
+    while not stop.is_set():
+        choice = rng.random()
+        try:
+            if not live or (choice < 0.5 and len(live) < 50):
+                group += 1
+                x, y = rng.randint(1, 1000), rng.randint(1, 1000)
+                mid = rng.randint(LOW, HIGH)
+                values = ", ".join(
+                    f"({writer * 10**9 + group * 4 + k}, {writer}, {group}, {a}, {b})"
+                    for k, (a, b) in enumerate(((x, LOW), (-x, HIGH), (y, mid), (-y, mid)))
+                )
+                database.execute(f"INSERT INTO t VALUES {values}")
+                live.append(group)
+            elif choice < 0.75:
+                target = rng.choice(live)
+                database.execute(f"UPDATE t SET a = -a WHERE w = {writer} AND g = {target}")
+            else:
+                target = live.pop(rng.randrange(len(live)))
+                database.execute(f"DELETE FROM t WHERE w = {writer} AND g = {target}")
+        except Exception as exc:  # noqa: BLE001 - every failure is the finding
+            _failed(report, exc)
+        report["writes"] += 1
+
+
+def _reader(database: Database, rows: int, rng: random.Random, stop, report: dict) -> None:
+    while not stop.is_set():
+        try:
+            if rng.random() < 0.8:
+                report["torn"] += torn(database.query(SCAN).rows[0])
+            else:
+                key = rng.randrange(rows)
+                found = database.query(f"SELECT id, a FROM t WHERE id = {key} AND w = 0").rows
+                report["torn"] += found != [(key, key)]
+        except Exception as exc:  # noqa: BLE001 - every failure is the finding
+            _failed(report, exc)
+        report["reads"] += 1
+
+
+def run(seconds: float, writers: int, readers: int, rows: int, seed: int = 0) -> dict:
+    """Stress one table for ``seconds``; the totals the command prints."""
+    database = Database()
+    database.execute(
+        "CREATE TABLE t (id INTEGER NOT NULL, w INTEGER NOT NULL, g INTEGER NOT NULL,"
+        " a INTEGER NOT NULL, b INTEGER NOT NULL, CONSTRAINT pk_t PRIMARY KEY (id))"
+    )
+    database.insert_rows("t", [(i, 0, 0, i, i % 100) for i in range(rows)])
+    stop = threading.Event()
+    reports = [{"reads": 0, "writes": 0, "errors": 0, "torn": 0} for _ in range(writers + readers)]
+    threads = []
+    for k, report in enumerate(reports):
+        rng = random.Random(seed * 1000 + k)
+        target, arg = (_writer, k + 1) if k < writers else (_reader, rows)
+        threads.append(
+            threading.Thread(target=target, args=(database, arg, rng, stop, report), daemon=True)
+        )
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-4)  # hand over mid-scan far more often than every 5 ms
+    try:
+        for thread in threads:
+            thread.start()
+        time.sleep(seconds)
+        stop.set()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    totals = {key: sum(report[key] for report in reports) for key in reports[0]}
+    totals["errors"] += sum(thread.is_alive() for thread in threads)  # a stuck thread
+    totals["torn"] += torn(database.query(SCAN).rows[0])  # the settled table
+    errors = [report["first_error"] for report in reports if "first_error" in report]
+    if errors:
+        totals["first_error"] = errors[0]
+    return totals
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--seconds", type=float, default=8.0)
+    parser.add_argument("--writers", type=int, default=2)
+    parser.add_argument("--readers", type=int, default=2)
+    parser.add_argument("--rows", type=int, default=20000, help="base rows under the writers' rows")
+    parser.add_argument("--seed", type=int, default=0)
+    args = parser.parse_args(argv)
+    totals = run(args.seconds, args.writers, args.readers, args.rows, args.seed)
+    print(
+        f"reads {totals['reads']}  writes {totals['writes']}  "
+        f"errors {totals['errors']}  torn answers {totals['torn']}"
+    )
+    if "first_error" in totals:
+        print(f"first error: {totals['first_error']}")
+    return 1 if totals["errors"] or totals["torn"] else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
