@@ -908,6 +908,7 @@ class ShardedConnection(BackendConnection):
                 subquery_runs=stats.subquery_runs,
                 statements=stats.statements,
                 join_rows_materialized=stats.join_rows_materialized,
+                join_rows_hashed=stats.join_rows_hashed,
             )
         return total
 

@@ -361,6 +361,9 @@ class MTConnection:
                 materialized = profile.join_rows_materialized - (
                     prior.join_rows_materialized if prior else 0
                 )
+                hashed = profile.join_rows_hashed - (
+                    prior.join_rows_hashed if prior else 0
+                )
                 if batches > 0 or rows > 0:
                     operators.append(
                         OperatorProfile(
@@ -372,6 +375,7 @@ class MTConnection:
                             generic_kernels=generic,
                             proven_kernels=proven,
                             join_rows_materialized=materialized,
+                            join_rows_hashed=hashed,
                         )
                     )
         return operators, actual_rows

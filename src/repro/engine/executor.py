@@ -480,14 +480,19 @@ class PreparedSelect:
             kernels = stats.kernels
 
             def mark() -> tuple:
-                return (perf_counter(), *kernels.snapshot(), stats.join_rows_materialized)
+                return (
+                    perf_counter(),
+                    *kernels.snapshot(),
+                    stats.join_rows_materialized,
+                    stats.join_rows_hashed,
+                )
 
             marks = [mark()]
 
             def record(operator: str, rows_count: int, batches: int = 1) -> None:
                 # each stage's profile carries the wall time, the kernel
-                # dispatches and the joined rows materialized since the
-                # previous mark
+                # dispatches and the joined rows materialized / build rows
+                # hashed since the previous mark
                 then, now = marks[0], mark()
                 stats.record_operator(
                     operator,
@@ -498,6 +503,7 @@ class PreparedSelect:
                     generic_kernels=now[2] - then[2],
                     proven_kernels=now[3] - then[3],
                     join_rows_materialized=now[4] - then[4],
+                    join_rows_hashed=now[5] - then[5],
                 )
                 marks[0] = now
 

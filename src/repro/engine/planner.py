@@ -19,12 +19,15 @@ smallest filtered estimate.  In uncosted mode the historic structural order
 is used — raw base-table cardinalities, first connected candidate — which is
 the differential oracle the costed order is tested against.
 
-In vectorized mode joins are *late-materialized*: a join step hashes the
-newly joined source, probes it with key columns computed over the current
-batch, and emits ``(left positions, matched build rows)`` — the output is a
+In vectorized mode joins are *late-materialized*: a join step probes the
+newly joined source with key columns computed over the current batch and
+emits ``(left positions, matched build rows)`` — the output is a
 :class:`~repro.engine.vector.JoinedBatch` of references to the source rows,
-so no tuple is allocated per joined row.  Row mode keeps tuple concatenation
-and stays the oracle.
+so no tuple is allocated per joined row.  What it probes is the table
+version's own :class:`~repro.engine.storage.HashIndex` when the build keys
+are bare columns of an unfiltered base table (nothing is hashed per
+statement), else a per-statement hash of the source, semi-join reduced by
+the probe keys.  Row mode keeps tuple concatenation and stays the oracle.
 
 A :class:`TableSource` reads its table's current
 :class:`~repro.engine.storage.TableData` exactly once per scan, so a scan, all
@@ -37,6 +40,7 @@ a stream that outlives its statement needs no copy.
 from __future__ import annotations
 
 from itertools import compress
+from operator import and_
 from typing import TYPE_CHECKING, Optional, Sequence
 
 from ..compile.cost import predicate_selectivity
@@ -50,7 +54,7 @@ from .expressions import (
     contains_subquery,
     referenced_columns,
 )
-from .storage import TableData
+from .storage import HashIndex, TableData, hash_rows
 from .vector import (
     BatchExpressionCompiler,
     BatchKernel,
@@ -70,40 +74,60 @@ def _windows(batch: RowBatch, batch_size: int):
         yield batch.window(start, start + batch_size)
 
 
-def _hash_build(build_fns: list, nullable: bool, batch: RowBatch, outers: tuple) -> dict:
-    """Hash a join's build side: key -> its rows, in source order.
+def _hash_build(
+    build_fns: list,
+    nullable: bool,
+    batch: RowBatch,
+    outers: tuple,
+    stats,
+    probe_keys: Optional[Sequence] = None,
+) -> HashIndex:
+    """Hash a join's build side for one statement, in source order.
 
     A row whose key has a NULL component can match nothing and is left out
     (``nullable`` false: the planner proved every key NOT NULL, skip the
     test), so probing with a NULL key misses without a check of its own.
+    Given the ``probe_keys`` it is about to be probed with, a build at least
+    twice their number is *semi-join reduced* first: only rows whose key
+    occurs among them are hashed — a dropped row could match nothing, so
+    the join's rows and their order are unchanged.  The rows that are
+    hashed count in ``stats.join_rows_hashed``.
     """
     columns = [fn(batch, outers) for fn in build_fns]
-    pairs = zip(batch.rows, columns[0] if len(columns) == 1 else zip(*columns))
+    keys = columns[0] if len(columns) == 1 else list(zip(*columns))
+    rows = batch.rows
+    keep = None
     if nullable and any(None in column for column in columns):
-        pairs = compress(pairs, [None not in parts for parts in zip(*columns)])
-    table: dict = {}
-    for row, key in pairs:
-        bucket = table.get(key)
-        if bucket is None:
-            table[key] = [row]
-        else:
-            bucket.append(row)
-    return table
+        keep = [None not in parts for parts in zip(*columns)]
+    if probe_keys is not None and 2 * len(probe_keys) <= len(rows):
+        wanted = map(set(probe_keys).__contains__, keys)
+        keep = list(wanted) if keep is None else list(map(and_, keep, wanted))
+    if keep is not None:
+        keys, rows = list(compress(keys, keep)), list(compress(rows, keep))
+    stats.add(join_rows_hashed=len(rows))
+    return hash_rows(keys, rows)
 
 
-def _hash_probe(
-    probe_fns: list, batch: RowBatch, table: dict, outers: tuple
-) -> tuple[list[int], list[tuple]]:
-    """Probe ``table`` with every row of ``batch``.
+def _hash_probe(keys: Sequence, index: HashIndex) -> tuple[Optional[list[int]], list[tuple]]:
+    """Probe ``index`` with one key per left row.
 
     Returns the matches as ``(left positions, build rows)``, aligned, in the
     row-mode nesting order (left row major, bucket order minor) — the inputs
-    of :meth:`JoinedBatch.extend`; no joined tuple is built.
+    of :meth:`JoinedBatch.extend`; no joined tuple is built.  A unique index
+    is probed without a Python-level loop, and ``positions`` is ``None``
+    when every left row found its one row (the left side passes through).
     """
+    get = index.table.get
+    if index.unique:
+        found = list(map(get, keys))
+        if None not in found:
+            return None, found
+        # a row has at least its key slots, so only a miss is falsy
+        return list(compress(range(len(found)), found)), list(filter(None, found))
     positions: list[int] = []
     matched: list[tuple] = []
-    get, add_position, add_row = table.get, positions.append, matched.append
-    for position, key in enumerate(key_column(probe_fns, batch, outers)):
+    add_position, add_row = positions.append, matched.append
+    for position, key in enumerate(keys):
         bucket = get(key)
         if bucket:
             for row in bucket:
@@ -225,10 +249,11 @@ class TableSource(SourcePlan):
     :class:`~repro.engine.columns.TypedColumn` payloads, which is what lets
     downstream kernels run their specialized loops.
 
-    :meth:`rows` and :meth:`batch` each read ``table.data`` once and hand
-    that one :class:`~repro.engine.storage.TableData` on: rows, column
-    arrays, typed payloads and the look-up index of a scan all belong to the
-    same table version.
+    :meth:`rows`, :meth:`batch` and :meth:`join_index` each read
+    ``table.data`` once and hand that one
+    :class:`~repro.engine.storage.TableData` on: rows, column arrays, typed
+    payloads and the index of a scan, a look-up or a join build side all
+    belong to the same table version.
     """
 
     def __init__(self, table, binding: str, typed: bool = False) -> None:
@@ -270,12 +295,25 @@ class TableSource(SourcePlan):
             return RowBatch(self._apply_filters(self._bucket(data, outers), outers))
         return self._scan(data, outers)
 
-    def _bucket(self, data: TableData, outers: tuple) -> list[tuple]:
-        """The rows of ``data`` the point look-up's key value selects."""
+    def join_index(self, columns: tuple[int, ...], stats) -> Optional[HashIndex]:
+        """The current table version's index on ``columns`` as a join build
+        side — nothing is scanned or hashed per statement — or ``None`` when
+        the scan is not the whole table (a pushed filter, a key look-up).
+        Building it (once per version) counts in ``stats.join_rows_hashed``."""
+        if self._key_lookup is not None or self._filters or self._batch_filters:
+            return None
+        data = self.table.data
+        known = columns in data.indexes
+        index = data.hash_index(*columns)
+        if not known:
+            stats.add(join_rows_hashed=index.size)
+        return index
+
+    def _bucket(self, data: TableData, outers: tuple) -> Sequence[tuple]:
+        """The rows of ``data`` the point look-up's key value selects
+        (``key = NULL`` is never true: the index holds no NULL key)."""
         column_index, value_fn = self._key_lookup
-        value = value_fn((), outers)
-        # key = NULL is never true, whatever the index holds under None
-        return [] if value is None else data.hash_index(column_index).get(value, [])
+        return data.hash_index(column_index).rows(value_fn((), outers))
 
     def _scan(self, data: TableData, outers: tuple) -> RowBatch:
         """The filtered full scan of ``data``: batch kernels read its column
@@ -335,27 +373,26 @@ class JoinSource(SourcePlan):
     LEFT-join null padding is reconstructed from a candidate→left-position
     index array — no per-row closure dispatch anywhere on the join path, and
     the output is a :class:`~repro.engine.vector.JoinedBatch` (``stats``
-    counts the rows a consumer makes it concatenate).
+    counts the rows a consumer makes it concatenate).  The right side is
+    ``step`` — a :class:`_JoinStep` without residuals — so an ON-clause join
+    takes a table version's index, or reduces its build, exactly like a
+    comma join.
     """
 
     def __init__(
         self,
         left: SourcePlan,
-        right: SourcePlan,
+        step: "_JoinStep",
         join_type: ast.JoinType,
-        key_pairs: list[tuple[CompiledExpr, CompiledExpr]],
         residual: Optional[CompiledExpr],
-        nullable: bool,
         vectorized: bool = False,
         stats=None,
     ) -> None:
+        right = step.source
         super().__init__(list(left.schema) + list(right.schema), left.bindings | right.bindings)
         self._left = left
-        self._right = right
+        self._step = step
         self._join_type = join_type
-        self._key_pairs = key_pairs
-        # whether a build (right) key can be NULL; see _hash_build
-        self._nullable = nullable
         self._residual = residual
         self._right_width = len(right.schema)
         self._vectorized = vectorized
@@ -363,11 +400,11 @@ class JoinSource(SourcePlan):
 
     def children(self) -> list["PreparedSelect"]:
         """Nested plans of both sides."""
-        return self._left.children() + self._right.children()
+        return self._left.children() + self._step.source.children()
 
     def estimate(self) -> int:
         """The larger side's estimate."""
-        return max(self._left.estimate(), self._right.estimate())
+        return max(self._left.estimate(), self._step.source.estimate())
 
     def batch(self, outers: tuple) -> RowBatch:
         """Batch ON-clause join: key columns, one residual mask, index padding.
@@ -383,19 +420,14 @@ class JoinSource(SourcePlan):
         built.
         """
         left = self._left.batch(outers)
-        right = self._right.batch(outers)
-        if self._key_pairs:
-            table = _hash_build(
-                [pair[1] for pair in self._key_pairs], self._nullable, right, outers
-            )
-            positions, matched = _hash_probe(
-                [pair[0] for pair in self._key_pairs], left, table, outers
-            )
-        else:
-            positions, matched = _cross_pairs(left.n, right.rows)
+        positions, matched = self._step.match(left, outers, self._stats)
+        if positions is None and (
+            self._residual is not None or self._join_type is ast.JoinType.LEFT
+        ):
+            positions = range(left.n)
         left_width = len(self._left.schema)
 
-        def joined(positions: list[int], right_rows: list[tuple]) -> RowBatch:
+        def joined(positions: Optional[Sequence[int]], right_rows: Sequence[tuple]) -> RowBatch:
             return JoinedBatch.extend(
                 left, left_width, positions, right_rows, self._right_width, self._stats
             )
@@ -430,14 +462,12 @@ class JoinSource(SourcePlan):
         if self._vectorized:
             return self.batch(outers).rows
         left_rows = self._left.rows(outers)
-        right_rows = self._right.rows(outers)
         null_pad = (None,) * self._right_width
         combined: list[tuple] = []
         keep_unmatched = self._join_type is ast.JoinType.LEFT
-        if self._key_pairs:
-            probe_fns = [pair[0] for pair in self._key_pairs]
-            build_fns = [pair[1] for pair in self._key_pairs]
-            table = _hash_build_rows(build_fns, self._nullable, right_rows, outers)
+        probe_fns = self._step.probe_fns
+        if probe_fns:
+            table = self._step.build_rows(outers)
             for left_row in left_rows:
                 key = tuple(fn(left_row, outers) for fn in probe_fns)
                 matched = False
@@ -449,6 +479,7 @@ class JoinSource(SourcePlan):
                 if not matched and keep_unmatched:
                     combined.append(left_row + null_pad)
         else:
+            right_rows = self._step.source.rows(outers)
             for left_row in left_rows:
                 matched = False
                 for right_row in right_rows:
@@ -467,7 +498,15 @@ class JoinSource(SourcePlan):
 
 
 class _JoinStep:
-    """One greedy hash-join step decided at prepare time."""
+    """One hash-join step decided at prepare time: the source being joined
+    (the build side), the key functions of both sides and the residuals.
+
+    ``index_columns`` is set when every build key is a bare column of a
+    :class:`TableSource`: at run time such a step probes the table version's
+    own index (:meth:`TableSource.join_index`) unless the scan is filtered;
+    every other build is hashed per statement, semi-join reduced by the keys
+    it is probed with (:func:`_hash_build`).
+    """
 
     def __init__(
         self,
@@ -476,6 +515,7 @@ class _JoinStep:
         build_fns: list[CompiledExpr],
         residuals: list[CompiledExpr],
         nullable: bool,
+        index_columns: Optional[tuple[int, ...]] = None,
     ) -> None:
         self.source = source
         self.probe_fns = probe_fns
@@ -483,14 +523,39 @@ class _JoinStep:
         self.residuals = residuals
         # whether a build key can be NULL; see _hash_build
         self.nullable = nullable
+        self.index_columns = index_columns
 
-    def build(self, outers: tuple):
-        """What a vectorized probe needs of the newly joined source: its hash
-        table (keyed step) or just its rows (cross product)."""
+    def build(self, outers: tuple, stats, probe_keys: Optional[Sequence] = None):
+        """What a vectorized probe needs of the newly joined source: a
+        :class:`~repro.engine.storage.HashIndex` (keyed step) or just its
+        rows (cross product).  ``probe_keys`` let a per-statement build be
+        reduced; the streaming spine, whose build is probed by many windows,
+        passes none."""
+        if self.index_columns is not None:
+            index = self.source.join_index(self.index_columns, stats)
+            if index is not None:
+                return index
         batch = self.source.batch(outers)
         if self.probe_fns:
-            return _hash_build(self.build_fns, self.nullable, batch, outers)
+            return _hash_build(
+                self.build_fns, self.nullable, batch, outers, stats, probe_keys
+            )
         return batch.rows
+
+    def match(
+        self, current: RowBatch, outers: tuple, stats, built=None
+    ) -> tuple[Optional[Sequence[int]], Sequence[tuple]]:
+        """``current`` joined to the source as ``(left positions, build
+        rows)`` (see :func:`_hash_probe`); ``built`` is a :meth:`build` to
+        reuse."""
+        if not self.probe_fns:
+            return _cross_pairs(
+                current.n, self.build(outers, stats) if built is None else built
+            )
+        keys = key_column(self.probe_fns, current, outers)
+        return _hash_probe(
+            keys, self.build(outers, stats, keys) if built is None else built
+        )
 
     def build_rows(self, outers: tuple) -> dict[tuple, list[tuple]]:
         """The row-mode hash table of a keyed step."""
@@ -546,7 +611,7 @@ class JoinPipeline:
         for step in self._steps:
             if current.n == 0:
                 return current
-            current = self._join_batch(step, current, width, step.build(outers), outers)
+            current = self._join_batch(step, current, width, outers)
             width += len(step.source.schema)
         if self._final_residuals and current.n:
             current = apply_batch_predicates(current, self._final_residuals, outers)
@@ -571,15 +636,12 @@ class JoinPipeline:
         return current
 
     def _join_batch(
-        self, step: _JoinStep, current: RowBatch, width: int, built, outers: tuple
+        self, step: _JoinStep, current: RowBatch, width: int, outers: tuple, built=None
     ) -> RowBatch:
         """One vectorized join step: ``current`` (``width`` slots) joined to
-        the step's source (``built``, see :meth:`_JoinStep.build`), then the
-        step's residual filters."""
-        if step.probe_fns:
-            positions, matched = _hash_probe(step.probe_fns, current, built, outers)
-        else:
-            positions, matched = _cross_pairs(current.n, built)
+        the step's source (``built`` when the caller reuses one, see
+        :meth:`_JoinStep.build`), then the step's residual filters."""
+        positions, matched = step.match(current, outers, self._stats, built)
         joined = JoinedBatch.extend(
             current, width, positions, matched, len(step.source.schema), self._stats
         )
@@ -613,8 +675,9 @@ class JoinPipeline:
         """Yield joined rows lazily as bounded batches (vectorized streaming).
 
         The batch analogue of :meth:`iter_rows`: each source still
-        materializes its own (filtered) scan and each join step builds its
-        hash table when first pulled, but left rows flow through the spine
+        materializes its own (filtered) scan and each join step takes its
+        table's index or builds its hash table when first pulled (unreduced:
+        many windows probe it), but left rows flow through the spine
         ``batch_size`` at a time and every yielded batch is re-bounded to at
         most ``batch_size`` rows — an early-``LIMIT`` consumer therefore
         materializes O(batch) rows, never the join output.
@@ -638,8 +701,8 @@ class JoinPipeline:
         for batch in current:
             if built is None:
                 # built on first demand, exactly like the row-mode spine
-                built = step.build(outers)
-            joined = self._join_batch(step, batch, width, built, outers)
+                built = step.build(outers, self._stats)
+            joined = self._join_batch(step, batch, width, outers, built)
             # one-to-many joins can fan a batch out past the bound; re-slice
             yield from _windows(joined, batch_size)
 
@@ -887,36 +950,56 @@ class Planner:
             # schema-proven NOT NULL guarantees do not survive the join
             for binding in right.bindings:
                 self._proven_bindings.pop(binding, None)
-        key_pairs: list[tuple[CompiledExpr, CompiledExpr]] = []
+        key_pairs: list[tuple[ast.Expression, ast.Expression]] = []
         residual_parts: list[ast.Expression] = []
-        nullable = False
-        if item.condition is not None:
-            left_compiler = self._mode_compiler(left.schema)
-            right_compiler = self._mode_compiler(right.schema)
-            for conjunct in ast.split_conjuncts(item.condition):
-                pair = self._equi_join_pair(conjunct, left, right)
-                if pair is not None:
-                    left_expr, right_expr = pair
-                    key_pairs.append(
-                        (left_compiler.compile(left_expr), right_compiler.compile(right_expr))
-                    )
-                    nullable = nullable or _can_be_null(right_expr, right_compiler.scope)
-                else:
-                    residual_parts.append(conjunct)
+        for conjunct in ast.split_conjuncts(item.condition):
+            pair = self._equi_join_pair(conjunct, left, right)
+            if pair is not None:
+                key_pairs.append(pair)
+            else:
+                residual_parts.append(conjunct)
+        step = self._join_step(left.schema, right, key_pairs, [])
         residual = None
         if residual_parts:
             combined_compiler = self._mode_compiler(list(left.schema) + list(right.schema))
             residual = combined_compiler.compile_predicate(ast.and_(*residual_parts))
         return JoinSource(
             left,
-            right,
+            step,
             item.join_type,
-            key_pairs,
             residual,
-            nullable,
             vectorized=self._vectorized,
             stats=self._context.database.stats,
         )
+
+    def _join_step(
+        self,
+        placed_schema: list[tuple[Optional[str], str]],
+        source: SourcePlan,
+        key_pairs: list[tuple[ast.Expression, ast.Expression]],
+        residuals: list,
+    ) -> _JoinStep:
+        """The step joining ``source`` to a ``placed_schema`` batch on
+        ``key_pairs`` (probe expression, build expression).  When every build
+        key is a bare column of a base table, the step records their column
+        indexes: it can probe the table version's index instead of hashing."""
+        probe_compiler = self._mode_compiler(placed_schema)
+        build_compiler = self._mode_compiler(source.schema)
+        build_scope = build_compiler.scope
+        probe_fns = [probe_compiler.compile(probe) for probe, _ in key_pairs]
+        build_fns = [build_compiler.compile(build) for _, build in key_pairs]
+        nullable = any(_can_be_null(build, build_scope) for _, build in key_pairs)
+        index_columns = None
+        if key_pairs and isinstance(source, TableSource):
+            slots = [
+                build_scope.resolve_local(build.name, build.table)
+                if isinstance(build, ast.Column)
+                else None
+                for _, build in key_pairs
+            ]
+            if None not in slots:
+                index_columns = tuple(slots)
+        return _JoinStep(source, probe_fns, build_fns, residuals, nullable, index_columns)
 
     def _equi_join_pair(
         self, conjunct: ast.Expression, left: SourcePlan, right: SourcePlan
@@ -1166,17 +1249,13 @@ class Planner:
             for edge in edges:
                 unused_edges.remove(edge)
 
-            probe_fns: list = []
-            build_fns: list = []
-            nullable = False
-            current_compiler = self._mode_compiler(placed_schema)
-            candidate_compiler = self._mode_compiler(candidate.schema)
-            for left_bindings, left_expr, right_bindings, right_expr in edges:
-                if not left_bindings <= placed_bindings:
-                    left_expr, right_expr = right_expr, left_expr
-                probe_fns.append(current_compiler.compile(left_expr))
-                build_fns.append(candidate_compiler.compile(right_expr))
-                nullable = nullable or _can_be_null(right_expr, candidate_compiler.scope)
+            key_pairs = [
+                (left_expr, right_expr)
+                if left_bindings <= placed_bindings
+                else (right_expr, left_expr)
+                for left_bindings, left_expr, _, right_expr in edges
+            ]
+            probe_schema = placed_schema
 
             placed_bindings |= candidate.bindings
             placed_schema = placed_schema + list(candidate.schema)
@@ -1192,7 +1271,7 @@ class Planner:
             if ready:
                 combined_compiler = self._mode_compiler(placed_schema)
                 residual_fns = [combined_compiler.compile_predicate(predicate) for predicate in ready]
-            steps.append(_JoinStep(candidate, probe_fns, build_fns, residual_fns, nullable))
+            steps.append(self._join_step(probe_schema, candidate, key_pairs, residual_fns))
 
         final_residuals: list = []
         leftover = pending_residuals + [

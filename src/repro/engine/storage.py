@@ -10,7 +10,9 @@ the original spelling for display purposes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Optional, Sequence
+from itertools import compress
+from operator import itemgetter
+from typing import Any, Iterable, NamedTuple, Optional, Sequence
 
 from ..errors import CatalogError, ConstraintViolation
 from ..sql.types import SQLType
@@ -71,15 +73,58 @@ class TableSchema:
         self.columns.append(column)
 
 
+class HashIndex(NamedTuple):
+    """Rows hashed on a key: what a look-up or a join probes.
+
+    ``unique`` (no two rows share a key) maps ``key -> row`` with no bucket
+    object at all; otherwise ``key -> tuple of rows`` in source order.  A
+    tuple of untracked rows untracks itself, so either shape leaves the
+    cycle collector one object to walk — the dict — not one per key.
+    """
+
+    table: dict
+    unique: bool
+    #: rows held (keys with a NULL component are never inserted)
+    size: int
+
+    def rows(self, key: Any) -> Sequence[tuple]:
+        """The rows under ``key`` (none for a missing or NULL-bearing key)."""
+        found = self.table.get(key)
+        if found is None:
+            return ()
+        return (found,) if self.unique else found
+
+
+def hash_rows(keys: Sequence, rows: Sequence[tuple]) -> HashIndex:
+    """Index ``rows`` on their aligned, NULL-free ``keys``.
+
+    One ``dict(zip(...))`` at C speed decides uniqueness; only a key that
+    repeats pays the Python insertion loop.
+    """
+    table = dict(zip(keys, rows))
+    if len(table) == len(rows):
+        return HashIndex(table, True, len(rows))
+    buckets: dict = {}
+    for key, row in zip(keys, rows):
+        bucket = buckets.get(key)
+        if bucket is None:
+            buckets[key] = [row]
+        else:
+            bucket.append(row)
+    return HashIndex(dict(zip(buckets, map(tuple, buckets.values()))), False, len(rows))
+
+
 class TableData:
     """One immutable version of a table: its rows and what is derived from them.
 
     ``rows`` is a tuple nobody changes, so the column slices, typed payloads
     and hash indexes built from it are filled lazily and never invalidated —
     they live and die with the version.  A reader that holds one
-    ``TableData`` (a scan pins it, see
+    ``TableData`` (a scan, a look-up or a join build side pins it, see
     :class:`repro.engine.planner.TableSource`) sees one consistent table
-    however many writers publish in the meantime.
+    however many writers publish in the meantime.  The indexes are the
+    engine's only key indexes: one per column tuple some look-up or
+    equi-join asked for, so the schema bounds their number.
     """
 
     __slots__ = ("schema", "rows", "_columns", "_typed", "_indexes")
@@ -89,7 +134,7 @@ class TableData:
         self.rows = rows
         self._columns: dict[int, list] = {}
         self._typed: dict[int, Optional[TypedColumn]] = {}
-        self._indexes: dict[int, dict] = {}
+        self._indexes: dict[tuple[int, ...], HashIndex] = {}
 
     def column_array(self, index: int) -> list:
         """The full column at ``index`` as a list (gathered once).
@@ -116,16 +161,31 @@ class TableData:
         self._typed[index] = typed
         return typed
 
-    def hash_index(self, index: int) -> dict:
-        """Column ``index``'s value -> its rows in heap order (built once;
-        the planner's primary-key point look-ups)."""
-        lookup = self._indexes.get(index)
-        if lookup is None:
-            lookup = {}
-            for row in self.rows:
-                lookup.setdefault(row[index], []).append(row)
-            self._indexes[index] = lookup
-        return lookup
+    @property
+    def indexes(self) -> dict[tuple[int, ...], HashIndex]:
+        """The indexes built on this version so far, by column tuple."""
+        return self._indexes
+
+    def hash_index(self, *columns: int) -> HashIndex:
+        """This version's rows hashed on ``columns`` (built once; point
+        look-ups and join build sides alike).
+
+        One column keys on its value, several on the value tuple; a row
+        with a NULL key component matches nothing and is left out.
+        """
+        index = self._indexes.get(columns)
+        if index is None:
+            rows: Sequence[tuple] = self.rows
+            keys = list(map(itemgetter(*columns), rows))
+            if len(columns) == 1:
+                keep = [key is not None for key in keys]
+            else:
+                keep = [None not in key for key in keys]
+            if not all(keep):
+                keys = list(compress(keys, keep))
+                rows = list(compress(rows, keep))
+            index = self._indexes[columns] = hash_rows(keys, rows)
+        return index
 
 
 class Table:

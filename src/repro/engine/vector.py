@@ -48,6 +48,7 @@ instead of rebuilding row-tuple lists between conjuncts.
 from __future__ import annotations
 
 import operator
+from functools import lru_cache
 from itertools import chain
 from typing import Any, Callable, Optional, Sequence
 
@@ -249,19 +250,26 @@ class JoinedBatch(RowBatch):
         cls,
         left: RowBatch,
         left_width: int,
-        positions: Sequence[int],
+        positions: Optional[Sequence[int]],
         right_rows: Sequence[tuple],
         right_width: int,
         stats,
     ) -> "JoinedBatch":
         """``left``'s rows at ``positions``, each joined to the aligned
-        entry of ``right_rows`` (rows of ``right_width`` slots)."""
+        entry of ``right_rows`` (rows of ``right_width`` slots).
+
+        ``positions`` is ``None`` when every left row is kept once, in order
+        (a unique-key join without a miss): the left parts are shared with
+        ``left``, not gathered — parts are never mutated.
+        """
         if isinstance(left, JoinedBatch):
-            parts = [[part[i] for i in positions] for part in left._parts]
+            parts = list(left._parts)
+            if positions is not None:
+                parts = [[part[i] for i in positions] for part in parts]
             layout = list(left._layout)
         else:
             rows = left.rows
-            parts = [[rows[i] for i in positions]]
+            parts = [rows if positions is None else [rows[i] for i in positions]]
             layout = [(0, slot) for slot in range(left_width)]
         layout.extend((len(parts), slot) for slot in range(right_width))
         parts.append(right_rows)
@@ -964,7 +972,7 @@ class BatchExpressionCompiler:
         )
         namespace: dict[str, Any] = {}
         exec(  # noqa: S102 - source assembled from vetted fragments only
-            compile(dense_src + selected_src + nullaware_src, "<typed-kernel>", "exec"),
+            _kernel_code(dense_src + selected_src + nullaware_src),
             {"__builtins__": {}, "zip": zip, **(names or {})},
             namespace,
         )
@@ -1066,11 +1074,23 @@ class BatchExpressionCompiler:
         generic: BatchKernel,
     ) -> Optional[BatchKernel]:
         """Typed kernel for ``left OP right``: codegen over numeric payloads
-        (or two DATE columns' day ordinals), else ``date_column OP literal``."""
+        (or two DATE columns' day ordinals), else ``date_column OP literal``.
+
+        A side that is a literal is passed by name, not rendered: ``id = 7``
+        and ``id = 8`` are one source text, so one cached code object."""
         slot_vars: dict[int, int] = {}
+        names: dict[str, Any] = {}
+
+        def side(expr: ast.Expression, name: str) -> tuple[str, str]:
+            const = _fold_literal(expr)
+            if const is None or not _is_plain_number(const.value):
+                return self._typed_render(expr, slot_vars)
+            names[name] = const.value
+            return name, name
+
         try:
-            left_d, left_s = self._typed_render(left, slot_vars)
-            right_d, right_s = self._typed_render(right, slot_vars)
+            left_d, left_s = side(left, "a")
+            right_d, right_s = side(right, "b")
         except _TypedUnsupported:
             return self._typed_date_compare(left, right, op_src, generic)
         if not slot_vars:
@@ -1079,6 +1099,7 @@ class BatchExpressionCompiler:
             f"({left_d} {op_src} {right_d})",
             f"({left_s} {op_src} {right_s})",
             slot_vars,
+            names,
         )
         bare = isinstance(left, ast.Column) and isinstance(right, ast.Column)
         return self._typed_numeric_kernel(
@@ -1096,13 +1117,15 @@ class BatchExpressionCompiler:
         day-ordinal compare: dates order by their
         :func:`~repro.sql.types.date_days` ordinal."""
         for column, literal, body in (
-            (left, right, "({{v}} {op} {days})"),
-            (right, left, "({days} {op} {{v}})"),
+            (left, right, "({{v}} {op} days)"),
+            (right, left, "(days {op} {{v}})"),
         ):
             slot, const = self._depth0_slot(column), _fold_literal(literal)
             if slot is not None and const is not None and type(const.value) is Date:
-                body = body.format(op=op_src, days=date_days(const.value))
-                return self._typed_slot_kernel(slot, body, generic, "date")
+                body = body.format(op=op_src)
+                return self._typed_slot_kernel(
+                    slot, body, generic, "date", days=date_days(const.value)
+                )
         return None
 
     def _typed_between(
@@ -1123,17 +1146,24 @@ class BatchExpressionCompiler:
             if not slot_vars:
                 return None
             plan = self._typed_plan(
-                f"({negation}({low.value!r} <= {dense} <= {high.value!r}))",
-                f"({negation}({low.value!r} <= {selected} <= {high.value!r}))",
+                f"({negation}(low <= {dense} <= high))",
+                f"({negation}(low <= {selected} <= high))",
                 slot_vars,
+                {"low": low.value, "high": high.value},
             )
             return self._typed_numeric_kernel(plan, generic)
         if type(low.value) is Date and type(high.value) is Date:
             slot = self._depth0_slot(expr.expr)
             if slot is None:
                 return None
-            body = f"({negation}({date_days(low.value)} <= {{v}} <= {date_days(high.value)}))"
-            return self._typed_slot_kernel(slot, body, generic, "date")
+            return self._typed_slot_kernel(
+                slot,
+                f"({negation}(low <= {{v}} <= high))",
+                generic,
+                "date",
+                low=date_days(low.value),
+                high=date_days(high.value),
+            )
         return None
 
     def _typed_inlist(
@@ -1151,6 +1181,14 @@ class BatchExpressionCompiler:
         else:
             body = "({v} not in members)" if negated else "({v} in members)"
         return self._typed_slot_kernel(slot, body, generic, "numeric", members=members)
+
+
+@lru_cache(maxsize=256)
+def _kernel_code(source: str):
+    """The code object of one generated kernel source, compiled once per
+    process: statements re-render the same few loops over and over, and
+    ``exec`` into a fresh sandboxed namespace stays per plan."""
+    return compile(source, "<typed-kernel>", "exec")
 
 
 class _TypedUnsupported(Exception):

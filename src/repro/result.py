@@ -281,7 +281,9 @@ class OperatorProfile:
     count specialization-capable kernel evaluations attributed to the
     operator's stage (both stay 0 in row-at-a-time mode);
     ``join_rows_materialized`` counts the joined rows the stage forced out
-    of a late-materialized join intermediate into concatenated tuples.
+    of a late-materialized join intermediate into concatenated tuples,
+    ``join_rows_hashed`` the build-side rows it had to hash (0 when every
+    join probed an index its table version already held).
     """
 
     operator: str
@@ -292,6 +294,7 @@ class OperatorProfile:
     generic_kernels: int = 0
     proven_kernels: int = 0
     join_rows_materialized: int = 0
+    join_rows_hashed: int = 0
 
     @property
     def rows_per_batch(self) -> float:
@@ -313,6 +316,8 @@ class OperatorProfile:
             )
         if self.join_rows_materialized:
             line += f", join rows materialized={self.join_rows_materialized}"
+        if self.join_rows_hashed:
+            line += f", join rows hashed={self.join_rows_hashed}"
         return line
 
 
@@ -336,6 +341,9 @@ class ExecutionStats:
     #: joined rows a consumer made a ``JoinedBatch`` concatenate into tuples
     #: (row-interpreter fallbacks, correlated sub-queries, nested build sides)
     join_rows_materialized: int = 0
+    #: rows inserted into a statement's join hash table or a newly built
+    #: table-version index (0 when every build side probed an existing index)
+    join_rows_hashed: int = 0
     operator_profiles: dict = field(default_factory=dict, compare=False)
     #: typed-vs-generic kernel dispatch tally; identity-stable for the
     #: engine's lifetime because compiled kernels close over it
@@ -370,6 +378,7 @@ class ExecutionStats:
         generic_kernels: int = 0,
         proven_kernels: int = 0,
         join_rows_materialized: int = 0,
+        join_rows_hashed: int = 0,
     ) -> None:
         """Fold one measurement into an operator's profile.
 
@@ -377,7 +386,8 @@ class ExecutionStats:
         consumed (1 for row-at-a-time or single-batch stages);
         ``typed_kernels`` / ``generic_kernels`` / ``proven_kernels`` the
         kernel-dispatch deltas attributed to this stage, and
-        ``join_rows_materialized`` the joined rows it forced into tuples.
+        ``join_rows_materialized`` the joined rows it forced into tuples,
+        ``join_rows_hashed`` the build-side rows it hashed.
         """
         with self._lock:
             profile = self.operator_profiles.get(operator)
@@ -391,6 +401,7 @@ class ExecutionStats:
             profile.generic_kernels += generic_kernels
             profile.proven_kernels += proven_kernels
             profile.join_rows_materialized += join_rows_materialized
+            profile.join_rows_hashed += join_rows_hashed
 
     def operator_snapshot(self) -> list[OperatorProfile]:
         """A point-in-time copy of the operator profiles (insertion order)."""
@@ -405,6 +416,7 @@ class ExecutionStats:
                     generic_kernels=profile.generic_kernels,
                     proven_kernels=profile.proven_kernels,
                     join_rows_materialized=profile.join_rows_materialized,
+                    join_rows_hashed=profile.join_rows_hashed,
                 )
                 for profile in self.operator_profiles.values()
             ]
@@ -418,5 +430,6 @@ class ExecutionStats:
             self.subquery_runs = 0
             self.statements = 0
             self.join_rows_materialized = 0
+            self.join_rows_hashed = 0
             self.operator_profiles = {}
             self.kernels.reset()

@@ -186,7 +186,7 @@ class TestTableData:
         assert first is not None and list(first.values) == [1, 2]
         assert data.typed_column(0) is first
         assert data.column_array(1) is data.column_array(1) == ["x", "y"]
-        assert data.hash_index(0) is data.hash_index(0) == {1: [(1, "x")], 2: [(2, "y")]}
+        assert data.hash_index(0) is data.hash_index(0) == ({1: (1, "x"), 2: (2, "y")}, True, 2)
 
     def test_a_refusal_is_cached(self, monkeypatch):
         database = Database()
@@ -213,7 +213,7 @@ class TestTableData:
         # the old version is untouched: same rows, same cached payload
         assert old.rows == ((1, "x"), (2, "y"))
         assert old.typed_column(0) is before and list(before.values) == [1, 2]
-        assert old.hash_index(0) == {1: [(1, "x")], 2: [(2, "y")]}
+        assert old.hash_index(0) == ({1: (1, "x"), 2: (2, "y")}, True, 2)
 
     def test_a_table_exposes_no_late_bound_accessor(self):
         table = self._table(Database())

@@ -14,7 +14,7 @@ from __future__ import annotations
 import datetime
 import gc
 
-from repro.mth import load_mth
+from repro.mth import ALL_QUERY_IDS, load_mth, query_text
 
 
 def _tracked_objects() -> int:
@@ -60,3 +60,25 @@ def test_tracked_objects_do_not_grow_with_the_scale_factor():
     row_delta = _stored_rows(large) - _stored_rows(small)
     assert row_delta > 3000
     assert growth < 0.05 * row_delta, (growth, row_delta)
+
+
+def test_join_indexes_add_no_tracked_object_per_key():
+    """A 22-query round leaves an index on every equi-join column set — some
+    twenty dicts holding tens of thousands of keys.  Unique keys map to the
+    row itself and repeated ones to a tuple of rows, both untracked after two
+    collections, so what the collector walks grows by the plans and the
+    dicts, not by the keys."""
+    instance = load_mth(scale_factor=0.002, tenants=4)
+    connection = instance.middleware.connect(1, optimization="o4")
+    connection.set_scope("IN ()")
+    gc.collect()
+    loaded = _tracked_objects()
+    for query_id in ALL_QUERY_IDS:
+        connection.query(query_text(query_id))
+    catalog = instance.database.catalog
+    indexes = [index for table in catalog.tables() for index in table.data.indexes.values()]
+    keys = sum(len(index.table) for index in indexes)
+    assert len(indexes) >= 10 and keys > 5000
+    assert any(index.unique for index in indexes) and not all(index.unique for index in indexes)
+    gc.collect()
+    assert _tracked_objects() - loaded < 2000, (loaded, keys)  # list buckets: one per key

@@ -217,6 +217,41 @@ def test_execguard_accepts_the_vetted_shape(local_paths, monkeypatch):
     assert len(findings) == 1
 
 
+def test_execguard_accepts_only_the_cached_compile_helper(local_paths, monkeypatch):
+    """``exec(_kernel_code(source), …)`` is the vetted shape exactly when the
+    module defines ``_kernel_code`` as a bare cached ``compile``; any other
+    helper, or that name with another body, hides what is executed."""
+    helper = """
+        from functools import lru_cache
+
+        @lru_cache(maxsize=1024)
+        def _kernel_code(source):
+            \"\"\"Compiled once per process.\"\"\"
+            return compile(source, "<typed-kernel>", "exec")
+    """
+    seeded = {
+        "exec(_kernel_code(header + source), {'__builtins__': {}})": [],
+        "exec(_kernel_code('x = ' + str(1)), {'__builtins__': {}})": ["pre-assembled"],
+        "exec(_code(source), {'__builtins__': {}})": ["another helper"],
+        "exec(cache[source], {'__builtins__': {}})": ["another helper"],
+    }
+    monkeypatch.setattr(execguard, "relative", lambda p: "src/repro/engine/vector.py")
+    for call, expected in seeded.items():
+        _write(local_paths, "vector.py", helper + f"\n        {call}\n")
+        messages = [v.message for v in execguard.check(roots=(local_paths,))]
+        assert len(messages) == len(expected), (call, messages)
+        assert all(part in message for part, message in zip(expected, messages))
+    # the same call without the helper's exact body is a raw exec again
+    for body in (
+        "def _kernel_code(source):\n    return compile(source + tail, '<k>', 'exec')",
+        "def _kernel_code(source):\n    return source",
+        "_kernel_code = compile",
+    ):
+        _write(local_paths, "vector.py", body + "\nexec(_kernel_code(source), {'__builtins__': {}})\n")
+        messages = [v.message for v in execguard.check(roots=(local_paths,))]
+        assert len(messages) == 1 and "another helper" in messages[0], (body, messages)
+
+
 # ---------------------------------------------------------------------------
 # gcguard: collector-policy calls are caught however gc was imported
 # ---------------------------------------------------------------------------

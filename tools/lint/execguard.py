@@ -16,7 +16,10 @@ three properties hold, and this checker enforces them over ``src/``:
    ``compile(source, <constant filename>, "exec")`` where ``source`` is a
    name or concatenation of names: the kernel text is assembled and
    reviewable *before* the call site, never an inline (f-)string literal
-   interpolating runtime values at the ``exec`` itself.
+   interpolating runtime values at the ``exec`` itself.  The one accepted
+   indirection is ``_kernel_code(source)`` — the module's own cached
+   ``compile``: a module-level function of that name whose whole body is
+   ``return compile(source, <constant filename>, "exec")``.
 
 ``eval`` is banned outright, including in the allowlisted files — nothing
 in the engine needs expression evaluation with a result.
@@ -76,7 +79,35 @@ def _assembled_source(node: ast.expr) -> bool:
     return False
 
 
-def _check_exec_call(path: Path, node: ast.Call) -> list[Violation]:
+#: the one helper exec() may take its code object from instead of compile()
+CODE_HELPER = "_kernel_code"
+
+
+def _is_code_helper(node: ast.AST) -> bool:
+    """Whether ``node`` defines :data:`CODE_HELPER` as nothing but
+    ``return compile(<its one parameter>, <constant>, "exec")`` (a docstring
+    and decorators, e.g. ``lru_cache``, are fine)."""
+    if not (isinstance(node, ast.FunctionDef) and node.name == CODE_HELPER):
+        return False
+    parameters = node.args
+    body = node.body
+    if body and isinstance(body[0], ast.Expr) and isinstance(body[0].value, ast.Constant):
+        body = body[1:]
+    if len(parameters.args) != 1 or parameters.vararg or parameters.kwarg or len(body) != 1:
+        return False
+    returned = body[0].value if isinstance(body[0], ast.Return) else None
+    return (
+        _is_name_call(returned, "compile")
+        and len(returned.args) == 3
+        and isinstance(returned.args[0], ast.Name)
+        and returned.args[0].id == parameters.args[0].arg
+        and isinstance(returned.args[1], ast.Constant)
+        and isinstance(returned.args[2], ast.Constant)
+        and returned.args[2].value == "exec"
+    )
+
+
+def _check_exec_call(path: Path, node: ast.Call, has_helper: bool = False) -> list[Violation]:
     where = relative(path)
     problems: list[Violation] = []
     if len(node.args) < 2:
@@ -100,7 +131,17 @@ def _check_exec_call(path: Path, node: ast.Call) -> list[Violation]:
             )
         )
     source = node.args[0]
-    if _is_name_call(source, "compile"):
+    if has_helper and _is_name_call(source, CODE_HELPER):
+        if not (len(source.args) == 1 and _assembled_source(source.args[0])):
+            problems.append(
+                Violation(
+                    where,
+                    node.lineno,
+                    f"{CODE_HELPER}() inside exec() must take pre-assembled "
+                    "source (a variable, not an inline literal)",
+                )
+            )
+    elif _is_name_call(source, "compile"):
         compile_call = source
         if not (
             compile_call.args
@@ -123,7 +164,8 @@ def _check_exec_call(path: Path, node: ast.Call) -> list[Violation]:
                 where,
                 node.lineno,
                 "exec() must execute compile(<assembled source>, "
-                "<constant filename>, 'exec') — never a raw string",
+                f"<constant filename>, 'exec') or the module's {CODE_HELPER}"
+                "(<assembled source>) — never a raw string or another helper",
             )
         )
     return problems
@@ -137,6 +179,7 @@ def check(roots=None) -> list[Violation]:
         where = relative(path)
         allowed = where in ALLOWED
         tree = ast.parse(path.read_text(encoding="utf-8"))
+        has_helper = any(map(_is_code_helper, tree.body))
         for node in ast.walk(tree):
             if _is_name_call(node, "eval"):
                 violations.append(
@@ -157,7 +200,7 @@ def check(roots=None) -> list[Violation]:
                         )
                     )
                 else:
-                    violations.extend(_check_exec_call(path, node))
+                    violations.extend(_check_exec_call(path, node, has_helper))
     return violations
 
 

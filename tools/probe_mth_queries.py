@@ -3,14 +3,19 @@
 
 Run with the checkout to measure on ``PYTHONPATH`` (``PYTHONPATH=src python
 tools/probe_mth_queries.py``); it uses only calls every revision has, so the
-same file measures a parent checkout and a change.  In process, one client:
-each of the 22 queries runs as MT-H (C = 1, D = all, o4, through the
-gateway's statement cache, statistics collected) and as plain TPC-H
+same file measures a parent checkout and a change (``--indexes`` alone needs
+``TableData.indexes``, PR 22).  In process, one client: each of the 22
+queries runs as MT-H (C = 1, D = all — or the ``--scope`` given, e.g.
+``"IN (1,2,3)"``: a subset puts a ``ttid IN (…)`` filter on every
+tenant-specific scan —, o4, through the gateway's statement cache, statistics
+collected) and as plain TPC-H
 (``load_tpch_baseline``) on one generated data set.  Per query it prints the
 best of ``--best-of`` wall times in ms for both sides, their ratio and a
 digest of the MT-H row list (equal digests = equal rows in equal order, float
 bits included); below the table the round totals, the time-weighted and the
-geomean overhead, and the queries that carry the geomean.
+geomean overhead, and the queries that carry the geomean.  ``--indexes`` adds
+the hash indexes the table versions hold once the queries have run: what the
+joins and look-ups of the mix cost in memory.
 """
 
 from __future__ import annotations
@@ -19,6 +24,7 @@ import argparse
 import hashlib
 import json
 import math
+import sys
 from time import perf_counter_ns
 
 from repro.mth import ALL_QUERY_IDS, generate, load_mth, load_tpch_baseline, query_text
@@ -42,13 +48,50 @@ def digest(rows: list) -> str:
     return hashlib.sha256(repr([tuple(row) for row in rows]).encode()).hexdigest()[:12]
 
 
-def probe(scale_factor: float, tenants: int, best_of: int, shards: int | None) -> dict:
+def index_table(instance) -> list[dict]:
+    """One entry per hash index a table version of ``instance`` holds (every
+    shard's, on a cluster): columns, keys, rows, uniqueness and the
+    ``sys.getsizeof`` sum of what the index allocated — its dict, the key
+    tuples of a multi-column key, the buckets of a non-unique one."""
+    backend = instance.middleware.backend
+    entries = []
+    for shard, connection in enumerate(getattr(backend, "shard_connections", (backend,))):
+        for table in connection.engine_database.catalog.tables():
+            names = table.schema.column_names
+            for columns, index in table.data.indexes.items():
+                allocated = [index.table]
+                if len(columns) > 1:
+                    allocated.extend(index.table)
+                if not index.unique:
+                    allocated.extend(index.table.values())
+                entries.append(
+                    {
+                        "shard": shard,
+                        "table": table.schema.name,
+                        "columns": [names[column] for column in columns],
+                        "keys": len(index.table),
+                        "rows": index.size,
+                        "unique": index.unique,
+                        "bytes": sum(map(sys.getsizeof, allocated)),
+                    }
+                )
+    return entries
+
+
+def probe(
+    scale_factor: float,
+    tenants: int,
+    best_of: int,
+    shards: int | None,
+    scope: str = "IN ()",
+    indexes: bool = False,
+) -> dict:
     """Measure every query on both sides; the dict ``--json`` prints."""
     data = generate(scale_factor=scale_factor)
     instance = load_mth(data=data, tenants=tenants, shards=shards)  # engine backend(s)
     baseline = load_tpch_baseline(data=data, backend="engine")
     gateway = instance.middleware.gateway(cache_size=256)
-    session = gateway.session(1, optimization="o4", scope="IN ()")
+    session = gateway.session(1, optimization="o4", scope=scope)
     queries = {}
     try:
         for query_id in ALL_QUERY_IDS:
@@ -62,6 +105,7 @@ def probe(scale_factor: float, tenants: int, best_of: int, shards: int | None) -
                 "rows": len(rows),
                 "digest": digest(rows),
             }
+        held = index_table(instance) if indexes else None
     finally:
         session.close()
         gateway.close()
@@ -70,10 +114,11 @@ def probe(scale_factor: float, tenants: int, best_of: int, shards: int | None) -
     tpch_round = sum(entry["tpch_ms"] for entry in queries.values())
     log_ratios = {name: math.log(entry["ratio"]) for name, entry in queries.items()}
     carriers = sorted(log_ratios, key=log_ratios.get, reverse=True)[:5]
-    return {
+    table = {
         "scale_factor": scale_factor,
         "tenants": tenants,
         "shards": shards,
+        "scope": scope,
         "best_of": best_of,
         "queries": queries,
         "mth_round_ms": round(mth_round, 1),
@@ -82,6 +127,9 @@ def probe(scale_factor: float, tenants: int, best_of: int, shards: int | None) -
         "overhead_geomean": round(math.exp(sum(log_ratios.values()) / len(log_ratios)), 3),
         "geomean_carriers": carriers,
     }
+    if held is not None:
+        table["indexes"] = held
+    return table
 
 
 def main(argv=None) -> None:
@@ -90,9 +138,11 @@ def main(argv=None) -> None:
     parser.add_argument("--tenants", type=int, default=10)
     parser.add_argument("--best-of", type=int, default=5)
     parser.add_argument("--shards", type=int, default=None, help="MT-H side on a sharded engine cluster")
+    parser.add_argument("--scope", default="IN ()", help='the MT-H session\'s D, e.g. "IN (1,2,3)"; default all')
+    parser.add_argument("--indexes", action="store_true", help="list the hash indexes held afterwards")
     parser.add_argument("--json", action="store_true", help="print the table as JSON")
     args = parser.parse_args(argv)
-    table = probe(args.sf, args.tenants, args.best_of, args.shards)
+    table = probe(args.sf, args.tenants, args.best_of, args.shards, args.scope, args.indexes)
     if args.json:
         print(json.dumps(table, indent=1))
         return
@@ -107,6 +157,15 @@ def main(argv=None) -> None:
         f"overhead time-weighted {table['overhead_time_weighted']}, "
         f"geomean {table['overhead_geomean']} (carried by {', '.join(table['geomean_carriers'])})"
     )
+    if args.indexes:
+        held = table["indexes"]
+        print(f"indexes: {len(held)}, {sum(entry['bytes'] for entry in held) / 1e6:.1f} MB")
+        for entry in held:
+            print(
+                f"  shard {entry['shard']} {entry['table']}({', '.join(entry['columns'])}): "
+                f"{entry['keys']} keys, {entry['rows']} rows, "
+                f"{'unique' if entry['unique'] else 'buckets'}, {entry['bytes']} bytes"
+            )
 
 
 if __name__ == "__main__":

@@ -15,7 +15,10 @@ one statement per group.  Every statement keeps, over the writers' rows,
 so the invariant holds in every table version, and a reader's two-conjunct
 scan (``w > 0 AND b >= 10``, both true of every writer row) can only break it
 by judging one row on two versions — a *torn answer*.  Readers also look a
-base row up by primary key.  Prints reads / writes / errors / torn answers;
+base row up by primary key and join the static table ``k`` (one row per
+writer) to ``t`` on ``w`` — every writer row once, so the same invariant,
+probed through the index of whatever version of ``t`` the join pinned.
+Prints reads / writes / errors / torn answers;
 the exit code is 1 if any read raised or was torn.
 """
 
@@ -31,10 +34,12 @@ from repro.engine import Database
 
 LOW, HIGH = 10, 90
 SCAN = f"SELECT COUNT(*), SUM(a), MIN(b), MAX(b) FROM t WHERE w > 0 AND b >= {LOW}"
+JOIN = "SELECT COUNT(*), SUM(a), MIN(b), MAX(b) FROM k, t WHERE k.w = t.w"
 
 
 def torn(row: tuple) -> bool:
-    """Whether a :data:`SCAN` answer breaks the every-version invariant."""
+    """Whether a :data:`SCAN` / :data:`JOIN` answer breaks the every-version
+    invariant."""
     count, total, low, high = row
     if count == 0:
         return (total, low, high) != (None, None, None)
@@ -76,8 +81,9 @@ def _writer(database: Database, writer: int, rng: random.Random, stop, report: d
 def _reader(database: Database, rows: int, rng: random.Random, stop, report: dict) -> None:
     while not stop.is_set():
         try:
-            if rng.random() < 0.8:
-                report["torn"] += torn(database.query(SCAN).rows[0])
+            choice = rng.random()
+            if choice < 0.8:
+                report["torn"] += torn(database.query(SCAN if choice < 0.5 else JOIN).rows[0])
             else:
                 key = rng.randrange(rows)
                 found = database.query(f"SELECT id, a FROM t WHERE id = {key} AND w = 0").rows
@@ -95,6 +101,8 @@ def run(seconds: float, writers: int, readers: int, rows: int, seed: int = 0) ->
         " a INTEGER NOT NULL, b INTEGER NOT NULL, CONSTRAINT pk_t PRIMARY KEY (id))"
     )
     database.insert_rows("t", [(i, 0, 0, i, i % 100) for i in range(rows)])
+    database.execute("CREATE TABLE k (w INTEGER NOT NULL)")
+    database.insert_rows("k", [(writer + 1,) for writer in range(writers)])
     stop = threading.Event()
     reports = [{"reads": 0, "writes": 0, "errors": 0, "torn": 0} for _ in range(writers + readers)]
     threads = []
@@ -117,7 +125,7 @@ def run(seconds: float, writers: int, readers: int, rows: int, seed: int = 0) ->
         sys.setswitchinterval(interval)
     totals = {key: sum(report[key] for report in reports) for key in reports[0]}
     totals["errors"] += sum(thread.is_alive() for thread in threads)  # a stuck thread
-    totals["torn"] += torn(database.query(SCAN).rows[0])  # the settled table
+    totals["torn"] += sum(torn(database.query(sql).rows[0]) for sql in (SCAN, JOIN))  # settled
     errors = [report["first_error"] for report in reports if "first_error" in report]
     if errors:
         totals["first_error"] = errors[0]
