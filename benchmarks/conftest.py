@@ -9,7 +9,7 @@ micro scale factor and a representative subset of queries; set
 
 to run the full grids (slower, but exactly the paper's tables).
 
-``--bench-json=PATH`` (or ``REPRO_BENCH_JSON=PATH``) additionally writes a
+``--bench-json=PATH`` additionally writes a
 machine-readable summary at session end: one record per benchmarked query
 with its median timing in milliseconds plus whatever the module attached to
 ``benchmark.extra_info`` (speedup ratios, per-mode timings, ...).  CI and
@@ -27,7 +27,6 @@ from repro.bench.tables import TABLE_CONFIGS, time_query
 from repro.bench.workload import (
     WorkloadConfig,
     env_full,
-    env_json,
     env_scale_factor,
     load_workload,
 )
@@ -45,13 +44,12 @@ def pytest_addoption(parser):
         action="store",
         default=None,
         metavar="PATH",
-        help="write per-query median timings as JSON to PATH "
-        "(REPRO_BENCH_JSON=PATH is the environment equivalent)",
+        help="write per-query median timings as JSON to PATH",
     )
 
 
 def _bench_json_path(config) -> str | None:
-    return config.getoption("--bench-json", default=None) or env_json()
+    return config.getoption("--bench-json", default=None)
 
 
 def record_benchmark(benchmark, name: str, **fields) -> None:

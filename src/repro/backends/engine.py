@@ -5,7 +5,7 @@ pure-Python DBMS stand-in with its "postgres" / "system_c" UDF-caching
 profiles — to the :class:`~repro.backends.base.Backend` protocol.  The
 adapter is thin: the engine already executes the default dialect natively,
 so statements pass through unchanged (parameters are bound by literal
-substitution, the engine's SQL-function convention).
+substitution, :func:`repro.sql.params.bind_parameters`).
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ from ..sql import ast
 from ..sql.dialect import DEFAULT_DIALECT
 from ..sql.params import bind_parameters
 from ..sql.parser import parse_statement
-from ..sql.transform import transform_expression, transform_select
 from .base import Backend, BackendConnection, Statement
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -67,30 +66,8 @@ class EngineConnection(BackendConnection):
         if parameters:
             if isinstance(statement, str):
                 statement = parse_statement(statement)
-            statement = _bind_parameters(statement, parameters)
+            statement = bind_parameters(statement, parameters)
         return self._database.execute(statement)
-
-    def execute_scoped(
-        self,
-        statement: Statement,
-        dataset: Optional[Sequence[int]] = None,
-        parameters: Optional[Sequence[Any]] = None,
-        compiled: Optional["CompiledQuery"] = None,
-    ) -> ExecuteResult:
-        """Execute a compiled statement, forwarding its semantic facts.
-
-        ``dataset`` is routing metadata a single-database backend ignores,
-        but ``compiled.facts`` matters here: the engine selects its
-        null-check-free (*proven*) kernel variants from the analyzer's
-        proven-NOT-NULL sets, so statements that went through the compiler
-        run faster than bare ``execute()`` calls.
-        """
-        if parameters:
-            if isinstance(statement, str):
-                statement = parse_statement(statement)
-            statement = _bind_parameters(statement, parameters)
-        facts = compiled.facts if compiled is not None else None
-        return self._database.execute(statement, facts=facts)
 
     def execute_stream(
         self,
@@ -103,18 +80,16 @@ class EngineConnection(BackendConnection):
 
         Streamable shapes (no grouping/ORDER BY/DISTINCT) yield their first
         row having evaluated only that row; barrier shapes materialize
-        internally and replay.  ``dataset`` is routing metadata a
-        single-database backend ignores; ``compiled.facts`` selects proven
-        kernel variants exactly like :meth:`execute_scoped`.
+        internally and replay.  ``dataset`` and ``compiled`` are routing
+        metadata a single-database backend ignores.
         """
         if isinstance(statement, str):
             statement = parse_statement(statement)
         if parameters:
-            statement = _bind_parameters(statement, parameters)
+            statement = bind_parameters(statement, parameters)
         if not isinstance(statement, ast.Select):
             raise BackendError("execute_stream() expects a SELECT statement")
-        facts = compiled.facts if compiled is not None else None
-        return self._database.execute_stream(statement, facts=facts)
+        return self._database.execute_stream(statement)
 
     # -- UDF registration ----------------------------------------------------
 
@@ -191,60 +166,3 @@ class EngineBackend(Backend):
     def connect(self) -> EngineConnection:
         """The shared connection to this backend's in-memory database."""
         return self._connection
-
-
-def _bind_parameters(
-    statement: ast.Statement, parameters: Sequence[Any]
-) -> ast.Statement:
-    """Substitute parameter references with literal values.
-
-    Two placeholder conventions bind here: ``?``/``:name``
-    :class:`~repro.sql.ast.Parameter` nodes (the DB-API surface, handled by
-    :func:`repro.sql.params.bind_parameters`) and the engine's historic
-    ``$n`` column references (the SQL-function parameter convention).
-    """
-    dialect = DEFAULT_DIALECT
-
-    def replacer(node: ast.Expression) -> Optional[ast.Expression]:
-        if isinstance(node, ast.Column) and node.table is None:
-            index = dialect.parameter_index(node.name)
-            if index is not None:
-                if not 1 <= index <= len(parameters):
-                    raise BackendError(
-                        f"statement references ${index} but only "
-                        f"{len(parameters)} parameter(s) were supplied"
-                    )
-                return ast.Literal(parameters[index - 1])
-        return None
-
-    statement = bind_parameters(statement, parameters)
-    if isinstance(statement, ast.Select):
-        return transform_select(statement, replacer)
-    if isinstance(statement, ast.Insert):
-        if statement.query is not None:
-            raise BackendError("parameterized INSERT ... SELECT is not supported")
-        rows = [
-            tuple(transform_expression(value, replacer) for value in row)
-            for row in statement.rows
-        ]
-        return ast.Insert(table=statement.table, columns=statement.columns, rows=rows)
-    if isinstance(statement, ast.Update):
-        return ast.Update(
-            table=statement.table,
-            assignments=[
-                ast.Assignment(
-                    column=assignment.column,
-                    value=transform_expression(assignment.value, replacer),
-                )
-                for assignment in statement.assignments
-            ],
-            where=transform_expression(statement.where, replacer),
-        )
-    if isinstance(statement, ast.Delete):
-        return ast.Delete(
-            table=statement.table,
-            where=transform_expression(statement.where, replacer),
-        )
-    raise BackendError(
-        f"cannot bind parameters into a {type(statement).__name__} statement"
-    )

@@ -62,26 +62,6 @@ def env_full(default: bool = False) -> bool:
     )
 
 
-def env_json(default: Optional[str] = None) -> Optional[str]:
-    """Summary-JSON path override via ``REPRO_BENCH_JSON``.
-
-    Returns the path the harness should write its per-query median-timing
-    summary to, or ``default`` when unset.  The parent directory must
-    already exist — failing at configuration time beats a full benchmark
-    sweep that dies on the final write.
-    """
-    value = os.environ.get("REPRO_BENCH_JSON", "").strip()
-    if not value:
-        return default
-    parent = os.path.dirname(value) or "."
-    if not os.path.isdir(parent):
-        raise ConfigurationError(
-            f"the REPRO_BENCH_JSON environment variable points into a "
-            f"missing directory {parent!r} (got {value!r})"
-        )
-    return value
-
-
 def env_backend(default: str = "engine") -> str:
     """Execution-backend override via ``REPRO_BENCH_BACKEND`` (engine/sqlite).
 

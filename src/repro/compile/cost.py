@@ -38,6 +38,7 @@ from ..errors import ConfigurationError
 from ..sql import ast
 from ..sql.types import Date, date_days
 from ..sql.transform import (
+    statement_expressions,
     transform_expression,
     walk_expression,
     walk_selects,
@@ -937,7 +938,7 @@ def _pushable_conjunct(
     for node in walk_expression(conjunct):
         if isinstance(node, ast.Parameter):
             return False
-        if isinstance(node, (ast.InSubquery, ast.Exists, ast.ScalarSubquery)):
+        if isinstance(node, ast.SUBQUERY_NODES):
             if not _replicated_only_subquery(node.query, catalog):
                 return False
             if _contains_parameter(node.query):
@@ -946,12 +947,11 @@ def _pushable_conjunct(
 
 
 def _contains_parameter(query: ast.Select) -> bool:
-    for sub_select in walk_selects(query):
-        for expr in _iter_all_expressions(sub_select):
-            for node in walk_expression(expr):
-                if isinstance(node, ast.Parameter):
-                    return True
-    return False
+    return any(
+        isinstance(node, ast.Parameter)
+        for expr in statement_expressions(query)
+        for node in walk_expression(expr)
+    )
 
 
 def _replicated_only_subquery(query: ast.Select, catalog: ClusterCatalog) -> bool:
@@ -966,26 +966,12 @@ def _replicated_only_subquery(query: ast.Select, catalog: ClusterCatalog) -> boo
                 visible.add(item.binding.lower())
             elif isinstance(item, ast.SubqueryRef):
                 visible.add(item.binding.lower())
-    for sub_select in walk_selects(query):
-        for expr in _iter_all_expressions(sub_select):
-            for node in walk_expression(expr):
-                if isinstance(node, ast.Column) and node.table is not None:
-                    if node.table.lower() not in visible:
-                        return False
+    for expr in statement_expressions(query):
+        for node in walk_expression(expr):
+            if isinstance(node, ast.Column) and node.table is not None:
+                if node.table.lower() not in visible:
+                    return False
     return True
-
-
-def _iter_all_expressions(select: ast.Select):
-    for item in select.items:
-        yield item.expr
-    if select.where is not None:
-        yield select.where
-    for expr in select.group_by:
-        yield expr
-    if select.having is not None:
-        yield select.having
-    for order in select.order_by:
-        yield order.expr
 
 
 def _strip_qualifiers(expr: ast.Expression, binding: str) -> ast.Expression:
@@ -1020,80 +1006,27 @@ def referenced_column_names(
     """
     names: set[str] = set()
     for statement in statements:
-        for select in walk_selects(statement):
-            for expr in _iter_all_expressions(select):
-                if not _collect_names(expr, names):
-                    return None
-            for item in select.from_items:
-                for condition in _join_conditions_of(item):
-                    if not _collect_names(condition, names):
-                        return None
+        for expr in statement_expressions(statement):
+            if not _collect_names(expr, names):
+                return None
     return frozenset(names)
 
 
-def _join_conditions_of(item: ast.FromItem):
-    if isinstance(item, ast.Join):
-        if item.condition is not None:
-            yield item.condition
-        yield from _join_conditions_of(item.left)
-        yield from _join_conditions_of(item.right)
-
-
-def _collect_names(expr: Optional[ast.Expression], names: set[str]) -> bool:
+def _collect_names(expr: ast.Expression, names: set[str]) -> bool:
     """Collect column names from one expression; ``False`` when a star blocks.
 
-    Sub-query bodies are skipped — the enclosing ``walk_selects`` walk
-    visits them as SELECTs of their own.
+    A bare ``*`` blocks, the one inside ``COUNT(*)`` does not.  Sub-query
+    bodies are skipped — ``statement_expressions`` yields their expressions
+    separately.
     """
-    if expr is None:
-        return True
     if isinstance(expr, ast.Star):
         return False
     if isinstance(expr, ast.Column):
         names.add(expr.name.lower())
-        return True
-    if isinstance(expr, ast.FunctionCall):
-        if expr.name.upper() == "COUNT" and all(
-            isinstance(argument, ast.Star) for argument in expr.args
-        ):
+    if isinstance(expr, ast.FunctionCall) and expr.name.upper() == "COUNT":
+        if all(isinstance(argument, ast.Star) for argument in expr.args):
             return True
-        return all(_collect_names(argument, names) for argument in expr.args)
-    if isinstance(expr, ast.BinaryOp):
-        return _collect_names(expr.left, names) and _collect_names(expr.right, names)
-    if isinstance(expr, ast.UnaryOp):
-        return _collect_names(expr.operand, names)
-    if isinstance(expr, ast.Case):
-        return all(
-            _collect_names(when.condition, names) and _collect_names(when.result, names)
-            for when in expr.whens
-        ) and _collect_names(expr.else_result, names)
-    if isinstance(expr, ast.InList):
-        return _collect_names(expr.expr, names) and all(
-            _collect_names(item, names) for item in expr.items
-        )
-    if isinstance(expr, ast.InSubquery):
-        return _collect_names(expr.expr, names)
-    if isinstance(expr, (ast.Exists, ast.ScalarSubquery)):
-        return True
-    if isinstance(expr, ast.Between):
-        return (
-            _collect_names(expr.expr, names)
-            and _collect_names(expr.low, names)
-            and _collect_names(expr.high, names)
-        )
-    if isinstance(expr, ast.Like):
-        return _collect_names(expr.expr, names) and _collect_names(expr.pattern, names)
-    if isinstance(expr, ast.IsNull):
-        return _collect_names(expr.expr, names)
-    if isinstance(expr, ast.Extract):
-        return _collect_names(expr.expr, names)
-    if isinstance(expr, ast.Substring):
-        return (
-            _collect_names(expr.expr, names)
-            and _collect_names(expr.start, names)
-            and _collect_names(expr.length, names)
-        )
-    return True
+    return all(_collect_names(child, names) for child in expr.children())
 
 
 def derive_pull_columns(

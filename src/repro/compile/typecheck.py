@@ -22,10 +22,9 @@ produces a :class:`SemanticFacts` artifact that travels on the
 :class:`~repro.compile.artifact.CompiledQuery`:
 
 * ``proven_not_null`` — per table, the columns whose non-nullness is
-  *proven* by a declared ``NOT NULL`` (storage enforces it).  The engine's
-  vectorized kernels use this to select null-check-free variants
-  (``counters.proven``) and the cost model to skip null-fraction
-  discounting,
+  *proven* by a declared ``NOT NULL`` (storage enforces it).  The cost
+  model uses this to skip null-fraction discounting; the engine reads the
+  same declarations off its own catalog,
 * ``column_owners`` — which FROM binding each column reference of the
   *rewritten* statement resolves to; the shardability analysis consumes
   this instead of re-walking the AST with an any-binding heuristic,
@@ -44,10 +43,11 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable, Optional
+from typing import TYPE_CHECKING, Optional
 
 from ..errors import ConfigurationError, TypeCheckError, TypeMismatchError
 from ..sql import ast
+from ..sql.transform import find_aggregate_calls, iter_select_expressions, walk_expression
 from ..sql.types import (
     Date,
     Interval,
@@ -71,8 +71,8 @@ def env_typecheck() -> bool:
 
     ``"1"`` (or unset/empty) enables the prepare-time checker, ``"0"``
     disables it — the escape hatch the CI matrix exercises; results must be
-    identical either way, only diagnostics and proven-kernel dispatch
-    change.  Anything else raises :class:`ConfigurationError`.
+    identical either way, only diagnostics and the cost model's NOT NULL
+    shortcut change.  Anything else raises :class:`ConfigurationError`.
     """
     value = os.environ.get("REPRO_COMPILE_TYPECHECK", "").strip()
     if not value or value == "1":
@@ -205,60 +205,6 @@ def _error(message: str, node: ast.Node) -> TypeCheckError:
 
 def _type_name(sql_type: Optional[SQLType]) -> str:
     return sql_type.value if sql_type is not None else "unknown"
-
-
-def _children(node: ast.Expression) -> Iterable[ast.Expression]:
-    """The direct sub-expressions of a node, *excluding* nested queries."""
-    if isinstance(node, ast.FunctionCall):
-        return node.args
-    if isinstance(node, ast.BinaryOp):
-        return (node.left, node.right)
-    if isinstance(node, ast.UnaryOp):
-        return (node.operand,)
-    if isinstance(node, ast.Case):
-        parts: list[ast.Expression] = []
-        for when in node.whens:
-            parts.append(when.condition)
-            parts.append(when.result)
-        if node.else_result is not None:
-            parts.append(node.else_result)
-        return parts
-    if isinstance(node, ast.InList):
-        return (node.expr, *node.items)
-    if isinstance(node, ast.InSubquery):
-        return (node.expr,)
-    if isinstance(node, ast.Between):
-        return (node.expr, node.low, node.high)
-    if isinstance(node, ast.Like):
-        return (node.expr, node.pattern)
-    if isinstance(node, ast.IsNull):
-        return (node.expr,)
-    if isinstance(node, ast.Extract):
-        return (node.expr,)
-    if isinstance(node, ast.Substring):
-        parts = [node.expr, node.start]
-        if node.length is not None:
-            parts.append(node.length)
-        return parts
-    return ()
-
-
-def _walk_shallow(expr: Optional[ast.Expression]) -> Iterable[ast.Expression]:
-    """Walk an expression without descending into sub-queries."""
-    if expr is None:
-        return
-    stack = [expr]
-    while stack:
-        node = stack.pop()
-        yield node
-        stack.extend(_children(node))
-
-
-def _contains_aggregate(expr: Optional[ast.Expression]) -> bool:
-    return any(
-        isinstance(node, ast.FunctionCall) and node.is_aggregate
-        for node in _walk_shallow(expr)
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -414,8 +360,7 @@ class TypeChecker:
             item.alias.lower() for item in select.items if item.alias is not None
         }
         grouped = bool(select.group_by) or any(
-            not isinstance(item.expr, ast.Star) and _contains_aggregate(item.expr)
-            for item in select.items
+            find_aggregate_calls(item.expr) for item in select.items
         )
 
         outputs: Optional[list[tuple[Optional[str], Optional[SQLType]]]] = []
@@ -474,12 +419,12 @@ class TypeChecker:
     # -- structural rules ------------------------------------------------------
 
     def _forbid_aggregates(self, expr: Optional[ast.Expression], clause: str) -> None:
-        for node in _walk_shallow(expr):
-            if isinstance(node, ast.FunctionCall) and node.is_aggregate:
-                raise _error(
-                    f"aggregate function {node.name.upper()} is not allowed in {clause}",
-                    node,
-                )
+        aggregates = find_aggregate_calls(expr)
+        if aggregates:
+            raise _error(
+                f"aggregate function {aggregates[0].name.upper()} is not allowed in {clause}",
+                aggregates[0],
+            )
 
     def _check_grouped(
         self,
@@ -500,7 +445,7 @@ class TypeChecker:
             return
         if isinstance(expr, ast.FunctionCall) and expr.is_aggregate:
             return
-        if isinstance(expr, (ast.ScalarSubquery, ast.InSubquery, ast.Exists)):
+        if isinstance(expr, ast.SUBQUERY_NODES):
             return
         if isinstance(expr, ast.Column):
             if expr.table is None and expr.name.lower() in aliases:
@@ -510,7 +455,7 @@ class TypeChecker:
                 f"or be used in an aggregate function ({clause})",
                 expr,
             )
-        for child in _children(expr):
+        for child in expr.children():
             self._check_grouped(child, group_keys, clause, aliases)
 
     def _check_predicate(self, expr: ast.Expression, frames: tuple, clause: str) -> None:
@@ -767,13 +712,13 @@ class TypeChecker:
         return signature.return_type
 
     def _forbid_nested_aggregates(self, expr: ast.Expression) -> None:
-        for node in _walk_shallow(expr):
-            if isinstance(node, ast.FunctionCall) and node.is_aggregate:
-                raise _error(
-                    f"aggregate function {node.name.upper()} cannot be nested "
-                    f"inside another aggregate",
-                    node,
-                )
+        aggregates = find_aggregate_calls(expr)
+        if aggregates:
+            raise _error(
+                f"aggregate function {aggregates[0].name.upper()} cannot be nested "
+                f"inside another aggregate",
+                aggregates[0],
+            )
 
     def _infer_binary(self, expr: ast.BinaryOp, frames: tuple) -> Optional[SQLType]:
         op = expr.op.upper()
@@ -906,34 +851,12 @@ class TypeChecker:
             add_item(item)
         frames = (frame,) + parents
 
-        def visit(expr: Optional[ast.Expression]) -> None:
-            if expr is None:
-                return
-            for node in _walk_shallow(expr):
+        for expr in iter_select_expressions(select):
+            for node in walk_expression(expr):
                 if isinstance(node, ast.Column):
                     self._record_owner(node, frames, owners)
-                elif isinstance(node, (ast.ScalarSubquery, ast.Exists)):
+                elif isinstance(node, ast.SUBQUERY_NODES):
                     self._collect_owners(node.query, frames, owners)
-                elif isinstance(node, ast.InSubquery):
-                    self._collect_owners(node.query, frames, owners)
-
-        def visit_join(item: ast.FromItem) -> None:
-            if isinstance(item, ast.Join):
-                visit_join(item.left)
-                visit_join(item.right)
-                visit(item.condition)
-
-        for item in select.from_items:
-            visit_join(item)
-        for item in select.items:
-            if not isinstance(item.expr, ast.Star):
-                visit(item.expr)
-        visit(select.where)
-        for expr in select.group_by:
-            visit(expr)
-        visit(select.having)
-        for order in select.order_by:
-            visit(order.expr)
 
     @staticmethod
     def _record_owner(node: ast.Column, frames: tuple, owners: dict[int, str]) -> None:

@@ -32,7 +32,7 @@ from ..sql.params import (
 )
 from ..sql.parser import parse_submitted_statement
 from ..sql.printer import to_sql
-from ..sql.transform import walk_expression
+from ..sql.transform import referenced_table_names
 from .dml import DMLRewriter
 from .optimizer.levels import OptimizationLevel
 from .rewrite.canonical import CanonicalRewriter
@@ -255,10 +255,6 @@ class MTConnection:
         """
         return to_sql(self.rewrite(statement), self._resolve_dialect(dialect))
 
-    def rewrite_resolved(self, query: ast.Select, dataset: tuple[int, ...]) -> ast.Select:
-        """Back-compat wrapper: the rewritten AST of :meth:`compile_resolved`."""
-        return self.compile_resolved(query, dataset).rewritten
-
     def explain(
         self,
         statement: Union[str, ast.Select],
@@ -451,49 +447,14 @@ class MTConnection:
         )
 
     def statement_tables(self, statement: ast.Statement) -> set[str]:
-        """Public alias of the privilege-pruning table walk (used by the gateway)."""
-        return self._tenant_specific_tables(statement)
-
-    def _tenant_specific_tables(self, statement: ast.Statement) -> set[str]:
-        """All tenant-specific base tables a statement touches (for privilege pruning)."""
+        """All tenant-specific base tables a statement touches, in any of its
+        nested queries (the privilege-pruning table set; the gateway reads it too)."""
         schema = self.middleware.schema
-        tables: set[str] = set()
-
-        def add_table(name: str) -> None:
-            if schema.has_table(name) and schema.table(name).is_tenant_specific:
-                tables.add(schema.table(name).name)
-
-        def visit_from(item: ast.FromItem) -> None:
-            if isinstance(item, ast.TableRef):
-                add_table(item.name)
-            elif isinstance(item, ast.SubqueryRef):
-                visit_select(item.query)
-            elif isinstance(item, ast.Join):
-                visit_from(item.left)
-                visit_from(item.right)
-
-        def visit_expression(expr) -> None:
-            for node in walk_expression(expr):
-                if isinstance(node, (ast.ScalarSubquery, ast.InSubquery, ast.Exists)):
-                    visit_select(node.query)
-
-        def visit_select(select: ast.Select) -> None:
-            for item in select.from_items:
-                visit_from(item)
-            for select_item in select.items:
-                visit_expression(select_item.expr)
-            visit_expression(select.where)
-            visit_expression(select.having)
-
-        if isinstance(statement, ast.Select):
-            visit_select(statement)
-        elif isinstance(statement, (ast.Insert, ast.Update, ast.Delete)):
-            add_table(statement.table)
-            if isinstance(statement, ast.Insert) and statement.query is not None:
-                visit_select(statement.query)
-            if isinstance(statement, (ast.Update, ast.Delete)) and statement.where is not None:
-                visit_expression(statement.where)
-        return tables
+        return {
+            schema.table(name).name
+            for name in referenced_table_names(statement)
+            if schema.has_table(name) and schema.table(name).is_tenant_specific
+        }
 
     # -- DCL --------------------------------------------------------------------------
 

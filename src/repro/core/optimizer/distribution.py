@@ -28,7 +28,7 @@ from typing import Optional
 
 from ...sql import ast
 from ...sql.printer import to_sql
-from ...sql.transform import transform_expression
+from ...sql.transform import select_aggregate_calls, transform_expression
 from ..conversion import ConversionPair, distributes_over
 from ..rewrite.context import RewriteContext
 from .patterns import FromWrap, FullWrap, find_wraps, on_multiplicative_path
@@ -130,16 +130,9 @@ class AggregationDistributionOptimizer:
     # -- analysis ---------------------------------------------------------------
 
     def _distribute(self, query: ast.Select) -> ast.Select:
-        from ...engine.expressions import find_aggregates
-
         if query.distinct:
             return query
-        collected: list[ast.FunctionCall] = []
-        for item in query.items:
-            collected.extend(find_aggregates(item.expr))
-        collected.extend(find_aggregates(query.having))
-        for order in query.order_by:
-            collected.extend(find_aggregates(order.expr))
+        collected = select_aggregate_calls(query)
         if not collected:
             return query
         if any(call.distinct for call in collected):
@@ -310,7 +303,7 @@ class AggregationDistributionOptimizer:
             if info.wraps:
                 combined = from_universal(combined)
             return items, combined
-        # unreachable: find_aggregates only yields the five standard aggregates
+        # unreachable: select_aggregate_calls only yields the five standard aggregates
         partial = ast.FunctionCall(name=info.name, args=(stripped,))
         return [ast.SelectItem(expr=partial, alias=partial_name)], ast.Column(name=partial_name)
 
@@ -341,7 +334,7 @@ class AggregationDistributionOptimizer:
             return None
 
         def replacer(node: ast.Expression) -> Optional[ast.Expression]:
-            if isinstance(node, (ast.ScalarSubquery, ast.InSubquery, ast.Exists)):
+            if isinstance(node, ast.SUBQUERY_NODES):
                 return node
             replacement = mapping.get(to_sql(node))
             if replacement is not None:

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from ...sql import ast
+from ...sql.transform import walk_expression
 from ..conversion import ConversionPair, ConversionRegistry
 
 
@@ -113,7 +114,7 @@ def find_wraps(
             from_wraps.append(partial)
             visit(partial.value)
             return
-        for child in _children(node):
+        for child in node.children():
             visit(child)
 
     visit(expr)
@@ -122,20 +123,10 @@ def find_wraps(
 
 def contains_conversion_call(expr: Optional[ast.Expression], registry: ConversionRegistry) -> bool:
     """True when the expression calls any registered conversion function."""
-    found = False
-
-    def visit(node: Optional[ast.Expression]) -> None:
-        nonlocal found
-        if node is None or found:
-            return
-        if isinstance(node, ast.FunctionCall) and registry.by_function(node.name) is not None:
-            found = True
-            return
-        for child in _children(node):
-            visit(child)
-
-    visit(expr)
-    return found
+    return any(
+        isinstance(node, ast.FunctionCall) and registry.by_function(node.name) is not None
+        for node in walk_expression(expr)
+    )
 
 
 def on_multiplicative_path(root: Optional[ast.Expression], target: ast.Expression) -> bool:
@@ -187,38 +178,4 @@ def on_multiplicative_path(root: Optional[ast.Expression], target: ast.Expressio
 
 
 def _contains_node(root: Optional[ast.Expression], target: ast.Expression) -> bool:
-    if root is None:
-        return False
-    if root is target:
-        return True
-    return any(_contains_node(child, target) for child in _children(root))
-
-
-def _children(node: ast.Expression) -> list[Optional[ast.Expression]]:
-    if isinstance(node, ast.BinaryOp):
-        return [node.left, node.right]
-    if isinstance(node, ast.UnaryOp):
-        return [node.operand]
-    if isinstance(node, ast.FunctionCall):
-        return list(node.args)
-    if isinstance(node, ast.Case):
-        children: list[Optional[ast.Expression]] = []
-        for when in node.whens:
-            children.extend([when.condition, when.result])
-        children.append(node.else_result)
-        return children
-    if isinstance(node, ast.InList):
-        return [node.expr, *node.items]
-    if isinstance(node, ast.InSubquery):
-        return [node.expr]
-    if isinstance(node, ast.Between):
-        return [node.expr, node.low, node.high]
-    if isinstance(node, ast.Like):
-        return [node.expr, node.pattern]
-    if isinstance(node, ast.IsNull):
-        return [node.expr]
-    if isinstance(node, ast.Extract):
-        return [node.expr]
-    if isinstance(node, ast.Substring):
-        return [node.expr, node.start, node.length]
-    return []
+    return any(node is target for node in walk_expression(root))

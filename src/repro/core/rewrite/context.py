@@ -56,9 +56,3 @@ class RewriteContext:
     conversions: ConversionRegistry
     options: RewriteOptions = field(default_factory=RewriteOptions.canonical)
     all_tenants: tuple[int, ...] = ()
-
-    @property
-    def dataset_is_all_tenants(self) -> bool:
-        return bool(self.all_tenants) and tuple(sorted(self.dataset)) == tuple(
-            sorted(self.all_tenants)
-        )

@@ -18,7 +18,6 @@ class Catalog:
     def __init__(self) -> None:
         self._tables: dict[str, Table] = {}
         self._views: dict[str, ast.Select] = {}
-        self._view_names: dict[str, str] = {}
         self._functions: dict[str, "Function"] = {}
         self._foreign_keys: list[ForeignKey] = []
 
@@ -63,7 +62,6 @@ class Catalog:
         if key in self._tables or key in self._views:
             raise CatalogError(f"relation {name!r} already exists")
         self._views[key] = query
-        self._view_names[key] = name
 
     def drop_view(self, name: str, if_exists: bool = False) -> None:
         key = name.lower()
@@ -72,7 +70,6 @@ class Catalog:
                 return
             raise CatalogError(f"view {name!r} does not exist")
         del self._views[key]
-        del self._view_names[key]
 
     def has_view(self, name: str) -> bool:
         return name.lower() in self._views
@@ -82,9 +79,6 @@ class Catalog:
             return self._views[name.lower()]
         except KeyError as exc:
             raise CatalogError(f"view {name!r} does not exist") from exc
-
-    def view_names(self) -> list[str]:
-        return list(self._view_names.values())
 
     # -- functions ------------------------------------------------------------
 

@@ -12,15 +12,16 @@ The engine can evaluate expressions in two modes:
 Deployments configure through environment variables with the same strictness
 as the ``REPRO_SERVER_*`` / ``REPRO_BENCH_*`` families: a malformed value
 raises :class:`~repro.errors.ConfigurationError` instead of being silently
-replaced by a default, because a typo in a batch size must not quietly run
-the engine in the wrong mode.
+replaced by a default, because a typo must not quietly run the engine in the
+wrong mode.  The batch size is not a deployment setting: it is
+:data:`DEFAULT_BATCH_SIZE` unless a test builds its
+:class:`VectorConfig` with a smaller one to cross batch boundaries.
 
 +----------------------------+---------------------------------------------+
 | variable                   | meaning                                     |
 +============================+=============================================+
 | ``REPRO_ENGINE_VECTORIZE`` | ``1`` = batch kernels (default), ``0`` =    |
 |                            | row-at-a-time oracle                        |
-| ``REPRO_ENGINE_BATCH``     | rows per batch (default 1024, minimum 1)    |
 +----------------------------+---------------------------------------------+
 | ``REPRO_ENGINE_TYPED``     | ``1`` = typed-column kernel specialization  |
 |                            | (default), ``0`` = generic kernels only     |
@@ -63,26 +64,6 @@ def env_vectorize(default: bool = True) -> bool:
     )
 
 
-def env_batch_size(default: int = DEFAULT_BATCH_SIZE) -> int:
-    """Rows-per-batch override via ``REPRO_ENGINE_BATCH`` (integer >= 1)."""
-    value = os.environ.get("REPRO_ENGINE_BATCH", "").strip()
-    if not value:
-        return default
-    try:
-        parsed = int(value)
-    except ValueError:
-        raise ConfigurationError(
-            f"the REPRO_ENGINE_BATCH environment variable must be an integer "
-            f"(got {value!r})"
-        ) from None
-    if parsed < 1:
-        raise ConfigurationError(
-            f"the REPRO_ENGINE_BATCH environment variable must be >= 1 "
-            f"(got {parsed})"
-        )
-    return parsed
-
-
 def env_typed(default: bool = True) -> bool:
     """Typed-kernel override via ``REPRO_ENGINE_TYPED`` (``0`` or ``1``).
 
@@ -118,10 +99,6 @@ class VectorConfig:
         Keyword ``overrides`` win over the environment (the constructor-arg
         escape hatch for tests and embedded engines).
         """
-        values = {
-            "enabled": env_vectorize(),
-            "batch_size": env_batch_size(),
-            "typed": env_typed(),
-        }
+        values = {"enabled": env_vectorize(), "typed": env_typed()}
         values.update(overrides)
         return cls(**values)

@@ -59,7 +59,7 @@ class Database:
     Expression evaluation runs in one of two modes (chosen per statement
     preparation from :attr:`vector`): vectorized batch kernels — the default
     — or the row-at-a-time closure interpreter kept as the differential
-    oracle.  ``REPRO_ENGINE_VECTORIZE`` / ``REPRO_ENGINE_BATCH`` configure
+    oracle.  ``REPRO_ENGINE_VECTORIZE`` / ``REPRO_ENGINE_TYPED`` configure
     the mode process-wide; :meth:`set_vectorize` flips it per database.
     """
 
@@ -94,21 +94,13 @@ class Database:
 
     # -- statement execution --------------------------------------------------
 
-    def execute(
-        self, statement: Union[str, ast.Statement], facts=None
-    ) -> ExecuteResult:
-        """Execute one statement (SQL text or an already-parsed AST node).
-
-        ``facts`` carries the compiler's
-        :class:`~repro.compile.typecheck.SemanticFacts`; for SELECTs the
-        planner uses its proven-NOT-NULL sets to pick null-check-free
-        kernel variants.  Other statement types ignore it.
-        """
+    def execute(self, statement: Union[str, ast.Statement]) -> ExecuteResult:
+        """Execute one statement (SQL text or an already-parsed AST node)."""
         if isinstance(statement, str):
             statement = parse_statement(statement)
         self.stats.add(statements=1)
         if isinstance(statement, ast.Select):
-            return self.executor.execute(statement, facts=facts)
+            return self.executor.execute(statement)
         if isinstance(statement, ast.CreateTable):
             with self._write_lock:
                 execute_create_table(self.catalog, statement)
@@ -159,21 +151,18 @@ class Database:
         """Execute a ``;``-separated script, returning one result per statement."""
         return [self.execute(statement) for statement in parse_statements(sql)]
 
-    def execute_stream(
-        self, statement: Union[str, ast.Select], facts=None
-    ) -> RowStream:
+    def execute_stream(self, statement: Union[str, ast.Select]) -> RowStream:
         """Execute a SELECT as a lazily produced row stream.
 
         See :meth:`repro.engine.executor.Executor.execute_stream`; the
-        statement counter ticks at call time, like :meth:`execute`, and
-        ``facts`` selects proven kernel variants the same way.
+        statement counter ticks at call time, like :meth:`execute`.
         """
         if isinstance(statement, str):
             statement = parse_statement(statement)
         if not isinstance(statement, ast.Select):
             raise ExecutionError("execute_stream() expects a SELECT statement")
         self.stats.add(statements=1)
-        return self.executor.execute_stream(statement, facts=facts)
+        return self.executor.execute_stream(statement)
 
     def query(self, sql: Union[str, ast.Select]) -> QueryResult:
         """Execute a SELECT and return its :class:`QueryResult`."""

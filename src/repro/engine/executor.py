@@ -21,13 +21,12 @@ from ..errors import ExecutionError, FunctionError
 from ..result import ExecutionStats, QueryResult, RowStream
 from ..sql import ast
 from ..sql.printer import to_sql
-from ..sql.transform import transform_expression
+from ..sql.transform import find_aggregate_calls, transform_expression
 from ..sql.types import sort_key
 from .expressions import (
     CompiledExpr,
     ExpressionCompiler,
     Scope,
-    find_aggregates,
 )
 from .functions import BUILTIN_SCALARS, Function, aggregate_factory, is_count_star
 from .planner import EmptyPipeline, JoinPipeline, Planner
@@ -152,11 +151,9 @@ class ExecutionContext:
     # -- sub-queries -----------------------------------------------------------
 
     def prepare_subquery(
-        self, select: ast.Select, parent_scope: Optional[Scope], facts=None
+        self, select: ast.Select, parent_scope: Optional[Scope]
     ) -> "PreparedSelect":
-        # facts flow into sub-plans because proven-NOT-NULL sets are keyed by
-        # base-table name — schema truths, valid at any nesting depth
-        return self.executor.prepare(select, parent_scope, facts=facts)
+        return self.executor.prepare(select, parent_scope)
 
 
 class PreparedSelect:
@@ -167,13 +164,11 @@ class PreparedSelect:
         executor: "Executor",
         select: ast.Select,
         parent_scope: Optional[Scope],
-        facts=None,
     ) -> None:
         self._executor = executor
         self._context = executor.context
         self._select = select
         self._parent_scope = parent_scope
-        self._facts = facts
         self._cache_rows: Optional[list[tuple]] = None
         self._cache_value_set: Optional[ValueSet] = None
         self._scopes: list[Scope] = []
@@ -190,7 +185,7 @@ class PreparedSelect:
         # operator profiles are recorded for top-level statements only;
         # per-outer-row sub-query runs would drown the profile in lock traffic
         self._profile_ops = self._parent_scope is None
-        planner = Planner(self._context, self._parent_scope, facts=self._facts)
+        planner = Planner(self._context, self._parent_scope)
         self._pipeline, self._scope, subquery_conjuncts = planner.plan(select)
         self._scopes.extend(planner.created_scopes)
         self._children.extend(self._pipeline.children())
@@ -211,10 +206,10 @@ class PreparedSelect:
 
         aggregates: list[ast.FunctionCall] = []
         for item in items:
-            aggregates.extend(find_aggregates(item.expr))
-        aggregates.extend(find_aggregates(select.having))
+            aggregates.extend(find_aggregate_calls(item.expr))
+        aggregates.extend(find_aggregate_calls(select.having))
         for order in select.order_by:
-            aggregates.extend(find_aggregates(self._substitute_aliases(order.expr, alias_map)))
+            aggregates.extend(find_aggregate_calls(self._substitute_aliases(order.expr, alias_map)))
 
         self._grouped = bool(select.group_by) or bool(aggregates)
         if self._grouped:
@@ -314,7 +309,7 @@ class PreparedSelect:
     @staticmethod
     def _group_replacer(mapping: dict[str, str]):
         def replacer(node: ast.Expression) -> Optional[ast.Expression]:
-            if isinstance(node, (ast.ScalarSubquery, ast.InSubquery, ast.Exists)):
+            if isinstance(node, ast.SUBQUERY_NODES):
                 return None
             text = to_sql(node)
             placeholder = mapping.get(text)
@@ -724,25 +719,23 @@ class Executor:
         self._function_body_plans: dict[str, PreparedSelect] = {}
         self._plans_lock = threading.Lock()
 
-    def execute(self, select: ast.Select, facts=None) -> QueryResult:
-        prepared = self.prepare(select, None, facts=facts)
+    def execute(self, select: ast.Select) -> QueryResult:
+        prepared = self.prepare(select, None)
         rows = prepared.run(())
         return QueryResult(columns=prepared.output_columns, rows=rows)
 
-    def execute_stream(self, select: ast.Select, facts=None) -> RowStream:
+    def execute_stream(self, select: ast.Select) -> RowStream:
         """Execute a SELECT as a lazily produced :class:`RowStream`.
 
         Streamable shapes (see :attr:`PreparedSelect.streamable`) yield their
         first row without materializing the result; barrier shapes (grouping,
         ``ORDER BY``, ``DISTINCT``) materialize internally and replay.
         """
-        prepared = self.prepare(select, None, facts=facts)
+        prepared = self.prepare(select, None)
         return RowStream(columns=prepared.output_columns, rows=prepared.stream(()))
 
-    def prepare(
-        self, select: ast.Select, parent_scope: Optional[Scope], facts=None
-    ) -> PreparedSelect:
-        return PreparedSelect(self, select, parent_scope, facts=facts)
+    def prepare(self, select: ast.Select, parent_scope: Optional[Scope]) -> PreparedSelect:
+        return PreparedSelect(self, select, parent_scope)
 
     def function_body_plan(self, function: Function, arg_count: int) -> PreparedSelect:
         # lock-free fast path (dict reads are atomic under the GIL), locked

@@ -40,9 +40,10 @@ class Scope:
     to, or ``None`` for synthetic columns (group keys, UDF parameters).
     Scopes chain through ``parent`` for correlated sub-queries.
 
-    ``proven`` holds the slot indexes the static analyzer proved NOT NULL
-    (see :mod:`repro.compile.typecheck`); batch compilers use it to pick
-    null-check-free kernel variants.
+    ``proven`` holds the slot indexes of columns their table's schema
+    declares NOT NULL (the planner reads them off the catalog); batch
+    compilers count a typed dispatch over such slots only as *proven*, and
+    a join build over them skips its NULL-key test.
     """
 
     def __init__(
@@ -510,7 +511,7 @@ def _like_regex(pattern: str) -> "re.Pattern[str]":
 def contains_subquery(expr: Optional[ast.Expression]) -> bool:
     """True when the expression contains any sub-query node."""
     for node in walk_expression(expr):
-        if isinstance(node, (ast.ScalarSubquery, ast.InSubquery, ast.Exists)):
+        if isinstance(node, ast.SUBQUERY_NODES):
             return True
     return False
 
@@ -518,12 +519,3 @@ def contains_subquery(expr: Optional[ast.Expression]) -> bool:
 def referenced_columns(expr: Optional[ast.Expression]) -> list[ast.Column]:
     """All column references in an expression (sub-queries excluded)."""
     return [node for node in walk_expression(expr) if isinstance(node, ast.Column)]
-
-
-def find_aggregates(expr: Optional[ast.Expression]) -> list[ast.FunctionCall]:
-    """All aggregate calls in an expression (sub-queries excluded)."""
-    return [
-        node
-        for node in walk_expression(expr)
-        if isinstance(node, ast.FunctionCall) and node.is_aggregate
-    ]

@@ -158,7 +158,7 @@ def _cross_pairs(left_n: int, right_rows) -> tuple[list[int], list[tuple]]:
 
 def _can_be_null(expr: ast.Expression, scope: Scope) -> bool:
     """Whether a join key may evaluate to NULL: anything but a column of
-    ``scope`` the analyzer proved NOT NULL."""
+    ``scope`` its table declares NOT NULL."""
     if not isinstance(expr, ast.Column):
         return True
     resolved = scope.resolve_local(expr.name, expr.table)
@@ -823,7 +823,6 @@ class Planner:
         self,
         context: "ExecutionContext",
         parent_scope: Optional[Scope],
-        facts=None,
     ) -> None:
         self._context = context
         self._parent_scope = parent_scope
@@ -834,10 +833,10 @@ class Planner:
         self._batch_size = vector.batch_size
         self._typed = vector.enabled and vector.typed
         self._costed = context.database.cost.enabled
-        self._facts = facts
-        # binding (lower) -> column names (lower) the analyzer proved NOT
-        # NULL; populated as base tables are planned, cleared for relations
-        # on the null-padded side of a LEFT join
+        # binding (lower) -> column names (lower) the table's schema declares
+        # NOT NULL (enforced by every INSERT / UPDATE / bulk load); populated
+        # as base tables are planned, cleared for relations on the
+        # null-padded side of a LEFT join
         self._proven_bindings: dict[str, frozenset[str]] = {}
 
     def _new_scope(self, columns: list[tuple[Optional[str], str]]) -> Scope:
@@ -917,9 +916,7 @@ class Planner:
         if isinstance(item, ast.TableRef):
             return self._plan_table(item)
         if isinstance(item, ast.SubqueryRef):
-            prepared = self._context.prepare_subquery(
-                item.query, self._parent_scope, facts=self._facts
-            )
+            prepared = self._context.prepare_subquery(item.query, self._parent_scope)
             return PreparedSource(prepared, item.alias)
         if isinstance(item, ast.Join):
             return self._plan_join(item)
@@ -932,14 +929,13 @@ class Planner:
         binding = item.alias or item.name
         if catalog.has_view(item.name):
             prepared = self._context.prepare_subquery(
-                catalog.view(item.name), self._parent_scope, facts=self._facts
+                catalog.view(item.name), self._parent_scope
             )
             return PreparedSource(prepared, binding)
         table = catalog.table(item.name)
-        if self._facts is not None:
-            proven = self._facts.proven_not_null.get(item.name.lower())
-            if proven:
-                self._proven_bindings[binding.lower()] = proven
+        proven = frozenset(column.key for column in table.schema.columns if column.not_null)
+        if proven:
+            self._proven_bindings[binding.lower()] = proven
         return TableSource(table, binding, typed=self._typed)
 
     def _plan_join(self, item: ast.Join) -> SourcePlan:

@@ -384,8 +384,8 @@ class BatchExpressionCompiler:
         database = context.database
         self._typed = database.vector.typed
         self._kernels = database.stats.kernels if self._typed else None
-        # slots the static analyzer proved NOT NULL (repro.compile.typecheck):
-        # typed kernels over only-proven slots count as proven dispatches
+        # slots of columns the catalog declares NOT NULL: typed kernels over
+        # only-proven slots count as proven dispatches
         self._proven: frozenset = getattr(scope, "proven", frozenset())
 
     # -- public API ---------------------------------------------------------
@@ -991,8 +991,8 @@ class BatchExpressionCompiler:
         as text; ``"date"`` (a DATE column against literal day ordinals)
         takes any date payload.
 
-        A dispatch counts as *proven* instead of *typed* when the analyzer
-        proved every referenced slot NOT NULL (see :meth:`_typed_hit`).
+        A dispatch counts as *proven* instead of *typed* when every
+        referenced slot is declared NOT NULL (see :meth:`_typed_hit`).
         """
         slots, dense, selected, nullaware = plan
         counters = self._kernels
@@ -1038,7 +1038,7 @@ class BatchExpressionCompiler:
     def _typed_hit(self, slots: Sequence[int]) -> Callable[[], None]:
         """The census bump of a typed kernel reading ``slots``.
 
-        ``proven`` when the analyzer proved every slot NOT NULL, ``typed``
+        ``proven`` when the schema declares every slot NOT NULL, ``typed``
         otherwise.  The proof only picks the counter: the kernel takes its
         null-free loop whenever the batch's payloads carry no null set, which
         is what a proven column's payload looks like.

@@ -4,6 +4,12 @@ Every node is a frozen-enough dataclass (mutable lists are used where the
 rewriter needs to replace children wholesale, but the idiom throughout the
 code base is to build *new* nodes rather than mutate existing ones).
 
+An expression class states its own shape once, as ``child_fields``: the names
+of the fields that hold its sub-expressions.  :meth:`Expression.children` and
+:meth:`Expression.with_children` read that tuple, and every generic walk or
+rebuild (:mod:`repro.sql.transform`) goes through those two methods — a new
+node type is one class here, not a branch in every walker.
+
 The same AST is shared by three consumers:
 
 * the engine executes ``Select`` / DML / DDL nodes directly,
@@ -13,9 +19,10 @@ The same AST is shared by three consumers:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import Any, Optional, Sequence, Union
+from itertools import islice
+from typing import Any, ClassVar, Iterable, Optional, Union
 
 
 class Node:
@@ -34,7 +41,43 @@ class Node:
 
 
 class Expression(Node):
-    """Base class for scalar expressions."""
+    """Base class for scalar expressions.
+
+    ``child_fields`` names, in evaluation order, the fields holding this
+    node's sub-expressions: one expression, an optional one (``None`` holds
+    no child) or a tuple of them.  A nested :class:`Select` is *not* a child:
+    sub-query bodies are statements of their own.
+    """
+
+    child_fields: ClassVar[tuple[str, ...]] = ()
+
+    def children(self) -> tuple["Expression", ...]:
+        """The direct sub-expressions, left to right."""
+        if not self.child_fields:
+            return ()
+        found: list[Expression] = []
+        for name in self.child_fields:
+            value = getattr(self, name)
+            if isinstance(value, Expression):
+                found.append(value)
+            elif value is not None:
+                found.extend(value)
+        return tuple(found)
+
+    def with_children(self, children: Iterable["Expression"]) -> "Expression":
+        """This node over ``children``, given in the order and number
+        :meth:`children` returns them."""
+        if not self.child_fields:
+            return self
+        remaining = iter(children)
+        fields: dict[str, Any] = {}
+        for name in self.child_fields:
+            value = getattr(self, name)
+            if isinstance(value, Expression):
+                fields[name] = next(remaining)
+            elif value is not None:
+                fields[name] = tuple(islice(remaining, len(value)))
+        return replace(self, **fields)
 
 
 @dataclass(frozen=True)
@@ -92,6 +135,8 @@ class FunctionCall(Expression):
     args: tuple[Expression, ...] = ()
     distinct: bool = False
 
+    child_fields = ("args",)
+
     @property
     def is_aggregate(self) -> bool:
         return self.name.upper() in AGGREGATE_FUNCTIONS
@@ -108,6 +153,8 @@ class BinaryOp(Expression):
     left: Expression
     right: Expression
 
+    child_fields = ("left", "right")
+
 
 @dataclass(frozen=True)
 class UnaryOp(Expression):
@@ -115,6 +162,8 @@ class UnaryOp(Expression):
 
     op: str
     operand: Expression
+
+    child_fields = ("operand",)
 
 
 @dataclass(frozen=True)
@@ -130,6 +179,20 @@ class Case(Expression):
     whens: tuple[CaseWhen, ...]
     else_result: Optional[Expression] = None
 
+    def children(self) -> tuple[Expression, ...]:
+        """Each branch's condition and result, then the ELSE result: a
+        :class:`CaseWhen` is a pair of slots, not a node of its own."""
+        found = [part for when in self.whens for part in (when.condition, when.result)]
+        if self.else_result is not None:
+            found.append(self.else_result)
+        return tuple(found)
+
+    def with_children(self, children: Iterable[Expression]) -> "Case":
+        remaining = iter(children)
+        whens = tuple(CaseWhen(next(remaining), next(remaining)) for _ in self.whens)
+        else_result = next(remaining) if self.else_result is not None else None
+        return replace(self, whens=whens, else_result=else_result)
+
 
 @dataclass(frozen=True)
 class InList(Expression):
@@ -137,12 +200,16 @@ class InList(Expression):
     items: tuple[Expression, ...]
     negated: bool = False
 
+    child_fields = ("expr", "items")
+
 
 @dataclass(frozen=True)
 class InSubquery(Expression):
     expr: Expression
     query: "Select"
     negated: bool = False
+
+    child_fields = ("expr",)
 
 
 @dataclass(frozen=True)
@@ -158,6 +225,8 @@ class Between(Expression):
     high: Expression
     negated: bool = False
 
+    child_fields = ("expr", "low", "high")
+
 
 @dataclass(frozen=True)
 class Like(Expression):
@@ -165,11 +234,15 @@ class Like(Expression):
     pattern: Expression
     negated: bool = False
 
+    child_fields = ("expr", "pattern")
+
 
 @dataclass(frozen=True)
 class IsNull(Expression):
     expr: Expression
     negated: bool = False
+
+    child_fields = ("expr",)
 
 
 @dataclass(frozen=True)
@@ -186,6 +259,8 @@ class Extract(Expression):
     part: str
     expr: Expression
 
+    child_fields = ("expr",)
+
 
 @dataclass(frozen=True)
 class Substring(Expression):
@@ -194,6 +269,12 @@ class Substring(Expression):
     expr: Expression
     start: Expression
     length: Optional[Expression] = None
+
+    child_fields = ("expr", "start", "length")
+
+
+#: the expression classes whose ``query`` field holds a nested :class:`Select`
+SUBQUERY_NODES = (ScalarSubquery, InSubquery, Exists)
 
 
 # ---------------------------------------------------------------------------
@@ -484,10 +565,6 @@ def and_(*conditions: Optional[Expression]) -> Optional[Expression]:
     for condition in present[1:]:
         result = BinaryOp("AND", result, condition)
     return result
-
-
-def eq(left: Expression, right: Expression) -> BinaryOp:
-    return BinaryOp("=", left, right)
 
 
 def split_conjuncts(expr: Optional[Expression]) -> list[Expression]:

@@ -17,7 +17,9 @@ module is the one place the rest of the system reasons about them:
   queries); the SQLite backend instead renders ``?NNN`` text and binds
   natively.
 
-All validation failures raise :class:`~repro.errors.ParameterError`.
+All validation failures raise :class:`~repro.errors.ParameterError`, except
+a short value vector for the engine's ``$n`` references, which stays the
+:class:`~repro.errors.BackendError` it was when the engine backend bound them.
 """
 
 from __future__ import annotations
@@ -25,15 +27,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Mapping, Optional, Sequence, Union
 
-from ..errors import ParameterError
+from ..errors import BackendError, ParameterError
 from . import ast
-from .transform import (
-    iter_select_expressions,
-    transform_expression,
-    transform_select,
-    walk_expression,
-    walk_selects,
-)
+from .dialect import DEFAULT_DIALECT
+from .transform import statement_expressions, transform_statement, walk_expression
 
 ParameterValues = Union[Sequence[Any], Mapping[str, Any]]
 
@@ -51,36 +48,6 @@ class ParameterSlot:
         return f":{self.name}" if self.name else f"?{self.index}"
 
 
-def _statement_expressions(statement: ast.Statement):
-    """Yield every expression tree of a statement, sub-queries included."""
-    selects: list[ast.Select] = []
-
-    def collect(expr: ast.Expression):
-        """Yield one DML expression and queue any sub-queries nested in it."""
-        yield expr
-        for node in walk_expression(expr):
-            if isinstance(node, (ast.ScalarSubquery, ast.InSubquery, ast.Exists)):
-                selects.append(node.query)
-
-    if isinstance(statement, ast.Select):
-        selects.append(statement)
-    elif isinstance(statement, (ast.Update, ast.Delete)):
-        if statement.where is not None:
-            yield from collect(statement.where)
-        if isinstance(statement, ast.Update):
-            for assignment in statement.assignments:
-                yield from collect(assignment.value)
-    elif isinstance(statement, ast.Insert):
-        for row in statement.rows:
-            for value in row:
-                yield from collect(value)
-        if statement.query is not None:
-            selects.append(statement.query)
-    for select in selects:
-        for sub_select in walk_selects(select):
-            yield from iter_select_expressions(sub_select)
-
-
 def statement_parameters(statement: ast.Statement) -> tuple[ParameterSlot, ...]:
     """The statement's bind-parameter slots, ordered by index.
 
@@ -89,7 +56,7 @@ def statement_parameters(statement: ast.Statement) -> tuple[ParameterSlot, ...]:
     a positional value vector could not be bound unambiguously).
     """
     slots: dict[int, ParameterSlot] = {}
-    for expr in _statement_expressions(statement):
+    for expr in statement_expressions(statement):
         for node in walk_expression(expr):
             if isinstance(node, ast.Parameter):
                 known = slots.get(node.index)
@@ -164,6 +131,10 @@ def bind_parameters(
 
     ``values`` is the *resolved* positional vector (slot ``index`` N reads
     ``values[N-1]``); use :func:`resolve_parameters` first for client input.
+    Two placeholder conventions bind here, in one pass: ``?``/``:name``
+    :class:`~repro.sql.ast.Parameter` nodes (the DB-API surface) and the
+    engine's historic ``$n`` column references (the SQL-function parameter
+    convention).
     """
     values = tuple(values)
 
@@ -175,42 +146,20 @@ def bind_parameters(
                     f"{len(values)} value(s) were supplied"
                 )
             return ast.Literal(values[node.index - 1])
+        if isinstance(node, ast.Column) and node.table is None:
+            index = DEFAULT_DIALECT.parameter_index(node.name)
+            if index is not None:
+                if not 1 <= index <= len(values):
+                    raise BackendError(
+                        f"statement references ${index} but only "
+                        f"{len(values)} parameter(s) were supplied"
+                    )
+                return ast.Literal(values[index - 1])
         return None
 
-    if isinstance(statement, ast.Select):
-        return transform_select(statement, replacer)
-    if isinstance(statement, ast.Insert):
-        query = (
-            transform_select(statement.query, replacer)
-            if statement.query is not None
-            else None
-        )
-        rows = [
-            tuple(transform_expression(value, replacer, True) for value in row)
-            for row in statement.rows
-        ]
-        return ast.Insert(
-            table=statement.table, columns=statement.columns, rows=rows, query=query
-        )
-    if isinstance(statement, ast.Update):
-        return ast.Update(
-            table=statement.table,
-            assignments=[
-                ast.Assignment(
-                    column=assignment.column,
-                    value=transform_expression(assignment.value, replacer, True),
-                )
-                for assignment in statement.assignments
-            ],
-            where=transform_expression(statement.where, replacer, True),
-        )
-    if isinstance(statement, ast.Delete):
-        return ast.Delete(
-            table=statement.table,
-            where=transform_expression(statement.where, replacer, True),
-        )
-    if statement_parameters(statement):
+    bindable = (ast.Select, ast.Insert, ast.Update, ast.Delete)
+    if values and not isinstance(statement, bindable):
         raise ParameterError(
             f"cannot bind parameters into a {type(statement).__name__} statement"
         )
-    return statement
+    return transform_statement(statement, replacer)

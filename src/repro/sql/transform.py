@@ -1,12 +1,21 @@
 """Generic AST transformation helpers shared by the executor and the rewriter.
 
-:func:`transform_expression` rebuilds an expression tree bottom-up... actually
-top-down: the supplied function sees each node first; when it returns a
-replacement node that subtree is used as-is, otherwise the children are
-transformed recursively and the node is rebuilt.  Sub-queries nested inside
-expressions are left untouched unless ``descend_subqueries`` is set, in which
-case their SELECT/WHERE/... expressions are transformed with the same
-function.
+Every walk and rebuild here reads a node's shape from the node itself
+(:meth:`~repro.sql.ast.Expression.children` /
+:meth:`~repro.sql.ast.Expression.with_children`), so none of them names an
+expression class:
+
+* :func:`transform_expression` applies a function top-down: the function sees
+  each node first; a node it returns replaces that subtree as-is, otherwise
+  the children are transformed and the node is rebuilt — only when a child
+  actually changed, so an untouched subtree keeps its identity.  Sub-queries
+  nested inside expressions are left untouched unless ``descend_subqueries``
+  is set.
+* :func:`walk_expression` yields the nodes of one expression in pre-order.
+* :func:`statement_expressions` / :func:`transform_statement` are the same two
+  operations over a whole ``SELECT`` / ``INSERT`` / ``UPDATE`` / ``DELETE``,
+  every nested query included — the seam parameter discovery and binding
+  (:mod:`repro.sql.params`) are written over.
 
 The second half of the module splits a (rewritten, plain-SQL) ``SELECT`` into
 a *per-shard query* plus its *merge* for scatter-gather execution over a
@@ -28,7 +37,8 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass, replace
-from typing import Callable, Iterator, Optional, Union
+from operator import is_
+from typing import Callable, Iterable, Iterator, Optional
 
 from ..errors import SplitError
 from . import ast
@@ -41,72 +51,17 @@ def transform_expression(
     fn: TransformFn,
     descend_subqueries: bool = False,
 ) -> Optional[ast.Expression]:
-    """Return a new expression tree with ``fn`` applied at every node."""
+    """Return the expression tree with ``fn`` applied at every node."""
     if expr is None:
         return None
     replacement = fn(expr)
     if replacement is not None:
         return replacement
-
-    def recurse(child: Optional[ast.Expression]) -> Optional[ast.Expression]:
-        return transform_expression(child, fn, descend_subqueries)
-
-    if isinstance(expr, (ast.Literal, ast.Column, ast.Star, ast.Parameter)):
-        return expr
-    if isinstance(expr, ast.FunctionCall):
-        return replace(expr, args=tuple(recurse(argument) for argument in expr.args))
-    if isinstance(expr, ast.BinaryOp):
-        return replace(expr, left=recurse(expr.left), right=recurse(expr.right))
-    if isinstance(expr, ast.UnaryOp):
-        return replace(expr, operand=recurse(expr.operand))
-    if isinstance(expr, ast.Case):
-        whens = tuple(
-            ast.CaseWhen(condition=recurse(when.condition), result=recurse(when.result))
-            for when in expr.whens
-        )
-        return replace(expr, whens=whens, else_result=recurse(expr.else_result))
-    if isinstance(expr, ast.InList):
-        return replace(
-            expr,
-            expr=recurse(expr.expr),
-            items=tuple(recurse(item) for item in expr.items),
-        )
-    if isinstance(expr, ast.InSubquery):
-        query = (
-            transform_select(expr.query, fn) if descend_subqueries else expr.query
-        )
-        return replace(expr, expr=recurse(expr.expr), query=query)
-    if isinstance(expr, ast.Exists):
-        query = (
-            transform_select(expr.query, fn) if descend_subqueries else expr.query
-        )
-        return replace(expr, query=query)
-    if isinstance(expr, ast.ScalarSubquery):
-        query = (
-            transform_select(expr.query, fn) if descend_subqueries else expr.query
-        )
-        return replace(expr, query=query)
-    if isinstance(expr, ast.Between):
-        return replace(
-            expr,
-            expr=recurse(expr.expr),
-            low=recurse(expr.low),
-            high=recurse(expr.high),
-        )
-    if isinstance(expr, ast.Like):
-        return replace(expr, expr=recurse(expr.expr), pattern=recurse(expr.pattern))
-    if isinstance(expr, ast.IsNull):
-        return replace(expr, expr=recurse(expr.expr))
-    if isinstance(expr, ast.Extract):
-        return replace(expr, expr=recurse(expr.expr))
-    if isinstance(expr, ast.Substring):
-        return replace(
-            expr,
-            expr=recurse(expr.expr),
-            start=recurse(expr.start),
-            length=recurse(expr.length),
-        )
-    return expr
+    if descend_subqueries and isinstance(expr, ast.SUBQUERY_NODES):
+        expr = replace(expr, query=transform_select(expr.query, fn))
+    children = expr.children()
+    rebuilt = [transform_expression(child, fn, descend_subqueries) for child in children]
+    return expr if all(map(is_, rebuilt, children)) else expr.with_children(rebuilt)
 
 
 def transform_select(select: ast.Select, fn: TransformFn) -> ast.Select:
@@ -148,135 +103,150 @@ def transform_from_item(item: ast.FromItem, fn: TransformFn) -> ast.FromItem:
     return item
 
 
+def transform_statement(statement: ast.Statement, fn: TransformFn) -> ast.Statement:
+    """Apply an expression transform to every expression of a statement.
+
+    Covers ``SELECT`` (see :func:`transform_select`), ``INSERT`` (``VALUES``
+    rows and the source query of ``INSERT ... SELECT``), ``UPDATE`` and
+    ``DELETE``, sub-queries included; a statement of any other kind holds no
+    expression and is returned as it is.
+    """
+
+    def apply(expr: Optional[ast.Expression]) -> Optional[ast.Expression]:
+        return transform_expression(expr, fn, True)
+
+    if isinstance(statement, ast.Select):
+        return transform_select(statement, fn)
+    if isinstance(statement, ast.Insert):
+        return replace(
+            statement,
+            rows=[tuple(map(apply, row)) for row in statement.rows],
+            query=transform_select(statement.query, fn) if statement.query is not None else None,
+        )
+    if isinstance(statement, ast.Update):
+        return replace(
+            statement,
+            assignments=[
+                ast.Assignment(column=assignment.column, value=apply(assignment.value))
+                for assignment in statement.assignments
+            ],
+            where=apply(statement.where),
+        )
+    if isinstance(statement, ast.Delete):
+        return replace(statement, where=apply(statement.where))
+    return statement
+
+
 def clone_select(select: ast.Select) -> ast.Select:
     """Deep-ish copy of a SELECT (expressions are immutable, clauses are new)."""
     return transform_select(select, lambda node: None)
 
 
-def walk_expression(expr: Optional[ast.Expression]):
-    """Yield every expression node in a tree (not descending into sub-queries)."""
-    if expr is None:
-        return
-    yield expr
-    if isinstance(expr, ast.BinaryOp):
-        yield from walk_expression(expr.left)
-        yield from walk_expression(expr.right)
-    elif isinstance(expr, ast.UnaryOp):
-        yield from walk_expression(expr.operand)
-    elif isinstance(expr, ast.FunctionCall):
-        for argument in expr.args:
-            yield from walk_expression(argument)
-    elif isinstance(expr, ast.Case):
-        for when in expr.whens:
-            yield from walk_expression(when.condition)
-            yield from walk_expression(when.result)
-        yield from walk_expression(expr.else_result)
-    elif isinstance(expr, ast.InList):
-        yield from walk_expression(expr.expr)
-        for item in expr.items:
-            yield from walk_expression(item)
-    elif isinstance(expr, ast.InSubquery):
-        yield from walk_expression(expr.expr)
-    elif isinstance(expr, ast.Between):
-        yield from walk_expression(expr.expr)
-        yield from walk_expression(expr.low)
-        yield from walk_expression(expr.high)
-    elif isinstance(expr, ast.Like):
-        yield from walk_expression(expr.expr)
-        yield from walk_expression(expr.pattern)
-    elif isinstance(expr, ast.IsNull):
-        yield from walk_expression(expr.expr)
-    elif isinstance(expr, (ast.Extract,)):
-        yield from walk_expression(expr.expr)
-    elif isinstance(expr, ast.Substring):
-        yield from walk_expression(expr.expr)
-        yield from walk_expression(expr.start)
-        yield from walk_expression(expr.length)
+def walk_expression(expr: Optional[ast.Expression]) -> Iterator[ast.Expression]:
+    """Yield every node of an expression in pre-order (sub-query bodies excluded)."""
+    stack = [expr] if expr is not None else []
+    while stack:
+        node = stack.pop()
+        yield node
+        stack.extend(node.children()[::-1])
 
 
 # ---------------------------------------------------------------------------
-# Statement-level walks used by the cluster planner
+# Statement-level walks
 # ---------------------------------------------------------------------------
+
+
+def walk_from_items(items: Iterable[ast.FromItem]) -> Iterator[ast.FromItem]:
+    """Yield every FROM item in pre-order: a join, then its two sides."""
+    for item in items:
+        yield item
+        if isinstance(item, ast.Join):
+            yield from walk_from_items((item.left, item.right))
 
 
 def walk_selects(select: ast.Select) -> Iterator[ast.Select]:
     """Yield a SELECT and every sub-query nested anywhere inside it."""
     yield select
-    for item in select.from_items:
-        yield from _walk_from_selects(item)
+    for item in walk_from_items(select.from_items):
+        if isinstance(item, ast.SubqueryRef):
+            yield from walk_selects(item.query)
     for expr in iter_select_expressions(select):
-        for node in walk_expression(expr):
-            if isinstance(node, (ast.ScalarSubquery, ast.InSubquery, ast.Exists)):
-                yield from walk_selects(node.query)
+        for query in _subqueries(expr):
+            yield from walk_selects(query)
 
 
-def _walk_from_selects(item: ast.FromItem) -> Iterator[ast.Select]:
-    if isinstance(item, ast.SubqueryRef):
-        yield from walk_selects(item.query)
-    elif isinstance(item, ast.Join):
-        yield from _walk_from_selects(item.left)
-        yield from _walk_from_selects(item.right)
+def _subqueries(expr: ast.Expression) -> Iterator[ast.Select]:
+    """The bodies of the sub-query nodes of one expression."""
+    for node in walk_expression(expr):
+        if isinstance(node, ast.SUBQUERY_NODES):
+            yield node.query
 
 
 def iter_select_expressions(select: ast.Select) -> Iterator[ast.Expression]:
-    """Yield every top-level expression of one SELECT (not of its FROM items)."""
+    """Yield every top-level expression of one SELECT, join conditions
+    included (its sub-queries' expressions are not)."""
     for item in select.items:
         yield item.expr
-    for conjunct in _join_conditions(select.from_items):
-        yield conjunct
+    for from_item in walk_from_items(select.from_items):
+        if isinstance(from_item, ast.Join) and from_item.condition is not None:
+            yield from_item.condition
     if select.where is not None:
         yield select.where
-    for expr in select.group_by:
-        yield expr
+    yield from select.group_by
     if select.having is not None:
         yield select.having
     for order in select.order_by:
         yield order.expr
 
 
-def _join_conditions(from_items: list[ast.FromItem]) -> Iterator[ast.Expression]:
-    for item in from_items:
-        if isinstance(item, ast.Join):
-            if item.condition is not None:
-                yield item.condition
-            yield from _join_conditions([item.left, item.right])
+def _dml_expressions(statement: ast.Statement) -> list[ast.Expression]:
+    """The expressions an INSERT / UPDATE / DELETE holds directly."""
+    if isinstance(statement, ast.Insert):
+        return [value for row in statement.rows for value in row]
+    found: list[ast.Expression] = []
+    if isinstance(statement, ast.Update):
+        found.extend(assignment.value for assignment in statement.assignments)
+    if isinstance(statement, (ast.Update, ast.Delete)) and statement.where is not None:
+        found.append(statement.where)
+    return found
 
 
-def referenced_table_names(statement: Union[ast.Select, ast.Statement]) -> set[str]:
+def statement_selects(statement: ast.Statement) -> Iterator[ast.Select]:
+    """Yield every SELECT of a statement: the query itself, the source of an
+    ``INSERT ... SELECT`` and each sub-query nested anywhere in either or in
+    a DML statement's expressions."""
+    if isinstance(statement, ast.Select):
+        yield from walk_selects(statement)
+        return
+    for expr in _dml_expressions(statement):
+        for query in _subqueries(expr):
+            yield from walk_selects(query)
+    if isinstance(statement, ast.Insert) and statement.query is not None:
+        yield from walk_selects(statement.query)
+
+
+def statement_expressions(statement: ast.Statement) -> Iterator[ast.Expression]:
+    """Yield every expression tree of a statement, its nested queries' included."""
+    yield from _dml_expressions(statement)
+    for select in statement_selects(statement):
+        yield from iter_select_expressions(select)
+
+
+def referenced_table_names(statement: ast.Statement) -> set[str]:
     """Lower-cased names of every base table / view a statement references.
 
-    For DML this includes tables referenced by sub-queries in the ``WHERE``
-    clause and (for ``UPDATE``) in assignment values — the cluster layer
-    routes on the full reference set, not just the target table.
+    For DML this includes tables referenced by sub-queries anywhere in the
+    statement — the cluster layer routes on the full reference set, not just
+    the target table.
     """
     names: set[str] = set()
-    if isinstance(statement, ast.Select):
-        for select in walk_selects(statement):
-            for item in select.from_items:
-                _collect_table_names(item, names)
-    elif isinstance(statement, (ast.Insert, ast.Update, ast.Delete)):
+    if isinstance(statement, (ast.Insert, ast.Update, ast.Delete)):
         names.add(statement.table.lower())
-        if isinstance(statement, ast.Insert) and statement.query is not None:
-            names |= referenced_table_names(statement.query)
-        expressions: list[Optional[ast.Expression]] = []
-        if isinstance(statement, (ast.Update, ast.Delete)):
-            expressions.append(statement.where)
-        if isinstance(statement, ast.Update):
-            expressions.extend(assignment.value for assignment in statement.assignments)
-        for expr in expressions:
-            for node in walk_expression(expr):
-                if isinstance(node, (ast.ScalarSubquery, ast.InSubquery, ast.Exists)):
-                    names |= referenced_table_names(node.query)
+    for select in statement_selects(statement):
+        for item in walk_from_items(select.from_items):
+            if isinstance(item, ast.TableRef):
+                names.add(item.name.lower())
     return names
-
-
-def _collect_table_names(item: ast.FromItem, names: set[str]) -> None:
-    if isinstance(item, ast.TableRef):
-        names.add(item.name.lower())
-    elif isinstance(item, ast.Join):
-        _collect_table_names(item.left, names)
-        _collect_table_names(item.right, names)
-    # SubqueryRef tables are collected by walk_selects
 
 
 def count_nodes(node: Optional[ast.Node]) -> int:
@@ -289,37 +259,18 @@ def count_nodes(node: Optional[ast.Node]) -> int:
     if node is None:
         return 0
     if isinstance(node, ast.Select):
-        total = 1
-        for item in node.from_items:
-            total += _count_from_item_nodes(item)
-        for select_item in node.items:
-            total += 1 + count_nodes(select_item.expr)
-        total += count_nodes(node.where)
-        for expr in node.group_by:
-            total += count_nodes(expr)
-        total += count_nodes(node.having)
-        for order in node.order_by:
-            total += 1 + count_nodes(order.expr)
-        return total
+        total = 1 + len(node.items) + len(node.order_by)
+        for item in walk_from_items(node.from_items):
+            total += 1
+            if isinstance(item, ast.SubqueryRef):
+                total += count_nodes(item.query)
+        return total + sum(map(count_nodes, iter_select_expressions(node)))
     total = 0
-    for sub in walk_expression(node):  # type: ignore[arg-type]
+    for sub in walk_expression(node):
         total += 1
-        if isinstance(sub, (ast.ScalarSubquery, ast.InSubquery, ast.Exists)):
+        if isinstance(sub, ast.SUBQUERY_NODES):
             total += count_nodes(sub.query)
     return total
-
-
-def _count_from_item_nodes(item: ast.FromItem) -> int:
-    if isinstance(item, ast.SubqueryRef):
-        return 1 + count_nodes(item.query)
-    if isinstance(item, ast.Join):
-        return (
-            1
-            + _count_from_item_nodes(item.left)
-            + _count_from_item_nodes(item.right)
-            + count_nodes(item.condition)
-        )
-    return 1
 
 
 def find_aggregate_calls(expr: Optional[ast.Expression]) -> list[ast.FunctionCall]:

@@ -184,11 +184,6 @@ def add_date_interval(date: Date, interval: Interval, sign: int = 1) -> Date:
     return date_add_months(date, sign * interval.months())
 
 
-def is_null(value: Any) -> bool:
-    """SQL ``IS NULL`` over the value model (NULL is ``None``)."""
-    return value is None
-
-
 def sql_equal(left: Any, right: Any) -> Optional[bool]:
     """SQL ``=``: returns None when either side is NULL."""
     if left is None or right is None:

@@ -2,7 +2,7 @@
 
 The proof strategy is a counting UDF in the SELECT list: the projection runs
 once per *produced* row (row mode) or once per row of a *pulled batch*
-(vectorized mode, ``REPRO_ENGINE_BATCH`` rows at a time), so if ``fetchmany``
+(vectorized mode, one ``RowBatch`` of rows at a time), so if ``fetchmany``
 returns the first rows while the counter is at most one batch — far below
 the table's row count — the backend demonstrably did not materialize the
 result.  Covered: the engine's lazy pipeline, SQLite's incremental cursor,
@@ -17,6 +17,7 @@ import pytest
 
 import repro.api as api
 from repro.backends import EngineBackend, SQLiteBackend
+from repro.engine import Database, VectorConfig
 from repro.errors import ExecutionError
 from repro.result import QueryResult, RowStream
 
@@ -45,9 +46,12 @@ def _loaded(connection) -> None:
 BATCH = 64
 
 
-def test_engine_fetchmany_is_batch_bounded(monkeypatch):
-    monkeypatch.setenv("REPRO_ENGINE_BATCH", str(BATCH))
-    backend = EngineBackend()
+def _small_batch_engine() -> EngineBackend:
+    return EngineBackend(database=Database(vector=VectorConfig.from_env(batch_size=BATCH)))
+
+
+def test_engine_fetchmany_is_batch_bounded():
+    backend = _small_batch_engine()
     probe = _Probe()
     backend.connect().register_python_function("probe", probe)
     with api.connect(backend) as connection:
@@ -63,9 +67,8 @@ def test_engine_fetchmany_is_batch_bounded(monkeypatch):
         assert cursor.rowcount == ROWS
 
 
-def test_engine_limit_stops_the_pull_early(monkeypatch):
-    monkeypatch.setenv("REPRO_ENGINE_BATCH", str(BATCH))
-    backend = EngineBackend()
+def test_engine_limit_stops_the_pull_early():
+    backend = _small_batch_engine()
     probe = _Probe()
     backend.connect().register_python_function("probe", probe)
     with api.connect(backend) as connection:

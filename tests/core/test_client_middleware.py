@@ -6,6 +6,7 @@ from repro.core import MTBase, OptimizationLevel
 from repro.engine.database import StatementResult
 from repro.errors import MTSQLError, PrivilegeError, RewriteError
 from repro.sql import ast
+from repro.sql.parser import parse_statement
 
 
 class TestMiddlewareDDL:
@@ -95,6 +96,19 @@ class TestConnectionScopesAndPrivileges:
         grantor = middleware.connect(1)
         grantor.execute("GRANT READ ON Employees TO 0")
         assert connection.query("SELECT COUNT(*) AS c FROM Employees").scalar() == 6
+
+    def test_privilege_pruning_sees_tables_of_every_nested_query(self, paper_mt_session):
+        """A sub-query in any clause — or in an UPDATE's SET — names tables
+        the data set is pruned on (the walk used to stop at SELECT items,
+        WHERE and HAVING)."""
+        connection = paper_mt_session.connect(0)
+        for text in (
+            "SELECT E_name FROM Employees ORDER BY (SELECT MAX(R_role_id) FROM Roles)",
+            "SELECT E_name FROM Employees GROUP BY E_name, (SELECT MAX(R_role_id) FROM Roles)",
+            "UPDATE Employees SET E_role_id = (SELECT MAX(R_role_id) FROM Roles)",
+        ):
+            assert connection.statement_tables(parse_statement(text)) == {"Employees", "Roles"}
+        assert connection.statement_tables(parse_statement("SELECT * FROM Regions")) == set()
 
     def test_query_with_no_readable_tenant_raises(self):
         from tests.conftest import build_paper_example

@@ -14,7 +14,6 @@ from __future__ import annotations
 import pytest
 
 from repro.backends import SQLiteBackend
-from repro.compile.typecheck import SemanticFacts
 from repro.engine import Database, VectorConfig
 from repro.sql.parser import parse_query
 
@@ -106,20 +105,19 @@ def test_duplicate_build_keys_keep_row_mode_order(engines):
 
 @pytest.mark.parametrize("mode", MODES)
 def test_proven_not_null_build_keys_skip_the_null_test(mode):
-    """A build key the analyzer proved NOT NULL is not searched for NULLs;
-    an expression, or a column without a proof, is."""
+    """A build key its table declares NOT NULL is not searched for NULLs;
+    an expression, or a nullable column, is."""
     database = Database(vector=MODES[mode])
     database.execute("CREATE TABLE small (x INTEGER)")
     database.execute("CREATE TABLE big (id INTEGER NOT NULL, v INTEGER)")
     database.insert_rows("small", [(1,), (None,)])
     database.insert_rows("big", [(1, 5), (2, None), (3, 7), (4, 8)])  # the build side
-    facts = SemanticFacts(proven_not_null={"big": frozenset({"id"})})
     for sql, nullable in (
         ("SELECT x, v FROM small, big WHERE x = id", False),
         ("SELECT x, v FROM small, big WHERE x = id + 0", True),
         ("SELECT x, id FROM small, big WHERE x = v", True),
     ):
         select = parse_query(sql)
-        prepared = database.executor.prepare(select, None, facts=facts)
+        prepared = database.executor.prepare(select, None)
         assert [step.nullable for step in prepared._pipeline._steps] == [nullable], sql
         assert prepared.run(()) == database.query(sql).rows, sql

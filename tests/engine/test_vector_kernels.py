@@ -16,7 +16,7 @@ import pytest
 import repro.api as api
 from repro.backends import EngineBackend
 from repro.engine import Database, VectorConfig
-from repro.engine.config import env_batch_size, env_vectorize
+from repro.engine.config import env_vectorize
 from repro.errors import ConfigurationError, TypeMismatchError
 from repro.mth import load_mth, query_text
 from repro.sql.types import Date
@@ -204,23 +204,17 @@ def test_env_vectorize_accepts_only_the_two_flags(monkeypatch):
         env_vectorize()
 
 
-@pytest.mark.parametrize("bad", ["x", "0", "-3", "1.5"])
-def test_env_batch_size_rejects_malformed_values(monkeypatch, bad):
-    monkeypatch.setenv("REPRO_ENGINE_BATCH", bad)
-    with pytest.raises(ConfigurationError, match="REPRO_ENGINE_BATCH"):
-        env_batch_size()
-
-
 def test_vector_config_from_env(monkeypatch):
     monkeypatch.setenv("REPRO_ENGINE_VECTORIZE", "0")
-    monkeypatch.setenv("REPRO_ENGINE_BATCH", "256")
     monkeypatch.setenv("REPRO_ENGINE_TYPED", "0")
     config = VectorConfig.from_env()
-    assert config == VectorConfig(enabled=False, batch_size=256, typed=False)
+    assert config == VectorConfig(enabled=False, typed=False)
     monkeypatch.setenv("REPRO_ENGINE_TYPED", "1")
     assert VectorConfig.from_env().typed is True
     # keyword overrides win over the environment
-    assert VectorConfig.from_env(enabled=True).batch_size == 256
+    assert VectorConfig.from_env(enabled=True, batch_size=256) == VectorConfig(
+        enabled=True, batch_size=256, typed=True
+    )
     assert VectorConfig.from_env(typed=False).typed is False
 
 

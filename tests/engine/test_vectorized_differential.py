@@ -1,30 +1,30 @@
-"""Differential suite: proven vs. observed-typed vs. generic vs. row.
+"""Differential suite: typed vs. generic vs. row.
 
-The engine's four execution legs, each the oracle for the one above it:
+The engine's three execution legs, each the oracle for the one above it:
 
-* **proven** — the default: typed kernels plus the type checker's
-  proven-NOT-NULL facts selecting null-check-free kernel variants,
-* **observed** — typed kernels without facts (``compiler.typecheck``
-  off): nullability is observed per ``TypedColumn``, never proven,
+* **typed** — the default: typed-column kernels; a dispatch over columns the
+  catalog declares ``NOT NULL`` is counted as *proven*,
 * **generic** — ``REPRO_ENGINE_TYPED=0``: the generic object-list batch
   kernels,
 * **row** — ``REPRO_ENGINE_VECTORIZE=0``: the row-at-a-time interpreter.
 
-These tests load the *same* generated MT-H data into four engine
+These tests load the *same* generated MT-H data into three engine
 instances (with a small batch size, so every query crosses batch
 boundaries) and assert that every MT-H query, both scenarios, ``D' =
 {single, subset, all}``, produces *exactly* identical results: same rows,
 same order, same float bits (the batch aggregates accumulate in row order
 on purpose, so no normalization is needed).  Q1/Q6 additionally pin that
-the proven leg really dispatches proven kernels — the counters that
-``EXPLAIN ANALYZE`` reports as ``kernels ... proven=P``.
+the typed leg really counts proven dispatches — the counters that
+``EXPLAIN ANALYZE`` reports as ``kernels ... proven=P`` — and that the
+engine needs nobody's help for it: a bare ``Database.execute`` and the
+shards of a cluster count them too.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.backends import EngineBackend
+from repro.backends import EngineBackend, ShardedBackend
 from repro.engine import Database, VectorConfig
 from repro.mth.loader import load_mth
 from repro.mth.queries import ALL_QUERY_IDS, CONVERSION_INTENSIVE, query_text
@@ -46,33 +46,28 @@ DATASETS = {
 SCENARIOS = ("uniform", "zipf")
 
 
-def _engine_instance(tiny_tpch_data, scenario: str, enabled: bool, typed: bool = True):
-    database = Database(
-        vector=VectorConfig(enabled=enabled, batch_size=BATCH, typed=typed)
+def _engine_backend(enabled: bool, typed: bool = True) -> EngineBackend:
+    return EngineBackend(
+        database=Database(vector=VectorConfig(enabled=enabled, batch_size=BATCH, typed=typed))
     )
+
+
+def _engine_instance(tiny_tpch_data, scenario: str, enabled: bool, typed: bool = True):
     return load_mth(
         data=tiny_tpch_data,
         tenants=TENANTS,
         distribution=scenario,
-        backend=EngineBackend(database=database),
+        backend=_engine_backend(enabled, typed),
     )
 
 
 @pytest.fixture(scope="module", params=SCENARIOS)
-def engine_quartet(request, tiny_tpch_data):
-    """The same MT-H data in proven, observed-typed, generic and row engines."""
-    proven = _engine_instance(tiny_tpch_data, request.param, enabled=True)
-    observed = _engine_instance(tiny_tpch_data, request.param, enabled=True)
-    # same engine configuration, but no SemanticFacts: nullability stays
-    # observed per TypedColumn, the proven kernel variants never fire
-    observed.middleware.compiler.typecheck = False
+def engine_trio(request, tiny_tpch_data):
+    """The same MT-H data in typed, generic and row engines."""
+    typed = _engine_instance(tiny_tpch_data, request.param, enabled=True)
     generic = _engine_instance(tiny_tpch_data, request.param, enabled=True, typed=False)
     row_mode = _engine_instance(tiny_tpch_data, request.param, enabled=False)
-    # the facts legs pin the checker on explicitly, so the quartet keeps its
-    # shape even on the CI leg that exports REPRO_COMPILE_TYPECHECK=0
-    for instance in (proven, generic, row_mode):
-        instance.middleware.compiler.typecheck = True
-    return proven, observed, generic, row_mode
+    return typed, generic, row_mode
 
 
 def _connection(instance, scope: str, optimization: str = "o4"):
@@ -82,24 +77,17 @@ def _connection(instance, scope: str, optimization: str = "o4"):
 
 
 @pytest.mark.parametrize("query_id", ALL_QUERY_IDS)
-def test_mth_query_results_bit_identical(engine_quartet, query_id):
-    proven, observed, generic, row_mode = engine_quartet
+def test_mth_query_results_bit_identical(engine_trio, query_id):
+    typed, generic, row_mode = engine_trio
     text = query_text(query_id)
     for name, scope in DATASETS.items():
-        proven_result = _connection(proven, scope).query(text)
-        observed_result = _connection(observed, scope).query(text)
+        typed_result = _connection(typed, scope).query(text)
         generic_result = _connection(generic, scope).query(text)
         row_result = _connection(row_mode, scope).query(text)
         assert (
-            proven_result.columns
-            == observed_result.columns
-            == generic_result.columns
-            == row_result.columns
+            typed_result.columns == generic_result.columns == row_result.columns
         ), f"Q{query_id} D'={name}: columns differ"
-        assert proven_result.rows == observed_result.rows, (
-            f"Q{query_id} D'={name}: proven kernels diverge from observed-typed"
-        )
-        assert observed_result.rows == generic_result.rows, (
+        assert typed_result.rows == generic_result.rows, (
             f"Q{query_id} D'={name}: typed kernels diverge from generic kernels"
         )
         assert generic_result.rows == row_result.rows, (
@@ -108,7 +96,7 @@ def test_mth_query_results_bit_identical(engine_quartet, query_id):
 
 
 @pytest.mark.parametrize("level", ["canonical", "o1"])
-def test_udf_counters_identical_across_modes(engine_quartet, level):
+def test_udf_counters_identical_across_modes(engine_trio, level):
     """Memo-batched UDF dispatch keeps counter parity with row mode.
 
     At low optimization levels the conversion UDFs execute instead of being
@@ -119,7 +107,7 @@ def test_udf_counters_identical_across_modes(engine_quartet, level):
     for query_id in CONVERSION_INTENSIVE:
         text = query_text(query_id)
         counters = []
-        for instance in engine_quartet:
+        for instance in engine_trio:
             instance.middleware.backend.reset_stats()
             _connection(instance, "IN (1, 3)", optimization=level).query(text)
             stats = instance.middleware.backend.stats
@@ -133,37 +121,51 @@ def test_udf_counters_identical_across_modes(engine_quartet, level):
     assert counters[0][0] > 0
 
 
-def test_streaming_results_identical_across_modes(engine_quartet):
+def test_streaming_results_identical_across_modes(engine_trio):
     """`execute_stream` yields the same rows in the same order in all modes."""
-    proven, *others = engine_quartet
-    rewritten = _connection(proven, "IN ()").rewrite(query_text(6))
-    proven_rows = proven.middleware.backend.execute_stream(rewritten).materialize().rows
+    typed, *others = engine_trio
+    rewritten = _connection(typed, "IN ()").rewrite(query_text(6))
+    typed_rows = typed.middleware.backend.execute_stream(rewritten).materialize().rows
     for instance in others:
         rows = instance.middleware.backend.execute_stream(rewritten).materialize().rows
-        assert rows == proven_rows
+        assert rows == typed_rows
 
 
 @pytest.mark.parametrize("query_id", [1, 6])
-def test_proven_kernels_dispatch_on_scan_heavy_queries(engine_quartet, query_id):
-    """Q1/Q6 really take the null-check-free proven kernel variants.
+def test_proven_kernels_dispatch_on_scan_heavy_queries(engine_trio, query_id):
+    """Q1/Q6 dispatches are counted as proven.
 
-    ``explain(analyze=True)`` reports the per-operator dispatch split; on
-    the proven leg every dispatch that would have been merely *typed* is
-    proven (MT-H declares every column NOT NULL), and on the observed leg
-    (no SemanticFacts) the proven bucket stays empty.
+    ``explain(analyze=True)`` reports the per-operator dispatch split; every
+    dispatch that would have been merely *typed* is proven, because MT-H
+    declares every column NOT NULL and the engine reads that off its catalog.
     """
-    proven, observed, _, _ = engine_quartet
-    text = query_text(query_id)
-
-    report = _connection(proven, "IN (1, 3)").explain(text, analyze=True)
+    typed, _, _ = engine_trio
+    report = _connection(typed, "IN (1, 3)").explain(query_text(query_id), analyze=True)
     proven_kernels = sum(op.proven_kernels for op in report.operators)
     typed_kernels = sum(op.typed_kernels for op in report.operators)
     assert proven_kernels > 0, f"Q{query_id}: no proven kernel dispatches"
     assert typed_kernels == 0, (
         f"Q{query_id}: {typed_kernels} dispatches fell back to observed "
-        f"nullability despite schema-proven NOT NULL columns"
+        f"nullability despite schema-declared NOT NULL columns"
     )
 
-    report = _connection(observed, "IN (1, 3)").explain(text, analyze=True)
-    assert sum(op.proven_kernels for op in report.operators) == 0
-    assert sum(op.typed_kernels for op in report.operators) > 0
+
+def test_bare_statements_and_shards_count_proven_kernels(tiny_tpch_data):
+    """The proof needs no compiler artifact: a bare ``Database.execute`` of
+    rewritten SQL and every shard of a cluster count proven dispatches."""
+    single = _engine_instance(tiny_tpch_data, "uniform", enabled=True)
+    rewritten = _connection(single, "IN ()").rewrite(query_text(6))
+    database = single.middleware.backend.engine_database
+    before = database.stats.kernels.snapshot()
+    database.execute(rewritten)
+    assert database.stats.kernels.snapshot()[2] > before[2]
+
+    sharded = load_mth(
+        data=tiny_tpch_data,
+        tenants=TENANTS,
+        distribution="uniform",
+        backend=ShardedBackend(shards=2, backend_factory=lambda: _engine_backend(enabled=True)),
+    )
+    _connection(sharded, "IN ()").query(query_text(6))
+    for shard in sharded.middleware.backend.shard_connections:
+        assert shard.stats.kernels.snapshot()[2] > 0

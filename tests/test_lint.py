@@ -1,6 +1,6 @@
 """The repo lint suite: green on the repo, and each rule catches a seed.
 
-Gates ``tools/lint/`` into tier-1 twice over: the four checkers must find
+Gates ``tools/lint/`` into tier-1 twice over: the five checkers must find
 nothing in the repository as committed (the same result the CI ``lint``
 job enforces), and each rule must still *detect* a seeded violation — a
 checker that silently stopped matching would otherwise stay green
@@ -19,7 +19,7 @@ import pytest
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "tools"))
 
-from lint import Violation, envknobs, execguard, gcguard, lockcheck  # noqa: E402
+from lint import Violation, deadnames, envknobs, execguard, gcguard, lockcheck  # noqa: E402
 
 
 def _write(tmp_path: Path, name: str, source: str) -> Path:
@@ -35,7 +35,7 @@ def local_paths(monkeypatch, tmp_path):
     The checkers render repo-relative paths; seeded files live outside the
     repo, so the test swaps ``relative`` for the bare file name.
     """
-    for module in (envknobs, execguard, gcguard, lockcheck):
+    for module in (deadnames, envknobs, execguard, gcguard, lockcheck):
         monkeypatch.setattr(module, "relative", lambda path: path.name)
     return tmp_path
 
@@ -61,6 +61,10 @@ def test_lockcheck_clean_on_repo():
     assert lockcheck.check() == []
 
 
+def test_deadnames_clean_on_repo():
+    assert deadnames.check() == []
+
+
 def test_lint_runner_exits_zero():
     completed = subprocess.run(
         [sys.executable, str(REPO_ROOT / "tools" / "lint" / "run.py")],
@@ -68,7 +72,7 @@ def test_lint_runner_exits_zero():
         text=True,
     )
     assert completed.returncode == 0, completed.stdout + completed.stderr
-    for name in ("envknobs", "execguard", "gcguard", "lockcheck"):
+    for name in ("envknobs", "execguard", "gcguard", "lockcheck", "deadnames"):
         assert f"{name}: OK" in completed.stdout
     # the informational line budget: the src/ total and the ten largest modules
     budget = completed.stdout[completed.stdout.index("line budget: src/ holds ") :]
@@ -346,3 +350,42 @@ def test_lockcheck_flags_missing_registered_class(local_paths, monkeypatch):
     assert any("registered class missing" in v.message for v in findings)
     findings = lockcheck.check(registry=(("gone.py", "Counter"),))
     assert any("registered module missing" in v.message for v in findings)
+
+
+# ---------------------------------------------------------------------------
+# deadnames: a definition nobody mentions is caught, the exempt shapes are not
+# ---------------------------------------------------------------------------
+
+SEEDED_DEAD_NAMES = """
+def register(cls):
+    return cls
+
+def used():
+    return 1
+
+def orphan():                      # BAD: mentioned nowhere else
+    return used()
+
+@register
+class Registered:                  # decorator defined here is its caller
+    def __len__(self):             # dunder
+        return 0
+
+    def _visit_leaf(self):         # built by the getattr below
+        return getattr(self, f"_visit_{'leaf'}")
+
+    def forgotten(self):           # BAD: a method counts too
+        return None
+"""
+
+
+def test_deadnames_flags_unmentioned_definitions(local_paths):
+    _write(local_paths, "seeded.py", SEEDED_DEAD_NAMES)
+    findings = deadnames.check(roots=(local_paths,), mention_roots=(local_paths,))
+    assert [(v.line, v.message.split()[0]) for v in findings] == [
+        (8, "orphan"),
+        (19, "forgotten"),
+    ]
+    # one mention anywhere in the searched trees (here: a docs page) is enough
+    _write(local_paths, "notes.md", "call `orphan()` and `forgotten()`\n")
+    assert deadnames.check(roots=(local_paths,), mention_roots=(local_paths,)) == []

@@ -1,6 +1,6 @@
 """Repo-specific stdlib-``ast`` lint suite.
 
-Four checkers police invariants the generic linters cannot express:
+Five checkers police invariants the generic linters cannot express:
 
 * :mod:`tools.lint.envknobs` — every ``REPRO_*`` environment variable is
   read through a strict parser (raises ``ConfigurationError`` on malformed
@@ -16,7 +16,11 @@ Four checkers police invariants the generic linters cannot express:
   through a process-global switch;
 * :mod:`tools.lint.lockcheck` — classes registered as lock-guarded
   (``ExecutionStats``, the gateway cache/metrics) never mutate their
-  attributes outside a ``with self._lock`` block.
+  attributes outside a ``with self._lock`` block;
+* :mod:`tools.lint.deadnames` — every function, class and method defined
+  under ``src/`` is mentioned somewhere else in the repository (code, tests,
+  benchmark, tools or docs); decorator-registered, ``getattr``-dispatched,
+  dunder and DB-API names are exempt by rule.
 
 Run everything with ``python tools/lint/run.py`` (exit 1 on findings);
 ``tests/test_lint.py`` gates the same checks in the tier-1 suite, and each

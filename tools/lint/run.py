@@ -18,15 +18,16 @@ from pathlib import Path
 
 if __package__ in (None, ""):  # direct invocation: python tools/lint/run.py
     sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
-    from lint import SRC, envknobs, execguard, gcguard, lockcheck, python_files, relative
+    from lint import SRC, deadnames, envknobs, execguard, gcguard, lockcheck, python_files, relative
 else:
-    from . import SRC, envknobs, execguard, gcguard, lockcheck, python_files, relative
+    from . import SRC, deadnames, envknobs, execguard, gcguard, lockcheck, python_files, relative
 
 CHECKERS = (
     ("envknobs", envknobs.check),
     ("execguard", execguard.check),
     ("gcguard", gcguard.check),
     ("lockcheck", lockcheck.check),
+    ("deadnames", deadnames.check),
 )
 
 
