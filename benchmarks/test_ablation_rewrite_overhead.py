@@ -9,11 +9,10 @@ plus (c) the staged compiler's per-pass timing breakdown
 canonical rewrite vs. each optimization pass.
 
 The connections use the workload's default optimization level, so
-``REPRO_BENCH_LEVEL`` sweeps the whole ablation across Table-6 levels.  On
-the engine backend the execution side is additionally measured in *both*
-execution modes (vectorized batch kernels vs. the row-at-a-time oracle), so
-one ``--benchmark-json`` report separates compile cost from execution cost
-per mode.
+``REPRO_BENCH_LEVEL`` sweeps the whole ablation across Table-6 levels.  The
+execution benchmark carries the statement's compile time in ``extra_info``,
+so one ``--benchmark-json`` report separates compile cost from execution
+cost.
 """
 
 import time
@@ -40,12 +39,21 @@ def test_rewrite_only(benchmark, workload, query_id):
 
 @pytest.mark.parametrize("query_id", QUERY_IDS)
 def test_execute_prerewritten(benchmark, workload, query_id):
+    """The benchmarked unit is one execution of the pre-rewritten statement;
+    ``extra_info`` carries the compile time of the same statement
+    (milliseconds), so the report shows where the middleware's time goes."""
     connection = workload.connection(client=1, dataset="all")
-    rewritten = connection.rewrite(query_text(query_id))
+    text = query_text(query_id)
+    start = time.perf_counter()
+    compiled = connection.compile(text)
+    compile_seconds = time.perf_counter() - start
+    rewritten = connection.rewrite(text)
     workload.reset_caches()
     benchmark.pedantic(
         lambda: workload.backend.execute(rewritten), rounds=1, iterations=1
     )
+    benchmark.extra_info["level"] = compiled.level.value
+    benchmark.extra_info["compile_ms"] = round(compile_seconds * 1000.0, 4)
 
 
 @pytest.mark.parametrize("query_id", QUERY_IDS)
@@ -73,45 +81,3 @@ def test_per_pass_timing_breakdown(benchmark, workload, query_id):
     assert total_staged <= compiled.seconds
     benchmark.extra_info["pass_ms"] = breakdown
     benchmark.extra_info["level"] = compiled.level.value
-
-
-@pytest.mark.parametrize("query_id", QUERY_IDS)
-def test_compile_vs_execute_both_modes(benchmark, workload, query_id):
-    """Compile cost next to execution cost in both engine execution modes.
-
-    The benchmarked unit is one vectorized execution of the pre-rewritten
-    statement; ``extra_info`` carries the compile time and a single-shot
-    row-at-a-time execution time of the same statement (milliseconds), so
-    the report shows where the middleware's time actually goes per mode.
-    """
-    database = getattr(workload.backend, "engine_database", None)
-    if database is None:
-        pytest.skip("the per-mode ablation needs the in-memory engine backend")
-    connection = workload.connection(client=1, dataset="all")
-    text = query_text(query_id)
-
-    start = time.perf_counter()
-    compiled = connection.compile(text)
-    compile_seconds = time.perf_counter() - start
-    rewritten = connection.rewrite(text)
-
-    was_enabled = database.vector.enabled
-    try:
-        database.set_vectorize(False)
-        workload.reset_caches()
-        start = time.perf_counter()
-        row_result = workload.backend.execute(rewritten)
-        row_seconds = time.perf_counter() - start
-
-        database.set_vectorize(True)
-        workload.reset_caches()
-        vector_result = benchmark.pedantic(
-            lambda: workload.backend.execute(rewritten), rounds=1, iterations=1
-        )
-    finally:
-        database.set_vectorize(was_enabled)
-
-    assert vector_result.rows == row_result.rows
-    benchmark.extra_info["level"] = compiled.level.value
-    benchmark.extra_info["compile_ms"] = round(compile_seconds * 1000.0, 4)
-    benchmark.extra_info["execute_row_ms"] = round(row_seconds * 1000.0, 4)

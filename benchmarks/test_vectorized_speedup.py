@@ -1,19 +1,17 @@
-"""Ablation: typed kernels vs. generic batch kernels vs. the row oracle.
+"""Ablation: typed-column kernels vs. generic batch kernels.
 
 The engine's hot path runs typed-column kernels (``repro.engine.columns`` +
 the specialized paths in ``repro.engine.vector``); below them sit the
-generic object-list batch kernels (``REPRO_ENGINE_TYPED=0``), and below
-those the row-at-a-time interpreter kept as the bit-identical differential
-oracle (``REPRO_ENGINE_VECTORIZE=0``).  This ablation times the *same*
-rewritten statement in all three modes on the same loaded engine database
-and attaches both ratios to ``extra_info`` — scan-heavy aggregations
-(Q1/Q6-class) are where the batch kernels pay off most, so those are the
+generic object-list batch kernels (``REPRO_ENGINE_TYPED=0``).  This ablation
+times the *same* rewritten statement with both on the same loaded engine
+database and attaches the ratio to ``extra_info`` — scan-heavy aggregations
+(Q1/Q6-class) are where specialization pays off most, so those are the
 measured mix.
 
-Ratios are reported, not asserted: wall-clock multiples are hardware- and
+The ratio is reported, not asserted: wall-clock multiples are hardware- and
 load-dependent, and a flaky threshold would hide real regressions behind
-retries.  Result rows ARE asserted identical across all three modes — a
-speedup measured against a wrong answer is meaningless.
+retries.  Result rows ARE asserted identical across both legs — a speedup
+measured against a wrong answer is meaningless.
 """
 
 import time
@@ -24,7 +22,7 @@ from conftest import record_benchmark
 from repro.bench.workload import WorkloadConfig, load_workload
 from repro.mth.queries import query_text
 
-#: scan-dominated aggregation queries, where vectorization matters most
+#: scan-dominated aggregation queries, where kernel specialization matters most
 QUERY_IDS = (1, 6)
 #: single-shot timing repeated this many times; the minimum is reported
 ROUNDS = 3
@@ -51,15 +49,14 @@ def _ratio(slow: float, fast: float) -> float:
 
 
 @pytest.mark.parametrize("query_id", QUERY_IDS)
-def test_vectorized_speedup(benchmark, workload, query_id):
-    """Measure row vs. generic-batch vs. typed execution of one MT-H query."""
+def test_typed_kernel_speedup(benchmark, workload, query_id):
+    """Measure generic-batch vs. typed execution of one MT-H query."""
     database = getattr(workload.backend, "engine_database", None)
     if database is None:
         pytest.skip("the speedup ablation needs the in-memory engine backend")
     connection = workload.connection(client=1, dataset="all")
     rewritten = connection.rewrite(query_text(query_id))
 
-    was_enabled = database.vector.enabled
     was_typed = database.vector.typed
 
     def _measure():
@@ -67,10 +64,6 @@ def test_vectorized_speedup(benchmark, workload, query_id):
         return _best_of(lambda: workload.backend.execute(rewritten))
 
     try:
-        database.set_vectorize(False)
-        row_seconds, row_result = _measure()
-
-        database.set_vectorize(True)
         database.set_typed(False)
         generic_seconds, generic_result = _measure()
 
@@ -81,16 +74,10 @@ def test_vectorized_speedup(benchmark, workload, query_id):
             lambda: workload.backend.execute(rewritten), rounds=1, iterations=1
         )
     finally:
-        database.set_vectorize(was_enabled)
         database.set_typed(was_typed)
 
-    assert typed_result.rows == generic_result.rows == row_result.rows
-    benchmark.extra_info["execute_row_ms"] = round(row_seconds * 1000.0, 4)
+    assert typed_result.rows == generic_result.rows
     benchmark.extra_info["execute_generic_ms"] = round(generic_seconds * 1000.0, 4)
     benchmark.extra_info["execute_typed_ms"] = round(typed_seconds * 1000.0, 4)
-    # generic batch kernels over the row oracle (the PR 7 win) ...
-    benchmark.extra_info["vectorized_speedup"] = _ratio(row_seconds, generic_seconds)
-    # ... and typed kernels over the generic batch kernels (this PR's win)
     benchmark.extra_info["typed_speedup"] = _ratio(generic_seconds, typed_seconds)
-    benchmark.extra_info["speedup"] = _ratio(row_seconds, typed_seconds)
-    record_benchmark(benchmark, "vectorized-speedup", query=query_id)
+    record_benchmark(benchmark, "typed-speedup", query=query_id)

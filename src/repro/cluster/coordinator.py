@@ -54,8 +54,8 @@ class ShardCoordinator:
         #: the engine that runs merge queries.  It holds no tables (each
         #: query brings its rows inline) and is not a shard: its statement,
         #: UDF and kernel counters stay out of the cluster's execution stats.
-        #: Expression mode follows the process-wide ``VectorConfig`` like any
-        #: engine; ``merge_database.set_vectorize()`` flips it.
+        #: Kernel specialization follows the process-wide ``VectorConfig``
+        #: like any engine; ``merge_database.set_typed()`` flips it.
         self.merge_database = Database()
         #: lower-cased names of the scalar functions a merge query may call;
         #: the cluster planner's evaluability check shares this set

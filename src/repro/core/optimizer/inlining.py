@@ -13,11 +13,10 @@ arithmetic per record).
 
 from __future__ import annotations
 
-import copy
 from typing import Optional
 
 from ...sql import ast
-from ...sql.transform import transform_expression
+from ...sql.transform import transform_expression, transform_select
 from ..conversion import ConversionRegistry
 from ..rewrite.context import RewriteContext
 
@@ -31,58 +30,19 @@ class InliningOptimizer:
         self.fired = 0
 
     def apply(self, query: ast.Select) -> ast.Select:
-        query = copy.copy(query)
-        query.items = [
-            ast.SelectItem(expr=self.inline_expression(item.expr), alias=item.alias)
-            for item in query.items
-        ]
-        query.from_items = [self._apply_from_item(item) for item in query.from_items]
-        query.where = self.inline_expression(query.where)
-        query.group_by = [self.inline_expression(expr) for expr in query.group_by]
-        query.having = self.inline_expression(query.having)
-        query.order_by = [
-            ast.OrderItem(expr=self.inline_expression(order.expr), descending=order.descending)
-            for order in query.order_by
-        ]
-        return query
+        return transform_select(query, self._inline)
 
-    def _apply_from_item(self, item: ast.FromItem) -> ast.FromItem:
-        if isinstance(item, ast.SubqueryRef):
-            return ast.SubqueryRef(query=self.apply(item.query), alias=item.alias)
-        if isinstance(item, ast.Join):
-            return ast.Join(
-                left=self._apply_from_item(item.left),
-                right=self._apply_from_item(item.right),
-                join_type=item.join_type,
-                condition=self.inline_expression(item.condition),
-                alias=item.alias,
-            )
-        return item
-
-    def inline_expression(self, expr: Optional[ast.Expression]) -> Optional[ast.Expression]:
-        if expr is None:
+    def _inline(self, node: ast.Expression) -> Optional[ast.Expression]:
+        """The inline form of a conversion-pair call (its arguments inlined
+        first), else ``None``: the transform descends into every other node,
+        sub-queries included."""
+        if not isinstance(node, ast.FunctionCall) or len(node.args) != 2:
             return None
-
-        def replacer(node: ast.Expression) -> Optional[ast.Expression]:
-            if isinstance(node, ast.ScalarSubquery):
-                return ast.ScalarSubquery(query=self.apply(node.query))
-            if isinstance(node, ast.InSubquery):
-                return ast.InSubquery(
-                    expr=self.inline_expression(node.expr),
-                    query=self.apply(node.query),
-                    negated=node.negated,
-                )
-            if isinstance(node, ast.Exists):
-                return ast.Exists(query=self.apply(node.query), negated=node.negated)
-            if isinstance(node, ast.FunctionCall) and len(node.args) == 2:
-                pair = self.registry.by_function(node.name)
-                if pair is not None and pair.supports_inlining:
-                    value = self.inline_expression(node.args[0])
-                    ttid = self.inline_expression(node.args[1])
-                    self.fired += 1
-                    if node.name.lower() == pair.to_universal.lower():
-                        return pair.inline_to(value, ttid)
-                    return pair.inline_from(value, ttid)
+        pair = self.registry.by_function(node.name)
+        if pair is None or not pair.supports_inlining:
             return None
-
-        return transform_expression(expr, replacer)
+        value, ttid = (transform_expression(arg, self._inline, True) for arg in node.args)
+        self.fired += 1
+        if node.name.lower() == pair.to_universal.lower():
+            return pair.inline_to(value, ttid)
+        return pair.inline_from(value, ttid)

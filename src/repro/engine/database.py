@@ -56,11 +56,10 @@ PROFILES = {
 class Database:
     """An in-memory SQL database executing the ``repro`` SQL dialect.
 
-    Expression evaluation runs in one of two modes (chosen per statement
-    preparation from :attr:`vector`): vectorized batch kernels — the default
-    — or the row-at-a-time closure interpreter kept as the differential
-    oracle.  ``REPRO_ENGINE_VECTORIZE`` / ``REPRO_ENGINE_TYPED`` configure
-    the mode process-wide; :meth:`set_vectorize` flips it per database.
+    Expressions evaluate as batch kernels configured by :attr:`vector`
+    (read per statement preparation): ``REPRO_ENGINE_TYPED`` sets the typed
+    specialization process-wide and :meth:`set_typed` flips it per
+    database.
     """
 
     def __init__(
@@ -262,8 +261,8 @@ class Database:
     def set_cost(self, enabled: bool) -> None:
         """Switch cost-based planning on or off for this database.
 
-        Like :meth:`set_vectorize`, the switch takes effect on the next
-        statement preparation; cached SQL-UDF body plans are dropped.
+        Like :meth:`set_typed`, the switch takes effect on the next statement
+        preparation; cached SQL-UDF body plans are dropped.
         """
         self.cost = CostConfig(
             enabled=enabled,
@@ -271,33 +270,14 @@ class Database:
         )
         self.executor.invalidate()
 
-    def set_vectorize(self, enabled: bool, batch_size: Optional[int] = None) -> None:
-        """Switch the execution mode (and optionally the batch size).
-
-        Plans are prepared per statement execution, so the switch takes
-        effect on the next statement; the cached SQL-UDF body plans are
-        dropped because they were compiled for the previous mode.
-        """
-        self.vector = VectorConfig(
-            enabled=enabled,
-            batch_size=batch_size if batch_size is not None else self.vector.batch_size,
-            typed=self.vector.typed,
-        )
-        self.executor.invalidate()
-
     def set_typed(self, enabled: bool) -> None:
         """Switch typed-column kernel specialization on or off.
 
-        Only observable in vectorized mode (see
-        :mod:`repro.engine.config`); like :meth:`set_vectorize` it takes
-        effect on the next statement preparation and drops cached SQL-UDF
-        body plans, which embedded the previous setting in their kernels.
+        See :mod:`repro.engine.config`.  The switch takes effect on the next
+        statement preparation and drops cached SQL-UDF body plans, which
+        embedded the previous setting in their kernels.
         """
-        self.vector = VectorConfig(
-            enabled=self.vector.enabled,
-            batch_size=self.vector.batch_size,
-            typed=enabled,
-        )
+        self.vector = VectorConfig(batch_size=self.vector.batch_size, typed=enabled)
         self.executor.invalidate()
 
     def reset_stats(self) -> None:

@@ -1,10 +1,11 @@
 """Query executor: prepared SELECT plans, aggregation, ordering, sub-queries.
 
 :class:`Executor` prepares a :class:`PreparedSelect` per statement execution.
-Preparation compiles every expression to a closure (see
-:mod:`repro.engine.expressions`) and plans the joins (see
-:mod:`repro.engine.planner`); running a prepared plan is then a tight loop
-over row tuples.  Prepared plans for uncorrelated sub-queries cache their
+Preparation compiles every expression to a batch kernel (see
+:mod:`repro.engine.vector`) and plans the joins (see
+:mod:`repro.engine.planner`); running a prepared plan pulls the joined rows
+as one :class:`~repro.engine.vector.RowBatch` and projects or aggregates it
+in bounded windows.  Prepared plans for uncorrelated sub-queries cache their
 result so that ``x IN (SELECT ...)`` style predicates cost one execution per
 statement, not one per row.
 """
@@ -23,13 +24,9 @@ from ..sql import ast
 from ..sql.printer import to_sql
 from ..sql.transform import find_aggregate_calls, transform_expression
 from ..sql.types import sort_key
-from .expressions import (
-    CompiledExpr,
-    ExpressionCompiler,
-    Scope,
-)
+from .expressions import Scope
 from .functions import BUILTIN_SCALARS, Function, aggregate_factory, is_count_star
-from .planner import EmptyPipeline, JoinPipeline, Planner
+from .planner import Planner
 from .vector import (
     BatchExpressionCompiler,
     RowBatch,
@@ -44,8 +41,8 @@ def _row_positions(batch: RowBatch, outers: tuple) -> range:
 
 
 def _row_tuples(batch: RowBatch, outers: tuple):
-    """Argument column of any other argument-less aggregate: like row mode,
-    it is fed the row tuples."""
+    """Argument column of any other aggregate without an argument expression
+    (``COUNT(DISTINCT *)``, ``COUNT()``): the row tuples themselves."""
     return batch.rows
 
 
@@ -88,11 +85,11 @@ class ExecutionContext:
         ``(args)`` keys of a batch are deduplicated, the shared memo in
         :meth:`repro.engine.functions.Function.invoke` is hit once per
         distinct key, and results scatter to every occurrence.  Counters
-        stay identical to row-at-a-time execution — each duplicate
-        occurrence is still one call that hit the cache, accounted in bulk
+        stay one call per occurrence — each duplicate occurrence is one
+        call that hit the cache, accounted in bulk
         (:meth:`~repro.engine.functions.Function.add_memo_hits`) — so the
-        UDF-cache ablation counts distinct conversion evaluations the same
-        in both modes.  Non-memoizing profiles (System C cannot declare
+        UDF-cache ablation counts distinct conversion evaluations, not
+        batches.  Non-memoizing profiles (System C cannot declare
         UDFs deterministic) call per row, preserving their per-row
         execution counts.
         """
@@ -179,9 +176,7 @@ class PreparedSelect:
 
     def _compile(self) -> None:
         select = self._select
-        vector = self._context.database.vector
-        self._vector = vector
-        self._vectorized = vector.enabled
+        self._vector = self._context.database.vector
         # operator profiles are recorded for top-level statements only;
         # per-outer-row sub-query runs would drown the profile in lock traffic
         self._profile_ops = self._parent_scope is None
@@ -190,10 +185,7 @@ class PreparedSelect:
         self._scopes.extend(planner.created_scopes)
         self._children.extend(self._pipeline.children())
 
-        if self._vectorized:
-            expr_compiler = BatchExpressionCompiler(self._scope, self._context)
-        else:
-            expr_compiler = ExpressionCompiler(self._scope, self._context)
+        expr_compiler = BatchExpressionCompiler(self._scope, self._context)
         self._post_filters = [
             expr_compiler.compile_predicate(conjunct) for conjunct in subquery_conjuncts
         ]
@@ -270,25 +262,19 @@ class PreparedSelect:
             group_columns.append((None, placeholder))
             if aggregate.args and not isinstance(aggregate.args[0], ast.Star):
                 arg_fn = compiler.compile(aggregate.args[0])
-            elif not self._vectorized:
-                arg_fn = None  # the row interpreter feeds the row tuple itself
             elif is_count_star(aggregate) and not aggregate.distinct:
                 arg_fn = _row_positions
             else:
                 arg_fn = _row_tuples
-            # (accumulator factory, argument kernel), resolved once: row mode
-            # builds an accumulator per group, vectorized one state per run
-            factory = aggregate_factory(aggregate, grouped=self._vectorized)
-            self._aggregate_specs.append((factory, arg_fn))
+            # (state factory, argument kernel), resolved once; a run builds
+            # one state per aggregate for all its groups
+            self._aggregate_specs.append((aggregate_factory(aggregate), arg_fn))
 
         self._group_key_fns = [compiler.compile(expr) for expr in group_exprs]
 
         group_scope = Scope(group_columns, parent=self._parent_scope)
         self._scopes.append(group_scope)
-        if self._vectorized:
-            group_compiler = BatchExpressionCompiler(group_scope, self._context)
-        else:
-            group_compiler = ExpressionCompiler(group_scope, self._context)
+        group_compiler = BatchExpressionCompiler(group_scope, self._context)
 
         def rewrite(expr: Optional[ast.Expression]) -> Optional[ast.Expression]:
             if expr is None:
@@ -422,16 +408,14 @@ class PreparedSelect:
     def stream(self, outers: tuple = ()):
         """Yield projected rows lazily (see :attr:`streamable`).
 
-        In vectorized mode the lazy path pulls bounded batches from
+        The lazy path pulls bounded batches from
         :meth:`~repro.engine.planner.JoinPipeline.iter_batches`, applies the
         post-filters and the projection per *batch* and honours ``LIMIT`` by
         stopping the pull early — an early ``LIMIT`` therefore materializes
-        O(batch) rows.  Row mode pulls single rows from
-        :meth:`~repro.engine.planner.JoinPipeline.iter_rows` instead.
-        Laziness covers joining and projection — never the full *result
-        set* is materialized; each base scan still evaluates its pushed-down
-        filters over its whole table when first pulled (sources produce row
-        lists).  Cached rows (uncorrelated sub-query memo) and
+        O(batch) rows.  Laziness covers joining and projection — never the
+        full *result set* is materialized; each base scan still evaluates its
+        pushed-down filters over its whole table when first pulled (sources
+        produce row lists).  Cached rows (uncorrelated sub-query memo) and
         non-streamable shapes are simply replayed from the materialized
         result.
         """
@@ -443,28 +427,17 @@ class PreparedSelect:
         item_fns = self._item_fns
         limit = self._limit
         produced = 0
-        if self._vectorized:
-            for batch in self._pipeline.iter_batches(outers, self._vector.batch_size):
-                if filters:
-                    batch = apply_batch_predicates(batch, filters, outers)
-                    if batch.n == 0:
-                        continue
-                columns = [fn(batch, outers) for fn in item_fns]
-                for values in zip(*columns):
-                    yield values
-                    produced += 1
-                    if limit is not None and produced >= limit:
-                        return
-            return
-        for row in self._pipeline.iter_rows(outers):
-            if filters and not all(
-                predicate(row, outers) is True for predicate in filters
-            ):
-                continue
-            yield tuple(fn(row, outers) for fn in item_fns)
-            produced += 1
-            if limit is not None and produced >= limit:
-                return
+        for batch in self._pipeline.iter_batches(outers, self._vector.batch_size):
+            if filters:
+                batch = apply_batch_predicates(batch, filters, outers)
+                if batch.n == 0:
+                    continue
+            columns = [fn(batch, outers) for fn in item_fns]
+            for values in zip(*columns):
+                yield values
+                produced += 1
+                if limit is not None and produced >= limit:
+                    return
 
     def _run_uncached(self, outers: tuple) -> list[tuple]:
         stats = self._context.database.stats
@@ -502,46 +475,22 @@ class PreparedSelect:
                 )
                 marks[0] = now
 
-        if self._vectorized:
-            batch = self._pipeline.execute_batch(outers)
-            if profiled:
-                record("scan+join", batch.n)
-            if self._post_filters:
-                batch = apply_batch_predicates(batch, self._post_filters, outers)
-                if profiled:
-                    record("filter", batch.n)
-            input_rows = batch.n
-            if self._grouped:
-                operator = "aggregate"
-                projected = self._run_grouped_vector(batch, outers)
-            else:
-                operator = "project"
-                projected = self._run_plain_vector(batch, outers)
-        else:
-            rows = self._pipeline.execute(outers)
-            if profiled:
-                record("scan+join", len(rows))
-            if self._post_filters:
-                filters = self._post_filters
-                rows = [
-                    row
-                    for row in rows
-                    if all(predicate(row, outers) is True for predicate in filters)
-                ]
-                if profiled:
-                    record("filter", len(rows))
-            input_rows = len(rows)
-            if self._grouped:
-                operator = "aggregate"
-                projected = self._run_grouped(rows, outers)
-            else:
-                operator = "project"
-                projected = self._run_plain(rows, outers)
+        batch = self._pipeline.execute_batch(outers)
         if profiled:
-            batches = (
-                max(1, -(-input_rows // batch_size)) if self._vectorized else 1
-            )
-            record(operator, input_rows, batches=batches)
+            record("scan+join", batch.n)
+        if self._post_filters:
+            batch = apply_batch_predicates(batch, self._post_filters, outers)
+            if profiled:
+                record("filter", batch.n)
+        input_rows = batch.n
+        if self._grouped:
+            operator = "aggregate"
+            projected = self._aggregate(batch, outers)
+        else:
+            operator = "project"
+            projected = self._project(batch, outers)
+        if profiled:
+            record(operator, input_rows, batches=max(1, -(-input_rows // batch_size)))
         if self._distinct:
             projected = self._deduplicate(projected)
             if profiled:
@@ -555,7 +504,7 @@ class PreparedSelect:
             result = result[: self._limit]
         return result
 
-    def _run_plain_vector(self, source: RowBatch, outers: tuple) -> list[tuple[tuple, tuple]]:
+    def _project(self, source: RowBatch, outers: tuple) -> list[tuple[tuple, tuple]]:
         """Batch projection: evaluate item/order columns per bounded window."""
         batch_size = self._vector.batch_size
         item_fns = self._item_fns
@@ -573,7 +522,7 @@ class PreparedSelect:
             projected.extend(zip(values_rows, keys_rows))
         return projected
 
-    def _run_grouped_vector(self, source: RowBatch, outers: tuple) -> list[tuple[tuple, tuple]]:
+    def _aggregate(self, source: RowBatch, outers: tuple) -> list[tuple[tuple, tuple]]:
         """Batch aggregation: hash the keys to dense group ids, fold columns.
 
         Rows are processed in bounded windows of the source batch (windows
@@ -585,7 +534,7 @@ class PreparedSelect:
         ``GROUP BY`` keys on the column's values, no tuple per row).  Every
         aggregate owns one :class:`~repro.engine.functions.GroupedState` for
         all groups and folds ``(ids, column)`` once per window, in row order,
-        so float accumulation is bit-identical to row mode; while there is
+        so float accumulation is that of a per-row fold; while there is
         only one group (no ``GROUP BY``, or one key value so far) the column
         folds into it without consulting the ids.
         """
@@ -627,9 +576,9 @@ class PreparedSelect:
         else:
             key_columns = zip(*groups)
         group_rows = list(zip(*key_columns, *(state.results() for state in states)))
-        return self._project_groups_vector(group_rows, outers)
+        return self._project_groups(group_rows, outers)
 
-    def _project_groups_vector(
+    def _project_groups(
         self, group_rows: list[tuple], outers: tuple
     ) -> list[tuple[tuple, tuple]]:
         """HAVING + projection over the merged group rows, batch at a time."""
@@ -652,41 +601,6 @@ class PreparedSelect:
             else:
                 keys_rows = [()] * batch.n
             projected.extend(zip(values_rows, keys_rows))
-        return projected
-
-    def _run_plain(self, rows: list[tuple], outers: tuple) -> list[tuple[tuple, tuple]]:
-        item_fns = self._item_fns
-        order_fns = self._order_fns
-        projected = []
-        for row in rows:
-            values = tuple(fn(row, outers) for fn in item_fns)
-            keys = tuple(fn(row, outers) for fn, _ in order_fns)
-            projected.append((values, keys))
-        return projected
-
-    def _run_grouped(self, rows: list[tuple], outers: tuple) -> list[tuple[tuple, tuple]]:
-        groups: dict[tuple, list] = {}
-        group_key_fns = self._group_key_fns
-        has_keys = bool(group_key_fns)
-        for row in rows:
-            key = tuple(fn(row, outers) for fn in group_key_fns) if has_keys else ()
-            bucket = groups.get(key)
-            if bucket is None:
-                bucket = [factory() for factory, _ in self._aggregate_specs]
-                groups[key] = bucket
-            for accumulator, (_, arg_fn) in zip(bucket, self._aggregate_specs):
-                accumulator.add(arg_fn(row, outers) if arg_fn is not None else row)
-        if not groups and not has_keys:
-            groups[()] = [factory() for factory, _ in self._aggregate_specs]
-
-        projected = []
-        for key, accumulators in groups.items():
-            group_row = key + tuple(accumulator.result() for accumulator in accumulators)
-            if self._having_fn is not None and self._having_fn(group_row, outers) is not True:
-                continue
-            values = tuple(fn(group_row, outers) for fn in self._item_fns)
-            keys = tuple(fn(group_row, outers) for fn, _ in self._order_fns)
-            projected.append((values, keys))
         return projected
 
     @staticmethod

@@ -1,36 +1,21 @@
-"""Expression binding and evaluation.
+"""Name resolution and expression helpers shared by the planner and the
+batch compiler (:mod:`repro.engine.vector`).
 
-Expressions are *compiled* once per statement into Python closures operating
-on row tuples.  Column references are resolved to slot indexes at compile
-time, which keeps per-row evaluation cheap — important because the canonical
-MTSQL rewrite calls conversion UDFs for every processed record, and the
-benchmark executes millions of such evaluations.
-
-Compiled closures have the signature ``fn(row, outers)`` where ``row`` is the
-current relation's row tuple and ``outers`` is a tuple of ancestor rows
-(immediate parent first) used by correlated sub-queries.
+:class:`Scope` resolves a column reference to a slot of the current row
+layout, or of an enclosing query's for a correlated sub-query, and records
+the correlation; the analysis helpers at the bottom serve the planner and
+the MTSQL rewriter.
 """
 
 from __future__ import annotations
 
 import re
-from typing import Any, Callable, Optional, Sequence
+from typing import Any, Optional, Sequence
 
-from ..errors import ExecutionError, FunctionError
+from ..errors import ExecutionError
 from ..sql import ast
 from ..sql.transform import walk_expression
-from ..sql.types import (
-    Date,
-    Interval,
-    add_date_interval,
-    date_add_days,
-    date_from_string,
-    sql_compare,
-    sql_equal,
-)
-from .functions import _fn_mod as _modulo  # ``a % b`` is ``MOD(a, b)``
-
-CompiledExpr = Callable[[tuple, tuple], Any]
+from ..sql.types import Date, Interval, add_date_interval, date_add_days
 
 
 class Scope:
@@ -105,352 +90,9 @@ class Scope:
         return None
 
 
-class ExpressionCompiler:
-    """Compiles AST expressions against a scope into evaluation closures."""
-
-    def __init__(self, scope: Scope, context, planned: Optional[dict] = None) -> None:
-        self.scope = scope
-        self.context = context
-        # sub-queries the caller already planned against this scope, keyed
-        # by ``id(query)`` (the batch compiler plans one to learn whether it
-        # is correlated before falling back to this compiler)
-        self._planned = planned or {}
-
-    def _prepare_subquery(self, query: ast.Select):
-        planned = self._planned.get(id(query))
-        if planned is not None:
-            return planned
-        return self.context.prepare_subquery(query, self.scope)
-
-    # -- public API ---------------------------------------------------------
-
-    def compile(self, expr: ast.Expression) -> CompiledExpr:
-        method = getattr(self, f"_compile_{type(expr).__name__.lower()}", None)
-        if method is None:
-            raise ExecutionError(f"cannot evaluate expression of type {type(expr).__name__}")
-        return method(expr)
-
-    def compile_predicate(self, expr: ast.Expression) -> CompiledExpr:
-        """Compile a predicate; callers treat NULL as false."""
-        return self.compile(expr)
-
-    # -- leaves -------------------------------------------------------------
-
-    def _compile_literal(self, expr: ast.Literal) -> CompiledExpr:
-        value = expr.value
-        return lambda row, outers: value
-
-    def _compile_column(self, expr: ast.Column) -> CompiledExpr:
-        resolved = self.scope.resolve(expr.name, expr.table)
-        if resolved is None:
-            raise ExecutionError(f"unknown column {expr.qualified!r}")
-        depth, index = resolved
-        if depth == 0:
-            return lambda row, outers: row[index]
-        outer_index = depth - 1
-        return lambda row, outers: outers[outer_index][index]
-
-    def _compile_star(self, expr: ast.Star) -> CompiledExpr:
-        raise ExecutionError("'*' is only valid in SELECT lists and COUNT(*)")
-
-    def _compile_parameter(self, expr: ast.Parameter) -> CompiledExpr:
-        # parameters are bound (substituted as literals) before statements
-        # reach the engine; hitting one here means nobody supplied values
-        name = f":{expr.name}" if expr.name else f"?{expr.index}"
-        raise ExecutionError(
-            f"statement has an unbound parameter {name}; supply values via "
-            f"execute(..., parameters=...) or the repro.api cursor"
-        )
-
-    # -- operators ----------------------------------------------------------
-
-    def _compile_binaryop(self, expr: ast.BinaryOp) -> CompiledExpr:
-        operator = expr.op.upper()
-        if operator == "AND":
-            left, right = self.compile(expr.left), self.compile(expr.right)
-            return lambda row, outers: _logical_and(left(row, outers), right(row, outers))
-        if operator == "OR":
-            left, right = self.compile(expr.left), self.compile(expr.right)
-            return lambda row, outers: _logical_or(left(row, outers), right(row, outers))
-        left, right = self.compile(expr.left), self.compile(expr.right)
-        if operator == "=":
-            return lambda row, outers: sql_equal(left(row, outers), right(row, outers))
-        if operator == "<>":
-            return lambda row, outers: _not_null_aware(sql_equal(left(row, outers), right(row, outers)))
-        if operator in ("<", "<=", ">", ">="):
-            return _make_comparison(left, right, operator)
-        if operator in ("+", "-", "*", "/"):
-            return _make_arithmetic(left, right, operator)
-        if operator == "||":
-            return lambda row, outers: _concat(left(row, outers), right(row, outers))
-        if operator == "%":
-            return lambda row, outers: _modulo(left(row, outers), right(row, outers))
-        raise ExecutionError(f"unsupported operator {expr.op!r}")
-
-    def _compile_unaryop(self, expr: ast.UnaryOp) -> CompiledExpr:
-        operand = self.compile(expr.operand)
-        if expr.op.upper() == "NOT":
-            return lambda row, outers: _not_null_aware(operand(row, outers))
-        if expr.op == "-":
-            return lambda row, outers: _negate(operand(row, outers))
-        raise ExecutionError(f"unsupported unary operator {expr.op!r}")
-
-    def _compile_case(self, expr: ast.Case) -> CompiledExpr:
-        compiled_whens = [
-            (self.compile(when.condition), self.compile(when.result)) for when in expr.whens
-        ]
-        compiled_else = self.compile(expr.else_result) if expr.else_result is not None else None
-
-        def evaluate(row: tuple, outers: tuple) -> Any:
-            for condition, result in compiled_whens:
-                if condition(row, outers) is True:
-                    return result(row, outers)
-            if compiled_else is not None:
-                return compiled_else(row, outers)
-            return None
-
-        return evaluate
-
-    def _compile_inlist(self, expr: ast.InList) -> CompiledExpr:
-        value_fn = self.compile(expr.expr)
-        item_fns = [self.compile(item) for item in expr.items]
-        negated = expr.negated
-
-        def evaluate(row: tuple, outers: tuple) -> Optional[bool]:
-            value = value_fn(row, outers)
-            if value is None:
-                return None
-            saw_null = False
-            for item_fn in item_fns:
-                item = item_fn(row, outers)
-                if item is None:
-                    saw_null = True
-                    continue
-                if sql_equal(value, item) is True:
-                    return not negated if not negated else False
-            if saw_null:
-                return None
-            return negated
-
-        return evaluate
-
-    def _compile_between(self, expr: ast.Between) -> CompiledExpr:
-        value_fn = self.compile(expr.expr)
-        low_fn = self.compile(expr.low)
-        high_fn = self.compile(expr.high)
-        negated = expr.negated
-
-        def evaluate(row: tuple, outers: tuple) -> Optional[bool]:
-            value = value_fn(row, outers)
-            low = low_fn(row, outers)
-            high = high_fn(row, outers)
-            if value is None or low is None or high is None:
-                return None
-            result = sql_compare(value, low) >= 0 and sql_compare(value, high) <= 0
-            return (not result) if negated else result
-
-        return evaluate
-
-    def _compile_like(self, expr: ast.Like) -> CompiledExpr:
-        value_fn = self.compile(expr.expr)
-        negated = expr.negated
-        if isinstance(expr.pattern, ast.Literal) and isinstance(expr.pattern.value, str):
-            regex = _like_regex(expr.pattern.value)
-
-            def evaluate_static(row: tuple, outers: tuple) -> Optional[bool]:
-                value = value_fn(row, outers)
-                if value is None:
-                    return None
-                matched = regex.match(str(value)) is not None
-                return (not matched) if negated else matched
-
-            return evaluate_static
-
-        pattern_fn = self.compile(expr.pattern)
-
-        def evaluate(row: tuple, outers: tuple) -> Optional[bool]:
-            value = value_fn(row, outers)
-            pattern = pattern_fn(row, outers)
-            if value is None or pattern is None:
-                return None
-            matched = _like_regex(str(pattern)).match(str(value)) is not None
-            return (not matched) if negated else matched
-
-        return evaluate
-
-    def _compile_isnull(self, expr: ast.IsNull) -> CompiledExpr:
-        value_fn = self.compile(expr.expr)
-        negated = expr.negated
-        return lambda row, outers: (value_fn(row, outers) is not None) if negated else (
-            value_fn(row, outers) is None
-        )
-
-    def _compile_extract(self, expr: ast.Extract) -> CompiledExpr:
-        value_fn = self.compile(expr.expr)
-        part = expr.part.upper()
-
-        def evaluate(row: tuple, outers: tuple) -> Optional[int]:
-            value = value_fn(row, outers)
-            if value is None:
-                return None
-            date = value if isinstance(value, Date) else date_from_string(str(value))
-            if part == "YEAR":
-                return date.year
-            if part == "MONTH":
-                return date.month
-            if part == "DAY":
-                return date.day
-            raise ExecutionError(f"unsupported EXTRACT part {part!r}")
-
-        return evaluate
-
-    def _compile_substring(self, expr: ast.Substring) -> CompiledExpr:
-        value_fn = self.compile(expr.expr)
-        start_fn = self.compile(expr.start)
-        length_fn = self.compile(expr.length) if expr.length is not None else None
-
-        def evaluate(row: tuple, outers: tuple) -> Optional[str]:
-            value = value_fn(row, outers)
-            start = start_fn(row, outers)
-            if value is None or start is None:
-                return None
-            text = str(value)
-            begin = max(int(start) - 1, 0)
-            if length_fn is None:
-                return text[begin:]
-            length = length_fn(row, outers)
-            if length is None:
-                return None
-            return text[begin: begin + int(length)]
-
-        return evaluate
-
-    # -- function calls -----------------------------------------------------
-
-    def _compile_functioncall(self, expr: ast.FunctionCall) -> CompiledExpr:
-        if expr.is_aggregate:
-            raise ExecutionError(
-                f"aggregate {expr.name!r} is not allowed in this context"
-            )
-        arg_fns = [self.compile(argument) for argument in expr.args]
-        context = self.context
-        name = expr.name
-
-        def evaluate(row: tuple, outers: tuple) -> Any:
-            args = [fn(row, outers) for fn in arg_fns]
-            return context.call_function(name, args)
-
-        return evaluate
-
-    # -- sub-queries ---------------------------------------------------------
-
-    def _compile_scalarsubquery(self, expr: ast.ScalarSubquery) -> CompiledExpr:
-        prepared = self._prepare_subquery(expr.query)
-
-        def evaluate(row: tuple, outers: tuple) -> Any:
-            rows = prepared.run((row,) + outers)
-            if not rows:
-                return None
-            if len(rows[0]) != 1:
-                raise ExecutionError("scalar sub-query must return a single column")
-            return rows[0][0]
-
-        return evaluate
-
-    def _compile_insubquery(self, expr: ast.InSubquery) -> CompiledExpr:
-        prepared = self._prepare_subquery(expr.query)
-        value_fn = self.compile(expr.expr)
-        negated = expr.negated
-
-        def evaluate(row: tuple, outers: tuple) -> Optional[bool]:
-            value = value_fn(row, outers)
-            if value is None:
-                return None
-            members = prepared.run_value_set((row,) + outers)
-            if value in members.values:
-                return not negated
-            if members.has_null:
-                return None
-            return negated
-
-        return evaluate
-
-    def _compile_exists(self, expr: ast.Exists) -> CompiledExpr:
-        prepared = self._prepare_subquery(expr.query)
-        negated = expr.negated
-
-        def evaluate(row: tuple, outers: tuple) -> bool:
-            found = bool(prepared.run((row,) + outers, limit=1))
-            return (not found) if negated else found
-
-        return evaluate
-
-
 # ---------------------------------------------------------------------------
 # helpers
 # ---------------------------------------------------------------------------
-
-
-def _logical_and(left: Optional[bool], right: Optional[bool]) -> Optional[bool]:
-    if left is False or right is False:
-        return False
-    if left is None or right is None:
-        return None
-    return True
-
-
-def _logical_or(left: Optional[bool], right: Optional[bool]) -> Optional[bool]:
-    if left is True or right is True:
-        return True
-    if left is None or right is None:
-        return None
-    return False
-
-
-def _not_null_aware(value: Optional[bool]) -> Optional[bool]:
-    if value is None:
-        return None
-    return not value
-
-
-def _make_comparison(left: CompiledExpr, right: CompiledExpr, operator: str) -> CompiledExpr:
-    if operator == "<":
-        test = lambda ordering: ordering < 0  # noqa: E731
-    elif operator == "<=":
-        test = lambda ordering: ordering <= 0  # noqa: E731
-    elif operator == ">":
-        test = lambda ordering: ordering > 0  # noqa: E731
-    else:
-        test = lambda ordering: ordering >= 0  # noqa: E731
-
-    def evaluate(row: tuple, outers: tuple) -> Optional[bool]:
-        ordering = sql_compare(left(row, outers), right(row, outers))
-        if ordering is None:
-            return None
-        return test(ordering)
-
-    return evaluate
-
-
-def _make_arithmetic(left: CompiledExpr, right: CompiledExpr, operator: str) -> CompiledExpr:
-    def evaluate(row: tuple, outers: tuple) -> Any:
-        left_value = left(row, outers)
-        right_value = right(row, outers)
-        if left_value is None or right_value is None:
-            return None
-        if isinstance(left_value, Date) or isinstance(right_value, Date):
-            return _date_arithmetic(left_value, right_value, operator)
-        if operator == "+":
-            return left_value + right_value
-        if operator == "-":
-            return left_value - right_value
-        if operator == "*":
-            return left_value * right_value
-        if right_value == 0:
-            raise ExecutionError("division by zero")
-        return left_value / right_value
-
-    return evaluate
 
 
 def _date_arithmetic(left: Any, right: Any, operator: str) -> Any:
@@ -469,18 +111,6 @@ def _date_arithmetic(left: Any, right: Any, operator: str) -> Any:
         if operator == "-":
             return date_add_days(left, -int(right))
     raise ExecutionError(f"unsupported date arithmetic: {type(left).__name__} {operator} {type(right).__name__}")
-
-
-def _concat(left: Any, right: Any) -> Optional[str]:
-    if left is None or right is None:
-        return None
-    return str(left) + str(right)
-
-
-def _negate(value: Any) -> Any:
-    if value is None:
-        return None
-    return -value
 
 
 _LIKE_CACHE: dict[str, "re.Pattern[str]"] = {}

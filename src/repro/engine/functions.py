@@ -91,11 +91,11 @@ class Function:
     def add_memo_hits(self, count: int) -> None:
         """Account ``count`` memo hits in one lock acquisition.
 
-        The vectorized executor deduplicates ``(function, args)`` keys inside
-        a batch and calls :meth:`invoke` once per *distinct* key; the
-        duplicate occurrences are still calls-that-hit-the-memo as far as the
-        paper's UDF-cache ablation is concerned, so they are bulk-counted
-        here to keep the counters identical to row-at-a-time execution.
+        The executor deduplicates ``(function, args)`` keys inside a batch
+        and calls :meth:`invoke` once per *distinct* key; the duplicate
+        occurrences are still calls-that-hit-the-memo as far as the paper's
+        UDF-cache ablation is concerned, so they are bulk-counted here to
+        keep the counters at one call per occurrence.
         """
         if count <= 0:
             return
@@ -249,126 +249,6 @@ BUILTIN_SCALARS: dict[str, Callable[..., Any]] = {
 # ---------------------------------------------------------------------------
 
 
-class Aggregate:
-    """Streaming accumulator of one SQL aggregate over one group's values.
-
-    The row interpreter builds one per (group, aggregate) and calls
-    :meth:`add` once per row; it is the oracle the vectorized executor's
-    columnar :class:`GroupedState` must match bit for bit.
-    """
-
-    __slots__ = ()
-
-    def add(self, value: Any) -> None:
-        raise NotImplementedError
-
-    def result(self) -> Any:
-        raise NotImplementedError
-
-
-class CountAggregate(Aggregate):
-    __slots__ = ("_count", "_count_star")
-
-    def __init__(self, count_star: bool = False) -> None:
-        self._count = 0
-        self._count_star = count_star
-
-    def add(self, value: Any) -> None:
-        if self._count_star or value is not None:
-            self._count += 1
-
-    def result(self) -> int:
-        return self._count
-
-
-class SumAggregate(Aggregate):
-    __slots__ = ("_total",)
-
-    def __init__(self) -> None:
-        self._total: Any = None
-
-    def add(self, value: Any) -> None:
-        if value is None:
-            return
-        self._total = value if self._total is None else self._total + value
-
-    def result(self) -> Any:
-        return self._total
-
-
-class AvgAggregate(Aggregate):
-    __slots__ = ("_total", "_count")
-
-    def __init__(self) -> None:
-        self._total = 0.0
-        self._count = 0
-
-    def add(self, value: Any) -> None:
-        if value is None:
-            return
-        self._total += value
-        self._count += 1
-
-    def result(self) -> Any:
-        if self._count == 0:
-            return None
-        return self._total / self._count
-
-
-class MinAggregate(Aggregate):
-    __slots__ = ("_value",)
-
-    def __init__(self) -> None:
-        self._value: Any = None
-
-    def add(self, value: Any) -> None:
-        if value is None:
-            return
-        if self._value is None or value < self._value:
-            self._value = value
-
-    def result(self) -> Any:
-        return self._value
-
-
-class MaxAggregate(Aggregate):
-    __slots__ = ("_value",)
-
-    def __init__(self) -> None:
-        self._value: Any = None
-
-    def add(self, value: Any) -> None:
-        if value is None:
-            return
-        if self._value is None or value > self._value:
-            self._value = value
-
-    def result(self) -> Any:
-        return self._value
-
-
-class DistinctAggregate(Aggregate):
-    """Wraps another aggregate, feeding it each distinct value exactly once."""
-
-    __slots__ = ("_inner", "_seen")
-
-    def __init__(self, inner: Aggregate) -> None:
-        self._inner = inner
-        self._seen: set = set()
-
-    def add(self, value: Any) -> None:
-        if value is None:
-            self._inner.add(value)
-            return
-        if value in self._seen:
-            return
-        self._seen.add(value)
-        self._inner.add(value)
-
-    def result(self) -> Any:
-        return self._inner.result()
-
-
 # ---------------------------------------------------------------------------
 # Grouped state: one columnar accumulator per aggregate, for all groups
 # ---------------------------------------------------------------------------
@@ -377,16 +257,17 @@ class DistinctAggregate(Aggregate):
 class GroupedState:
     """One aggregate's accumulator state for *every* group of a query.
 
-    The vectorized executor numbers groups densely in first-seen order and
-    keeps one of these per aggregate: plain lists indexed by group id instead
-    of one :class:`Aggregate` object per (group, aggregate).  Per window it
+    The executor numbers groups densely in first-seen order and keeps one of
+    these per aggregate: plain lists indexed by group id, not one
+    accumulator object per (group, aggregate).  Per window it
     calls :meth:`grow` with the number of groups the window introduced, then
     :meth:`fold` with the window's group ids and the aligned argument column
     — or :meth:`fold_one` when every row of the window belongs to one group,
     which keeps the running value in a local.  Values reach a group in row
-    order through the per-element arithmetic of :meth:`Aggregate.add` (SUM
-    starts from the first value, AVG from ``0.0``, never builtin ``sum``), so
-    float results are bit-identical to row mode.
+    order through per-element arithmetic (SUM starts from the first value,
+    AVG from ``0.0``, never builtin ``sum``), so float results are
+    bit-identical to folding each group's values one at a time — the
+    reference ``tests/engine/test_grouped_aggregation.py`` checks against.
     """
 
     __slots__ = ()
@@ -554,7 +435,7 @@ class DistinctState(GroupedState):
 
     One set of ``(group, value)`` pairs serves all groups.  A NULL passes
     through (once per group is as good as every time: the inner states skip
-    it), exactly like :class:`DistinctAggregate`.
+    it).
     """
 
     __slots__ = ("_inner", "_seen")
@@ -581,14 +462,6 @@ class DistinctState(GroupedState):
         return self._inner.results()
 
 
-_AGGREGATES: dict[str, Callable[..., Aggregate]] = {
-    "COUNT": CountAggregate,
-    "SUM": SumAggregate,
-    "AVG": AvgAggregate,
-    "MIN": MinAggregate,
-    "MAX": MaxAggregate,
-}
-
 _GROUPED_STATES: dict[str, Callable[..., GroupedState]] = {
     "COUNT": CountState,
     "SUM": SumState,
@@ -607,21 +480,16 @@ def is_count_star(call: ast.FunctionCall) -> bool:
     )
 
 
-def aggregate_factory(call: ast.FunctionCall, grouped: bool = False) -> Callable[[], Any]:
-    """Resolve an aggregate FunctionCall node to its accumulator factory.
-
-    Resolved once per aggregate at prepare time.  The row interpreter calls
-    the factory once per group (an :class:`Aggregate`); with ``grouped`` it
-    builds the vectorized executor's :class:`GroupedState`, once per run.
-    """
-    classes = _GROUPED_STATES if grouped else _AGGREGATES
+def aggregate_factory(call: ast.FunctionCall) -> Callable[[], GroupedState]:
+    """Resolve an aggregate FunctionCall node to its :class:`GroupedState`
+    factory (resolved once per aggregate at prepare time, called once per
+    run)."""
     name = call.name.upper()
-    if name not in classes:
+    if name not in _GROUPED_STATES:
         raise FunctionError(f"unknown aggregate function {call.name!r}")
-    base = classes[name]
+    base = _GROUPED_STATES[name]
     if name == "COUNT":
         base = functools.partial(base, is_count_star(call))
     if call.distinct:
-        distinct = DistinctState if grouped else DistinctAggregate
-        return lambda: distinct(base())
+        return lambda: DistinctState(base())
     return base

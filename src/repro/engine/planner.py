@@ -19,15 +19,16 @@ smallest filtered estimate.  In uncosted mode the historic structural order
 is used — raw base-table cardinalities, first connected candidate — which is
 the differential oracle the costed order is tested against.
 
-In vectorized mode joins are *late-materialized*: a join step probes the
-newly joined source with key columns computed over the current batch and
-emits ``(left positions, matched build rows)`` — the output is a
+Every predicate, join key and look-up value is a batch kernel
+(:mod:`repro.engine.vector`).  Joins are *late-materialized*: a join step
+probes the newly joined source with key columns computed over the current
+batch and emits ``(left positions, matched build rows)`` — the output is a
 :class:`~repro.engine.vector.JoinedBatch` of references to the source rows,
 so no tuple is allocated per joined row.  What it probes is the table
 version's own :class:`~repro.engine.storage.HashIndex` when the build keys
 are bare columns of an unfiltered base table (nothing is hashed per
 statement), else a per-statement hash of the source, semi-join reduced by
-the probe keys.  Row mode keeps tuple concatenation and stays the oracle.
+the probe keys.
 
 A :class:`TableSource` reads its table's current
 :class:`~repro.engine.storage.TableData` exactly once per scan, so a scan, all
@@ -47,13 +48,7 @@ from ..compile.cost import predicate_selectivity
 from ..errors import ExecutionError
 from ..sql import ast
 from .config import DEFAULT_BATCH_SIZE
-from .expressions import (
-    CompiledExpr,
-    ExpressionCompiler,
-    Scope,
-    contains_subquery,
-    referenced_columns,
-)
+from .expressions import Scope, contains_subquery, referenced_columns
 from .storage import HashIndex, TableData, hash_rows
 from .vector import (
     BatchExpressionCompiler,
@@ -111,8 +106,8 @@ def _hash_build(
 def _hash_probe(keys: Sequence, index: HashIndex) -> tuple[Optional[list[int]], list[tuple]]:
     """Probe ``index`` with one key per left row.
 
-    Returns the matches as ``(left positions, build rows)``, aligned, in the
-    row-mode nesting order (left row major, bucket order minor) — the inputs
+    Returns the matches as ``(left positions, build rows)``, aligned, in
+    nested-loop order (left row major, bucket order minor) — the inputs
     of :meth:`JoinedBatch.extend`; no joined tuple is built.  A unique index
     is probed without a Python-level loop, and ``positions`` is ``None``
     when every left row found its one row (the left side passes through).
@@ -134,19 +129,6 @@ def _hash_probe(keys: Sequence, index: HashIndex) -> tuple[Optional[list[int]], 
                 add_position(position)
                 add_row(row)
     return positions, matched
-
-
-def _hash_build_rows(
-    build_fns: list, nullable: bool, rows: list[tuple], outers: tuple
-) -> dict[tuple, list[tuple]]:
-    """Row mode's build side: key tuple -> its rows, NULL keys left out."""
-    table: dict[tuple, list[tuple]] = {}
-    for row in rows:
-        key = tuple(fn(row, outers) for fn in build_fns)
-        if nullable and None in key:
-            continue
-        table.setdefault(key, []).append(row)
-    return table
 
 
 def _cross_pairs(left_n: int, right_rows) -> tuple[list[int], list[tuple]]:
@@ -183,30 +165,17 @@ class SourcePlan:
     def __init__(self, schema: list[tuple[Optional[str], str]], bindings: set[str]) -> None:
         self.schema = schema
         self.bindings = bindings
-        self._filters: list[CompiledExpr] = []
-        # pushed-down predicates compiled as batch kernels (vectorized mode);
-        # a plan populates exactly one of the two lists
+        # pushed-down predicates, applied in order
         self._batch_filters: list[BatchKernel] = []
-
-    def add_filter(self, predicate: CompiledExpr) -> None:
-        """Push a row-mode predicate down onto this source."""
-        self._filters.append(predicate)
 
     def add_batch_filter(self, kernel: BatchKernel) -> None:
         """Push a batch predicate kernel down onto this source."""
         self._batch_filters.append(kernel)
 
     def _apply_filters(self, rows: Sequence[tuple], outers: tuple) -> Sequence[tuple]:
-        if self._batch_filters:
-            return self._filter_batch(RowBatch(rows), outers).rows
-        if not self._filters:
+        if not self._batch_filters:
             return rows
-        filters = self._filters
-        return [
-            row
-            for row in rows
-            if all(predicate(row, outers) is True for predicate in filters)
-        ]
+        return self._filter_batch(RowBatch(rows), outers).rows
 
     def _filter_batch(self, batch: RowBatch, outers: tuple) -> RowBatch:
         """Apply the pushed-down batch filters, compacting by selection."""
@@ -221,10 +190,10 @@ class SourcePlan:
     def batch(self, outers: tuple) -> RowBatch:
         """The plan's filtered rows as one :class:`RowBatch`.
 
-        Entry point of the vectorized executor; :class:`TableSource`
-        overrides it so a full scan keeps its typed columns and its
-        selection view alive end to end instead of materializing row
-        tuples between the scan and the projection/aggregation stage.
+        Entry point of the executor; :class:`TableSource` overrides it so a
+        full scan keeps its typed columns and its selection view alive end
+        to end instead of materializing row tuples between the scan and the
+        projection/aggregation stage.
         """
         return RowBatch(self.rows(outers))
 
@@ -244,8 +213,8 @@ class TableSource(SourcePlan):
     the expression does not reference this table, the scan becomes a point
     look-up in a lazily-built hash index on that key column.
 
-    With ``typed=True`` (vectorized mode with ``REPRO_ENGINE_TYPED=1``) the
-    scan batch additionally exposes that version's
+    With ``typed=True`` (``REPRO_ENGINE_TYPED=1``, the default) the scan
+    batch additionally exposes that version's
     :class:`~repro.engine.columns.TypedColumn` payloads, which is what lets
     downstream kernels run their specialized loops.
 
@@ -261,10 +230,11 @@ class TableSource(SourcePlan):
         super().__init__(schema, {binding.lower()})
         self.table = table
         self._typed = typed
-        self._key_lookup: Optional[tuple[int, CompiledExpr]] = None
+        self._key_lookup: Optional[tuple[int, BatchKernel]] = None
 
-    def set_key_lookup(self, column_index: int, value_fn: CompiledExpr) -> None:
-        """Turn the scan into a point look-up ``key column = value_fn()``."""
+    def set_key_lookup(self, column_index: int, value_fn: BatchKernel) -> None:
+        """Turn the scan into a point look-up ``key column = value_fn``; the
+        kernel reads no column of its own, only ``outers``."""
         self._key_lookup = (column_index, value_fn)
 
     @property
@@ -300,7 +270,7 @@ class TableSource(SourcePlan):
         side — nothing is scanned or hashed per statement — or ``None`` when
         the scan is not the whole table (a pushed filter, a key look-up).
         Building it (once per version) counts in ``stats.join_rows_hashed``."""
-        if self._key_lookup is not None or self._filters or self._batch_filters:
+        if self._key_lookup is not None or self._batch_filters:
             return None
         data = self.table.data
         known = columns in data.indexes
@@ -313,7 +283,7 @@ class TableSource(SourcePlan):
         """The rows of ``data`` the point look-up's key value selects
         (``key = NULL`` is never true: the index holds no NULL key)."""
         column_index, value_fn = self._key_lookup
-        return data.hash_index(column_index).rows(value_fn((), outers))
+        return data.hash_index(column_index).rows(value_fn(RowBatch([()]), outers)[0])
 
     def _scan(self, data: TableData, outers: tuple) -> RowBatch:
         """The filtered full scan of ``data``: batch kernels read its column
@@ -367,12 +337,11 @@ class RowsSource(SourcePlan):
 class JoinSource(SourcePlan):
     """An explicit ``A [LEFT] JOIN B ON cond`` treated as one composite source.
 
-    In vectorized mode (``vectorized=True``) the ON-clause machinery is
-    batch-compiled: build/probe key columns come from batch kernels, the
-    residual condition evaluates once over the whole candidate batch, and
-    LEFT-join null padding is reconstructed from a candidate→left-position
-    index array — no per-row closure dispatch anywhere on the join path, and
-    the output is a :class:`~repro.engine.vector.JoinedBatch` (``stats``
+    The ON-clause machinery is batch-compiled: build/probe key columns come
+    from batch kernels, the residual condition evaluates once over the whole
+    candidate batch, and LEFT-join null padding is reconstructed from a
+    candidate→left-position index array — no per-row closure dispatch
+    anywhere on the join path, and the output is a :class:`~repro.engine.vector.JoinedBatch` (``stats``
     counts the rows a consumer makes it concatenate).  The right side is
     ``step`` — a :class:`_JoinStep` without residuals — so an ON-clause join
     takes a table version's index, or reduces its build, exactly like a
@@ -384,8 +353,7 @@ class JoinSource(SourcePlan):
         left: SourcePlan,
         step: "_JoinStep",
         join_type: ast.JoinType,
-        residual: Optional[CompiledExpr],
-        vectorized: bool = False,
+        residual: Optional[BatchKernel],
         stats=None,
     ) -> None:
         right = step.source
@@ -395,7 +363,6 @@ class JoinSource(SourcePlan):
         self._join_type = join_type
         self._residual = residual
         self._right_width = len(right.schema)
-        self._vectorized = vectorized
         self._stats = stats
 
     def children(self) -> list["PreparedSelect"]:
@@ -409,15 +376,14 @@ class JoinSource(SourcePlan):
     def batch(self, outers: tuple) -> RowBatch:
         """Batch ON-clause join: key columns, one residual mask, index padding.
 
-        Candidate pairs are collected in exactly the row-mode nesting order
-        as ``(left position, right row)``; the residual (a batch kernel here)
-        is evaluated once over the candidate batch — never over unmatched
-        rows, which row mode also never sees — and for LEFT joins the output
-        is rebuilt in one pass over the left side, pairing rows whose
-        candidates all failed with the shared null-pad tuple.  Output order
-        is therefore bit-identical to the row-at-a-time loop, and the result
-        is a :class:`~repro.engine.vector.JoinedBatch`: no joined tuple is
-        built.
+        Candidate pairs are collected in nested-loop order as ``(left
+        position, right row)``; the residual is evaluated once over the
+        candidate batch — never over a left row without a key match — and
+        for LEFT joins the output is rebuilt in one pass over the left side,
+        pairing rows whose candidates all failed with the shared null-pad
+        tuple.  Output order is that of the nested loop (left row major),
+        and the result is a :class:`~repro.engine.vector.JoinedBatch`: no
+        joined tuple is built.
         """
         left = self._left.batch(outers)
         positions, matched = self._step.match(left, outers, self._stats)
@@ -457,39 +423,9 @@ class JoinSource(SourcePlan):
             matched = [matched[index] for index in kept]
         return self._filter_batch(joined(positions, matched), outers)
 
-    def rows(self, outers: tuple) -> list[tuple]:
-        """The joined rows as tuples (row mode: the nested-loop oracle)."""
-        if self._vectorized:
-            return self.batch(outers).rows
-        left_rows = self._left.rows(outers)
-        null_pad = (None,) * self._right_width
-        combined: list[tuple] = []
-        keep_unmatched = self._join_type is ast.JoinType.LEFT
-        probe_fns = self._step.probe_fns
-        if probe_fns:
-            table = self._step.build_rows(outers)
-            for left_row in left_rows:
-                key = tuple(fn(left_row, outers) for fn in probe_fns)
-                matched = False
-                for right_row in table.get(key, ()):
-                    candidate = left_row + right_row
-                    if self._residual is None or self._residual(candidate, outers) is True:
-                        combined.append(candidate)
-                        matched = True
-                if not matched and keep_unmatched:
-                    combined.append(left_row + null_pad)
-        else:
-            right_rows = self._step.source.rows(outers)
-            for left_row in left_rows:
-                matched = False
-                for right_row in right_rows:
-                    candidate = left_row + right_row
-                    if self._residual is None or self._residual(candidate, outers) is True:
-                        combined.append(candidate)
-                        matched = True
-                if not matched and keep_unmatched:
-                    combined.append(left_row + null_pad)
-        return self._apply_filters(combined, outers)
+    def rows(self, outers: tuple) -> Sequence[tuple]:
+        """The joined rows as tuples."""
+        return self.batch(outers).rows
 
 
 # ---------------------------------------------------------------------------
@@ -511,9 +447,9 @@ class _JoinStep:
     def __init__(
         self,
         source: SourcePlan,
-        probe_fns: list[CompiledExpr],
-        build_fns: list[CompiledExpr],
-        residuals: list[CompiledExpr],
+        probe_fns: list[BatchKernel],
+        build_fns: list[BatchKernel],
+        residuals: list[BatchKernel],
         nullable: bool,
         index_columns: Optional[tuple[int, ...]] = None,
     ) -> None:
@@ -526,7 +462,7 @@ class _JoinStep:
         self.index_columns = index_columns
 
     def build(self, outers: tuple, stats, probe_keys: Optional[Sequence] = None):
-        """What a vectorized probe needs of the newly joined source: a
+        """What a probe needs of the newly joined source: a
         :class:`~repro.engine.storage.HashIndex` (keyed step) or just its
         rows (cross product).  ``probe_keys`` let a per-statement build be
         reduced; the streaming spine, whose build is probed by many windows,
@@ -557,20 +493,13 @@ class _JoinStep:
             keys, self.build(outers, stats, keys) if built is None else built
         )
 
-    def build_rows(self, outers: tuple) -> dict[tuple, list[tuple]]:
-        """The row-mode hash table of a keyed step."""
-        return _hash_build_rows(
-            self.build_fns, self.nullable, self.source.rows(outers), outers
-        )
-
 
 class JoinPipeline:
     """Executes the planned sequence of scans, hash joins and residual filters.
 
-    In vectorized mode (``vectorized=True``) the probe/build key functions
-    and residual filters are batch kernels: join keys are computed as key
-    *columns* over whole row windows, residuals via
-    :func:`~repro.engine.vector.apply_batch_predicates`, and every step's
+    The probe/build key functions and residual filters are batch kernels:
+    join keys are computed as key *columns* over whole row windows, residuals
+    via :func:`~repro.engine.vector.apply_batch_predicates`, and every step's
     output is a late-materialized :class:`~repro.engine.vector.JoinedBatch`
     (``stats`` counts the rows a consumer makes it concatenate).  The
     streaming spine is :meth:`iter_batches`, which emits bounded batches
@@ -583,7 +512,6 @@ class JoinPipeline:
         steps: list[_JoinStep],
         final_residuals: list,
         schema: list[tuple[Optional[str], str]],
-        vectorized: bool = False,
         batch_size: int = DEFAULT_BATCH_SIZE,
         stats=None,
     ) -> None:
@@ -591,12 +519,11 @@ class JoinPipeline:
         self._steps = steps
         self._final_residuals = final_residuals
         self.schema = schema
-        self._vectorized = vectorized
         self._batch_size = batch_size
         self._stats = stats
 
     def execute_batch(self, outers: tuple) -> RowBatch:
-        """The pipeline's joined rows as one :class:`RowBatch` (vectorized).
+        """The pipeline's joined rows as one :class:`RowBatch`.
 
         With no join steps the first source's batch flows through directly,
         so a filtered base-table scan keeps its typed columns and selection
@@ -617,29 +544,11 @@ class JoinPipeline:
             current = apply_batch_predicates(current, self._final_residuals, outers)
         return current
 
-    def execute(self, outers: tuple) -> list[tuple]:
-        """The pipeline's joined rows as concatenated tuples (row mode)."""
-        if self._vectorized:
-            return self.execute_batch(outers).rows
-        current = self._first.rows(outers)
-        for step in self._steps:
-            if not current:
-                return []
-            current = self._execute_step(step, current, outers)
-        if self._final_residuals:
-            residuals = self._final_residuals
-            current = [
-                row
-                for row in current
-                if all(predicate(row, outers) is True for predicate in residuals)
-            ]
-        return current
-
     def _join_batch(
         self, step: _JoinStep, current: RowBatch, width: int, outers: tuple, built=None
     ) -> RowBatch:
-        """One vectorized join step: ``current`` (``width`` slots) joined to
-        the step's source (``built`` when the caller reuses one, see
+        """One join step: ``current`` (``width`` slots) joined to the step's
+        source (``built`` when the caller reuses one, see
         :meth:`_JoinStep.build`), then the step's residual filters."""
         positions, matched = step.match(current, outers, self._stats, built)
         joined = JoinedBatch.extend(
@@ -649,38 +558,17 @@ class JoinPipeline:
             joined = apply_batch_predicates(joined, step.residuals, outers)
         return joined
 
-    def iter_rows(self, outers: tuple):
-        """Yield joined rows lazily along the pipeline's left spine.
-
-        Each source still materializes its own (filtered) scan, and each
-        join step builds its right-side hash table up front; what is lazy is
-        the join *output*: left rows flow through one at a time, so the
-        first joined row is produced without computing the full cross
-        product — the engine's streaming path
-        (:meth:`repro.engine.executor.PreparedSelect.stream`).
-        """
-        current = iter(self._first.rows(outers))
-        for step in self._steps:
-            current = self._iter_step(step, current, outers)
-        if self._final_residuals:
-            residuals = self._final_residuals
-            current = (
-                row
-                for row in current
-                if all(predicate(row, outers) is True for predicate in residuals)
-            )
-        yield from current
-
     def iter_batches(self, outers: tuple, batch_size: Optional[int] = None):
-        """Yield joined rows lazily as bounded batches (vectorized streaming).
+        """Yield joined rows lazily as bounded batches (the streaming spine of
+        :meth:`repro.engine.executor.PreparedSelect.stream`).
 
-        The batch analogue of :meth:`iter_rows`: each source still
-        materializes its own (filtered) scan and each join step takes its
-        table's index or builds its hash table when first pulled (unreduced:
-        many windows probe it), but left rows flow through the spine
-        ``batch_size`` at a time and every yielded batch is re-bounded to at
-        most ``batch_size`` rows — an early-``LIMIT`` consumer therefore
-        materializes O(batch) rows, never the join output.
+        Each source still materializes its own (filtered) scan and each join
+        step takes its table's index or builds its hash table when first
+        pulled (unreduced: many windows probe it), but left rows flow
+        through the spine ``batch_size`` at a time and every yielded batch
+        is re-bounded to at most ``batch_size`` rows — an early-``LIMIT``
+        consumer therefore materializes O(batch) rows, never the join
+        output.
         """
         size = batch_size or self._batch_size
         current = _windows(RowBatch(self._first.rows(outers)), size)
@@ -700,65 +588,11 @@ class JoinPipeline:
         built = None
         for batch in current:
             if built is None:
-                # built on first demand, exactly like the row-mode spine
+                # built on first demand: a spine nobody pulls builds nothing
                 built = step.build(outers, self._stats)
             joined = self._join_batch(step, batch, width, outers, built)
             # one-to-many joins can fan a batch out past the bound; re-slice
             yield from _windows(joined, batch_size)
-
-    @staticmethod
-    def _iter_step(step: _JoinStep, current, outers: tuple):
-        residuals = step.residuals
-        if step.probe_fns:
-            table = step.build_rows(outers)
-            for left_row in current:
-                key = tuple(fn(left_row, outers) for fn in step.probe_fns)
-                bucket = table.get(key)
-                if not bucket:
-                    continue
-                for right_row in bucket:
-                    joined = left_row + right_row
-                    if residuals and not all(
-                        predicate(joined, outers) is True for predicate in residuals
-                    ):
-                        continue
-                    yield joined
-        else:
-            new_rows = step.source.rows(outers)
-            for left_row in current:
-                for right_row in new_rows:
-                    joined = left_row + right_row
-                    if residuals and not all(
-                        predicate(joined, outers) is True for predicate in residuals
-                    ):
-                        continue
-                    yield joined
-
-    @staticmethod
-    def _execute_step(step: _JoinStep, current: list[tuple], outers: tuple) -> list[tuple]:
-        joined: list[tuple] = []
-        if step.probe_fns:
-            table = step.build_rows(outers)
-            for left_row in current:
-                key = tuple(fn(left_row, outers) for fn in step.probe_fns)
-                bucket = table.get(key)
-                if not bucket:
-                    continue
-                for right_row in bucket:
-                    joined.append(left_row + right_row)
-        else:
-            new_rows = step.source.rows(outers)
-            for left_row in current:
-                for right_row in new_rows:
-                    joined.append(left_row + right_row)
-        if step.residuals:
-            residuals = step.residuals
-            joined = [
-                row
-                for row in joined
-                if all(predicate(row, outers) is True for predicate in residuals)
-            ]
-        return joined
 
     def children(self) -> list["PreparedSelect"]:
         """Nested plans of every source, in join order."""
@@ -780,17 +614,9 @@ class EmptyPipeline:
 
     schema: list[tuple[Optional[str], str]] = []
 
-    def execute(self, outers: tuple) -> list[tuple]:
-        """The single empty row."""
-        return [()]
-
     def execute_batch(self, outers: tuple) -> RowBatch:
         """The single empty row as a one-row batch."""
         return RowBatch([()])
-
-    def iter_rows(self, outers: tuple):
-        """The single empty row, as a (trivially lazy) iterator."""
-        yield ()
 
     def iter_batches(self, outers: tuple, batch_size: Optional[int] = None):
         """The single empty row as a one-row batch."""
@@ -829,9 +655,8 @@ class Planner:
         self.created_scopes: list[Scope] = []
         self._binding_columns: dict[str, set[str]] = {}
         vector = context.database.vector
-        self._vectorized = vector.enabled
         self._batch_size = vector.batch_size
-        self._typed = vector.enabled and vector.typed
+        self._typed = vector.typed
         self._costed = context.database.cost.enabled
         # binding (lower) -> column names (lower) the table's schema declares
         # NOT NULL (enforced by every INSERT / UPDATE / bulk load); populated
@@ -854,22 +679,11 @@ class Planner:
         self.created_scopes.append(scope)
         return scope
 
-    def _compiler(self, columns: list[tuple[Optional[str], str]]) -> ExpressionCompiler:
-        return ExpressionCompiler(self._new_scope(columns), self._context)
-
-    def _mode_compiler(self, columns: list[tuple[Optional[str], str]]):
-        """The compiler matching the execution mode: batch kernels when
-        vectorized, row closures otherwise (same scope bookkeeping)."""
-        if self._vectorized:
-            return BatchExpressionCompiler(self._new_scope(columns), self._context)
-        return ExpressionCompiler(self._new_scope(columns), self._context)
-
-    def _add_filter(self, source: SourcePlan, compiled) -> None:
-        """Attach a compiled predicate in the slot matching its mode."""
-        if self._vectorized:
-            source.add_batch_filter(compiled)
-        else:
-            source.add_filter(compiled)
+    def _batch_compiler(
+        self, columns: list[tuple[Optional[str], str]]
+    ) -> BatchExpressionCompiler:
+        """A batch compiler over a new scope of ``columns``."""
+        return BatchExpressionCompiler(self._new_scope(columns), self._context)
 
     # -- public API ----------------------------------------------------------
 
@@ -957,15 +771,10 @@ class Planner:
         step = self._join_step(left.schema, right, key_pairs, [])
         residual = None
         if residual_parts:
-            combined_compiler = self._mode_compiler(list(left.schema) + list(right.schema))
+            combined_compiler = self._batch_compiler(list(left.schema) + list(right.schema))
             residual = combined_compiler.compile_predicate(ast.and_(*residual_parts))
         return JoinSource(
-            left,
-            step,
-            item.join_type,
-            residual,
-            vectorized=self._vectorized,
-            stats=self._context.database.stats,
+            left, step, item.join_type, residual, stats=self._context.database.stats
         )
 
     def _join_step(
@@ -979,8 +788,8 @@ class Planner:
         ``key_pairs`` (probe expression, build expression).  When every build
         key is a bare column of a base table, the step records their column
         indexes: it can probe the table version's index instead of hashing."""
-        probe_compiler = self._mode_compiler(placed_schema)
-        build_compiler = self._mode_compiler(source.schema)
+        probe_compiler = self._batch_compiler(placed_schema)
+        build_compiler = self._batch_compiler(source.schema)
         build_scope = build_compiler.scope
         probe_fns = [probe_compiler.compile(probe) for probe, _ in key_pairs]
         build_fns = [build_compiler.compile(build) for _, build in key_pairs]
@@ -1106,11 +915,11 @@ class Planner:
     # -- push-down ---------------------------------------------------------------
 
     def _apply_pushdown(self, source: SourcePlan, predicates: list[ast.Expression]) -> None:
-        compiler = self._mode_compiler(source.schema)
+        compiler = self._batch_compiler(source.schema)
         for predicate in predicates:
             if isinstance(source, TableSource) and self._try_key_lookup(source, predicate):
                 continue
-            self._add_filter(source, compiler.compile_predicate(predicate))
+            source.add_batch_filter(compiler.compile_predicate(predicate))
 
     def _try_key_lookup(self, source: TableSource, predicate: ast.Expression) -> bool:
         if source.has_key_lookup:
@@ -1131,7 +940,7 @@ class Planner:
                 continue
             if self._references_source(value_side, source):
                 continue
-            value_compiler = self._compiler([])
+            value_compiler = self._batch_compiler([])
             try:
                 value_fn = value_compiler.compile(value_side)
             except ExecutionError:
@@ -1232,9 +1041,9 @@ class Planner:
 
         pending_residuals, immediate = self._split_ready(pending_residuals, placed_bindings)
         if immediate:
-            compiler = self._mode_compiler(placed_schema)
+            compiler = self._batch_compiler(placed_schema)
             for predicate in immediate:
-                self._add_filter(first, compiler.compile_predicate(predicate))
+                first.add_batch_filter(compiler.compile_predicate(predicate))
 
         while remaining:
             chosen_index = self._choose_next(
@@ -1265,7 +1074,7 @@ class Planner:
             pending_residuals, ready = self._split_ready(pending_residuals, placed_bindings)
             residual_fns: list = []
             if ready:
-                combined_compiler = self._mode_compiler(placed_schema)
+                combined_compiler = self._batch_compiler(placed_schema)
                 residual_fns = [combined_compiler.compile_predicate(predicate) for predicate in ready]
             steps.append(self._join_step(probe_schema, candidate, key_pairs, residual_fns))
 
@@ -1274,14 +1083,13 @@ class Planner:
             ast.BinaryOp("=", edge[1], edge[3]) for edge in unused_edges
         ]
         if leftover:
-            final_compiler = self._mode_compiler(placed_schema)
+            final_compiler = self._batch_compiler(placed_schema)
             final_residuals = [final_compiler.compile_predicate(predicate) for predicate in leftover]
         return JoinPipeline(
             first,
             steps,
             final_residuals,
             placed_schema,
-            vectorized=self._vectorized,
             batch_size=self._batch_size,
             stats=self._context.database.stats,
         )

@@ -1,30 +1,30 @@
 """Vectorized expression evaluation: row batches and batch kernels.
 
-The row-at-a-time interpreter in :mod:`repro.engine.expressions` pays one
-Python closure dispatch *per AST node per row*; at bench scale that dispatch
-dominates execution.  This module compiles the same expression trees into
-*batch kernels* — closures with the signature ``kernel(batch, outers) ->
-column`` that evaluate one node over a whole :class:`RowBatch` in a single
-call, looping over column arrays in tight inner loops.  The executor, the
-planner's scans/joins and the cluster's post-merge evaluation all ride these
-kernels (``REPRO_ENGINE_VECTORIZE=0`` switches back to the row oracle).
+This is the engine's only expression evaluator.  Expression trees compile
+once per plan into *batch kernels* — closures with the signature
+``kernel(batch, outers) -> column`` that evaluate one node over a whole
+:class:`RowBatch` in a single call, looping over column arrays in tight
+inner loops (the vectorized design of MonetDB/X100).  The executor, the
+planner's scans/joins/key look-ups, DML and the cluster's merge queries all
+ride these kernels.
 
-Semantics are bit-identical to the row interpreter: three-valued logic,
-NULL propagation, SQL comparison coercion (via the shared
-:func:`repro.sql.types.sql_compare` / :func:`~repro.sql.types.sql_equal`
-helpers on mixed types, with monomorphic fast paths for the common
-numeric/date/string columns), ``CASE`` branch short-circuiting (result
-branches only ever see the rows their condition selected) and sequential
-conjunct compaction in the callers.  Conversion-UDF calls are *memo-batched*
-through :meth:`repro.engine.executor.ExecutionContext.batch_call_function`:
-duplicate ``(function, args)`` keys inside a batch hit the memo once per
-distinct key and scatter the result, with counter parity to the row mode.
+Semantics are SQL's: three-valued logic, NULL propagation, SQL comparison
+coercion (via the shared :func:`repro.sql.types.sql_compare` /
+:func:`~repro.sql.types.sql_equal` helpers on mixed types, with monomorphic
+fast paths for the common numeric/date/string columns), and *row-exact*
+short-circuits: a ``CASE`` result branch, a later item of an ``IN`` list and
+a later conjunct (compacted by the callers) only ever see the rows still
+undecided, so none of them raises or calls a UDF for a row that is already
+settled.  Conversion-UDF calls are *memo-batched* through
+:meth:`repro.engine.executor.ExecutionContext.batch_call_function`: duplicate
+``(function, args)`` keys inside a batch hit the memo once per distinct key
+and scatter the result, with the counters one call per occurrence.
 
-Uncorrelated sub-query nodes (scalar, ``IN``, ``EXISTS``) are batch kernels
-too: one cached sub-query answer per batch, applied to the value column
-(membership pass) or broadcast.  Correlated sub-queries are inherently
-row-at-a-time and evaluate through the row compiler inside the batch (the
-*rowwise fallback*).
+Sub-query nodes (scalar, ``IN``, ``EXISTS``) are batch kernels too.  An
+uncorrelated one answers once per batch (from its per-statement cache) and
+the answer is applied to the value column (membership pass) or broadcast; a
+correlated one runs its prepared plan once per row of the batch, with the
+row prepended to the outer rows.
 
 Join intermediates are :class:`JoinedBatch` es — aligned per-source lists of
 references to the source rows instead of one concatenated tuple per joined
@@ -56,13 +56,8 @@ from ..errors import ExecutionError
 from ..sql import ast
 from ..sql.types import Date, date_days, date_from_string, sql_compare, sql_equal
 from .columns import NUMERIC_KINDS, TypedColumn
-from .expressions import (
-    ExpressionCompiler,
-    Scope,
-    _date_arithmetic,
-    _like_regex,
-    _modulo,
-)
+from .expressions import Scope, _date_arithmetic, _like_regex
+from .functions import _fn_mod as _modulo  # ``a % b`` is ``MOD(a, b)``
 
 #: a compiled batch kernel: one call evaluates a node over a whole batch
 BatchKernel = Callable[["RowBatch", tuple], list]
@@ -232,8 +227,7 @@ class JoinedBatch(RowBatch):
     ``window`` gather or slice the parts by position; there are no typed
     columns.  Only :attr:`rows` concatenates (cached, and counted in
     ``stats.join_rows_materialized``) — for the consumers that need a row
-    tuple: row-interpreter fallbacks, correlated sub-queries, a join used as
-    another join's build side.
+    tuple: correlated sub-queries, a join used as another join's build side.
     """
 
     __slots__ = ("_parts", "_layout", "_stats")
@@ -315,10 +309,9 @@ def apply_batch_predicates(
 ) -> RowBatch:
     """Apply predicate kernels sequentially, compacting between them.
 
-    Mirrors the row interpreter's conjunct short-circuit: a row dropped by an
-    earlier predicate is never evaluated by a later one (``all()`` stops at
-    the first non-True in row mode), so errors a later predicate would raise
-    on filtered-out rows cannot surface in either mode.  Compaction is
+    The conjunct short-circuit of SQL ``AND`` chains: a row dropped by an
+    earlier predicate is never evaluated by a later one, so errors a later
+    predicate would raise on filtered-out rows cannot surface.  Compaction is
     :meth:`RowBatch.filter` — the one selection-index seam — so no row-tuple
     list is rebuilt between conjuncts.
     """
@@ -364,14 +357,11 @@ _ORDERING_TESTS = {
 class BatchExpressionCompiler:
     """Compiles AST expressions against a scope into batch kernels.
 
-    The mirror image of :class:`repro.engine.expressions.ExpressionCompiler`
-    — same :class:`~repro.engine.expressions.Scope` resolution (so
-    correlation flags behave identically), same NULL/error semantics, one
-    kernel call per node per *batch* instead of one closure call per node
-    per *row*.  ``context`` must provide ``batch_call_function`` (scalar
+    Columns resolve through :class:`~repro.engine.expressions.Scope` (which
+    also records correlation); one kernel call evaluates a node over a whole
+    *batch*.  ``context`` must provide ``batch_call_function`` (scalar
     function dispatch over argument columns); sub-query nodes additionally
-    need ``prepare_subquery`` because they compile through the row
-    interpreter (see the module docstring).
+    need ``prepare_subquery`` (see the module docstring).
 
     When the context's engine database has typed columns enabled
     (``context.database.vector.typed``), eligible kernels are additionally
@@ -402,16 +392,6 @@ class BatchExpressionCompiler:
     def compile_predicate(self, expr: ast.Expression) -> BatchKernel:
         """Compile a predicate; callers keep rows whose mask entry is True."""
         return self.compile(expr)
-
-    # -- fallback -----------------------------------------------------------
-
-    def _rowwise(self, expr: ast.Expression, prepared=None) -> BatchKernel:
-        """Evaluate through the row interpreter, one call per batch row
-        (correlated sub-queries, non-literal IN lists); ``prepared`` is the
-        already planned sub-query of a sub-query node ``expr``."""
-        plans = {} if prepared is None else {id(expr.query): prepared}
-        row_fn = ExpressionCompiler(self.scope, self.context, plans).compile(expr)
-        return lambda batch, outers: [row_fn(row, outers) for row in batch.rows]
 
     # -- leaves -------------------------------------------------------------
 
@@ -583,7 +563,7 @@ class BatchExpressionCompiler:
             out = [None] * batch.n
             # indices into `out` for the rows no WHEN has matched yet; result
             # branches are evaluated over sub-batches of exactly their rows,
-            # preserving the row interpreter's short-circuit semantics
+            # so a branch never sees (nor raises on) another branch's row
             pending = list(range(batch.n))
             current = batch
             for condition_k, result_k in compiled_whens:
@@ -608,11 +588,9 @@ class BatchExpressionCompiler:
 
     def _compile_inlist(self, expr: ast.InList) -> BatchKernel:
         items = [item.value for item in expr.items if isinstance(item, ast.Literal)]
-        if len(items) != len(expr.items):
-            # non-literal membership lists keep the row interpreter's
-            # per-row early-exit evaluation order exactly
-            return self._rowwise(expr)
         value_k = self.compile(expr.expr)
+        if len(items) != len(expr.items):
+            return self._item_by_item_inlist(expr, value_k)
         negated = expr.negated
         saw_null = any(item is None for item in items)
         present = [item for item in items if item is not None]
@@ -648,6 +626,47 @@ class BatchExpressionCompiler:
                 None if value is None else _in_list_slow(value, items, negated)
                 for value in value_k(batch, outers)
             ]
+
+        return kernel
+
+    def _item_by_item_inlist(self, expr: ast.InList, value_k: BatchKernel) -> BatchKernel:
+        """``x IN (a, b, ...)`` with non-literal items, one item at a time.
+
+        Item *k* is evaluated over the sub-batch of the rows items 0..k-1
+        left undecided (the CASE kernel's ``select(pending)`` shape): a row
+        stops at its first match and a NULL value evaluates no item at all,
+        so an item never raises, nor calls a UDF, for a row that is already
+        decided.
+        """
+        item_ks = [self.compile(item) for item in expr.items]
+        negated = expr.negated
+
+        def kernel(batch: RowBatch, outers: tuple) -> list:
+            values = value_k(batch, outers)
+            out: list = [None] * batch.n
+            # batch positions of the undecided rows; ``current`` holds them
+            pending = [position for position, value in enumerate(values) if value is not None]
+            current = batch if len(pending) == batch.n else batch.select(pending)
+            saw_null: set[int] = set()
+            for item_k in item_ks:
+                if not pending:
+                    return out
+                undecided: list[int] = []
+                for local, (position, item) in enumerate(
+                    zip(pending, item_k(current, outers))
+                ):
+                    if item is None:
+                        saw_null.add(position)
+                    elif sql_equal(values[position], item) is True:
+                        out[position] = not negated
+                        continue
+                    undecided.append(local)
+                if len(undecided) < len(pending):
+                    pending = [pending[local] for local in undecided]
+                    current = current.select(undecided)
+            for position in pending:
+                out[position] = None if position in saw_null else negated
+            return out
 
         return kernel
 
@@ -750,8 +769,8 @@ class BatchExpressionCompiler:
     def _compile_extract(self, expr: ast.Extract) -> BatchKernel:
         value_k = self.compile(expr.expr)
         part = expr.part.upper()
-        # like the row interpreter, an unsupported part only raises when a
-        # non-NULL value is actually extracted
+        # an unsupported part only raises when a non-NULL value is
+        # actually extracted
         attribute = part.lower() if part in ("YEAR", "MONTH", "DAY") else None
 
         def kernel(batch: RowBatch, outers: tuple) -> list:
@@ -816,38 +835,53 @@ class BatchExpressionCompiler:
 
     # An uncorrelated sub-query never reads its outer rows, so it answers
     # once per batch (from its per-statement cache) and the answer is applied
-    # to the whole column; correlated ones re-run per row by definition.
+    # to the whole column; a correlated one runs once per row of the batch,
+    # with that row prepended to the outer rows it resolves against.
 
     def _compile_scalarsubquery(self, expr: ast.ScalarSubquery) -> BatchKernel:
         prepared = self.context.prepare_subquery(expr.query, self.scope)
         if prepared.correlated:
-            return self._rowwise(expr, prepared)
+            return lambda batch, outers: [
+                _scalar(prepared.run((row,) + outers)) for row in batch.rows
+            ]
 
         def kernel(batch: RowBatch, outers: tuple) -> list:
             if batch.n == 0:
                 return []
-            rows = prepared.run(outers)
-            if rows and len(rows[0]) != 1:
-                raise ExecutionError("scalar sub-query must return a single column")
-            return [rows[0][0] if rows else None] * batch.n
+            return [_scalar(prepared.run(outers))] * batch.n
 
         return kernel
 
     def _compile_insubquery(self, expr: ast.InSubquery) -> BatchKernel:
         prepared = self.context.prepare_subquery(expr.query, self.scope)
-        if prepared.correlated:
-            return self._rowwise(expr, prepared)
         value_k = self.compile(expr.expr)
         negated = expr.negated
+        found = not negated
+
+        def member(value: Any, members) -> Optional[bool]:
+            if value in members.values:
+                return found
+            return None if members.has_null else negated
+
+        if prepared.correlated:
+
+            def correlated(batch: RowBatch, outers: tuple) -> list:
+                # a NULL value looks nothing up: its sub-query does not run
+                return [
+                    None if value is None
+                    else member(value, prepared.run_value_set((row,) + outers))
+                    for value, row in zip(value_k(batch, outers), batch.rows)
+                ]
+
+            return correlated
 
         def kernel(batch: RowBatch, outers: tuple) -> list:
             values = value_k(batch, outers)
             if all(value is None for value in values):
-                return [None] * len(values)  # like row mode: nothing to look up
+                return [None] * len(values)  # nothing to look up
             members = prepared.run_value_set(outers)
             present = members.values
             missing = None if members.has_null else negated
-            found = not negated
             return [
                 None if value is None else found if value in present else missing
                 for value in values
@@ -857,9 +891,12 @@ class BatchExpressionCompiler:
 
     def _compile_exists(self, expr: ast.Exists) -> BatchKernel:
         prepared = self.context.prepare_subquery(expr.query, self.scope)
-        if prepared.correlated:
-            return self._rowwise(expr, prepared)
         negated = expr.negated
+        if prepared.correlated:
+            return lambda batch, outers: [
+                bool(prepared.run((row,) + outers, limit=1)) != negated
+                for row in batch.rows
+            ]
 
         def kernel(batch: RowBatch, outers: tuple) -> list:
             if batch.n == 0:
@@ -897,7 +934,7 @@ class BatchExpressionCompiler:
         storage-slot -> variable mapping.  Constants embed via ``repr`` —
         exact for ``int`` and round-tripping for ``float``.  Division only
         renders with a non-zero literal divisor (a zero divisor must keep
-        the row interpreter's runtime ``ExecutionError``).  Anything not
+        the generic kernel's runtime ``ExecutionError``).  Anything not
         provably numeric raises :class:`_TypedUnsupported`.
         """
         folded = _fold_literal(expr)
@@ -1204,12 +1241,12 @@ def _fold_literal(expr: ast.Expression) -> Optional[ast.Literal]:
     """Fold a literal-only arithmetic subtree into one literal, else None.
 
     Rewrites routinely leave constant subtrees like ``DATE '1994-01-01' +
-    INTERVAL '1' year`` or ``.06 - 0.01`` in predicates; the row interpreter
-    recomputes them per row with an identical result, so folding once at
-    compile time is observationally equivalent — except for *when* errors
-    surface.  A constant whose evaluation raises (e.g. a literal division by
-    zero) therefore refuses to fold and stays a runtime kernel, exactly as
-    row mode leaves it.
+    INTERVAL '1' year`` or ``.06 - 0.01`` in predicates; recomputing them per
+    row gives an identical result, so folding once at compile time is
+    observationally equivalent — except for *when* errors surface.  A
+    constant whose evaluation raises (e.g. a literal division by zero)
+    therefore refuses to fold and stays a runtime kernel, raising only when
+    a row reaches it.
     """
     if isinstance(expr, ast.Literal):
         return expr
@@ -1268,7 +1305,7 @@ def _value_family(values: list) -> Optional[tuple]:
 
 
 def _in_list_slow(value: Any, items: list, negated: bool) -> Optional[bool]:
-    """The row interpreter's IN-list scan for one non-NULL value."""
+    """The IN-list scan for one non-NULL value against literal ``items``."""
     saw_null = False
     for item in items:
         if item is None:
@@ -1281,9 +1318,18 @@ def _in_list_slow(value: Any, items: list, negated: bool) -> Optional[bool]:
     return negated
 
 
+def _scalar(rows: list[tuple]) -> Any:
+    """A scalar sub-query's value: its one cell, NULL over no rows."""
+    if not rows:
+        return None
+    if len(rows[0]) != 1:
+        raise ExecutionError("scalar sub-query must return a single column")
+    return rows[0][0]
+
+
 def _logic_kernel(left: BatchKernel, right: BatchKernel, op: str) -> BatchKernel:
-    """Three-valued AND/OR over two mask columns (both sides evaluated,
-    exactly like the row interpreter)."""
+    """Three-valued AND/OR over two mask columns; both sides are evaluated
+    over every row."""
     if op == "AND":
         def kernel(batch: RowBatch, outers: tuple) -> list:
             out = []
@@ -1435,7 +1481,7 @@ def _arith_const_kernel(
 
 
 def _arith_value(a: Any, b: Any, op: str) -> Any:
-    """One arithmetic evaluation, mirroring the row interpreter exactly."""
+    """One arithmetic evaluation: NULL-strict, date math, checked division."""
     if a is None or b is None:
         return None
     if isinstance(a, Date) or isinstance(b, Date):

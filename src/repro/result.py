@@ -274,12 +274,11 @@ class KernelCounters:
 class OperatorProfile:
     """Accumulated execution profile of one plan operator.
 
-    Filled by the engine's executor as batches (or rows, in row-at-a-time
-    mode) flow through an operator; rendered by ``MTConnection.explain()``
-    next to the compile-side per-pass timings so compile cost and execution
-    cost are separable at a glance.  ``typed_kernels`` / ``generic_kernels``
-    count specialization-capable kernel evaluations attributed to the
-    operator's stage (both stay 0 in row-at-a-time mode);
+    Filled by the engine's executor as batches flow through an operator;
+    rendered by ``MTConnection.explain()`` next to the compile-side per-pass
+    timings so compile cost and execution cost are separable at a glance.
+    ``typed_kernels`` / ``generic_kernels`` count specialization-capable
+    kernel evaluations attributed to the operator's stage;
     ``join_rows_materialized`` counts the joined rows the stage forced out
     of a late-materialized join intermediate into concatenated tuples,
     ``join_rows_hashed`` the build-side rows it had to hash (0 when every
@@ -383,7 +382,7 @@ class ExecutionStats:
         """Fold one measurement into an operator's profile.
 
         ``batches`` carries the number of bounded windows the operator
-        consumed (1 for row-at-a-time or single-batch stages);
+        consumed (1 for single-batch stages);
         ``typed_kernels`` / ``generic_kernels`` / ``proven_kernels`` the
         kernel-dispatch deltas attributed to this stage, and
         ``join_rows_materialized`` the joined rows it forced into tuples,

@@ -1,10 +1,9 @@
 """Streaming acceptance: first rows without materializing the result set.
 
 The proof strategy is a counting UDF in the SELECT list: the projection runs
-once per *produced* row (row mode) or once per row of a *pulled batch*
-(vectorized mode, one ``RowBatch`` of rows at a time), so if ``fetchmany``
-returns the first rows while the counter is at most one batch — far below
-the table's row count — the backend demonstrably did not materialize the
+once per row of a *pulled batch* (one ``RowBatch`` of rows at a time), so if
+``fetchmany`` returns the first rows while the counter is at most one batch
+— far below the table's row count — the backend demonstrably did not materialize the
 result.  Covered: the engine's lazy pipeline, SQLite's incremental cursor,
 the cluster's single-shard fast path delegation, plus the
 :class:`~repro.result.RowStream` container semantics and the lazy
@@ -60,7 +59,6 @@ def test_engine_fetchmany_is_batch_bounded():
         cursor.execute("SELECT probe(a) FROM t")
         assert cursor.fetchmany(3) == [(0,), (1,), (2,)]
         # the engine's lazy pipeline evaluated at most one pulled batch
-        # (exactly the fetched rows in row-at-a-time mode)
         assert probe.calls <= BATCH
         assert cursor.fetchall() == [(index,) for index in range(3, ROWS)]
         assert probe.calls == ROWS

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.engine import Database
+from repro.engine import Database, VectorConfig
 from repro.errors import CatalogError, ConstraintViolation
 
 
@@ -173,6 +173,42 @@ class TestUpdateDelete:
         assert db.query("SELECT name FROM customer WHERE id = 2").rows == [("bob",)]
         db.execute("UPDATE customer SET name = 'robert' WHERE id = 2")
         assert db.query("SELECT name FROM customer WHERE id = 2").rows == [("robert",)]
+
+
+class TestBatchDML:
+    """WHERE and SET are batch kernels over the table version; SET sees only
+    the rows WHERE selected."""
+
+    @pytest.fixture
+    def t(self):
+        database = Database(vector=VectorConfig(batch_size=3))
+        database.execute("CREATE TABLE t (id INTEGER NOT NULL, a INTEGER, b INTEGER)")
+        database.execute("CREATE TABLE s (id INTEGER, w INTEGER)")
+        database.insert_rows("t", [(1, 10, 2), (2, 20, 0), (3, 30, 5), (4, 40, 0), (5, 50, 10)])
+        database.insert_rows("s", [(1, 7), (3, 7), (3, 8), (5, 100)])
+        return database
+
+    def _rows(self, t):
+        return t.query("SELECT id, a, b FROM t ORDER BY id").rows
+
+    def test_set_never_runs_on_a_row_where_rejected(self, t):
+        assert t.execute("UPDATE t SET a = a / b WHERE b <> 0").rowcount == 3
+        assert self._rows(t) == [(1, 5.0, 2), (2, 20, 0), (3, 6.0, 5), (4, 40, 0), (5, 5.0, 10)]
+
+    def test_update_with_a_correlated_subquery(self, t):
+        sql = "UPDATE t SET b = -1 WHERE EXISTS (SELECT 1 FROM s WHERE s.id = t.id AND s.w < 50)"
+        assert t.execute(sql).rowcount == 2
+        assert [row[2] for row in self._rows(t)] == [-1, 0, -1, 0, 10]
+        sql = "UPDATE t SET a = 0 WHERE a < (SELECT MAX(w) FROM s WHERE s.id = t.id)"
+        assert t.execute(sql).rowcount == 1
+        assert [row[1] for row in self._rows(t)] == [10, 20, 30, 40, 0]
+
+    def test_delete_with_a_correlated_subquery(self, t):
+        sql = "DELETE FROM t WHERE t.b NOT IN (SELECT w - 5 FROM s WHERE s.id = t.id)"
+        # id 2 and 4 have no s rows (NOT IN of nothing: deleted); id 1 keeps
+        # b = 2 = 7 - 5, id 3 has 5 ∉ {2, 3}, id 5 has 10 ∉ {95}
+        assert t.execute(sql).rowcount == 4
+        assert self._rows(t) == [(1, 10, 2)]
 
 
 class TestIntegrityChecking:

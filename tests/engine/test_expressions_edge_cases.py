@@ -86,12 +86,8 @@ class TestErrorsAndDates:
 
     @pytest.mark.parametrize(
         "vector",
-        [
-            VectorConfig(enabled=True, typed=True),
-            VectorConfig(enabled=True, typed=False),
-            VectorConfig(enabled=False),
-        ],
-        ids=["typed", "generic", "row"],
+        [VectorConfig(typed=True), VectorConfig(typed=False)],
+        ids=["typed", "generic"],
     )
     @pytest.mark.parametrize("expression", ["a % b", "MOD(a, b)"])
     def test_modulo_by_zero_is_a_typed_error(self, vector, expression):

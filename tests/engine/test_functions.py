@@ -4,76 +4,74 @@ import pytest
 
 from repro.engine import Database
 from repro.engine.functions import (
-    AvgAggregate,
-    CountAggregate,
-    DistinctAggregate,
-    MaxAggregate,
-    MinAggregate,
-    SumAggregate,
+    AvgState,
+    CountState,
+    DistinctState,
+    MaxState,
+    MinState,
+    SumState,
     aggregate_factory,
 )
 from repro.errors import FunctionError
 from repro.sql import ast
 
 
+def _fold(state, values, groups=1):
+    """Fold ``values`` into group 0 of ``state``, one window per value (the
+    per-id path), and return every group's result."""
+    state.grow(groups)
+    for value in values:
+        state.fold([0], [value])
+    return state.results()
+
+
 class TestAggregateAccumulators:
     def test_count_star_counts_everything(self):
-        aggregate = CountAggregate(count_star=True)
-        for value in (1, None, "x"):
-            aggregate.add(value)
-        assert aggregate.result() == 3
+        assert _fold(CountState(True), (1, None, "x")) == [3]
 
     def test_count_column_skips_nulls(self):
-        aggregate = CountAggregate()
-        for value in (1, None, 2):
-            aggregate.add(value)
-        assert aggregate.result() == 2
+        assert _fold(CountState(False), (1, None, 2)) == [2]
 
     def test_sum_ignores_nulls_and_empty_is_null(self):
-        aggregate = SumAggregate()
-        assert aggregate.result() is None
-        for value in (1, None, 2.5):
-            aggregate.add(value)
-        assert aggregate.result() == 3.5
+        assert _fold(SumState(), ()) == [None]
+        assert _fold(SumState(), (1, None, 2.5)) == [3.5]
 
     def test_avg(self):
-        aggregate = AvgAggregate()
-        assert aggregate.result() is None
-        for value in (2, 4, None):
-            aggregate.add(value)
-        assert aggregate.result() == 3
+        assert _fold(AvgState(), ()) == [None]
+        assert _fold(AvgState(), (2, 4, None)) == [3]
 
     def test_min_max(self):
-        low, high = MinAggregate(), MaxAggregate()
-        for value in (5, None, 2, 9):
-            low.add(value)
-            high.add(value)
-        assert (low.result(), high.result()) == (2, 9)
+        values = (5, None, 2, 9)
+        assert (_fold(MinState(), values), _fold(MaxState(), values)) == ([2], [9])
 
     def test_distinct_wrapper(self):
-        aggregate = DistinctAggregate(SumAggregate())
-        for value in (3, 3, 4, None):
-            aggregate.add(value)
-        assert aggregate.result() == 7
+        assert _fold(DistinctState(SumState()), (3, 3, 4, None)) == [7]
+
+    def test_fold_one_equals_fold(self):
+        values = [0.1, None, 0.2, 0.3]
+        for make in (lambda: CountState(False), SumState, AvgState, MinState, MaxState):
+            whole = make()
+            whole.grow(2)
+            whole.fold_one(1, values)
+            assert whole.results() == _fold(make(), (), groups=1) + _fold(make(), values)
 
     def test_aggregate_factory_dispatch(self):
         call = ast.FunctionCall(name="AVG", args=(ast.Column("x"),))
-        assert isinstance(aggregate_factory(call)(), AvgAggregate)
+        assert isinstance(aggregate_factory(call)(), AvgState)
         distinct = ast.FunctionCall(name="SUM", args=(ast.Column("x"),), distinct=True)
-        assert isinstance(aggregate_factory(distinct)(), DistinctAggregate)
+        assert isinstance(aggregate_factory(distinct)(), DistinctState)
         star = aggregate_factory(ast.FunctionCall(name="count", args=(ast.Star(),)))
         first, second = star(), star()
-        first.add(None)
-        assert (first.result(), second.result()) == (1, 0)  # one fresh accumulator per call
+        assert (_fold(first, (None,)), _fold(second, ())) == ([1], [0])  # fresh state per call
         with pytest.raises(FunctionError):
             aggregate_factory(ast.FunctionCall(name="MEDIAN", args=(ast.Column("x"),)))
 
     def test_accumulators_carry_no_instance_dict(self):
-        for accumulator in (
-            CountAggregate(), SumAggregate(), AvgAggregate(), MinAggregate(),
-            MaxAggregate(), DistinctAggregate(SumAggregate()),
+        for state in (
+            CountState(False), SumState(), AvgState(), MinState(),
+            MaxState(), DistinctState(SumState()),
         ):
-            assert not hasattr(accumulator, "__dict__")
+            assert not hasattr(state, "__dict__")
 
 
 class TestBuiltinScalars:

@@ -1,13 +1,13 @@
 """Join build sides: a table version's own index, or a semi-join-reduced hash.
 
-(i) every join shape on the three engine modes and on
-:class:`~repro.backends.SQLiteBackend` — the vectorized modes probe an index
-of the pinned :class:`~repro.engine.storage.TableData` where the build keys
-are bare columns of an unfiltered base table and hash a (reduced) build per
-statement everywhere else, row mode is the untouched oracle; (ii) a property:
-whatever the probe and build key multisets, reduced or not, the rows are
-row mode's rows in row mode's order; (iii) a join pins one table version like
-a scan does; (iv) what ``TableData.hash_index`` holds.  ``join_rows_hashed``
+(i) every join shape on both kernel legs and on
+:class:`~repro.backends.SQLiteBackend` — the engine probes an index of the
+pinned :class:`~repro.engine.storage.TableData` where the build keys are bare
+columns of an unfiltered base table and hashes a (reduced) build per
+statement everywhere else; (ii) a property: whatever the probe and build key
+multisets, reduced or not, the rows are a plain nested loop's rows in its
+order; (iii) a join pins one table version like a scan does; (iv) what
+``TableData.hash_index`` holds.  ``join_rows_hashed``
 repeats exactly, so the tests pin *which* path ran by counting, not by timing.
 """
 
@@ -25,8 +25,6 @@ from repro.mth import load_mth, query_text
 from repro.sql.parser import parse_query
 
 from test_table_versions import MODES, WRITES, _database, _inject
-
-VECTORIZED = ("typed", "generic")
 
 DDL = (
     "CREATE TABLE p (k1 INTEGER, k2 INTEGER, k3 INTEGER, r FLOAT, y INTEGER)",
@@ -121,22 +119,17 @@ class TestDifferential:
     def test_modes_and_sqlite_agree(self, engines, sqlite, name):
         sql, _ = QUERIES[name]
         results = {mode: database.query(sql).rows for mode, database in engines.items()}
-        assert results["typed"] == results["generic"] == results["row"], name
+        assert results["typed"] == results["generic"], name
         expected = [tuple(row) for row in sqlite.query(sql).rows]
-        assert sorted(results["row"], key=repr) == sorted(expected, key=repr), name
+        assert sorted(results["typed"], key=repr) == sorted(expected, key=repr), name
 
     @pytest.mark.parametrize("name", QUERIES)
-    @pytest.mark.parametrize("mode", VECTORIZED)
+    @pytest.mark.parametrize("mode", MODES)
     def test_only_bare_columns_of_a_whole_table_take_the_index(self, engines, mode, name):
         sql, expected = QUERIES[name]
         database = engines[mode]
         database.query(sql)  # whatever index the statement wants exists now
         assert _hashed(database, sql)[1] == expected, name
-
-    def test_row_mode_hashes_on_its_own_and_counts_nothing(self, engines):
-        _, hashed = _hashed(engines["row"], QUERIES["comma-1-dup"][0])
-        assert hashed == 0
-        assert engines["row"].catalog.table("d").data.indexes == {}
 
     def test_int_and_float_keys_meet(self, engines):
         rows = engines["typed"].query(QUERIES["float-probe"][0]).rows
@@ -176,32 +169,57 @@ class TestDifferential:
 KEYS = st.one_of(st.none(), st.integers(0, 5))
 
 
+def _nested_loop(left, right, on, outer=False) -> list[tuple]:
+    """The reference join: ``(l.i, r.j)`` for every left row (major) and
+    right row (minor) ``on`` accepts, a NULL-padded row for an unmatched
+    left row of an outer join."""
+    joined = []
+    for l_row in left:
+        matches = [(l_row[2], r_row[2]) for r_row in right if on(l_row, r_row)]
+        joined += matches or ([(l_row[2], None)] if outer else [])
+    return joined
+
+
+def _eq(a, b) -> bool:
+    return a is not None and b is not None and a == b
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     probe=st.lists(st.tuples(KEYS, KEYS), max_size=8),
     build=st.lists(st.tuples(KEYS, KEYS), max_size=24),
 )
-def test_reduced_or_not_a_join_returns_row_modes_rows_in_row_modes_order(probe, build):
-    """(ii) around ``2 * probe <= build``: the vectorized join — index,
-    whole hash or reduced hash — is row mode's join, row for row."""
-    databases = {mode: Database(vector=MODES[mode]) for mode in ("typed", "row")}
-    for database in databases.values():
-        database.execute("CREATE TABLE l (a INTEGER, b INTEGER, i INTEGER)")
-        database.execute("CREATE TABLE r (a INTEGER, b INTEGER, j INTEGER)")
-        database.insert_rows("l", [(a, b, i) for i, (a, b) in enumerate(probe)])
-        database.insert_rows("r", [(a, b, j) for j, (a, b) in enumerate(build)])
-    queries = [
-        "SELECT l.i, r.j FROM l JOIN r ON l.a = r.a",  # the version's index
-        "SELECT l.i, r.j FROM l JOIN r ON l.a = r.a + 0",  # hashed per statement
-        "SELECT l.i, r.j FROM l JOIN r ON l.a = r.a + 0 AND l.b = r.b",
-        "SELECT l.i, r.j FROM l LEFT JOIN r ON l.a = r.a + 0 AND l.b = r.b AND r.j > l.i",
-        "SELECT l.i, r.j FROM l, r WHERE l.a = r.a AND l.b = r.b AND r.j <> 3",  # filtered
-    ]
-    for sql in queries:
-        assert databases["typed"].query(sql).rows == databases["row"].query(sql).rows, sql
+def test_reduced_or_not_a_join_returns_the_nested_loops_rows_in_its_order(probe, build):
+    """(ii) around ``2 * probe <= build``: the join — index, whole hash or
+    reduced hash — is the nested loop's join, row for row."""
+    database = Database(vector=MODES["typed"])
+    database.execute("CREATE TABLE l (a INTEGER, b INTEGER, i INTEGER)")
+    database.execute("CREATE TABLE r (a INTEGER, b INTEGER, j INTEGER)")
+    left = [(a, b, i) for i, (a, b) in enumerate(probe)]
+    right = [(a, b, j) for j, (a, b) in enumerate(build)]
+    database.insert_rows("l", left)
+    database.insert_rows("r", right)
+    on_a = lambda l, r: _eq(l[0], r[0])  # noqa: E731
+    on_ab = lambda l, r: on_a(l, r) and _eq(l[1], r[1])  # noqa: E731
+    queries = {
+        "SELECT l.i, r.j FROM l JOIN r ON l.a = r.a": on_a,  # the version's index
+        "SELECT l.i, r.j FROM l JOIN r ON l.a = r.a + 0": on_a,  # hashed per statement
+        "SELECT l.i, r.j FROM l JOIN r ON l.a = r.a + 0 AND l.b = r.b": on_ab,
+        "SELECT l.i, r.j FROM l, r WHERE l.a = r.a AND l.b = r.b AND r.j <> 3": (
+            lambda l, r: on_ab(l, r) and r[2] != 3  # filtered
+        ),
+    }
+    for sql, on in queries.items():
+        rows, expected = database.query(sql).rows, _nested_loop(left, right, on)
+        if " JOIN " not in sql:  # the join order decides a comma join's order
+            rows, expected = sorted(rows, key=repr), sorted(expected, key=repr)
+        assert rows == expected, sql
+    outer = "SELECT l.i, r.j FROM l LEFT JOIN r ON l.a = r.a + 0 AND l.b = r.b AND r.j > l.i"
+    expected = _nested_loop(left, right, lambda l, r: on_ab(l, r) and r[2] > l[2], outer=True)
+    assert database.query(outer).rows == expected
     # the one-key expression build: every non-NULL key is hashed, unless the
     # probe is at most half the build — then only keys the probe asks for
-    _, hashed = _hashed(databases["typed"], queries[1])
+    _, hashed = _hashed(database, "SELECT l.i, r.j FROM l JOIN r ON l.a = r.a + 0")
     keyed = [a for a, _ in build if a is not None]
     if 2 * len(probe) <= len(build):
         wanted = {a for a, _ in probe}
@@ -232,7 +250,7 @@ class TestVersionPinning:
 
     @pytest.mark.parametrize("sql", [JOIN, ON_JOIN], ids=["comma", "on"])
     @pytest.mark.parametrize("write", WRITES)
-    @pytest.mark.parametrize("mode", VECTORIZED)
+    @pytest.mark.parametrize("mode", MODES)
     def test_join_answers_from_the_version_it_pinned(self, monkeypatch, mode, write, sql):
         database = _join_database(mode)
         # the index is asked for after the join pinned its version of t
@@ -241,26 +259,7 @@ class TestVersionPinning:
         assert fired == [WRITES[write][1]]
         assert sorted(database.query(sql).rows) == AFTERWARDS[write]
 
-    @pytest.mark.parametrize("write", WRITES)
-    def test_row_mode_join_answers_from_the_version_it_pinned(self, write):
-        """Row mode hashes ``t``'s rows before it probes, so the seam is a UDF
-        in the probe key that writes when it sees its first row."""
-        database = _join_database("row")
-        fired: list = []
-
-        def poke(value):
-            if not fired:
-                fired.append(write)
-                database.execute(WRITES[write][1])
-            return value
-
-        database.register_python_function("poke", poke)
-        poked = JOIN.replace("s.k =", "poke(s.k) =")
-        assert sorted(database.query(poked).rows) == [(13, 13), (23, 23)]
-        assert fired == [write]
-        assert sorted(database.query(JOIN).rows) == AFTERWARDS[write]
-
-    @pytest.mark.parametrize("mode", VECTORIZED)
+    @pytest.mark.parametrize("mode", MODES)
     def test_the_index_path_reads_the_current_version_once(self, monkeypatch, mode):
         database = _join_database(mode)
         database.query(JOIN), database.query(ON_JOIN)
@@ -294,7 +293,7 @@ class TestVersionPinning:
         assert sorted(first + list(stream)) == [(k, k) for k in (*range(12), 13, 23)]
         assert database.query(JOIN).rows == []
 
-    @pytest.mark.parametrize("mode", VECTORIZED)
+    @pytest.mark.parametrize("mode", MODES)
     def test_a_write_costs_one_build_of_the_next_version(self, mode):
         database = _join_database(mode)
         assert _hashed(database, JOIN)[1] == 36
@@ -389,36 +388,54 @@ class TestMTHBuildSides:
         assert connection.query(query_text(query_id)).columns
         return database.stats.join_rows_hashed - before
 
-    @pytest.mark.parametrize("query_id", [12, 18])
-    def test_a_repeated_join_of_whole_tables_hashes_nothing(self, mth, query_id):
-        self._hashed(mth, query_id)
-        assert self._hashed(mth, query_id) == 0
-
-    @pytest.mark.parametrize("query_id", [5, 8, 9, 17])
-    def test_no_lineitem_row_is_hashed_per_statement(self, mth, monkeypatch, query_id):
-        database, _ = mth
-        width = len(database.catalog.table("lineitem").schema.columns)
+    @staticmethod
+    def _builds(mth, monkeypatch, query_id: int) -> list:
+        """The row sequences the per-statement builds of one execution hash
+        (a table version's own index is built in ``storage``, not here)."""
         built: list = []
 
         def recording(keys, rows):
             built.append(rows)
             return hash_rows(keys, rows)
 
+        with monkeypatch.context() as patch:
+            patch.setattr(planner, "hash_rows", recording)
+            TestMTHBuildSides._hashed(mth, query_id)
+        return built
+
+    @pytest.mark.parametrize("query_id", [12, 18])
+    def test_a_repeated_join_hashes_no_whole_base_table(self, mth, monkeypatch, query_id):
+        """Whichever side the join order makes the build, a whole base table
+        is probed through its version's index, never hashed per statement."""
+        database, _ = mth
         self._hashed(mth, query_id)
-        monkeypatch.setattr(planner, "hash_rows", recording)
-        hashed = self._hashed(mth, query_id)
+        tables = [table.rows for table in database.catalog.tables()]
+        for rows in self._builds(mth, monkeypatch, query_id):
+            assert not any(len(rows) == len(whole) and list(rows) == list(whole) for whole in tables)
+
+    @pytest.mark.parametrize("query_id", [5, 8, 9, 17])
+    def test_no_lineitem_row_is_hashed_per_statement(self, mth, monkeypatch, query_id):
+        database, _ = mth
+        width = len(database.catalog.table("lineitem").schema.columns)
+        self._hashed(mth, query_id)
+        before = database.stats.join_rows_hashed
+        built = self._builds(mth, monkeypatch, query_id)
+        hashed = database.stats.join_rows_hashed - before
         assert hashed == sum(map(len, built)) < len(database.catalog.table("lineitem"))
         assert not any(len(row) == width for rows in built for row in rows)
 
     def test_a_write_makes_the_next_join_build_the_index_once(self, mth):
+        """Q18 probes ``orders``' index under either join order: a write to
+        ``orders`` costs one build of the new version, then steady state."""
         database, _ = mth
-        self._hashed(mth, 12)
+        self._hashed(mth, 18)
+        steady = self._hashed(mth, 18)
         orders = database.catalog.table("orders")
         row = list(orders.rows[0])
         row[orders.schema.column_index("o_orderkey")] = 10**9
         orders.insert_row(row)
-        assert self._hashed(mth, 12) == len(orders)
-        assert self._hashed(mth, 12) == 0
+        assert self._hashed(mth, 18) == steady + len(orders)
+        assert self._hashed(mth, 18) == steady
 
     def test_filtered_builds_are_reduced(self, mth):
         """Q3 builds on a date-filtered ``orders`` and ``lineitem``; probed by

@@ -5,11 +5,14 @@ PR 7 vectorized the comma-join pipeline but deliberately left explicit
 that last row-at-a-time loop too.  These tests pin its contracts directly —
 LEFT-join unmatched padding, multi-key ON clauses, residual conditions that
 would raise if they were (wrongly) evaluated over unmatched or non-candidate
-rows — each asserted bit-identical against the row-mode oracle on the same
-data, in both the typed and the generic-vectorized configuration.
+rows — each asserted bit-identical between the typed and the generic kernel
+configuration on the same data, and equal as a multiset to stdlib
+:mod:`sqlite3` over the same rows.
 """
 
 from __future__ import annotations
+
+import sqlite3
 
 import pytest
 
@@ -20,10 +23,28 @@ from repro.errors import ExecutionError
 BATCH = 4
 
 MODES = {
-    "typed": VectorConfig(enabled=True, batch_size=BATCH, typed=True),
-    "generic": VectorConfig(enabled=True, batch_size=BATCH, typed=False),
-    "row": VectorConfig(enabled=False, batch_size=BATCH),
+    "typed": VectorConfig(batch_size=BATCH, typed=True),
+    "generic": VectorConfig(batch_size=BATCH, typed=False),
 }
+
+
+ORDERS = [
+    (1, 10, 100.0),
+    (2, 11, 50.0),
+    (3, 99, 75.0),  # no matching customer: LEFT padding
+    (4, 10, 20.0),
+    (5, None, 10.0),  # NULL key never matches
+    (6, 12, 60.0),
+    (7, 11, 40.0),
+    (8, 13, 30.0),  # matches a customer with c_limit 0 (raise bait)
+]
+CUSTOMERS = [
+    (10, 1, "alpha", 500.0),
+    (11, 1, "beta", 45.0),
+    (11, 2, "beta2", 500.0),  # duplicate key: one-to-many fan-out
+    (12, 2, "gamma", None),
+    (14, 3, "delta", 0.0),  # unmatched build row with zero limit
+]
 
 
 def _load(vector: VectorConfig) -> Database:
@@ -36,30 +57,20 @@ def _load(vector: VectorConfig) -> Database:
         "CREATE TABLE customers (c_id INTEGER NOT NULL, c_region INTEGER, "
         "c_name VARCHAR(20), c_limit DECIMAL(10,2), PRIMARY KEY (c_id))"
     )
-    db.insert_rows(
-        "orders",
-        [
-            (1, 10, 100.0),
-            (2, 11, 50.0),
-            (3, 99, 75.0),  # no matching customer: LEFT padding
-            (4, 10, 20.0),
-            (5, None, 10.0),  # NULL key never matches
-            (6, 12, 60.0),
-            (7, 11, 40.0),
-            (8, 13, 30.0),  # matches a customer with c_limit 0 (raise bait)
-        ],
-    )
-    db.insert_rows(
-        "customers",
-        [
-            (10, 1, "alpha", 500.0),
-            (11, 1, "beta", 45.0),
-            (11, 2, "beta2", 500.0),  # duplicate key: one-to-many fan-out
-            (12, 2, "gamma", None),
-            (14, 3, "delta", 0.0),  # unmatched build row with zero limit
-        ],
-    )
+    db.insert_rows("orders", ORDERS)
+    db.insert_rows("customers", CUSTOMERS)
     return db
+
+
+def _sqlite(sql: str) -> list[tuple]:
+    """The same query on stdlib sqlite3 over the same rows (it divides by
+    zero to NULL, which no candidate row of these queries reaches)."""
+    connection = sqlite3.connect(":memory:")
+    connection.execute("CREATE TABLE orders (o_id, o_cust, o_total)")
+    connection.execute("CREATE TABLE customers (c_id, c_region, c_name, c_limit)")
+    connection.executemany("INSERT INTO orders VALUES (?, ?, ?)", ORDERS)
+    connection.executemany("INSERT INTO customers VALUES (?, ?, ?, ?)", CUSTOMERS)
+    return connection.execute(sql).fetchall()
 
 
 @pytest.fixture(scope="module")
@@ -69,7 +80,8 @@ def databases() -> dict[str, Database]:
 
 def _all_modes(databases, sql: str):
     results = {name: db.query(sql).rows for name, db in databases.items()}
-    assert results["typed"] == results["generic"] == results["row"]
+    assert results["typed"] == results["generic"]
+    assert sorted(results["typed"], key=repr) == sorted(_sqlite(sql), key=repr)
     return results["typed"]
 
 
@@ -130,8 +142,8 @@ def test_raising_residual_never_sees_unmatched_rows(databases):
     """A residual that raises on some *non-candidate* rows must not raise.
 
     ``100 / c.c_limit`` divides by zero for customer 14 (c_limit 0.0) — but
-    no order joins to key 14, so row mode never evaluates the residual over
-    that row.  The batched residual must restrict itself to the key-matched
+    no order joins to key 14, so a nested loop never evaluates the residual
+    over that row.  The batched residual must restrict itself to the key-matched
     candidate rows exactly the same way, in every mode.
     """
     rows = _all_modes(

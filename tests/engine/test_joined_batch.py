@@ -8,11 +8,11 @@ them.  Three kinds of evidence:
   equals the column of its concatenated rows, and the rows equal what the
   old per-row ``left_row + right_row`` produced;
 * **structural pins** by a program count: MT-H Q7 and Q9 at o4 never
-  concatenate a joined row (``join_rows_materialized == 0``) and Q18's
-  ``IN (sub-query)`` post-filter never enters the row interpreter, while a
-  correlated sub-query over a join *does* materialize — and is counted;
-* **semantics**: uncorrelated sub-query kernels keep the row interpreter's
-  three-valued logic in all engine modes.
+  concatenate a joined row (``join_rows_materialized == 0``), nor does
+  Q18's ``IN (sub-query)`` post-filter, while a correlated sub-query over a
+  join *does* materialize — and is counted;
+* **semantics**: sub-query kernels keep SQL's three-valued logic, as literal
+  expected rows, on the typed and the generic kernels.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from hypothesis import given, settings, strategies as st
 
 from repro.backends import EngineBackend
 from repro.engine import Database, VectorConfig
-from repro.engine import vector
 from repro.engine.vector import JoinedBatch, RowBatch
 from repro.mth.loader import load_mth
 from repro.mth.queries import query_text
@@ -132,7 +131,7 @@ def test_rows_are_references_not_copies():
 
 @pytest.fixture(scope="module")
 def mth(tiny_tpch_data):
-    database = Database(vector=VectorConfig(enabled=True, batch_size=256, typed=True))
+    database = Database(vector=VectorConfig(batch_size=256, typed=True))
     instance = load_mth(
         data=tiny_tpch_data, tenants=4, backend=EngineBackend(database=database)
     )
@@ -152,21 +151,13 @@ def test_multi_join_queries_never_concatenate_a_row(mth, query_id):
     assert all(profile.join_rows_materialized == 0 for profile in report.operators)
 
 
-def test_q18_post_filter_stays_out_of_the_row_interpreter(mth, monkeypatch):
+def test_q18_post_filter_materializes_no_joined_row(mth):
+    """Q18's uncorrelated ``IN (sub-query)`` post-filter reads the joined
+    batch's columns; it never needs a row tuple."""
     instance, connection = mth
-    fallbacks = []
-    original = vector.BatchExpressionCompiler._rowwise
-
-    def counting(self, expr, prepared=None):
-        fallbacks.append(type(expr).__name__)
-        return original(self, expr, prepared)
-
-    monkeypatch.setattr(vector.BatchExpressionCompiler, "_rowwise", counting)
     stats = instance.database.stats
     before = stats.join_rows_materialized
-    rows = connection.query(query_text(18)).rows
-    assert rows
-    assert fallbacks == []  # IN (sub-query) compiled to a batch kernel
+    assert connection.query(query_text(18)).rows
     assert stats.join_rows_materialized == before
 
 
@@ -188,7 +179,7 @@ def test_correlated_subquery_over_a_join_materializes_and_is_counted(mth):
 
 
 def test_explain_analyze_shows_materialized_join_rows():
-    database = Database(vector=VectorConfig(enabled=True, batch_size=4, typed=True))
+    database = Database(vector=VectorConfig(batch_size=4, typed=True))
     database.execute("CREATE TABLE a (x INTEGER NOT NULL)")
     database.execute("CREATE TABLE b (y INTEGER NOT NULL)")
     database.insert_rows("a", [(n,) for n in range(6)])
@@ -203,13 +194,12 @@ def test_explain_analyze_shows_materialized_join_rows():
 
 
 # ---------------------------------------------------------------------------
-# uncorrelated sub-query kernels keep the row interpreter's 3VL
+# sub-query kernels keep SQL's three-valued logic
 # ---------------------------------------------------------------------------
 
 MODES = {
-    "typed": VectorConfig(enabled=True, batch_size=3, typed=True),
-    "generic": VectorConfig(enabled=True, batch_size=3, typed=False),
-    "row": VectorConfig(enabled=False, batch_size=3),
+    "typed": VectorConfig(batch_size=3, typed=True),
+    "generic": VectorConfig(batch_size=3, typed=False),
 }
 
 
@@ -247,7 +237,7 @@ SUBQUERY_CASES = [
     ("SELECT COUNT(*) FROM t WHERE EXISTS (SELECT 1 FROM u)", [(5,)]),
     ("SELECT COUNT(*) FROM t WHERE NOT EXISTS (SELECT 1 FROM empty)", [(5,)]),
     ("SELECT COUNT(*) FROM t WHERE EXISTS (SELECT 1 FROM empty)", [(0,)]),
-    # over a join intermediate, and correlated (row fallback) next to it
+    # over a join intermediate, and correlated (one run per row) next to it
     ("SELECT v FROM t, u WHERE t.k = u.k AND t.k IN (SELECT k FROM s)", [(10,)]),
     ("SELECT v FROM t WHERE EXISTS (SELECT 1 FROM u WHERE u.k = t.k) ORDER BY v", [(10,), (50,)]),
 ]
@@ -256,7 +246,7 @@ SUBQUERY_CASES = [
 @pytest.mark.parametrize("sql,expected", SUBQUERY_CASES)
 def test_subquery_predicates_agree_across_modes(databases, sql, expected):
     results = {name: database.query(sql).rows for name, database in databases.items()}
-    assert results["typed"] == results["generic"] == results["row"] == expected
+    assert results["typed"] == results["generic"] == expected
 
 
 def test_multi_column_scalar_subquery_raises_in_every_mode(databases):

@@ -1,12 +1,13 @@
-"""Join keys never match on NULL: engine (row + vectorized) against SQLite.
+"""Join keys never match on NULL: engine (typed + generic kernels) against SQLite.
 
 ``a.x = b.x`` is not true when either side is NULL, so a build or probe row
 whose key has a NULL component matches nothing — an inner join drops it, a
 LEFT join null-pads it.  The hash joins used to key their tables on ``None``
-(and on tuples holding ``None``) and returned the NULL pair in both engine
-modes.  Every case runs the same SQL on the three engine modes and on
-:class:`~repro.backends.SQLiteBackend`, the independent oracle; the engine
-modes must also agree on row *order*, duplicate build keys included.
+(and on tuples holding ``None``) and returned the NULL pair.  Every case runs
+the same SQL on both kernel configurations and on
+:class:`~repro.backends.SQLiteBackend`, the independent oracle; the two
+configurations must also agree on row *order*, and the order of the
+duplicate-build-key cases is pinned as literal rows.
 """
 
 from __future__ import annotations
@@ -32,9 +33,8 @@ ROWS = {
 }
 
 MODES = {
-    "typed": VectorConfig(enabled=True, batch_size=4, typed=True),
-    "generic": VectorConfig(enabled=True, batch_size=4, typed=False),
-    "row": VectorConfig(enabled=False, batch_size=4),
+    "typed": VectorConfig(batch_size=4, typed=True),
+    "generic": VectorConfig(batch_size=4, typed=False),
 }
 
 QUERIES = {
@@ -78,18 +78,18 @@ def sqlite():
 def test_null_keys_match_nothing(engines, sqlite, name):
     sql = QUERIES[name]
     results = {mode: database.query(sql).rows for mode, database in engines.items()}
-    assert results["typed"] == results["generic"] == results["row"], name
+    assert results["typed"] == results["generic"], name
     expected = [tuple(row) for row in sqlite.query(sql).rows]
-    assert sorted(results["row"], key=repr) == sorted(expected, key=repr), name
+    assert sorted(results["typed"], key=repr) == sorted(expected, key=repr), name
     # no pair was made of two NULL keys: y 11/15 and z 21 only ever appear
     # null-padded (on the left side of a LEFT join)
-    for row in results["row"]:
+    for row in results["typed"]:
         if name in ("comma", "explicit", "left"):
             assert not (row[0] in (11, 15) and row[1] is not None), row
             assert row[1] != 21, row
 
 
-def test_duplicate_build_keys_keep_row_mode_order(engines):
+def test_duplicate_build_keys_keep_nested_loop_order(engines):
     """Left row major, build rows in source order, unmatched rows padded in
     place — with a unique build side (``k``) and a duplicated one (``b``)."""
     rows = engines["typed"].query(QUERIES["left"]).rows
@@ -99,8 +99,8 @@ def test_duplicate_build_keys_keep_row_mode_order(engines):
     ]  # fmt: skip
     rows = engines["typed"].query("SELECT a.y, k.v FROM a LEFT JOIN k ON a.x = k.id").rows
     assert rows == [(10, 6), (11, None), (12, 7), (13, 7), (14, None), (15, None)]
-    for sql in (QUERIES["left"], QUERIES["three-way"]):
-        assert engines["typed"].query(sql).rows == engines["row"].query(sql).rows
+    rows = engines["typed"].query(QUERIES["three-way"]).rows
+    assert rows == [(10, 20, 6), (10, 24, 6), (12, 23, 7), (13, 23, 7)]
 
 
 @pytest.mark.parametrize("mode", MODES)

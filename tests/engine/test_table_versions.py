@@ -23,9 +23,8 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[2] / "tools"))
 import stress_writers  # noqa: E402
 
 MODES = {
-    "typed": VectorConfig(enabled=True, typed=True),
-    "generic": VectorConfig(enabled=True, typed=False),
-    "row": VectorConfig(enabled=False),
+    "typed": VectorConfig(typed=True),
+    "generic": VectorConfig(typed=False),
 }
 
 #: which accessor conjunct 2 (``a``, column 1) is the first to call, per mode
@@ -108,10 +107,10 @@ class TestInterleavedWrites:
         assert _ids(database, scan) == afterwards
 
     @pytest.mark.parametrize("write", WRITES)
-    def test_row_mode_scan_answers_from_the_version_it_pinned(self, write):
-        """Row mode judges both conjuncts row by row, so the seam is a UDF in
-        conjunct 2 that writes when it sees its first row."""
-        database = _database("row")
+    @pytest.mark.parametrize("mode", MODES)
+    def test_a_udf_writing_mid_scan_sees_the_pinned_version(self, mode, write):
+        """The seam is a UDF in conjunct 2 that writes on its first call."""
+        database = _database(mode)
         scan, sql, in_flight, afterwards = WRITES[write]
         fired: list = []
 
@@ -137,6 +136,19 @@ class TestInterleavedWrites:
         assert database.query(LOOKUP).rows == [(13, 50)]
         assert fired == [sql]
         assert database.query(LOOKUP).rows == ([] if write == "delete" else [(13, 50)])
+
+    @pytest.mark.parametrize("mode", SEAMS)
+    def test_update_where_and_set_read_one_version(self, monkeypatch, mode):
+        """WHERE reads ``a``; the write lands when SET first reads ``b``
+        (column 2).  SET still reads the version WHERE judged, and that
+        version, rewritten, is what the UPDATE publishes."""
+        database = _database(mode)
+        write = "UPDATE t SET b = 100 + b"
+        fired = _inject(monkeypatch, database, "column_array", 2, write)
+        assert database.execute("UPDATE t SET a = b WHERE a > 30").rowcount == 5
+        assert fired == [write]
+        rows = sorted(database.query("SELECT id, a, b FROM t").rows)
+        assert rows == [(i, i % 10 if i > 30 else i, i % 10) for i in range(36)]
 
     def test_a_udf_body_plan_cached_across_statements_sees_each_new_version(self):
         """Pinning is per scan, not per plan: a SQL-UDF body plan outlives

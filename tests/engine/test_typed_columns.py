@@ -114,7 +114,7 @@ def test_env_typed_accepts_only_the_two_flags(monkeypatch):
 
 
 def _kernel_db(typed: bool) -> Database:
-    db = Database(vector=VectorConfig(enabled=True, batch_size=4, typed=typed))
+    db = Database(vector=VectorConfig(batch_size=4, typed=typed))
     db.execute("CREATE TABLE t (a INTEGER, b DECIMAL(10,2))")
     db.insert_rows("t", [(i, float(i)) for i in range(10)])
     return db
@@ -145,20 +145,13 @@ def test_set_typed_flips_dispatch_and_replans():
     assert typed > 0
     db.set_typed(False)
     assert db.vector.typed is False
-    assert db.vector.enabled is True  # only the typed layer switches off
+    assert db.vector.batch_size == 4  # only the typed layer switches off
     rows_after, (typed, generic) = _kernels(db, query)
     assert rows_after == rows_before
     assert typed == 0 and generic == 0
     db.set_typed(True)
     _, (typed, _) = _kernels(db, query)
     assert typed > 0
-
-
-def test_set_vectorize_preserves_the_typed_flag():
-    db = _kernel_db(typed=False)
-    db.set_vectorize(False)
-    db.set_vectorize(True)
-    assert db.vector.typed is False
 
 
 def test_unstable_column_falls_back_per_batch():

@@ -1,53 +1,57 @@
 """Unit tests pinning the batch kernels' semantics and configuration.
 
-The differential suite proves the vectorized engine equals the row oracle
-on whole MT-H queries; these tests pin the *local* contracts that proof
-rests on: three-valued logic inside batch kernels, NULL-skipping batch
-aggregation, memo-batched conversion-UDF dispatch with exact counter
-parity, the strict ``REPRO_ENGINE_*`` knob validation, and the
-batch-bounded streaming guarantee (LIMIT + ``fetchmany`` consume at most
-one extra batch).
+The differential suite proves the typed and the generic kernels agree on
+whole MT-H queries (and pins their rows); these tests pin the *local*
+contracts, against stdlib :mod:`sqlite3` or literal rows: three-valued logic
+inside batch kernels, NULL-skipping batch aggregation, memo-batched
+conversion-UDF dispatch with exact counters, correlated sub-queries and
+non-literal ``IN`` lists evaluated per row but only over the rows still
+undecided, and the batch-bounded streaming guarantee (LIMIT + ``fetchmany``
+consume at most one extra batch).
 """
 
 from __future__ import annotations
+
+import sqlite3
 
 import pytest
 
 import repro.api as api
 from repro.backends import EngineBackend
 from repro.engine import Database, VectorConfig
-from repro.engine.config import env_vectorize
-from repro.errors import ConfigurationError, TypeMismatchError
+from repro.errors import ExecutionError, TypeMismatchError
 from repro.mth import load_mth, query_text
 from repro.sql.types import Date
 
 
-def _db(enabled: bool = True, batch_size: int = 4, profile: str = "postgres"):
-    return Database(profile, vector=VectorConfig(enabled=enabled, batch_size=batch_size))
+def _db(typed: bool = True, batch_size: int = 4, profile: str = "postgres"):
+    return Database(profile, vector=VectorConfig(batch_size=batch_size, typed=typed))
 
 
-def _both_modes(setup, query: str):
-    """Run ``query`` on a vectorized and a row-mode database built by ``setup``."""
+def _both_kernels(setup, query: str):
+    """Run ``query`` on a typed- and a generic-kernel database built by
+    ``setup``; they must agree, and the agreed rows are returned."""
     results = []
-    for enabled in (True, False):
-        db = _db(enabled=enabled)
+    for typed in (True, False):
+        db = _db(typed=typed)
         setup(db)
         results.append(db.query(query).rows)
-    return results
+    assert results[0] == results[1]
+    return results[0]
+
+
+NULL_ROWS = [
+    (1, 10, "alpha"),
+    (2, None, "beta"),
+    (None, 30, None),
+    (4, None, "delta"),
+    (None, None, "alpha"),
+]
 
 
 def _null_table(db) -> None:
     db.execute("CREATE TABLE t (a INTEGER, b INTEGER, s VARCHAR(10))")
-    db.insert_rows(
-        "t",
-        [
-            (1, 10, "alpha"),
-            (2, None, "beta"),
-            (None, 30, None),
-            (4, None, "delta"),
-            (None, None, "alpha"),
-        ],
-    )
+    db.insert_rows("t", NULL_ROWS)
 
 
 # ---------------------------------------------------------------------------
@@ -74,11 +78,13 @@ def _null_table(db) -> None:
         "CASE WHEN a IS NULL THEN b ELSE a END > 2",
     ],
 )
-def test_null_predicates_match_row_oracle(predicate):
-    """NULL-involving predicates keep exactly the rows row mode keeps."""
+def test_null_predicates_match_sqlite(predicate):
+    """NULL-involving predicates keep exactly the rows SQLite keeps."""
     query = f"SELECT a, b, s FROM t WHERE {predicate}"
-    vectorized, row_mode = _both_modes(_null_table, query)
-    assert vectorized == row_mode
+    connection = sqlite3.connect(":memory:")
+    connection.execute("CREATE TABLE t (a, b, s)")
+    connection.executemany("INSERT INTO t VALUES (?, ?, ?)", NULL_ROWS)
+    assert _both_kernels(_null_table, query) == connection.execute(query).fetchall()
 
 
 def test_null_propagation_in_projections():
@@ -86,11 +92,13 @@ def test_null_propagation_in_projections():
         "SELECT a + b, a = b, a < b, -a, NOT (a > 2), s || '!', "
         "CASE WHEN a > 2 THEN 'big' END FROM t"
     )
-    vectorized, row_mode = _both_modes(_null_table, query)
-    assert vectorized == row_mode
-    # pin the 3VL values themselves, not just mode agreement
-    assert vectorized[1] == (None, None, None, -2, True, "beta!", None)
-    assert vectorized[2] == (None, None, None, None, None, None, None)
+    assert _both_kernels(_null_table, query) == [
+        (11, False, True, -1, True, "alpha!", None),
+        (None, None, None, -2, True, "beta!", None),
+        (None, None, None, None, None, None, None),
+        (None, None, None, -4, False, "delta!", "big"),
+        (None, None, None, None, None, "alpha!", None),
+    ]
 
 
 def test_case_branches_see_only_their_rows():
@@ -102,8 +110,7 @@ def test_case_branches_see_only_their_rows():
         db.insert_rows("t", [(10, 2), (20, 0), (30, 5), (40, 0)])
 
     query = "SELECT CASE WHEN d > 0 THEN a / d ELSE -1 END FROM t"
-    vectorized, row_mode = _both_modes(setup, query)
-    assert vectorized == row_mode == [(5.0,), (-1,), (6.0,), (-1,)]
+    assert _both_kernels(setup, query) == [(5.0,), (-1,), (6.0,), (-1,)]
 
 
 # ---------------------------------------------------------------------------
@@ -111,14 +118,12 @@ def test_case_branches_see_only_their_rows():
 # ---------------------------------------------------------------------------
 
 
-def test_aggregates_skip_nulls_like_row_mode():
+def test_aggregates_skip_nulls():
     query = (
         "SELECT COUNT(*), COUNT(b), SUM(b), AVG(b), MIN(b), MAX(b), "
         "COUNT(DISTINCT s) FROM t"
     )
-    vectorized, row_mode = _both_modes(_null_table, query)
-    assert vectorized == row_mode
-    assert vectorized == [(5, 2, 40, 20.0, 10, 30, 3)]
+    assert _both_kernels(_null_table, query) == [(5, 2, 40, 20.0, 10, 30, 3)]
 
 
 def test_all_null_group_aggregates_are_null():
@@ -127,23 +132,28 @@ def test_all_null_group_aggregates_are_null():
         db.insert_rows("t", [(1, None), (1, None), (2, 7)])
 
     query = "SELECT k, SUM(v), AVG(v), MIN(v), COUNT(v) FROM t GROUP BY k ORDER BY k"
-    vectorized, row_mode = _both_modes(setup, query)
-    assert vectorized == row_mode
-    assert vectorized == [(1, None, None, None, 0), (2, 7, 7.0, 7, 1)]
+    assert _both_kernels(setup, query) == [(1, None, None, None, 0), (2, 7, 7.0, 7, 1)]
 
 
 def test_grouped_sums_are_bit_identical():
     """Batch accumulators fold in row order, so float sums match exactly."""
 
+    rows = [(i % 3, 0.1 * i) for i in range(1000)]
+
     def setup(db):
         db.execute("CREATE TABLE t (k INTEGER, v DOUBLE)")
-        db.insert_rows(
-            "t", [(i % 3, 0.1 * i) for i in range(1000)]
-        )
+        db.insert_rows("t", rows)
 
+    expected = []
+    for key in range(3):
+        total, avg_total = None, 0.0
+        values = [v for k, v in rows if k == key]
+        for value in values:
+            total = value if total is None else total + value
+            avg_total += value
+        expected.append((key, total, avg_total / len(values)))
     query = "SELECT k, SUM(v), AVG(v) FROM t GROUP BY k ORDER BY k"
-    vectorized, row_mode = _both_modes(setup, query)
-    assert vectorized == row_mode  # == : bit-identical floats, same order
+    assert _both_kernels(setup, query) == expected  # == : bit-identical floats
 
 
 # ---------------------------------------------------------------------------
@@ -156,8 +166,8 @@ _UDF_DDL = (
 )
 
 
-def _udf_workload(profile: str, enabled: bool):
-    db = _db(enabled=enabled, profile=profile)
+def _udf_workload(profile: str, typed: bool = True):
+    db = _db(typed=typed, profile=profile)
     db.execute("CREATE TABLE t (v INTEGER)")
     # 12 rows, 3 distinct argument values -> the memo collapses 12 calls
     db.insert_rows("t", [(i % 3,) for i in range(12)])
@@ -169,21 +179,20 @@ def _udf_workload(profile: str, enabled: bool):
 
 @pytest.mark.parametrize("profile", ["postgres", "system_c"])
 def test_udf_counters_have_parity(profile):
-    """Both modes report identical call/execution/cache-hit counts."""
-    assert _udf_workload(profile, enabled=True) == _udf_workload(
-        profile, enabled=False
-    )
+    """Both kernel configurations report identical call/execution/cache-hit
+    counts."""
+    assert _udf_workload(profile, typed=True) == _udf_workload(profile, typed=False)
 
 
 def test_postgres_memo_dedupes_within_a_batch():
-    calls, executions, hits = _udf_workload("postgres", enabled=True)
+    calls, executions, hits = _udf_workload("postgres")
     assert calls == 12
     assert executions == 3  # one per distinct argument
     assert hits == 9
 
 
 def test_system_c_profile_never_caches():
-    calls, executions, hits = _udf_workload("system_c", enabled=True)
+    calls, executions, hits = _udf_workload("system_c")
     assert calls == 12
     assert executions == 12
     assert hits == 0
@@ -194,42 +203,18 @@ def test_system_c_profile_never_caches():
 # ---------------------------------------------------------------------------
 
 
-def test_env_vectorize_accepts_only_the_two_flags(monkeypatch):
-    monkeypatch.setenv("REPRO_ENGINE_VECTORIZE", "1")
-    assert env_vectorize() is True
-    monkeypatch.setenv("REPRO_ENGINE_VECTORIZE", "0")
-    assert env_vectorize() is False
-    monkeypatch.setenv("REPRO_ENGINE_VECTORIZE", "yes")
-    with pytest.raises(ConfigurationError, match="REPRO_ENGINE_VECTORIZE"):
-        env_vectorize()
-
-
 def test_vector_config_from_env(monkeypatch):
-    monkeypatch.setenv("REPRO_ENGINE_VECTORIZE", "0")
     monkeypatch.setenv("REPRO_ENGINE_TYPED", "0")
-    config = VectorConfig.from_env()
-    assert config == VectorConfig(enabled=False, typed=False)
+    assert VectorConfig.from_env() == VectorConfig(typed=False)
     monkeypatch.setenv("REPRO_ENGINE_TYPED", "1")
     assert VectorConfig.from_env().typed is True
     # keyword overrides win over the environment
-    assert VectorConfig.from_env(enabled=True, batch_size=256) == VectorConfig(
-        enabled=True, batch_size=256, typed=True
-    )
+    assert VectorConfig.from_env(batch_size=256) == VectorConfig(batch_size=256, typed=True)
     assert VectorConfig.from_env(typed=False).typed is False
 
 
-def test_set_vectorize_flips_the_mode_and_replans():
-    db = _db(enabled=True, batch_size=8)
-    db.execute("CREATE TABLE t (a INTEGER)")
-    db.insert_rows("t", [(i,) for i in range(20)])
-    before = db.query("SELECT SUM(a) FROM t").rows
-    db.set_vectorize(False)
-    assert db.vector.enabled is False
-    assert db.vector.batch_size == 8  # batch size survives the flip
-    assert db.query("SELECT SUM(a) FROM t").rows == before
-    db.set_vectorize(True, batch_size=16)
-    assert db.vector == VectorConfig(enabled=True, batch_size=16)
-    assert db.query("SELECT SUM(a) FROM t").rows == before
+def test_vector_config_has_exactly_two_fields():
+    assert list(VectorConfig.__dataclass_fields__) == ["batch_size", "typed"]
 
 
 # ---------------------------------------------------------------------------
@@ -238,7 +223,7 @@ def test_set_vectorize_flips_the_mode_and_replans():
 
 
 def test_operator_profiles_record_batched_execution():
-    db = _db(enabled=True, batch_size=8)
+    db = _db(batch_size=8)
     db.execute("CREATE TABLE t (a INTEGER)")
     db.insert_rows("t", [(i,) for i in range(40)])
     db.stats.reset()
@@ -273,7 +258,7 @@ def test_limit_and_fetchmany_consume_at_most_one_extra_batch():
     batches spanning those N rows — never the whole table."""
     batch = 32
     backend = EngineBackend(
-        database=Database(vector=VectorConfig(enabled=True, batch_size=batch))
+        database=Database(vector=VectorConfig(batch_size=batch))
     )
     probe = _Probe()
     backend.connect().register_python_function("probe", probe)
@@ -316,8 +301,8 @@ def _date_table(db, cells=lambda value: value) -> None:
     )
 
 
-def _date_run(typed: bool, enabled: bool, predicate: str, cells=lambda value: value):
-    db = Database(vector=VectorConfig(enabled=enabled, batch_size=4, typed=typed))
+def _date_run(typed: bool, predicate: str, cells=lambda value: value):
+    db = Database(vector=VectorConfig(batch_size=4, typed=typed))
     _date_table(db, cells)
     rows = db.query(f"SELECT id, {predicate} FROM t WHERE n < 100").rows
     kernels = db.stats.kernels
@@ -326,26 +311,25 @@ def _date_run(typed: bool, enabled: bool, predicate: str, cells=lambda value: va
 
 @pytest.mark.parametrize("predicate", _DATE_PREDICATES)
 def test_date_column_comparisons_run_typed_and_bit_identical(predicate):
-    typed_rows, (typed, generic) = _date_run(True, True, predicate)
-    generic_rows, _ = _date_run(False, True, predicate)
-    row_rows, _ = _date_run(False, False, predicate)
-    assert typed_rows == generic_rows == row_rows
+    typed_rows, (typed, generic) = _date_run(True, predicate)
+    generic_rows, _ = _date_run(False, predicate)
+    assert typed_rows == generic_rows
     assert typed_rows[10][1] is None  # the NULL date keeps three-valued logic
     # every batch of the comparison took the ordinal kernel (plus n < 100)
     assert typed > 0 and generic == 0
 
 
 def test_date_columns_holding_iso_strings_compare_generically():
-    """Two ISO strings compare as text in the row interpreter, so a DATE
-    column stored as strings is left to the generic kernel."""
-    rows, (_, generic) = _date_run(True, True, "c < r", cells=str)
+    """Two ISO strings compare as text, so a DATE column stored as strings
+    is left to the generic kernel."""
+    rows, (_, generic) = _date_run(True, "c < r", cells=str)
     assert generic > 0
-    assert rows == _date_run(False, False, "c < r", cells=str)[0]
+    assert rows == _date_run(False, "c < r", cells=str)[0]
 
 
-@pytest.mark.parametrize("enabled", [True, False])
-def test_date_vs_number_column_still_raises(enabled):
-    db = Database(vector=VectorConfig(enabled=enabled, batch_size=4))
+@pytest.mark.parametrize("typed", [True, False])
+def test_date_vs_number_column_still_raises(typed):
+    db = Database(vector=VectorConfig(batch_size=4, typed=typed))
     _date_table(db)
     with pytest.raises(TypeMismatchError):
         db.query("SELECT id FROM t WHERE c < n")
@@ -354,7 +338,7 @@ def test_date_vs_number_column_still_raises(enabled):
 def test_q4_scan_filter_is_proven_not_generic(tiny_tpch_data):
     """``l_commitdate < l_receiptdate`` (MT-H Q4) dispatches a proven kernel;
     it used to pass the compile-time shape test and fall back per batch."""
-    database = Database(vector=VectorConfig(enabled=True, typed=True))
+    database = Database(vector=VectorConfig(typed=True))
     instance = load_mth(
         data=tiny_tpch_data, tenants=4, backend=EngineBackend(database=database)
     )
@@ -366,3 +350,113 @@ def test_q4_scan_filter_is_proven_not_generic(tiny_tpch_data):
     kernels = database.stats.kernels
     assert kernels.generic == 0
     assert kernels.proven >= 3  # two o_orderdate bounds and the date pair
+
+
+# ---------------------------------------------------------------------------
+# correlated sub-queries: one run per row, across batch boundaries
+# ---------------------------------------------------------------------------
+
+#: seven rows over three 3-row batches (``_db`` uses batch_size 3 here)
+OUTER_ROWS = [
+    (1, 1, 10), (2, 1, 20), (None, 1, 30), (1, 2, 40), (3, 2, 50), (None, 3, 60), (7, 3, 70),
+]
+#: group 1 holds {1, 5}, group 2 {3, NULL}, group 3 nothing
+MEMBER_ROWS = [(1, 1), (1, 5), (2, 3), (2, None)]
+
+
+@pytest.fixture(params=[True, False], ids=["typed", "generic"])
+def correlated(request):
+    db = _db(typed=request.param, batch_size=3)
+    db.execute("CREATE TABLE t (k INTEGER, g INTEGER, v INTEGER)")
+    db.execute("CREATE TABLE mem (g INTEGER, m INTEGER)")
+    db.insert_rows("t", OUTER_ROWS)
+    db.insert_rows("mem", MEMBER_ROWS)
+    return db
+
+
+def test_correlated_scalar_subquery_is_null_over_no_rows(correlated):
+    rows = correlated.query("SELECT v, (SELECT MAX(m) FROM mem WHERE mem.g = t.g) FROM t").rows
+    assert rows == [(10, 5), (20, 5), (30, 5), (40, 3), (50, 3), (60, None), (70, None)]
+    rows = correlated.query("SELECT v, (SELECT m FROM mem WHERE mem.m = t.k) FROM t").rows
+    assert rows == [(10, 1), (20, None), (30, None), (40, 1), (50, 3), (60, None), (70, None)]
+
+
+def test_correlated_scalar_subquery_of_two_columns_raises(correlated):
+    with pytest.raises(ExecutionError, match="single column"):
+        correlated.query("SELECT (SELECT g, m FROM mem WHERE mem.m = t.k) FROM t")
+
+
+@pytest.mark.parametrize(
+    "negated,expected",
+    [
+        ("", [True, False, None, None, True, None, False]),
+        ("NOT ", [False, True, None, None, False, None, True]),
+    ],
+)
+def test_correlated_in_with_null_values_and_null_members(correlated, negated, expected):
+    """A NULL value is NULL and runs no sub-query; a miss against a member
+    set holding NULL is NULL; an empty set is a plain miss."""
+    before = correlated.stats.subquery_runs
+    rows = correlated.query(
+        f"SELECT k {negated}IN (SELECT m FROM mem WHERE mem.g = t.g) FROM t"
+    ).rows
+    assert [row[0] for row in rows] == expected
+    # the outer statement plus one run per non-NULL value (five of seven)
+    assert correlated.stats.subquery_runs - before == 1 + 5
+
+
+@pytest.mark.parametrize(
+    "predicate,expected",
+    [
+        ("EXISTS", [10, 20, 30, 40, 50]),
+        ("NOT EXISTS", [60, 70]),
+    ],
+)
+def test_correlated_exists_across_batch_boundaries(correlated, predicate, expected):
+    rows = correlated.query(
+        f"SELECT v FROM t WHERE {predicate} (SELECT 1 FROM mem WHERE mem.g = t.g) ORDER BY v"
+    ).rows
+    assert [row[0] for row in rows] == expected
+
+
+# ---------------------------------------------------------------------------
+# non-literal IN lists: item k only sees the rows items 0..k-1 left undecided
+# ---------------------------------------------------------------------------
+
+IN_ROWS = [(1, 0), (2, 5), (None, 0), (4, 2), (6, 3)]
+
+
+@pytest.fixture(params=[True, False], ids=["typed", "generic"])
+def in_list(request):
+    db = _db(typed=request.param, batch_size=3)
+    db.execute("CREATE TABLE x (a INTEGER, b INTEGER)")
+    db.insert_rows("x", IN_ROWS)
+    return db
+
+
+def test_a_decided_row_never_evaluates_a_later_item(in_list):
+    """``10 / b`` divides by zero on (1, 0) and (NULL, 0), but the first
+    item already matched a = 1 and a NULL value evaluates no item."""
+    rows = in_list.query("SELECT a IN (1, 10 / b) FROM x").rows
+    assert rows == [(True,), (True,), (None,), (False,), (False,)]
+    rows = in_list.query("SELECT a NOT IN (1, 10 / b, NULL) FROM x").rows
+    assert rows == [(False,), (False,), (None,), (None,), (None,)]
+    with pytest.raises(ExecutionError, match="division by zero"):
+        in_list.query("SELECT a IN (2, 10 / b) FROM x")
+
+
+def test_a_udf_item_is_called_only_for_undecided_rows(in_list):
+    calls = []
+
+    def probe(value):
+        calls.append(value)
+        return value
+
+    in_list.register_python_function("probe", probe)
+    before = in_list.stats.udf_calls
+    rows = in_list.query("SELECT a IN (1, probe(b + 2), probe(b + 3)) FROM x").rows
+    assert rows == [(True,), (False,), (None,), (True,), (True,)]
+    # per batch of 3: item 2 runs for (2, 5) | (4, 2), (6, 3); item 3 only
+    # for the rows item 2 missed, (2, 5) | (6, 3)
+    assert calls == [7, 8, 4, 5, 6]
+    assert in_list.stats.udf_calls - before == 5
