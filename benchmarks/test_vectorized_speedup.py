@@ -1,12 +1,13 @@
 """Ablation: typed-column kernels vs. generic batch kernels.
 
-The engine's hot path runs typed-column kernels (``repro.engine.columns`` +
-the specialized paths in ``repro.engine.vector``); below them sit the
-generic object-list batch kernels (``REPRO_ENGINE_TYPED=0``).  This ablation
-times the *same* rewritten statement with both on the same loaded engine
-database and attaches the ratio to ``extra_info`` — scan-heavy aggregations
-(Q1/Q6-class) are where specialization pays off most, so those are the
-measured mix.
+The engine's hot path runs typed-column kernels over NOT NULL columns
+(``repro.engine.columns`` + the specialized paths in
+``repro.engine.vector``); below them sit the generic object-list batch
+kernels each typed kernel falls back to.  This ablation times the *same*
+rewritten statement on both kernel legs of the same loaded engine database
+(the generic leg comes from ``tests/conftest.py``) and attaches the ratio
+to ``extra_info`` — scan-heavy aggregations (Q1/Q6-class) are where
+specialization pays off most, so those are the measured mix.
 
 The ratio is reported, not asserted: wall-clock multiples are hardware- and
 load-dependent, and a flaky threshold would hide real regressions behind
@@ -21,6 +22,7 @@ import pytest
 from conftest import record_benchmark
 from repro.bench.workload import WorkloadConfig, load_workload
 from repro.mth.queries import query_text
+from tests.conftest import kernel_leg
 
 #: scan-dominated aggregation queries, where kernel specialization matters most
 QUERY_IDS = (1, 6)
@@ -57,24 +59,15 @@ def test_typed_kernel_speedup(benchmark, workload, query_id):
     connection = workload.connection(client=1, dataset="all")
     rewritten = connection.rewrite(query_text(query_id))
 
-    was_typed = database.vector.typed
-
     def _measure():
         workload.reset_caches()
         return _best_of(lambda: workload.backend.execute(rewritten))
 
-    try:
-        database.set_typed(False)
+    with kernel_leg("generic"):
         generic_seconds, generic_result = _measure()
-
-        database.set_typed(True)
-        typed_seconds, typed_result = _measure()
-        # the benchmarked unit is one more typed run, for the report
-        benchmark.pedantic(
-            lambda: workload.backend.execute(rewritten), rounds=1, iterations=1
-        )
-    finally:
-        database.set_typed(was_typed)
+    typed_seconds, typed_result = _measure()
+    # the benchmarked unit is one more typed run, for the report
+    benchmark.pedantic(lambda: workload.backend.execute(rewritten), rounds=1, iterations=1)
 
     assert typed_result.rows == generic_result.rows
     benchmark.extra_info["execute_generic_ms"] = round(generic_seconds * 1000.0, 4)

@@ -23,7 +23,8 @@ The package is organized in layers (see ``docs/architecture.md``):
   tables and figures (plus shard-count scaling).
 """
 
-from .engine import Database, QueryResult
+from .engine import Database
+from .result import QueryResult
 
 __version__ = "1.0.0"
 

@@ -347,7 +347,6 @@ class MTConnection:
                 batches = profile.batches - (prior.batches if prior else 0)
                 rows = profile.rows - (prior.rows if prior else 0)
                 seconds = profile.seconds - (prior.seconds if prior else 0.0)
-                typed = profile.typed_kernels - (prior.typed_kernels if prior else 0)
                 generic = profile.generic_kernels - (
                     prior.generic_kernels if prior else 0
                 )
@@ -367,7 +366,6 @@ class MTConnection:
                             batches=batches,
                             rows=rows,
                             seconds=seconds,
-                            typed_kernels=typed,
                             generic_kernels=generic,
                             proven_kernels=proven,
                             join_rows_materialized=materialized,

@@ -7,28 +7,21 @@ from .database import (
     SYSTEM_C_PROFILE,
     BackendProfile,
     Database,
-    StatementResult,
 )
-from .config import DEFAULT_BATCH_SIZE, VectorConfig
-from .executor import ExecutionStats, QueryResult
 from .functions import PythonFunction, SQLFunction
 from .storage import ColumnSchema, Table, TableSchema
-from .vector import BatchExpressionCompiler, RowBatch
+from .vector import DEFAULT_BATCH_SIZE, BatchExpressionCompiler, RowBatch
 
 __all__ = [
     "BatchExpressionCompiler",
     "DEFAULT_BATCH_SIZE",
     "RowBatch",
-    "VectorConfig",
     "Catalog",
     "Database",
     "BackendProfile",
-    "StatementResult",
     "POSTGRES_PROFILE",
     "SYSTEM_C_PROFILE",
     "PROFILES",
-    "ExecutionStats",
-    "QueryResult",
     "PythonFunction",
     "SQLFunction",
     "ColumnSchema",

@@ -19,11 +19,10 @@ from typing import Any, Callable, Optional, Union
 from ..compile.cost import CostConfig
 from ..compile.stats import RefreshPolicy, StatisticsCatalog, collect_table_stats
 from ..errors import ExecutionError
-from ..result import ExecuteResult, StatementResult
+from ..result import ExecuteResult, ExecutionStats, QueryResult, RowStream, StatementResult
 from ..sql import ast
 from ..sql.parser import parse_statement, parse_statements
 from .catalog import Catalog
-from .config import VectorConfig
 from .ddl import (
     execute_create_function,
     execute_create_table,
@@ -32,8 +31,9 @@ from .ddl import (
     execute_drop_view,
 )
 from .dml import execute_delete, execute_insert, execute_update
-from .executor import ExecutionStats, Executor, QueryResult, RowStream
+from .executor import Executor
 from .functions import PythonFunction, SQLFunction
+from .vector import DEFAULT_BATCH_SIZE
 
 
 @dataclass(frozen=True)
@@ -56,17 +56,16 @@ PROFILES = {
 class Database:
     """An in-memory SQL database executing the ``repro`` SQL dialect.
 
-    Expressions evaluate as batch kernels configured by :attr:`vector`
-    (read per statement preparation): ``REPRO_ENGINE_TYPED`` sets the typed
-    specialization process-wide and :meth:`set_typed` flips it per
-    database.
+    Expressions evaluate as batch kernels over windows of :attr:`batch_size`
+    rows; a kernel over columns the schema declares NOT NULL runs typed (see
+    :mod:`repro.engine.vector`).
     """
 
     def __init__(
         self,
         profile: Union[str, BackendProfile] = POSTGRES_PROFILE,
-        vector: Optional[VectorConfig] = None,
         cost: Optional[CostConfig] = None,
+        batch_size: int = DEFAULT_BATCH_SIZE,
     ) -> None:
         if isinstance(profile, str):
             try:
@@ -74,7 +73,7 @@ class Database:
             except KeyError as exc:
                 raise ExecutionError(f"unknown back-end profile {profile!r}") from exc
         self.profile = profile
-        self.vector = vector if vector is not None else VectorConfig.from_env()
+        self.batch_size = batch_size
         self.cost = cost if cost is not None else CostConfig.from_env()
         self.catalog = Catalog()
         self.stats = ExecutionStats()
@@ -261,23 +260,13 @@ class Database:
     def set_cost(self, enabled: bool) -> None:
         """Switch cost-based planning on or off for this database.
 
-        Like :meth:`set_typed`, the switch takes effect on the next statement
-        preparation; cached SQL-UDF body plans are dropped.
+        The switch takes effect on the next statement preparation; cached
+        SQL-UDF body plans are dropped.
         """
         self.cost = CostConfig(
             enabled=enabled,
             prefilter_max_selectivity=self.cost.prefilter_max_selectivity,
         )
-        self.executor.invalidate()
-
-    def set_typed(self, enabled: bool) -> None:
-        """Switch typed-column kernel specialization on or off.
-
-        See :mod:`repro.engine.config`.  The switch takes effect on the next
-        statement preparation and drops cached SQL-UDF body plans, which
-        embedded the previous setting in their kernels.
-        """
-        self.vector = VectorConfig(batch_size=self.vector.batch_size, typed=enabled)
         self.executor.invalidate()
 
     def reset_stats(self) -> None:

@@ -19,7 +19,7 @@ from time import perf_counter
 from typing import Any, Optional
 
 from ..errors import ExecutionError, FunctionError
-from ..result import ExecutionStats, QueryResult, RowStream
+from ..result import QueryResult, RowStream
 from ..sql import ast
 from ..sql.printer import to_sql
 from ..sql.transform import find_aggregate_calls, transform_expression
@@ -176,7 +176,7 @@ class PreparedSelect:
 
     def _compile(self) -> None:
         select = self._select
-        self._vector = self._context.database.vector
+        self._batch_size = self._context.database.batch_size
         # operator profiles are recorded for top-level statements only;
         # per-outer-row sub-query runs would drown the profile in lock traffic
         self._profile_ops = self._parent_scope is None
@@ -427,7 +427,7 @@ class PreparedSelect:
         item_fns = self._item_fns
         limit = self._limit
         produced = 0
-        for batch in self._pipeline.iter_batches(outers, self._vector.batch_size):
+        for batch in self._pipeline.iter_batches(outers, self._batch_size):
             if filters:
                 batch = apply_batch_predicates(batch, filters, outers)
                 if batch.n == 0:
@@ -443,7 +443,7 @@ class PreparedSelect:
         stats = self._context.database.stats
         stats.add(subquery_runs=1)
         profiled = self._profile_ops
-        batch_size = self._vector.batch_size
+        batch_size = self._batch_size
         if profiled:
             kernels = stats.kernels
 
@@ -467,7 +467,6 @@ class PreparedSelect:
                     rows_count,
                     now[0] - then[0],
                     batches=batches,
-                    typed_kernels=now[1] - then[1],
                     generic_kernels=now[2] - then[2],
                     proven_kernels=now[3] - then[3],
                     join_rows_materialized=now[4] - then[4],
@@ -506,7 +505,7 @@ class PreparedSelect:
 
     def _project(self, source: RowBatch, outers: tuple) -> list[tuple[tuple, tuple]]:
         """Batch projection: evaluate item/order columns per bounded window."""
-        batch_size = self._vector.batch_size
+        batch_size = self._batch_size
         item_fns = self._item_fns
         order_fns = self._order_fns
         projected: list[tuple[tuple, tuple]] = []
@@ -540,7 +539,7 @@ class PreparedSelect:
         """
         specs = self._aggregate_specs
         group_key_fns = self._group_key_fns
-        batch_size = self._vector.batch_size
+        batch_size = self._batch_size
         states = [factory() for factory, _ in specs]
         # key -> group id; without GROUP BY everything is the one group ()
         groups: dict = {} if group_key_fns else {(): 0}
@@ -582,7 +581,7 @@ class PreparedSelect:
         self, group_rows: list[tuple], outers: tuple
     ) -> list[tuple[tuple, tuple]]:
         """HAVING + projection over the merged group rows, batch at a time."""
-        batch_size = self._vector.batch_size
+        batch_size = self._batch_size
         having_fn = self._having_fn
         item_fns = self._item_fns
         order_fns = self._order_fns

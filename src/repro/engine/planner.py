@@ -47,10 +47,10 @@ from typing import TYPE_CHECKING, Optional, Sequence
 from ..compile.cost import predicate_selectivity
 from ..errors import ExecutionError
 from ..sql import ast
-from .config import DEFAULT_BATCH_SIZE
 from .expressions import Scope, contains_subquery, referenced_columns
 from .storage import HashIndex, TableData, hash_rows
 from .vector import (
+    DEFAULT_BATCH_SIZE,
     BatchExpressionCompiler,
     BatchKernel,
     JoinedBatch,
@@ -213,10 +213,9 @@ class TableSource(SourcePlan):
     the expression does not reference this table, the scan becomes a point
     look-up in a lazily-built hash index on that key column.
 
-    With ``typed=True`` (``REPRO_ENGINE_TYPED=1``, the default) the scan
-    batch additionally exposes that version's
+    The scan batch exposes that version's
     :class:`~repro.engine.columns.TypedColumn` payloads, which is what lets
-    downstream kernels run their specialized loops.
+    downstream kernels over NOT NULL columns run their specialized loops.
 
     :meth:`rows`, :meth:`batch` and :meth:`join_index` each read
     ``table.data`` once and hand that one
@@ -225,11 +224,10 @@ class TableSource(SourcePlan):
     belong to the same table version.
     """
 
-    def __init__(self, table, binding: str, typed: bool = False) -> None:
+    def __init__(self, table, binding: str) -> None:
         schema = [(binding, column.name) for column in table.schema.columns]
         super().__init__(schema, {binding.lower()})
         self.table = table
-        self._typed = typed
         self._key_lookup: Optional[tuple[int, BatchKernel]] = None
 
     def set_key_lookup(self, column_index: int, value_fn: BatchKernel) -> None:
@@ -288,11 +286,7 @@ class TableSource(SourcePlan):
     def _scan(self, data: TableData, outers: tuple) -> RowBatch:
         """The filtered full scan of ``data``: batch kernels read its column
         arrays (and typed payloads) instead of gathering ``row[index]``."""
-        scan = RowBatch(
-            data.rows,
-            col_source=data.column_array,
-            typed_source=data.typed_column if self._typed else None,
-        )
+        scan = RowBatch(data.rows, col_source=data.column_array, typed_source=data.typed_column)
         return self._filter_batch(scan, outers)
 
 
@@ -654,9 +648,7 @@ class Planner:
         self._parent_scope = parent_scope
         self.created_scopes: list[Scope] = []
         self._binding_columns: dict[str, set[str]] = {}
-        vector = context.database.vector
-        self._batch_size = vector.batch_size
-        self._typed = vector.typed
+        self._batch_size = context.database.batch_size
         self._costed = context.database.cost.enabled
         # binding (lower) -> column names (lower) the table's schema declares
         # NOT NULL (enforced by every INSERT / UPDATE / bulk load); populated
@@ -750,7 +742,7 @@ class Planner:
         proven = frozenset(column.key for column in table.schema.columns if column.not_null)
         if proven:
             self._proven_bindings[binding.lower()] = proven
-        return TableSource(table, binding, typed=self._typed)
+        return TableSource(table, binding)
 
     def _plan_join(self, item: ast.Join) -> SourcePlan:
         left = self._plan_from_item(item.left)

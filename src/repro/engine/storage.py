@@ -150,7 +150,7 @@ class TableData:
     def typed_column(self, index: int) -> Optional[TypedColumn]:
         """The typed payload for column ``index`` (built once).
 
-        ``None`` when the column is not provably type-stable (see
+        ``None`` when the column holds a NULL or is not type-stable (see
         :func:`repro.engine.columns.build_typed_column`); the refusal is
         cached too, so an unstable column costs one check per version rather
         than one per query.

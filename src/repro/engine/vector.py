@@ -31,18 +31,20 @@ references to the source rows instead of one concatenated tuple per joined
 row; kernels read them through the same ``batch.column(...)`` seam.
 
 On top of the generic object-list kernels sits the **typed specialization
-layer** (``REPRO_ENGINE_TYPED``, default on): where a base-table column is
-provably type-stable (:mod:`repro.engine.columns`), numeric comparison /
-arithmetic / BETWEEN / IN-list kernels are code-generated as tight loops
-over ``array('q')`` / ``array('d')`` payloads — no ``sql_compare`` coercion,
-no per-element type guard — with a null-aware variant when the column
-carries a null set, and date-vs-literal comparisons reduced to integer
-day-ordinal comparisons.  Every specialized kernel keeps its generic twin
-and falls back *per batch* whenever a referenced column is not typed (join
-intermediates, post-UDF values, mixed-type columns), so semantics never
-depend on the data.  Filter compaction is selection-index based:
-:meth:`RowBatch.filter` produces an index view over the shared payload
-instead of rebuilding row-tuple lists between conjuncts.
+layer**, and the schema alone decides where it applies: over columns their
+table declares NOT NULL (``Scope.proven``), numeric comparison / arithmetic
+/ BETWEEN / IN-list kernels are code-generated as tight loops over the
+``array('q')`` / ``array('d')`` payloads of :mod:`repro.engine.columns` —
+no ``sql_compare`` coercion, no per-element type guard, no NULL test — and
+date-vs-literal comparisons reduce to integer day-ordinal comparisons.  A
+column that may hold NULL (any column on the null-padded side of a LEFT
+JOIN included) compiles straight to the generic kernel.  Every specialized
+kernel keeps its generic twin and falls back *per batch* whenever a
+referenced column has no typed payload (join intermediates, sub-queries, a
+column holding a value of another type), so semantics never depend on the
+data.  Filter compaction is selection-index based: :meth:`RowBatch.filter`
+produces an index view over the shared payload instead of rebuilding
+row-tuple lists between conjuncts.
 """
 
 from __future__ import annotations
@@ -62,6 +64,10 @@ from .functions import _fn_mod as _modulo  # ``a % b`` is ``MOD(a, b)``
 #: a compiled batch kernel: one call evaluates a node over a whole batch
 BatchKernel = Callable[["RowBatch", tuple], list]
 
+#: rows per window of the scans, filters, joins, projections, aggregation and
+#: DML; tests build ``Database(batch_size=...)`` smaller to cross windows
+DEFAULT_BATCH_SIZE = 1024
+
 
 class RowBatch:
     """A window of rows processed as one unit: a shared payload + lazy views.
@@ -73,11 +79,11 @@ class RowBatch:
     tuples zero times; ``rows`` gathers (and caches) the tuples only when a
     consumer actually asks for them.
 
-    Columns materialize on first access via :meth:`column` — from the
-    ``typed_source`` payload when it is zero-copy usable, from the object
+    Columns materialize on first access via :meth:`column` — from the object
     columns of ``col_source``, or by gathering ``row[index]``.  Specialized
     kernels bypass the object columns entirely through :meth:`typed_column`
-    + :attr:`sel`.  A scan passes ``rows`` and both sources from **one**
+    + :attr:`sel`, so a typed payload is only built for a column a typed
+    kernel reads.  A scan passes ``rows`` and both sources from **one**
     :class:`~repro.engine.storage.TableData`, so every view derived from
     the batch reads the same immutable table version.  Invariant: a batch
     with sources and ``sel is None`` spans its table payload *in full, in
@@ -134,24 +140,15 @@ class RowBatch:
     def column(self, index: int) -> Sequence[Any]:
         """The column array for slot ``index`` (gathered once, then cached).
 
-        Resolution order: typed payload when its elements *are* the objects
-        (strings, null-free numerics), then the table's cached object
-        column, then the row tuples — selections gather through their index
-        array either way.
+        The table's cached object column when the batch has one, else the
+        row tuples — selections gather through their index array either way.
         """
         col = self._cols.get(index)
         if col is not None:
             return col
         sel = self._sel
-        typed = self._typed_source
-        payload = None
-        if typed is not None:
-            typed_col = typed(index)
-            if typed_col is not None:
-                payload = typed_col.object_values()
-        if payload is None and self._col_source is not None:
+        if self._col_source is not None:
             payload = self._col_source(index)
-        if payload is not None:
             col = payload if sel is None else [payload[i] for i in sel]
         elif sel is None:
             col = [row[index] for row in self._rows]
@@ -363,20 +360,15 @@ class BatchExpressionCompiler:
     function dispatch over argument columns); sub-query nodes additionally
     need ``prepare_subquery`` (see the module docstring).
 
-    When the context's engine database has typed columns enabled
-    (``context.database.vector.typed``), eligible kernels are additionally
-    compiled with a typed fast path and per-batch generic fallback.
+    Eligible kernels over the scope's NOT NULL slots are additionally
+    compiled with a typed fast path and per-batch generic fallback; their
+    dispatches are tallied in ``context.database.stats.kernels``.
     """
 
     def __init__(self, scope: Scope, context) -> None:
         self.scope = scope
         self.context = context
-        database = context.database
-        self._typed = database.vector.typed
-        self._kernels = database.stats.kernels if self._typed else None
-        # slots of columns the catalog declares NOT NULL: typed kernels over
-        # only-proven slots count as proven dispatches
-        self._proven: frozenset = getattr(scope, "proven", frozenset())
+        self._kernels = context.database.stats.kernels
 
     # -- public API ---------------------------------------------------------
 
@@ -450,12 +442,9 @@ class BatchExpressionCompiler:
 
     def _equality_kernel(self, expr: ast.BinaryOp, negated: bool) -> BatchKernel:
         generic = self._generic_equality(expr, negated)
-        if self._typed:
-            op_src = "!=" if negated else "=="
-            typed = self._typed_predicate(expr.left, expr.right, op_src, generic)
-            if typed is not None:
-                return typed
-        return generic
+        op_src = "!=" if negated else "=="
+        typed = self._typed_predicate(expr.left, expr.right, op_src, generic)
+        return generic if typed is None else typed
 
     def _generic_equality(self, expr: ast.BinaryOp, negated: bool) -> BatchKernel:
         const_side, value_side = _constant_operand(expr)
@@ -479,11 +468,8 @@ class BatchExpressionCompiler:
 
     def _comparison_kernel(self, expr: ast.BinaryOp, op: str) -> BatchKernel:
         generic = self._generic_comparison(expr, op)
-        if self._typed:
-            typed = self._typed_predicate(expr.left, expr.right, op, generic)
-            if typed is not None:
-                return typed
-        return generic
+        typed = self._typed_predicate(expr.left, expr.right, op, generic)
+        return generic if typed is None else typed
 
     def _generic_comparison(self, expr: ast.BinaryOp, op: str) -> BatchKernel:
         right_lit = _fold_literal(expr.right)
@@ -511,16 +497,15 @@ class BatchExpressionCompiler:
 
     def _arithmetic_kernel(self, expr: ast.BinaryOp, op: str) -> BatchKernel:
         generic = self._generic_arithmetic(expr, op)
-        if self._typed:
-            slot_vars: dict[int, int] = {}
-            try:
-                dense, selected = self._typed_render(expr, slot_vars)
-            except _TypedUnsupported:
-                return generic
-            if slot_vars:
-                plan = self._typed_plan(dense, selected, slot_vars)
-                return self._typed_numeric_kernel(plan, generic)
-        return generic
+        slot_vars: dict[int, int] = {}
+        try:
+            dense, selected = self._typed_render(expr, slot_vars)
+        except _TypedUnsupported:
+            return generic
+        if not slot_vars:
+            return generic
+        plan = self._typed_plan(dense, selected, slot_vars)
+        return self._typed_numeric_kernel(plan, generic)
 
     def _generic_arithmetic(self, expr: ast.BinaryOp, op: str) -> BatchKernel:
         folded = _fold_literal(expr)
@@ -615,7 +600,7 @@ class BatchExpressionCompiler:
                         append(_in_list_slow(value, items, negated))
                 return out
 
-            if self._typed and family == (int, float):
+            if family == (int, float):
                 slot = self._depth0_slot(expr.expr)
                 if slot is not None:
                     return self._typed_inlist(slot, members, saw_null, negated, fast)
@@ -672,11 +657,8 @@ class BatchExpressionCompiler:
 
     def _compile_between(self, expr: ast.Between) -> BatchKernel:
         generic = self._generic_between(expr)
-        if self._typed:
-            typed = self._typed_between(expr, generic)
-            if typed is not None:
-                return typed
-        return generic
+        typed = self._typed_between(expr, generic)
+        return generic if typed is None else typed
 
     def _generic_between(self, expr: ast.Between) -> BatchKernel:
         value_k = self.compile(expr.expr)
@@ -907,20 +889,22 @@ class BatchExpressionCompiler:
 
     # -- typed-column specialization ----------------------------------------
     #
-    # Eligible expression shapes are code-generated into three loop variants
-    # over typed payloads (dense, selected, null-aware); the compiled kernel
-    # checks the batch's typed columns at run time and falls back to its
-    # generic twin per batch, so a plan serves scans and join intermediates
-    # alike.  Bit-identity holds because typed payloads round-trip their
-    # values exactly and the generated operators are the same Python
-    # operators the generic fast paths would have applied.
+    # Eligible expression shapes over NOT NULL columns are code-generated
+    # into two loop variants over typed payloads (dense, selected); the
+    # compiled kernel checks the batch's typed columns at run time and falls
+    # back to its generic twin per batch, so a plan serves scans and join
+    # intermediates alike.  Bit-identity holds because typed payloads
+    # round-trip their values exactly and the generated operators are the
+    # same Python operators the generic fast paths would have applied.
 
     def _depth0_slot(self, expr: ast.Expression) -> Optional[int]:
-        """The storage slot of a depth-0 column reference, else ``None``."""
+        """The storage slot of a depth-0 column reference the schema proves
+        NOT NULL (``INSERT``, ``UPDATE`` and bulk loads enforce it), else
+        ``None``: only such a column may feed a typed kernel."""
         if not isinstance(expr, ast.Column):
             return None
         resolved = self.scope.resolve(expr.name, expr.table)
-        if resolved is None or resolved[0] != 0:
+        if resolved is None or resolved[0] != 0 or resolved[1] not in self.scope.proven:
             return None
         return resolved[1]
 
@@ -980,12 +964,10 @@ class BatchExpressionCompiler:
     ) -> tuple:
         """``exec`` the loop variants of one rendered expression.
 
-        Returns ``(slots, dense, selected, nullaware)``: the storage slots
-        feeding the expression in payload-argument order, and its loops over
-        full payloads, over the payload positions of a selection, and over a
-        selection yielding ``None`` at the positions of a null set (the union
-        of the columns' null sets — every generated operator is NULL-strict).
-        ``names`` are the constants the bodies refer to by name.
+        Returns ``(slots, dense, selected)``: the storage slots feeding the
+        expression in payload-argument order, and its loops over full
+        payloads and over the payload positions of a selection.  ``names``
+        are the constants the bodies refer to by name.
         """
         slots = [0] * len(slot_vars)
         for slot, var in slot_vars.items():
@@ -1003,17 +985,13 @@ class BatchExpressionCompiler:
         selected_src = (
             f"def selected({args}, sel):\n    return [{selected_body} for i in sel]\n"
         )
-        nullaware_src = (
-            f"def nullaware({args}, sel, nulls):\n"
-            f"    return [None if i in nulls else {selected_body} for i in sel]\n"
-        )
         namespace: dict[str, Any] = {}
         exec(  # noqa: S102 - source assembled from vetted fragments only
-            _kernel_code(dense_src + selected_src + nullaware_src),
+            _kernel_code(dense_src + selected_src),
             {"__builtins__": {}, "zip": zip, **(names or {})},
             namespace,
         )
-        return slots, namespace["dense"], namespace["selected"], namespace["nullaware"]
+        return slots, namespace["dense"], namespace["selected"]
 
     def _typed_numeric_kernel(
         self, plan: tuple, generic: BatchKernel, accepts: str = "numeric"
@@ -1028,12 +1006,11 @@ class BatchExpressionCompiler:
         as text; ``"date"`` (a DATE column against literal day ordinals)
         takes any date payload.
 
-        A dispatch counts as *proven* instead of *typed* when every
-        referenced slot is declared NOT NULL (see :meth:`_typed_hit`).
+        Every referenced slot is declared NOT NULL (:meth:`_depth0_slot`),
+        so a typed dispatch counts as *proven* and a fallback as *generic*.
         """
-        slots, dense, selected, nullaware = plan
+        slots, dense, selected = plan
         counters = self._kernels
-        hit = self._typed_hit(slots)
 
         def typed_columns(batch: RowBatch) -> Optional[list[TypedColumn]]:
             columns = [batch.typed_column(slot) for slot in slots]
@@ -1055,44 +1032,14 @@ class BatchExpressionCompiler:
             if columns is None:
                 counters.generic += 1
                 return generic(batch, outers)
-            hit()
+            counters.proven += 1
             payloads = [typed.values for typed in columns]
-            nulls = None
-            for typed in columns:
-                if typed.nulls is not None:
-                    nulls = typed.nulls if nulls is None else nulls | typed.nulls
             sel = batch.sel
-            if nulls is not None:
-                return nullaware(
-                    *payloads, sel if sel is not None else range(batch.n), nulls
-                )
             if sel is None:
                 return dense(*payloads)
             return selected(*payloads, sel)
 
         return kernel
-
-    def _typed_hit(self, slots: Sequence[int]) -> Callable[[], None]:
-        """The census bump of a typed kernel reading ``slots``.
-
-        ``proven`` when the schema declares every slot NOT NULL, ``typed``
-        otherwise.  The proof only picks the counter: the kernel takes its
-        null-free loop whenever the batch's payloads carry no null set, which
-        is what a proven column's payload looks like.
-        """
-        counters = self._kernels
-        proven = self._proven
-        if proven and all(slot in proven for slot in slots):
-
-            def hit() -> None:
-                counters.proven += 1
-
-        else:
-
-            def hit() -> None:
-                counters.typed += 1
-
-        return hit
 
     def _typed_slot_kernel(
         self, slot: int, body: str, generic: BatchKernel, accepts: str, **names: Any

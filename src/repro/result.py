@@ -240,15 +240,15 @@ ExecuteResult = Union[QueryResult, StatementResult]
 class KernelCounters:
     """Running typed-vs-generic kernel dispatch tally for one engine.
 
-    Every specialization-capable batch kernel bumps ``typed`` when it ran a
+    A batch kernel specializes only over columns the schema declares NOT
+    NULL; it bumps ``proven`` when it ran a
     :class:`~repro.engine.columns.TypedColumn` fast path and ``generic``
-    when it fell back to the object-list loop, so ``explain(analyze=True)``
-    can show *why* an operator was fast.  ``proven`` counts the subset of
-    typed dispatches that additionally skipped all null handling because the
-    static analyzer *proved* every referenced column NOT NULL at compile
-    time (see ``docs/typecheck.md``).  Increments are plain (unlocked)
-    ``+= 1`` on the hot path; under concurrent sessions the tallies are
-    best-effort, which is fine for a profiling aid.
+    when it fell back to the object-list loop for a batch without typed
+    payloads, so ``explain(analyze=True)`` can show *why* an operator was
+    fast.  ``typed`` is never bumped: it keeps the ``(typed, generic,
+    proven)`` shape of :meth:`snapshot` that readers unpack.  Increments are
+    plain (unlocked) ``+= 1`` on the hot path; under concurrent sessions the
+    tallies are best-effort, which is fine for a profiling aid.
     """
 
     __slots__ = ("typed", "generic", "proven")
@@ -277,8 +277,9 @@ class OperatorProfile:
     Filled by the engine's executor as batches flow through an operator;
     rendered by ``MTConnection.explain()`` next to the compile-side per-pass
     timings so compile cost and execution cost are separable at a glance.
-    ``typed_kernels`` / ``generic_kernels`` count specialization-capable
-    kernel evaluations attributed to the operator's stage;
+    ``proven_kernels`` / ``generic_kernels`` count the typed and the
+    fallen-back evaluations of specialization-capable kernels attributed to
+    the operator's stage;
     ``join_rows_materialized`` counts the joined rows the stage forced out
     of a late-materialized join intermediate into concatenated tuples,
     ``join_rows_hashed`` the build-side rows it had to hash (0 when every
@@ -289,7 +290,6 @@ class OperatorProfile:
     batches: int = 0
     rows: int = 0
     seconds: float = 0.0
-    typed_kernels: int = 0
     generic_kernels: int = 0
     proven_kernels: int = 0
     join_rows_materialized: int = 0
@@ -308,11 +308,8 @@ class OperatorProfile:
             f"{self.operator}: {self.rows} rows in {self.batches} batches "
             f"(avg {self.rows_per_batch:.1f} rows/batch, {self.seconds * 1000:.3f} ms)"
         )
-        if self.typed_kernels or self.generic_kernels or self.proven_kernels:
-            line += (
-                f", kernels typed={self.typed_kernels} "
-                f"generic={self.generic_kernels} proven={self.proven_kernels}"
-            )
+        if self.generic_kernels or self.proven_kernels:
+            line += f", kernels proven={self.proven_kernels} generic={self.generic_kernels}"
         if self.join_rows_materialized:
             line += f", join rows materialized={self.join_rows_materialized}"
         if self.join_rows_hashed:
@@ -373,7 +370,6 @@ class ExecutionStats:
         rows: int,
         seconds: float,
         batches: int = 1,
-        typed_kernels: int = 0,
         generic_kernels: int = 0,
         proven_kernels: int = 0,
         join_rows_materialized: int = 0,
@@ -383,8 +379,8 @@ class ExecutionStats:
 
         ``batches`` carries the number of bounded windows the operator
         consumed (1 for single-batch stages);
-        ``typed_kernels`` / ``generic_kernels`` / ``proven_kernels`` the
-        kernel-dispatch deltas attributed to this stage, and
+        ``generic_kernels`` / ``proven_kernels`` the kernel-dispatch deltas
+        attributed to this stage, and
         ``join_rows_materialized`` the joined rows it forced into tuples,
         ``join_rows_hashed`` the build-side rows it hashed.
         """
@@ -396,7 +392,6 @@ class ExecutionStats:
             profile.batches += batches
             profile.rows += rows
             profile.seconds += seconds
-            profile.typed_kernels += typed_kernels
             profile.generic_kernels += generic_kernels
             profile.proven_kernels += proven_kernels
             profile.join_rows_materialized += join_rows_materialized
@@ -411,7 +406,6 @@ class ExecutionStats:
                     batches=profile.batches,
                     rows=profile.rows,
                     seconds=profile.seconds,
-                    typed_kernels=profile.typed_kernels,
                     generic_kernels=profile.generic_kernels,
                     proven_kernels=profile.proven_kernels,
                     join_rows_materialized=profile.join_rows_materialized,

@@ -16,7 +16,7 @@ import pytest
 
 import repro.api as api
 from repro.backends import EngineBackend, SQLiteBackend
-from repro.engine import Database, VectorConfig
+from repro.engine import Database
 from repro.errors import ExecutionError
 from repro.result import QueryResult, RowStream
 
@@ -46,7 +46,7 @@ BATCH = 64
 
 
 def _small_batch_engine() -> EngineBackend:
-    return EngineBackend(database=Database(vector=VectorConfig.from_env(batch_size=BATCH)))
+    return EngineBackend(database=Database(batch_size=BATCH))
 
 
 def test_engine_fetchmany_is_batch_bounded():

@@ -4,8 +4,8 @@ A partial-aggregate plan's merge is a SQL query over the gathered shard rows
 (:func:`repro.sql.transform.split_partial_aggregates` builds it, the
 coordinator's engine database runs it).  The tests drive that seam directly:
 a :class:`ShardCoordinator` over fake shard connections that answer the shard
-query with canned partial rows, under both kernel specializations (typed /
-generic) of the merge engine.
+query with canned partial rows, with the merge engine's default batch size
+and with batches of 3 rows, so a merge crosses window boundaries.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.cluster import PartialAggregatePlan, ShardCoordinator, sort_rows
-from repro.engine import Database
+from repro.engine import DEFAULT_BATCH_SIZE, Database
 from repro.errors import ExecutionError, FunctionError, ParameterError, SplitError
 from repro.result import QueryResult
 from repro.sql.parser import parse_query
@@ -45,13 +45,17 @@ class _EngineShard:
         return self.database.query(statement)
 
 
-@pytest.fixture(params=[True, False], ids=["typed", "generic"])
-def typed(request):
-    """The merge engine's kernel specialization (typed columns / generic)."""
+#: the merge engine's batch sizes: the default, and one every merge crosses
+BATCH_SIZES = (DEFAULT_BATCH_SIZE, 3)
+
+
+@pytest.fixture(params=BATCH_SIZES)
+def batch_size(request):
+    """The batch size of the merge engine."""
     return request.param
 
 
-def _merge(sql, shards, typed, functions=None, parameters=None):
+def _merge(sql, shards, batch_size, functions=None, parameters=None):
     """Run ``sql`` as a partial-aggregate plan over ``shards``.
 
     ``shards`` are shard connections, or row lists — the partial rows one
@@ -62,8 +66,10 @@ def _merge(sql, shards, typed, functions=None, parameters=None):
     connections = [
         shard if hasattr(shard, "query") else _CannedShard(shard) for shard in shards
     ]
-    coordinator = ShardCoordinator(connections, functions=functions)
-    coordinator.merge_database.set_typed(typed)
+    coordinator = ShardCoordinator(connections)
+    coordinator.merge_database = Database(batch_size=batch_size)
+    for name, fn in (functions or {}).items():
+        coordinator.register_python_function(name, fn)
     plan = PartialAggregatePlan(
         shards=tuple(range(len(connections))),
         split=split_partial_aggregates(statement),
@@ -80,48 +86,48 @@ def _typed(rows):
 
 
 class TestPartialMerge:
-    def test_sum_count_min_max_across_shards(self, typed):
+    def test_sum_count_min_max_across_shards(self, batch_size):
         result = _merge(
             "SELECT g, SUM(x), COUNT(x), MIN(x), MAX(x) FROM t GROUP BY g",
             [
                 [("a", 10.0, 2, 1, 9)],
                 [("a", 5.0, 1, 0, 5), ("b", 7.0, 3, 2, 4)],
             ],
-            typed,
+            batch_size,
         )
         assert result.columns == ["g", "SUM(x)", "COUNT(x)", "MIN(x)", "MAX(x)"]
         assert result.rows == [("a", 15.0, 3, 0, 9), ("b", 7.0, 3, 2, 4)]
 
-    def test_avg_is_global_sum_over_global_count(self, typed):
+    def test_avg_is_global_sum_over_global_count(self, batch_size):
         """AVG must not average the per-shard averages."""
         # shard 0: one row of 10; shard 1: three rows of 1 -> global AVG 3.25
-        result = _merge("SELECT AVG(x) FROM t", [[(10.0, 1)], [(3.0, 3)]], typed)
+        result = _merge("SELECT AVG(x) FROM t", [[(10.0, 1)], [(3.0, 3)]], batch_size)
         assert result.rows == [(3.25,)]
 
-    def test_null_semantics(self, typed):
+    def test_null_semantics(self, batch_size):
         """SUM of an all-NULL input is NULL, COUNT is the int 0, AVG and MIN
         over no rows are NULL — every shard of a global aggregate answers
         one row, and a zero total count must not divide."""
         result = _merge(
             "SELECT SUM(x), COUNT(x), AVG(x), MIN(x) FROM t",
             [[(None, 0, None, 0, None)], [(None, 0, None, 0, None)]],
-            typed,
+            batch_size,
         )
         assert _typed(result.rows) == _typed([(None, 0, None, None)])
 
-    def test_null_group_keys_merge_into_one_group(self, typed):
+    def test_null_group_keys_merge_into_one_group(self, batch_size):
         result = _merge(
             "SELECT g, h, SUM(x) FROM t GROUP BY g, h",
             [[(None, 1, 2), ("a", None, 3)], [(None, 1, 5), ("a", None, 7)]],
-            typed,
+            batch_size,
         )
         assert result.rows == [(None, 1, 7), ("a", None, 10)]
 
-    def test_groups_keep_first_seen_order_in_shard_order(self, typed):
+    def test_groups_keep_first_seen_order_in_shard_order(self, batch_size):
         result = _merge(
             "SELECT g, COUNT(*) FROM t GROUP BY g",
             [[("b", 1), ("a", 1)], [("c", 2), ("a", 4)]],
-            typed,
+            batch_size,
         )
         assert result.rows == [("b", 1), ("a", 5), ("c", 2)]
 
@@ -129,15 +135,15 @@ class TestPartialMerge:
 class TestResiduals:
     """Expressions around the merged aggregates are the engine's own."""
 
-    def test_arithmetic_over_merged_aggregates(self, typed):
+    def test_arithmetic_over_merged_aggregates(self, batch_size):
         result = _merge(
-            "SELECT SUM(a) / SUM(b) AS ratio FROM t", [[(4.0, 1.0)], [(6.0, 3.0)]], typed
+            "SELECT SUM(a) / SUM(b) AS ratio FROM t", [[(4.0, 1.0)], [(6.0, 3.0)]], batch_size
         )
         assert result.columns == ["ratio"]
         assert result.rows == [(2.5,)]
 
-    def test_null_propagation(self, typed):
-        result = _merge("SELECT SUM(a) * 2 FROM t", [[(None,)], [(None,)]], typed)
+    def test_null_propagation(self, batch_size):
+        result = _merge("SELECT SUM(a) * 2 FROM t", [[(None,)], [(None,)]], batch_size)
         assert result.rows == [(None,)]
 
     @pytest.mark.parametrize(
@@ -156,102 +162,102 @@ class TestResiduals:
             ("g || '/' || COUNT(a)", ["1/4", "2/0", "3/1"]),
         ],
     )
-    def test_residual_shapes(self, typed, expression, expected):
+    def test_residual_shapes(self, batch_size, expression, expected):
         # the leading items pin the partial layout to (g, SUM(a), COUNT(a))
         result = _merge(
             f"SELECT SUM(a), COUNT(a), {expression} FROM t GROUP BY g",
             [[(1, 4.0, 3), (2, None, 0)], [(1, 6.0, 1), (3, -2.5, 1)]],
-            typed,
+            batch_size,
         )
         assert _typed(row[2:] for row in result.rows) == _typed(
             (value,) for value in expected
         )
 
-    def test_division_by_zero_matches_the_engine(self, typed):
+    def test_division_by_zero_matches_the_engine(self, batch_size):
         with pytest.raises(ExecutionError, match="division by zero"):
-            _merge("SELECT SUM(a) / SUM(b) FROM t", [[(1.0, 0)], [(2.0, 0)]], typed)
+            _merge("SELECT SUM(a) / SUM(b) FROM t", [[(1.0, 0)], [(2.0, 0)]], batch_size)
 
-    def test_python_udf_over_a_merged_aggregate(self, typed):
+    def test_python_udf_over_a_merged_aggregate(self, batch_size):
         """COALESCE and registered Python UDFs evaluate post-merge."""
         functions = {"my_rate": lambda key: {1: 2.0}[key]}
         sql = "SELECT COALESCE(SUM(a), 0) * MY_RATE(1) FROM t"
-        assert _merge(sql, [[(None,)], [(None,)]], typed, functions).rows == [(0.0,)]
-        assert _merge(sql, [[(1.0,)], [(2.0,)]], typed, functions).rows == [(6.0,)]
+        assert _merge(sql, [[(None,)], [(None,)]], batch_size, functions).rows == [(0.0,)]
+        assert _merge(sql, [[(1.0,)], [(2.0,)]], batch_size, functions).rows == [(6.0,)]
 
-    def test_unknown_function_raises(self, typed):
+    def test_unknown_function_raises(self, batch_size):
         with pytest.raises(FunctionError, match="unknown function 'mystery'"):
-            _merge("SELECT mystery(SUM(a)) FROM t", [[(1.0,)]], typed)
+            _merge("SELECT mystery(SUM(a)) FROM t", [[(1.0,)]], batch_size)
 
-    def test_unbound_column_raises(self, typed):
+    def test_unbound_column_raises(self, batch_size):
         with pytest.raises(ExecutionError, match="unknown column 'stray'"):
-            _merge("SELECT stray, SUM(a) FROM t", [[(1.0,)]], typed)
+            _merge("SELECT stray, SUM(a) FROM t", [[(1.0,)]], batch_size)
 
-    def test_parameters_bind_into_the_merge_query(self, typed):
+    def test_parameters_bind_into_the_merge_query(self, batch_size):
         sql = "SELECT SUM(a) * ? FROM t HAVING SUM(a) > ?"
         shards = [[(1.0,)], [(2.0,)]]
-        assert _merge(sql, shards, typed, parameters=(10, 2)).rows == [(30.0,)]
-        assert _merge(sql, shards, typed, parameters=(10, 3)).rows == []
+        assert _merge(sql, shards, batch_size, parameters=(10, 2)).rows == [(30.0,)]
+        assert _merge(sql, shards, batch_size, parameters=(10, 3)).rows == []
 
-    def test_unbound_parameter_raises(self, typed):
+    def test_unbound_parameter_raises(self, batch_size):
         with pytest.raises(ExecutionError, match="unbound parameter"):
-            _merge("SELECT SUM(a) * ? FROM t", [[(1.0,)]], typed)
+            _merge("SELECT SUM(a) * ? FROM t", [[(1.0,)]], batch_size)
         with pytest.raises(ParameterError, match="only 1 value"):
-            _merge("SELECT SUM(a) * ?2 FROM t", [[(1.0,)]], typed, parameters=(5,))
+            _merge("SELECT SUM(a) * ?2 FROM t", [[(1.0,)]], batch_size, parameters=(5,))
 
 
 class TestClauses:
     """HAVING, ORDER BY, DISTINCT and LIMIT re-applied over the merged groups."""
 
-    def test_alias_visible_in_having_and_order_by(self, typed):
+    def test_alias_visible_in_having_and_order_by(self, batch_size):
         result = _merge(
             "SELECT g, SUM(a) AS total FROM t GROUP BY g HAVING total > 3 "
             "ORDER BY total DESC",
             [[("x", 1), ("y", 2), ("z", 9)], [("x", 1), ("y", 2)]],
-            typed,
+            batch_size,
         )
         assert result.columns == ["g", "total"]
         assert result.rows == [("z", 9), ("y", 4)]
 
-    def test_alias_not_visible_in_sibling_items(self, typed):
+    def test_alias_not_visible_in_sibling_items(self, batch_size):
         with pytest.raises(ExecutionError, match="unknown column 'total'"):
-            _merge("SELECT SUM(a) AS total, total + 1 FROM t", [[(1,)]], typed)
+            _merge("SELECT SUM(a) AS total, total + 1 FROM t", [[(1,)]], batch_size)
 
-    def test_having_on_an_aggregate_outside_the_select_list(self, typed):
+    def test_having_on_an_aggregate_outside_the_select_list(self, batch_size):
         result = _merge(
             "SELECT g FROM t GROUP BY g HAVING COUNT(*) > 1 ORDER BY MAX(a)",
             [[("x", 1, 5), ("y", 1, 3)], [("x", 1, 7), ("y", 1, 2), ("z", 1, 0)]],
-            typed,
+            batch_size,
         )
         assert result.rows == [("y",), ("x",)]
 
-    def test_date_plus_interval_sort_key(self, typed):
+    def test_date_plus_interval_sort_key(self, batch_size):
         """An ORDER BY key like ``d + INTERVAL '1' MONTH`` evaluates post-merge."""
         january, march = datetime.date(1998, 1, 31), datetime.date(1998, 3, 1)
         result = _merge(
             "SELECT d, d + INTERVAL '1' MONTH AS due, COUNT(*) FROM t GROUP BY d "
             "ORDER BY d + INTERVAL '1' MONTH DESC",
             [[(january, 1)], [(march, 2), (january, 1)]],
-            typed,
+            batch_size,
         )
         assert result.rows == [
             (march, datetime.date(1998, 4, 1), 2),
             (january, datetime.date(1998, 2, 28), 2),
         ]
 
-    def test_distinct_then_order_by_then_limit(self, typed):
+    def test_distinct_then_order_by_then_limit(self, batch_size):
         result = _merge(
             "SELECT DISTINCT SUM(a) AS s FROM t GROUP BY g ORDER BY s DESC LIMIT 2",
             [[("p", 1), ("q", 2), ("r", 3)], [("p", 2), ("q", 1), ("s", 1)]],
-            typed,
+            batch_size,
         )
         # sums are p=3, q=3, r=3, s=1: DISTINCT first, then the sort, then LIMIT
         assert result.rows == [(3,), (1,)]
 
-    def test_limit_without_order_keeps_first_seen_groups(self, typed):
+    def test_limit_without_order_keeps_first_seen_groups(self, batch_size):
         result = _merge(
             "SELECT g, SUM(a) FROM t GROUP BY g LIMIT 2",
             [[("p", 1), ("q", 2)], [("r", 3), ("p", 1)]],
-            typed,
+            batch_size,
         )
         assert result.rows == [("p", 2), ("q", 2)]
 
@@ -298,9 +304,8 @@ _ROWS = st.lists(
 )
 
 
-def _database(rows, typed):
-    database = Database()
-    database.set_typed(typed)
+def _database(rows, batch_size):
+    database = Database(batch_size=batch_size)
     database.execute("CREATE TABLE t (g VARCHAR(4), a INTEGER, b DOUBLE)")
     database.insert_rows("t", rows)
     return database
@@ -310,17 +315,17 @@ def _database(rows, typed):
 @given(
     rows=_ROWS,
     cuts=st.lists(st.integers(min_value=0, max_value=24), min_size=1, max_size=3),
-    typed=st.booleans(),
+    batch_size=st.sampled_from(BATCH_SIZES),
 )
-def test_merge_equals_the_engine_on_the_union(rows, cuts, typed):
+def test_merge_equals_the_engine_on_the_union(rows, cuts, batch_size):
     """Rows split over 2–4 shards and merged give, value for value and type
     for type, what the engine gives for the original query on their union."""
     bounds = [0, *sorted(cuts), len(rows)]
     slices = [rows[low:high] for low, high in zip(bounds, bounds[1:])]
-    shards = [_EngineShard(_database(part, typed)) for part in slices]
-    union = _database(rows, typed)
+    shards = [_EngineShard(_database(part, batch_size)) for part in slices]
+    union = _database(rows, batch_size)
     for sql in _PROPERTY_QUERIES:
-        merged = _merge(sql, shards, typed)
+        merged = _merge(sql, shards, batch_size)
         expected = union.query(sql)
         assert merged.columns == expected.columns, sql
         assert _typed(merged.rows) == _typed(expected.rows), sql

@@ -1,11 +1,43 @@
-"""Shared fixtures: the paper's running example and a tiny MT-H instance."""
+"""Shared fixtures: the paper's running example, a tiny MT-H instance and
+the engine's two kernel legs."""
 
 from __future__ import annotations
+
+from contextlib import nullcontext
+from unittest import mock
 
 import pytest
 
 from repro.core import MTBase, make_currency_pair, make_phone_pair
+from repro.engine.storage import TableData
 from repro.mth import generate, load_mth, load_tpch_baseline
+
+# ---------------------------------------------------------------------------
+# The engine's kernel legs.  A kernel over NOT NULL columns runs typed when
+# its batch carries typed payloads and falls back to its generic twin per
+# batch when it does not — join intermediates never do.  The generic leg
+# makes every table version refuse its payloads, so the same databases and
+# plans run the generic kernels only.
+# ---------------------------------------------------------------------------
+
+#: the kernel legs, named as the tests parametrized over them print them
+KERNEL_LEGS = ("typed", "generic")
+
+
+def kernel_leg(leg: str):
+    """A context manager running the enclosed statements on the ``"typed"``
+    (default) or the ``"generic"`` kernels."""
+    if leg == "typed":
+        return nullcontext()
+    return mock.patch.object(TableData, "typed_column", lambda data, index: None)
+
+
+@pytest.fixture(params=KERNEL_LEGS)
+def leg(request):
+    """Runs the test once per kernel leg; the value is the leg's name."""
+    with kernel_leg(request.param):
+        yield request.param
+
 
 # ---------------------------------------------------------------------------
 # The running example of the paper (Figure 2): Employees / Roles / Regions,

@@ -3,8 +3,8 @@
 import pytest
 
 from repro.core import MTBase, OptimizationLevel
-from repro.engine.database import StatementResult
 from repro.errors import MTSQLError, PrivilegeError, RewriteError
+from repro.result import StatementResult
 from repro.sql import ast
 from repro.sql.parser import parse_statement
 

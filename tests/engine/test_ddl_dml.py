@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.engine import Database, VectorConfig
+from repro.engine import Database
 from repro.errors import CatalogError, ConstraintViolation
 
 
@@ -181,7 +181,7 @@ class TestBatchDML:
 
     @pytest.fixture
     def t(self):
-        database = Database(vector=VectorConfig(batch_size=3))
+        database = Database(batch_size=3)
         database.execute("CREATE TABLE t (id INTEGER NOT NULL, a INTEGER, b INTEGER)")
         database.execute("CREATE TABLE s (id INTEGER, w INTEGER)")
         database.insert_rows("t", [(1, 10, 2), (2, 20, 0), (3, 30, 5), (4, 40, 0), (5, 50, 10)])

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.engine import Database
-from repro.engine.config import VectorConfig
 from repro.errors import ExecutionError
 
 
@@ -84,15 +83,10 @@ class TestErrorsAndDates:
         with pytest.raises(ExecutionError):
             db.query("SELECT a / b AS x FROM t WHERE a = 2")
 
-    @pytest.mark.parametrize(
-        "vector",
-        [VectorConfig(typed=True), VectorConfig(typed=False)],
-        ids=["typed", "generic"],
-    )
     @pytest.mark.parametrize("expression", ["a % b", "MOD(a, b)"])
-    def test_modulo_by_zero_is_a_typed_error(self, vector, expression):
+    def test_modulo_by_zero_is_a_typed_error(self, leg, expression):
         """``%`` and ``MOD`` by zero raise like ``/``, never ``ZeroDivisionError``."""
-        database = Database(vector=vector)
+        database = Database()
         database.execute("CREATE TABLE t (a INTEGER NOT NULL, b INTEGER)")
         database.execute("INSERT INTO t VALUES (7, 2), (5, 0), (3, NULL)")
         with pytest.raises(ExecutionError, match="division by zero"):

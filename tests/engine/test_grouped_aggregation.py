@@ -12,7 +12,7 @@ used.  Two kinds of evidence:
   ``DISTINCT``, ``COUNT(*)``, expression arguments, ``WHERE``, ``HAVING``,
   empty inputs — that the engine produces the reference's rows in the same
   order with the same types and the same float bits, for windows of 1, 3
-  and 1024 rows (so groups span windows), typed kernels on and off;
+  and 1024 rows (so groups span windows), on both kernel legs;
 * a **structural pin** by a program count: the executor constructs
   O(aggregates) state objects on a 1 000-group input, not O(groups).
 """
@@ -24,8 +24,9 @@ from typing import Any, Callable, Optional
 
 from hypothesis import given, settings, strategies as st
 
-from repro.engine import Database, VectorConfig
+from repro.engine import Database
 from repro.engine import functions
+from tests.conftest import KERNEL_LEGS, kernel_leg
 
 
 # ---------------------------------------------------------------------------
@@ -303,8 +304,8 @@ def _queries() -> list[Query]:
 QUERIES = _queries()
 
 
-def _database(vector: VectorConfig, rows) -> Database:
-    database = Database(vector=vector)
+def _database(batch_size: int, rows) -> Database:
+    database = Database(batch_size=batch_size)
     database.execute(
         "CREATE TABLE t (k1 INTEGER, k2 VARCHAR(5), i INTEGER, f DECIMAL(10,2), m DECIMAL(10,2))"
     )
@@ -328,13 +329,15 @@ def _exact(rows):
 def test_grouped_aggregation_matches_the_reference_bit_for_bit(rows):
     expected = [_exact(query.reference(rows)) for query in QUERIES]
     for batch_size in (1, 3, 1024):
-        for typed in (True, False):
-            database = _database(VectorConfig(batch_size=batch_size, typed=typed), rows)
-            for query, rows_expected in zip(QUERIES, expected):
-                assert _exact(database.query(query.sql).rows) == rows_expected, (
-                    query.sql,
-                    batch_size,
-                )
+        database = _database(batch_size, rows)
+        for leg in KERNEL_LEGS:
+            with kernel_leg(leg):
+                for query, rows_expected in zip(QUERIES, expected):
+                    assert _exact(database.query(query.sql).rows) == rows_expected, (
+                        query.sql,
+                        batch_size,
+                        leg,
+                    )
 
 
 def test_argument_less_aggregates_take_the_row_tuples():
@@ -343,7 +346,7 @@ def test_argument_less_aggregates_take_the_row_tuples():
     rows, ``COUNT()`` counts rows)."""
     rows = [(1, "a", 1, 0.5, 1), (1, "a", 1, 0.5, 1), (2, None, None, None, None)]
     sql = "SELECT k1, COUNT(*), COUNT(DISTINCT *), COUNT() FROM t GROUP BY k1"
-    database = _database(VectorConfig(batch_size=2), rows)
+    database = _database(2, rows)
     assert database.query(sql).rows == [(1, 2, 1, 2), (2, 1, 1, 1)]
 
 
@@ -361,7 +364,7 @@ def test_state_objects_scale_with_aggregates_not_with_groups(monkeypatch):
         monkeypatch.setitem(functions._GROUPED_STATES, name, counting(cls))
     monkeypatch.setattr(functions, "DistinctState", counting(functions.DistinctState))
 
-    database = Database(vector=VectorConfig(batch_size=64))
+    database = Database(batch_size=64)
     database.execute("CREATE TABLE t (k INTEGER, v INTEGER)")
     database.insert_rows("t", [(i % 1000, i) for i in range(3000)])
     sql = (

@@ -24,7 +24,8 @@ from repro.engine.storage import HashIndex, Table, TableData, hash_rows
 from repro.mth import load_mth, query_text
 from repro.sql.parser import parse_query
 
-from test_table_versions import MODES, WRITES, _database, _inject
+from tests.conftest import KERNEL_LEGS, kernel_leg
+from test_table_versions import WRITES, _database, _inject
 
 DDL = (
     "CREATE TABLE p (k1 INTEGER, k2 INTEGER, k3 INTEGER, r FLOAT, y INTEGER)",
@@ -92,7 +93,7 @@ def _load(target) -> None:
 
 @pytest.fixture(scope="module")
 def engines() -> dict[str, Database]:
-    databases = {name: Database(vector=vector) for name, vector in MODES.items()}
+    databases = {leg: Database() for leg in KERNEL_LEGS}
     for database in databases.values():
         _load(database)
     return databases
@@ -104,6 +105,11 @@ def sqlite():
         connection = backend.connect()
         _load(connection)
         yield connection
+
+
+def _query(engines, leg: str, sql: str) -> list[tuple]:
+    with kernel_leg(leg):
+        return engines[leg].query(sql).rows
 
 
 def _hashed(database: Database, sql: str) -> tuple[list, int]:
@@ -118,18 +124,19 @@ class TestDifferential:
     @pytest.mark.parametrize("name", QUERIES)
     def test_modes_and_sqlite_agree(self, engines, sqlite, name):
         sql, _ = QUERIES[name]
-        results = {mode: database.query(sql).rows for mode, database in engines.items()}
+        results = {leg: _query(engines, leg, sql) for leg in KERNEL_LEGS}
         assert results["typed"] == results["generic"], name
         expected = [tuple(row) for row in sqlite.query(sql).rows]
         assert sorted(results["typed"], key=repr) == sorted(expected, key=repr), name
 
     @pytest.mark.parametrize("name", QUERIES)
-    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("mode", KERNEL_LEGS)
     def test_only_bare_columns_of_a_whole_table_take_the_index(self, engines, mode, name):
         sql, expected = QUERIES[name]
         database = engines[mode]
-        database.query(sql)  # whatever index the statement wants exists now
-        assert _hashed(database, sql)[1] == expected, name
+        with kernel_leg(mode):
+            database.query(sql)  # whatever index the statement wants exists now
+            assert _hashed(database, sql)[1] == expected, name
 
     def test_int_and_float_keys_meet(self, engines):
         rows = engines["typed"].query(QUERIES["float-probe"][0]).rows
@@ -145,7 +152,7 @@ class TestDifferential:
         assert [row[4] for row in batch._parts[0]] == [0, 1, 2, 3, 4]
 
     def test_the_scan_join_profile_reports_the_rows_hashed(self):
-        database = Database(vector=MODES["typed"])
+        database = Database()
         database.execute("CREATE TABLE g (k INTEGER NOT NULL, v INTEGER NOT NULL)")
         database.execute("CREATE TABLE h (k INTEGER NOT NULL, w INTEGER NOT NULL)")
         database.insert_rows("g", [(i, i) for i in range(4)])
@@ -192,7 +199,7 @@ def _eq(a, b) -> bool:
 def test_reduced_or_not_a_join_returns_the_nested_loops_rows_in_its_order(probe, build):
     """(ii) around ``2 * probe <= build``: the join — index, whole hash or
     reduced hash — is the nested loop's join, row for row."""
-    database = Database(vector=MODES["typed"])
+    database = Database()
     database.execute("CREATE TABLE l (a INTEGER, b INTEGER, i INTEGER)")
     database.execute("CREATE TABLE r (a INTEGER, b INTEGER, j INTEGER)")
     left = [(a, b, i) for i, (a, b) in enumerate(probe)]
@@ -238,8 +245,8 @@ AFTERWARDS = {
 }
 
 
-def _join_database(mode: str) -> Database:
-    database = _database(mode)
+def _join_database() -> Database:
+    database = _database()
     database.execute("CREATE TABLE s (k INTEGER)")
     database.insert_rows("s", [(13,), (23,), (40,)])
     return database
@@ -250,18 +257,16 @@ class TestVersionPinning:
 
     @pytest.mark.parametrize("sql", [JOIN, ON_JOIN], ids=["comma", "on"])
     @pytest.mark.parametrize("write", WRITES)
-    @pytest.mark.parametrize("mode", MODES)
-    def test_join_answers_from_the_version_it_pinned(self, monkeypatch, mode, write, sql):
-        database = _join_database(mode)
+    def test_join_answers_from_the_version_it_pinned(self, monkeypatch, leg, write, sql):
+        database = _join_database()
         # the index is asked for after the join pinned its version of t
         fired = _inject(monkeypatch, database, "hash_index", 0, WRITES[write][1])
         assert sorted(database.query(sql).rows) == [(13, 13), (23, 23)]
         assert fired == [WRITES[write][1]]
         assert sorted(database.query(sql).rows) == AFTERWARDS[write]
 
-    @pytest.mark.parametrize("mode", MODES)
-    def test_the_index_path_reads_the_current_version_once(self, monkeypatch, mode):
-        database = _join_database(mode)
+    def test_the_index_path_reads_the_current_version_once(self, monkeypatch, leg):
+        database = _join_database()
         database.query(JOIN), database.query(ON_JOIN)
         table = database.catalog.table("t")
         reads: list = []
@@ -283,9 +288,8 @@ class TestVersionPinning:
             assert sorted(prepared.run(())) == [(13, 13), (23, 23)]
             assert len(reads) == 1, sql
 
-    @pytest.mark.parametrize("mode", MODES)
-    def test_an_open_stream_over_a_join_keeps_its_version(self, mode):
-        database = _join_database(mode)
+    def test_an_open_stream_over_a_join_keeps_its_version(self, leg):
+        database = _join_database()
         database.insert_rows("s", [(k,) for k in range(12)])
         stream = database.execute_stream(JOIN)
         first = stream.fetchmany(1)
@@ -293,9 +297,8 @@ class TestVersionPinning:
         assert sorted(first + list(stream)) == [(k, k) for k in (*range(12), 13, 23)]
         assert database.query(JOIN).rows == []
 
-    @pytest.mark.parametrize("mode", MODES)
-    def test_a_write_costs_one_build_of_the_next_version(self, mode):
-        database = _join_database(mode)
+    def test_a_write_costs_one_build_of_the_next_version(self, leg):
+        database = _join_database()
         assert _hashed(database, JOIN)[1] == 36
         assert _hashed(database, JOIN)[1] == 0
         database.execute("INSERT INTO t VALUES (40, 99, -1)")
@@ -375,7 +378,7 @@ class TestMTHBuildSides:
 
     @pytest.fixture(scope="class")
     def mth(self, tiny_tpch_data):
-        database = Database(vector=MODES["typed"])
+        database = Database()
         instance = load_mth(data=tiny_tpch_data, tenants=4, backend=EngineBackend(database=database))
         connection = instance.middleware.connect(1, optimization="o4")
         connection.set_scope("IN ()")

@@ -6,7 +6,7 @@ that last row-at-a-time loop too.  These tests pin its contracts directly —
 LEFT-join unmatched padding, multi-key ON clauses, residual conditions that
 would raise if they were (wrongly) evaluated over unmatched or non-candidate
 rows — each asserted bit-identical between the typed and the generic kernel
-configuration on the same data, and equal as a multiset to stdlib
+leg on the same data, and equal as a multiset to stdlib
 :mod:`sqlite3` over the same rows.
 """
 
@@ -16,16 +16,12 @@ import sqlite3
 
 import pytest
 
-from repro.engine import Database, VectorConfig
+from repro.engine import Database
 from repro.errors import ExecutionError
+from tests.conftest import KERNEL_LEGS, kernel_leg
 
 #: small batch so multi-batch behaviour is exercised by the larger fixtures
 BATCH = 4
-
-MODES = {
-    "typed": VectorConfig(batch_size=BATCH, typed=True),
-    "generic": VectorConfig(batch_size=BATCH, typed=False),
-}
 
 
 ORDERS = [
@@ -47,8 +43,8 @@ CUSTOMERS = [
 ]
 
 
-def _load(vector: VectorConfig) -> Database:
-    db = Database(vector=vector)
+def _load() -> Database:
+    db = Database(batch_size=BATCH)
     db.execute(
         "CREATE TABLE orders (o_id INTEGER NOT NULL, o_cust INTEGER, "
         "o_total DECIMAL(10,2), PRIMARY KEY (o_id))"
@@ -75,11 +71,16 @@ def _sqlite(sql: str) -> list[tuple]:
 
 @pytest.fixture(scope="module")
 def databases() -> dict[str, Database]:
-    return {name: _load(vector) for name, vector in MODES.items()}
+    return {leg: _load() for leg in KERNEL_LEGS}
+
+
+def _query(databases, leg: str, sql: str) -> list[tuple]:
+    with kernel_leg(leg):
+        return databases[leg].query(sql).rows
 
 
 def _all_modes(databases, sql: str):
-    results = {name: db.query(sql).rows for name, db in databases.items()}
+    results = {leg: _query(databases, leg, sql) for leg in KERNEL_LEGS}
     assert results["typed"] == results["generic"]
     assert sorted(results["typed"], key=repr) == sorted(_sqlite(sql), key=repr)
     return results["typed"]
@@ -160,11 +161,13 @@ def test_raising_residual_does_raise_on_matched_rows(databases):
     for db in databases.values():
         db.insert_rows("orders", db_orders)
     try:
-        for db in databases.values():
+        for leg in KERNEL_LEGS:
             with pytest.raises(ExecutionError, match="division by zero"):
-                db.query(
+                _query(
+                    databases,
+                    leg,
                     "SELECT o.o_id FROM orders o LEFT JOIN customers c "
-                    "ON o.o_cust = c.c_id AND 100 / c.c_limit > 0.1"
+                    "ON o.o_cust = c.c_id AND 100 / c.c_limit > 0.1",
                 )
     finally:
         for db in databases.values():

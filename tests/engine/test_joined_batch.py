@@ -12,7 +12,7 @@ them.  Three kinds of evidence:
   Q18's ``IN (sub-query)`` post-filter, while a correlated sub-query over a
   join *does* materialize — and is counted;
 * **semantics**: sub-query kernels keep SQL's three-valued logic, as literal
-  expected rows, on the typed and the generic kernels.
+  expected rows, on both kernel legs.
 """
 
 from __future__ import annotations
@@ -21,11 +21,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.backends import EngineBackend
-from repro.engine import Database, VectorConfig
+from repro.engine import Database
 from repro.engine.vector import JoinedBatch, RowBatch
 from repro.mth.loader import load_mth
 from repro.mth.queries import query_text
 from repro.result import ExecutionStats
+from tests.conftest import KERNEL_LEGS, kernel_leg
 
 # ---------------------------------------------------------------------------
 # the property: a JoinedBatch is observationally its concatenated rows
@@ -131,7 +132,7 @@ def test_rows_are_references_not_copies():
 
 @pytest.fixture(scope="module")
 def mth(tiny_tpch_data):
-    database = Database(vector=VectorConfig(batch_size=256, typed=True))
+    database = Database(batch_size=256)
     instance = load_mth(
         data=tiny_tpch_data, tenants=4, backend=EngineBackend(database=database)
     )
@@ -179,7 +180,7 @@ def test_correlated_subquery_over_a_join_materializes_and_is_counted(mth):
 
 
 def test_explain_analyze_shows_materialized_join_rows():
-    database = Database(vector=VectorConfig(batch_size=4, typed=True))
+    database = Database(batch_size=4)
     database.execute("CREATE TABLE a (x INTEGER NOT NULL)")
     database.execute("CREATE TABLE b (y INTEGER NOT NULL)")
     database.insert_rows("a", [(n,) for n in range(6)])
@@ -197,17 +198,11 @@ def test_explain_analyze_shows_materialized_join_rows():
 # sub-query kernels keep SQL's three-valued logic
 # ---------------------------------------------------------------------------
 
-MODES = {
-    "typed": VectorConfig(batch_size=3, typed=True),
-    "generic": VectorConfig(batch_size=3, typed=False),
-}
-
-
 @pytest.fixture(scope="module")
 def databases():
     loaded = {}
-    for name, config in MODES.items():
-        database = Database(vector=config)
+    for leg in KERNEL_LEGS:
+        database = Database(batch_size=3)
         database.execute("CREATE TABLE t (k INTEGER, v INTEGER)")
         database.execute("CREATE TABLE u (k INTEGER)")
         database.execute("CREATE TABLE s (k INTEGER)")
@@ -217,8 +212,13 @@ def databases():
         database.insert_rows("u", [(1,), (5,), (7,)])
         database.insert_rows("s", [(1,), (None,)])
         database.insert_rows("nulls", [(None,)])
-        loaded[name] = database
+        loaded[leg] = database
     return loaded
+
+
+def _query(databases, leg: str, sql: str) -> list[tuple]:
+    with kernel_leg(leg):
+        return databases[leg].query(sql).rows
 
 
 SUBQUERY_CASES = [
@@ -245,21 +245,22 @@ SUBQUERY_CASES = [
 
 @pytest.mark.parametrize("sql,expected", SUBQUERY_CASES)
 def test_subquery_predicates_agree_across_modes(databases, sql, expected):
-    results = {name: database.query(sql).rows for name, database in databases.items()}
+    results = {leg: _query(databases, leg, sql) for leg in KERNEL_LEGS}
     assert results["typed"] == results["generic"] == expected
 
 
 def test_multi_column_scalar_subquery_raises_in_every_mode(databases):
     from repro.errors import ExecutionError
 
-    for database in databases.values():
+    for leg in KERNEL_LEGS:
         with pytest.raises(ExecutionError, match="single column"):
-            database.query("SELECT (SELECT k, k FROM u) FROM t")
+            _query(databases, leg, "SELECT (SELECT k, k FROM u) FROM t")
 
 
 def test_in_subquery_is_not_run_for_all_null_values(databases):
-    for database in databases.values():
+    for leg in KERNEL_LEGS:
+        database = databases[leg]
         before = database.stats.subquery_runs
-        rows = database.query("SELECT k IN (SELECT k FROM u) FROM nulls").rows
+        rows = _query(databases, leg, "SELECT k IN (SELECT k FROM u) FROM nulls")
         assert rows == [(None,)]
         assert database.stats.subquery_runs - before == 1  # the outer query only

@@ -4,9 +4,9 @@
 whose key has a NULL component matches nothing — an inner join drops it, a
 LEFT join null-pads it.  The hash joins used to key their tables on ``None``
 (and on tuples holding ``None``) and returned the NULL pair.  Every case runs
-the same SQL on both kernel configurations and on
+the same SQL on both kernel legs and on
 :class:`~repro.backends.SQLiteBackend`, the independent oracle; the two
-configurations must also agree on row *order*, and the order of the
+legs must also agree on row *order*, and the order of the
 duplicate-build-key cases is pinned as literal rows.
 """
 
@@ -15,8 +15,9 @@ from __future__ import annotations
 import pytest
 
 from repro.backends import SQLiteBackend
-from repro.engine import Database, VectorConfig
+from repro.engine import Database
 from repro.sql.parser import parse_query
+from tests.conftest import KERNEL_LEGS, kernel_leg
 
 DDL = (
     "CREATE TABLE a (x INTEGER, w INTEGER, y INTEGER)",
@@ -30,11 +31,6 @@ ROWS = {
     "a": [(1, 1, 10), (None, 1, 11), (2, None, 12), (2, 2, 13), (3, 3, 14), (None, None, 15)],
     "b": [(1, 1, 20), (None, 1, 21), (2, None, 22), (2, 2, 23), (1, 1, 24), (4, 4, 25)],
     "k": [(None, 5), (1, 6), (2, 7)],
-}
-
-MODES = {
-    "typed": VectorConfig(batch_size=4, typed=True),
-    "generic": VectorConfig(batch_size=4, typed=False),
 }
 
 QUERIES = {
@@ -60,7 +56,7 @@ def _load(target) -> None:
 
 @pytest.fixture(scope="module")
 def engines() -> dict[str, Database]:
-    databases = {name: Database(vector=vector) for name, vector in MODES.items()}
+    databases = {leg: Database(batch_size=4) for leg in KERNEL_LEGS}
     for database in databases.values():
         _load(database)
     return databases
@@ -77,7 +73,10 @@ def sqlite():
 @pytest.mark.parametrize("name", QUERIES)
 def test_null_keys_match_nothing(engines, sqlite, name):
     sql = QUERIES[name]
-    results = {mode: database.query(sql).rows for mode, database in engines.items()}
+    results = {}
+    for leg, database in engines.items():
+        with kernel_leg(leg):
+            results[leg] = database.query(sql).rows
     assert results["typed"] == results["generic"], name
     expected = [tuple(row) for row in sqlite.query(sql).rows]
     assert sorted(results["typed"], key=repr) == sorted(expected, key=repr), name
@@ -103,11 +102,10 @@ def test_duplicate_build_keys_keep_nested_loop_order(engines):
     assert rows == [(10, 20, 6), (10, 24, 6), (12, 23, 7), (13, 23, 7)]
 
 
-@pytest.mark.parametrize("mode", MODES)
-def test_proven_not_null_build_keys_skip_the_null_test(mode):
+def test_proven_not_null_build_keys_skip_the_null_test(leg):
     """A build key its table declares NOT NULL is not searched for NULLs;
     an expression, or a nullable column, is."""
-    database = Database(vector=MODES[mode])
+    database = Database(batch_size=4)
     database.execute("CREATE TABLE small (x INTEGER)")
     database.execute("CREATE TABLE big (id INTEGER NOT NULL, v INTEGER)")
     database.insert_rows("small", [(1,), (None,)])

@@ -15,19 +15,15 @@ from pathlib import Path
 
 import pytest
 
-from repro.engine import Database, VectorConfig
+from repro.engine import Database
 from repro.engine.storage import TableData
+from tests.conftest import KERNEL_LEGS, kernel_leg
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[2] / "tools"))
 
 import stress_writers  # noqa: E402
 
-MODES = {
-    "typed": VectorConfig(typed=True),
-    "generic": VectorConfig(typed=False),
-}
-
-#: which accessor conjunct 2 (``a``, column 1) is the first to call, per mode
+#: which accessor conjunct 2 (``a``, column 1) is the first to call, per leg
 SEAMS = {"typed": "typed_column", "generic": "column_array"}
 
 LOOKUP = "SELECT id, a FROM t WHERE id = 13 AND a > 10"
@@ -60,8 +56,8 @@ WRITES = {
 }
 
 
-def _database(mode: str) -> Database:
-    database = Database(vector=MODES[mode])
+def _database() -> Database:
+    database = Database()
     database.execute(
         "CREATE TABLE t (id INTEGER NOT NULL, a INTEGER NOT NULL, b INTEGER NOT NULL,"
         " CONSTRAINT pk_t PRIMARY KEY (id))"
@@ -97,20 +93,21 @@ class TestInterleavedWrites:
     @pytest.mark.parametrize("write", WRITES)
     @pytest.mark.parametrize("mode", SEAMS)
     def test_scan_answers_from_the_version_it_pinned(self, monkeypatch, mode, write):
-        database = _database(mode)
+        database = _database()
         scan, sql, in_flight, afterwards = WRITES[write]
         fired = _inject(monkeypatch, database, SEAMS[mode], 1, sql)
         # conjunct 1 (on b) ran on the old version; the write lands; conjunct
         # 2 (on a, column 1) must run on the old version too
-        assert _ids(database, scan) == in_flight
+        with kernel_leg(mode):
+            assert _ids(database, scan) == in_flight
         assert fired == [sql]
         assert _ids(database, scan) == afterwards
 
     @pytest.mark.parametrize("write", WRITES)
-    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("mode", KERNEL_LEGS)
     def test_a_udf_writing_mid_scan_sees_the_pinned_version(self, mode, write):
         """The seam is a UDF in conjunct 2 that writes on its first call."""
-        database = _database(mode)
+        database = _database()
         scan, sql, in_flight, afterwards = WRITES[write]
         fired: list = []
 
@@ -121,19 +118,21 @@ class TestInterleavedWrites:
             return value
 
         database.register_python_function("poke", poke)
-        assert _ids(database, scan.replace("a >", "poke(a) >")) == in_flight
+        with kernel_leg(mode):
+            assert _ids(database, scan.replace("a >", "poke(a) >")) == in_flight
         assert fired == [sql]
         assert _ids(database, scan) == afterwards
 
     @pytest.mark.parametrize("write", WRITES)
-    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("mode", KERNEL_LEGS)
     def test_key_lookup_answers_from_the_version_it_pinned(self, monkeypatch, mode, write):
-        database = _database(mode)
+        database = _database()
         sql = WRITES[write][1]
         database.execute("UPDATE t SET a = 50 WHERE id = 13")
         # the index is asked for after the look-up pinned its version
         fired = _inject(monkeypatch, database, "hash_index", 0, sql)
-        assert database.query(LOOKUP).rows == [(13, 50)]
+        with kernel_leg(mode):
+            assert database.query(LOOKUP).rows == [(13, 50)]
         assert fired == [sql]
         assert database.query(LOOKUP).rows == ([] if write == "delete" else [(13, 50)])
 
@@ -142,10 +141,11 @@ class TestInterleavedWrites:
         """WHERE reads ``a``; the write lands when SET first reads ``b``
         (column 2).  SET still reads the version WHERE judged, and that
         version, rewritten, is what the UPDATE publishes."""
-        database = _database(mode)
+        database = _database()
         write = "UPDATE t SET b = 100 + b"
         fired = _inject(monkeypatch, database, "column_array", 2, write)
-        assert database.execute("UPDATE t SET a = b WHERE a > 30").rowcount == 5
+        with kernel_leg(mode):
+            assert database.execute("UPDATE t SET a = b WHERE a > 30").rowcount == 5
         assert fired == [write]
         rows = sorted(database.query("SELECT id, a, b FROM t").rows)
         assert rows == [(i, i % 10 if i > 30 else i, i % 10) for i in range(36)]
@@ -153,7 +153,7 @@ class TestInterleavedWrites:
     def test_a_udf_body_plan_cached_across_statements_sees_each_new_version(self):
         """Pinning is per scan, not per plan: a SQL-UDF body plan outlives
         the statement that compiled it and must not keep its first version."""
-        database = _database("typed")
+        database = _database()
         database.register_sql_function("a_of", "SELECT a FROM t WHERE id = $1 AND b = 3")
         assert database.query("SELECT a_of(13)").rows == [(13,)]
         database.execute("UPDATE t SET a = 7 WHERE id = 13")

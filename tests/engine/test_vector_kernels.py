@@ -12,30 +12,34 @@ consume at most one extra batch).
 
 from __future__ import annotations
 
+import importlib
+import inspect
 import sqlite3
 
 import pytest
 
 import repro.api as api
 from repro.backends import EngineBackend
-from repro.engine import Database, VectorConfig
+from repro.engine import Database
 from repro.errors import ExecutionError, TypeMismatchError
 from repro.mth import load_mth, query_text
 from repro.sql.types import Date
+from tests.conftest import KERNEL_LEGS, kernel_leg
 
 
-def _db(typed: bool = True, batch_size: int = 4, profile: str = "postgres"):
-    return Database(profile, vector=VectorConfig(batch_size=batch_size, typed=typed))
+def _db(batch_size: int = 4, profile: str = "postgres"):
+    return Database(profile, batch_size=batch_size)
 
 
 def _both_kernels(setup, query: str):
-    """Run ``query`` on a typed- and a generic-kernel database built by
-    ``setup``; they must agree, and the agreed rows are returned."""
+    """Run ``query`` on both kernel legs of a database built by ``setup``;
+    they must agree, and the agreed rows are returned."""
+    db = _db()
+    setup(db)
     results = []
-    for typed in (True, False):
-        db = _db(typed=typed)
-        setup(db)
-        results.append(db.query(query).rows)
+    for leg in KERNEL_LEGS:
+        with kernel_leg(leg):
+            results.append(db.query(query).rows)
     assert results[0] == results[1]
     return results[0]
 
@@ -166,22 +170,22 @@ _UDF_DDL = (
 )
 
 
-def _udf_workload(profile: str, typed: bool = True):
-    db = _db(typed=typed, profile=profile)
+def _udf_workload(profile: str, leg: str = "typed"):
+    db = _db(profile=profile)
     db.execute("CREATE TABLE t (v INTEGER)")
     # 12 rows, 3 distinct argument values -> the memo collapses 12 calls
     db.insert_rows("t", [(i % 3,) for i in range(12)])
     db.execute(_UDF_DDL)
-    db.query("SELECT double_it(v) FROM t")
+    with kernel_leg(leg):
+        db.query("SELECT double_it(v) FROM t")
     stats = db.stats
     return (stats.udf_calls, stats.udf_executions, stats.udf_cache_hits)
 
 
 @pytest.mark.parametrize("profile", ["postgres", "system_c"])
 def test_udf_counters_have_parity(profile):
-    """Both kernel configurations report identical call/execution/cache-hit
-    counts."""
-    assert _udf_workload(profile, typed=True) == _udf_workload(profile, typed=False)
+    """Both kernel legs report identical call/execution/cache-hit counts."""
+    assert _udf_workload(profile) == _udf_workload(profile, leg="generic")
 
 
 def test_postgres_memo_dedupes_within_a_batch():
@@ -199,22 +203,17 @@ def test_system_c_profile_never_caches():
 
 
 # ---------------------------------------------------------------------------
-# configuration knobs
+# configuration: the schema picks the kernels, only the batch size is set
 # ---------------------------------------------------------------------------
 
 
-def test_vector_config_from_env(monkeypatch):
-    monkeypatch.setenv("REPRO_ENGINE_TYPED", "0")
-    assert VectorConfig.from_env() == VectorConfig(typed=False)
-    monkeypatch.setenv("REPRO_ENGINE_TYPED", "1")
-    assert VectorConfig.from_env().typed is True
-    # keyword overrides win over the environment
-    assert VectorConfig.from_env(batch_size=256) == VectorConfig(batch_size=256, typed=True)
-    assert VectorConfig.from_env(typed=False).typed is False
-
-
-def test_vector_config_has_exactly_two_fields():
-    assert list(VectorConfig.__dataclass_fields__) == ["batch_size", "typed"]
+def test_kernel_specialization_is_no_configuration():
+    """No module, knob or constructor option selects typed kernels; a
+    database takes its batch size and nothing else about execution."""
+    with pytest.raises(ModuleNotFoundError):
+        importlib.import_module("repro.engine.config")
+    assert list(inspect.signature(Database).parameters) == ["profile", "cost", "batch_size"]
+    assert Database(batch_size=8).batch_size == 8
 
 
 # ---------------------------------------------------------------------------
@@ -257,9 +256,7 @@ def test_limit_and_fetchmany_consume_at_most_one_extra_batch():
     """The streaming contract: a pull of N rows evaluates at most the
     batches spanning those N rows — never the whole table."""
     batch = 32
-    backend = EngineBackend(
-        database=Database(vector=VectorConfig(batch_size=batch))
-    )
+    backend = EngineBackend(database=Database(batch_size=batch))
     probe = _Probe()
     backend.connect().register_python_function("probe", probe)
     with api.connect(backend) as connection:
@@ -288,48 +285,61 @@ def test_limit_and_fetchmany_consume_at_most_one_extra_batch():
 _DATE_PREDICATES = ["c < r", "c <= r", "c > r", "c >= r", "c = r", "c <> r", "r > c AND c > s"]
 
 
-def _date_table(db, cells=lambda value: value) -> None:
-    db.execute("CREATE TABLE t (id INTEGER, c DATE, r DATE, s DATE, n INTEGER)")
-    days = [Date(1994, 1, day) for day in range(1, 11)]
-    db.insert_rows(
-        "t",
-        [
-            (i, cells(days[i]), cells(days[(i * 3) % 10]), cells(days[0]), i)
-            for i in range(10)
-        ]
-        + [(10, None, cells(days[2]), cells(days[0]), 10)],
+def _date_table(db, cells=lambda value: value, not_null: bool = True) -> None:
+    """Ten rows over four columns declared NOT NULL — or, for the nullable
+    twin, the same table without the constraint plus a row with a NULL ``c``."""
+    constraint = " NOT NULL" if not_null else ""
+    db.execute(
+        f"CREATE TABLE t (id INTEGER NOT NULL, c DATE{constraint}, r DATE{constraint},"
+        f" s DATE{constraint}, n INTEGER{constraint})"
     )
+    days = [Date(1994, 1, day) for day in range(1, 11)]
+    rows = [(i, cells(days[i]), cells(days[(i * 3) % 10]), cells(days[0]), i) for i in range(10)]
+    if not not_null:
+        rows.append((10, None, cells(days[2]), cells(days[0]), 10))
+    db.insert_rows("t", rows)
 
 
-def _date_run(typed: bool, predicate: str, cells=lambda value: value):
-    db = Database(vector=VectorConfig(batch_size=4, typed=typed))
-    _date_table(db, cells)
-    rows = db.query(f"SELECT id, {predicate} FROM t WHERE n < 100").rows
-    kernels = db.stats.kernels
-    return rows, (kernels.typed, kernels.generic)
+def _date_run(leg: str, predicate: str, cells=lambda value: value, not_null: bool = True):
+    db = Database(batch_size=4)
+    _date_table(db, cells, not_null)
+    with kernel_leg(leg):
+        rows = db.query(f"SELECT id, {predicate} FROM t WHERE n < 100").rows
+    return rows, db.stats.kernels.snapshot()
 
 
 @pytest.mark.parametrize("predicate", _DATE_PREDICATES)
 def test_date_column_comparisons_run_typed_and_bit_identical(predicate):
-    typed_rows, (typed, generic) = _date_run(True, predicate)
-    generic_rows, _ = _date_run(False, predicate)
+    typed_rows, (typed, generic, proven) = _date_run("typed", predicate)
+    generic_rows, (_, fallbacks, generic_proven) = _date_run("generic", predicate)
     assert typed_rows == generic_rows
-    assert typed_rows[10][1] is None  # the NULL date keeps three-valued logic
-    # every batch of the comparison took the ordinal kernel (plus n < 100)
-    assert typed > 0 and generic == 0
+    # the filter and every 4-row window of the comparison took the ordinal
+    # kernel; the generic leg fell back on each of them
+    assert proven >= 1 + 3 and generic == typed == 0
+    assert generic_proven == 0 and fallbacks == proven
+
+
+@pytest.mark.parametrize("predicate", _DATE_PREDICATES)
+def test_nullable_date_columns_compare_generically(predicate):
+    """The nullable twin: the same comparisons over columns that may hold
+    NULL compile no typed kernel, and the NULL date keeps three-valued
+    logic."""
+    rows, counts = _date_run("typed", predicate, not_null=False)
+    assert counts == (0, 0, 0)
+    assert rows[:10] == _date_run("typed", predicate)[0]
+    assert rows[10][1] is None
 
 
 def test_date_columns_holding_iso_strings_compare_generically():
     """Two ISO strings compare as text, so a DATE column stored as strings
     is left to the generic kernel."""
-    rows, (_, generic) = _date_run(True, "c < r", cells=str)
+    rows, (_, generic, _) = _date_run("typed", "c < r", cells=str)
     assert generic > 0
-    assert rows == _date_run(False, "c < r", cells=str)[0]
+    assert rows == _date_run("generic", "c < r", cells=str)[0]
 
 
-@pytest.mark.parametrize("typed", [True, False])
-def test_date_vs_number_column_still_raises(typed):
-    db = Database(vector=VectorConfig(batch_size=4, typed=typed))
+def test_date_vs_number_column_still_raises(leg):
+    db = Database(batch_size=4)
     _date_table(db)
     with pytest.raises(TypeMismatchError):
         db.query("SELECT id FROM t WHERE c < n")
@@ -338,7 +348,7 @@ def test_date_vs_number_column_still_raises(typed):
 def test_q4_scan_filter_is_proven_not_generic(tiny_tpch_data):
     """``l_commitdate < l_receiptdate`` (MT-H Q4) dispatches a proven kernel;
     it used to pass the compile-time shape test and fall back per batch."""
-    database = Database(vector=VectorConfig(typed=True))
+    database = Database()
     instance = load_mth(
         data=tiny_tpch_data, tenants=4, backend=EngineBackend(database=database)
     )
@@ -364,9 +374,9 @@ OUTER_ROWS = [
 MEMBER_ROWS = [(1, 1), (1, 5), (2, 3), (2, None)]
 
 
-@pytest.fixture(params=[True, False], ids=["typed", "generic"])
-def correlated(request):
-    db = _db(typed=request.param, batch_size=3)
+@pytest.fixture
+def correlated(leg):
+    db = _db(batch_size=3)
     db.execute("CREATE TABLE t (k INTEGER, g INTEGER, v INTEGER)")
     db.execute("CREATE TABLE mem (g INTEGER, m INTEGER)")
     db.insert_rows("t", OUTER_ROWS)
@@ -426,9 +436,9 @@ def test_correlated_exists_across_batch_boundaries(correlated, predicate, expect
 IN_ROWS = [(1, 0), (2, 5), (None, 0), (4, 2), (6, 3)]
 
 
-@pytest.fixture(params=[True, False], ids=["typed", "generic"])
-def in_list(request):
-    db = _db(typed=request.param, batch_size=3)
+@pytest.fixture
+def in_list(leg):
+    db = _db(batch_size=3)
     db.execute("CREATE TABLE x (a INTEGER, b INTEGER)")
     db.insert_rows("x", IN_ROWS)
     return db

@@ -1,16 +1,16 @@
 """Differential suite: typed vs. generic kernels, against recorded answers.
 
-The engine's two kernel legs:
+The engine's two kernel legs (``tests/conftest.py``):
 
-* **typed** — the default: typed-column kernels; a dispatch over columns the
-  catalog declares ``NOT NULL`` is counted as *proven*,
-* **generic** — ``REPRO_ENGINE_TYPED=0``: the generic object-list batch
-  kernels.
+* **typed** — the default: kernels over columns the catalog declares
+  ``NOT NULL`` run on typed-column payloads, counted as *proven*,
+* **generic** — every table version refuses its typed payloads, so each
+  such kernel falls back to its generic object-list twin, batch by batch.
 
-These tests load the *same* generated MT-H data into both (with a small
-batch size, so every query crosses batch boundaries) and assert that every
-MT-H query, both scenarios, ``D' = {single, subset, all}``, produces exactly
-identical results: same rows, same order, same float bits (the batch
+These tests load generated MT-H data once per scenario (with a small batch
+size, so every query crosses batch boundaries) and assert that every MT-H
+query, both scenarios, ``D' = {single, subset, all}``, produces exactly
+identical results on both legs: same rows, same order, same float bits (the batch
 aggregates accumulate in row order on purpose, so no normalization is
 needed).  Both legs must also match :data:`ROW_DIGESTS` and
 :data:`UDF_COUNTERS`.  Those tables were recorded once, at sf 0.001 / seed 7
@@ -31,9 +31,10 @@ import hashlib
 import pytest
 
 from repro.backends import EngineBackend, ShardedBackend
-from repro.engine import Database, VectorConfig
+from repro.engine import Database
 from repro.mth.loader import load_mth
 from repro.mth.queries import ALL_QUERY_IDS, CONVERSION_INTENSIVE, query_text
+from tests.conftest import KERNEL_LEGS, kernel_leg
 
 TENANTS = 4
 CLIENT = 1
@@ -156,25 +157,23 @@ def _digest(rows) -> tuple[int, str]:
     return len(rows), hashlib.sha256(text.encode()).hexdigest()[:12]
 
 
-def _engine_backend(typed: bool = True) -> EngineBackend:
-    return EngineBackend(database=Database(vector=VectorConfig(batch_size=BATCH, typed=typed)))
+def _engine_backend() -> EngineBackend:
+    return EngineBackend(database=Database(batch_size=BATCH))
 
 
-def _engine_instance(tiny_tpch_data, scenario: str, typed: bool = True):
+def _engine_instance(tiny_tpch_data, scenario: str):
     return load_mth(
         data=tiny_tpch_data,
         tenants=TENANTS,
         distribution=scenario,
-        backend=_engine_backend(typed),
+        backend=_engine_backend(),
     )
 
 
 @pytest.fixture(scope="module", params=SCENARIOS)
-def engine_pair(request, tiny_tpch_data):
-    """The scenario and the same MT-H data in a typed and a generic engine."""
-    typed = _engine_instance(tiny_tpch_data, request.param)
-    generic = _engine_instance(tiny_tpch_data, request.param, typed=False)
-    return request.param, typed, generic
+def engine(request, tiny_tpch_data):
+    """The scenario and its MT-H data in one engine."""
+    return request.param, _engine_instance(tiny_tpch_data, request.param)
 
 
 def _connection(instance, scope: str, optimization: str = "o4"):
@@ -184,12 +183,13 @@ def _connection(instance, scope: str, optimization: str = "o4"):
 
 
 @pytest.mark.parametrize("query_id", ALL_QUERY_IDS)
-def test_mth_query_results_bit_identical(engine_pair, query_id):
-    scenario, typed, generic = engine_pair
+def test_mth_query_results_bit_identical(engine, query_id):
+    scenario, instance = engine
     text = query_text(query_id)
     for (name, scope), recorded in zip(DATASETS.items(), ROW_DIGESTS[query_id][scenario]):
-        typed_result = _connection(typed, scope).query(text)
-        generic_result = _connection(generic, scope).query(text)
+        typed_result = _connection(instance, scope).query(text)
+        with kernel_leg("generic"):
+            generic_result = _connection(instance, scope).query(text)
         assert typed_result.columns == generic_result.columns, (
             f"Q{query_id} D'={name}: columns differ"
         )
@@ -202,7 +202,7 @@ def test_mth_query_results_bit_identical(engine_pair, query_id):
 
 
 @pytest.mark.parametrize("level", ["canonical", "o1"])
-def test_udf_counters_identical_across_kernels(engine_pair, level):
+def test_udf_counters_identical_across_kernels(engine, level):
     """Memo-batched UDF dispatch counts one call per occurrence.
 
     At low optimization levels the conversion UDFs execute instead of being
@@ -210,14 +210,15 @@ def test_udf_counters_identical_across_kernels(engine_pair, level):
     report the call/execution/cache-hit counts of a per-row evaluation
     (distinct conversion evaluations counted exactly).
     """
-    scenario, *instances = engine_pair
+    scenario, instance = engine
+    backend = instance.middleware.backend
     for query_id in CONVERSION_INTENSIVE:
         text = query_text(query_id)
-        for instance in instances:
-            backend = instance.middleware.backend
+        for leg in KERNEL_LEGS:
             backend.clear_function_caches()
             backend.reset_stats()
-            _connection(instance, "IN (1, 3)", optimization=level).query(text)
+            with kernel_leg(leg):
+                _connection(instance, "IN (1, 3)", optimization=level).query(text)
             stats = backend.stats
             counters = (stats.udf_calls, stats.udf_executions, stats.udf_cache_hits)
             assert counters == UDF_COUNTERS[scenario][query_id], (
@@ -225,32 +226,31 @@ def test_udf_counters_identical_across_kernels(engine_pair, level):
             )
 
 
-def test_streaming_results_identical_across_kernels(engine_pair):
+def test_streaming_results_identical_across_kernels(engine):
     """`execute_stream` yields the same rows in the same order on both legs."""
-    _, typed, generic = engine_pair
-    rewritten = _connection(typed, "IN ()").rewrite(query_text(6))
-    typed_rows = typed.middleware.backend.execute_stream(rewritten).materialize().rows
-    rows = generic.middleware.backend.execute_stream(rewritten).materialize().rows
+    _, instance = engine
+    backend = instance.middleware.backend
+    rewritten = _connection(instance, "IN ()").rewrite(query_text(6))
+    typed_rows = backend.execute_stream(rewritten).materialize().rows
+    with kernel_leg("generic"):
+        rows = backend.execute_stream(rewritten).materialize().rows
     assert rows == typed_rows
 
 
 @pytest.mark.parametrize("query_id", [1, 6])
-def test_proven_kernels_dispatch_on_scan_heavy_queries(engine_pair, query_id):
+def test_proven_kernels_dispatch_on_scan_heavy_queries(engine, query_id):
     """Q1/Q6 dispatches are counted as proven.
 
-    ``explain(analyze=True)`` reports the per-operator dispatch split; every
-    dispatch that would have been merely *typed* is proven, because MT-H
-    declares every column NOT NULL and the engine reads that off its catalog.
+    ``explain(analyze=True)`` reports the per-operator dispatch split: MT-H
+    declares every column NOT NULL, the engine reads that off its catalog,
+    and its scans carry typed payloads, so no scan kernel falls back.
     """
-    _, typed, _ = engine_pair
-    report = _connection(typed, "IN (1, 3)").explain(query_text(query_id), analyze=True)
+    _, instance = engine
+    report = _connection(instance, "IN (1, 3)").explain(query_text(query_id), analyze=True)
     proven_kernels = sum(op.proven_kernels for op in report.operators)
-    typed_kernels = sum(op.typed_kernels for op in report.operators)
     assert proven_kernels > 0, f"Q{query_id}: no proven kernel dispatches"
-    assert typed_kernels == 0, (
-        f"Q{query_id}: {typed_kernels} dispatches fell back to observed "
-        f"nullability despite schema-declared NOT NULL columns"
-    )
+    assert "kernels proven=" in report.render()
+    assert instance.middleware.backend.engine_database.stats.kernels.typed == 0
 
 
 def test_bare_statements_and_shards_count_proven_kernels(tiny_tpch_data):

@@ -1,6 +1,6 @@
 """The repo lint suite: green on the repo, and each rule catches a seed.
 
-Gates ``tools/lint/`` into tier-1 twice over: the five checkers must find
+Gates ``tools/lint/`` into tier-1 twice over: the six checkers must find
 nothing in the repository as committed (the same result the CI ``lint``
 job enforces), and each rule must still *detect* a seeded violation — a
 checker that silently stopped matching would otherwise stay green
@@ -19,7 +19,7 @@ import pytest
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "tools"))
 
-from lint import Violation, deadnames, envknobs, execguard, gcguard, lockcheck  # noqa: E402
+from lint import Violation, deadnames, envknobs, execguard, gcguard, lockcheck, modsize  # noqa: E402
 
 
 def _write(tmp_path: Path, name: str, source: str) -> Path:
@@ -35,7 +35,7 @@ def local_paths(monkeypatch, tmp_path):
     The checkers render repo-relative paths; seeded files live outside the
     repo, so the test swaps ``relative`` for the bare file name.
     """
-    for module in (deadnames, envknobs, execguard, gcguard, lockcheck):
+    for module in (deadnames, envknobs, execguard, gcguard, lockcheck, modsize):
         monkeypatch.setattr(module, "relative", lambda path: path.name)
     return tmp_path
 
@@ -65,6 +65,10 @@ def test_deadnames_clean_on_repo():
     assert deadnames.check() == []
 
 
+def test_modsize_clean_on_repo():
+    assert modsize.check() == []
+
+
 def test_lint_runner_exits_zero():
     completed = subprocess.run(
         [sys.executable, str(REPO_ROOT / "tools" / "lint" / "run.py")],
@@ -72,9 +76,9 @@ def test_lint_runner_exits_zero():
         text=True,
     )
     assert completed.returncode == 0, completed.stdout + completed.stderr
-    for name in ("envknobs", "execguard", "gcguard", "lockcheck", "deadnames"):
+    for name in ("envknobs", "execguard", "gcguard", "lockcheck", "deadnames", "modsize"):
         assert f"{name}: OK" in completed.stdout
-    # the informational line budget: the src/ total and the ten largest modules
+    # the line budget: the src/ total and the ten largest modules
     budget = completed.stdout[completed.stdout.index("line budget: src/ holds ") :]
     assert len(budget.splitlines()) == 11 and "src/repro/engine/vector.py" in budget
 
@@ -95,7 +99,7 @@ def test_envknobs_flags_module_level_read(local_paths):
         """
         import os
 
-        FLAG = os.environ.get("REPRO_ENGINE_TYPED", "1")
+        FLAG = os.environ.get("REPRO_COMPILE_COST", "1")
         """,
     )
     findings = envknobs.check(roots=(local_paths,))
@@ -110,7 +114,7 @@ def test_envknobs_flags_lenient_parser(local_paths):
         import os
 
         def enabled():
-            return os.getenv("REPRO_ENGINE_TYPED") == "1"
+            return os.getenv("REPRO_COMPILE_COST") == "1"
         """,
     )
     findings = envknobs.check(roots=(local_paths,))
@@ -148,9 +152,9 @@ def test_envknobs_accepts_strict_documented_parser(local_paths):
         import os
 
         def enabled():
-            if "REPRO_ENGINE_TYPED" in os.environ:  # membership probe: exempt
+            if "REPRO_COMPILE_COST" in os.environ:  # membership probe: exempt
                 pass
-            value = os.environ.get("REPRO_ENGINE_TYPED", "").strip()
+            value = os.environ.get("REPRO_COMPILE_COST", "").strip()
             if value not in ("", "0", "1"):
                 raise ConfigurationError(value)
             return value != "0"
@@ -389,3 +393,18 @@ def test_deadnames_flags_unmentioned_definitions(local_paths):
     # one mention anywhere in the searched trees (here: a docs page) is enough
     _write(local_paths, "notes.md", "call `orphan()` and `forgotten()`\n")
     assert deadnames.check(roots=(local_paths,), mention_roots=(local_paths,)) == []
+
+
+# ---------------------------------------------------------------------------
+# modsize: a module over the line limit is caught, one at the limit is not
+# ---------------------------------------------------------------------------
+
+
+def test_modsize_flags_a_module_over_the_limit(local_paths):
+    _write(local_paths, "at_limit.py", "x = 1\n" * 5)
+    _write(local_paths, "over_limit.py", "x = 1\n" * 6)
+    findings = modsize.check(roots=(local_paths,), limit=5)
+    assert [(v.path, v.line) for v in findings] == [("over_limit.py", 6)]
+    assert "over the 5-line module limit" in findings[0].message
+    assert modsize.module_lines(roots=(local_paths,)) == [(6, "over_limit.py"), (5, "at_limit.py")]
+    assert modsize.LIMIT == 1500

@@ -66,7 +66,6 @@ PUBLIC_MODULES = (
     "repro/server/server.py",
     "repro/server/client.py",
     "repro/server/loopback.py",
-    "repro/engine/config.py",
     "repro/engine/columns.py",
     "repro/engine/vector.py",
     "repro/engine/planner.py",

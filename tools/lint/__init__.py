@@ -1,6 +1,6 @@
 """Repo-specific stdlib-``ast`` lint suite.
 
-Five checkers police invariants the generic linters cannot express:
+Six checkers police invariants the generic linters cannot express:
 
 * :mod:`tools.lint.envknobs` — every ``REPRO_*`` environment variable is
   read through a strict parser (raises ``ConfigurationError`` on malformed
@@ -20,7 +20,9 @@ Five checkers police invariants the generic linters cannot express:
 * :mod:`tools.lint.deadnames` — every function, class and method defined
   under ``src/`` is mentioned somewhere else in the repository (code, tests,
   benchmark, tools or docs); decorator-registered, ``getattr``-dispatched,
-  dunder and DB-API names are exempt by rule.
+  dunder and DB-API names are exempt by rule;
+* :mod:`tools.lint.modsize` — no module under ``src/`` is longer than
+  1 500 lines.
 
 Run everything with ``python tools/lint/run.py`` (exit 1 on findings);
 ``tests/test_lint.py`` gates the same checks in the tier-1 suite, and each

@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """Env-knob checker: every ``REPRO_*`` variable is strict and documented.
 
-The repo's configuration contract (set by ``repro/engine/config.py`` and
-followed by every layer since): an environment knob is read inside a small
+The repo's configuration contract (followed by every layer that reads
+one): an environment knob is read inside a small
 parser function that raises :class:`repro.errors.ConfigurationError` on any
 malformed value — never ``or default`` / ``== "1"`` leniency, because a
 mistyped knob that silently falls back to its default runs the wrong

@@ -8,7 +8,7 @@ one command reproduces either locally::
 
 After the checkers it prints the line budget of ``src/`` — the total and
 the ten largest modules — so every CI log shows where the code lives.  The
-budget is information, never a failure.
+total is information; a module over the ``modsize`` limit is a violation.
 """
 
 from __future__ import annotations
@@ -18,9 +18,9 @@ from pathlib import Path
 
 if __package__ in (None, ""):  # direct invocation: python tools/lint/run.py
     sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
-    from lint import SRC, deadnames, envknobs, execguard, gcguard, lockcheck, python_files, relative
+    from lint import deadnames, envknobs, execguard, gcguard, lockcheck, modsize
 else:
-    from . import SRC, deadnames, envknobs, execguard, gcguard, lockcheck, python_files, relative
+    from . import deadnames, envknobs, execguard, gcguard, lockcheck, modsize
 
 CHECKERS = (
     ("envknobs", envknobs.check),
@@ -28,15 +28,13 @@ CHECKERS = (
     ("gcguard", gcguard.check),
     ("lockcheck", lockcheck.check),
     ("deadnames", deadnames.check),
+    ("modsize", modsize.check),
 )
 
 
 def line_budget(largest: int = 10) -> list[str]:
     """Report lines: the ``src/`` line total, then the ``largest`` modules."""
-    sizes = sorted(
-        ((len(path.read_bytes().splitlines()), relative(path)) for path in python_files(SRC)),
-        key=lambda entry: (-entry[0], entry[1]),
-    )
+    sizes = modsize.module_lines()
     total = sum(lines for lines, _ in sizes)
     report = [f"line budget: src/ holds {total} lines in {len(sizes)} modules; largest:"]
     report.extend(f"  {lines:6d}  {path}" for lines, path in sizes[:largest])
