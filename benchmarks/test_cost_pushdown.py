@@ -1,4 +1,4 @@
-"""Costed federated pushdown: pull volume and wall time, on vs. off.
+"""Costed federated pushdown: pull volume against a full-width pull.
 
 The federated fallback is the cluster's expensive path: every referenced
 table is copied from the shards into the scratch backend before the
@@ -7,15 +7,12 @@ prefilters and pull-column subsets; this module pins the effect on the four
 federated MT-H queries (Q15/Q17/Q20/Q22) of a 4-shard cluster:
 
 * **rows/cells shipped** (deterministic, asserted even under
-  ``--benchmark-disable``): the costed pull must ship a fixed factor fewer
-  rows and cells than the uncosted pull-everything baseline,
-* **wall time** (reported via ``extra_info``): the costed and uncosted
-  federated executions, cold scratch each, for the speedup column.
+  ``--benchmark-disable``): the pull must ship a fixed factor fewer rows
+  and cells than an unfiltered, full-width pull of the plan's tables,
+* **wall time**: a cold-scratch federated execution, the timed figure.
 """
 
 from __future__ import annotations
-
-import time
 
 import pytest
 
@@ -45,13 +42,26 @@ def federated_workload():
 
 def _run_cold(sharded, connection, text: str):
     """One federated execution against a cold scratch, returning
-    (seconds, rows_pulled, cells_pulled, prefiltered_syncs)."""
+    (rows_pulled, cells_pulled, prefiltered_syncs)."""
     sharded._scratch_state.clear()
     sharded.reset_pull_counters()
-    started = time.perf_counter()
     connection.query(text)
-    elapsed = time.perf_counter() - started
-    return elapsed, sharded.rows_pulled, sharded.cells_pulled, sharded.prefiltered_syncs
+    return sharded.rows_pulled, sharded.cells_pulled, sharded.prefiltered_syncs
+
+
+def _full_width_volume(sharded, plan) -> tuple[int, int]:
+    """(rows, cells) an unfiltered, full-width pull of ``plan.tables`` ships:
+    every shard's rows of a partitioned table, one replica's of a
+    replicated one."""
+    rows = cells = 0
+    for table in plan.tables:
+        shards = sharded.shard_connections
+        if not sharded.catalog.is_partitioned(table):
+            shards = shards[:1]
+        count = sum(shard.table_rowcount(table) for shard in shards)
+        rows += count
+        cells += count * len(sharded.planner.columns_of[table])
+    return rows, cells
 
 
 @pytest.mark.parametrize("query_id", sorted(FEDERATED_CASES))
@@ -62,39 +72,28 @@ def test_cost_pushdown_reduces_pull_volume(benchmark, federated_workload, query_
     text = query_text(query_id)
     min_rows_factor, min_cells_factor = FEDERATED_CASES[query_id]
 
-    sharded.set_cost(True)
-    costed_seconds, costed_rows, costed_cells, prefiltered = _run_cold(
-        sharded, connection, text
-    )
-    sharded.set_cost(False)
-    try:
-        uncosted_seconds, uncosted_rows, uncosted_cells, _ = _run_cold(
-            sharded, connection, text
-        )
-    finally:
-        sharded.set_cost(True)
+    pulled_rows, pulled_cells, prefiltered = _run_cold(sharded, connection, text)
+    full_rows, full_cells = _full_width_volume(sharded, sharded.last_plan)
 
     assert prefiltered > 0, f"Q{query_id}: costed plan pushed no prefilters"
-    rows_factor = uncosted_rows / max(costed_rows, 1)
-    cells_factor = uncosted_cells / max(costed_cells, 1)
+    rows_factor = full_rows / max(pulled_rows, 1)
+    cells_factor = full_cells / max(pulled_cells, 1)
     assert rows_factor >= min_rows_factor, (
-        f"Q{query_id}: costed pull ships {costed_rows} rows vs. uncosted "
-        f"{uncosted_rows} ({rows_factor:.2f}x) — expected >= {min_rows_factor}x"
+        f"Q{query_id}: the pull ships {pulled_rows} rows vs. a full-width "
+        f"{full_rows} ({rows_factor:.2f}x) — expected >= {min_rows_factor}x"
     )
     assert cells_factor >= min_cells_factor, (
-        f"Q{query_id}: costed pull ships {costed_cells} cells vs. uncosted "
-        f"{uncosted_cells} ({cells_factor:.2f}x) — expected >= {min_cells_factor}x"
+        f"Q{query_id}: the pull ships {pulled_cells} cells vs. a full-width "
+        f"{full_cells} ({cells_factor:.2f}x) — expected >= {min_cells_factor}x"
     )
 
     benchmark.extra_info.update(
         {
             "shards": SHARDS,
-            "rows_costed": costed_rows,
-            "rows_uncosted": uncosted_rows,
+            "rows_pulled": pulled_rows,
+            "rows_full_width": full_rows,
             "rows_factor": round(rows_factor, 2),
             "cells_factor": round(cells_factor, 2),
-            "seconds_uncosted": round(uncosted_seconds, 4),
-            "speedup": round(uncosted_seconds / max(costed_seconds, 1e-9), 2),
         }
     )
     # the timed figure: a cold-scratch costed federated execution

@@ -52,11 +52,6 @@ class EngineConnection(BackendConnection):
         """The UDF-caching profile ("postgres" caches, "system_c" does not)."""
         return self._database.profile
 
-    def __getattr__(self, attribute: str):
-        # Back-compat: pre-backend code reached into Database internals
-        # (catalog, executor, ...); delegate anything the protocol lacks.
-        return getattr(self._database, attribute)
-
     # -- statement execution -------------------------------------------------
 
     def execute(

@@ -38,7 +38,7 @@ from ..cluster.planner import (
     Plan,
     SingleShardPlan,
 )
-from ..compile.cost import CostConfig, TablePrefilter
+from ..compile.cost import TablePrefilter
 from ..compile.stats import StatisticsCatalog, merge_catalogs
 from ..errors import ClusterError
 from ..result import ExecuteResult, ExecutionStats, RowStream, StatementResult
@@ -122,7 +122,6 @@ class ShardedConnection(BackendConnection):
             self.catalog,
             scatter_gather=backend.scatter_gather,
             functions=self.coordinator.functions,
-            cost=CostConfig.from_env(),
             columns_of=self._columns_of,
             statistics_provider=self.statistics,
             udf_statements_provider=self._sql_udf_statements,
@@ -239,28 +238,22 @@ class ShardedConnection(BackendConnection):
         plan: Optional[Plan] = None
         memo_key = None
         if compiled is not None:
-            # the memo key pins the shard fan-out, the catalog version and the
-            # cost switch, so DDL, a different D' or toggling the cost model
-            # can never resurrect a stale plan
-            memo_key = (
-                "cluster-plan",
-                id(self),
-                tuple(shards),
-                self.catalog.version,
-                self.planner.cost.enabled,
-            )
+            # the memo key pins the shard fan-out and the catalog version, so
+            # neither DDL nor a different D' can resurrect a stale plan
+            memo_key = ("cluster-plan", id(self), tuple(shards), self.catalog.version)
             with self._lock:
                 plan = compiled.attachments.get(memo_key)
                 if plan is not None:
                     self.plan_reuses += 1
         if plan is None:
-            analysis = compiled.analysis if compiled is not None else None
-            facts = compiled.facts if compiled is not None else None
+            # raw backend SQL arrives uncompiled: no analysis, no facts
             plan = self.planner.plan(
                 statement,
                 shards,
-                analysis=analysis,
-                column_owners=facts.column_owners if facts is not None else None,
+                analysis=compiled.analysis if compiled is not None else None,
+                column_owners=(
+                    compiled.facts.column_owners if compiled is not None else None
+                ),
             )
             if memo_key is not None:
                 with self._lock:
@@ -617,7 +610,7 @@ class ShardedConnection(BackendConnection):
     ) -> None:
         """Refresh one scratch table from the shards (``D'``-pruned when known).
 
-        The costed planner may narrow the pull further: ``prefilter`` is a
+        The cluster planner may narrow the pull further: ``prefilter`` is a
         predicate every shard evaluates locally before shipping rows (sound
         because the federated statement re-applies its own predicates on the
         scratch copy), and ``columns`` is the column subset the statement
@@ -865,26 +858,6 @@ class ShardedConnection(BackendConnection):
             [shard.statistics() for shard in self._shards],
             replicated=self._replicated_relations(),
         )
-
-    def set_cost(self, enabled: bool) -> None:
-        """Switch cost-based planning on or off across the whole cluster.
-
-        Updates the cluster planner's config and forwards to every shard (and
-        the scratch backend) that supports the switch; memoized cluster plans
-        are keyed on the flag, so the change takes effect on the next query.
-        """
-        with self._lock:
-            self.planner.cost = CostConfig(
-                enabled=enabled,
-                prefilter_max_selectivity=self.planner.cost.prefilter_max_selectivity,
-            )
-            connections = list(self._shards)
-            if self._scratch is not None:
-                connections.append(self._scratch)
-            for connection in connections:
-                set_cost = getattr(connection, "set_cost", None)
-                if set_cost is not None:
-                    set_cost(enabled)
 
     def reset_pull_counters(self) -> None:
         """Zero the federated pull-volume counters (rows/cells/prefilters)."""

@@ -47,12 +47,7 @@ from ..compile.analysis import (  # noqa: F401  (ClusterCatalog/PartitionInfo re
     QueryAnalysis,
     ShardabilityAnalyzer,
 )
-from ..compile.cost import (
-    CostConfig,
-    TablePrefilter,
-    derive_pull_columns,
-    derive_table_prefilters,
-)
+from ..compile.cost import TablePrefilter, derive_pull_columns, derive_table_prefilters
 from ..errors import SplitError
 from ..sql import ast
 from ..sql.printer import to_sql
@@ -117,8 +112,8 @@ class FederatedPlan:
     statement references a view or unknown relation, so every known table
     must be pulled.
 
-    The costed planner decorates the pull with two reductions (both empty in
-    uncosted mode, restoring the historic pull-everything behavior):
+    The planner decorates a pull of known tables with two reductions (both
+    empty when it knows no table's columns):
 
     * ``prefilters`` — per-table predicates proven sound for *every*
       occurrence of the table in the statement
@@ -188,7 +183,6 @@ class ClusterPlanner:
         catalog: ClusterCatalog,
         scatter_gather: bool = True,
         functions: Optional[Collection[str]] = None,
-        cost: Optional[CostConfig] = None,
         columns_of: Optional[dict] = None,
         statistics_provider=None,
         udf_statements_provider=None,
@@ -202,8 +196,6 @@ class ClusterPlanner:
         #: lower-cased names of the scalar functions a merge query may call
         #: (shared, mutable: the coordinator adds Python UDFs as they register)
         self.functions = functions if functions is not None else frozenset()
-        #: cost-model configuration gating the federated pushdown derivation
-        self.cost = cost if cost is not None else CostConfig.from_env()
         #: table → ordered column names (shared, mutable: the owning
         #: connection records every CREATE TABLE); empty disables pushdown
         self.columns_of = columns_of if columns_of is not None else {}
@@ -293,7 +285,7 @@ class ClusterPlanner:
     def _federated(self, select: ast.Select, tables: set[str]) -> FederatedPlan:
         prefilters: tuple[TablePrefilter, ...] = ()
         pull_columns: tuple[tuple[str, tuple[str, ...]], ...] = ()
-        if self.cost.enabled and self.columns_of:
+        if self.columns_of:
             statistics = (
                 self.statistics_provider() if self.statistics_provider else None
             )
@@ -302,7 +294,6 @@ class ClusterPlanner:
                 self.catalog,
                 self.columns_of,
                 statistics=statistics,
-                config=self.cost,
             )
             statements = [select]
             if self.udf_statements_provider is not None:

@@ -45,7 +45,6 @@ from .analysis import (
 )
 from .artifact import CompiledQuery, ConversionCensus, PassRecord, conversion_census
 from .cost import (
-    CostConfig,
     PlanEstimate,
     TablePrefilter,
     derive_pull_columns,
@@ -58,7 +57,6 @@ from .typecheck import (
     TypeChecker,
     UDFSignature,
     check_parameter_values,
-    env_typecheck,
     schema_proven_not_null,
 )
 from .stats import (
@@ -92,7 +90,6 @@ __all__ = [
     "CompiledQuery",
     "ClusterCatalog",
     "ConversionCensus",
-    "CostConfig",
     "PartitionInfo",
     "PassRecord",
     "PlanEstimate",
@@ -109,7 +106,6 @@ __all__ = [
     "check_parameter_values",
     "collect_table_stats",
     "conversion_census",
-    "env_typecheck",
     "schema_proven_not_null",
     "derive_pull_columns",
     "derive_table_prefilters",

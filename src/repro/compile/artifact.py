@@ -131,12 +131,11 @@ class CompiledQuery:
     conversions: ConversionCensus
     #: total compilation wall time
     seconds: float
-    #: what the static semantic analyzer proved about the statement
-    #: (``None`` when the checker is disabled, ``REPRO_COMPILE_TYPECHECK=0``);
-    #: the cost model reads ``facts.proven_not_null``, the cluster planner
+    #: what the static semantic analyzer proved about the statement: the
+    #: cost model reads ``facts.proven_not_null``, the cluster planner
     #: ``facts.column_owners``, the client checks bind values against
     #: ``facts.parameter_types``
-    facts: Optional["SemanticFacts"] = field(default=None, repr=False, compare=False)
+    facts: "SemanticFacts" = field(repr=False, compare=False)
     #: backend-owned memo space for derived execution artifacts
     attachments: dict = field(default_factory=dict, repr=False, compare=False)
 

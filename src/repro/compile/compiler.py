@@ -18,7 +18,10 @@ and records per-stage wall time, AST node-count deltas, fired-rule counts and
 AST snapshots into the returned
 :class:`~repro.compile.artifact.CompiledQuery`.  Consumers never re-derive
 any of this: the client executes the artifact, the gateway caches it, the
-cluster planner reads its analysis.
+cluster planner reads its analysis.  Every compile first runs the
+prepare-time :class:`~repro.compile.typecheck.TypeChecker`, so every
+artifact carries the :class:`~repro.compile.typecheck.SemanticFacts` it
+proved.
 
 ``stats.compilations`` counts every pipeline run — the acceptance tests use
 it to prove each statement is compiled exactly once end-to-end (and not at
@@ -40,7 +43,7 @@ from ..sql.transform import count_nodes
 from .analysis import ClusterCatalog, PartitionInfo, ShardabilityAnalyzer
 from .artifact import CompiledQuery, ConversionCensus, PassRecord, conversion_census
 from .passes import applies_trivial, passes_for_level
-from .typecheck import SemanticFacts, TypeChecker, env_typecheck
+from .typecheck import TypeChecker
 from ..core.optimizer.levels import OptimizationLevel
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -72,9 +75,6 @@ class QueryCompiler:
     def __init__(self, middleware: "MTBase") -> None:
         self.middleware = middleware
         self.stats = CompilerStats()
-        #: whether the prepare-time static analyzer runs (strict env knob
-        #: ``REPRO_COMPILE_TYPECHECK``); tests flip the attribute directly
-        self.typecheck = env_typecheck()
         self._lock = threading.Lock()
         self._catalog: Optional[ClusterCatalog] = None
         self._catalog_version: Optional[int] = None
@@ -160,16 +160,14 @@ class QueryCompiler:
         """
         started = time.perf_counter()
         parameters = statement_parameters(query)
-        checker: Optional[TypeChecker] = None
-        if self.typecheck:
-            # the static analyzer rejects ill-typed statements here — at
-            # prepare time, before the rewrite or any backend runs — and the
-            # walk's findings become the artifact's SemanticFacts below
-            checker = TypeChecker(
-                self.middleware.schema,
-                udf_signatures=self.middleware.udf_signatures,
-            )
-            checker.check(query)
+        # the static analyzer rejects ill-typed statements here — at prepare
+        # time, before the rewrite or any backend runs — and the walk's
+        # findings become the artifact's SemanticFacts below
+        checker = TypeChecker(
+            self.middleware.schema,
+            udf_signatures=self.middleware.udf_signatures,
+        )
+        checker.check(query)
         context = self.rewrite_context(client, dataset, level)
         records: list[PassRecord] = []
 
@@ -210,15 +208,12 @@ class QueryCompiler:
                 )
             )
 
-        facts: Optional[SemanticFacts] = None
-        if checker is not None:
-            # provenance/nullability facts over the *rewritten* statement:
-            # the shardability walk reuses the column-owner map instead of
-            # its any-binding heuristic, the engine the proven-NOT-NULL sets
-            facts = checker.facts(current)
+        # provenance/nullability facts over the *rewritten* statement: the
+        # shardability walk reuses the column-owner map instead of its
+        # any-binding heuristic, the cost model the proven-NOT-NULL sets
+        facts = checker.facts(current)
         analysis = ShardabilityAnalyzer(
-            self.catalog(),
-            column_owners=facts.column_owners if facts is not None else None,
+            self.catalog(), column_owners=facts.column_owners
         ).analyze(current)
         census_final = (
             census_canonical

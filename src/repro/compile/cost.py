@@ -21,20 +21,14 @@ derivation, whose rule is spelled out on :func:`derive_table_prefilters` —
 every pushed predicate must be provably implied for **every** occurrence of
 the table in the statement, because the scratch backend holds one copy of
 the table serving all occurrences.
-
-The ``REPRO_COMPILE_COST`` environment knob (``1`` default, ``0`` = off)
-disables every costed decision at once, restoring the structural planner —
-the differential oracle the costed plans are tested against.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Sequence
 
-from ..errors import ConfigurationError
 from ..sql import ast
 from ..sql.types import Date, date_days
 from ..sql.transform import (
@@ -55,48 +49,10 @@ SUBQUERY_SELECTIVITY = 0.3
 #: selectivity of a LIKE against a prefix pattern / an infix pattern
 LIKE_PREFIX_SELECTIVITY = 0.1
 LIKE_INFIX_SELECTIVITY = 0.25
-
-
-def env_cost(default: bool = True) -> bool:
-    """Cost-model override via ``REPRO_COMPILE_COST`` (``0`` or ``1``).
-
-    Anything other than the two literal flags raises
-    :class:`~repro.errors.ConfigurationError` — a differential run that
-    silently fell back to the default would compare a planner against
-    itself.
-    """
-    value = os.environ.get("REPRO_COMPILE_COST", "").strip()
-    if not value:
-        return default
-    if value == "1":
-        return True
-    if value == "0":
-        return False
-    raise ConfigurationError(
-        f"the REPRO_COMPILE_COST environment variable must be '0' or '1' "
-        f"(got {value!r})"
-    )
-
-
-@dataclass(frozen=True)
-class CostConfig:
-    """The cost model's tunables.
-
-    ``enabled`` gates every costed decision; ``prefilter_max_selectivity``
-    is the keep-or-drop threshold for a derived federated prefilter — a
-    filter estimated to keep more than this fraction of the table is not
-    worth the per-shard evaluation and is dropped.
-    """
-
-    enabled: bool = True
-    prefilter_max_selectivity: float = 0.95
-
-    @classmethod
-    def from_env(cls, **overrides) -> "CostConfig":
-        """Build a config from ``REPRO_COMPILE_COST``; overrides win."""
-        values = {"enabled": env_cost()}
-        values.update(overrides)
-        return cls(**values)
+#: keep-or-drop threshold for a derived federated prefilter: a filter
+#: estimated to keep more than this fraction of its table is not worth the
+#: per-shard evaluation and is dropped
+PREFILTER_MAX_SELECTIVITY = 0.95
 
 
 # ---------------------------------------------------------------------------
@@ -696,7 +652,6 @@ def derive_table_prefilters(
     catalog: ClusterCatalog,
     columns_of: Mapping[str, Sequence[str]],
     statistics: Optional[StatisticsCatalog] = None,
-    config: Optional[CostConfig] = None,
 ) -> tuple[TablePrefilter, ...]:
     """Derive the predicates a federated plan may push into its table pulls.
 
@@ -720,10 +675,9 @@ def derive_table_prefilters(
 
     The per-table pushed predicate is the OR across occurrences; a single
     unfiltered occurrence vetoes the table.  With statistics, filters whose
-    estimated selectivity exceeds ``config.prefilter_max_selectivity`` are
+    estimated selectivity exceeds :data:`PREFILTER_MAX_SELECTIVITY` are
     dropped (not worth the per-shard evaluation).
     """
-    config = config if config is not None else CostConfig()
     occurrences: dict[str, list[Optional[ast.Expression]]] = {}
     propagated: dict[tuple[int, str], list[ast.Expression]] = {}
 
@@ -760,7 +714,7 @@ def derive_table_prefilters(
                 predicate = ast.BinaryOp("OR", predicate, part)
         table_stats = statistics.table(table) if statistics is not None else None
         selectivity = predicate_selectivity(predicate, table_stats)
-        if table_stats is not None and selectivity > config.prefilter_max_selectivity:
+        if table_stats is not None and selectivity > PREFILTER_MAX_SELECTIVITY:
             continue
         prefilters.append(
             TablePrefilter(table=table, predicate=predicate, selectivity=selectivity)

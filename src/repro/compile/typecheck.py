@@ -41,11 +41,10 @@ errors.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional
 
-from ..errors import ConfigurationError, TypeCheckError, TypeMismatchError
+from ..errors import TypeCheckError, TypeMismatchError
 from ..sql import ast
 from ..sql.transform import find_aggregate_calls, iter_select_expressions, walk_expression
 from ..sql.types import (
@@ -64,25 +63,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 _COMPARISONS = frozenset({"=", "<>", "!=", "<", "<=", ">", ">="})
 #: arithmetic operators checked against the numeric/date rules
 _ARITHMETIC = frozenset({"+", "-", "*", "/"})
-
-
-def env_typecheck() -> bool:
-    """Parse ``REPRO_COMPILE_TYPECHECK`` strictly (default: enabled).
-
-    ``"1"`` (or unset/empty) enables the prepare-time checker, ``"0"``
-    disables it — the escape hatch the CI matrix exercises; results must be
-    identical either way, only diagnostics and the cost model's NOT NULL
-    shortcut change.  Anything else raises :class:`ConfigurationError`.
-    """
-    value = os.environ.get("REPRO_COMPILE_TYPECHECK", "").strip()
-    if not value or value == "1":
-        return True
-    if value == "0":
-        return False
-    raise ConfigurationError(
-        f"the REPRO_COMPILE_TYPECHECK environment variable must be "
-        f"'0' or '1' (got {value!r})"
-    )
 
 
 @dataclass(frozen=True)

@@ -8,9 +8,10 @@ paper's middleware pipeline (Figure 4):
 1. if the scope is complex, run its rewritten query to determine ``D``,
 2. prune ``D`` to ``D'`` using the client's privileges,
 3. compile the MTSQL statement into plain SQL through the middleware's staged
-   :class:`~repro.compile.QueryCompiler` (canonical rewrite + the configured
-   optimization level's passes + the shardability analysis) — exactly once
-   per statement,
+   :class:`~repro.compile.QueryCompiler` (type check + canonical rewrite +
+   the configured optimization level's passes + the shardability analysis)
+   — exactly once per statement; bind values are checked against the
+   artifact's inferred slot types,
 4. execute the compiled SQL on the underlying DBMS and relay the result; the
    whole :class:`~repro.compile.CompiledQuery` artifact travels with it so a
    sharded backend never re-analyses the AST.
@@ -314,9 +315,10 @@ class MTConnection:
         statistics_of = getattr(self.backend, "statistics", None)
         if statistics_of is None:
             return None
-        proven = compiled.facts.proven_not_null if compiled.facts is not None else None
         return estimate_select(
-            compiled.rewritten, statistics_of(), proven_not_null=proven
+            compiled.rewritten,
+            statistics_of(),
+            proven_not_null=compiled.facts.proven_not_null,
         )
 
     def _analyze_operators(
@@ -408,11 +410,10 @@ class MTConnection:
         A mistyped value (say a string bound into a slot compared with an
         INTEGER column) fails here with a
         :class:`~repro.errors.TypeCheckError` naming the slot, instead of
-        surfacing as a coercion surprise deep in the engine.  No-op when the
-        typechecker was disabled (``compiled.facts is None``).
+        surfacing as a coercion surprise deep in the engine.
         """
         facts = compiled.facts
-        if facts is None or not values or not facts.parameter_types:
+        if not values or not facts.parameter_types:
             return
         from ..compile.typecheck import check_parameter_values
 

@@ -14,9 +14,8 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import Any, Callable, Optional, Union
+from typing import Any, Callable, Union
 
-from ..compile.cost import CostConfig
 from ..compile.stats import RefreshPolicy, StatisticsCatalog, collect_table_stats
 from ..errors import ExecutionError
 from ..result import ExecuteResult, ExecutionStats, QueryResult, RowStream, StatementResult
@@ -64,7 +63,6 @@ class Database:
     def __init__(
         self,
         profile: Union[str, BackendProfile] = POSTGRES_PROFILE,
-        cost: Optional[CostConfig] = None,
         batch_size: int = DEFAULT_BATCH_SIZE,
     ) -> None:
         if isinstance(profile, str):
@@ -74,7 +72,6 @@ class Database:
                 raise ExecutionError(f"unknown back-end profile {profile!r}") from exc
         self.profile = profile
         self.batch_size = batch_size
-        self.cost = cost if cost is not None else CostConfig.from_env()
         self.catalog = Catalog()
         self.stats = ExecutionStats()
         self.executor = Executor(self)
@@ -256,18 +253,6 @@ class Database:
     def _note_mutations(self, table_name: str, count: int) -> None:
         name = table_name.lower()
         self._stat_mutations[name] = self._stat_mutations.get(name, 0) + max(count, 0)
-
-    def set_cost(self, enabled: bool) -> None:
-        """Switch cost-based planning on or off for this database.
-
-        The switch takes effect on the next statement preparation; cached
-        SQL-UDF body plans are dropped.
-        """
-        self.cost = CostConfig(
-            enabled=enabled,
-            prefilter_max_selectivity=self.cost.prefilter_max_selectivity,
-        )
-        self.executor.invalidate()
 
     def reset_stats(self) -> None:
         self.stats.reset()

@@ -10,14 +10,11 @@ The planner turns the FROM clause plus the conjunctive WHERE predicate into a
 * the remaining conjuncts are applied as residual filters as soon as every
   relation they mention is available.
 
-Join order is chosen greedily at prepare time.  In costed mode (the default,
-``REPRO_COMPILE_COST=1``) each relation's cardinality is scaled by the
-estimated selectivity of its pushed-down predicates using the database's
-collected statistics (:mod:`repro.compile.cost`): start from the smallest
-*filtered* relation and repeatedly attach the connected relation with the
-smallest filtered estimate.  In uncosted mode the historic structural order
-is used — raw base-table cardinalities, first connected candidate — which is
-the differential oracle the costed order is tested against.
+Join order is chosen greedily at prepare time.  Each relation's cardinality
+is scaled by the estimated selectivity of its pushed-down predicates using
+the database's collected statistics (:mod:`repro.compile.cost`): start from
+the smallest *filtered* relation and repeatedly attach the connected
+relation with the smallest filtered estimate.
 
 Every predicate, join key and look-up value is a batch kernel
 (:mod:`repro.engine.vector`).  Joins are *late-materialized*: a join step
@@ -649,7 +646,6 @@ class Planner:
         self.created_scopes: list[Scope] = []
         self._binding_columns: dict[str, set[str]] = {}
         self._batch_size = context.database.batch_size
-        self._costed = context.database.cost.enabled
         # binding (lower) -> column names (lower) the table's schema declares
         # NOT NULL (enforced by every INSERT / UPDATE / bulk load); populated
         # as base tables are planned, cleared for relations on the
@@ -960,17 +956,15 @@ class Planner:
         self,
         sources: list[SourcePlan],
         pushdown: dict[SourcePlan, list[ast.Expression]],
-    ) -> Optional[dict[int, float]]:
+    ) -> dict[int, float]:
         """Filtered cardinality per source, keyed by ``id(source)``.
 
-        Only computed in costed mode: the raw row count of each source is
-        scaled by the estimated selectivity of its pushed-down predicates
-        (with table statistics where collected), so a big-but-filtered table
-        can order before a small-but-unfiltered one.  ``None`` in uncosted
-        mode — join ordering then falls back to raw :meth:`SourcePlan.estimate`.
+        The raw row count of each source is scaled by the estimated
+        selectivity of its pushed-down predicates (with table statistics
+        where collected, the model's default leaf selectivities otherwise),
+        so a big-but-filtered table can order before a small-but-unfiltered
+        one.
         """
-        if not self._costed:
-            return None
         statistics = self._context.database.statistics()
         estimates: dict[int, float] = {}
         for source in sources:
@@ -987,20 +981,11 @@ class Planner:
         remaining: list[SourcePlan],
         placed_bindings: set[str],
         unused_edges: list,
-        estimates: Optional[dict[int, float]],
+        estimates: dict[int, float],
     ) -> int:
-        """Index of the next source to join into the pipeline.
-
-        Uncosted: the first source (in size order) connected to the placed
-        set through a join edge, matching the historic greedy order exactly.
-        Costed: the connected source with the smallest filtered estimate —
-        unconnected sources (cross products) only when nothing connects.
-        """
-        if estimates is None:
-            for index, candidate in enumerate(remaining):
-                if self._connecting_edges(candidate, placed_bindings, unused_edges):
-                    return index
-            return 0
+        """Index of the next source to join into the pipeline: the connected
+        source with the smallest filtered estimate — unconnected sources
+        (cross products) only when nothing connects."""
         best_index = 0
         best_key: Optional[tuple[int, float]] = None
         for index, candidate in enumerate(remaining):
@@ -1018,12 +1003,9 @@ class Planner:
         sources: list[SourcePlan],
         join_edges: list[tuple[set[str], ast.Expression, set[str], ast.Expression]],
         residual: list[ast.Expression],
-        estimates: Optional[dict[int, float]] = None,
+        estimates: dict[int, float],
     ) -> JoinPipeline:
-        if estimates is None:
-            remaining = sorted(sources, key=lambda source: source.estimate())
-        else:
-            remaining = sorted(sources, key=lambda source: estimates[id(source)])
+        remaining = sorted(sources, key=lambda source: estimates[id(source)])
         first = remaining.pop(0)
         placed_bindings = set(first.bindings)
         placed_schema = list(first.schema)

@@ -181,8 +181,9 @@ class TestLifecycle:
 
     def test_engine_escape_hatch(self):
         connection = EngineBackend().connect()
-        # legacy code reaches Database internals through the connection
-        assert connection.engine_database.catalog is connection.catalog
+        # engine_database is the only way into the Database internals
+        assert connection.engine_database.catalog is not None
+        assert not hasattr(connection, "catalog")
         assert connection.dialect.name == "default"
         sqlite = SQLiteBackend()
         assert not hasattr(sqlite.connect(), "engine_database")

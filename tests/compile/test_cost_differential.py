@@ -1,38 +1,32 @@
-"""Plan-choice differential suite: the costed planner vs. the uncosted oracle.
+"""Plan-choice pins: which federated pulls the cost model narrows, and by how much.
 
-The cost model changes *plans*, never *rows*: with statistics enabled the
-cluster planner reorders joins, pushes prefilter predicates and column
-subsets into the per-shard pulls of federated plans, and the engine planner
-orders comma-joins by estimated filtered cardinality.  This suite proves the
-choices are pure optimizations — every MT-H query, on both benchmark
-scenarios, for ``D' = {single, subset, all}`` and shards ∈ {1, 2, 4},
-returns row-set-identical results with the cost model on and off
-(``set_cost`` toggles the same switch as ``REPRO_COMPILE_COST=0``).
+The cost model changes *plans*, never *rows*: the cluster planner pushes
+prefilter predicates and column subsets into the per-shard pulls of
+federated plans, and the engine planner orders comma-joins by estimated
+filtered cardinality.  That the rows stay put is the shard-invariance grid's
+job (``tests/cluster/test_shard_invariance.py``: every MT-H query, both
+scenarios, ``D' = {single, subset, all}``, shards ∈ {1, 2, 4}, against one
+backend) and the SQLite differential's (``tests/backends/test_differential.py``).
 
-The taxonomy tests pin *which* plans the cost model improves: the four
-federated queries (Q15/Q17/Q20/Q22) leave the pull-everything path and gain
-per-table prefilters and pull-column subsets.
+These tests pin *which* plans the cost model improves: the four federated
+queries (Q15/Q17/Q20/Q22) leave the pull-everything path, gain per-table
+prefilters and pull-column subsets, and ship strictly less than a
+full-width pull of their tables would.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.backends import normalized_rows
 from repro.cluster import FederatedPlan
 from repro.mth.loader import load_mth
 from repro.mth.queries import ALL_QUERY_IDS, query_text
 
 TENANTS = 4
 CLIENT = 1
-SHARD_COUNTS = (1, 2, 4)
-
-#: the three D' shapes of the acceptance grid
-DATASETS = {
-    "single": "IN (2)",
-    "subset": "IN (1, 3)",
-    "all": "IN ()",
-}
+SHARDS = 4
+#: D' = all tenants
+ALL_TENANTS = "IN ()"
 
 #: the paper's two scenarios: business alliance (uniform), research (zipf)
 SCENARIOS = ("uniform", "zipf")
@@ -55,61 +49,44 @@ EXPECTED_PREFILTERED_TABLES = {
 
 
 @pytest.fixture(scope="module", params=SCENARIOS)
-def cost_grid(request, tiny_tpch_data):
-    """MT-H clusters for 1/2/4 shards, with the cost model toggleable."""
-    clusters = {
-        shard_count: load_mth(
-            data=tiny_tpch_data,
-            tenants=TENANTS,
-            distribution=request.param,
-            shards=shard_count,
-        )
-        for shard_count in SHARD_COUNTS
-    }
-    yield request.param, clusters
-    for instance in clusters.values():
-        instance.middleware.backend.close()
+def cluster(request, tiny_tpch_data):
+    """A 4-shard MT-H cluster per scenario."""
+    instance = load_mth(
+        data=tiny_tpch_data,
+        tenants=TENANTS,
+        distribution=request.param,
+        shards=SHARDS,
+    )
+    yield request.param, instance
+    instance.middleware.backend.close()
 
 
-def _connection(instance, scope: str):
+def _connection(instance):
     connection = instance.middleware.connect(CLIENT, optimization="o4")
-    connection.set_scope(scope)
+    connection.set_scope(ALL_TENANTS)
     return connection
 
 
-@pytest.mark.parametrize("query_id", ALL_QUERY_IDS)
-def test_costed_plans_are_row_identical(cost_grid, query_id):
-    """Cost on vs. cost off: identical row sets across the whole grid."""
-    _scenario, clusters = cost_grid
-    text = query_text(query_id)
-    for name, scope in DATASETS.items():
-        for shard_count, cluster in clusters.items():
-            sharded = cluster.middleware.backend
-            sharded.set_cost(True)
-            costed = normalized_rows(_connection(cluster, scope).query(text))
-            costed_plan = sharded.last_plan
-            sharded.set_cost(False)
-            try:
-                uncosted = normalized_rows(_connection(cluster, scope).query(text))
-                uncosted_plan = sharded.last_plan
-            finally:
-                sharded.set_cost(True)
-            assert costed == uncosted, (
-                f"Q{query_id} D'={name} shards={shard_count}: costed plan "
-                f"({costed_plan.describe() if costed_plan else 'none'}) and "
-                f"uncosted plan "
-                f"({uncosted_plan.describe() if uncosted_plan else 'none'}) "
-                f"return different row sets"
-            )
+def _full_width_volume(sharded, plan: FederatedPlan) -> tuple[int, int]:
+    """(rows, cells) an unfiltered, full-width pull of ``plan.tables`` ships:
+    every shard's rows of a partitioned table, one replica's of a
+    replicated one."""
+    rows = cells = 0
+    for table in plan.tables:
+        shards = sharded.shard_connections
+        if not sharded.catalog.is_partitioned(table):
+            shards = shards[:1]
+        count = sum(shard.table_rowcount(table) for shard in shards)
+        rows += count
+        cells += count * len(sharded.planner.columns_of[table])
+    return rows, cells
 
 
-def test_federated_queries_gain_prefilters(cost_grid):
+def test_federated_queries_gain_prefilters(cluster):
     """The costed planner prefilters exactly the federated queries' pulls."""
-    scenario, clusters = cost_grid
-    cluster = clusters[4]
-    sharded = cluster.middleware.backend
-    sharded.set_cost(True)
-    connection = _connection(cluster, DATASETS["all"])
+    scenario, instance = cluster
+    sharded = instance.middleware.backend
+    connection = _connection(instance)
     prefiltered: dict[int, set[str]] = {}
     for query_id in ALL_QUERY_IDS:
         connection.query(query_text(query_id))
@@ -133,53 +110,25 @@ def test_federated_queries_gain_prefilters(cost_grid):
         )
 
 
-def test_uncosted_plans_carry_no_pushdown(cost_grid):
-    """With the cost model off, federated plans pull everything (the seed
-    semantics the differential baseline runs against)."""
-    _scenario, clusters = cost_grid
-    cluster = clusters[4]
-    sharded = cluster.middleware.backend
-    sharded.set_cost(False)
-    try:
-        connection = _connection(cluster, DATASETS["all"])
-        for query_id in sorted(FEDERATED_QUERY_IDS):
-            connection.query(query_text(query_id))
-            plan = sharded.last_plan
-            assert isinstance(plan, FederatedPlan)
-            assert plan.prefilters == ()
-            assert plan.pull_columns == ()
-    finally:
-        sharded.set_cost(True)
-
-
-def test_prefilters_reduce_pulled_volume(cost_grid):
-    """The pushed-down pulls ship strictly fewer rows and cells per shard."""
-    _scenario, clusters = cost_grid
-    cluster = clusters[4]
-    sharded = cluster.middleware.backend
-    connection = _connection(cluster, DATASETS["all"])
+def test_prefilters_reduce_pulled_volume(cluster):
+    """The pushed-down pulls ship strictly fewer rows and cells than a
+    full-width pull of the plan's tables."""
+    _scenario, instance = cluster
+    sharded = instance.middleware.backend
+    connection = _connection(instance)
     for query_id in sorted(FEDERATED_QUERY_IDS):
-        text = query_text(query_id)
-        sharded.set_cost(True)
         sharded._scratch_state.clear()
         sharded.reset_pull_counters()
-        connection.query(text)
-        costed = (sharded.rows_pulled, sharded.cells_pulled)
+        connection.query(query_text(query_id))
+        pulled = (sharded.rows_pulled, sharded.cells_pulled)
         assert sharded.prefiltered_syncs > 0
-        sharded.set_cost(False)
-        try:
-            sharded._scratch_state.clear()
-            sharded.reset_pull_counters()
-            connection.query(text)
-            uncosted = (sharded.rows_pulled, sharded.cells_pulled)
-        finally:
-            sharded.set_cost(True)
+        full = _full_width_volume(sharded, sharded.last_plan)
         # strict reduction on both axes for every federated query
-        assert costed[0] < uncosted[0], (
-            f"Q{query_id}: costed pull ships {costed[0]} rows, uncosted "
-            f"{uncosted[0]} — expected a strict reduction"
+        assert pulled[0] < full[0], (
+            f"Q{query_id}: the pull ships {pulled[0]} rows, a full-width "
+            f"pull {full[0]} — expected a strict reduction"
         )
-        assert costed[1] < uncosted[1], (
-            f"Q{query_id}: costed pull ships {costed[1]} cells, uncosted "
-            f"{uncosted[1]} — expected a strict reduction"
+        assert pulled[1] < full[1], (
+            f"Q{query_id}: the pull ships {pulled[1]} cells, a full-width "
+            f"pull {full[1]} — expected a strict reduction"
         )

@@ -38,9 +38,6 @@ def mt():
         "CREATE FUNCTION taxed (DECIMAL(15,2), INTEGER) RETURNS DECIMAL(15,2) AS "
         "'SELECT $1 * $2' LANGUAGE SQL IMMUTABLE"
     )
-    # pin the checker on explicitly: this suite tests the analyzer itself,
-    # so it must hold even on the CI leg that exports the env knob as 0
-    instance.compiler.typecheck = True
     return instance
 
 
@@ -53,9 +50,7 @@ def conn(mt):
 
 @pytest.fixture(scope="module", params=SCENARIOS)
 def mth(request, tiny_tpch_data):
-    instance = load_mth(data=tiny_tpch_data, tenants=4, distribution=request.param)
-    instance.middleware.compiler.typecheck = True  # immune to the env knob
-    return instance
+    return load_mth(data=tiny_tpch_data, tenants=4, distribution=request.param)
 
 
 # ---------------------------------------------------------------------------
@@ -240,25 +235,10 @@ def test_typecheck_error_travels_the_wire_as_itself(mt):
 
 @pytest.mark.parametrize("query_id", ALL_QUERY_IDS)
 def test_all_mth_queries_typecheck_clean(mth, query_id):
-    """Every MT-H query passes the checker and returns the same rows as a
-    typecheck-disabled compile (the checker gates, it never changes results)."""
-    text = query_text(query_id)
-
-    def run():
-        connection = mth.middleware.connect(1, optimization="o4")
-        connection.set_scope("IN (1, 3)")
-        return connection.query(text)
-
-    checked = run()
-    compiler = mth.middleware.compiler
-    assert compiler.typecheck  # enabled by default
-    compiler.typecheck = False
-    try:
-        unchecked = run()
-    finally:
-        compiler.typecheck = True
-    assert checked.columns == unchecked.columns
-    assert checked.rows == unchecked.rows
+    """Every MT-H query passes the checker and leaves SemanticFacts."""
+    connection = mth.middleware.connect(1, optimization="o4")
+    connection.set_scope("IN (1, 3)")
+    assert connection.compile(query_text(query_id)).facts is not None
 
 
 def test_facts_on_the_artifact(mth):
@@ -279,15 +259,3 @@ def test_facts_on_the_artifact(mth):
     # the rewritten statement's column-provenance map is populated
     assert facts.column_owners
     assert facts.expression_types
-
-
-def test_disabled_checker_produces_no_facts(mth):
-    connection = mth.middleware.connect(1, optimization="o4")
-    connection.set_scope("IN (1, 3)")
-    compiler = mth.middleware.compiler
-    compiler.typecheck = False
-    try:
-        compiled = connection.compile("SELECT COUNT(*) FROM lineitem")
-    finally:
-        compiler.typecheck = True
-    assert compiled.facts is None

@@ -212,7 +212,7 @@ def test_kernel_specialization_is_no_configuration():
     database takes its batch size and nothing else about execution."""
     with pytest.raises(ModuleNotFoundError):
         importlib.import_module("repro.engine.config")
-    assert list(inspect.signature(Database).parameters) == ["profile", "cost", "batch_size"]
+    assert list(inspect.signature(Database).parameters) == ["profile", "batch_size"]
     assert Database(batch_size=8).batch_size == 8
 
 
@@ -352,7 +352,6 @@ def test_q4_scan_filter_is_proven_not_generic(tiny_tpch_data):
     instance = load_mth(
         data=tiny_tpch_data, tenants=4, backend=EngineBackend(database=database)
     )
-    instance.middleware.compiler.typecheck = True
     connection = instance.middleware.connect(1, optimization="o4")
     connection.set_scope("IN ()")
     instance.middleware.backend.reset_stats()

@@ -99,7 +99,7 @@ def test_envknobs_flags_module_level_read(local_paths):
         """
         import os
 
-        FLAG = os.environ.get("REPRO_COMPILE_COST", "1")
+        FLAG = os.environ.get("REPRO_BENCH_FULL", "1")
         """,
     )
     findings = envknobs.check(roots=(local_paths,))
@@ -114,7 +114,7 @@ def test_envknobs_flags_lenient_parser(local_paths):
         import os
 
         def enabled():
-            return os.getenv("REPRO_COMPILE_COST") == "1"
+            return os.getenv("REPRO_BENCH_FULL") == "1"
         """,
     )
     findings = envknobs.check(roots=(local_paths,))
@@ -144,23 +144,39 @@ def test_envknobs_flags_undocumented_name(local_paths):
     )
 
 
+STRICT_PARSER = """
+import os
+
+def enabled():
+    if "REPRO_BENCH_FULL" in os.environ:  # membership probe: exempt
+        pass
+    value = os.environ.get("REPRO_BENCH_FULL", "").strip()
+    if value not in ("", "0", "1"):
+        raise ConfigurationError(value)
+    return value != "0"
+"""
+
+
 def test_envknobs_accepts_strict_documented_parser(local_paths):
+    _write(local_paths, "good_strict.py", STRICT_PARSER)
+    _write(local_paths, "knobs.md", "`REPRO_BENCH_FULL=1` runs every query\n")
+    assert envknobs.check(roots=(local_paths,), doc_roots=(local_paths,)) == []
+
+
+def test_envknobs_flags_documented_name_nobody_reads(local_paths):
+    _write(local_paths, "good_strict.py", STRICT_PARSER)
     _write(
         local_paths,
-        "good_strict.py",
+        "knobs.md",
         """
-        import os
-
-        def enabled():
-            if "REPRO_COMPILE_COST" in os.environ:  # membership probe: exempt
-                pass
-            value = os.environ.get("REPRO_COMPILE_COST", "").strip()
-            if value not in ("", "0", "1"):
-                raise ConfigurationError(value)
-            return value != "0"
+        | `REPRO_BENCH_FULL` | every query |
+        | `REPRO_SERVER_*` | a family wildcard: exempt |
+        | `REPRO_GHOST_KNOB` | retired, still documented |
         """,
     )
-    assert envknobs.check(roots=(local_paths,)) == []
+    findings = envknobs.check(roots=(local_paths,), doc_roots=(local_paths,))
+    assert [(v.path, v.line) for v in findings] == [("knobs.md", 4)]
+    assert "REPRO_GHOST_KNOB is documented but never read" in findings[0].message
 
 
 # ---------------------------------------------------------------------------

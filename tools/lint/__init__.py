@@ -5,7 +5,7 @@ Six checkers police invariants the generic linters cannot express:
 * :mod:`tools.lint.envknobs` — every ``REPRO_*`` environment variable is
   read through a strict parser (raises ``ConfigurationError`` on malformed
   values, never silently defaults) and is documented in ``docs/`` or the
-  README;
+  README, and every name those docs mention is read somewhere;
 * :mod:`tools.lint.execguard` — ``exec``-generated kernel source appears
   only in the two vetted engine modules, pre-compiled, sandboxed with an
   empty ``__builtins__`` and assembled before the call site (never an

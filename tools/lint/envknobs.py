@@ -8,7 +8,7 @@ malformed value — never ``or default`` / ``== "1"`` leniency, because a
 mistyped knob that silently falls back to its default runs the wrong
 experiment and reports it as the right one.
 
-Two rules, enforced over ``src/`` and ``benchmarks/`` with :mod:`ast`:
+Three rules, enforced over ``src/`` and ``benchmarks/`` with :mod:`ast`:
 
 1. **Strict parse** — every read of a ``REPRO_*`` variable
    (``os.environ.get``, ``os.getenv``, ``os.environ[...]``) must sit inside
@@ -16,6 +16,10 @@ Two rules, enforced over ``src/`` and ``benchmarks/`` with :mod:`ast`:
    (``"X" in os.environ``) are exempt: a probe cannot misparse a value.
 2. **Documented** — every ``REPRO_*`` name that reaches a parser must
    appear in ``README.md`` or somewhere under ``docs/``.
+3. **Live** — every full ``REPRO_*`` name mentioned in ``README.md`` or
+   ``docs/`` must be read in ``src/`` or ``benchmarks/``; a retired knob
+   belongs in ``CHANGES.md``, not in the user-facing docs.  A family
+   wildcard (``REPRO_SERVER_*``) is exempt.
 
 Run directly (``python tools/lint/envknobs.py``) or via
 ``tools/lint/run.py``.
@@ -24,6 +28,7 @@ Run directly (``python tools/lint/envknobs.py``) or via
 from __future__ import annotations
 
 import ast
+import re
 import sys
 from pathlib import Path
 
@@ -37,6 +42,8 @@ BENCHMARKS = REPO_ROOT / "benchmarks"
 DOC_ROOTS = (REPO_ROOT / "README.md", REPO_ROOT / "docs")
 
 PREFIX = "REPRO_"
+#: a full knob name in prose; a trailing ``*`` marks a family wildcard
+DOC_NAME = re.compile(r"\bREPRO_[A-Z0-9_]*[A-Z0-9](?![A-Z0-9_]*\*)\b")
 
 
 def _is_environ(node: ast.AST) -> bool:
@@ -161,19 +168,19 @@ def _check_module(path: Path) -> tuple[list[Violation], set[str]]:
     return violations, _referenced_names(tree)
 
 
-def _documented_names() -> str:
-    texts = []
-    for root in DOC_ROOTS:
+def _doc_texts(doc_roots) -> dict[Path, str]:
+    """Every documentation page under ``doc_roots`` and its text."""
+    pages: list[Path] = []
+    for root in doc_roots:
         if root.is_file():
-            texts.append(root.read_text(encoding="utf-8"))
+            pages.append(root)
         elif root.is_dir():
-            for page in sorted(root.rglob("*.md")):
-                texts.append(page.read_text(encoding="utf-8"))
-    return "\n".join(texts)
+            pages.extend(sorted(root.rglob("*.md")))
+    return {page: page.read_text(encoding="utf-8") for page in pages}
 
 
-def check(roots=None) -> list[Violation]:
-    """Run both rules; return every violation (empty = clean)."""
+def check(roots=None, doc_roots=DOC_ROOTS) -> list[Violation]:
+    """Run the three rules; return every violation (empty = clean)."""
     roots = roots if roots is not None else (SRC, BENCHMARKS)
     violations: list[Violation] = []
     referenced: dict[str, tuple[str, int]] = {}
@@ -182,7 +189,8 @@ def check(roots=None) -> list[Violation]:
         violations.extend(found)
         for name in names:
             referenced.setdefault(name, (relative(path), 1))
-    documentation = _documented_names()
+    texts = _doc_texts(doc_roots)
+    documentation = "\n".join(texts.values())
     for name in sorted(referenced):
         if name not in documentation:
             where, line = referenced[name]
@@ -194,6 +202,20 @@ def check(roots=None) -> list[Violation]:
                     f"docs/ — add it to the environment-variable table",
                 )
             )
+    mentioned: set[str] = set()
+    for page, text in texts.items():
+        for number, line in enumerate(text.splitlines(), start=1):
+            for name in DOC_NAME.findall(line):
+                if name not in referenced and name not in mentioned:
+                    mentioned.add(name)
+                    violations.append(
+                        Violation(
+                            relative(page),
+                            number,
+                            f"{name} is documented but never read in src/ or "
+                            f"benchmarks/ — drop the stale mention",
+                        )
+                    )
     return violations
 
 
