@@ -1,8 +1,8 @@
 """Ablation: cost of the MTSQL→SQL rewrite itself (middleware overhead).
 
 The paper argues the middleware adds negligible overhead compared to query
-execution.  This ablation measures (a) compiling alone — parse, canonical
-rewrite, optimization passes, shardability analysis, SQL printing — and (b)
+execution.  This ablation measures (a) compiling alone — parse, type check,
+canonical rewrite, optimization passes, SQL printing — and (b)
 executing the already-compiled statement, for a representative query mix,
 plus (c) the staged compiler's per-pass timing breakdown
 (``CompiledQuery.passes``), which attributes the compile cost to the

@@ -7,7 +7,7 @@ query gateway and shows, per query, which execution strategy the cluster
 planner picked:
 
 * ``single-shard``      — ``D'`` lands on one shard (or only global tables),
-* ``row-stream``        — scatter + UNION merge,
+* ``row-stream``        — scatter + DISTINCT/ORDER BY/LIMIT over the union,
 * ``partial-aggregate`` — scatter + SUM/COUNT/MIN/MAX (AVG = SUM÷COUNT)
   re-aggregation,
 * ``federated``         — pull base rows into a scratch backend (the

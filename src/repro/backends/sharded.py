@@ -30,14 +30,8 @@ from typing import TYPE_CHECKING, Any, Callable, Optional, Sequence, Union
 
 from ..cluster.coordinator import ShardCoordinator
 from ..cluster.placement import HashPlacement, PlacementPolicy
-from ..cluster.planner import (
-    ClusterCatalog,
-    ClusterPlanner,
-    FederatedPlan,
-    PartitionInfo,
-    Plan,
-    SingleShardPlan,
-)
+from ..cluster.planner import ClusterPlanner, FederatedPlan, Plan, SingleShardPlan
+from ..compile.analysis import ClusterCatalog, PartitionInfo, ShardabilityAnalyzer
 from ..compile.cost import TablePrefilter
 from ..compile.stats import StatisticsCatalog, merge_catalogs
 from ..errors import ClusterError
@@ -45,7 +39,8 @@ from ..result import ExecuteResult, ExecutionStats, RowStream, StatementResult
 from ..sql import ast
 from ..sql.dialect import Dialect
 from ..sql.params import bind_parameters, statement_parameters
-from ..sql.parser import parse_statement
+from ..sql.parser import parse_query, parse_statement
+from ..sql.transform import referenced_table_names
 from ..sql.types import date_from_days
 from .base import Backend, BackendConnection, Statement
 
@@ -133,7 +128,6 @@ class ShardedConnection(BackendConnection):
         self._tables: dict[str, _TableSchema] = {}
         self._ddl_log: list[ast.Statement] = []
         self._udf_log: list[tuple[str, str, Any, bool]] = []
-        self._udf_support_tables: Optional[set[str]] = None
         self._udf_statement_cache: Optional[tuple[ast.Select, ...]] = None
         self._scratch: Optional[BackendConnection] = None
         self._scratch_backend: Optional[Backend] = None
@@ -185,8 +179,8 @@ class ShardedConnection(BackendConnection):
     ) -> ExecuteResult:
         """Execute a statement, pruning the shard fan-out to ``dataset``'s shards.
 
-        ``compiled`` (a middleware-compiled statement's artifact) lets the
-        planner consume the precomputed shardability analysis and lets this
+        ``compiled`` (a middleware-compiled statement's artifact) hands the
+        planner the static analyzer's column provenance and lets this
         connection memoize the resulting plan on the artifact, so a gateway
         cache hit re-executes without planning at all.
         """
@@ -246,11 +240,10 @@ class ShardedConnection(BackendConnection):
                 if plan is not None:
                     self.plan_reuses += 1
         if plan is None:
-            # raw backend SQL arrives uncompiled: no analysis, no facts
+            # raw backend SQL arrives uncompiled: no facts
             plan = self.planner.plan(
                 statement,
                 shards,
-                analysis=compiled.analysis if compiled is not None else None,
                 column_owners=(
                     compiled.facts.column_owners if compiled is not None else None
                 ),
@@ -316,8 +309,7 @@ class ShardedConnection(BackendConnection):
                 self.catalog.drop_view(statement.name)
             elif isinstance(statement, ast.CreateFunction):
                 # a SQL-bodied function reads tables the query text never
-                # names; recompute the federated sync set lazily
-                self._udf_support_tables = None
+                # names; re-parse the UDF bodies lazily
                 self._udf_statement_cache = None
             self._ddl_log.append(statement)
             result: ExecuteResult = StatementResult(type(statement).__name__)
@@ -421,8 +413,6 @@ class ShardedConnection(BackendConnection):
         statement: Union[ast.Update, ast.Delete],
         parameters: Optional[Sequence[Any]],
     ) -> ExecuteResult:
-        from ..sql.transform import referenced_table_names
-
         partitioned = self.catalog.is_partitioned(statement.table)
         kind = "UPDATE" if isinstance(statement, ast.Update) else "DELETE"
         info = self.catalog.partitioned.get(statement.table.lower())
@@ -491,7 +481,7 @@ class ShardedConnection(BackendConnection):
             from_items=[ast.TableRef(name=statement.table)],
             where=statement.where,
         )
-        if not self.planner.analyzer.stream_info(probe).ok:
+        if not ShardabilityAnalyzer(self.catalog).stream_info(probe).ok:
             raise ClusterError(
                 f"{kind} on {statement.table!r} uses a sub-query that needs "
                 f"cross-shard data; per-shard evaluation would mutate the "
@@ -532,38 +522,21 @@ class ShardedConnection(BackendConnection):
             return scratch.execute(plan.statement, parameters=parameters)
 
     def _sql_udf_tables(self) -> set[str]:
-        """Tables referenced by SQL UDF bodies (registered *or* DDL-created)."""
-        if self._udf_support_tables is None:
-            from ..sql.parser import parse_query
-            from ..sql.transform import referenced_table_names
-
-            bodies = [
-                payload
-                for kind, _name, payload, _immutable in self._udf_log
-                if kind == "sql"
-            ]
-            bodies.extend(
-                statement.body
-                for statement in self._ddl_log
-                if isinstance(statement, ast.CreateFunction)
-                and statement.language.upper() == "SQL"
-            )
-            support: set[str] = set()
-            for body in bodies:
-                support |= referenced_table_names(parse_query(body))
-            self._udf_support_tables = support & self.catalog.relations
-        return self._udf_support_tables
+        """Cluster tables the SQL UDF bodies read (the query text never names
+        them, so a federated plan syncs them too)."""
+        support: set[str] = set()
+        for body in self._sql_udf_statements():
+            support |= referenced_table_names(body)
+        return support & self.catalog.relations
 
     def _sql_udf_statements(self) -> tuple[ast.Select, ...]:
-        """Parsed SQL-UDF bodies, for the planner's projection pushdown.
+        """Parsed SQL-UDF bodies (registered *or* DDL-created), cached.
 
         Columns a UDF body reads never appear in the query text, so the
         planner must treat them as referenced when deriving per-table pull
         columns for federated plans.
         """
         if self._udf_statement_cache is None:
-            from ..sql.parser import parse_query
-
             bodies = [
                 payload
                 for kind, _name, payload, _immutable in self._udf_log
@@ -575,11 +548,7 @@ class ShardedConnection(BackendConnection):
                 if isinstance(statement, ast.CreateFunction)
                 and statement.language.upper() == "SQL"
             )
-            self._udf_statement_cache = tuple(
-                query
-                for query in (parse_query(body) for body in bodies)
-                if isinstance(query, ast.Select)
-            )
+            self._udf_statement_cache = tuple(map(parse_query, bodies))
         return self._udf_statement_cache
 
     def _ensure_scratch(self) -> BackendConnection:
@@ -779,8 +748,7 @@ class ShardedConnection(BackendConnection):
         """Register a SQL-bodied UDF on every shard (and the scratch backend)."""
         with self._lock:
             self._udf_log.append(("sql", name, body, immutable))
-            # recompute the federated sync set / pushdown inputs lazily
-            self._udf_support_tables = None
+            # re-parse the UDF bodies (sync set, pushdown inputs) lazily
             self._udf_statement_cache = None
             for shard in self._shards:
                 shard.register_sql_function(name, body, immutable=immutable)
@@ -891,7 +859,8 @@ class ShardedConnection(BackendConnection):
         with self._lock:
             self.plan_reuses = 0
         self.reset_pull_counters()
-        self.planner.reset_stats()
+        with self.planner._stats_lock:
+            self.planner.plans = 0
         for shard in self._shards:
             shard.reset_stats()
         if self._scratch is not None:

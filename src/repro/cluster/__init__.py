@@ -10,14 +10,18 @@ scatter-gather:
   (single-shard fast path, UNION row stream, partial-aggregate
   re-aggregation, federated fallback),
 * :mod:`repro.cluster.coordinator` — scatter the per-shard queries, gather
-  the results in shard order and merge them: a partial-aggregate plan's
-  gathered rows are the input of its *merge query* (the outer half of the
-  paper's §4.2.2 aggregation distribution, built by
-  :func:`repro.sql.transform.split_partial_aggregates`), which the
-  coordinator's own engine database executes — the cluster has no
-  expression evaluator of its own,
-* :mod:`repro.cluster.merge`       — ``DISTINCT`` / ``ORDER BY`` over
-  gathered row streams.
+  the results in shard order and merge them: the gathered rows are the input
+  of the plan's *merge query* (for aggregates the outer half of the paper's
+  §4.2.2 aggregation distribution; built by
+  :func:`repro.sql.transform.split_partial_aggregates` /
+  :func:`~repro.sql.transform.split_row_stream`), which the coordinator's own
+  engine database executes — the cluster has no expression evaluator and no
+  row sorter of its own.
+
+The planner owns the shardability analysis
+(:class:`~repro.compile.analysis.ShardabilityAnalyzer`) and runs it against
+the catalog the sharded backend builds from its DDL; the compiler hands over
+only the static analyzer's column provenance.
 
 The user-facing entry point is :class:`repro.backends.sharded.ShardedBackend`,
 which implements the ordinary backend protocol on top of these pieces — the
@@ -27,32 +31,25 @@ middleware and the gateway work unchanged over a cluster.
 from __future__ import annotations
 
 from .coordinator import ShardCoordinator
-from .merge import distinct_rows, sort_rows
 from .placement import ExplicitPlacement, HashPlacement, PlacementPolicy
 from .planner import (
-    ClusterCatalog,
     ClusterPlanner,
     FederatedPlan,
     PartialAggregatePlan,
-    PartitionInfo,
     Plan,
     RowStreamPlan,
     SingleShardPlan,
 )
 
 __all__ = [
-    "ClusterCatalog",
     "ClusterPlanner",
     "ExplicitPlacement",
     "FederatedPlan",
     "HashPlacement",
     "PartialAggregatePlan",
-    "PartitionInfo",
     "Plan",
     "PlacementPolicy",
     "RowStreamPlan",
     "ShardCoordinator",
     "SingleShardPlan",
-    "distinct_rows",
-    "sort_rows",
 ]

@@ -6,13 +6,13 @@ Given a :mod:`plan <repro.cluster.planner>` the coordinator
   one worker per shard — shards are independent databases),
 * **gathers** the shard results in shard order (so repeated executions are
   deterministic), and
-* **merges**: row streams are concatenated and have ``DISTINCT`` / ``ORDER
-  BY`` / ``LIMIT`` re-applied (:mod:`repro.cluster.merge`); partial
-  aggregates become the input relation of the plan's *merge query* — the
-  outer half of the paper's aggregation distribution (§4.2.2) — which an
-  engine :class:`~repro.engine.database.Database` owned by the coordinator
-  executes, so re-aggregation, ``HAVING``, projection, ``ORDER BY`` and
-  ``LIMIT`` are the engine's own.
+* **merges**: the gathered rows become the input relation of the plan's
+  *merge query*, which an engine :class:`~repro.engine.database.Database`
+  owned by the coordinator executes.  For partial aggregates that query is
+  the outer half of the paper's aggregation distribution (§4.2.2), so
+  re-aggregation, ``HAVING``, projection, ``ORDER BY`` and ``LIMIT`` are the
+  engine's own; for row streams it re-applies ``DISTINCT`` / ``ORDER BY`` /
+  ``LIMIT`` over the union the same way.
 
 Federated plans are *not* handled here — they need the owning
 :class:`~repro.backends.sharded.ShardedConnection`'s scratch backend and are
@@ -33,7 +33,6 @@ from ..sql import ast
 from ..sql.params import bind_parameters
 from ..sql.printer import to_sql
 from ..sql.transform import MERGE_RELATION
-from .merge import distinct_rows, sort_rows
 from .planner import PartialAggregatePlan, RowStreamPlan, SingleShardPlan
 
 
@@ -84,9 +83,7 @@ class ShardCoordinator:
         """Run one plan and return the merged :class:`QueryResult`."""
         if isinstance(plan, SingleShardPlan):
             return self._shards[plan.shard].query(plan.statement, parameters=parameters)
-        if isinstance(plan, RowStreamPlan):
-            return self._execute_row_stream(plan, parameters)
-        return self._execute_partial_aggregate(plan, parameters)
+        return self._merge(plan, parameters)
 
     def close(self) -> None:
         """Shut the scatter worker pool down (the shards are closed elsewhere)."""
@@ -122,37 +119,19 @@ class ShardCoordinator:
                 )
             return self._pool
 
-    # -- gather: row streams -------------------------------------------------
+    # -- gather ----------------------------------------------------------------
 
-    def _execute_row_stream(
-        self, plan: RowStreamPlan, parameters: Optional[Sequence[Any]]
+    def _merge(
+        self,
+        plan: Union[RowStreamPlan, PartialAggregatePlan],
+        parameters: Optional[Sequence[Any]],
     ) -> QueryResult:
-        split = plan.split
-        results = self._scatter(split.shard_query, plan.shards, parameters)
-        rows: list[tuple] = []
-        for result in results:
-            rows.extend(result.rows)
-        if split.distinct:
-            # per-shard DISTINCT leaves cross-shard duplicates; drop them the
-            # way the engine does (first occurrence wins) before ordering
-            rows = distinct_rows(rows)
-        rows = sort_rows(rows, split.sort_columns)
-        if split.limit is not None:
-            rows = rows[: split.limit]
-        if split.visible_width < len(split.shard_query.items):
-            rows = [row[: split.visible_width] for row in rows]
-        columns = [_output_name(item) for item in plan.statement.items]
-        return QueryResult(columns=columns, rows=rows)
-
-    # -- gather: partial aggregates ------------------------------------------
-
-    def _execute_partial_aggregate(
-        self, plan: PartialAggregatePlan, parameters: Optional[Sequence[Any]]
-    ) -> QueryResult:
+        """Scatter the shard query, then run the merge query over the union."""
         split = plan.split
         results = self._scatter(split.shard_query, plan.shards, parameters)
         # shard order, then each shard's row order: the merge query's SUMs add
-        # in this order, which keeps float results reproducible
+        # (and its stable sorts break ties) in this order, which keeps results
+        # reproducible
         gathered: list[tuple] = []
         for result in results:
             gathered.extend(result.rows)

@@ -9,8 +9,9 @@ planner picks the cheapest sound strategy:
 1. :class:`SingleShardPlan` — the query references no partitioned table, or
    ``D'`` lands on a single shard (the fast path): execute there unchanged.
 2. :class:`RowStreamPlan` — a non-aggregate query whose row stream provably
-   partitions across shards: plain UNION of the shard streams, with
-   ``ORDER BY``/``LIMIT``/``DISTINCT`` re-applied by the coordinator.
+   partitions across shards: the shards stream rows, the coordinator's engine
+   runs the merge query that re-applies ``DISTINCT``/``ORDER BY``/``LIMIT``
+   over their union.
 3. :class:`PartialAggregatePlan` — an aggregate query over a partitioned row
    stream: shards compute partial aggregates per group (``SUM``/``COUNT``/
    ``MIN``/``MAX``, ``AVG`` as ``SUM``÷``COUNT``), the coordinator's engine
@@ -22,15 +23,14 @@ planner picks the cheapest sound strategy:
    the planner's static analysis allowed to be conservative.
 
 **Soundness** of strategies 2 and 3 is proven by the shardability analysis in
-:mod:`repro.compile.analysis` (see its module docstring for the rules).  The
-analysis runs *once per statement*: when the statement arrives from the
-middleware it carries a precomputed
-:class:`~repro.compile.analysis.QueryAnalysis` inside its
-:class:`~repro.compile.artifact.CompiledQuery`, and the planner consumes that
-artifact instead of re-walking the AST (``stats.analyses_reused`` vs.
-``stats.analyses_recomputed`` counts both paths).  Bare statements — direct
-``backend.execute()`` calls that never went through the compiler — fall back
-to the planner's own :class:`~repro.compile.analysis.ShardabilityAnalyzer`.
+:mod:`repro.compile.analysis` (see its module docstring for the rules), which
+the planner runs against its own catalog — the one the owning sharded backend
+builds from the DDL it broadcasts, so it knows every table of the cluster,
+backend-created meta tables included.  A statement compiled by the middleware
+brings the static analyzer's column-provenance map
+(``CompiledQuery.facts.column_owners``), which resolves unqualified columns
+for the walk; the backend memoizes the plan on the statement's artifact, so
+the walk runs once per (statement, shard set, catalog version).
 """
 
 from __future__ import annotations
@@ -39,14 +39,7 @@ import threading
 from dataclasses import dataclass
 from typing import Collection, Optional, Union
 
-# Re-exported for backward compatibility: the partitioning catalog moved to
-# repro.compile.analysis so the compiler and the planner share one analysis.
-from ..compile.analysis import (  # noqa: F401  (ClusterCatalog/PartitionInfo re-export)
-    ClusterCatalog,
-    PartitionInfo,
-    QueryAnalysis,
-    ShardabilityAnalyzer,
-)
+from ..compile.analysis import ClusterCatalog, ShardabilityAnalyzer
 from ..compile.cost import TablePrefilter, derive_pull_columns, derive_table_prefilters
 from ..errors import SplitError
 from ..sql import ast
@@ -77,7 +70,7 @@ class SingleShardPlan:
 
 @dataclass(frozen=True)
 class RowStreamPlan:
-    """Scatter the per-shard stream, gather by UNION + re-sort at the top."""
+    """Scatter the per-shard stream, run the merge query over their union."""
 
     shards: tuple[int, ...]
     split: RowStreamSplit
@@ -152,27 +145,11 @@ Plan = Union[SingleShardPlan, RowStreamPlan, PartialAggregatePlan, FederatedPlan
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class PlannerStats:
-    """Planner counters, read by the compile-once acceptance tests."""
-
-    #: total plan() calls
-    plans: int = 0
-    #: statements planned from a precomputed CompiledQuery analysis
-    analyses_reused: int = 0
-    #: bare statements whose analysis the planner had to run itself
-    analyses_recomputed: int = 0
-
-    def reset(self) -> None:
-        """Zero the counters."""
-        self.plans = 0
-        self.analyses_reused = 0
-        self.analyses_recomputed = 0
-
-
 _EVAL_BINARY_OPS = frozenset(
     {"+", "-", "*", "/", "%", "||", "=", "<>", "<", "<=", ">", ">=", "AND", "OR"}
 )
+#: shapes a merge query evaluates whenever their children are evaluable
+_EVAL_PASS_THROUGH = (ast.UnaryOp, ast.Case, ast.IsNull, ast.Between, ast.InList)
 
 
 class ClusterPlanner:
@@ -188,8 +165,6 @@ class ClusterPlanner:
         udf_statements_provider=None,
     ) -> None:
         self.catalog = catalog
-        #: the shared shardability analysis, run only for bare statements
-        self.analyzer = ShardabilityAnalyzer(catalog)
         #: when False, every multi-shard query uses the federated strategy
         #: (escape hatch for workloads that break the co-location assumption)
         self.scatter_gather = scatter_gather
@@ -206,14 +181,10 @@ class ClusterPlanner:
         #: registered SQL UDFs — their column references must survive
         #: projection pushdown because pull-time prefilters may call them
         self.udf_statements_provider = udf_statements_provider
-        #: analysis reuse counters (gateway sessions plan concurrently)
-        self.stats = PlannerStats()
+        #: plan() calls; gateway sessions plan concurrently, so increments
+        #: (and the owning connection's reset) take ``_stats_lock``
+        self.plans = 0
         self._stats_lock = threading.Lock()
-
-    def reset_stats(self) -> None:
-        """Zero the planner counters, under the same lock the increments take."""
-        with self._stats_lock:
-            self.stats.reset()
 
     # -- entry point ---------------------------------------------------------
 
@@ -221,41 +192,19 @@ class ClusterPlanner:
         self,
         select: ast.Select,
         shards: tuple[int, ...],
-        analysis: Optional[QueryAnalysis] = None,
         column_owners: Optional[dict[int, str]] = None,
     ) -> Plan:
         """Choose the execution strategy for one SELECT over ``shards``.
 
-        ``analysis`` is the statement's precomputed shardability analysis
-        (``CompiledQuery.analysis``); when given, the planner performs no AST
-        walk of its own.  Exception: the compiler's catalog may not know
-        tables created behind the middleware's back (backend-level meta
-        tables) — if any name it reported unknown is a relation of *this*
-        cluster, the precomputed verdicts (``partition_safe`` above all) are
-        stale-conservative, so the planner re-analyses against its own
-        catalog rather than silently downgrade scatter-gather to federated.
-
+        The shardability walk runs here, against this planner's catalog.
         ``column_owners`` is the static analyzer's column-provenance map for
-        ``select`` (``CompiledQuery.facts.column_owners``): when the planner
-        does have to re-analyse, the walk resolves unqualified columns
-        through it instead of the any-binding heuristic.
+        ``select`` (``CompiledQuery.facts.column_owners``): the walk resolves
+        unqualified columns through it instead of the any-binding heuristic.
+        A bare statement (no compilation) has none.
         """
-        if analysis is not None and set(analysis.unknown) & self.catalog.relations:
-            analysis = None  # compiled against a catalog missing our tables
-        reused = analysis is not None
-        if analysis is None:
-            if column_owners:
-                analysis = ShardabilityAnalyzer(
-                    self.catalog, column_owners=column_owners
-                ).analyze(select)
-            else:
-                analysis = self.analyzer.analyze(select)
+        analysis = ShardabilityAnalyzer(self.catalog, column_owners).analyze(select)
         with self._stats_lock:
-            self.stats.plans += 1
-            if reused:
-                self.stats.analyses_reused += 1
-            else:
-                self.stats.analyses_recomputed += 1
+            self.plans += 1
 
         partitioned = set(analysis.partitioned)
         unknown = set(analysis.unknown)
@@ -357,45 +306,20 @@ class ClusterPlanner:
         The one whitelist of residual shapes: ``texts`` (group keys and
         aggregate calls) become columns and combine forms of the merge
         query, ``aliases`` are the SELECT aliases visible at this position.
+        Any other node must be of an evaluable shape over evaluable children.
         """
-        if expr is None:
-            return True
-        if to_sql(expr) in texts:
+        if expr is None or isinstance(expr, ast.Literal) or to_sql(expr) in texts:
             return True
         if isinstance(expr, ast.Column):
             return expr.table is None and expr.name.lower() in aliases
-        if isinstance(expr, ast.Literal):
-            return True
         if isinstance(expr, ast.BinaryOp):
-            return (
-                expr.op.upper() in _EVAL_BINARY_OPS
-                and self._evaluable(expr.left, texts, aliases)
-                and self._evaluable(expr.right, texts, aliases)
-            )
-        if isinstance(expr, ast.UnaryOp):
-            return self._evaluable(expr.operand, texts, aliases)
-        if isinstance(expr, ast.Case):
-            return all(
-                self._evaluable(when.condition, texts, aliases)
-                and self._evaluable(when.result, texts, aliases)
-                for when in expr.whens
-            ) and self._evaluable(expr.else_result, texts, aliases)
-        if isinstance(expr, ast.IsNull):
-            return self._evaluable(expr.expr, texts, aliases)
-        if isinstance(expr, ast.Between):
-            return (
-                self._evaluable(expr.expr, texts, aliases)
-                and self._evaluable(expr.low, texts, aliases)
-                and self._evaluable(expr.high, texts, aliases)
-            )
-        if isinstance(expr, ast.InList):
-            return self._evaluable(expr.expr, texts, aliases) and all(
-                self._evaluable(item, texts, aliases) for item in expr.items
-            )
-        if isinstance(expr, ast.FunctionCall):
+            shape_ok = expr.op.upper() in _EVAL_BINARY_OPS
+        elif isinstance(expr, ast.FunctionCall):
             # non-aggregate scalar call (aggregates were bound by text above):
             # evaluable when the coordinator's engine holds the function
-            return expr.name.lower() in self.functions and all(
-                self._evaluable(argument, texts, aliases) for argument in expr.args
-            )
-        return False
+            shape_ok = expr.name.lower() in self.functions
+        else:
+            shape_ok = isinstance(expr, _EVAL_PASS_THROUGH)
+        return shape_ok and all(
+            self._evaluable(child, texts, aliases) for child in expr.children()
+        )

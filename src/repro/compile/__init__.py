@@ -7,13 +7,13 @@ artifact every layer consumes exactly once:
 * :mod:`repro.compile.passes`   — the :class:`CompilerPass` protocol, the
   pass registry and the declarative ``OptimizationLevel → [passes]`` table,
 * :mod:`repro.compile.compiler` — :class:`QueryCompiler`, the staged pipeline
-  (context → canonical rewrite → passes → shardability analysis) with
-  per-stage wall time, AST-size deltas and fired-rule counts,
+  (context → canonical rewrite → passes) with per-stage wall time, AST-size
+  deltas and fired-rule counts,
 * :mod:`repro.compile.artifact` — :class:`CompiledQuery` (original /
   canonical / final ASTs, resolved ``(C, D')``, conversion-call census,
   per-pass records, backend attachment memo) and :class:`PassRecord`,
 * :mod:`repro.compile.analysis` — the tenant-local-key / shardability
-  analysis shared with the cluster planner,
+  analysis the cluster planner runs against its partitioning catalog,
 * :mod:`repro.compile.typecheck` — the prepare-time static analyzer
   (:class:`TypeChecker`) and the :class:`SemanticFacts` it proves: types,
   nullability, bind-parameter slot types, column provenance,
@@ -23,8 +23,8 @@ artifact every layer consumes exactly once:
 The compiler is owned by :class:`repro.core.middleware.MTBase`
 (``middleware.compiler``); clients reach it through
 ``MTConnection.compile()`` / ``explain()``, the gateway caches whole
-:class:`CompiledQuery` objects, and sharded backends read
-``CompiledQuery.analysis`` instead of re-walking the AST.
+:class:`CompiledQuery` objects, and sharded backends plan them with
+``CompiledQuery.facts.column_owners`` and memoize the plan on the artifact.
 
 The analysis and artifact modules are import-light (SQL layer only) so the
 cluster planner can depend on them without cycles; the compiler, passes and

@@ -2,13 +2,14 @@
 
 One statement, one analysis: :class:`ShardabilityAnalyzer` walks a rewritten
 (plain-SQL) ``SELECT`` once against a :class:`ClusterCatalog` of partitioning
-facts and produces a :class:`QueryAnalysis` — the artifact the distributed
-planner (:mod:`repro.cluster.planner`) consumes instead of re-walking the
-AST.  The compiler (:mod:`repro.compile.compiler`) runs the analyzer as the
-last stage of every compilation, deriving the catalog from the middleware's
-MT schema (tenant-specific tables are the partitioned ones, their ``SPECIFIC``
-attributes the tenant-local keys); a sharded backend runs the same analyzer
-against its own DDL-derived catalog when it receives a bare statement.
+facts and produces a :class:`QueryAnalysis` — the verdict the distributed
+planner (:mod:`repro.cluster.planner`) chooses a strategy from.  The catalog
+is the cluster's own: a sharded backend records every relation from the DDL
+it broadcasts and every partitioned table (its ttid column plus ``SPECIFIC``
+attributes as tenant-local keys) from the middleware's registration hook, so
+tables created behind the middleware's back are known too.  The planner runs
+the analyzer once per (compiled statement, shard set, catalog version); the
+plan memo on the statement's artifact makes a repeat execution skip it.
 
 **Soundness.**  The scatter-gather strategies require that every
 pre-aggregation row is produced by exactly one shard.  The analyzer proves
@@ -68,11 +69,10 @@ class PartitionInfo:
 class ClusterCatalog:
     """The partitioning facts one analysis runs against.
 
-    Two producers build catalogs: the query compiler derives one from the
-    middleware's MT schema, and a sharded backend maintains one from the DDL
-    it broadcasts.  ``version`` is bumped by every mutator, so consumers that
-    memoize per-catalog artifacts (the sharded backend's per-statement plan
-    cache) can detect staleness cheaply.
+    A sharded backend maintains one from the DDL it broadcasts.  ``version``
+    is bumped by every mutator, so consumers that memoize per-catalog
+    artifacts (the sharded backend's per-statement plan cache) can detect
+    staleness cheaply.
     """
 
     #: partitioned tables by lower-cased name
@@ -147,7 +147,7 @@ class StreamInfo:
 
 @dataclass(frozen=True)
 class QueryAnalysis:
-    """The per-statement shardability verdict carried by a CompiledQuery.
+    """The per-statement shardability verdict the cluster planner reads.
 
     All table names are lower-cased.  ``partition_safe`` is the headline
     verdict: the statement's pre-aggregation rows provably partition across

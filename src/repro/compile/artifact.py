@@ -4,8 +4,8 @@ A :class:`CompiledQuery` is the single hand-off object between the layers of
 the repo's hottest path.  The middleware compiles each SELECT exactly once;
 the client executes ``compiled.rewritten``, the gateway caches the whole
 artifact (a warm hit skips compilation *and* shard planning), and a sharded
-backend consumes ``compiled.analysis`` instead of re-walking the AST and
-memoizes its cluster plan in ``compiled.attachments``.
+backend plans it with ``compiled.facts.column_owners`` and memoizes its
+cluster plan in ``compiled.attachments``.
 
 Per-stage instrumentation lives in :class:`PassRecord` — wall time, AST
 node-count delta, fired-rule count and a rendered-on-demand SQL snapshot —
@@ -20,7 +20,6 @@ from typing import TYPE_CHECKING, Optional
 
 from ..sql import ast
 from ..sql.transform import iter_select_expressions, walk_expression, walk_selects
-from .analysis import QueryAnalysis
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..core.conversion import ConversionRegistry
@@ -123,8 +122,6 @@ class CompiledQuery:
     #: the statement's bind-parameter slots, in index order (empty when the
     #: statement is not parameterized); one artifact serves every binding
     parameters: tuple["ParameterSlot", ...]
-    #: the shardability / tenant-local-key analysis of ``rewritten``
-    analysis: QueryAnalysis
     #: per-stage instrumentation, in execution order
     passes: tuple[PassRecord, ...]
     #: conversion-call census (canonical vs. final)

@@ -9,19 +9,18 @@ into executable SQL.  It runs an explicit pipeline —
 2. **canonical** — the Algorithm-1 rewrite
    (:class:`~repro.core.rewrite.canonical.CanonicalRewriter`),
 3. **passes** — the level's registered passes in :data:`~repro.compile.passes.
-   LEVEL_PASSES` order (push-up, distribution, inlining),
-4. **analysis** — the shardability / tenant-local-key walk
-   (:class:`~repro.compile.analysis.ShardabilityAnalyzer`) against a catalog
-   derived from the middleware's MT schema —
+   LEVEL_PASSES` order (push-up, distribution, inlining) —
 
 and records per-stage wall time, AST node-count deltas, fired-rule counts and
 AST snapshots into the returned
 :class:`~repro.compile.artifact.CompiledQuery`.  Consumers never re-derive
-any of this: the client executes the artifact, the gateway caches it, the
-cluster planner reads its analysis.  Every compile first runs the
-prepare-time :class:`~repro.compile.typecheck.TypeChecker`, so every
+any of this: the client executes the artifact, the gateway caches it, a
+sharded backend memoizes its cluster plan on it.  Every compile first runs
+the prepare-time :class:`~repro.compile.typecheck.TypeChecker`, so every
 artifact carries the :class:`~repro.compile.typecheck.SemanticFacts` it
-proved.
+proved over the rewritten statement.  Shardability is not a compile stage:
+only a cluster plans, so the cluster planner analyses the rewritten
+statement against its own DDL-derived catalog.
 
 ``stats.compilations`` counts every pipeline run — the acceptance tests use
 it to prove each statement is compiled exactly once end-to-end (and not at
@@ -33,14 +32,13 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from ..core.rewrite.canonical import CanonicalRewriter
 from ..core.rewrite.context import RewriteContext, RewriteOptions
 from ..sql import ast
 from ..sql.params import statement_parameters
 from ..sql.transform import count_nodes
-from .analysis import ClusterCatalog, PartitionInfo, ShardabilityAnalyzer
 from .artifact import CompiledQuery, ConversionCensus, PassRecord, conversion_census
 from .passes import applies_trivial, passes_for_level
 from .typecheck import TypeChecker
@@ -76,8 +74,6 @@ class QueryCompiler:
         self.middleware = middleware
         self.stats = CompilerStats()
         self._lock = threading.Lock()
-        self._catalog: Optional[ClusterCatalog] = None
-        self._catalog_version: Optional[int] = None
 
     # -- context ---------------------------------------------------------------
 
@@ -106,41 +102,6 @@ class QueryCompiler:
             options=options,
             all_tenants=all_tenants,
         )
-
-    # -- catalog ---------------------------------------------------------------
-
-    def catalog(self) -> ClusterCatalog:
-        """Partitioning facts derived from the MT schema (cached per version).
-
-        Tenant-specific tables are the partitioned relations (their ttid
-        column plus ``SPECIFIC`` attributes form the tenant-local keys);
-        global tables are replicated.  Views (and any relation created behind
-        the middleware's back) surface as *unknown* in the analysis; the
-        consumer resolves them against its own catalog — a sharded backend
-        plans views through its always-correct federated path.
-        """
-        version = self.middleware.metadata_version
-        with self._lock:
-            if self._catalog is not None and self._catalog_version == version:
-                return self._catalog
-        catalog = ClusterCatalog()
-        for table in self.middleware.schema.tables():
-            catalog.add_relation(table.name)
-            if table.is_tenant_specific:
-                catalog.set_partitioned(
-                    PartitionInfo(
-                        table=table.name,
-                        ttid_column=table.ttid_column,
-                        local_keys=frozenset(
-                            attribute.name.lower()
-                            for attribute in table.tenant_specific_attributes()
-                        ),
-                    )
-                )
-        with self._lock:
-            self._catalog = catalog
-            self._catalog_version = version
-        return catalog
 
     # -- compilation -----------------------------------------------------------
 
@@ -209,12 +170,10 @@ class QueryCompiler:
             )
 
         # provenance/nullability facts over the *rewritten* statement: the
-        # shardability walk reuses the column-owner map instead of its
-        # any-binding heuristic, the cost model the proven-NOT-NULL sets
+        # cluster planner's shardability walk reuses the column-owner map
+        # instead of its any-binding heuristic, the cost model the
+        # proven-NOT-NULL sets
         facts = checker.facts(current)
-        analysis = ShardabilityAnalyzer(
-            self.catalog(), column_owners=facts.column_owners
-        ).analyze(current)
         census_final = (
             census_canonical
             if current is canonical  # pass-less levels: nothing changed
@@ -233,7 +192,6 @@ class QueryCompiler:
             level=level,
             tables=tuple(tables),
             parameters=parameters,
-            analysis=analysis,
             passes=tuple(records),
             conversions=ConversionCensus(
                 canonical=census_canonical, final=census_final

@@ -1,8 +1,8 @@
 """``MTConnection.explain()``: render a compilation as a pass-by-pass report.
 
 The report is the user-facing window into the staged compiler: one line per
-stage with wall time, AST size delta and fired-rule count, the shardability
-verdict, the conversion-call census, and the SQL text after every stage —
+stage with wall time, AST size delta and fired-rule count, the
+conversion-call census, and the SQL text after every stage —
 rendered in a chosen :class:`~repro.sql.dialect.Dialect` so the printout
 matches what the connection's backend would receive.  With
 ``MTConnection.explain(..., analyze=True)`` the report additionally carries
@@ -74,7 +74,6 @@ class ExplainReport:
         """The full multi-line report (optionally without the SQL snapshots)."""
         compiled = self.compiled
         dialect = self.dialect if self.dialect is not None else DEFAULT_DIALECT
-        analysis = compiled.analysis
         lines = [
             (
                 f"MTSQL compilation: client={compiled.client} "
@@ -102,13 +101,6 @@ class ExplainReport:
             f"canonical={compiled.conversions.canonical_total} "
             f"final={compiled.conversions.final_total} "
             f"({_census_text(compiled.conversions.final)})"
-        )
-        lines.append(
-            "analysis: "
-            f"partition_safe={analysis.partition_safe} "
-            f"aggregation={analysis.has_aggregation} "
-            f"partitioned={list(analysis.partitioned)} "
-            f"tables={list(analysis.tables)}"
         )
         if self.estimate is not None:
             lines.append("")

@@ -21,12 +21,15 @@ The second half of the module splits a (rewritten, plain-SQL) ``SELECT`` into
 a *per-shard query* plus its *merge* for scatter-gather execution over a
 tenant-partitioned cluster (:mod:`repro.cluster`):
 
-* :func:`split_row_stream` — non-aggregate queries: the shards stream rows,
-  the coordinator re-sorts, deduplicates and applies ``LIMIT``,
+* :func:`split_row_stream` — non-aggregate queries: the shards stream rows;
+  a *merge query* over their union re-applies ``DISTINCT``/``ORDER BY``/
+  ``LIMIT``,
 * :func:`split_partial_aggregates` — aggregate queries: the shards compute
   partial aggregates per group (``AVG`` decomposed into ``SUM``/``COUNT``);
   a *merge query* over their output re-aggregates and re-applies
-  ``HAVING``/``ORDER BY``, and the coordinator's engine runs it.
+  ``HAVING``/``ORDER BY``.
+
+Either way the coordinator's engine runs the merge query.
 
 Both raise :class:`~repro.errors.SplitError` when the statement has no such
 decomposition; the cluster planner then falls back to a plan that does not
@@ -300,20 +303,18 @@ def select_aggregate_calls(select: ast.Select) -> list[ast.FunctionCall]:
 
 @dataclass(frozen=True)
 class RowStreamSplit:
-    """A non-aggregate query split for scatter-gather execution.
+    """A non-aggregate query split into a per-shard query and a merge query.
 
-    The per-shard query keeps the original SELECT list (plus hidden trailing
-    sort-key columns when ``ORDER BY`` references an expression that is not
-    in the SELECT list); the coordinator concatenates the shard streams,
-    re-sorts on ``sort_columns``, deduplicates when ``distinct`` and applies
-    ``limit``, then strips the hidden columns down to ``visible_width``.
+    ``shard_query`` projects the original SELECT items as ``mt_col_<i>``,
+    followed by a hidden ``mt_col_<i>`` per ``ORDER BY`` key that is not in
+    the SELECT list, and drops ``ORDER BY`` / ``LIMIT``.  ``merge_query`` is
+    ``SELECT [DISTINCT] mt_col_0, … FROM`` :data:`MERGE_RELATION` ``ORDER BY
+    mt_col_<p> … LIMIT n``: the engine's own ``DISTINCT``, ordering and
+    ``LIMIT`` over the union of the shard streams, hidden keys projected away.
     """
 
     shard_query: ast.Select
-    visible_width: int
-    sort_columns: tuple[tuple[int, bool], ...]  # (row position, descending)
-    limit: Optional[int]
-    distinct: bool
+    merge_query: ast.Select
 
 
 @dataclass(frozen=True)
@@ -352,20 +353,25 @@ _MERGEABLE_AGGREGATES = frozenset({"SUM", "COUNT", "MIN", "MAX", "AVG"})
 
 
 def split_row_stream(select: ast.Select) -> RowStreamSplit:
-    """Split a non-aggregate SELECT into a per-shard stream + merge ordering.
+    """Split a non-aggregate SELECT into a per-shard stream + merge query.
 
-    Raises :class:`SplitError` for aggregate/grouped queries and for DISTINCT
-    queries whose ORDER BY is not part of the SELECT list (a hidden sort
-    column would change the DISTINCT row identity).
+    Raises :class:`SplitError` for aggregate/grouped queries, for ``*`` items
+    (their width is unknown until a shard answers) and for DISTINCT queries
+    whose ORDER BY is not part of the SELECT list (a hidden sort column would
+    change the DISTINCT row identity).
     """
     if select.group_by or select_aggregate_calls(select):
         raise SplitError("row-stream split needs a non-aggregate query")
+    if any(isinstance(item.expr, ast.Star) for item in select.items):
+        raise SplitError("row-stream split needs an explicit SELECT list")
     shard_query = clone_select(select)
+    shard_query.items = [
+        ast.SelectItem(expr=item.expr, alias=f"mt_col_{position}")
+        for position, item in enumerate(select.items)
+    ]
     shard_query.order_by = []
     shard_query.limit = None
 
-    visible_width = len(select.items)
-    sort_columns: list[tuple[int, bool]] = []
     alias_positions = {
         item.alias.lower(): position
         for position, item in enumerate(select.items)
@@ -374,6 +380,7 @@ def split_row_stream(select: ast.Select) -> RowStreamSplit:
     item_positions = {
         ast.Node.to_sql(item.expr): position for position, item in enumerate(select.items)
     }
+    order_by: list[ast.OrderItem] = []
     for order in select.order_by:
         position = _order_key_position(order.expr, alias_positions, item_positions)
         if position is None:
@@ -382,15 +389,25 @@ def split_row_stream(select: ast.Select) -> RowStreamSplit:
                     "DISTINCT with an ORDER BY key outside the SELECT list"
                 )
             position = len(shard_query.items)
-            shard_query.items.append(ast.SelectItem(expr=order.expr, alias=None))
-        sort_columns.append((position, order.descending))
-    return RowStreamSplit(
-        shard_query=shard_query,
-        visible_width=visible_width,
-        sort_columns=tuple(sort_columns),
+            shard_query.items.append(
+                ast.SelectItem(expr=order.expr, alias=f"mt_col_{position}")
+            )
+        order_by.append(
+            ast.OrderItem(
+                expr=ast.Column(name=f"mt_col_{position}"), descending=order.descending
+            )
+        )
+    merge_query = ast.Select(
+        items=[
+            ast.SelectItem(expr=ast.Column(name=f"mt_col_{position}"))
+            for position in range(len(select.items))
+        ],
+        from_items=[ast.TableRef(name=MERGE_RELATION)],
+        order_by=order_by,
         limit=select.limit,
         distinct=select.distinct,
     )
+    return RowStreamSplit(shard_query=shard_query, merge_query=merge_query)
 
 
 def _order_key_position(

@@ -1,8 +1,9 @@
-"""The gather side: merge queries run by the coordinator's engine, row-stream helpers.
+"""The gather side: merge queries run by the coordinator's engine.
 
-A partial-aggregate plan's merge is a SQL query over the gathered shard rows
-(:func:`repro.sql.transform.split_partial_aggregates` builds it, the
-coordinator's engine database runs it).  The tests drive that seam directly:
+A partial-aggregate or row-stream plan's merge is a SQL query over the
+gathered shard rows (:func:`repro.sql.transform.split_partial_aggregates` /
+:func:`~repro.sql.transform.split_row_stream` build it, the coordinator's
+engine database runs it).  The tests drive that seam directly:
 a :class:`ShardCoordinator` over fake shard connections that answer the shard
 query with canned partial rows, with the merge engine's default batch size
 and with batches of 3 rows, so a merge crosses window boundaries.
@@ -15,7 +16,7 @@ import datetime
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.cluster import PartialAggregatePlan, ShardCoordinator, sort_rows
+from repro.cluster import PartialAggregatePlan, RowStreamPlan, ShardCoordinator
 from repro.engine import DEFAULT_BATCH_SIZE, Database
 from repro.errors import ExecutionError, FunctionError, ParameterError, SplitError
 from repro.result import QueryResult
@@ -55,8 +56,12 @@ def batch_size(request):
     return request.param
 
 
-def _merge(sql, shards, batch_size, functions=None, parameters=None):
-    """Run ``sql`` as a partial-aggregate plan over ``shards``.
+#: how each scatter-gather plan kind splits its statement
+_SPLITS = {PartialAggregatePlan: split_partial_aggregates, RowStreamPlan: split_row_stream}
+
+
+def _merge(sql, shards, batch_size, functions=None, parameters=None, kind=PartialAggregatePlan):
+    """Run ``sql`` as a ``kind`` plan (partial-aggregate by default) over ``shards``.
 
     ``shards`` are shard connections, or row lists — the partial rows one
     shard returns for the shard query (group keys, then one column per
@@ -70,9 +75,9 @@ def _merge(sql, shards, batch_size, functions=None, parameters=None):
     coordinator.merge_database = Database(batch_size=batch_size)
     for name, fn in (functions or {}).items():
         coordinator.register_python_function(name, fn)
-    plan = PartialAggregatePlan(
+    plan = kind(
         shards=tuple(range(len(connections))),
-        split=split_partial_aggregates(statement),
+        split=_SPLITS[kind](statement),
         statement=statement,
     )
     try:
@@ -320,26 +325,41 @@ def _database(rows, batch_size):
 def test_merge_equals_the_engine_on_the_union(rows, cuts, batch_size):
     """Rows split over 2–4 shards and merged give, value for value and type
     for type, what the engine gives for the original query on their union."""
+    _assert_merges_like_the_union(rows, cuts, batch_size, _PROPERTY_QUERIES, PartialAggregatePlan)
+
+
+#: DISTINCT, a hidden ORDER BY key, DESC, LIMIT, an alias key, first-seen order
+_ROW_STREAM_QUERIES = (
+    "SELECT g, a FROM t ORDER BY b DESC, g LIMIT 5",
+    "SELECT DISTINCT g, a FROM t ORDER BY a DESC, g",
+    "SELECT a + 1 AS x, b FROM t WHERE a IS NOT NULL ORDER BY x, b DESC",
+    "SELECT DISTINCT g FROM t LIMIT 2",
+    "SELECT b, g FROM t",
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    rows=_ROWS,
+    cuts=st.lists(st.integers(min_value=0, max_value=24), min_size=1, max_size=3),
+    batch_size=st.sampled_from(BATCH_SIZES),
+)
+def test_row_stream_merge_equals_the_engine_on_the_union(rows, cuts, batch_size):
+    """The row-stream twin: per-shard streams merged by the merge query give
+    what the engine gives for the original query on the union of the shards."""
+    _assert_merges_like_the_union(rows, cuts, batch_size, _ROW_STREAM_QUERIES, RowStreamPlan)
+
+
+def _assert_merges_like_the_union(rows, cuts, batch_size, queries, kind):
     bounds = [0, *sorted(cuts), len(rows)]
     slices = [rows[low:high] for low, high in zip(bounds, bounds[1:])]
     shards = [_EngineShard(_database(part, batch_size)) for part in slices]
     union = _database(rows, batch_size)
-    for sql in _PROPERTY_QUERIES:
-        merged = _merge(sql, shards, batch_size)
+    for sql in queries:
+        merged = _merge(sql, shards, batch_size, kind=kind)
         expected = union.query(sql)
         assert merged.columns == expected.columns, sql
         assert _typed(merged.rows) == _typed(expected.rows), sql
-
-
-class TestSortRows:
-    def test_stable_multi_key_mixed_directions(self):
-        rows = [(1, "b"), (2, "a"), (1, "a"), (2, "b")]
-        ordered = sort_rows(rows, [(0, False), (1, True)])
-        assert ordered == [(1, "b"), (1, "a"), (2, "b"), (2, "a")]
-
-    def test_nulls_sort_first_like_the_engine(self):
-        rows = [(3,), (None,), (1,)]
-        assert sort_rows(rows, [(0, False)]) == [(None,), (1,), (3,)]
 
 
 class TestSplits:
@@ -379,14 +399,17 @@ class TestSplits:
         with pytest.raises(SplitError, match="not partial-mergeable"):
             split_partial_aggregates(query)
 
-    def test_split_row_stream_hidden_sort_columns(self):
+    def test_split_row_stream_layout(self):
         query = parse_query("SELECT a, b FROM t ORDER BY c DESC, a LIMIT 3")
         split = split_row_stream(query)
-        assert split.visible_width == 2
-        assert len(split.shard_query.items) == 3  # c appended as hidden key
-        assert split.sort_columns == ((2, True), (0, False))
-        assert split.limit == 3
-        assert split.shard_query.limit is None
+        # c is appended as a hidden sort key; ORDER BY / LIMIT leave the shards
+        assert to_sql(split.shard_query) == (
+            "SELECT a AS mt_col_0, b AS mt_col_1, c AS mt_col_2 FROM t"
+        )
+        assert to_sql(split.merge_query) == (
+            "SELECT mt_col_0, mt_col_1 FROM mt_partials "
+            "ORDER BY mt_col_2 DESC, mt_col_0 LIMIT 3"
+        )
 
     def test_split_row_stream_rejects_distinct_with_hidden_key(self):
         query = parse_query("SELECT DISTINCT a FROM t ORDER BY b")

@@ -18,6 +18,7 @@ from repro.cluster import (
     SingleShardPlan,
 )
 from repro.errors import ClusterError
+from repro.sql.parser import parse_query
 
 
 @pytest.fixture(scope="module")
@@ -126,6 +127,75 @@ class TestQueryPlanning:
                 assert normalized_rows(sharded_connection.query(text)) == normalized_rows(
                     single_connection.query(text)
                 ), (scope, text)
+
+    @pytest.mark.parametrize(
+        "clause, plan_class",
+        [
+            pytest.param("HAVING TRUE", PartialAggregatePlan, id="literal"),
+            pytest.param("ORDER BY SUM(E_age)", PartialAggregatePlan, id="bound-text"),
+            pytest.param("ORDER BY s DESC", PartialAggregatePlan, id="visible-alias"),
+            pytest.param("HAVING SUM(E_age) > 10", PartialAggregatePlan, id="binary-op"),
+            pytest.param(
+                "ORDER BY ABS(SUM(E_age) - 100)", PartialAggregatePlan, id="function"
+            ),
+            pytest.param("ORDER BY -SUM(E_age)", PartialAggregatePlan, id="unary-op"),
+            pytest.param(
+                "ORDER BY CASE WHEN SUM(E_age) > 50 THEN 0 ELSE 1 END",
+                PartialAggregatePlan,
+                id="case",
+            ),
+            pytest.param(
+                "HAVING SUM(E_age) IS NOT NULL", PartialAggregatePlan, id="is-null"
+            ),
+            pytest.param(
+                "HAVING SUM(E_age) BETWEEN 0 AND 1000", PartialAggregatePlan, id="between"
+            ),
+            pytest.param("HAVING COUNT(*) IN (1, 2, 3)", PartialAggregatePlan, id="in-list"),
+            pytest.param("HAVING MIN(E_name) LIKE 'A%'", FederatedPlan, id="like"),
+            pytest.param(
+                "HAVING EXTRACT(YEAR FROM DATE '1998-01-01') > 0",
+                FederatedPlan,
+                id="extract",
+            ),
+            pytest.param(
+                "ORDER BY SUBSTRING(MIN(E_name) FROM 1 FOR 1)",
+                FederatedPlan,
+                id="substring",
+            ),
+            pytest.param(
+                "HAVING SUM(E_age) > (SELECT MIN(Re_reg_id) FROM Regions)",
+                FederatedPlan,
+                id="sub-query",
+            ),
+            pytest.param("HAVING SUM(E_age) > ?", FederatedPlan, id="parameter"),
+            pytest.param(
+                "ORDER BY Employees.E_reg_id", FederatedPlan, id="qualified-column"
+            ),
+            pytest.param("ORDER BY E_age", FederatedPlan, id="non-alias-column"),
+            pytest.param("ORDER BY MYSTERY(SUM(E_age))", FederatedPlan, id="unknown-function"),
+        ],
+    )
+    def test_merge_query_residual_shapes(self, sharded_paper, clause, plan_class):
+        """A HAVING / ORDER BY residual keeps the partial-aggregate plan only
+        when the merge query can evaluate it; any other shape goes federated."""
+        _mt, backend = sharded_paper
+        select = parse_query(
+            "SELECT E_reg_id, SUM(E_age) AS s FROM Employees GROUP BY E_reg_id " + clause
+        )
+        assert type(backend.connect().planner.plan(select, (0, 1))) is plan_class
+
+    def test_star_query_keeps_every_column(self, sharded_paper, paper_example_factory):
+        """A ``*`` has no width until a shard answers, so a star query plans
+        federated and returns every column under its own name."""
+        _mt, backend = sharded_paper
+        connection = backend.connect()
+        sql = "SELECT * FROM Employees ORDER BY E_age"
+        result = connection.execute(sql)
+        single = paper_example_factory().backend.execute(sql)
+        assert isinstance(connection.last_plan, FederatedPlan)
+        assert result.columns == single.columns
+        assert [row[-1] for row in result.rows] == [row[-1] for row in single.rows]
+        assert sorted(result.rows) == sorted(single.rows)
 
     def test_scatter_gather_off_forces_federated(self, paper_example_factory):
         backend = ShardedBackend(

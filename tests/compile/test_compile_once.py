@@ -3,9 +3,8 @@
 Three counters prove it:
 
 * ``middleware.compiler.stats.compilations`` — full pipeline runs,
-* ``planner.stats.analyses_reused`` / ``analyses_recomputed`` — whether the
-  cluster planner consumed the CompiledQuery's precomputed analysis or had
-  to re-walk the AST itself,
+* ``planner.plans`` — cluster plans chosen (the shardability walk runs once
+  per plan, against the cluster's own catalog),
 * ``ShardedConnection.plan_reuses`` — plans served from the artifact's memo
   (a warm gateway hit re-executes without planning at all).
 """
@@ -33,8 +32,8 @@ def sharded_mt():
     backend.close()
 
 
-class TestClusterPlannerReusesTheAnalysis:
-    def test_no_independent_ast_reanalysis(self, sharded_mt):
+class TestClusterPlansEachStatementOnce:
+    def test_one_compilation_and_one_plan_per_statement(self, sharded_mt):
         backend = sharded_mt.backend
         connection = sharded_mt.connect(0, optimization="o4")
         connection.set_scope("IN (0, 1)")
@@ -44,11 +43,8 @@ class TestClusterPlannerReusesTheAnalysis:
         for sql in (AGGREGATE_QUERY, STREAM_QUERY):
             connection.query(sql)
 
-        stats = backend.planner.stats
         assert sharded_mt.compiler.stats.compilations == 2
-        assert stats.plans == 2
-        assert stats.analyses_reused == 2
-        assert stats.analyses_recomputed == 0
+        assert backend.planner.plans == 2
 
     def test_results_match_a_single_backend(self, sharded_mt, paper_mt):
         for sql in (AGGREGATE_QUERY, STREAM_QUERY):
@@ -58,10 +54,10 @@ class TestClusterPlannerReusesTheAnalysis:
             single.set_scope("IN (0, 1)")
             assert sharded.query(sql).rows == single.query(sql).rows
 
-    def test_backend_created_tables_trigger_a_local_reanalysis(self, sharded_mt):
-        """Meta tables created behind the middleware's back are unknown to the
-        compiler's catalog; the planner must re-analyse against its own
-        catalog instead of silently downgrading to the federated path."""
+    def test_backend_created_tables_still_scatter(self, sharded_mt):
+        """Meta tables created behind the middleware's back are in the
+        cluster's own catalog, so a statement over one still scatters instead
+        of falling back to the federated path."""
         from repro.cluster import RowStreamPlan
 
         backend = sharded_mt.backend
@@ -71,27 +67,18 @@ class TestClusterPlannerReusesTheAnalysis:
             "SELECT E_name, CT_currency_key FROM Employees, CurrencyTransform "
             "ORDER BY E_name, CT_currency_key"
         )
-        compiled = connection.compile(sql)
-        assert compiled.analysis.unknown == ("currencytransform",)
-        assert not compiled.analysis.partition_safe  # stale-conservative
-
-        backend.reset_stats()
         rows = connection.query(sql).rows
         assert len(rows) == 12  # 6 employees × 2 currencies
         assert isinstance(backend.last_plan, RowStreamPlan)  # not federated
-        assert backend.planner.stats.analyses_recomputed == 1
 
     def test_bare_statements_still_plan_soundly(self, sharded_mt):
-        """Direct backend.execute() (no artifact) falls back to self-analysis."""
+        """Direct backend.execute() (no artifact, no column provenance)."""
         backend = sharded_mt.backend
-        backend.reset_stats()
         rewritten = sharded_mt.connect(0, optimization="o4")
         rewritten.set_scope("IN (0, 1)")
         plain = rewritten.rewrite(STREAM_QUERY)
         result = backend.execute(plain)
         assert len(result.rows) == 6
-        assert backend.planner.stats.analyses_recomputed == 1
-        assert backend.planner.stats.analyses_reused == 0
 
 
 class TestWarmGatewayHitCompilesNothing:
@@ -118,8 +105,7 @@ class TestWarmGatewayHitCompilesNothing:
 
             cold = session.query(AGGREGATE_QUERY).rows
             assert sharded_mt.compiler.stats.compilations == 1
-            assert backend.planner.stats.plans == 1
-            assert backend.planner.stats.analyses_reused == 1
+            assert backend.planner.plans == 1
             assert backend.plan_reuses == 0
 
             warm = session.query(AGGREGATE_QUERY).rows
@@ -127,7 +113,7 @@ class TestWarmGatewayHitCompilesNothing:
             # zero compilations, zero planner invocations: the plan came from
             # the artifact's memo
             assert sharded_mt.compiler.stats.compilations == 1
-            assert backend.planner.stats.plans == 1
+            assert backend.planner.plans == 1
             assert backend.plan_reuses == 1
         finally:
             gateway.close()
@@ -146,7 +132,6 @@ class TestWarmGatewayHitCompilesNothing:
             sharded_mt.compiler.reset_stats()
             session.query(AGGREGATE_QUERY)
             assert sharded_mt.compiler.stats.compilations == 1  # recompiled
-            assert backend.planner.stats.plans == 1  # replanned
-            assert backend.planner.stats.analyses_recomputed == 0
+            assert backend.planner.plans == 1  # replanned
         finally:
             gateway.close()

@@ -10,6 +10,7 @@ from repro.compile import (
     CompiledQuery,
     ExplainReport,
     QueryAnalysis,
+    ShardabilityAnalyzer,
     register_pass,
 )
 from repro.core.optimizer.levels import ALL_LEVELS, OptimizationLevel
@@ -24,6 +25,24 @@ def connection_at(middleware, level, scope="IN (0, 1)", client=0):
     connection = middleware.connect(client, optimization=level)
     connection.set_scope(scope)
     return connection
+
+
+@pytest.fixture(scope="module")
+def sharded_paper_mt(paper_example_factory):
+    """The running example on a 2-shard cluster (read-only)."""
+    from repro.backends import ShardedBackend
+
+    backend = ShardedBackend(shards=2)
+    yield paper_example_factory(backend=backend)
+    backend.close()
+
+
+def cluster_analysis(middleware, level, sql):
+    """The shardability analysis of ``sql``'s rewrite, as the cluster runs it:
+    against the cluster's own catalog, with the compiler's column provenance."""
+    compiled = connection_at(middleware, level).compile(sql)
+    analyzer = ShardabilityAnalyzer(middleware.backend.catalog, compiled.facts.column_owners)
+    return analyzer.analyze(compiled.rewritten)
 
 
 class TestPassRegistry:
@@ -93,21 +112,18 @@ class TestCompiledQuery:
         canonical_names = set(compiled.conversions.canonical)
         assert {"currencyToUniversal", "currencyFromUniversal"} <= canonical_names
 
-    def test_analysis_reports_partitioning_and_local_keys(self, paper_mt_session):
-        connection = connection_at(paper_mt_session, "o4")
-        compiled = connection.compile(AGGREGATE_QUERY)
-        analysis = compiled.analysis
+    def test_analysis_reports_partitioning_and_local_keys(self, sharded_paper_mt):
+        analysis = cluster_analysis(sharded_paper_mt, "o4", AGGREGATE_QUERY)
         assert isinstance(analysis, QueryAnalysis)
         assert analysis.partitioned == ("employees",)
         assert analysis.partition_safe
         assert analysis.has_aggregation
 
-    def test_analysis_local_keys_name_the_tenant_local_columns(self, paper_mt_session):
+    def test_analysis_local_keys_name_the_tenant_local_columns(self, sharded_paper_mt):
         # the non-restructured query keeps Employees as the top-level binding
-        connection = connection_at(paper_mt_session, "o2")
-        compiled = connection.compile(CONVERSION_QUERY)
-        assert "e_ttid" in compiled.analysis.local_keys["employees"]
-        assert "e_emp_id" in compiled.analysis.local_keys["employees"]
+        analysis = cluster_analysis(sharded_paper_mt, "o2", CONVERSION_QUERY)
+        assert "e_ttid" in analysis.local_keys["employees"]
+        assert "e_emp_id" in analysis.local_keys["employees"]
 
     def test_snapshot_after_returns_stage_ast(self, paper_mt_session):
         connection = connection_at(paper_mt_session, "o4")
@@ -143,7 +159,6 @@ class TestExplain:
                 assert stage in text
                 assert f"-- after {stage}" in text
             assert "conversion calls:" in text
-            assert "analysis:" in text
 
     def test_explain_defaults_to_the_backend_dialect(self, paper_mt_session):
         connection = connection_at(paper_mt_session, "o4")

@@ -40,7 +40,6 @@ PUBLIC_MODULES = (
     "repro/cluster/__init__.py",
     "repro/cluster/placement.py",
     "repro/cluster/planner.py",
-    "repro/cluster/merge.py",
     "repro/cluster/coordinator.py",
     "repro/compile/__init__.py",
     "repro/compile/analysis.py",

@@ -15,7 +15,10 @@ digest of the MT-H row list (equal digests = equal rows in equal order, float
 bits included); below the table the round totals, the time-weighted and the
 geomean overhead, and the queries that carry the geomean.  ``--indexes`` adds
 the hash indexes the table versions hold once the queries have run: what the
-joins and look-ups of the mix cost in memory.
+joins and look-ups of the mix cost in memory.  ``--plans`` (with ``--shards``)
+adds each query's cluster plan (``last_plan.describe()``) and the tally of
+plan kinds — the single-shard / row-stream / partial-aggregate / federated
+taxonomy a cluster change must keep.
 """
 
 from __future__ import annotations
@@ -28,6 +31,9 @@ import sys
 from time import perf_counter_ns
 
 from repro.mth import ALL_QUERY_IDS, generate, load_mth, load_tpch_baseline, query_text
+
+#: plan kinds in tally order, as ``describe()`` spells them
+PLAN_KINDS = ("single-shard", "row-stream", "partial-aggregate", "federated")
 
 
 def best_ms(run, text: str, best_of: int) -> tuple[float, list]:
@@ -92,6 +98,7 @@ def probe(
     baseline = load_tpch_baseline(data=data, backend="engine")
     gateway = instance.middleware.gateway(cache_size=256)
     session = gateway.session(1, optimization="o4", scope=scope)
+    backend = instance.middleware.backend
     queries = {}
     try:
         for query_id in ALL_QUERY_IDS:
@@ -105,6 +112,9 @@ def probe(
                 "rows": len(rows),
                 "digest": digest(rows),
             }
+            plan = getattr(backend, "last_plan", None)  # a cluster's, after the MT-H run
+            if plan is not None:
+                queries[f"Q{query_id}"]["plan"] = plan.describe()
         held = index_table(instance) if indexes else None
     finally:
         session.close()
@@ -140,6 +150,7 @@ def main(argv=None) -> None:
     parser.add_argument("--shards", type=int, default=None, help="MT-H side on a sharded engine cluster")
     parser.add_argument("--scope", default="IN ()", help='the MT-H session\'s D, e.g. "IN (1,2,3)"; default all')
     parser.add_argument("--indexes", action="store_true", help="list the hash indexes held afterwards")
+    parser.add_argument("--plans", action="store_true", help="list each query's cluster plan and the kind tally")
     parser.add_argument("--json", action="store_true", help="print the table as JSON")
     args = parser.parse_args(argv)
     table = probe(args.sf, args.tenants, args.best_of, args.shards, args.scope, args.indexes)
@@ -157,6 +168,12 @@ def main(argv=None) -> None:
         f"overhead time-weighted {table['overhead_time_weighted']}, "
         f"geomean {table['overhead_geomean']} (carried by {', '.join(table['geomean_carriers'])})"
     )
+    if args.plans:
+        plans = {name: entry.get("plan", "none") for name, entry in table["queries"].items()}
+        for name, plan in plans.items():
+            print(f"  {name:<5}{plan}")
+        kinds = [plan.split("(")[0] for plan in plans.values()]
+        print("plans: " + " / ".join(f"{kinds.count(kind)} {kind}" for kind in PLAN_KINDS))
     if args.indexes:
         held = table["indexes"]
         print(f"indexes: {len(held)}, {sum(entry['bytes'] for entry in held) / 1e6:.1f} MB")
