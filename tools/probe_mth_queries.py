@@ -105,7 +105,7 @@ def probe(
             text = query_text(query_id)
             mth_ms, rows = best_ms(session.query, text, best_of)
             tpch_ms, _ = best_ms(baseline.query, text, best_of)
-            queries[f"Q{query_id}"] = {
+            entry = {
                 "mth_ms": round(mth_ms, 3),
                 "tpch_ms": round(tpch_ms, 3),
                 "ratio": round(mth_ms / tpch_ms, 3),
@@ -114,7 +114,8 @@ def probe(
             }
             plan = getattr(backend, "last_plan", None)  # a cluster's, after the MT-H run
             if plan is not None:
-                queries[f"Q{query_id}"]["plan"] = plan.describe()
+                entry["plan"] = plan.describe()
+            queries[f"Q{query_id}"] = entry
         held = index_table(instance) if indexes else None
     finally:
         session.close()
