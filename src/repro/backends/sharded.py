@@ -859,8 +859,7 @@ class ShardedConnection(BackendConnection):
         with self._lock:
             self.plan_reuses = 0
         self.reset_pull_counters()
-        with self.planner._stats_lock:
-            self.planner.plans = 0
+        self.planner.reset_stats()
         for shard in self._shards:
             shard.reset_stats()
         if self._scratch is not None:

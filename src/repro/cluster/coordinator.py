@@ -12,7 +12,8 @@ Given a :mod:`plan <repro.cluster.planner>` the coordinator
   the outer half of the paper's aggregation distribution (§4.2.2), so
   re-aggregation, ``HAVING``, projection, ``ORDER BY`` and ``LIMIT`` are the
   engine's own; for row streams it re-applies ``DISTINCT`` / ``ORDER BY`` /
-  ``LIMIT`` over the union the same way.
+  ``LIMIT`` over the union the same way (a row stream with none of them has
+  no merge query: the union is the answer).
 
 Federated plans are *not* handled here — they need the owning
 :class:`~repro.backends.sharded.ShardedConnection`'s scratch backend and are
@@ -135,6 +136,9 @@ class ShardCoordinator:
         gathered: list[tuple] = []
         for result in results:
             gathered.extend(result.rows)
+        columns = [_output_name(item) for item in plan.statement.items]
+        if split.merge_query is None:  # a plain row stream: the union is the answer
+            return QueryResult(columns=columns, rows=gathered)
         query = copy.copy(split.merge_query)
         query.from_items = [
             ast.RowsRef(
@@ -146,7 +150,6 @@ class ShardCoordinator:
         if parameters:
             query = bind_parameters(query, parameters)
         merged = self.merge_database.query(query)
-        columns = [_output_name(item) for item in plan.statement.items]
         return QueryResult(columns=columns, rows=merged.rows)
 
 

@@ -182,9 +182,14 @@ class ClusterPlanner:
         #: projection pushdown because pull-time prefilters may call them
         self.udf_statements_provider = udf_statements_provider
         #: plan() calls; gateway sessions plan concurrently, so increments
-        #: (and the owning connection's reset) take ``_stats_lock``
+        #: and :meth:`reset_stats` take ``_stats_lock``
         self.plans = 0
         self._stats_lock = threading.Lock()
+
+    def reset_stats(self) -> None:
+        """Zero the plan counter (between benchmark runs)."""
+        with self._stats_lock:
+            self.plans = 0
 
     # -- entry point ---------------------------------------------------------
 

@@ -311,10 +311,12 @@ class RowStreamSplit:
     ``SELECT [DISTINCT] mt_col_0, … FROM`` :data:`MERGE_RELATION` ``ORDER BY
     mt_col_<p> … LIMIT n``: the engine's own ``DISTINCT``, ordering and
     ``LIMIT`` over the union of the shard streams, hidden keys projected away.
+    It is ``None`` when the query has none of the three: the union, in shard
+    order, is then the answer.
     """
 
     shard_query: ast.Select
-    merge_query: ast.Select
+    merge_query: Optional[ast.Select]
 
 
 @dataclass(frozen=True)
@@ -397,6 +399,8 @@ def split_row_stream(select: ast.Select) -> RowStreamSplit:
                 expr=ast.Column(name=f"mt_col_{position}"), descending=order.descending
             )
         )
+    if not (order_by or select.distinct or select.limit is not None):
+        return RowStreamSplit(shard_query=shard_query, merge_query=None)
     merge_query = ast.Select(
         items=[
             ast.SelectItem(expr=ast.Column(name=f"mt_col_{position}"))

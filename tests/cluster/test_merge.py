@@ -410,6 +410,10 @@ class TestSplits:
             "SELECT mt_col_0, mt_col_1 FROM mt_partials "
             "ORDER BY mt_col_2 DESC, mt_col_0 LIMIT 3"
         )
+        # nothing to re-apply: the union of the streams is the answer
+        plain = split_row_stream(parse_query("SELECT a, b FROM t WHERE c > 1"))
+        assert to_sql(plain.shard_query) == "SELECT a AS mt_col_0, b AS mt_col_1 FROM t WHERE c > 1"
+        assert plain.merge_query is None
 
     def test_split_row_stream_rejects_distinct_with_hidden_key(self):
         query = parse_query("SELECT DISTINCT a FROM t ORDER BY b")

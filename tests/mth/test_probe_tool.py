@@ -59,3 +59,6 @@ def test_probe_takes_a_scope_and_lists_the_indexes(capsys):
     assert lines[summary].endswith(" MB") and len(lines) > summary + 1
     assert {line.split()[1] for line in lines[summary + 1 :]} == {"0", "1"}
     assert any(" orders(o_orderkey, o_ttid): " in line and "unique" in line for line in lines)
+    # on a cluster each query's plan is listed, then the plan-kind tally
+    assert "plans: 3 single-shard / 0 row-stream / 15 partial-aggregate / 4 federated" in lines
+    assert lines.index("  Q2   single-shard(shard=0)") < summary

@@ -15,8 +15,8 @@ digest of the MT-H row list (equal digests = equal rows in equal order, float
 bits included); below the table the round totals, the time-weighted and the
 geomean overhead, and the queries that carry the geomean.  ``--indexes`` adds
 the hash indexes the table versions hold once the queries have run: what the
-joins and look-ups of the mix cost in memory.  ``--plans`` (with ``--shards``)
-adds each query's cluster plan (``last_plan.describe()``) and the tally of
+joins and look-ups of the mix cost in memory.  With ``--shards`` it also
+prints each query's cluster plan (``last_plan.describe()``) and the tally of
 plan kinds — the single-shard / row-stream / partial-aggregate / federated
 taxonomy a cluster change must keep.
 """
@@ -151,7 +151,6 @@ def main(argv=None) -> None:
     parser.add_argument("--shards", type=int, default=None, help="MT-H side on a sharded engine cluster")
     parser.add_argument("--scope", default="IN ()", help='the MT-H session\'s D, e.g. "IN (1,2,3)"; default all')
     parser.add_argument("--indexes", action="store_true", help="list the hash indexes held afterwards")
-    parser.add_argument("--plans", action="store_true", help="list each query's cluster plan and the kind tally")
     parser.add_argument("--json", action="store_true", help="print the table as JSON")
     args = parser.parse_args(argv)
     table = probe(args.sf, args.tenants, args.best_of, args.shards, args.scope, args.indexes)
@@ -169,8 +168,8 @@ def main(argv=None) -> None:
         f"overhead time-weighted {table['overhead_time_weighted']}, "
         f"geomean {table['overhead_geomean']} (carried by {', '.join(table['geomean_carriers'])})"
     )
-    if args.plans:
-        plans = {name: entry.get("plan", "none") for name, entry in table["queries"].items()}
+    plans = {name: entry["plan"] for name, entry in table["queries"].items() if "plan" in entry}
+    if plans:
         for name, plan in plans.items():
             print(f"  {name:<5}{plan}")
         kinds = [plan.split("(")[0] for plan in plans.values()]
