@@ -14,7 +14,7 @@ benchmark harness — never need to know which DBMS actually ran a statement:
 Both SELECT shapes share the :class:`ColumnAccess` protocol — ``columns``,
 ``column_index`` and lazy ``iter_dicts`` work without materializing rows
 (see ``docs/api.md`` for the full container protocol).
-:mod:`repro.engine` re-exports these names for backwards compatibility.
+Import them from here: this module is their only home.
 """
 
 from __future__ import annotations

@@ -13,21 +13,22 @@ Two clients over the same frame protocol:
   ``repro.api`` surface — runs unchanged over the network:
   ``api.connect("server://host:port", client=...)``.
 
-SELECT results stay streams across the wire.  An EXECUTE asks for a **first
-page** with its reply (``fetch``; :data:`~repro.server.protocol.FIRST_PAGE_ROWS`
-from :class:`SyncSession`), so a result that fits the page is **one round
-trip**: the :class:`RemoteRowStream` starts out holding the decoded page, the
-server keeps no cursor and no admission slot for it, and ``fetchone`` /
-``fetchmany`` / ``fetchall`` / ``close`` send nothing.  A longer result leaves
-a server-side cursor behind; once the buffered page is used up every
-``fetchmany(n)`` is one FETCH frame asking for **exactly** ``n`` rows, whose
-column-major page is decoded once and handed over whole.  The client's
-read-ahead is therefore bounded by that one first page — past it, server-side
-row production tracks client consumption, which is why a stalled consumer
-exerts backpressure instead of filling a buffer.  Only ``materialize()`` /
-``Cursor.fetchall()``, which commit to draining, page in ``DRAIN_BATCH`` rows.
-Both ends state their protocol revision in HELLO and refuse a peer of another
-one; a malformed reply or page tears the session down.
+SELECT results stay streams across the wire, paged in **one page size**,
+:data:`~repro.server.protocol.PAGE_ROWS` (the engine's 1 024-row batch).  An
+EXECUTE asks for a first page of that size with its reply (``fetch``), so a
+result that fits the page is **one round trip**: the
+:class:`RemoteRowStream` starts out holding the decoded page, the server
+keeps no cursor and no admission slot for it, and ``fetchone`` /
+``fetchmany`` / ``fetchall`` / ``close`` send nothing.  A longer result
+leaves a server-side cursor behind; once the buffered rows run short, a
+``fetchmany(n)`` holding ``k`` of them sends one FETCH for ``max(n - k,
+PAGE_ROWS)`` rows and buffers what the caller did not ask for yet, so
+``fetchone`` costs one FETCH per page, not per row.  The client's read-ahead
+is therefore bounded by one page beyond what its caller asked for — past
+that, server-side row production tracks client consumption, which is why a
+stalled consumer exerts backpressure instead of filling a buffer.  Both ends
+state their protocol revision in HELLO and refuse a peer of another one; a
+malformed reply or page tears the session down.
 
 Error frames reconstruct the server's exception class
 (:func:`~repro.server.protocol.exception_from_frame`), so ``except
@@ -45,7 +46,7 @@ from typing import Any, Optional, Union
 from ..errors import MTSQLError, ProtocolError, ServerError
 from ..result import QueryResult, RowStream, StatementResult
 from .protocol import (
-    FIRST_PAGE_ROWS,
+    PAGE_ROWS,
     PROTOCOL_VERSION,
     decode_rows,
     decode_rows_reply,
@@ -117,11 +118,12 @@ class RemoteRowStream(RowStream):
     The stream starts out buffering the page that came with the reply; rows
     are handed out of the buffer first.  ``cursor_id`` is ``None`` when that
     page was the whole result — then nothing here ever touches the wire.
-    Otherwise rows past the buffer are pulled with FETCH frames sized to the
-    consumer's demand: ``fetchmany(n)`` tops a short buffer up with one
-    ``FETCH n-k`` and is exactly one ``FETCH n`` thereafter, ``fetch()`` one
-    row — no read-ahead beyond the first page.  :meth:`materialize` drains in
-    ``DRAIN_BATCH`` batches since everything will be consumed anyway.
+    Otherwise a demand the buffer cannot meet pulls one FETCH of the
+    shortfall, but never fewer than ``PAGE_ROWS`` rows: ``fetchmany(n)`` over
+    ``k`` buffered rows sends ``FETCH max(n - k, PAGE_ROWS)`` and keeps the
+    surplus buffered for the next call, ``fetch()`` included (the server may
+    cut a page of long rows short of its frame limit; then it asks again).
+    The read-ahead beyond the caller's demand is thus at most one page.
     Closing the stream while the server still holds its cursor sends
     CLOSE_CURSOR so the server frees the admission slot.
     """
@@ -140,17 +142,19 @@ class RemoteRowStream(RowStream):
         super().__init__(columns, (), on_close=self._release)
 
     def _take(self, size: int) -> tuple[list[tuple], bool]:
-        rows = self._buffer[:size]
-        del self._buffer[:size]
-        if self._cursor_id is not None and len(rows) < size:
-            more, eof = self._session._fetch(self._cursor_id, size - len(rows))
-            rows += more
+        # a page of long rows may come back short of eof: ask again
+        while self._cursor_id is not None and len(self._buffer) < size:
+            wanted = max(size - len(self._buffer), PAGE_ROWS)
+            more, eof = self._session._fetch(self._cursor_id, wanted)
+            self._buffer += more
             if eof:  # the server retired the cursor with its final batch
                 self._cursor_id = None
+        rows = self._buffer[:size]
+        del self._buffer[:size]
         return rows, self._cursor_id is None and not self._buffer
 
     def fetch(self) -> Optional[tuple]:
-        """The next row (buffered, else one single-row FETCH), or ``None``."""
+        """The next row (buffered, else the first of a fresh page), or ``None``."""
         page = self.fetchmany(1)
         return page[0] if page else None
 
@@ -248,17 +252,17 @@ class SyncSession:
         """Execute text or a prepared handle; SELECTs return a live stream.
 
         The DB-API entry point: the returned :class:`RemoteRowStream` holds
-        the reply's first page (``FIRST_PAGE_ROWS``) and — only if the result
+        the reply's first page (``PAGE_ROWS``) and — only if the result
         is longer — a server-side cursor with its admission slot, until
         exhausted or closed.
         """
-        request = _execute_request(statement, scope, parameters, FIRST_PAGE_ROWS)
+        request = _execute_request(statement, scope, parameters, PAGE_ROWS)
         return self._result(self._request(request))
 
     def prepare_execute(self, sql: str, scope=None, parameters=None):
         """Prepare ``sql`` and run its first execution in one round trip:
         ``(handle, result)``, as :meth:`GatewaySession.prepare_execute`."""
-        request = _execute_request(sql, scope, parameters, FIRST_PAGE_ROWS, prepare=True)
+        request = _execute_request(sql, scope, parameters, PAGE_ROWS, prepare=True)
         reply = self._request(request)
         handle = reply.get("handle")
         if type(handle) is not int:

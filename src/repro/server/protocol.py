@@ -13,19 +13,29 @@ class the server raised — ``except ParameterError`` works identically on
 both sides of the socket.
 
 An EXECUTE request states in ``fetch`` how many rows it wants with the reply
-(:data:`FIRST_PAGE_ROWS` from the blocking client): a SELECT whose result fits
+(:data:`PAGE_ROWS` from the blocking client): a SELECT whose result fits
 that **first page** is one round trip and opens no server-side cursor.  The
 first page and every FETCH reply carry a **column-major typed page**
 (:func:`encode_rows`):
-``{"cols": [[...], ...], "tags": [[index, kind], ...]}``.  A column of
-JSON-native cells (``int``/``float``/``str``/``bool``/``None``) ships untouched
-and untagged; an all-:class:`~repro.sql.types.Date` column ships as bare day
-ordinals (kind ``date``), an all-``bytes`` column as hex (``bytes``), ``None``
-staying ``None``; only a genuinely mixed column falls back to per-cell tagged
-scalars (``mixed``).  The type census, the transposes and JSON itself run at C
-speed, so a plain column costs no per-cell Python on either side.  Bind
-parameters use the scalar codec: ``{"$date": days}`` / ``{"$bytes": hex}``.
-Every path round-trips values *and* Python types exactly.
+``{"cols": [...], "tags": [[index, kind], ...]}``.  A column whose cells are
+all exactly ``int`` (within 64 bits), all exactly ``float`` or all exactly
+:class:`~repro.sql.types.Date` ships **binary**: one base64 string of a
+little-endian packed array — ints in the narrowest of 1, 2, 4 or 8 signed
+bytes that holds the page's min and max (kinds ``i8`` … ``i64``), floats as
+8-byte IEEE (``f64``), dates as signed day numbers since 1970-01-01
+(``days8`` … ``days32``).  A binary column's row count is its byte length
+over its width.  Every other column is a JSON list: JSON-native cells
+(``int``/``float``/``str``/``bool``/``None``) ship untouched and untagged; a
+``None``-bearing date column ships as day ordinals (kind ``date``), an
+all-``bytes`` column as hex (``bytes``), ``None`` staying ``None``; only a
+genuinely mixed column falls back to per-cell tagged scalars (``mixed``).
+The type census, the transposes, the packing and JSON itself run at C speed,
+so a numeric, date or plain column costs no per-cell Python on either side.
+A decoded page shares repeated strings, dates and packed numbers (one object
+per distinct value), as an in-process result shares the stored values.
+Bind parameters use the scalar codec: ``{"$date": days}`` /
+``{"$bytes": hex}``.  Every path round-trips values *and* Python types
+exactly.
 """
 
 from __future__ import annotations
@@ -33,6 +43,9 @@ from __future__ import annotations
 import json
 import struct
 import sys
+from array import array
+from base64 import b64decode, b64encode
+from functools import partial
 from typing import Any, Optional
 
 from ..errors import (
@@ -62,15 +75,16 @@ from ..errors import (
     TypeCheckError,
     TypeMismatchError,
 )
-from ..sql.types import Date, date_days, date_from_days
+from ..engine.vector import DEFAULT_BATCH_SIZE
+from ..sql.types import EPOCH_ORDINAL, Date, date_days, date_from_days
 
 #: protocol revision negotiated in HELLO; bumped on incompatible changes
-PROTOCOL_VERSION = 3
+PROTOCOL_VERSION = 4
 
-#: rows the blocking client asks for with an EXECUTE reply (its ``fetch``
-#: field): the read-ahead bound of a served SELECT, a quarter of the engine's
-#: own 1024-row read-ahead
-FIRST_PAGE_ROWS = 256
+#: the one page size of the blocking client: the rows it asks for with an
+#: EXECUTE reply (its ``fetch`` field) and the least it asks for with a FETCH.
+#: It bounds a served SELECT's read-ahead at one batch of the engine's
+PAGE_ROWS = DEFAULT_BATCH_SIZE
 
 #: hard ceiling on one frame's payload (a malformed length prefix must not
 #: make either end allocate gigabytes)
@@ -200,22 +214,62 @@ def decode_value(value: Any) -> Any:
 #: cell types JSON carries natively (exact types: a subclass goes ``mixed``)
 _PLAIN = frozenset({int, float, str, bool, _NONE})
 
+#: (exclusive bound, bits, signed ``array`` typecode) of each integer width,
+#: narrowest first
+_WIDTHS = ((1 << 7, 8, "b"), (1 << 15, 16, "h"), (1 << 31, 32, "i"), (1 << 63, 64, "q"))
+
+#: the wire is little-endian whatever the host is
+_BIG_ENDIAN = sys.byteorder == "big"
+
+#: the day numbers of ``date.min`` and ``date.max``
+_DAYS_RANGE = (date_days(Date.min), date_days(Date.max))
+
+
+def _pack(code: str, values) -> str:
+    """base64 text of ``values`` as a little-endian ``code`` array."""
+    packed = array(code, values)
+    if _BIG_ENDIAN:
+        packed.byteswap()
+    return b64encode(packed.tobytes()).decode("ascii")
+
+
+def _pack_integers(prefix: str, values) -> Optional[tuple[str, str]]:
+    """``(kind, base64)`` in the narrowest width holding ``values``, or
+    ``None`` when they need more than 64 bits."""
+    low, high = min(values), max(values)
+    for bound, bits, code in _WIDTHS:
+        if -bound <= low and high < bound:
+            return f"{prefix}{bits}", _pack(code, values)
+    return None
+
+
+def _encode_column(column: tuple) -> tuple[Optional[str], Any]:
+    """``(kind, wire column)`` of one page column; kind ``None`` is plain."""
+    census = set(map(type, column))
+    if census == {int}:
+        return _pack_integers("i", column) or (None, column)
+    if census == {float}:
+        return "f64", _pack("d", column)
+    if census == {Date}:
+        # date_days at C speed: each ordinal minus the epoch's
+        days = list(map(EPOCH_ORDINAL.__rsub__, map(Date.toordinal, column)))
+        return _pack_integers("days", days)
+    if census <= _PLAIN:
+        return None, column
+    if census <= {Date, _NONE}:
+        return "date", [None if value is None else date_days(value) for value in column]
+    if census <= {bytes, _NONE}:
+        return "bytes", [None if value is None else value.hex() for value in column]
+    return "mixed", [encode_value(value) for value in column]
+
 
 def encode_rows(rows: list[tuple]) -> dict[str, Any]:
     """Encode a row batch as the column-major typed page of a reply."""
     cols: list[Any] = []
     tags: list[list[Any]] = []
     for index, column in enumerate(zip(*rows, strict=True)):
-        census = set(map(type, column))
-        if not census <= _PLAIN:
-            if census <= {Date, _NONE}:
-                kind = "date"
-                column = [None if value is None else date_days(value) for value in column]
-            elif census <= {bytes, _NONE}:
-                kind = "bytes"
-                column = [None if value is None else value.hex() for value in column]
-            else:
-                kind, column = "mixed", [encode_value(value) for value in column]
+        kind, column = _encode_column(column)
+        if kind is not None:
             tags.append([index, kind])
         cols.append(column)
     return {"cols": cols, "tags": tags}
@@ -234,11 +288,77 @@ def _decode_plain(column: list) -> list:
     return column
 
 
+def _packed(text: Any) -> bytes:
+    """The bytes of a binary column, which travels as base64 text."""
+    if type(text) is not str:
+        raise ProtocolError("a binary column must travel as base64 text")
+    try:
+        return b64decode(text, validate=True)
+    except ValueError as exc:  # binascii.Error, or non-ASCII text
+        raise ProtocolError(f"a binary column is not base64: {exc}") from exc
+
+
+def _unpack(code: str, data: bytes) -> list:
+    """The values of a little-endian ``code`` array."""
+    values = array(code)
+    if len(data) % values.itemsize:
+        raise ProtocolError("result page columns differ in length")
+    values.frombytes(data)
+    if _BIG_ENDIAN:
+        values.byteswap()
+    return values.tolist()
+
+
+def _shared(values: list) -> list:
+    """One object per distinct value, as the in-process result shares the
+    stored value instead of holding one number per cell."""
+    return list(map({}.setdefault, values, values))
+
+
+def _decode_ints(code: str, text: Any) -> list:
+    values = _unpack(code, _packed(text))
+    # one-byte values are (nearly all) the interpreter's cached small ints
+    return values if code == "b" else _shared(values)
+
+
+#: the packed bytes of -0.0, which equals 0.0 and must not share its object
+_NEGATIVE_ZERO = array("d", [-0.0]).tobytes()
+
+
+def _decode_floats(text: Any) -> list:
+    data = _packed(text)
+    values = _unpack("d", data)
+    # an unaligned match only costs the sharing, never a sign
+    return values if _NEGATIVE_ZERO in data else _shared(values)
+
+
+def _decode_days(code: str, text: Any) -> list:
+    days = _unpack(code, _packed(text))
+    if days and not (_DAYS_RANGE[0] <= min(days) and max(days) <= _DAYS_RANGE[1]):
+        raise ProtocolError("a date's day number is out of range")
+    # the shared objects of date_from_days, as in the JSON ``date`` kind
+    return list(map(date_from_days, days))
+
+
+def _json_column(decode):
+    """``decode`` of a JSON list column, refusing any other column value."""
+    def checked(column: Any) -> list:
+        if not isinstance(column, list):
+            raise ProtocolError("a result page needs 'cols', a list of column lists")
+        return decode(column)
+    return checked
+
+
+_DECODE_PLAIN = _json_column(_decode_plain)
+
 #: column kind tag -> column decoder (untagged columns are plain)
 _COLUMN_DECODERS = {
-    "date": _decode_dates,
-    "bytes": _decode_bytes,
-    "mixed": lambda column: [decode_value(value) for value in column],
+    "date": _json_column(_decode_dates),
+    "bytes": _json_column(_decode_bytes),
+    "mixed": _json_column(lambda column: [decode_value(value) for value in column]),
+    **{f"i{bits}": partial(_decode_ints, code) for _bound, bits, code in _WIDTHS},
+    "f64": _decode_floats,
+    **{f"days{bits}": partial(_decode_days, code) for _bound, bits, code in _WIDTHS[:3]},
 }
 
 
@@ -251,20 +371,22 @@ def decode_rows(page: Any) -> list[tuple]:
     if not isinstance(page, dict):
         raise ProtocolError("a result page must be an object with 'cols' and 'tags'")
     cols, tags = page.get("cols"), page.get("tags")
-    if not isinstance(cols, list) or not all(isinstance(col, list) for col in cols):
+    if not isinstance(cols, list):
         raise ProtocolError("a result page needs 'cols', a list of column lists")
-    if len(set(map(len, cols))) > 1:
-        raise ProtocolError("result page columns differ in length")
     if not isinstance(tags, list):
         raise ProtocolError("a result page needs 'tags', a list of [index, kind] pairs")
-    decoders = [_decode_plain] * len(cols)
+    decoders = [_DECODE_PLAIN] * len(cols)
     for tag in tags:
         if not (isinstance(tag, list) and len(tag) == 2 and type(tag[0]) is int
                 and 0 <= tag[0] < len(cols) and isinstance(tag[1], str)
                 and tag[1] in _COLUMN_DECODERS):
             raise ProtocolError(f"result page carries an invalid column tag {tag!r}")
         decoders[tag[0]] = _COLUMN_DECODERS[tag[1]]
-    return list(zip(*(decode(column) for decode, column in zip(decoders, cols))))
+    columns = [decode(column) for decode, column in zip(decoders, cols)]
+    # a binary column's row count is its byte length over its width
+    if len(set(map(len, columns))) > 1:
+        raise ProtocolError("result page columns differ in length")
+    return list(zip(*columns))
 
 
 def encode_rows_reply(

@@ -84,14 +84,23 @@ class _ReleaseOnce:
 
 
 class _Cursor:
-    """One server-side open cursor: a row stream pinned to its tenant slot."""
+    """One server-side open cursor: a row stream pinned to its tenant slot.
+
+    ``held`` are rows already taken off the stream that a page too large for
+    one frame left out; the next FETCH serves them first.
+    """
 
     def __init__(
-        self, cursor_id: int, stream: RowStream, release: Callable[[], None]
+        self,
+        cursor_id: int,
+        stream: RowStream,
+        release: Callable[[], None],
+        held: list[tuple],
     ) -> None:
         self.cursor_id = cursor_id
         self.stream = stream
         self.release = release
+        self.held = held
 
 
 class _Connection:
@@ -407,7 +416,7 @@ class ReproServer:
         session = conn.session
         cursor_id = conn.reserve_cursor_id()
 
-        def run() -> tuple[bytes, Optional[RowStream]]:
+        def run() -> tuple[bytes, Optional[RowStream], list[tuple]]:
             # the statement, its first page and the reply's encoding all stay
             # on this worker; the stream comes back only if rows remain
             handle = None
@@ -420,10 +429,7 @@ class ReproServer:
                     statement, scope=scope, parameters=parameters
                 )
             try:
-                reply, stream = _execute_reply(result, fetch, cursor_id)
-                if prepare:
-                    reply["handle"] = handle
-                return encode_frame(reply), stream
+                return _execute_reply(result, fetch, cursor_id, handle)
             except BaseException:
                 # the client never learns of this stream or handle
                 if isinstance(result, RowStream):
@@ -437,7 +443,7 @@ class ReproServer:
         await self._admit(conn.gate, deadline)
         release = _ReleaseOnce(conn.gate)
         try:
-            reply, stream = await self._call(
+            reply, stream, held = await self._call(
                 run,
                 timeout=deadline - loop.time(),
                 abandoned=lambda value: self._abandon_result(value, release),
@@ -456,7 +462,7 @@ class ReproServer:
             release.release()
         else:
             # the slot stays pinned until the cursor hits eof or is closed
-            conn.cursors[cursor_id] = _Cursor(cursor_id, stream, release.release)
+            conn.cursors[cursor_id] = _Cursor(cursor_id, stream, release.release, held)
         return reply
 
     async def _op_fetch(self, conn: _Connection, frame: dict) -> bytes:
@@ -468,9 +474,16 @@ class ReproServer:
         def page() -> tuple[bytes, bool]:
             # encoding a page is as blocking as producing it: both stay on
             # the worker, the event loop only writes the finished bytes
-            rows = cursor.stream.fetchmany(n)
-            eof = len(rows) < n
-            return encode_frame({"ok": True, "rows": encode_rows(rows), "eof": eof}), eof
+            rows = cursor.held[:n]
+            del cursor.held[:n]
+            if len(rows) < n:
+                rows += cursor.stream.fetchmany(n - len(rows))
+            reply, left = _fitted_frame(
+                rows, len(rows) < n,
+                lambda page, eof: {"ok": True, "rows": encode_rows(page), "eof": eof},
+            )
+            cursor.held[:0] = left
+            return reply, len(rows) < n and not left
 
         try:
             reply, eof = await self._call(
@@ -540,7 +553,9 @@ class ReproServer:
         cursor.release()
 
     def _abandon_result(
-        self, value: Optional[tuple[bytes, Optional[RowStream]]], release: _ReleaseOnce
+        self,
+        value: Optional[tuple[bytes, Optional[RowStream], list[tuple]]],
+        release: _ReleaseOnce,
     ) -> None:
         """A timed-out EXECUTE finally produced a reply nobody will read."""
         if value is not None and value[1] is not None:
@@ -623,21 +638,46 @@ class ReproServer:
 
 
 def _execute_reply(
-    result, fetch: int, cursor_id: int
-) -> tuple[dict[str, Any], Optional[RowStream]]:
-    """The EXECUTE reply for one execution result, plus the stream that still
-    holds rows past the first page (``None`` once the page ran it dry)."""
+    result, fetch: int, cursor_id: int, handle: Optional[int]
+) -> tuple[bytes, Optional[RowStream], list[tuple]]:
+    """The EXECUTE reply frame for one execution result, the stream that
+    still holds rows past the first page (``None`` once the page ran it dry)
+    and the page's rows that did not fit the frame (see :func:`_fitted_frame`).
+    A preparing EXECUTE's reply names its ``handle``."""
+    named = {} if handle is None else {"handle": handle}
     if isinstance(result, StatementResult):
-        return {"ok": True, "kind": "statement",
-                "rowcount": result.rowcount, "type": result.statement_type}, None
+        reply = {"ok": True, "kind": "statement",
+                 "rowcount": result.rowcount, "type": result.statement_type}
+        return encode_frame({**reply, **named}), None, []
     if isinstance(result, QueryResult):  # a shape that had to materialize
         result = RowStream(columns=result.columns, rows=result.rows)
     if not isinstance(result, RowStream):
         raise ServerError(f"unexpected execution result {type(result).__name__}")
     rows = result.fetchmany(fetch)
-    eof = len(rows) < fetch
-    reply = encode_rows_reply(result.columns, rows, eof, cursor_id)
-    return reply, None if eof else result
+    reply, left = _fitted_frame(
+        rows, len(rows) < fetch,
+        lambda page, eof: {**encode_rows_reply(result.columns, page, eof, cursor_id), **named},
+    )
+    return reply, None if len(rows) < fetch and not left else result, left
+
+
+def _fitted_frame(
+    rows: list[tuple], eof: bool, reply: Callable[[list[tuple], bool], dict[str, Any]]
+) -> tuple[bytes, list[tuple]]:
+    """The frame of ``reply(page, eof)`` for the longest leading half, quarter, …
+    of ``rows`` whose frame stays within ``MAX_FRAME_BYTES``, plus the rows it
+    left out — so a page of long rows shrinks instead of failing; ``eof``
+    holds only for a page that kept every row.  Only a single row too large
+    for any frame raises :class:`ProtocolError`."""
+    keep = len(rows)
+    while True:
+        page = rows if keep == len(rows) else rows[:keep]
+        try:
+            return encode_frame(reply(page, eof and page is rows)), rows[keep:]
+        except ProtocolError:  # encode_frame's only error: the frame is too large
+            if keep <= 1:
+                raise
+            keep //= 2
 
 
 def _required_str(frame: dict, field: str) -> str:

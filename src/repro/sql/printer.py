@@ -11,7 +11,7 @@ modifiers, ``EXTRACT`` as ``strftime`` and so on).
 
 from __future__ import annotations
 
-from typing import Any, Optional
+from typing import Optional
 
 from ..errors import SQLError
 from . import ast
@@ -22,11 +22,6 @@ from .types import Interval
 def to_sql(node: ast.Node, dialect: Optional[Dialect] = None) -> str:
     """Render any AST node as SQL text in ``dialect`` (default: engine SQL)."""
     return SqlPrinter(dialect or DEFAULT_DIALECT).print(node)
-
-
-def format_literal(value: Any) -> str:
-    """Render a literal value in the default dialect (back-compat helper)."""
-    return DEFAULT_DIALECT.format_literal(value)
 
 
 #: expression types that never need parentheses as an operand

@@ -114,7 +114,8 @@ def arithmetic_result(
 #: the collector), compares and extracts in C, and is what PEP 249 expects.
 Date = _dt.date
 
-_EPOCH_ORDINAL = _dt.date(1970, 1, 1).toordinal()
+#: the ordinal of day number 0, the epoch of :func:`date_days`
+EPOCH_ORDINAL = _dt.date(1970, 1, 1).toordinal()
 
 
 @functools.lru_cache(maxsize=4096)
@@ -124,12 +125,12 @@ def date_from_days(days: int) -> Date:
     The one shared constructor: generated data, wire pages, sqlite results
     and parsed literals hold one object per distinct day (bounded cache).
     """
-    return _dt.date.fromordinal(days + _EPOCH_ORDINAL)
+    return _dt.date.fromordinal(days + EPOCH_ORDINAL)
 
 
 def date_days(value: Date) -> int:
     """Days since 1970-01-01; inverse of :func:`date_from_days`."""
-    return value.toordinal() - _EPOCH_ORDINAL
+    return value.toordinal() - EPOCH_ORDINAL
 
 
 def date_from_string(text: str) -> Date:

@@ -209,8 +209,8 @@ def test_streams_never_drop_frames_under_concurrent_load(mt):
 def test_sync_client_surfaces_shedding_identically(mt, monkeypatch):
     """The blocking client sees the same retryable SERVER_BUSY errors."""
     # a first page shorter than the 6-row result leaves a cursor (and its
-    # slot) behind; at FIRST_PAGE_ROWS the reply would be the whole result
-    monkeypatch.setattr("repro.server.client.FIRST_PAGE_ROWS", 1)
+    # slot) behind; at PAGE_ROWS the reply would be the whole result
+    monkeypatch.setattr("repro.server.client.PAGE_ROWS", 1)
     server = make_server(mt, concurrency=1, queue_depth=0).start()
     host, port = server.address
     holder = SyncSession(host, port, client=0, scope="IN (0, 1)", optimization="o4")

@@ -12,6 +12,7 @@ import time
 import pytest
 
 import repro.api as api
+from repro.core import MTBase
 from repro.errors import (
     InvalidStatementError,
     ParameterError,
@@ -26,7 +27,7 @@ from repro.server import ReproServer, ServerConfig, SyncSession, serve
 from repro.server.client import AsyncSession, RemoteRowStream
 from repro.server.loopback import loopback_server, shutdown_loopbacks
 from repro.server.protocol import (
-    FIRST_PAGE_ROWS,
+    PAGE_ROWS,
     PROTOCOL_VERSION,
     encode_frame,
     read_frame_blocking,
@@ -277,29 +278,135 @@ def test_a_result_that_fits_the_first_page_is_one_request(server, spec):
 def test_one_row_past_the_first_page_costs_exactly_one_fetch(server, spec):
     sql = (
         "SELECT a.E_name FROM Employees a, Employees b, Employees c, Employees d "
-        f"LIMIT {FIRST_PAGE_ROWS + 1}"
+        f"LIMIT {PAGE_ROWS + 1}"
     )
     with api.connect(spec, client=0, scope="IN (0, 1)") as connection:
         cursor = connection.cursor()
         before = server.requests_served
-        assert len(cursor.execute(sql).fetchall()) == FIRST_PAGE_ROWS + 1
+        assert len(cursor.execute(sql).fetchall()) == PAGE_ROWS + 1
         assert server.requests_served - before == 2  # EXECUTE + one FETCH
 
         before = server.requests_served
         cursor.execute(sql)
-        assert len(cursor.fetchmany(FIRST_PAGE_ROWS - 6)) == FIRST_PAGE_ROWS - 6
+        assert len(cursor.fetchmany(PAGE_ROWS - 6)) == PAGE_ROWS - 6
         assert server.requests_served - before == 1  # still inside the page
-        # a short buffer is topped up with one FETCH of the difference
+        # a short buffer is topped up with one FETCH of at least a page
         assert len(cursor.fetchmany(10)) == 7
         assert server.requests_served - before == 2
         assert cursor.fetchmany(10) == []
-        assert server.requests_served - before == 2 and cursor.rowcount == FIRST_PAGE_ROWS + 1
+        assert server.requests_served - before == 2 and cursor.rowcount == PAGE_ROWS + 1
 
         before = server.requests_served
         cursor.execute(sql)
         cursor.close()  # the server still holds a cursor: CLOSE_CURSOR frees it
         assert server.requests_served - before == 2
     assert server.admission.tenant_snapshot(0).load.in_flight == 0
+
+
+#: a 6⁵ = 7 776-row cross product of the six employees in scope IN (0, 1)
+SQL_MANY = (
+    "SELECT a.E_name, b.E_age FROM Employees a, Employees b, Employees c, "
+    "Employees d, Employees e LIMIT {}"
+)
+
+
+@pytest.fixture
+def fetches(monkeypatch):
+    """The row count of every FETCH the blocking client sends, in order."""
+    sent = []
+    real = SyncSession._fetch
+
+    def recording(self, cursor_id, n):
+        sent.append(n)
+        return real(self, cursor_id, n)
+
+    monkeypatch.setattr(SyncSession, "_fetch", recording)
+    return sent
+
+
+def test_fetchmany_256_drains_3000_rows_in_one_execute_and_two_fetches(server, spec, fetches):
+    with api.connect(spec, client=0, scope="IN (0, 1)") as connection:
+        cursor = connection.cursor()
+        before = server.requests_served
+        cursor.execute(SQL_MANY.format(3000))
+        drained = []
+        while page := cursor.fetchmany(256):
+            drained += page
+        assert len(drained) == 3000
+        assert server.requests_served - before == 3  # EXECUTE + 2 FETCH
+        assert fetches == [PAGE_ROWS, PAGE_ROWS]
+    assert server.admission.tenant_snapshot(0).load.in_flight == 0
+
+
+def test_fetchone_costs_one_fetch_per_page_not_per_row(server, spec, fetches):
+    with api.connect(spec, client=0, scope="IN (0, 1)") as connection:
+        cursor = connection.cursor()
+        before = server.requests_served
+        cursor.execute(SQL_MANY.format(2000))
+        count = 0
+        while cursor.fetchone() is not None:
+            count += 1
+        assert count == 2000
+        assert server.requests_served - before == 2  # EXECUTE + 1 FETCH
+        assert fetches == [PAGE_ROWS]
+
+
+def test_a_demand_beyond_the_page_is_one_fetch_of_the_shortfall(server, spec, fetches):
+    with api.connect(spec, client=0, scope="IN (0, 1)") as connection:
+        cursor = connection.cursor()
+        before = server.requests_served
+        cursor.execute(SQL_MANY.format(6000))
+        assert len(cursor.fetchmany(5000)) == 5000
+        assert server.requests_served - before == 2
+        assert fetches == [5000 - PAGE_ROWS]  # nothing read ahead past the demand
+        assert len(cursor.fetchall()) == 1000
+        assert fetches == [5000 - PAGE_ROWS, PAGE_ROWS]
+
+
+def test_an_early_close_with_rows_buffered_sends_one_close_cursor(server, spec, fetches):
+    with api.connect(spec, client=0, scope="IN (0, 1)") as connection:
+        cursor = connection.cursor()
+        before = server.requests_served
+        cursor.execute(SQL_MANY.format(3000))
+        assert len(cursor.fetchmany(PAGE_ROWS + 10)) == PAGE_ROWS + 10
+        assert server.admission.tenant_snapshot(0).load.in_flight == 1
+        cursor.close()  # PAGE_ROWS - 10 rows still buffered, the cursor open
+        assert server.requests_served - before == 3  # EXECUTE + FETCH + CLOSE_CURSOR
+        assert fetches == [PAGE_ROWS]
+    assert server.admission.tenant_snapshot(0).load.in_flight == 0
+
+
+def test_pages_of_long_rows_shrink_to_fit_a_frame(fetches):
+    # 1 024 rows of 20 KiB pass MAX_FRAME_BYTES: each page is cut in half
+    # and the rows it left out wait on the server's cursor
+    mt = MTBase()
+    mt.create_table(
+        "CREATE TABLE Docs GLOBAL (D_id INTEGER NOT NULL, D_body VARCHAR(20480) NOT NULL)"
+    )
+    bodies = [letter * 20480 for letter in "abcdefghijklm"]
+    mt.backend.execute(
+        "INSERT INTO Docs VALUES "
+        + ", ".join(f"({key}, '{body}')" for key, body in enumerate(bodies))
+    )
+    mt.register_tenant(0, "t0")
+    sql = "SELECT a.D_body FROM Docs a, Docs b, Docs c LIMIT 2000"
+    expected = mt.connect(0).query(sql).rows
+    assert len(expected) == 2000
+    with serve(mt) as live:
+        host, port = live.address
+        with api.connect(f"server://{host}:{port}", client=0) as connection:
+            cursor = connection.cursor()
+            before = live.requests_served
+            cursor.execute(sql)
+            assert list(iter(cursor.fetchone, None)) == expected
+            # 512 rows a frame: EXECUTE + 3 FETCH, the last one short at eof
+            assert live.requests_served - before == 4
+            assert fetches == [PAGE_ROWS] * 3
+            assert cursor.execute(sql).fetchall() == expected
+            # a demand the short pages cannot meet at once is met in full
+            assert cursor.execute(sql).fetchmany(1500) == expected[:1500]
+            assert cursor.execute("SELECT COUNT(*) FROM Docs").fetchall() == [(13,)]
+        assert live.admission.tenant_snapshot(0).load.in_flight == 0
 
 
 def test_a_dbapi_visit_is_one_frame_per_statement_plus_hello_and_close(server, spec):
@@ -337,7 +444,7 @@ def test_the_slot_is_free_once_an_eof_reply_is_written(server):
 
     async def main():
         async with await AsyncSession.open(host, port, client=1, scope="IN (0, 1)") as session:
-            reply = await session.begin_execute(SQL_BY_NAME, fetch=FIRST_PAGE_ROWS)
+            reply = await session.begin_execute(SQL_BY_NAME, fetch=PAGE_ROWS)
             assert reply["eof"] is True and "cursor" not in reply
             assert len(reply["rows"]["cols"][0]) == 6
             assert in_flight() == 0  # before any client fetch
@@ -366,7 +473,7 @@ def test_pages_are_encoded_on_a_worker_thread(server, spec, monkeypatch):
     real = server_module.encode_rows
     monkeypatch.setattr(server_module, "encode_rows", recording)  # FETCH pages
     monkeypatch.setattr(protocol_module, "encode_rows", recording)  # the first page
-    monkeypatch.setattr("repro.server.client.FIRST_PAGE_ROWS", 4)
+    monkeypatch.setattr("repro.server.client.PAGE_ROWS", 4)
     with api.connect(spec, client=0, scope="IN (0, 1)") as connection:
         cursor = connection.cursor()
         cursor.execute(SQL_BY_NAME)
@@ -560,7 +667,7 @@ def test_server_refuses_a_client_of_another_protocol_version(server, hello):
         assert stream.read(1) == b""  # and the connection is closed
 
 
-@pytest.mark.parametrize("version", [2, PROTOCOL_VERSION + 1])
+@pytest.mark.parametrize("version", [2, PROTOCOL_VERSION - 1, PROTOCOL_VERSION + 1])
 def test_clients_refuse_a_server_of_another_protocol_version(version):
     other = {**HELLO_OK, "protocol": version}
     with scripted_server(other) as (host, port):
