@@ -1,4 +1,4 @@
-"""Benchmark workload setup: the paper's two scenarios plus custom configs.
+"""The MT-H benchmark workloads and the helpers the benchmark modules share.
 
 * **Scenario 1** (§6.2) — a business alliance of ten small enterprises:
   ``T = 10``, uniform tenant shares, moderate scale factor.
@@ -7,9 +7,17 @@
   orders of magnitude.
 
 Scale factors are micro-scale by default (a pure-Python engine stands in for
-PostgreSQL / System C); the harness always reports response times *relative
-to the single-tenant TPC-H baseline on the same data*, which is the unit the
-paper's figures use.
+PostgreSQL / System C); the benchmarks report response times *relative to
+the single-tenant TPC-H baseline on the same data*, which is the unit the
+paper's figures use.  Five strict environment knobs steer every workload:
+``REPRO_BENCH_SF``, ``REPRO_BENCH_FULL``, ``REPRO_BENCH_BACKEND``,
+``REPRO_BENCH_SHARDS`` and ``REPRO_BENCH_LEVEL``.
+
+The benchmark modules import this module by its own name (pytest puts
+``benchmarks/`` on ``sys.path``), never through ``conftest``: a bare
+``from conftest import …`` resolves to whichever ``conftest`` module pytest
+imported first, which is ``tests/conftest.py`` when both trees are
+collected.
 """
 
 from __future__ import annotations
@@ -18,17 +26,18 @@ import os
 from dataclasses import dataclass, field
 from typing import Optional
 
-from ..backends import BACKEND_NAMES, BackendConnection, create_backend
-from ..core.middleware import MTBase
-from ..core.optimizer.levels import OptimizationLevel
-from ..errors import ConfigurationError
-from ..gateway import GatewaySession, QueryGateway
-from ..mth.dbgen import TPCHData, generate
-from ..mth.loader import MTHInstance, load_mth, load_tpch_baseline
+from repro.backends import BACKEND_NAMES, BackendConnection, create_backend
+from repro.core.middleware import MTBase
+from repro.core.optimizer.levels import OptimizationLevel
+from repro.errors import ConfigurationError
+from repro.gateway import GatewaySession, QueryGateway
+from repro.mth.dbgen import TPCHData, generate
+from repro.mth.loader import MTHInstance, load_mth, load_tpch_baseline
+from repro.mth.queries import ALL_QUERY_IDS, query_text
 
 
 def env_scale_factor(default: Optional[float]) -> Optional[float]:
-    """Scale factor override via ``REPRO_BENCH_SF`` (used by the pytest benches)."""
+    """Scale factor override via ``REPRO_BENCH_SF``."""
     value = os.environ.get("REPRO_BENCH_SF")
     if not value:
         return default
@@ -291,3 +300,80 @@ def load_workload(config: WorkloadConfig, use_cache: bool = True) -> Workload:
 def clear_workload_cache() -> None:
     """Drop every memoized workload (tests that mutate workloads call this)."""
     _WORKLOAD_CACHE.clear()
+
+
+# ---------------------------------------------------------------------------
+# Tables 3–9 as pytest-benchmark cells
+# ---------------------------------------------------------------------------
+
+#: the experiment grid of the paper's six response-time tables
+TABLE_CONFIGS: dict[str, dict] = {
+    "3": {"profile": "postgres", "dataset": "IN (1)", "client": 1},
+    "4": {"profile": "postgres", "dataset": "IN (2)", "client": 1},
+    "5": {"profile": "postgres", "dataset": "all", "client": 1},
+    "7": {"profile": "system_c", "dataset": "IN (1)", "client": 1},
+    "8": {"profile": "system_c", "dataset": "IN (2)", "client": 1},
+    "9": {"profile": "system_c", "dataset": "all", "client": 1},
+}
+
+FULL = env_full()
+
+#: representative queries: conversion heavy (1, 6, 22), join heavy (3, 10),
+#: global-table only (11), CASE/aggregation (14)
+DEFAULT_QUERY_IDS = (1, 3, 6, 10, 11, 14, 22)
+QUERY_IDS = ALL_QUERY_IDS if FULL else DEFAULT_QUERY_IDS
+
+DEFAULT_LEVELS = ("canonical", "o1", "o4", "inl-only")
+LEVELS = ("canonical", "o1", "o2", "o3", "o4", "inl-only") if FULL else DEFAULT_LEVELS
+
+#: records accumulated by :func:`record_benchmark`; ``conftest.py`` writes
+#: them to ``--bench-json`` at session end
+BENCH_RECORDS: list[dict] = []
+
+
+def record_benchmark(benchmark, name: str, **fields) -> None:
+    """Add one JSON record for a completed ``benchmark`` run.
+
+    ``median_ms`` comes from pytest-benchmark's own statistics for the
+    measured unit; ``fields`` label the cell (query id, level, mode) and
+    ``benchmark.extra_info`` rides along verbatim.  Harmless no-op when the
+    benchmark never ran (skipped cell) or JSON output is not requested —
+    the list is simply never flushed.
+    """
+    stats = getattr(getattr(benchmark, "stats", None), "stats", None)
+    record = dict(fields)
+    record["name"] = name
+    if stats is not None:
+        record["median_ms"] = round(stats.median * 1000.0, 4)
+        record["rounds"] = len(stats.data)
+    if benchmark.extra_info:
+        record["extra_info"] = dict(benchmark.extra_info)
+    BENCH_RECORDS.append(record)
+
+
+def table_workload(table_id: str):
+    """Load (once per session) the scenario-1 workload for a table experiment."""
+    spec = TABLE_CONFIGS[table_id]
+    config = WorkloadConfig.scenario1(profile=spec["profile"])
+    return load_workload(config), spec
+
+
+def run_mth_query(benchmark, workload, spec, level: str, query_id: int) -> None:
+    """Benchmark one (level, query) cell of a response-time table."""
+    connection = workload.connection(
+        client=spec["client"], optimization=level, dataset=spec["dataset"]
+    )
+    text = query_text(query_id)
+    workload.reset_caches()
+    benchmark.pedantic(lambda: connection.query(text), rounds=1, iterations=1, warmup_rounds=0)
+    record_benchmark(benchmark, "mth", query=query_id, level=level)
+
+
+def run_baseline_query(benchmark, workload, query_id: int) -> None:
+    """Benchmark the TPC-H baseline of one query on the workload's data."""
+    text = query_text(query_id)
+    workload.reset_caches()
+    benchmark.pedantic(
+        lambda: workload.baseline.query(text), rounds=1, iterations=1, warmup_rounds=0
+    )
+    record_benchmark(benchmark, "baseline", query=query_id)

@@ -15,7 +15,7 @@ import time
 
 import pytest
 
-from repro.bench.workload import WorkloadConfig, load_workload
+from mth_workload import WorkloadConfig, load_workload
 from repro.mth.queries import ALL_QUERY_IDS, query_text
 
 #: the rewrite-heavy representative mix used for the latency comparison

@@ -19,7 +19,7 @@ import time
 
 import pytest
 
-from repro.bench.workload import WorkloadConfig, load_workload
+from mth_workload import WorkloadConfig, load_workload
 from repro.mth.queries import query_text
 
 QUERY_IDS = (1, 3, 6, 22)

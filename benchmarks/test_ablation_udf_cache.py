@@ -8,7 +8,7 @@ on both back-end profiles over identical data.
 
 import pytest
 
-from repro.bench.workload import WorkloadConfig, load_workload
+from mth_workload import WorkloadConfig, load_workload
 from repro.mth.queries import query_text
 
 QUERY_IDS = (1, 22)

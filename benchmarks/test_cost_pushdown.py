@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.bench.workload import WorkloadConfig, load_workload
+from mth_workload import WorkloadConfig, load_workload
 from repro.mth.queries import query_text
 
 SHARDS = 4

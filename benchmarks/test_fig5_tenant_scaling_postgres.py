@@ -9,7 +9,7 @@ tenants at sf = 100; the micro-scale default sweeps 1 .. 100.
 
 import pytest
 
-from repro.bench.workload import WorkloadConfig, env_full, load_workload
+from mth_workload import WorkloadConfig, env_full, load_workload
 from repro.mth.queries import CONVERSION_INTENSIVE, query_text
 
 PROFILE = "postgres"

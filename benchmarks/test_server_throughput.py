@@ -26,7 +26,7 @@ import tracemalloc
 
 import pytest
 
-from repro.bench.workload import env_full, env_scale_factor
+from mth_workload import env_full, env_scale_factor
 from repro.gateway import ConcurrentExecutor, summarize
 from repro.errors import ServerBusyError
 from repro.mth.loader import load_mth

@@ -10,7 +10,7 @@ execution on the same data (``extra_info`` carries shards/dataset/plan).
 
 import pytest
 
-from repro.bench.workload import WorkloadConfig, env_full, load_workload
+from mth_workload import WorkloadConfig, env_full, load_workload
 from repro.mth.queries import query_text
 
 SHARD_COUNTS = (1, 2, 4, 8) if env_full() else (1, 2, 4)

@@ -18,7 +18,7 @@ REPRO_BENCH_FULL=1 for all 22 queries and all six levels.
 
 import pytest
 
-from conftest import LEVELS, QUERY_IDS, run_baseline_query, run_mth_query, table_workload
+from mth_workload import LEVELS, QUERY_IDS, run_baseline_query, run_mth_query, table_workload
 
 TABLE_IDS = ("3", "4", "5", "7", "8", "9")
 

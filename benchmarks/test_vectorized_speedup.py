@@ -19,8 +19,7 @@ import time
 
 import pytest
 
-from conftest import record_benchmark
-from repro.bench.workload import WorkloadConfig, load_workload
+from mth_workload import WorkloadConfig, load_workload, record_benchmark
 from repro.mth.queries import query_text
 from tests.conftest import kernel_leg
 

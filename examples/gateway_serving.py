@@ -19,8 +19,7 @@ instead of the in-memory engine.
 import argparse
 
 from repro.backends import BACKEND_NAMES
-from repro.bench.workload import WorkloadConfig, load_workload
-from repro.mth.queries import query_text
+from repro.mth import load_mth, query_text
 
 TENANTS = 4
 SCALE_FACTOR = 0.001
@@ -52,18 +51,11 @@ def build_batches(gateway, tenants):
 def main() -> None:
     args = parse_args()
     print(f"loading MT-H: sf={SCALE_FACTOR}, {TENANTS} tenants, backend={args.backend} ...")
-    workload = load_workload(
-        WorkloadConfig(
-            scale_factor=SCALE_FACTOR,
-            tenants=TENANTS,
-            distribution="uniform",
-            backend=args.backend,
-        )
-    )
-    gateway = workload.gateway(cache_size=512)
+    instance = load_mth(scale_factor=SCALE_FACTOR, tenants=TENANTS, backend=args.backend)
+    gateway = instance.middleware.gateway(cache_size=512)
     batches = build_batches(gateway, TENANTS)
     sessions = len(batches)
-    backend = workload.backend
+    backend = instance.middleware.backend
     print(
         f"{sessions} sessions x {len(QUERY_IDS)} queries, O4, concurrent, "
         f"served by the {backend.name!r} backend ({backend.dialect.name} dialect)\n"

@@ -18,9 +18,8 @@ The package is organized in layers (see ``docs/architecture.md``):
 * :mod:`repro.gateway`  — the caching, concurrent multi-tenant serving layer,
 * :mod:`repro.api`      — the PEP 249 (DB-API 2.0) driver surface: ``connect``
   → ``Connection`` → ``Cursor`` with bind parameters and streaming fetch,
-* :mod:`repro.mth`      — the MT-H benchmark (schema, data generator, queries),
-* :mod:`repro.bench`    — the experiment harness regenerating the paper's
-  tables and figures (plus shard-count scaling).
+* :mod:`repro.mth`      — the MT-H benchmark (schema, data generator, queries);
+  ``tools/probe_mth_queries.py`` and ``benchmarks/`` run the paper's experiments.
 """
 
 from .engine import Database

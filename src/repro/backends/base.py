@@ -4,7 +4,7 @@ The paper's central claim is that MTBase is a *middleware*: cross-tenant
 MTSQL is rewritten to plain SQL and executed unchanged on any off-the-shelf
 DBMS.  This module states the contract an execution backend must satisfy so
 that the layers above (:mod:`repro.core`, :mod:`repro.gateway`,
-:mod:`repro.bench`) never import a concrete engine:
+:mod:`repro.api`) never import a concrete engine:
 
 * :class:`Backend` — the factory/lifecycle object: knows its
   :class:`~repro.sql.dialect.Dialect` and hands out connections,

@@ -256,8 +256,6 @@ class Database:
 
     def reset_stats(self) -> None:
         self.stats.reset()
-        for name in self.catalog.function_names():
-            self.catalog.function(name).reset_stats()
 
     def clear_function_caches(self) -> None:
         for name in self.catalog.function_names():

@@ -86,10 +86,8 @@ class ExecutionContext:
         :meth:`repro.engine.functions.Function.invoke` is hit once per
         distinct key, and results scatter to every occurrence.  Counters
         stay one call per occurrence — each duplicate occurrence is one
-        call that hit the cache, accounted in bulk
-        (:meth:`~repro.engine.functions.Function.add_memo_hits`) — so the
-        UDF-cache ablation counts distinct conversion evaluations, not
-        batches.  Non-memoizing profiles (System C cannot declare
+        call that hit the cache, counted in bulk — so the UDF-cache
+        ablation counts distinct conversion evaluations, not batches.  Non-memoizing profiles (System C cannot declare
         UDFs deterministic) call per row, preserving their per-row
         execution counts.
         """
@@ -120,7 +118,6 @@ class ExecutionContext:
                         memo[args] = value
                         out[position] = value
                 if duplicates:
-                    function.add_memo_hits(duplicates)
                     stats.add(udf_calls=duplicates, udf_cache_hits=duplicates)
                 return out
             out = []

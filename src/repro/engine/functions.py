@@ -22,7 +22,6 @@ import functools
 import math
 import threading
 from collections import Counter
-from dataclasses import dataclass, field
 from itertools import filterfalse, repeat
 from typing import Any, Callable, Optional, Sequence
 
@@ -37,32 +36,22 @@ from ..sql.types import Date, date_from_string
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class FunctionStats:
-    """Per-function call counters, exposed for tests and benchmark reporting."""
-
-    calls: int = 0
-    cache_hits: int = 0
-    executions: int = 0
-
-
 class Function:
     """Base class for scalar UDFs registered in the catalog."""
 
     def __init__(self, name: str, immutable: bool = False) -> None:
         self.name = name
         self.immutable = immutable
-        self.stats = FunctionStats()
         self._cache: dict[tuple, Any] = {}
-        # memo cache and stats are shared across the gateway's worker threads
+        # the memo cache is shared across the gateway's worker threads
         self._lock = threading.Lock()
 
     def invoke(self, args: Sequence[Any], context, use_cache: bool) -> tuple[Any, int]:
         """Call the function, optionally memoizing immutable results.
 
         Returns ``(value, executed)`` where ``executed`` is 1 when the body
-        actually ran and 0 on a memo hit, so the caller can account cache
-        hits without re-reading (racy under concurrency) stats counters.
+        actually ran and 0 on a memo hit, for the caller's
+        :class:`~repro.result.ExecutionStats`.
         The body runs outside the lock: two threads missing the same key do
         the work twice, but never corrupt the cache or block each other.
         """
@@ -74,34 +63,13 @@ class Function:
                 key = None
         if key is not None:
             with self._lock:
-                self.stats.calls += 1
                 if key in self._cache:
-                    self.stats.cache_hits += 1
                     return self._cache[key], 0
             value = self._execute(args, context)
             with self._lock:
-                self.stats.executions += 1
                 self._cache[key] = value
             return value, 1
-        with self._lock:
-            self.stats.calls += 1
-            self.stats.executions += 1
         return self._execute(args, context), 1
-
-    def add_memo_hits(self, count: int) -> None:
-        """Account ``count`` memo hits in one lock acquisition.
-
-        The executor deduplicates ``(function, args)`` keys inside a batch
-        and calls :meth:`invoke` once per *distinct* key; the duplicate
-        occurrences are still calls-that-hit-the-memo as far as the paper's
-        UDF-cache ablation is concerned, so they are bulk-counted here to
-        keep the counters at one call per occurrence.
-        """
-        if count <= 0:
-            return
-        with self._lock:
-            self.stats.calls += count
-            self.stats.cache_hits += count
 
     def _execute(self, args: Sequence[Any], context) -> Any:
         raise NotImplementedError
@@ -109,10 +77,6 @@ class Function:
     def clear_cache(self) -> None:
         with self._lock:
             self._cache.clear()
-
-    def reset_stats(self) -> None:
-        with self._lock:
-            self.stats = FunctionStats()
 
 
 class PythonFunction(Function):

@@ -1,20 +1,23 @@
-"""The experiment harness: workload setup, table/figure runners, reporting."""
+"""The benchmark workloads (``benchmarks/mth_workload.py``): loading,
+caching, connections and the strict ``REPRO_BENCH_*`` parsers."""
+
+import sys
+from pathlib import Path
 
 import pytest
 
-from repro.bench import (
-    DEFAULT_TENANT_COUNTS,
+sys.path.insert(0, str(Path(__file__).resolve().parents[2] / "benchmarks"))
+
+from mth_workload import (  # noqa: E402
     TABLE_CONFIGS,
     WorkloadConfig,
-    format_seconds,
+    clear_workload_cache,
+    env_backend,
+    env_level,
+    env_scale_factor,
+    env_shards,
     load_workload,
-    render_relative_table,
-    render_scaling,
-    render_table,
-    run_table,
-    run_tenant_scaling,
 )
-from repro.bench.workload import clear_workload_cache
 
 
 @pytest.fixture(scope="module")
@@ -55,15 +58,12 @@ class TestWorkloadSetup:
         assert small_workload.backend.stats.udf_calls == 0
 
     def test_env_scale_factor_override(self, monkeypatch):
-        from repro.bench.workload import env_scale_factor
-
         assert env_scale_factor(0.002) == 0.002
         monkeypatch.setenv("REPRO_BENCH_SF", "0.01")
         assert env_scale_factor(0.002) == 0.01
 
     def test_env_backend_override(self, monkeypatch):
         from repro.errors import ConfigurationError
-        from repro.bench.workload import env_backend
 
         monkeypatch.delenv("REPRO_BENCH_BACKEND", raising=False)
         assert env_backend() == "engine"
@@ -77,7 +77,6 @@ class TestWorkloadSetup:
 
     def test_env_level_override(self, monkeypatch):
         from repro.errors import ConfigurationError
-        from repro.bench.workload import env_level
 
         monkeypatch.delenv("REPRO_BENCH_LEVEL", raising=False)
         assert env_level() == "o4"
@@ -113,121 +112,13 @@ class TestWorkloadSetup:
         session = workload.gateway_session(client=1, dataset="all")
         assert session.query("SELECT COUNT(*) FROM lineitem").scalar() == mt_rows
 
-
-class TestTableRunner:
     def test_table_configs_cover_the_six_paper_tables(self):
         assert set(TABLE_CONFIGS) == {"3", "4", "5", "7", "8", "9"}
         assert TABLE_CONFIGS["3"]["profile"] == "postgres"
         assert TABLE_CONFIGS["9"]["profile"] == "system_c"
         assert TABLE_CONFIGS["5"]["dataset"] == "all"
 
-    def test_run_table_produces_all_cells(self, small_workload):
-        result = run_table("5", query_ids=(6,), workload=small_workload)
-        assert set(level for level, _ in result.cells) == {
-            "canonical", "o1", "o2", "o3", "o4", "inl-only",
-        }
-        assert 6 in result.baseline
-        assert all(cell.seconds > 0 for cell in result.cells.values())
-
-    def test_relative_numbers_and_rows(self, small_workload):
-        result = run_table("5", query_ids=(6,), workload=small_workload)
-        relative = result.relative("o4", 6)
-        assert relative is not None and relative > 0
-        records = result.rows()
-        assert len(records) == 6
-        assert {"table", "level", "query", "seconds", "relative"} <= set(records[0])
-
-    def test_unknown_table_rejected(self):
-        with pytest.raises(KeyError):
-            run_table("42", query_ids=(1,))
-
-    def test_canonical_is_not_faster_than_o4_on_q1(self, small_workload):
-        result = run_table("5", query_ids=(1,), workload=small_workload, repetitions=2)
-        canonical = result.cells[("canonical", 1)].seconds
-        optimized = result.cells[("o4", 1)].seconds
-        assert canonical >= optimized * 0.8  # allow timing noise, canonical must not win big
-
-    def test_udf_call_counters_reported(self, small_workload):
-        result = run_table("5", query_ids=(1,), workload=small_workload)
-        assert result.cells[("canonical", 1)].udf_calls > result.cells[("o4", 1)].udf_calls
-
-
-class TestScalingRunner:
-    def test_default_tenant_counts_are_increasing(self):
-        assert list(DEFAULT_TENANT_COUNTS) == sorted(DEFAULT_TENANT_COUNTS)
-
-    def test_run_tenant_scaling_produces_series(self):
-        result = run_tenant_scaling(
-            profile="postgres",
-            tenant_counts=(1, 3),
-            query_ids=(6,),
-            levels=("o4",),
-            scale_factor=0.0005,
-        )
-        assert result.figure_id == "5"
-        series = result.series(6, "o4")
-        assert [tenants for tenants, _ in series] == [1, 3]
-        assert all(value > 0 for _, value in series)
-
-    def test_system_c_profile_maps_to_figure_6(self):
-        result = run_tenant_scaling(
-            profile="system_c",
-            tenant_counts=(1,),
-            query_ids=(6,),
-            levels=("o4",),
-            scale_factor=0.0005,
-        )
-        assert result.figure_id == "6"
-        assert result.rows()[0]["figure"] == "6"
-
-
-class TestReporting:
-    def test_format_seconds_significant_digits(self):
-        assert format_seconds(123.4) == "123"
-        assert format_seconds(12.34) == "12.3"
-        assert format_seconds(1.234) == "1.23"
-        assert format_seconds(0.1234) == "0.123"
-
-    def test_render_table_contains_levels_and_queries(self, small_workload):
-        result = run_table("5", query_ids=(6,), workload=small_workload)
-        text = render_table(result, (6,))
-        assert "Q06" in text and "canonical" in text and "tpch" in text
-        relative_text = render_relative_table(result, (6,))
-        assert "x" in relative_text
-
-    def test_render_scaling(self):
-        result = run_tenant_scaling(
-            profile="postgres",
-            tenant_counts=(1,),
-            query_ids=(6,),
-            levels=("o4",),
-            scale_factor=0.0005,
-        )
-        text = render_scaling(result)
-        assert "Figure 5" in text and "T=1" in text
-
-
-class TestShardScaling:
-    def test_run_shard_scaling_produces_series(self):
-        from repro.bench import run_shard_scaling
-
-        result = run_shard_scaling(
-            shard_counts=(1, 2),
-            query_ids=(6, 11),
-            scale_factor=0.0005,
-            tenants=4,
-        )
-        assert result.tenants == 4
-        series = result.series(6, dataset="all")
-        assert [shards for shards, _ in series] == [1, 2]
-        assert all(relative > 0 for _, relative in series)
-        plans = {row["plan"] for row in result.rows() if row["query"] == 11}
-        assert all(plan.startswith("single-shard") for plan in plans)
-        single_points = [row for row in result.rows() if row["dataset"] == "single"]
-        assert single_points  # the fast-path leg is part of the sweep
-
     def test_env_shards_override(self, monkeypatch):
-        from repro.bench.workload import env_shards
         from repro.errors import ConfigurationError
 
         monkeypatch.delenv("REPRO_BENCH_SHARDS", raising=False)

@@ -6,6 +6,8 @@ import json
 import sys
 from pathlib import Path
 
+import pytest
+
 sys.path.insert(0, str(Path(__file__).resolve().parents[2] / "tools"))
 
 import probe_mth_queries  # noqa: E402
@@ -62,3 +64,42 @@ def test_probe_takes_a_scope_and_lists_the_indexes(capsys):
     # on a cluster each query's plan is listed, then the plan-kind tally
     assert "plans: 3 single-shard / 0 row-stream / 15 partial-aggregate / 4 federated" in lines
     assert lines.index("  Q2   single-shard(shard=0)") < summary
+
+
+@pytest.mark.parametrize("profile", ["postgres", "system_c"])
+def test_the_levels_keep_the_papers_udf_story(profile, capsys):
+    """``--levels all`` interleaves the six levels per query.  UDF
+    executions, counted on cleared function caches, are deterministic, so
+    they pin the paper's level story where milliseconds cannot: memoizing
+    (postgres) o2 < canonical, distribution (o3) and inlining (o4) each cut
+    more; without memoization (System C) only o3/o4 help.  Every level
+    returns o4's rows up to float summation order."""
+    probe_mth_queries.main(
+        ["--sf", "0.001", "--tenants", "4", "--best-of", "1", "--levels", "all", "--profile", profile, "--json"]
+    )
+    table = json.loads(capsys.readouterr().out)
+    assert table["profile"] == profile
+    assert list(table["levels"]) == ["canonical", "o1", "o2", "o3", "o4", "inl-only"]
+    executions = {level: summary["udf_executions"] for level, summary in table["levels"].items()}
+    if profile == "postgres":
+        assert executions["canonical"] >= executions["o2"] > executions["o3"] > executions["o4"]
+    else:
+        assert executions["o4"] < executions["o2"] <= executions["canonical"]
+    for summary in table["levels"].values():
+        assert list(summary["queries"]) == [f"Q{query_id}" for query_id in range(1, 23)]
+        assert all(entry["matches_o4"] for entry in summary["queries"].values())
+        assert summary["udf_executions"] == sum(
+            entry["udf_executions"] for entry in summary["queries"].values()
+        )
+
+
+def test_probe_prints_the_level_grid_and_rejects_unknown_levels(capsys):
+    probe_mth_queries.main(["--sf", "0.001", "--tenants", "2", "--best-of", "1", "--levels", "o4,o3"])
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[1].split() == ["query", "tpch", "ms", "o4", "o3"]
+    assert lines[24] == "UDF executions, one run on cleared function caches"
+    assert [line.split()[0] for line in lines[-2:]] == ["o4", "o3"]
+    assert all(line.endswith("  22/22") for line in lines[-2:])
+    with pytest.raises(SystemExit):
+        probe_mth_queries.main(["--levels", "o4,o5"])
+    assert "unknown level 'o5'" in capsys.readouterr().err

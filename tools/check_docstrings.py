@@ -69,8 +69,6 @@ PUBLIC_MODULES = (
     "repro/engine/vector.py",
     "repro/engine/planner.py",
     "repro/mth/loader.py",
-    "repro/bench/workload.py",
-    "repro/bench/sharding.py",
     "repro/sql/dialect.py",
     "repro/sql/types.py",
     "repro/sql/params.py",
