@@ -1,22 +1,31 @@
 """The benchmark workloads (``benchmarks/mth_workload.py``): loading,
-caching, connections and the strict ``REPRO_BENCH_*`` parsers."""
+caching, connections, the strict ``REPRO_BENCH_*`` parsers and the helpers
+the benchmark modules time their cells with."""
 
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[2] / "benchmarks"))
 
+import mth_workload  # noqa: E402
 from mth_workload import (  # noqa: E402
+    LEVELS,
+    QUERY_IDS,
     TABLE_CONFIGS,
     WorkloadConfig,
     clear_workload_cache,
     env_backend,
+    env_full,
     env_level,
     env_scale_factor,
     env_shards,
     load_workload,
+    record_benchmark,
+    run_baseline_query,
+    run_mth_query,
 )
 
 
@@ -145,3 +154,85 @@ class TestWorkloadSetup:
         # same logical row counts as the unsharded baseline database
         assert workload.backend.table_rowcount("lineitem") == \
             workload.baseline.table_rowcount("lineitem")
+
+
+class FakeBenchmark:
+    """Stands in for pytest-benchmark's fixture: ``pedantic`` runs the
+    target once and keeps what it was asked to do."""
+
+    def __init__(self, median_s=None, rounds=0):
+        self.extra_info = {}
+        self.stats = None if median_s is None else SimpleNamespace(
+            stats=SimpleNamespace(median=median_s, data=[median_s] * rounds)
+        )
+        self.calls = []
+
+    def pedantic(self, target, **options):
+        self.calls.append(options)
+        self.result = target()
+
+
+class TestBenchmarkHelpers:
+    def test_env_scale_factor_rejects_a_non_number(self, monkeypatch):
+        from repro.errors import ConfigurationError
+
+        monkeypatch.setenv("REPRO_BENCH_SF", "tiny")
+        with pytest.raises(ConfigurationError, match="REPRO_BENCH_SF"):
+            env_scale_factor(0.002)
+        monkeypatch.setenv("REPRO_BENCH_SF", "")
+        assert env_scale_factor(0.002) == 0.002
+
+    def test_env_full_takes_only_the_two_flags(self, monkeypatch):
+        from repro.errors import ConfigurationError
+
+        monkeypatch.delenv("REPRO_BENCH_FULL", raising=False)
+        assert env_full() is False and env_full(True) is True
+        monkeypatch.setenv("REPRO_BENCH_FULL", " 1 ")
+        assert env_full() is True
+        monkeypatch.setenv("REPRO_BENCH_FULL", "0")
+        assert env_full(True) is False
+        for value in ("yes", "true", "2"):
+            monkeypatch.setenv("REPRO_BENCH_FULL", value)
+            with pytest.raises(ConfigurationError, match="REPRO_BENCH_FULL"):
+                env_full()
+
+    def test_the_grid_names_real_levels_and_queries(self):
+        from repro.core.optimizer.levels import OptimizationLevel
+        from repro.mth.queries import ALL_QUERY_IDS
+
+        assert set(LEVELS) <= set(OptimizationLevel.levels()) and "o4" in LEVELS
+        assert set(QUERY_IDS) <= set(ALL_QUERY_IDS)
+        assert {spec["dataset"] for spec in TABLE_CONFIGS.values()} == {"IN (1)", "IN (2)", "all"}
+
+    def test_record_benchmark_keeps_the_median_and_the_extra_info(self, monkeypatch):
+        monkeypatch.setattr(mth_workload, "BENCH_RECORDS", [])
+        timed = FakeBenchmark(median_s=0.0125, rounds=3)
+        timed.extra_info["rows"] = 4
+        record_benchmark(timed, "mth", query=6, level="o4")
+        # a skipped cell never ran: only its labels are recorded
+        record_benchmark(FakeBenchmark(), "baseline", query=6)
+        assert mth_workload.BENCH_RECORDS == [
+            {"query": 6, "level": "o4", "name": "mth", "median_ms": 12.5, "rounds": 3, "extra_info": {"rows": 4}},
+            {"query": 6, "name": "baseline"},
+        ]
+
+    def test_a_cell_is_one_cold_round_of_the_query(self, small_workload, monkeypatch):
+        """Both sides of a cell run once, without warm-up, on cleared UDF
+        caches and statistics, and return the same rows on the same data (up
+        to the currency round trip's float error)."""
+        from repro.mth import results_match
+
+        monkeypatch.setattr(mth_workload, "BENCH_RECORDS", [])
+        small_workload.backend.stats.udf_calls = 123
+        small_workload.baseline.stats.udf_calls = 123
+        mth, baseline = FakeBenchmark(), FakeBenchmark()
+        run_mth_query(mth, small_workload, TABLE_CONFIGS["5"], "o4", 6)
+        run_baseline_query(baseline, small_workload, 6)
+        assert mth.calls == baseline.calls == [{"rounds": 1, "iterations": 1, "warmup_rounds": 0}]
+        assert small_workload.backend.stats.udf_calls != 123
+        assert small_workload.baseline.stats.udf_calls != 123
+        assert mth.result.rows and results_match(mth.result, baseline.result) is None
+        assert mth_workload.BENCH_RECORDS == [
+            {"query": 6, "level": "o4", "name": "mth"},
+            {"query": 6, "name": "baseline"},
+        ]

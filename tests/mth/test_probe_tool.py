@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import json
 import sys
 from pathlib import Path
@@ -11,6 +12,8 @@ import pytest
 sys.path.insert(0, str(Path(__file__).resolve().parents[2] / "tools"))
 
 import probe_mth_queries  # noqa: E402
+
+from repro.mth import generate, load_mth, query_text  # noqa: E402
 
 
 def test_probe_reports_every_query_with_a_stable_digest(capsys):
@@ -103,3 +106,73 @@ def test_probe_prints_the_level_grid_and_rejects_unknown_levels(capsys):
     with pytest.raises(SystemExit):
         probe_mth_queries.main(["--levels", "o4,o5"])
     assert "unknown level 'o5'" in capsys.readouterr().err
+
+
+def test_levels_parse_as_all_or_a_list_without_repeats():
+    assert probe_mth_queries.parse_levels("all") == probe_mth_queries.LEVELS
+    assert probe_mth_queries.LEVELS == ("canonical", "o1", "o2", "o3", "o4", "inl-only")
+    assert probe_mth_queries.parse_levels(" o4, o3,o4") == ("o4", "o3")
+    with pytest.raises(argparse.ArgumentTypeError, match="unknown level 'O4', 'x'; levels are canonical, "):
+        probe_mth_queries.parse_levels("O4,x")
+
+
+def test_an_unknown_profile_is_rejected(capsys):
+    with pytest.raises(SystemExit):
+        probe_mth_queries.main(["--profile", "oracle"])
+    assert "invalid choice: 'oracle'" in capsys.readouterr().err
+
+
+def test_summary_weights_the_round_by_time_and_the_queries_alike():
+    """Time-weighted is the round's MT-H over its TPC-H time; the geomean
+    weighs every query's ratio alike, and its carriers are the five largest
+    ratios, largest first."""
+    ratios = {"Q1": 4.0, "Q2": 1.0, "Q3": 0.25, "Q4": 2.0, "Q5": 8.0, "Q6": 0.5}
+    queries = {
+        name: {"mth_ms": 10.0 * ratio, "tpch_ms": 10.0, "ratio": ratio} for name, ratio in ratios.items()
+    }
+    queries["Q2"].update(mth_ms=100.0, tpch_ms=100.0)
+    summary = probe_mth_queries.summarize(queries)
+    assert summary["queries"] is queries
+    assert summary["mth_round_ms"] == 247.5 and summary["tpch_round_ms"] == 150.0
+    assert summary["overhead_time_weighted"] == round(247.5 / 150.0, 3)
+    assert summary["overhead_geomean"] == round((4.0 * 0.25 * 2.0 * 8.0 * 0.5) ** (1 / 6), 3)
+    assert summary["geomean_carriers"] == ["Q5", "Q1", "Q4", "Q2", "Q6"]
+
+
+def test_the_digest_sees_order_and_float_bits_but_not_the_row_type():
+    rows = [(1, 0.3, "a"), (2, None, "b")]
+    assert probe_mth_queries.digest(rows) == probe_mth_queries.digest([list(row) for row in rows])
+    assert probe_mth_queries.digest(rows) != probe_mth_queries.digest(rows[::-1])
+    assert probe_mth_queries.digest([(1, 0.1 + 0.2, "a"), rows[1]]) != probe_mth_queries.digest(rows)
+    assert probe_mth_queries.digest([(1, -0.0)]) != probe_mth_queries.digest([(1, 0.0)])
+
+
+def test_udf_executions_are_counted_from_cold_function_caches():
+    """A warm-up on postgres' memoized UDFs would execute no body at all;
+    the probe clears the caches first, so every count is the cold one."""
+    instance = load_mth(data=generate(scale_factor=0.001), tenants=2, profile="postgres")
+    backend = instance.middleware.backend
+    connection = instance.middleware.connect(1, optimization="canonical")
+    text = query_text(1)
+    _, first, executions = probe_mth_queries.best_ms(connection.query, text, 1, backend)
+    assert executions > 0 and first.rows
+    backend.reset_stats()
+    connection.query(text)
+    assert backend.stats.udf_executions == 0  # the memo serves a warm run
+    assert probe_mth_queries.best_ms(connection.query, text, 1, backend)[2] == executions
+    assert probe_mth_queries.best_ms(connection.query, text, 1)[2] is None
+
+
+def test_levels_without_o4_are_not_compared_with_it(capsys):
+    probe_mth_queries.main(
+        ["--sf", "0.001", "--tenants", "2", "--best-of", "1", "--levels", "o3,canonical", "--json"]
+    )
+    table = json.loads(capsys.readouterr().out)
+    assert table["profile"] == "postgres" and list(table["levels"]) == ["o3", "canonical"]
+    for summary in table["levels"].values():
+        assert all("matches_o4" not in entry for entry in summary["queries"].values())
+        assert all(entry["udf_executions"] >= 0 for entry in summary["queries"].values())
+    probe_mth_queries.print_grid(table)
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split()[0] for line in lines[-2:]] == ["o3", "canonical"]
+    assert all(line.endswith("  -") for line in lines[-2:])
