@@ -86,10 +86,12 @@ class BackendConnection(abc.ABC):
         single-shard fast path).  ``None`` means "unknown", not "empty".
 
         ``compiled`` is the statement's :class:`~repro.compile.CompiledQuery`
-        artifact when it came through the middleware pipeline.  Backends that
-        plan (the sharded cluster) consume its shardability analysis instead
-        of re-walking the AST and memoize derived plans in the artifact's
-        ``attachments``; single-database backends ignore it.
+        artifact when it came through the middleware pipeline — or, for a
+        statement a cluster derived and sends to a shard, the cluster plan
+        that owns it.  Backends memoize what they derive from the statement
+        in its ``attachments``: the sharded cluster its plan (consuming the
+        artifact's column provenance instead of re-walking the AST), the
+        engine its prepared plan; other backends ignore it.
         """
         return self.execute(statement, parameters=parameters)
 

@@ -5,7 +5,12 @@ pure-Python DBMS stand-in with its "postgres" / "system_c" UDF-caching
 profiles — to the :class:`~repro.backends.base.Backend` protocol.  The
 adapter is thin: the engine already executes the default dialect natively,
 so statements pass through unchanged (parameters are bound by literal
-substitution, :func:`repro.sql.params.bind_parameters`).
+substitution, :func:`repro.sql.params.bind_parameters`).  A SELECT that
+arrives with its compiled artifact and no parameters keeps its engine plan
+in the artifact's ``attachments`` (see
+:class:`repro.engine.executor.Executor`), so a gateway cache hit runs
+without preparing; a bound statement is a fresh AST and prepares per
+execution.
 """
 
 from __future__ import annotations
@@ -64,6 +69,20 @@ class EngineConnection(BackendConnection):
             statement = bind_parameters(statement, parameters)
         return self._database.execute(statement)
 
+    def execute_scoped(
+        self,
+        statement: Statement,
+        dataset: Optional[Sequence[int]] = None,
+        parameters: Optional[Sequence[Any]] = None,
+        compiled: Optional["CompiledQuery"] = None,
+    ) -> ExecuteResult:
+        """Execute; a parameterless SELECT reuses the engine plan memoized
+        in ``compiled.attachments`` — the statement's artifact, or the
+        cluster plan that sent it to this shard.  ``dataset`` is ignored."""
+        if compiled is None or parameters or not isinstance(statement, ast.Select):
+            return self.execute(statement, parameters=parameters)
+        return self._database.execute(statement, plans=compiled.attachments)
+
     def execute_stream(
         self,
         statement: Statement,
@@ -74,17 +93,20 @@ class EngineConnection(BackendConnection):
         """Stream a SELECT through the engine's lazy pipeline.
 
         Streamable shapes (no grouping/ORDER BY/DISTINCT) yield their first
-        row having evaluated only that row; barrier shapes materialize
-        internally and replay.  ``dataset`` and ``compiled`` are routing
-        metadata a single-database backend ignores.
+        batch having evaluated only that batch; barrier shapes materialize
+        internally and replay.  ``dataset`` is routing metadata a
+        single-database backend ignores; ``compiled`` holds the plan memo,
+        as for :meth:`execute_scoped`.
         """
         if isinstance(statement, str):
             statement = parse_statement(statement)
+        plans = None if compiled is None else compiled.attachments
         if parameters:
             statement = bind_parameters(statement, parameters)
+            plans = None
         if not isinstance(statement, ast.Select):
             raise BackendError("execute_stream() expects a SELECT statement")
-        return self._database.execute_stream(statement)
+        return self._database.execute_stream(statement, plans)
 
     # -- UDF registration ----------------------------------------------------
 

@@ -226,7 +226,9 @@ class ShardedConnection(BackendConnection):
 
         Plans are derived from the *parameterized* statement (bind values
         ride separately into the shards), so one memoized plan serves every
-        binding of a prepared statement.
+        binding of a prepared statement.  The plan carries the engine plans
+        of its shard statement and merge query (``plan.attachments``, see
+        :mod:`repro.cluster.coordinator`), so a warm hit prepares nothing.
         """
         shards = self.placement.shards_for(dataset)
         plan: Optional[Plan] = None
@@ -275,9 +277,7 @@ class ShardedConnection(BackendConnection):
         self.stats.add(statements=1)
         plan = self._resolve_plan(statement, dataset, compiled)
         if isinstance(plan, SingleShardPlan):
-            return self._shards[plan.shard].execute_stream(
-                plan.statement, parameters=parameters
-            )
+            return self.coordinator.stream(plan, parameters)
         if isinstance(plan, FederatedPlan):
             result = self._execute_federated(plan, dataset, parameters)
         else:
@@ -516,6 +516,7 @@ class ShardedConnection(BackendConnection):
                     scratch,
                     table,
                     dataset,
+                    plan,
                     prefilter=prefilters.get(table.lower()),
                     columns=pull_columns.get(table.lower()),
                 )
@@ -574,6 +575,7 @@ class ShardedConnection(BackendConnection):
         scratch: BackendConnection,
         table: str,
         dataset: Optional[Sequence[int]],
+        plan: FederatedPlan,
         prefilter: Optional[TablePrefilter] = None,
         columns: Optional[Sequence[str]] = None,
     ) -> None:
@@ -587,7 +589,9 @@ class ShardedConnection(BackendConnection):
 
         Skipped when the previous sync still covers this request
         (:meth:`_scratch_serves`); mutations drop the entry via
-        :meth:`_mark_scratch_stale`.
+        :meth:`_mark_scratch_stale`.  The federated ``plan`` keeps the pull
+        statement in its ``attachments``, so an engine shard reuses its plan
+        of it.
         """
         key = table.lower()
         info = self.catalog.partitioned.get(key)
@@ -612,40 +616,20 @@ class ShardedConnection(BackendConnection):
         if have is not None and self._scratch_serves(have, want):
             return
         scratch.execute(ast.Delete(table=table))
-        items = (
-            [ast.SelectItem(expr=ast.Star())]
-            if pulled is None
-            else [ast.SelectItem(expr=ast.Column(name=column)) for column in pulled]
-        )
-        pull: ast.Select = ast.Select(
-            items=items,
-            from_items=[ast.TableRef(name=table)],
-        )
-        conjuncts: list[ast.Expression] = []
-        if info is None:
-            if prefilter is not None:
-                pull.where = prefilter.predicate
-            rows = list(self._shards[0].query(pull).rows)
-        else:
-            sources = (
-                range(len(self._shards))
-                if dataset is None
-                else self.placement.shards_for(dataset)
+        pull = plan.attachments.get(("pull", key, want))
+        if pull is None:
+            pull = plan.attachments[("pull", key, want)] = self._pull_statement(
+                table, info, dataset, prefilter, pulled
             )
-            if dataset is not None:
-                conjuncts.append(
-                    ast.InList(
-                        expr=ast.Column(name=info.ttid_column),
-                        items=tuple(ast.Literal(int(ttid)) for ttid in dataset),
-                    )
-                )
-            if prefilter is not None:
-                conjuncts.append(prefilter.predicate)
-            if conjuncts:
-                pull.where = ast.and_(*conjuncts)
-            rows = []
-            for shard in sources:
-                rows.extend(self._shards[shard].query(pull).rows)
+        if info is None:
+            sources: Sequence[int] = (0,)
+        elif dataset is None:
+            sources = range(len(self._shards))
+        else:
+            sources = self.placement.shards_for(dataset)
+        rows = []
+        for shard in sources:
+            rows.extend(self.coordinator.query_shard(shard, pull, None, plan).rows)
         self.rows_pulled += len(rows)
         width = len(pulled) if pulled is not None else (
             len(schema.columns) if schema is not None else 0
@@ -658,6 +642,38 @@ class ShardedConnection(BackendConnection):
         if rows:
             scratch.insert_rows(table, rows)
         self._scratch_state[key] = want
+
+    @staticmethod
+    def _pull_statement(
+        table: str,
+        info: Optional[PartitionInfo],
+        dataset: Optional[Sequence[int]],
+        prefilter: Optional[TablePrefilter],
+        pulled: Optional[tuple[str, ...]],
+    ) -> ast.Select:
+        """The SELECT a scratch sync sends to the shards: ``pulled`` columns
+        (all when ``None``) of ``table``, restricted to ``dataset``'s tenants
+        when the table is partitioned, and by the ``prefilter``."""
+        items = (
+            [ast.SelectItem(expr=ast.Star())]
+            if pulled is None
+            else [ast.SelectItem(expr=ast.Column(name=column)) for column in pulled]
+        )
+        conjuncts: list[ast.Expression] = []
+        if info is not None and dataset is not None:
+            conjuncts.append(
+                ast.InList(
+                    expr=ast.Column(name=info.ttid_column),
+                    items=tuple(ast.Literal(int(ttid)) for ttid in dataset),
+                )
+            )
+        if prefilter is not None:
+            conjuncts.append(prefilter.predicate)
+        return ast.Select(
+            items=items,
+            from_items=[ast.TableRef(name=table)],
+            where=ast.and_(*conjuncts),
+        )
 
     @staticmethod
     def _scratch_serves(
@@ -850,6 +866,7 @@ class ShardedConnection(BackendConnection):
                 statements=stats.statements,
                 join_rows_materialized=stats.join_rows_materialized,
                 join_rows_hashed=stats.join_rows_hashed,
+                plans_prepared=stats.plans_prepared,
             )
         return total
 

@@ -15,6 +15,14 @@ Given a :mod:`plan <repro.cluster.planner>` the coordinator
   ``LIMIT`` over the union the same way (a row stream with none of them has
   no merge query: the union is the answer).
 
+Engine plans live on the cluster plan (``plan.attachments``): every shard
+is sent the statement through ``execute_scoped`` with the plan as its
+owner (``compiled=plan``), so an engine shard prepares the shard statement
+once per plan; the merge engine prepares the merge query once per plan, its
+input an inline relation each run binds to its own gathered rows.  Bound
+parameters are substituted as literals, so a parameterized execution
+prepares afresh.
+
 Federated plans are *not* handled here — they need the owning
 :class:`~repro.backends.sharded.ShardedConnection`'s scratch backend and are
 executed there.
@@ -29,12 +37,12 @@ from typing import Any, Callable, Optional, Sequence, Union
 
 from ..engine.database import Database
 from ..engine.functions import BUILTIN_SCALARS
-from ..result import QueryResult
+from ..result import QueryResult, RowStream
 from ..sql import ast
 from ..sql.params import bind_parameters
 from ..sql.printer import to_sql
 from ..sql.transform import MERGE_RELATION
-from .planner import PartialAggregatePlan, RowStreamPlan, SingleShardPlan
+from .planner import PartialAggregatePlan, Plan, RowStreamPlan, SingleShardPlan
 
 
 class ShardCoordinator:
@@ -83,8 +91,16 @@ class ShardCoordinator:
     ) -> QueryResult:
         """Run one plan and return the merged :class:`QueryResult`."""
         if isinstance(plan, SingleShardPlan):
-            return self._shards[plan.shard].query(plan.statement, parameters=parameters)
+            return self.query_shard(plan.shard, plan.statement, parameters, plan)
         return self._merge(plan, parameters)
+
+    def stream(
+        self, plan: SingleShardPlan, parameters: Optional[Sequence[Any]] = None
+    ) -> RowStream:
+        """The owning shard's own row stream for a single-shard plan."""
+        return self._shards[plan.shard].execute_stream(
+            plan.statement, parameters=parameters, compiled=plan
+        )
 
     def close(self) -> None:
         """Shut the scatter worker pool down (the shards are closed elsewhere)."""
@@ -95,18 +111,33 @@ class ShardCoordinator:
 
     # -- scatter -------------------------------------------------------------
 
+    def query_shard(
+        self,
+        shard: int,
+        statement: ast.Select,
+        parameters: Optional[Sequence[Any]],
+        owner: Plan,
+    ) -> QueryResult:
+        """Run ``statement`` on one shard; ``owner`` (the cluster plan that
+        holds the statement) keeps the shard's plan of it in its
+        ``attachments``."""
+        return self._shards[shard].execute_scoped(
+            statement, parameters=parameters, compiled=owner
+        )
+
     def _scatter(
         self,
         statement: ast.Select,
         shard_ids: tuple[int, ...],
         parameters: Optional[Sequence[Any]],
+        owner: Plan,
     ) -> list[QueryResult]:
         """Execute one statement on several shards, results in shard order."""
         if len(shard_ids) == 1:
-            return [self._shards[shard_ids[0]].query(statement, parameters=parameters)]
+            return [self.query_shard(shard_ids[0], statement, parameters, owner)]
         pool = self._ensure_pool()
         futures = [
-            pool.submit(self._shards[shard].query, statement, parameters=parameters)
+            pool.submit(self.query_shard, shard, statement, parameters, owner)
             for shard in shard_ids
         ]
         return [future.result() for future in futures]
@@ -129,7 +160,7 @@ class ShardCoordinator:
     ) -> QueryResult:
         """Scatter the shard query, then run the merge query over the union."""
         split = plan.split
-        results = self._scatter(split.shard_query, plan.shards, parameters)
+        results = self._scatter(split.shard_query, plan.shards, parameters, plan)
         # shard order, then each shard's row order: the merge query's SUMs add
         # (and its stable sorts break ties) in this order, which keeps results
         # reproducible
@@ -139,17 +170,24 @@ class ShardCoordinator:
         columns = [_output_name(item) for item in plan.statement.items]
         if split.merge_query is None:  # a plain row stream: the union is the answer
             return QueryResult(columns=columns, rows=gathered)
-        query = copy.copy(split.merge_query)
-        query.from_items = [
-            ast.RowsRef(
-                columns=tuple(item.alias for item in split.shard_query.items),
-                rows=gathered,
-                alias=MERGE_RELATION,
-            )
-        ]
+        query = plan.attachments.get("merge-query")
+        if query is None:
+            query = copy.copy(split.merge_query)
+            query.from_items = [
+                ast.RowsRef(
+                    columns=tuple(item.alias for item in split.shard_query.items),
+                    rows=[],
+                    alias=MERGE_RELATION,
+                )
+            ]
+            # racing first runs agree on one query, so on one memoized plan
+            query = plan.attachments.setdefault("merge-query", query)
+        plans = plan.attachments
         if parameters:
-            query = bind_parameters(query, parameters)
-        merged = self.merge_database.query(query)
+            query, plans = bind_parameters(query, parameters), None
+        merged = self.merge_database.query(
+            query, plans=plans, relations={MERGE_RELATION: gathered}
+        )
         return QueryResult(columns=columns, rows=merged.rows)
 
 

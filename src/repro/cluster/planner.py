@@ -36,7 +36,7 @@ the walk runs once per (statement, shard set, catalog version).
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Collection, Optional, Union
 
 from ..compile.analysis import ClusterCatalog, ShardabilityAnalyzer
@@ -57,7 +57,20 @@ from ..sql.transform import (
 
 
 @dataclass(frozen=True)
-class SingleShardPlan:
+class _Plan:
+    """What every plan kind carries besides its strategy."""
+
+    #: memo space for what runs the plan's statements, freed with the plan:
+    #: each engine's prepared plan of them (see
+    #: :class:`repro.engine.executor.Executor`), the merge query's
+    #: inline-relation form, a federated plan's pull statements
+    attachments: dict = field(
+        default_factory=dict, repr=False, compare=False, kw_only=True
+    )
+
+
+@dataclass(frozen=True)
+class SingleShardPlan(_Plan):
     """Run the statement unchanged on one shard and relay its result."""
 
     shard: int
@@ -69,7 +82,7 @@ class SingleShardPlan:
 
 
 @dataclass(frozen=True)
-class RowStreamPlan:
+class RowStreamPlan(_Plan):
     """Scatter the per-shard stream, run the merge query over their union."""
 
     shards: tuple[int, ...]
@@ -82,7 +95,7 @@ class RowStreamPlan:
 
 
 @dataclass(frozen=True)
-class PartialAggregatePlan:
+class PartialAggregatePlan(_Plan):
     """Scatter partial aggregates, run the merge query at the coordinator."""
 
     shards: tuple[int, ...]
@@ -98,7 +111,7 @@ class PartialAggregatePlan:
 
 
 @dataclass(frozen=True)
-class FederatedPlan:
+class FederatedPlan(_Plan):
     """Pull the referenced base rows into a scratch backend and run there.
 
     ``tables`` lists the base tables to synchronize; ``None`` means the

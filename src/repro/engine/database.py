@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import Any, Callable, Union
+from typing import Any, Callable, Optional, Sequence, Union
 
 from ..compile.stats import RefreshPolicy, StatisticsCatalog, collect_table_stats
 from ..errors import ExecutionError
@@ -89,13 +89,23 @@ class Database:
 
     # -- statement execution --------------------------------------------------
 
-    def execute(self, statement: Union[str, ast.Statement]) -> ExecuteResult:
-        """Execute one statement (SQL text or an already-parsed AST node)."""
+    def execute(
+        self,
+        statement: Union[str, ast.Statement],
+        plans: Optional[dict] = None,
+        relations: Optional[dict[str, Sequence[tuple]]] = None,
+    ) -> ExecuteResult:
+        """Execute one statement (SQL text or an already-parsed AST node).
+
+        A SELECT's ``plans`` and ``relations`` are those of
+        :meth:`repro.engine.executor.Executor.execute`: the memo space of the
+        statement's owner, and the rows this run binds inline relations to.
+        """
         if isinstance(statement, str):
             statement = parse_statement(statement)
         self.stats.add(statements=1)
         if isinstance(statement, ast.Select):
-            return self.executor.execute(statement)
+            return self.executor.execute(statement, plans, relations)
         if isinstance(statement, ast.CreateTable):
             with self._write_lock:
                 execute_create_table(self.catalog, statement)
@@ -146,7 +156,9 @@ class Database:
         """Execute a ``;``-separated script, returning one result per statement."""
         return [self.execute(statement) for statement in parse_statements(sql)]
 
-    def execute_stream(self, statement: Union[str, ast.Select]) -> RowStream:
+    def execute_stream(
+        self, statement: Union[str, ast.Select], plans: Optional[dict] = None
+    ) -> RowStream:
         """Execute a SELECT as a lazily produced row stream.
 
         See :meth:`repro.engine.executor.Executor.execute_stream`; the
@@ -157,11 +169,17 @@ class Database:
         if not isinstance(statement, ast.Select):
             raise ExecutionError("execute_stream() expects a SELECT statement")
         self.stats.add(statements=1)
-        return self.executor.execute_stream(statement)
+        return self.executor.execute_stream(statement, plans)
 
-    def query(self, sql: Union[str, ast.Select]) -> QueryResult:
-        """Execute a SELECT and return its :class:`QueryResult`."""
-        result = self.execute(sql)
+    def query(
+        self,
+        sql: Union[str, ast.Select],
+        plans: Optional[dict] = None,
+        relations: Optional[dict[str, Sequence[tuple]]] = None,
+    ) -> QueryResult:
+        """Execute a SELECT and return its :class:`QueryResult` (arguments
+        as for :meth:`execute`)."""
+        result = self.execute(sql, plans, relations)
         if not isinstance(result, QueryResult):
             raise ExecutionError("query() expects a SELECT statement")
         return result

@@ -1,28 +1,36 @@
 """Query executor: prepared SELECT plans, aggregation, ordering, sub-queries.
 
-:class:`Executor` prepares a :class:`PreparedSelect` per statement execution.
+:class:`Executor` prepares a :class:`PreparedSelect` per statement — once
+per owner when the caller hands it the owner's memo space (a compiled
+artifact's or a cluster plan's ``attachments``), else per execution.
 Preparation compiles every expression to a batch kernel (see
 :mod:`repro.engine.vector`) and plans the joins (see
 :mod:`repro.engine.planner`); running a prepared plan pulls the joined rows
 as one :class:`~repro.engine.vector.RowBatch` and projects or aggregates it
-in bounded windows.  Prepared plans for uncorrelated sub-queries cache their
-result so that ``x IN (SELECT ...)`` style predicates cost one execution per
-statement, not one per row.
+in bounded windows.  A plan holds nothing a run produces: each execution (or
+stream) has a :class:`RunState` where uncorrelated sub-plans keep their
+result, so that ``x IN (SELECT ...)`` style predicates cost one execution
+per run, not one per row, and where inline relations find their rows.
 """
 
 from __future__ import annotations
 
 import threading
+from contextvars import ContextVar
 from dataclasses import dataclass
 from itertools import count, filterfalse
 from time import perf_counter
-from typing import Any, Optional
+from typing import Any, Callable, Optional, Sequence
 
 from ..errors import ExecutionError, FunctionError
 from ..result import QueryResult, RowStream
 from ..sql import ast
 from ..sql.printer import to_sql
-from ..sql.transform import find_aggregate_calls, transform_expression
+from ..sql.transform import (
+    find_aggregate_calls,
+    referenced_table_names,
+    transform_expression,
+)
 from ..sql.types import sort_key
 from .expressions import Scope
 from .functions import BUILTIN_SCALARS, Function, aggregate_factory, is_count_star
@@ -54,6 +62,39 @@ class ValueSet:
     has_null: bool
 
 
+class RunState:
+    """What one execution (or one stream) keeps of the plans it runs.
+
+    A prepared plan is shared by every execution of its statement, so it
+    holds nothing a run produces.  The run's own state lives here for the
+    run's duration: the results of uncorrelated sub-plans (``x IN (SELECT
+    ...)`` costs one sub-query execution per run, not one per row) and the
+    rows each inline relation (:class:`~repro.sql.ast.RowsRef`, by alias) is
+    bound to.
+    """
+
+    __slots__ = ("rows", "value_sets", "relations")
+
+    def __init__(self, relations: Optional[dict[str, Sequence[tuple]]] = None) -> None:
+        self.rows: dict[PreparedSelect, list[tuple]] = {}
+        self.value_sets: dict[PreparedSelect, ValueSet] = {}
+        self.relations = relations or {}
+
+
+#: the run state of the execution in progress on this thread (``None``
+#: outside one: each sub-plan run then starts afresh)
+_RUN: ContextVar[Optional[RunState]] = ContextVar("engine_run", default=None)
+
+
+def _within(run: RunState, fn: Callable[..., Any], *args: Any) -> Any:
+    """``fn(*args)`` with ``run`` as the current run state."""
+    token = _RUN.set(run)
+    try:
+        return fn(*args)
+    finally:
+        _RUN.reset(token)
+
+
 class ExecutionContext:
     """Services available to compiled expressions at run time."""
 
@@ -82,14 +123,17 @@ class ExecutionContext:
         """Call a scalar function over argument columns (the batch hot path).
 
         Catalog UDFs under a memoizing profile are *memo-batched*: the
-        ``(args)`` keys of a batch are deduplicated, the shared memo in
+        argument column (the zipped columns, for several arguments) is
+        deduplicated with ``dict.fromkeys``, the shared memo in
         :meth:`repro.engine.functions.Function.invoke` is hit once per
-        distinct key, and results scatter to every occurrence.  Counters
-        stay one call per occurrence — each duplicate occurrence is one
-        call that hit the cache, counted in bulk — so the UDF-cache
-        ablation counts distinct conversion evaluations, not batches.  Non-memoizing profiles (System C cannot declare
-        UDFs deterministic) call per row, preserving their per-row
-        execution counts.
+        distinct key in first-seen order, and ``map`` scatters the results
+        to every occurrence.  Counters stay one call per occurrence — each
+        duplicate occurrence is one call that hit the cache, counted in
+        bulk — so the UDF-cache ablation counts distinct conversion
+        evaluations, not batches.  A zero-argument call and a batch with an
+        unhashable argument take the per-row memo loop instead.
+        Non-memoizing profiles (System C cannot declare UDFs deterministic)
+        call per row, preserving their per-row execution counts.
         """
         catalog = self.database.catalog
         stats = self.database.stats
@@ -97,29 +141,25 @@ class ExecutionContext:
             function = catalog.function(name)
             use_cache = self.database.profile.cache_immutable_functions
             if use_cache and function.immutable:
-                out = [None] * n
-                memo: dict[tuple, Any] = {}
-                duplicates = 0
-                for position in range(n):
-                    args = tuple(column[position] for column in columns)
+                if columns:
+                    single = len(columns) == 1
+                    keys = columns[0] if single else list(zip(*columns))
                     try:
-                        hit = args in memo
-                    except TypeError:  # unhashable argument: no dedupe
-                        value, executed = function.invoke(args, self, use_cache=True)
-                        stats.add_udf_call(executed)
-                        out[position] = value
-                        continue
-                    if hit:
-                        out[position] = memo[args]
-                        duplicates += 1
+                        memo = dict.fromkeys(keys)
+                    except TypeError:  # unhashable argument: the loop below
+                        pass
                     else:
-                        value, executed = function.invoke(args, self, use_cache=True)
-                        stats.add_udf_call(executed)
-                        memo[args] = value
-                        out[position] = value
-                if duplicates:
-                    stats.add(udf_calls=duplicates, udf_cache_hits=duplicates)
-                return out
+                        for key in memo:
+                            value, executed = function.invoke(
+                                (key,) if single else key, self, use_cache=True
+                            )
+                            stats.add_udf_call(executed)
+                            memo[key] = value
+                        duplicates = n - len(memo)
+                        if duplicates:
+                            stats.add(udf_calls=duplicates, udf_cache_hits=duplicates)
+                        return list(map(memo.__getitem__, keys))
+                return self._memo_loop(function, columns, n)
             out = []
             for position in range(n):
                 args = tuple(column[position] for column in columns)
@@ -129,11 +169,42 @@ class ExecutionContext:
             return out
         builtin = BUILTIN_SCALARS.get(name.lower())
         if builtin is not None:
-            return [
-                builtin(*(column[position] for column in columns))
-                for position in range(n)
-            ]
+            if columns:
+                return list(map(builtin, *columns))
+            return [builtin() for _ in range(n)]
         raise FunctionError(f"unknown function {name!r}")
+
+    def _memo_loop(self, function: Function, columns: list[list], n: int) -> list:
+        """Per-row memo-batching: dedupes what hashes, calls the rest."""
+        stats = self.database.stats
+        out = [None] * n
+        memo: dict[tuple, Any] = {}
+        duplicates = 0
+        for position in range(n):
+            args = tuple(column[position] for column in columns)
+            try:
+                hit = args in memo
+            except TypeError:  # unhashable argument: no dedupe
+                value, executed = function.invoke(args, self, use_cache=True)
+                stats.add_udf_call(executed)
+                out[position] = value
+                continue
+            if hit:
+                out[position] = memo[args]
+                duplicates += 1
+            else:
+                value, executed = function.invoke(args, self, use_cache=True)
+                stats.add_udf_call(executed)
+                memo[args] = value
+                out[position] = value
+        if duplicates:
+            stats.add(udf_calls=duplicates, udf_cache_hits=duplicates)
+        return out
+
+    def bound_rows(self, alias: str) -> Optional[Sequence[tuple]]:
+        """The rows the current run binds the inline relation ``alias`` to."""
+        run = _RUN.get()
+        return None if run is None else run.relations.get(alias)
 
     def run_function_body(self, function: Function, args: list[Any]) -> Any:
         prepared = self.executor.function_body_plan(function, len(args))
@@ -159,15 +230,15 @@ class PreparedSelect:
         select: ast.Select,
         parent_scope: Optional[Scope],
     ) -> None:
-        self._executor = executor
         self._context = executor.context
         self._select = select
         self._parent_scope = parent_scope
-        self._cache_rows: Optional[list[tuple]] = None
-        self._cache_value_set: Optional[ValueSet] = None
         self._scopes: list[Scope] = []
         self._children: list[PreparedSelect] = []
         self._compile()
+        # names are resolved: a plan kept for many runs (see Executor) holds
+        # none of the scopes it resolved them in
+        del self._parent_scope, self._scope, self._scopes, self._children
 
     # -- compilation ----------------------------------------------------------
 
@@ -364,31 +435,37 @@ class PreparedSelect:
         return self._pipeline.estimate()
 
     def run(self, outers: tuple = (), limit: Optional[int] = None) -> list[tuple]:
-        if not self.correlated and self._cache_rows is not None:
-            rows = self._cache_rows
-        else:
+        """The plan's rows for ``outers``; an uncorrelated plan runs once
+        per run state (see :class:`RunState`)."""
+        run = None if self.correlated else _RUN.get()
+        if run is None:
             rows = self._run_uncached(outers)
-            if not self.correlated:
-                self._cache_rows = rows
+        else:
+            rows = run.rows.get(self)
+            if rows is None:
+                rows = run.rows[self] = self._run_uncached(outers)
         if limit is not None:
             return rows[:limit]
         return rows
 
     def run_value_set(self, outers: tuple = ()) -> ValueSet:
-        if not self.correlated and self._cache_value_set is not None:
-            return self._cache_value_set
-        rows = self.run(outers)
+        """The first column of :meth:`run` as an ``IN`` membership set."""
+        run = None if self.correlated else _RUN.get()
+        if run is not None:
+            value_set = run.value_sets.get(self)
+            if value_set is not None:
+                return value_set
         values = set()
         has_null = False
-        for row in rows:
+        for row in self.run(outers):
             value = row[0]
             if value is None:
                 has_null = True
             else:
                 values.add(value)
         value_set = ValueSet(values=values, has_null=has_null)
-        if not self.correlated:
-            self._cache_value_set = value_set
+        if run is not None:
+            run.value_sets[self] = value_set
         return value_set
 
     @property
@@ -412,29 +489,43 @@ class PreparedSelect:
         O(batch) rows.  Laziness covers joining and projection — never the
         full *result set* is materialized; each base scan still evaluates its
         pushed-down filters over its whole table when first pulled (sources
-        produce row lists).  Cached rows (uncorrelated sub-query memo) and
-        non-streamable shapes are simply replayed from the materialized
-        result.
+        produce row lists).  Non-streamable shapes are replayed from the
+        materialized result.  The stream owns one :class:`RunState`, current
+        while a batch is pulled and projected, so streams interleaved on one
+        thread keep their sub-query results apart.
         """
-        if not self.streamable or (not self.correlated and self._cache_rows is not None):
-            yield from self.run(outers)
+        run = RunState()
+        if not self.streamable:
+            yield from _within(run, self.run, outers)
             return
+        chunks = self._chunks(outers)
+        while True:
+            chunk = _within(run, next, chunks, None)
+            if chunk is None:
+                return
+            yield from chunk
+
+    def _chunks(self, outers: tuple):
+        """The lazy path of :meth:`stream`: one list of projected rows per
+        pulled batch, cut at ``LIMIT``."""
         self._context.database.stats.add(subquery_runs=1)
         filters = self._post_filters
         item_fns = self._item_fns
-        limit = self._limit
-        produced = 0
+        left = self._limit
+        if left is not None and left <= 0:
+            return
         for batch in self._pipeline.iter_batches(outers, self._batch_size):
             if filters:
                 batch = apply_batch_predicates(batch, filters, outers)
                 if batch.n == 0:
                     continue
-            columns = [fn(batch, outers) for fn in item_fns]
-            for values in zip(*columns):
-                yield values
-                produced += 1
-                if limit is not None and produced >= limit:
+            rows = list(zip(*[fn(batch, outers) for fn in item_fns]))
+            if left is not None:
+                if len(rows) >= left:
+                    yield rows[:left]
                     return
+                left -= len(rows)
+            yield rows
 
     def _run_uncached(self, outers: tuple) -> list[tuple]:
         stats = self._context.database.stats
@@ -621,31 +712,104 @@ class PreparedSelect:
 
 
 class Executor:
-    """Long-lived executor owned by a :class:`repro.engine.database.Database`."""
+    """Long-lived executor owned by a :class:`repro.engine.database.Database`.
+
+    :meth:`execute` and :meth:`execute_stream` take an optional ``plans``
+    mapping, the memo space of whatever owns the statement (a compiled
+    artifact's ``attachments``, a cluster plan's): the statement's
+    :class:`PreparedSelect` is stored there under this executor and the
+    statement, and reused while a fresh prepare would build the same plan —
+    the same catalog generation (DDL calls :meth:`invalidate`), the same
+    statistics version and the same version of every table the statement
+    scans.  The plan dies with its owner; the executor keeps no table of
+    statements.
+    """
 
     def __init__(self, database) -> None:
         self.database = database
         self.context = ExecutionContext(database, self)
         self._function_body_plans: dict[str, PreparedSelect] = {}
         self._plans_lock = threading.Lock()
+        #: bumped by :meth:`invalidate`: memoized statement plans of an older
+        #: generation are prepared again
+        self._generation = 0
 
-    def execute(self, select: ast.Select) -> QueryResult:
-        prepared = self.prepare(select, None)
-        rows = prepared.run(())
+    def execute(
+        self,
+        select: ast.Select,
+        plans: Optional[dict] = None,
+        relations: Optional[dict[str, Sequence[tuple]]] = None,
+    ) -> QueryResult:
+        """Run a SELECT; ``relations`` bind inline relations (by alias) to
+        this run's rows (see :class:`RunState`)."""
+        prepared = self._statement_plan(select, plans)
+        rows = _within(RunState(relations), prepared.run, ())
         return QueryResult(columns=prepared.output_columns, rows=rows)
 
-    def execute_stream(self, select: ast.Select) -> RowStream:
+    def execute_stream(self, select: ast.Select, plans: Optional[dict] = None) -> RowStream:
         """Execute a SELECT as a lazily produced :class:`RowStream`.
 
         Streamable shapes (see :attr:`PreparedSelect.streamable`) yield their
         first row without materializing the result; barrier shapes (grouping,
         ``ORDER BY``, ``DISTINCT``) materialize internally and replay.
         """
-        prepared = self.prepare(select, None)
+        prepared = self._statement_plan(select, plans)
         return RowStream(columns=prepared.output_columns, rows=prepared.stream(()))
 
     def prepare(self, select: ast.Select, parent_scope: Optional[Scope]) -> PreparedSelect:
         return PreparedSelect(self, select, parent_scope)
+
+    def _statement_plan(self, select: ast.Select, plans: Optional[dict]) -> PreparedSelect:
+        """The statement's plan: reused from ``plans`` while valid, else
+        prepared (and stored there when ``plans`` is given).
+
+        An entry is ``(plan, tables, stamp)``; it holds the statement, so
+        the ids in its key cannot be reused while it exists.  The stamp is
+        taken before preparing: a write that lands meanwhile only makes the
+        next run prepare again.
+        """
+        if plans is None:
+            self.database.stats.add(plans_prepared=1)
+            return self.prepare(select, None)
+        key = ("engine-plan", id(self), id(select))
+        entry = plans.get(key)
+        if entry is not None:
+            prepared, tables, stamp = entry
+            if self._stamp(tables) == stamp:
+                return prepared
+        tables = self._scanned_tables(select)
+        stamp = self._stamp(tables)
+        prepared = self.prepare(select, None)
+        self.database.stats.add(plans_prepared=1)
+        plans[key] = (prepared, tables, stamp)
+        return prepared
+
+    def _stamp(self, tables: tuple) -> tuple:
+        """What a fresh prepare of a statement scanning ``tables`` reads:
+        the catalog generation, the statistics version (refreshed first,
+        as preparing would) and each table's version."""
+        return (
+            self._generation,
+            self.database.statistics().version,
+            tuple(table.data.version for table in tables),
+        )
+
+    def _scanned_tables(self, select: ast.Select) -> tuple:
+        """The base tables ``select`` reads, through views and sub-queries."""
+        catalog = self.database.catalog
+        tables: dict[str, Any] = {}
+        seen: set[str] = set()
+        pending = [select]
+        while pending:
+            for name in referenced_table_names(pending.pop()):
+                if name in seen:
+                    continue
+                seen.add(name)
+                if catalog.has_view(name):
+                    pending.append(catalog.view(name))
+                elif catalog.has_table(name):
+                    tables[name] = catalog.table(name)
+        return tuple(tables.values())
 
     def function_body_plan(self, function: Function, arg_count: int) -> PreparedSelect:
         # lock-free fast path (dict reads are atomic under the GIL), locked
@@ -666,3 +830,4 @@ class Executor:
         """Drop cached plans after DDL changes the catalog."""
         with self._plans_lock:
             self._function_body_plans.clear()
+            self._generation += 1

@@ -309,20 +309,29 @@ class PreparedSource(SourcePlan):
 
 
 class RowsSource(SourcePlan):
-    """A scan over the inline rows of an :class:`~repro.sql.ast.RowsRef`."""
+    """A scan over an inline relation (:class:`~repro.sql.ast.RowsRef`).
 
-    def __init__(self, item: ast.RowsRef) -> None:
+    Its rows are the ones the current run binds the relation's alias to
+    (see :class:`repro.engine.executor.RunState`), else the node's own: a
+    plan prepared once scans other rows on every run — how the cluster
+    coordinator runs one merge query over each gather.
+    """
+
+    def __init__(self, item: ast.RowsRef, context: "ExecutionContext") -> None:
         schema = [(item.alias, column) for column in item.columns]
         super().__init__(schema, {item.alias.lower()})
+        self._alias = item.alias
         self._rows = item.rows
+        self._context = context
 
     def estimate(self) -> int:
-        """The row count (at least 1, like a table scan)."""
+        """The node's row count (at least 1, like a table scan)."""
         return max(len(self._rows), 1)
 
-    def rows(self, outers: tuple) -> list[tuple]:
-        """The inline rows, filtered."""
-        return self._apply_filters(self._rows, outers)
+    def rows(self, outers: tuple) -> Sequence[tuple]:
+        """The run's rows for the relation, filtered."""
+        rows = self._context.bound_rows(self._alias)
+        return self._apply_filters(self._rows if rows is None else rows, outers)
 
 
 class JoinSource(SourcePlan):
@@ -723,7 +732,7 @@ class Planner:
         if isinstance(item, ast.Join):
             return self._plan_join(item)
         if isinstance(item, ast.RowsRef):
-            return RowsSource(item)
+            return RowsSource(item, self._context)
         raise ExecutionError(f"unsupported FROM item {type(item).__name__}")
 
     def _plan_table(self, item: ast.TableRef) -> SourcePlan:

@@ -127,11 +127,14 @@ class TableData:
     equi-join asked for, so the schema bounds their number.
     """
 
-    __slots__ = ("schema", "rows", "_columns", "_typed", "_indexes")
+    __slots__ = ("schema", "rows", "version", "_columns", "_typed", "_indexes")
 
-    def __init__(self, schema: TableSchema, rows: tuple = ()) -> None:
+    def __init__(self, schema: TableSchema, rows: tuple = (), version: int = 0) -> None:
         self.schema = schema
         self.rows = rows
+        #: the table's publish count when this version was made; a memoized
+        #: engine plan is reused only while every table it scans is unchanged
+        self.version = version
         self._columns: dict[int, list] = {}
         self._typed: dict[int, Optional[TypedColumn]] = {}
         self._indexes: dict[tuple[int, ...], HashIndex] = {}
@@ -213,7 +216,7 @@ class Table:
 
     def publish(self, rows: Iterable[tuple]) -> None:
         """Make ``rows`` (already validated) the table's next version."""
-        self.data = TableData(self.schema, tuple(rows))
+        self.data = TableData(self.schema, tuple(rows), self.data.version + 1)
 
     def complete_row(self, names: Sequence[str], values: Sequence[Any]) -> list:
         """A full row from a subset of columns; missing columns get defaults."""

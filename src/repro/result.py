@@ -340,6 +340,9 @@ class ExecutionStats:
     #: rows inserted into a statement's join hash table or a newly built
     #: table-version index (0 when every build side probed an existing index)
     join_rows_hashed: int = 0
+    #: statements whose engine plan was prepared rather than reused from
+    #: the memo of the artifact or cluster plan that owns the statement
+    plans_prepared: int = 0
     operator_profiles: dict = field(default_factory=dict, compare=False)
     #: typed-vs-generic kernel dispatch tally; identity-stable for the
     #: engine's lifetime because compiled kernels close over it
@@ -424,5 +427,6 @@ class ExecutionStats:
             self.statements = 0
             self.join_rows_materialized = 0
             self.join_rows_hashed = 0
+            self.plans_prepared = 0
             self.operator_profiles = {}
             self.kernels.reset()

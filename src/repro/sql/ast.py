@@ -318,8 +318,9 @@ class RowsRef(FromItem):
     """Already-materialized rows scanned as a named relation.
 
     Not produced by the parser and not printable: the cluster coordinator
-    builds one per execution to hand the gathered per-shard partial rows to
-    the engine as the FROM item of a merge query.
+    builds one per cluster plan as the FROM item of its merge query, and
+    each run binds the alias to that run's gathered shard rows (the engine
+    scans those instead of ``rows``).
     """
 
     columns: tuple[str, ...]

@@ -31,7 +31,7 @@ class _CannedShard:
     def __init__(self, rows):
         self.rows = rows
 
-    def query(self, statement, parameters=None):
+    def execute_scoped(self, statement, dataset=None, parameters=None, compiled=None):
         columns = [item.alias for item in statement.items]
         return QueryResult(columns=columns, rows=list(self.rows))
 
@@ -42,7 +42,7 @@ class _EngineShard:
     def __init__(self, database):
         self.database = database
 
-    def query(self, statement, parameters=None):
+    def execute_scoped(self, statement, dataset=None, parameters=None, compiled=None):
         return self.database.query(statement)
 
 
@@ -69,7 +69,7 @@ def _merge(sql, shards, batch_size, functions=None, parameters=None, kind=Partia
     """
     statement = parse_query(sql)
     connections = [
-        shard if hasattr(shard, "query") else _CannedShard(shard) for shard in shards
+        shard if hasattr(shard, "execute_scoped") else _CannedShard(shard) for shard in shards
     ]
     coordinator = ShardCoordinator(connections)
     coordinator.merge_database = Database(batch_size=batch_size)

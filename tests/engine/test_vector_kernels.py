@@ -202,6 +202,43 @@ def test_system_c_profile_never_caches():
     assert hits == 0
 
 
+def _recording_db():
+    """A database with an immutable two-argument Python UDF that logs its
+    calls, over 8 rows holding 3 distinct ``(a, b)`` pairs."""
+    db = _db()
+    db.execute("CREATE TABLE t (a INTEGER, b INTEGER)")
+    db.insert_rows("t", [(a % 3, (a % 3) * 10) for a in (2, 0, 2, 1, 0, 2, 1, 0)])
+    seen: list = []
+    db.register_python_function(
+        "pair", lambda a, b: seen.append((a, b)) or a + b, immutable=True
+    )
+    return db, seen
+
+
+def test_memo_batch_invokes_distinct_keys_in_first_seen_order():
+    db, seen = _recording_db()
+    rows = db.query("SELECT pair(a, b) FROM t").rows
+    assert rows == [(22,), (0,), (22,), (11,), (0,), (22,), (11,), (0,)]
+    assert seen == [(2, 20), (0, 0), (1, 10)]
+    assert (db.stats.udf_calls, db.stats.udf_executions, db.stats.udf_cache_hits) == (8, 3, 5)
+
+
+def test_memo_batch_of_a_zero_argument_call_invokes_once():
+    db, _ = _recording_db()
+    calls: list = []
+    db.register_python_function("tick", lambda: calls.append(1) or 7, immutable=True)
+    assert db.query("SELECT tick() FROM t").rows == [(7,)] * 8
+    assert calls == [1]
+    assert (db.stats.udf_calls, db.stats.udf_executions, db.stats.udf_cache_hits) == (8, 1, 7)
+
+
+def test_builtin_scalars_map_over_their_columns():
+    db, _ = _recording_db()
+    rows = db.query("SELECT CONCAT(a, '-', b), ABS(a - 5) FROM t").rows
+    assert rows[:2] == [("2-20", 3), ("0-0", 5)]
+    assert db.stats.udf_calls == 0
+
+
 # ---------------------------------------------------------------------------
 # configuration: the schema picks the kernels, only the batch size is set
 # ---------------------------------------------------------------------------

@@ -18,6 +18,10 @@ by judging one row on two versions — a *torn answer*.  Readers also look a
 base row up by primary key and join the static table ``k`` (one row per
 writer) to ``t`` on ``w`` — every writer row once, so the same invariant,
 probed through the index of whatever version of ``t`` the join pinned.
+The scan and the join are parsed once and every reader executes those two
+statement objects with one shared memo space, so where the engine memoizes
+plans (see :class:`repro.engine.executor.Executor`) the readers run one
+prepared plan concurrently; a checkout without the memo ignores it.
 Prints reads / writes / errors / torn answers;
 the exit code is 1 if any read raised or was torn.
 """
@@ -30,7 +34,9 @@ import sys
 import threading
 import time
 
+from repro.backends.engine import EngineConnection
 from repro.engine import Database
+from repro.sql.parser import parse_query
 
 LOW, HIGH = 10, 90
 SCAN = f"SELECT COUNT(*), SUM(a), MIN(b), MAX(b) FROM t WHERE w > 0 AND b >= {LOW}"
@@ -78,12 +84,25 @@ def _writer(database: Database, writer: int, rng: random.Random, stop, report: d
         report["writes"] += 1
 
 
-def _reader(database: Database, rows: int, rng: random.Random, stop, report: dict) -> None:
+class _Shapes:
+    """The pre-parsed :data:`SCAN` and :data:`JOIN`, and the memo space the
+    readers share for them (it stands in for a compiled artifact's)."""
+
+    def __init__(self) -> None:
+        self.scan = parse_query(SCAN)
+        self.join = parse_query(JOIN)
+        self.attachments: dict = {}
+
+
+def _reader(database: Database, shapes: _Shapes, rows: int, rng, stop, report: dict) -> None:
+    connection = EngineConnection(database)
     while not stop.is_set():
         try:
             choice = rng.random()
             if choice < 0.8:
-                report["torn"] += torn(database.query(SCAN if choice < 0.5 else JOIN).rows[0])
+                statement = shapes.scan if choice < 0.5 else shapes.join
+                result = connection.execute_scoped(statement, compiled=shapes)
+                report["torn"] += torn(result.rows[0])
             else:
                 key = rng.randrange(rows)
                 found = database.query(f"SELECT id, a FROM t WHERE id = {key} AND w = 0").rows
@@ -105,12 +124,17 @@ def run(seconds: float, writers: int, readers: int, rows: int, seed: int = 0) ->
     database.insert_rows("k", [(writer + 1,) for writer in range(writers)])
     stop = threading.Event()
     reports = [{"reads": 0, "writes": 0, "errors": 0, "torn": 0} for _ in range(writers + readers)]
+    shapes = _Shapes()
     threads = []
     for k, report in enumerate(reports):
         rng = random.Random(seed * 1000 + k)
-        target, arg = (_writer, k + 1) if k < writers else (_reader, rows)
+        args = (k + 1,) if k < writers else (shapes, rows)
         threads.append(
-            threading.Thread(target=target, args=(database, arg, rng, stop, report), daemon=True)
+            threading.Thread(
+                target=_writer if k < writers else _reader,
+                args=(database, *args, rng, stop, report),
+                daemon=True,
+            )
         )
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-4)  # hand over mid-scan far more often than every 5 ms
