@@ -277,7 +277,9 @@ class ShardedConnection(BackendConnection):
         self.stats.add(statements=1)
         plan = self._resolve_plan(statement, dataset, compiled)
         if isinstance(plan, SingleShardPlan):
-            return self.coordinator.stream(plan, parameters)
+            return self._shards[plan.shard].execute_stream(
+                plan.statement, parameters=parameters, compiled=plan
+            )
         if isinstance(plan, FederatedPlan):
             result = self._execute_federated(plan, dataset, parameters)
         else:
@@ -516,7 +518,6 @@ class ShardedConnection(BackendConnection):
                     scratch,
                     table,
                     dataset,
-                    plan,
                     prefilter=prefilters.get(table.lower()),
                     columns=pull_columns.get(table.lower()),
                 )
@@ -575,7 +576,6 @@ class ShardedConnection(BackendConnection):
         scratch: BackendConnection,
         table: str,
         dataset: Optional[Sequence[int]],
-        plan: FederatedPlan,
         prefilter: Optional[TablePrefilter] = None,
         columns: Optional[Sequence[str]] = None,
     ) -> None:
@@ -589,9 +589,7 @@ class ShardedConnection(BackendConnection):
 
         Skipped when the previous sync still covers this request
         (:meth:`_scratch_serves`); mutations drop the entry via
-        :meth:`_mark_scratch_stale`.  The federated ``plan`` keeps the pull
-        statement in its ``attachments``, so an engine shard reuses its plan
-        of it.
+        :meth:`_mark_scratch_stale`.
         """
         key = table.lower()
         info = self.catalog.partitioned.get(key)
@@ -616,20 +614,40 @@ class ShardedConnection(BackendConnection):
         if have is not None and self._scratch_serves(have, want):
             return
         scratch.execute(ast.Delete(table=table))
-        pull = plan.attachments.get(("pull", key, want))
-        if pull is None:
-            pull = plan.attachments[("pull", key, want)] = self._pull_statement(
-                table, info, dataset, prefilter, pulled
-            )
+        items = (
+            [ast.SelectItem(expr=ast.Star())]
+            if pulled is None
+            else [ast.SelectItem(expr=ast.Column(name=column)) for column in pulled]
+        )
+        pull: ast.Select = ast.Select(
+            items=items,
+            from_items=[ast.TableRef(name=table)],
+        )
+        conjuncts: list[ast.Expression] = []
         if info is None:
-            sources: Sequence[int] = (0,)
-        elif dataset is None:
-            sources = range(len(self._shards))
+            if prefilter is not None:
+                pull.where = prefilter.predicate
+            rows = list(self._shards[0].query(pull).rows)
         else:
-            sources = self.placement.shards_for(dataset)
-        rows = []
-        for shard in sources:
-            rows.extend(self.coordinator.query_shard(shard, pull, None, plan).rows)
+            sources = (
+                range(len(self._shards))
+                if dataset is None
+                else self.placement.shards_for(dataset)
+            )
+            if dataset is not None:
+                conjuncts.append(
+                    ast.InList(
+                        expr=ast.Column(name=info.ttid_column),
+                        items=tuple(ast.Literal(int(ttid)) for ttid in dataset),
+                    )
+                )
+            if prefilter is not None:
+                conjuncts.append(prefilter.predicate)
+            if conjuncts:
+                pull.where = ast.and_(*conjuncts)
+            rows = []
+            for shard in sources:
+                rows.extend(self._shards[shard].query(pull).rows)
         self.rows_pulled += len(rows)
         width = len(pulled) if pulled is not None else (
             len(schema.columns) if schema is not None else 0
@@ -642,38 +660,6 @@ class ShardedConnection(BackendConnection):
         if rows:
             scratch.insert_rows(table, rows)
         self._scratch_state[key] = want
-
-    @staticmethod
-    def _pull_statement(
-        table: str,
-        info: Optional[PartitionInfo],
-        dataset: Optional[Sequence[int]],
-        prefilter: Optional[TablePrefilter],
-        pulled: Optional[tuple[str, ...]],
-    ) -> ast.Select:
-        """The SELECT a scratch sync sends to the shards: ``pulled`` columns
-        (all when ``None``) of ``table``, restricted to ``dataset``'s tenants
-        when the table is partitioned, and by the ``prefilter``."""
-        items = (
-            [ast.SelectItem(expr=ast.Star())]
-            if pulled is None
-            else [ast.SelectItem(expr=ast.Column(name=column)) for column in pulled]
-        )
-        conjuncts: list[ast.Expression] = []
-        if info is not None and dataset is not None:
-            conjuncts.append(
-                ast.InList(
-                    expr=ast.Column(name=info.ttid_column),
-                    items=tuple(ast.Literal(int(ttid)) for ttid in dataset),
-                )
-            )
-        if prefilter is not None:
-            conjuncts.append(prefilter.predicate)
-        return ast.Select(
-            items=items,
-            from_items=[ast.TableRef(name=table)],
-            where=ast.and_(*conjuncts),
-        )
 
     @staticmethod
     def _scratch_serves(

@@ -37,7 +37,7 @@ from typing import Any, Callable, Optional, Sequence, Union
 
 from ..engine.database import Database
 from ..engine.functions import BUILTIN_SCALARS
-from ..result import QueryResult, RowStream
+from ..result import QueryResult
 from ..sql import ast
 from ..sql.params import bind_parameters
 from ..sql.printer import to_sql
@@ -91,16 +91,8 @@ class ShardCoordinator:
     ) -> QueryResult:
         """Run one plan and return the merged :class:`QueryResult`."""
         if isinstance(plan, SingleShardPlan):
-            return self.query_shard(plan.shard, plan.statement, parameters, plan)
+            return self._query_shard(plan.shard, plan.statement, parameters, plan)
         return self._merge(plan, parameters)
-
-    def stream(
-        self, plan: SingleShardPlan, parameters: Optional[Sequence[Any]] = None
-    ) -> RowStream:
-        """The owning shard's own row stream for a single-shard plan."""
-        return self._shards[plan.shard].execute_stream(
-            plan.statement, parameters=parameters, compiled=plan
-        )
 
     def close(self) -> None:
         """Shut the scatter worker pool down (the shards are closed elsewhere)."""
@@ -111,7 +103,7 @@ class ShardCoordinator:
 
     # -- scatter -------------------------------------------------------------
 
-    def query_shard(
+    def _query_shard(
         self,
         shard: int,
         statement: ast.Select,
@@ -134,10 +126,10 @@ class ShardCoordinator:
     ) -> list[QueryResult]:
         """Execute one statement on several shards, results in shard order."""
         if len(shard_ids) == 1:
-            return [self.query_shard(shard_ids[0], statement, parameters, owner)]
+            return [self._query_shard(shard_ids[0], statement, parameters, owner)]
         pool = self._ensure_pool()
         futures = [
-            pool.submit(self.query_shard, shard, statement, parameters, owner)
+            pool.submit(self._query_shard, shard, statement, parameters, owner)
             for shard in shard_ids
         ]
         return [future.result() for future in futures]
@@ -176,7 +168,6 @@ class ShardCoordinator:
             query.from_items = [
                 ast.RowsRef(
                     columns=tuple(item.alias for item in split.shard_query.items),
-                    rows=[],
                     alias=MERGE_RELATION,
                 )
             ]

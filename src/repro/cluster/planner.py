@@ -63,7 +63,7 @@ class _Plan:
     #: memo space for what runs the plan's statements, freed with the plan:
     #: each engine's prepared plan of them (see
     #: :class:`repro.engine.executor.Executor`), the merge query's
-    #: inline-relation form, a federated plan's pull statements
+    #: inline-relation form
     attachments: dict = field(
         default_factory=dict, repr=False, compare=False, kw_only=True
     )

@@ -135,17 +135,17 @@ class Database:
             return StatementResult("DROP VIEW")
         if isinstance(statement, ast.Insert):
             with self._write_lock:
-                count = execute_insert(self.executor.context, statement)
+                count = self.executor.write(execute_insert, statement)
                 self._note_mutations(statement.table, count)
             return StatementResult("INSERT", rowcount=count)
         if isinstance(statement, ast.Update):
             with self._write_lock:
-                count = execute_update(self.executor.context, statement)
+                count = self.executor.write(execute_update, statement)
                 self._note_mutations(statement.table, count)
             return StatementResult("UPDATE", rowcount=count)
         if isinstance(statement, ast.Delete):
             with self._write_lock:
-                count = execute_delete(self.executor.context, statement)
+                count = self.executor.write(execute_delete, statement)
                 self._note_mutations(statement.table, count)
             return StatementResult("DELETE", rowcount=count)
         raise ExecutionError(

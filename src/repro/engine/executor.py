@@ -130,10 +130,9 @@ class ExecutionContext:
         to every occurrence.  Counters stay one call per occurrence — each
         duplicate occurrence is one call that hit the cache, counted in
         bulk — so the UDF-cache ablation counts distinct conversion
-        evaluations, not batches.  A zero-argument call and a batch with an
-        unhashable argument take the per-row memo loop instead.
-        Non-memoizing profiles (System C cannot declare UDFs deterministic)
-        call per row, preserving their per-row execution counts.
+        evaluations, not batches.  Non-memoizing profiles (System C cannot
+        declare UDFs deterministic) call per row, preserving their per-row
+        execution counts.
         """
         catalog = self.database.catalog
         stats = self.database.stats
@@ -141,25 +140,24 @@ class ExecutionContext:
             function = catalog.function(name)
             use_cache = self.database.profile.cache_immutable_functions
             if use_cache and function.immutable:
-                if columns:
-                    single = len(columns) == 1
-                    keys = columns[0] if single else list(zip(*columns))
-                    try:
-                        memo = dict.fromkeys(keys)
-                    except TypeError:  # unhashable argument: the loop below
-                        pass
-                    else:
-                        for key in memo:
-                            value, executed = function.invoke(
-                                (key,) if single else key, self, use_cache=True
-                            )
-                            stats.add_udf_call(executed)
-                            memo[key] = value
-                        duplicates = n - len(memo)
-                        if duplicates:
-                            stats.add(udf_calls=duplicates, udf_cache_hits=duplicates)
-                        return list(map(memo.__getitem__, keys))
-                return self._memo_loop(function, columns, n)
+                single = len(columns) == 1
+                if single:
+                    keys = columns[0]
+                elif columns:
+                    keys = list(zip(*columns))
+                else:  # no argument: every row is the one key ()
+                    keys = [()] * n
+                memo = dict.fromkeys(keys)
+                for key in memo:
+                    value, executed = function.invoke(
+                        (key,) if single else key, self, use_cache=True
+                    )
+                    stats.add_udf_call(executed)
+                    memo[key] = value
+                duplicates = n - len(memo)
+                if duplicates:
+                    stats.add(udf_calls=duplicates, udf_cache_hits=duplicates)
+                return list(map(memo.__getitem__, keys))
             out = []
             for position in range(n):
                 args = tuple(column[position] for column in columns)
@@ -174,37 +172,13 @@ class ExecutionContext:
             return [builtin() for _ in range(n)]
         raise FunctionError(f"unknown function {name!r}")
 
-    def _memo_loop(self, function: Function, columns: list[list], n: int) -> list:
-        """Per-row memo-batching: dedupes what hashes, calls the rest."""
-        stats = self.database.stats
-        out = [None] * n
-        memo: dict[tuple, Any] = {}
-        duplicates = 0
-        for position in range(n):
-            args = tuple(column[position] for column in columns)
-            try:
-                hit = args in memo
-            except TypeError:  # unhashable argument: no dedupe
-                value, executed = function.invoke(args, self, use_cache=True)
-                stats.add_udf_call(executed)
-                out[position] = value
-                continue
-            if hit:
-                out[position] = memo[args]
-                duplicates += 1
-            else:
-                value, executed = function.invoke(args, self, use_cache=True)
-                stats.add_udf_call(executed)
-                memo[args] = value
-                out[position] = value
-        if duplicates:
-            stats.add(udf_calls=duplicates, udf_cache_hits=duplicates)
-        return out
-
-    def bound_rows(self, alias: str) -> Optional[Sequence[tuple]]:
+    def bound_rows(self, alias: str) -> Sequence[tuple]:
         """The rows the current run binds the inline relation ``alias`` to."""
         run = _RUN.get()
-        return None if run is None else run.relations.get(alias)
+        rows = None if run is None else run.relations.get(alias)
+        if rows is None:
+            raise ExecutionError(f"inline relation {alias!r} is not bound to rows")
+        return rows
 
     def run_function_body(self, function: Function, args: list[Any]) -> Any:
         prepared = self.executor.function_body_plan(function, len(args))
@@ -745,6 +719,12 @@ class Executor:
         prepared = self._statement_plan(select, plans)
         rows = _within(RunState(relations), prepared.run, ())
         return QueryResult(columns=prepared.output_columns, rows=rows)
+
+    def write(self, apply: Callable[[ExecutionContext, Any], int], statement: Any) -> int:
+        """``apply(context, statement)`` for a DML statement, under one
+        :class:`RunState`: the statement's uncorrelated sub-queries run once,
+        not once per row or per outer row of a correlated one."""
+        return _within(RunState(), apply, self.context, statement)
 
     def execute_stream(self, select: ast.Select, plans: Optional[dict] = None) -> RowStream:
         """Execute a SELECT as a lazily produced :class:`RowStream`.

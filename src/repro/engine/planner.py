@@ -312,26 +312,24 @@ class RowsSource(SourcePlan):
     """A scan over an inline relation (:class:`~repro.sql.ast.RowsRef`).
 
     Its rows are the ones the current run binds the relation's alias to
-    (see :class:`repro.engine.executor.RunState`), else the node's own: a
-    plan prepared once scans other rows on every run — how the cluster
-    coordinator runs one merge query over each gather.
+    (see :class:`repro.engine.executor.RunState`): a plan prepared once
+    scans other rows on every run — how the cluster coordinator runs one
+    merge query over each gather.
     """
 
     def __init__(self, item: ast.RowsRef, context: "ExecutionContext") -> None:
         schema = [(item.alias, column) for column in item.columns]
         super().__init__(schema, {item.alias.lower()})
         self._alias = item.alias
-        self._rows = item.rows
         self._context = context
 
     def estimate(self) -> int:
-        """The node's row count (at least 1, like a table scan)."""
-        return max(len(self._rows), 1)
+        """1: the rows are not known until a run binds them."""
+        return 1
 
     def rows(self, outers: tuple) -> Sequence[tuple]:
         """The run's rows for the relation, filtered."""
-        rows = self._context.bound_rows(self._alias)
-        return self._apply_filters(self._rows if rows is None else rows, outers)
+        return self._apply_filters(self._context.bound_rows(self._alias), outers)
 
 
 class JoinSource(SourcePlan):

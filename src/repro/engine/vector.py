@@ -816,7 +816,7 @@ class BatchExpressionCompiler:
     # -- sub-queries ---------------------------------------------------------
 
     # An uncorrelated sub-query never reads its outer rows, so it answers
-    # once per batch (from its per-statement cache) and the answer is applied
+    # once per batch (from its run's cache, see executor.RunState) and the answer is applied
     # to the whole column; a correlated one runs once per row of the batch,
     # with that row prepended to the outer rows it resolves against.
 

@@ -315,16 +315,14 @@ class SubqueryRef(FromItem):
 
 @dataclass
 class RowsRef(FromItem):
-    """Already-materialized rows scanned as a named relation.
+    """A named relation whose rows each run supplies.
 
     Not produced by the parser and not printable: the cluster coordinator
     builds one per cluster plan as the FROM item of its merge query, and
-    each run binds the alias to that run's gathered shard rows (the engine
-    scans those instead of ``rows``).
+    each run binds the alias to that run's gathered shard rows.
     """
 
     columns: tuple[str, ...]
-    rows: list[tuple]
     alias: str = ""
 
 

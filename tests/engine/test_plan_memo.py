@@ -3,7 +3,8 @@
 The owner is whatever holds the statement — a compiled artifact
 (``compiled.attachments``) on one engine, the memoized cluster plan
 (``plan.attachments``) for shard statements and merge queries.  The tests
-pin that a warm gateway round prepares nothing anywhere, that a memoized
+pin that a warm gateway round prepares nothing but a federated query's
+pull statements, that a memoized
 plan is prepared again exactly when a fresh prepare could differ (DDL,
 statistics, a new table version) and never returns stale rows, that runs
 sharing one plan keep their sub-query results apart (threads, interleaved
@@ -20,10 +21,12 @@ import weakref
 import pytest
 
 from repro.backends.engine import EngineConnection
-from repro.cluster import PartialAggregatePlan, ShardCoordinator
+from repro.cluster import FederatedPlan, PartialAggregatePlan, ShardCoordinator
 from repro.engine import Database
+from repro.errors import ExecutionError
 from repro.mth import ALL_QUERY_IDS, generate, load_mth, query_text
 from repro.result import QueryResult
+from repro.sql import ast
 from repro.sql.parser import parse_query
 from repro.sql.transform import split_partial_aggregates
 from tests.conftest import kernel_leg
@@ -82,18 +85,30 @@ def test_a_warm_gateway_round_prepares_nothing_on_the_engine(data):
 
 
 def test_a_warm_gateway_round_prepares_nothing_on_shards_or_the_merge_engine(data):
+    """Only a federated query's scratch syncs prepare on the shards in a
+    warm round: its pull statements are built afresh for each sync."""
     instance = load_mth(data=data, tenants=4, shards=4)
     connection = instance.middleware.backend
     merge_stats = connection.coordinator.merge_database.stats
     gateway = instance.middleware.gateway(cache_size=64)
     session = gateway.session(1, optimization="o4", scope="IN ()")
+
+    def shard_prepares() -> list:
+        return [shard.stats.plans_prepared for shard in connection.shard_connections]
+
     try:
         cold = _round(session)
-        shards = [shard.stats.plans_prepared for shard in connection.shard_connections]
         merges = merge_stats.plans_prepared
-        assert all(shards) and merges > 0
-        assert _round(session) == cold
-        assert [shard.stats.plans_prepared for shard in connection.shard_connections] == shards
+        assert all(shard_prepares()) and merges > 0
+        federated = 0
+        for query_id, rows in zip(ALL_QUERY_IDS, cold):
+            before = shard_prepares()
+            assert session.query(query_text(query_id)).rows == rows
+            if isinstance(connection.last_plan, FederatedPlan):
+                federated += 1
+            else:
+                assert shard_prepares() == before, query_id
+        assert federated == 4
         assert merge_stats.plans_prepared == merges
     finally:
         session.close()
@@ -267,9 +282,56 @@ class TestSharedRuns:
         finally:
             coordinator.close()
         assert coordinator.merge_database.stats.plans_prepared == 1
-        # the plan keeps no gathered row
-        query = plan.attachments["merge-query"]
-        assert query.from_items[0].rows == []
+
+
+    def test_an_inline_relation_scans_only_the_rows_its_run_binds(self):
+        select = parse_query("SELECT x FROM placeholder")
+        select.from_items = [ast.RowsRef(columns=("x",), alias="r")]
+        database = Database()
+        assert database.query(select, relations={"r": [(1,), (2,)]}).rows == [(1,), (2,)]
+        with pytest.raises(ExecutionError, match="not bound"):
+            database.query(select)
+
+
+# ---------------------------------------------------------------------------
+# writes and UDF bodies keep a run's sub-query results for the run
+# ---------------------------------------------------------------------------
+
+
+def _with_side_tables() -> Database:
+    """``t`` (36 rows) plus ``s`` (``k`` = 0..35, ``v`` = ``k % 4``) and
+    ``u`` holding the values 1 and 2."""
+    database = _database()
+    database.execute("CREATE TABLE s (k INTEGER, v INTEGER)")
+    database.execute("CREATE TABLE u (v INTEGER)")
+    database.insert_rows("s", [(k, k % 4) for k in range(36)])
+    database.insert_rows("u", [(1,), (2,)])
+    return database
+
+
+@pytest.mark.parametrize("write", ["UPDATE t SET a = a + 1", "DELETE FROM t"])
+def test_a_writes_uncorrelated_sub_query_runs_once(write):
+    """The correlated EXISTS runs once per row of ``t``; the uncorrelated
+    IN list inside it runs once for the whole statement."""
+    database = _with_side_tables()
+    before = database.stats.subquery_runs
+    result = database.execute(
+        write + " WHERE EXISTS (SELECT 1 FROM s WHERE s.k = t.id"
+        " AND s.v IN (SELECT v FROM u))"
+    )
+    assert result.rowcount == 18
+    assert database.stats.subquery_runs - before == 36 + 1
+
+
+def test_a_udf_bodys_sub_query_runs_once_per_statement_and_sees_writes():
+    database = _with_side_tables()
+    database.register_sql_function("bump", "SELECT $1 + (SELECT MAX(v) FROM u)")
+    before = database.stats.subquery_runs
+    assert database.execute("UPDATE t SET a = bump(a) WHERE id < 3").rowcount == 3
+    assert database.stats.subquery_runs - before == 3 + 1  # three bodies, one MAX
+    assert database.query("SELECT a FROM t WHERE id < 3").rows == [(2,), (3,), (4,)]
+    database.execute("INSERT INTO u VALUES (10)")
+    assert database.query("SELECT bump(a) FROM t WHERE id = 0").rows == [(12,)]
 
 
 # ---------------------------------------------------------------------------
