@@ -25,14 +25,15 @@ ordering.
 :meth:`repro.engine.storage.TableData.typed_column` builds one
 :class:`TypedColumn` (or the ``None`` refusal) per column of an immutable
 table version, on the first typed kernel that asks, and keeps it for that
-version's lifetime, so repeated scans of a stable table pay the check once
-per write.
+version's lifetime.  A write derives the next version's payload from it and
+runs :func:`build_typed_column` over the appended or assigned values only,
+so a stable column pays the full check once, not once per write.
 """
 
 from __future__ import annotations
 
 from array import array
-from typing import Optional, Sequence
+from typing import Iterable, Optional
 
 from ..sql.types import Date, SQLType, date_days, date_from_string
 
@@ -69,7 +70,7 @@ class TypedColumn:
         self.parsed = parsed
 
 
-def build_typed_column(sql_type: SQLType, values: Sequence) -> Optional[TypedColumn]:
+def build_typed_column(sql_type: SQLType, values: Iterable) -> Optional[TypedColumn]:
     """Build a :class:`TypedColumn` for observed ``values``, or refuse.
 
     The declared ``sql_type`` selects the candidate payload; every value is
@@ -88,7 +89,7 @@ def build_typed_column(sql_type: SQLType, values: Sequence) -> Optional[TypedCol
     return None
 
 
-def _build_numeric(values: Sequence, element_type: type, typecode: str, kind: str):
+def _build_numeric(values: Iterable, element_type: type, typecode: str, kind: str):
     """``array(typecode)`` payload for an all-``element_type`` column."""
     payload = array(typecode)
     append = payload.append
@@ -101,7 +102,7 @@ def _build_numeric(values: Sequence, element_type: type, typecode: str, kind: st
     return TypedColumn(kind, payload)
 
 
-def _build_date(values: Sequence) -> Optional[TypedColumn]:
+def _build_date(values: Iterable) -> Optional[TypedColumn]:
     """``array('q')`` of day ordinals for a stable DATE column.
 
     DATE slots commonly hold ISO strings (the engine stores dates as

@@ -1,29 +1,37 @@
 """Execution of INSERT / UPDATE / DELETE statements.
 
-UPDATE and DELETE read the table's current :class:`~repro.engine.storage.TableData`
-once and evaluate WHERE and SET as batch kernels over one
-:class:`~repro.engine.vector.RowBatch` of that version; the next version is
-published once.  SET runs only over the rows WHERE selected, so a row the
-statement does not touch raises nothing.
+Each statement reads the table's current
+:class:`~repro.engine.storage.TableData` once — its *base* — and publishes
+what it changed against that base: rows appended, rows replaced at
+positions, rows removed at positions (see :class:`~repro.engine.storage.Table`).
+UPDATE and DELETE find their rows the way a scan does: the base as one
+:func:`~repro.engine.planner.scan_batch` (typed payloads over the columns
+declared NOT NULL), WHERE split into conjuncts and applied in order by
+:func:`~repro.engine.vector.apply_batch_predicates`, so a later conjunct
+never sees a row an earlier one dropped.  The matched positions are the
+filtered batch's selection, and SET runs only over those rows, so a row
+the statement does not touch raises nothing.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Sequence, Union
 
 from ..sql import ast
 from .expressions import Scope
-from .vector import BatchExpressionCompiler, RowBatch
+from .planner import scan_batch
+from .vector import BatchExpressionCompiler, BatchKernel, RowBatch, apply_batch_predicates
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .executor import ExecutionContext
-    from .storage import Table
+    from .storage import Table, TableData
 
 
 def execute_insert(context: "ExecutionContext", statement: ast.Insert) -> int:
     """Insert literal rows or the result of a SELECT, all or none; returns
     the row count."""
     table = context.database.catalog.table(statement.table)
+    base = table.data
     if statement.query is not None:
         rows = context.executor.execute(statement.query).rows
     else:
@@ -35,61 +43,55 @@ def execute_insert(context: "ExecutionContext", statement: ast.Insert) -> int:
         ]
     if statement.columns:
         rows = [table.complete_row(statement.columns, row) for row in rows]
-    table.insert_many(rows)
+    table.append(base, rows)
     return len(rows)
 
 
-def _version_batch(
-    context: "ExecutionContext", table: "Table", name: str
-) -> tuple[RowBatch, BatchExpressionCompiler]:
-    """The table's current version as one batch, and a compiler over its
-    columns (bound as ``name``)."""
-    data = table.data
-    scope = Scope([(name, column.name) for column in table.schema.columns])
-    batch = RowBatch(data.rows, col_source=data.column_array)
-    return batch, BatchExpressionCompiler(scope, context)
+def _where(
+    context: "ExecutionContext", table: "Table", statement: Union[ast.Update, ast.Delete]
+) -> tuple[BatchExpressionCompiler, list[BatchKernel]]:
+    """A compiler over the table's columns, bound under the statement's
+    table name with the NOT NULL columns proven as in a scan, and the WHERE
+    conjuncts it compiled."""
+    columns = table.schema.columns
+    scope = Scope(
+        [(statement.table, column.name) for column in columns],
+        proven=frozenset(slot for slot, column in enumerate(columns) if column.not_null),
+    )
+    compiler = BatchExpressionCompiler(scope, context)
+    conjuncts = ast.split_conjuncts(statement.where)
+    return compiler, [compiler.compile_predicate(conjunct) for conjunct in conjuncts]
+
+
+def _matching(
+    table: "Table", predicates: list[BatchKernel]
+) -> tuple["TableData", RowBatch, Sequence[int]]:
+    """The base version, its rows the WHERE ``predicates`` keep as a
+    batch, and their positions in the base."""
+    base = table.data
+    matched = apply_batch_predicates(scan_batch(base), predicates, ())
+    return base, matched, matched.sel if matched.sel is not None else range(matched.n)
 
 
 def execute_update(context: "ExecutionContext", statement: ast.Update) -> int:
     """Publish the table with the matching rows rewritten; returns the
     number of rows changed."""
     table = context.database.catalog.table(statement.table)
-    batch, compiler = _version_batch(context, table, statement.table)
-    where = compiler.compile(statement.where) if statement.where is not None else None
+    compiler, predicates = _where(context, table, statement)
     assignments = [
         (table.schema.column_index(assignment.column), compiler.compile(assignment.value))
         for assignment in statement.assignments
     ]
-    if where is None:
-        matched: Sequence[int] = range(batch.n)
-        selected = batch
-    else:
-        mask = where(batch, ())
-        matched = [position for position, keep in enumerate(mask) if keep is True]
-        selected = batch.select(matched)
-    columns = [(index, kernel(selected, ())) for index, kernel in assignments]
-    rows = list(batch.rows)
-    for local, position in enumerate(matched):
-        values = list(rows[position])
-        for index, column in columns:
-            values[index] = column[local]
-        new_row = tuple(values)
-        table._check_not_null(new_row)
-        rows[position] = new_row
-    table.publish(rows)
-    return len(matched)
+    base, matched, positions = _matching(table, predicates)
+    table.replace(base, positions, {index: kernel(matched, ()) for index, kernel in assignments})
+    return len(positions)
 
 
 def execute_delete(context: "ExecutionContext", statement: ast.Delete) -> int:
     """Publish the table without the matching rows; returns the number of
     rows removed."""
     table = context.database.catalog.table(statement.table)
-    if statement.where is None:
-        removed = len(table.rows)
-        table.truncate()
-        return removed
-    batch, compiler = _version_batch(context, table, statement.table)
-    mask = compiler.compile(statement.where)(batch, ())
-    kept = [row for row, keep in zip(batch.rows, mask) if keep is not True]
-    table.publish(kept)
-    return batch.n - len(kept)
+    _, predicates = _where(context, table, statement)
+    base, _, positions = _matching(table, predicates)
+    table.remove(base, positions)
+    return len(positions)

@@ -60,6 +60,12 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from .executor import ExecutionContext, PreparedSelect
 
 
+def scan_batch(data: TableData) -> RowBatch:
+    """The whole of one table version as a batch: kernels read its column
+    arrays and typed payloads instead of gathering ``row[index]``."""
+    return RowBatch(data.rows, col_source=data.column_array, typed_source=data.typed_column)
+
+
 def _windows(batch: RowBatch, batch_size: int):
     """Cut a batch into bounded windows (the streaming batch currency)."""
     for start in range(0, batch.n, batch_size):
@@ -281,10 +287,8 @@ class TableSource(SourcePlan):
         return data.hash_index(column_index).rows(value_fn(RowBatch([()]), outers)[0])
 
     def _scan(self, data: TableData, outers: tuple) -> RowBatch:
-        """The filtered full scan of ``data``: batch kernels read its column
-        arrays (and typed payloads) instead of gathering ``row[index]``."""
-        scan = RowBatch(data.rows, col_source=data.column_array, typed_source=data.typed_column)
-        return self._filter_batch(scan, outers)
+        """The filtered full scan of ``data``."""
+        return self._filter_batch(scan_batch(data), outers)
 
 
 class PreparedSource(SourcePlan):

@@ -2,13 +2,18 @@
 
 Rows are plain tuples; a :class:`Table` pairs a :class:`TableSchema` with its
 current :class:`TableData` — an immutable version of the rows that writers
-replace whole and readers pin.  All identifier matching in the engine is
+replace whole and readers pin.  A write says what it changed (rows appended,
+rows replaced at positions, rows removed at positions) against the version
+it read, and the next version derives its column caches from that one: a
+copy plus the change, so a one-row write does not make the next scan gather
+and type-check every column again.  All identifier matching in the engine is
 case-insensitive, so schemas normalize names to lower case while remembering
 the original spelling for display purposes.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
 from itertools import compress
 from operator import itemgetter
@@ -114,6 +119,15 @@ def hash_rows(keys: Sequence, rows: Sequence[tuple]) -> HashIndex:
     return HashIndex(dict(zip(buckets, map(tuple, buckets.values()))), False, len(rows))
 
 
+def _without(values: array, positions: Sequence[int]) -> array:
+    """``values`` less the items at ascending ``positions``: the slices
+    between them, each a ``memcpy``, appended in one pass."""
+    kept = values[: positions[0]] if positions else values[:]
+    for start, stop in zip(positions, [*positions[1:], len(values)]):
+        kept += values[start + 1 : stop]
+    return kept
+
+
 class TableData:
     """One immutable version of a table: its rows and what is derived from them.
 
@@ -125,6 +139,16 @@ class TableData:
     however many writers publish in the meantime.  The indexes are the
     engine's only key indexes: one per column tuple some look-up or
     equi-join asked for, so the schema bounds their number.
+
+    :meth:`appended`, :meth:`replaced` and :meth:`removed` make the next
+    version from this one and start its column lists and typed payloads
+    from this one's: a ``dict.copy()`` of each cache (atomic under the GIL
+    while lock-free readers fill them) plus the change.  Only new or
+    replaced values go through :func:`build_typed_column`, and an entry
+    the change cannot derive exactly (a refusal a replace or remove may
+    lift, a ``parsed`` DATE payload) is left unbuilt: every derived entry
+    equals what the lazy build gives over the new version's rows.  Hash
+    indexes stay per version and lazy.
     """
 
     __slots__ = ("schema", "rows", "version", "_columns", "_typed", "_indexes")
@@ -156,11 +180,17 @@ class TableData:
         ``None`` when the column holds a NULL or is not type-stable (see
         :func:`repro.engine.columns.build_typed_column`); the refusal is
         cached too, so an unstable column costs one check per version rather
-        than one per query.
+        than one per query.  The build reads the cached column list if there
+        is one and caches none of its own: a column only typed kernels read
+        keeps one payload, and a write derives one.
         """
         if index in self._typed:
             return self._typed[index]
-        typed = build_typed_column(self.schema.columns[index].sql_type, self.column_array(index))
+        column = self._columns.get(index)
+        typed = build_typed_column(
+            self.schema.columns[index].sql_type,
+            column if column is not None else map(itemgetter(index), self.rows),
+        )
         self._typed[index] = typed
         return typed
 
@@ -190,14 +220,88 @@ class TableData:
             index = self._indexes[columns] = hash_rows(keys, rows)
         return index
 
+    def appended(self, new_rows: tuple, version: int) -> "TableData":
+        """The version with ``new_rows`` after this one's rows.
+
+        A refusal stays a refusal: the value that refused is still there.
+        """
+        data = TableData(self.schema, self.rows + new_rows, version)
+        for index, column in self._columns.copy().items():
+            data._columns[index] = column + [row[index] for row in new_rows]
+        for index, typed in self._typed.copy().items():
+            if typed is not None:
+                added = build_typed_column(
+                    self.schema.columns[index].sql_type, [row[index] for row in new_rows]
+                )
+                typed = None if added is None else TypedColumn(
+                    typed.kind, typed.values + added.values, typed.parsed or added.parsed
+                )
+            data._typed[index] = typed
+        return data
+
+    def replaced(
+        self, positions: Sequence[int], assigned: dict[int, Sequence], version: int
+    ) -> "TableData":
+        """The version whose rows at ``positions`` take the aligned values
+        of ``assigned`` (column index -> values); every other column is
+        unchanged, so its cache entries are shared, not copied."""
+        rows = list(self.rows)
+        for local, position in enumerate(positions):
+            values = list(rows[position])
+            for index, column in assigned.items():
+                values[index] = column[local]
+            rows[position] = tuple(values)
+        data = TableData(self.schema, tuple(rows), version)
+        data._columns = self._columns.copy()
+        data._typed = self._typed.copy()
+        for index, values in assigned.items():
+            column = data._columns.get(index)
+            if column is not None:
+                column = data._columns[index] = column.copy()
+                for position, value in zip(positions, values):
+                    column[position] = value
+            typed = data._typed.pop(index, None)
+            if typed is not None and not typed.parsed:
+                changed = build_typed_column(self.schema.columns[index].sql_type, values)
+                if changed is not None:
+                    payload = typed.values[:]
+                    for position, value in zip(positions, changed.values):
+                        payload[position] = value
+                    changed = TypedColumn(typed.kind, payload, changed.parsed)
+                data._typed[index] = changed
+        return data
+
+    def removed(self, positions: Sequence[int], version: int) -> "TableData":
+        """The version without the rows at ascending ``positions``: one keep
+        mask compresses the rows and every cached column list alike, typed
+        payloads are glued from the slices between them.  Removing every
+        row (a DELETE without WHERE, a scratch table's refresh) derives
+        nothing."""
+        if len(positions) == len(self.rows):
+            return TableData(self.schema, (), version)
+        keep = [True] * len(self.rows)
+        for position in positions:
+            keep[position] = False
+        data = TableData(self.schema, tuple(compress(self.rows, keep)), version)
+        for index, column in self._columns.copy().items():
+            data._columns[index] = list(compress(column, keep))
+        for index, typed in self._typed.copy().items():
+            if typed is not None and not typed.parsed:
+                data._typed[index] = TypedColumn(typed.kind, _without(typed.values, positions))
+        return data
+
 
 class Table:
     """A named, schema-checked sequence of :class:`TableData` versions.
 
     ``data`` is the table's one mutable attribute: the current version,
-    swapped whole by :meth:`publish`.  Every writer validates and builds its
-    new rows first and publishes once, so a failed statement leaves nothing
-    behind and a reader never sees a half-applied one.  Writers are
+    swapped whole by :meth:`append`, :meth:`replace`, :meth:`remove` or
+    :meth:`publish`.  Every writer validates and builds its new rows first
+    and publishes once, so a failed statement leaves nothing behind and a
+    reader never sees a half-applied one.  The first three take the
+    ``base`` version the writer read and derive the next one from it —
+    never from ``data`` at publish time, which a write nested in the
+    statement (a UDF's) may have replaced meanwhile.  Writers are
     serialized by the owning database (``Database._write_lock``); readers
     take no lock — they read ``data`` once and keep that version.
     """
@@ -215,8 +319,29 @@ class Table:
         return len(self.data.rows)
 
     def publish(self, rows: Iterable[tuple]) -> None:
-        """Make ``rows`` (already validated) the table's next version."""
+        """Make ``rows`` (already validated) the table's next version, with
+        every cache built afresh."""
         self.data = TableData(self.schema, tuple(rows), self.data.version + 1)
+
+    def append(self, base: TableData, rows: Iterable[Sequence[Any]]) -> None:
+        """Publish ``base`` plus full ``rows``, all or none: every row is
+        checked before the one publish."""
+        new_rows = tuple(map(self._checked_row, rows))
+        self.data = base.appended(new_rows, self.data.version + 1)
+
+    def replace(
+        self, base: TableData, positions: Sequence[int], assigned: dict[int, Sequence]
+    ) -> None:
+        """Publish ``base`` with the rows at ``positions`` taking the aligned
+        values of ``assigned`` (column index -> values), all or none."""
+        for index, values in assigned.items():
+            if self.schema.columns[index].not_null and None in values:
+                raise self._null_refused(self.schema.columns[index])
+        self.data = base.replaced(positions, assigned, self.data.version + 1)
+
+    def remove(self, base: TableData, positions: Sequence[int]) -> None:
+        """Publish ``base`` without the rows at ``positions``."""
+        self.data = base.removed(positions, self.data.version + 1)
 
     def complete_row(self, names: Sequence[str], values: Sequence[Any]) -> list:
         """A full row from a subset of columns; missing columns get defaults."""
@@ -240,15 +365,17 @@ class Table:
     def _check_not_null(self, row: tuple) -> None:
         for column, value in zip(self.schema.columns, row):
             if column.not_null and value is None:
-                raise ConstraintViolation(
-                    f"column {column.name!r} of table {self.schema.name!r} is NOT NULL"
-                )
+                raise self._null_refused(column)
+
+    def _null_refused(self, column: ColumnSchema) -> ConstraintViolation:
+        return ConstraintViolation(
+            f"column {column.name!r} of table {self.schema.name!r} is NOT NULL"
+        )
 
     def insert_many(self, rows: Iterable[Sequence[Any]]) -> None:
-        """Append full rows, all or none: every row is checked before the
-        one publish (one heap concatenation per call, not per row)."""
-        new_rows = tuple(map(self._checked_row, rows))
-        self.publish(self.data.rows + new_rows)
+        """Append full rows to the current version, all or none (one heap
+        concatenation per call, not per row)."""
+        self.append(self.data, rows)
 
     def insert_row(self, values: Sequence[Any]) -> None:
         """Insert a full row (values in schema column order)."""

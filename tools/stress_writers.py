@@ -22,8 +22,11 @@ The scan and the join are parsed once and every reader executes those two
 statement objects with one shared memo space, so where the engine memoizes
 plans (see :class:`repro.engine.executor.Executor`) the readers run one
 prepared plan concurrently; a checkout without the memo ignores it.
-Prints reads / writes / errors / torn answers;
-the exit code is 1 if any read raised or was torn.
+At the end the table's last version must hold the column lists and typed
+payloads a fresh build of its rows gives (where writes derive a version's
+caches from the one they read, a wrong derivation shows here as *stale*).
+Prints reads / writes / stale / errors / torn answers; the exit code is 1 if
+any read raised or was torn, or a cache was stale.
 """
 
 from __future__ import annotations
@@ -36,11 +39,14 @@ import time
 
 from repro.backends.engine import EngineConnection
 from repro.engine import Database
+from repro.engine.storage import TableData
 from repro.sql.parser import parse_query
 
 LOW, HIGH = 10, 90
 SCAN = f"SELECT COUNT(*), SUM(a), MIN(b), MAX(b) FROM t WHERE w > 0 AND b >= {LOW}"
 JOIN = "SELECT COUNT(*), SUM(a), MIN(b), MAX(b) FROM k, t WHERE k.w = t.w"
+#: what each thread counts (a report may also hold its ``first_error``)
+COUNTS = ("reads", "writes", "errors", "torn")
 
 
 def torn(row: tuple) -> bool:
@@ -50,6 +56,30 @@ def torn(row: tuple) -> bool:
     if count == 0:
         return (total, low, high) != (None, None, None)
     return count % 4 != 0 or total != 0 or low != LOW or high != HIGH
+
+
+def cells(values) -> list:
+    """``values`` with each one's type: ``True`` and ``1``, or ``1`` and
+    ``1.0``, are different cells."""
+    return [(type(value), value) for value in values]
+
+
+def payload(typed) -> tuple | None:
+    """A typed payload (or the ``None`` refusal) as a comparable value."""
+    if typed is None:
+        return None
+    return (typed.kind, typed.values.typecode, typed.values.tolist(), typed.parsed)
+
+
+def stale(data: TableData) -> int:
+    """How many column lists and typed payloads of ``data`` differ from
+    what a fresh build of its rows gives."""
+    fresh = TableData(data.schema, data.rows)
+    return sum(
+        (cells(data.column_array(index)) != cells(fresh.column_array(index)))
+        + (payload(data.typed_column(index)) != payload(fresh.typed_column(index)))
+        for index in range(len(data.schema.columns))
+    )
 
 
 def _failed(report: dict, exc: Exception) -> None:
@@ -123,7 +153,7 @@ def run(seconds: float, writers: int, readers: int, rows: int, seed: int = 0) ->
     database.execute("CREATE TABLE k (w INTEGER NOT NULL)")
     database.insert_rows("k", [(writer + 1,) for writer in range(writers)])
     stop = threading.Event()
-    reports = [{"reads": 0, "writes": 0, "errors": 0, "torn": 0} for _ in range(writers + readers)]
+    reports = [dict.fromkeys(COUNTS, 0) for _ in range(writers + readers)]
     shapes = _Shapes()
     threads = []
     for k, report in enumerate(reports):
@@ -147,9 +177,10 @@ def run(seconds: float, writers: int, readers: int, rows: int, seed: int = 0) ->
             thread.join(timeout=60)
     finally:
         sys.setswitchinterval(interval)
-    totals = {key: sum(report[key] for report in reports) for key in reports[0]}
+    totals = {key: sum(report[key] for report in reports) for key in COUNTS}
     totals["errors"] += sum(thread.is_alive() for thread in threads)  # a stuck thread
     totals["torn"] += sum(torn(database.query(sql).rows[0]) for sql in (SCAN, JOIN))  # settled
+    totals["stale"] = stale(database.catalog.table("t").data)
     errors = [report["first_error"] for report in reports if "first_error" in report]
     if errors:
         totals["first_error"] = errors[0]
@@ -166,12 +197,12 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     totals = run(args.seconds, args.writers, args.readers, args.rows, args.seed)
     print(
-        f"reads {totals['reads']}  writes {totals['writes']}  "
+        f"reads {totals['reads']}  writes {totals['writes']}  stale {totals['stale']}  "
         f"errors {totals['errors']}  torn answers {totals['torn']}"
     )
     if "first_error" in totals:
         print(f"first error: {totals['first_error']}")
-    return 1 if totals["errors"] or totals["torn"] else 0
+    return 1 if totals["errors"] or totals["torn"] or totals["stale"] else 0
 
 
 if __name__ == "__main__":
