@@ -117,7 +117,7 @@ class BackendConnection(abc.ABC):
         The base implementation materializes via :meth:`execute_scoped` and
         replays the row list — always correct, never incremental.  Backends
         that can produce rows before the full result exists override it: the
-        engine streams its lazy pipeline, SQLite fetches from an open DBMS
+        engine projects a window per pull, SQLite fetches from an open DBMS
         cursor, the sharded cluster delegates its single-shard fast path to
         the owning shard (merge and federated paths materialize).  Arguments
         mean the same as for :meth:`execute_scoped`.

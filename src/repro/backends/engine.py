@@ -90,13 +90,14 @@ class EngineConnection(BackendConnection):
         parameters: Optional[Sequence[Any]] = None,
         compiled: Optional["CompiledQuery"] = None,
     ) -> RowStream:
-        """Stream a SELECT through the engine's lazy pipeline.
+        """Stream a SELECT through the engine's windowed projection.
 
-        Streamable shapes (no grouping/ORDER BY/DISTINCT) yield their first
-        batch having evaluated only that batch; barrier shapes materialize
-        internally and replay.  ``dataset`` is routing metadata a
-        single-database backend ignores; ``compiled`` holds the plan memo,
-        as for :meth:`execute_scoped`.
+        The first pull joins in full; without ``ORDER BY`` or ``DISTINCT``
+        it then projects only the first window, barrier shapes project
+        every row first (see
+        :meth:`repro.engine.executor.Executor.execute_stream`).
+        ``dataset`` is routing metadata a single-database backend ignores;
+        ``compiled`` holds the plan memo, as for :meth:`execute_scoped`.
         """
         if isinstance(statement, str):
             statement = parse_statement(statement)

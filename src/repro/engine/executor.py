@@ -5,9 +5,12 @@ per owner when the caller hands it the owner's memo space (a compiled
 artifact's or a cluster plan's ``attachments``), else per execution.
 Preparation compiles every expression to a batch kernel (see
 :mod:`repro.engine.vector`) and plans the joins (see
-:mod:`repro.engine.planner`); running a prepared plan pulls the joined rows
-as one :class:`~repro.engine.vector.RowBatch` and projects or aggregates it
-in bounded windows.  A plan holds nothing a run produces: each execution (or
+:mod:`repro.engine.planner`).  A prepared plan runs one way, whether it is
+executed or streamed (:meth:`PreparedSelect._produce`): it pulls the joined
+rows as one :class:`~repro.engine.vector.RowBatch`, aggregates them if it
+groups, and projects in bounded windows — without ``ORDER BY`` or
+``DISTINCT`` window by window, so ``LIMIT`` or a consumer that stops early
+ends the projection.  A plan holds nothing a run produces: each execution (or
 stream) has a :class:`RunState` where uncorrelated sub-plans keep their
 result, so that ``x IN (SELECT ...)`` style predicates cost one execution
 per run, not one per row, and where inline relations find their rows.
@@ -18,7 +21,8 @@ from __future__ import annotations
 import threading
 from contextvars import ContextVar
 from dataclasses import dataclass
-from itertools import count, filterfalse
+from itertools import chain, count, filterfalse, islice
+from operator import add, sub
 from time import perf_counter
 from typing import Any, Callable, Optional, Sequence
 
@@ -95,6 +99,59 @@ def _within(run: RunState, fn: Callable[..., Any], *args: Any) -> Any:
         _RUN.reset(token)
 
 
+class _Profile:
+    """The operator profile of one top-level run, recorded stage by stage.
+
+    A stage's profile carries what happened since the previous stage ended:
+    the wall time, the kernel dispatches, the joined rows materialized and
+    the build rows hashed — except while it is paused, as a projection is
+    while its consumer holds a window, so a stage's seconds are its own.
+    """
+
+    __slots__ = ("_stats", "_since", "_paused")
+
+    def __init__(self, stats) -> None:
+        self._stats = stats
+        self._since = self._mark()
+        self._paused: Optional[tuple] = None
+
+    def _mark(self) -> tuple:
+        stats = self._stats
+        _, generic, proven = stats.kernels.snapshot()
+        return (
+            perf_counter(),
+            generic,
+            proven,
+            stats.join_rows_materialized,
+            stats.join_rows_hashed,
+        )
+
+    def pause(self) -> None:
+        """Stop the current stage's clock and counters."""
+        self._paused = self._mark()
+
+    def resume(self) -> None:
+        """Run them again: the paused span counts in no stage."""
+        paused = map(sub, self._mark(), self._paused)
+        self._since, self._paused = tuple(map(add, self._since, paused)), None
+
+    def record(self, operator: str, rows: int, batches: int = 1) -> None:
+        """End the current stage as ``operator``'s; the next one starts."""
+        now = self._paused or self._mark()
+        seconds, generic, proven, materialized, hashed = map(sub, now, self._since)
+        self._stats.record_operator(
+            operator,
+            rows,
+            seconds,
+            batches=batches,
+            generic_kernels=generic,
+            proven_kernels=proven,
+            join_rows_materialized=materialized,
+            join_rows_hashed=hashed,
+        )
+        self._since, self._paused = now, None
+
+
 class ExecutionContext:
     """Services available to compiled expressions at run time."""
 
@@ -105,19 +162,9 @@ class ExecutionContext:
     # -- functions -----------------------------------------------------------
 
     def call_function(self, name: str, args: list[Any]) -> Any:
-        catalog = self.database.catalog
-        stats = self.database.stats
-        if catalog.has_function(name):
-            function = catalog.function(name)
-            value, executed = function.invoke(
-                args, self, use_cache=self.database.profile.cache_immutable_functions
-            )
-            stats.add_udf_call(executed)
-            return value
-        builtin = BUILTIN_SCALARS.get(name.lower())
-        if builtin is not None:
-            return builtin(*args)
-        raise FunctionError(f"unknown function {name!r}")
+        """Call a scalar function on one row of arguments: a one-row
+        :meth:`batch_call_function`, with its dispatch and its counters."""
+        return self.batch_call_function(name, [[arg] for arg in args], 1)[0]
 
     def batch_call_function(self, name: str, columns: list[list], n: int) -> list:
         """Call a scalar function over argument columns (the batch hot path).
@@ -408,18 +455,18 @@ class PreparedSelect:
     def estimate(self) -> int:
         return self._pipeline.estimate()
 
-    def run(self, outers: tuple = (), limit: Optional[int] = None) -> list[tuple]:
+    def run(self, outers: tuple = ()) -> list[tuple]:
         """The plan's rows for ``outers``; an uncorrelated plan runs once
         per run state (see :class:`RunState`)."""
         run = None if self.correlated else _RUN.get()
-        if run is None:
-            rows = self._run_uncached(outers)
-        else:
+        if run is not None:
             rows = run.rows.get(self)
-            if rows is None:
-                rows = run.rows[self] = self._run_uncached(outers)
-        if limit is not None:
-            return rows[:limit]
+            if rows is not None:
+                return rows
+        chunks = list(self._produce(outers))
+        rows = chunks[0] if len(chunks) == 1 else list(chain.from_iterable(chunks))
+        if run is not None:
+            run.rows[self] = rows
         return rows
 
     def run_value_set(self, outers: tuple = ()) -> ValueSet:
@@ -442,149 +489,120 @@ class PreparedSelect:
             run.value_sets[self] = value_set
         return value_set
 
-    @property
-    def streamable(self) -> bool:
-        """Whether :meth:`stream` can yield rows before the full set exists.
-
-        Grouping/aggregation, ``ORDER BY`` and ``DISTINCT`` are barriers (the
-        last row can change the first output row), so only plain
-        project-filter-join queries stream incrementally; everything else
-        falls back to the materializing path inside :meth:`stream`.
-        """
-        return not self._grouped and not self._order_fns and not self._distinct
-
     def stream(self, outers: tuple = ()):
-        """Yield projected rows lazily (see :attr:`streamable`).
+        """Yield the plan's rows as :meth:`run` computes them, a projected
+        window at a time (see :meth:`_produce`): without ``ORDER BY`` or
+        ``DISTINCT`` a consumer that stops early never projects the rest.
 
-        The lazy path pulls bounded batches from
-        :meth:`~repro.engine.planner.JoinPipeline.iter_batches`, applies the
-        post-filters and the projection per *batch* and honours ``LIMIT`` by
-        stopping the pull early — an early ``LIMIT`` therefore materializes
-        O(batch) rows.  Laziness covers joining and projection — never the
-        full *result set* is materialized; each base scan still evaluates its
-        pushed-down filters over its whole table when first pulled (sources
-        produce row lists).  Non-streamable shapes are replayed from the
-        materialized result.  The stream owns one :class:`RunState`, current
-        while a batch is pulled and projected, so streams interleaved on one
-        thread keep their sub-query results apart.
+        The stream owns one :class:`RunState`, current while a window is
+        pulled, so streams interleaved on one thread keep their sub-query
+        results apart.
         """
         run = RunState()
-        if not self.streamable:
-            yield from _within(run, self.run, outers)
-            return
-        chunks = self._chunks(outers)
-        while True:
-            chunk = _within(run, next, chunks, None)
-            if chunk is None:
-                return
-            yield from chunk
+        chunks = self._produce(outers)
+        try:
+            while True:
+                chunk = _within(run, next, chunks, None)
+                if chunk is None:
+                    return
+                yield from chunk
+        finally:
+            chunks.close()
 
-    def _chunks(self, outers: tuple):
-        """The lazy path of :meth:`stream`: one list of projected rows per
-        pulled batch, cut at ``LIMIT``."""
-        self._context.database.stats.add(subquery_runs=1)
-        filters = self._post_filters
-        item_fns = self._item_fns
+    def _produce(self, outers: tuple):
+        """The one way a plan runs: yield its result rows as lists.
+
+        One join pass (:meth:`~repro.engine.planner.JoinPipeline.execute_batch`),
+        the post-filters, a grouped plan's aggregation, then one windowed
+        projection (:meth:`_project`).  Without ``ORDER BY`` or ``DISTINCT``
+        each window's rows are yielded as soon as they are projected and
+        ``LIMIT`` stops the projection; otherwise the projected rows are
+        deduplicated and sorted, then yielded as one list.
+
+        A top-level plan records one operator profile per stage; a stage's
+        seconds are its own time — a projection yielding to its consumer is
+        paused until the next window is pulled.
+        """
+        stats = self._context.database.stats
+        stats.add(subquery_runs=1)
         left = self._limit
         if left is not None and left <= 0:
             return
-        for batch in self._pipeline.iter_batches(outers, self._batch_size):
-            if filters:
-                batch = apply_batch_predicates(batch, filters, outers)
-                if batch.n == 0:
-                    continue
-            rows = list(zip(*[fn(batch, outers) for fn in item_fns]))
-            if left is not None:
-                if len(rows) >= left:
-                    yield rows[:left]
-                    return
-                left -= len(rows)
-            yield rows
-
-    def _run_uncached(self, outers: tuple) -> list[tuple]:
-        stats = self._context.database.stats
-        stats.add(subquery_runs=1)
-        profiled = self._profile_ops
-        batch_size = self._batch_size
-        if profiled:
-            kernels = stats.kernels
-
-            def mark() -> tuple:
-                return (
-                    perf_counter(),
-                    *kernels.snapshot(),
-                    stats.join_rows_materialized,
-                    stats.join_rows_hashed,
-                )
-
-            marks = [mark()]
-
-            def record(operator: str, rows_count: int, batches: int = 1) -> None:
-                # each stage's profile carries the wall time, the kernel
-                # dispatches and the joined rows materialized / build rows
-                # hashed since the previous mark
-                then, now = marks[0], mark()
-                stats.record_operator(
-                    operator,
-                    rows_count,
-                    now[0] - then[0],
-                    batches=batches,
-                    generic_kernels=now[2] - then[2],
-                    proven_kernels=now[3] - then[3],
-                    join_rows_materialized=now[4] - then[4],
-                    join_rows_hashed=now[5] - then[5],
-                )
-                marks[0] = now
-
+        profile = _Profile(stats) if self._profile_ops else None
         batch = self._pipeline.execute_batch(outers)
-        if profiled:
-            record("scan+join", batch.n)
+        if profile:
+            profile.record("scan+join", batch.n)
         if self._post_filters:
             batch = apply_batch_predicates(batch, self._post_filters, outers)
-            if profiled:
-                record("filter", batch.n)
+            if profile:
+                profile.record("filter", batch.n)
         input_rows = batch.n
         if self._grouped:
-            operator = "aggregate"
-            projected = self._aggregate(batch, outers)
+            operator, source = "aggregate", RowBatch(self._aggregate(batch, outers))
         else:
-            operator = "project"
-            projected = self._project(batch, outers)
-        if profiled:
-            record(operator, input_rows, batches=max(1, -(-input_rows // batch_size)))
+            operator, source = "project", batch
+        barrier = self._distinct or self._order_fns
+        projected: list[tuple[tuple, tuple]] = []
+        windows = 0
+        try:
+            for values, keys in self._project(source, outers):
+                windows += 1
+                if barrier:
+                    projected.extend(zip(values, keys))
+                    continue
+                if left is not None:
+                    values = values[:left]
+                    left -= len(values)
+                if values:
+                    if profile:
+                        profile.pause()
+                    yield values
+                    if profile:
+                        profile.resume()
+                if left == 0:
+                    return
+        finally:
+            if profile:
+                batch_size = self._batch_size
+                if not self._grouped:  # the rows projected, up to an early stop
+                    input_rows = min(input_rows, windows * batch_size)
+                profile.record(operator, input_rows, max(1, -(-input_rows // batch_size)))
         if self._distinct:
             projected = self._deduplicate(projected)
-            if profiled:
-                record("distinct", len(projected))
+            if profile:
+                profile.record("distinct", len(projected))
         if self._order_fns:
             projected = self._order(projected)
-            if profiled:
-                record("order", len(projected))
-        result = [row for row, _ in projected]
-        if self._limit is not None:
-            result = result[: self._limit]
-        return result
+            if profile:
+                profile.record("order", len(projected))
+        if barrier:
+            yield [row for row, _ in islice(projected, left)]
 
-    def _project(self, source: RowBatch, outers: tuple) -> list[tuple[tuple, tuple]]:
-        """Batch projection: evaluate item/order columns per bounded window."""
+    def _project(self, source: RowBatch, outers: tuple):
+        """The one projection: per bounded window of ``source`` (the joined
+        rows, or a grouped plan's group rows with ``HAVING`` applied per
+        window), yield the item rows and their ``ORDER BY`` key rows."""
         batch_size = self._batch_size
+        having_fn = self._having_fn
         item_fns = self._item_fns
         order_fns = self._order_fns
-        projected: list[tuple[tuple, tuple]] = []
         for start in range(0, source.n, batch_size):
             batch = source.window(start, start + batch_size)
-            value_columns = [fn(batch, outers) for fn in item_fns]
-            values_rows = list(zip(*value_columns))
+            if having_fn is not None:
+                batch = apply_batch_predicates(batch, [having_fn], outers)
+                if batch.n == 0:
+                    yield [], []
+                    continue
+            values_rows = list(zip(*[fn(batch, outers) for fn in item_fns]))
             if order_fns:
-                key_columns = [fn(batch, outers) for fn, _ in order_fns]
-                keys_rows = list(zip(*key_columns))
+                keys_rows = list(zip(*[fn(batch, outers) for fn, _ in order_fns]))
             else:
                 keys_rows = [()] * batch.n
-            projected.extend(zip(values_rows, keys_rows))
-        return projected
+            yield values_rows, keys_rows
 
-    def _aggregate(self, source: RowBatch, outers: tuple) -> list[tuple[tuple, tuple]]:
-        """Batch aggregation: hash the keys to dense group ids, fold columns.
+    def _aggregate(self, source: RowBatch, outers: tuple) -> list[tuple]:
+        """Batch aggregation: hash the keys to dense group ids, fold columns;
+        one row per group (its keys, then its aggregates), in first-seen order.
 
         Rows are processed in bounded windows of the source batch (windows
         over a scan batch keep typed-column access, so aggregate arguments
@@ -636,53 +654,22 @@ class PreparedSelect:
             key_columns = (groups,)
         else:
             key_columns = zip(*groups)
-        group_rows = list(zip(*key_columns, *(state.results() for state in states)))
-        return self._project_groups(group_rows, outers)
-
-    def _project_groups(
-        self, group_rows: list[tuple], outers: tuple
-    ) -> list[tuple[tuple, tuple]]:
-        """HAVING + projection over the merged group rows, batch at a time."""
-        batch_size = self._batch_size
-        having_fn = self._having_fn
-        item_fns = self._item_fns
-        order_fns = self._order_fns
-        projected: list[tuple[tuple, tuple]] = []
-        for start in range(0, len(group_rows), batch_size):
-            batch = RowBatch(group_rows[start : start + batch_size])
-            if having_fn is not None:
-                batch = apply_batch_predicates(batch, [having_fn], outers)
-                if batch.n == 0:
-                    continue
-            value_columns = [fn(batch, outers) for fn in item_fns]
-            values_rows = list(zip(*value_columns))
-            if order_fns:
-                key_columns = [fn(batch, outers) for fn, _ in order_fns]
-                keys_rows = list(zip(*key_columns))
-            else:
-                keys_rows = [()] * batch.n
-            projected.extend(zip(values_rows, keys_rows))
-        return projected
+        return list(zip(*key_columns, *(state.results() for state in states)))
 
     @staticmethod
     def _deduplicate(projected: list[tuple[tuple, tuple]]) -> list[tuple[tuple, tuple]]:
-        seen = set()
-        unique = []
-        for values, keys in projected:
-            if values in seen:
-                continue
-            seen.add(values)
-            unique.append((values, keys))
-        return unique
+        """The first entry of every distinct item row, in first-seen order."""
+        unique: dict[tuple, tuple[tuple, tuple]] = {}
+        for entry in projected:
+            unique.setdefault(entry[0], entry)
+        return list(unique.values())
 
     def _order(self, projected: list[tuple[tuple, tuple]]) -> list[tuple[tuple, tuple]]:
-        if not self._order_fns:
-            return projected
-        ordered = list(projected)
+        """Sorted by the ``ORDER BY`` keys: one stable sort per key, last first."""
         for position in range(len(self._order_fns) - 1, -1, -1):
             descending = self._order_fns[position][1]
-            ordered.sort(key=lambda entry: sort_key(entry[1][position]), reverse=descending)
-        return ordered
+            projected.sort(key=lambda entry: sort_key(entry[1][position]), reverse=descending)
+        return projected
 
 
 class Executor:
@@ -729,9 +716,11 @@ class Executor:
     def execute_stream(self, select: ast.Select, plans: Optional[dict] = None) -> RowStream:
         """Execute a SELECT as a lazily produced :class:`RowStream`.
 
-        Streamable shapes (see :attr:`PreparedSelect.streamable`) yield their
-        first row without materializing the result; barrier shapes (grouping,
-        ``ORDER BY``, ``DISTINCT``) materialize internally and replay.
+        The plan runs as for :meth:`execute` (see
+        :meth:`PreparedSelect.stream`): its join is computed in full at the
+        first pull, then rows are projected a window at a time; with
+        ``ORDER BY`` or ``DISTINCT`` every row is projected before the first
+        one is handed out.
         """
         prepared = self._statement_plan(select, plans)
         return RowStream(columns=prepared.output_columns, rows=prepared.stream(()))

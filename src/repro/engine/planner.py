@@ -27,6 +27,12 @@ are bare columns of an unfiltered base table (nothing is hashed per
 statement), else a per-statement hash of the source, semi-join reduced by
 the probe keys.
 
+A pipeline runs one way, :meth:`JoinPipeline.execute_batch`: every source
+hands over one filtered :class:`~repro.engine.vector.RowBatch` and every
+join step extends the batch before it; the executor then projects the
+result in bounded windows (a streamed statement joins in full before its
+first row).
+
 A :class:`TableSource` reads its table's current
 :class:`~repro.engine.storage.TableData` exactly once per scan, so a scan, all
 of its conjuncts and its typed kernels see one table version whatever
@@ -64,12 +70,6 @@ def scan_batch(data: TableData) -> RowBatch:
     """The whole of one table version as a batch: kernels read its column
     arrays and typed payloads instead of gathering ``row[index]``."""
     return RowBatch(data.rows, col_source=data.column_array, typed_source=data.typed_column)
-
-
-def _windows(batch: RowBatch, batch_size: int):
-    """Cut a batch into bounded windows (the streaming batch currency)."""
-    for start in range(0, batch.n, batch_size):
-        yield batch.window(start, start + batch_size)
 
 
 def _hash_build(
@@ -175,30 +175,17 @@ class SourcePlan:
         """Push a batch predicate kernel down onto this source."""
         self._batch_filters.append(kernel)
 
-    def _apply_filters(self, rows: Sequence[tuple], outers: tuple) -> Sequence[tuple]:
-        if not self._batch_filters:
-            return rows
-        return self._filter_batch(RowBatch(rows), outers).rows
-
     def _filter_batch(self, batch: RowBatch, outers: tuple) -> RowBatch:
         """Apply the pushed-down batch filters, compacting by selection."""
         return apply_batch_predicates(batch, self._batch_filters, outers)
 
-    def rows(self, outers: tuple) -> Sequence[tuple]:
-        """The plan's filtered rows, **read-only**: an unfiltered scan hands
-        out its table version's immutable row tuple and a cached sub-plan its
-        cached list, so joins build and probe without copying."""
-        raise NotImplementedError
-
     def batch(self, outers: tuple) -> RowBatch:
-        """The plan's filtered rows as one :class:`RowBatch`.
-
-        Entry point of the executor; :class:`TableSource` overrides it so a
-        full scan keeps its typed columns and its selection view alive end
-        to end instead of materializing row tuples between the scan and the
-        projection/aggregation stage.
-        """
-        return RowBatch(self.rows(outers))
+        """The plan's filtered rows as one :class:`RowBatch`, **read-only**:
+        an unfiltered scan hands out its table version's immutable row tuple
+        and a cached sub-plan its cached list, so joins build and probe
+        without copying.  A full scan keeps its typed columns and its
+        selection view alive up to the projection/aggregation stage."""
+        raise NotImplementedError
 
     def estimate(self) -> int:
         """Unfiltered cardinality guess used for join ordering."""
@@ -220,11 +207,10 @@ class TableSource(SourcePlan):
     :class:`~repro.engine.columns.TypedColumn` payloads, which is what lets
     downstream kernels over NOT NULL columns run their specialized loops.
 
-    :meth:`rows`, :meth:`batch` and :meth:`join_index` each read
-    ``table.data`` once and hand that one
-    :class:`~repro.engine.storage.TableData` on: rows, column arrays, typed
-    payloads and the index of a scan, a look-up or a join build side all
-    belong to the same table version.
+    :meth:`batch` and :meth:`join_index` each read ``table.data`` once and
+    hand that one :class:`~repro.engine.storage.TableData` on: rows, column
+    arrays, typed payloads and the index of a scan, a look-up or a join
+    build side all belong to the same table version.
     """
 
     def __init__(self, table, binding: str) -> None:
@@ -249,22 +235,23 @@ class TableSource(SourcePlan):
             return 1
         return max(len(self.table.rows), 1)
 
-    def rows(self, outers: tuple) -> Sequence[tuple]:
-        """The filtered scan (or look-up bucket) of the current table
-        version; unfiltered = that version's row tuple itself."""
-        data = self.table.data
-        if self._key_lookup is not None:
-            return self._apply_filters(self._bucket(data, outers), outers)
-        if self._batch_filters:
-            return self._scan(data, outers).rows
-        return self._apply_filters(data.rows, outers)
-
     def batch(self, outers: tuple) -> RowBatch:
-        """The filtered scan as a selection over one version's column caches."""
+        """The filtered scan as a selection over one version's column caches
+        (unfiltered = that version's row tuple itself), or the filtered
+        look-up bucket.
+
+        A scan keeping fewer than one row per window of its table hands its
+        rows on as tuples, as a look-up does: a kernel reading a column of
+        the selection would build that column for the whole version — which
+        every later write then copies into the next — for a handful of rows.
+        """
         data = self.table.data
         if self._key_lookup is not None:
-            return RowBatch(self._apply_filters(self._bucket(data, outers), outers))
-        return self._scan(data, outers)
+            return self._filter_batch(RowBatch(self._bucket(data, outers)), outers)
+        batch = self._filter_batch(scan_batch(data), outers)
+        if batch.n * DEFAULT_BATCH_SIZE < len(data.rows):
+            return RowBatch(batch.rows)
+        return batch
 
     def join_index(self, columns: tuple[int, ...], stats) -> Optional[HashIndex]:
         """The current table version's index on ``columns`` as a join build
@@ -286,10 +273,6 @@ class TableSource(SourcePlan):
         column_index, value_fn = self._key_lookup
         return data.hash_index(column_index).rows(value_fn(RowBatch([()]), outers)[0])
 
-    def _scan(self, data: TableData, outers: tuple) -> RowBatch:
-        """The filtered full scan of ``data``."""
-        return self._filter_batch(scan_batch(data), outers)
-
 
 class PreparedSource(SourcePlan):
     """A derived table or view backed by a nested :class:`PreparedSelect`."""
@@ -307,9 +290,9 @@ class PreparedSource(SourcePlan):
         """The nested plan's estimate."""
         return self._prepared.estimate()
 
-    def rows(self, outers: tuple) -> list[tuple]:
+    def batch(self, outers: tuple) -> RowBatch:
         """The nested plan's (possibly cached) result, filtered."""
-        return self._apply_filters(self._prepared.run(outers), outers)
+        return self._filter_batch(RowBatch(self._prepared.run(outers)), outers)
 
 
 class RowsSource(SourcePlan):
@@ -331,9 +314,9 @@ class RowsSource(SourcePlan):
         """1: the rows are not known until a run binds them."""
         return 1
 
-    def rows(self, outers: tuple) -> Sequence[tuple]:
+    def batch(self, outers: tuple) -> RowBatch:
         """The run's rows for the relation, filtered."""
-        return self._apply_filters(self._context.bound_rows(self._alias), outers)
+        return self._filter_batch(RowBatch(self._context.bound_rows(self._alias)), outers)
 
 
 class JoinSource(SourcePlan):
@@ -425,10 +408,6 @@ class JoinSource(SourcePlan):
             matched = [matched[index] for index in kept]
         return self._filter_batch(joined(positions, matched), outers)
 
-    def rows(self, outers: tuple) -> Sequence[tuple]:
-        """The joined rows as tuples."""
-        return self.batch(outers).rows
-
 
 # ---------------------------------------------------------------------------
 # Join pipeline over the comma-separated FROM list
@@ -467,8 +446,7 @@ class _JoinStep:
         """What a probe needs of the newly joined source: a
         :class:`~repro.engine.storage.HashIndex` (keyed step) or just its
         rows (cross product).  ``probe_keys`` let a per-statement build be
-        reduced; the streaming spine, whose build is probed by many windows,
-        passes none."""
+        reduced."""
         if self.index_columns is not None:
             index = self.source.join_index(self.index_columns, stats)
             if index is not None:
@@ -481,19 +459,14 @@ class _JoinStep:
         return batch.rows
 
     def match(
-        self, current: RowBatch, outers: tuple, stats, built=None
+        self, current: RowBatch, outers: tuple, stats
     ) -> tuple[Optional[Sequence[int]], Sequence[tuple]]:
         """``current`` joined to the source as ``(left positions, build
-        rows)`` (see :func:`_hash_probe`); ``built`` is a :meth:`build` to
-        reuse."""
+        rows)`` (see :func:`_hash_probe`)."""
         if not self.probe_fns:
-            return _cross_pairs(
-                current.n, self.build(outers, stats) if built is None else built
-            )
+            return _cross_pairs(current.n, self.build(outers, stats))
         keys = key_column(self.probe_fns, current, outers)
-        return _hash_probe(
-            keys, self.build(outers, stats, keys) if built is None else built
-        )
+        return _hash_probe(keys, self.build(outers, stats, keys))
 
 
 class JoinPipeline:
@@ -503,9 +476,10 @@ class JoinPipeline:
     join keys are computed as key *columns* over whole row windows, residuals
     via :func:`~repro.engine.vector.apply_batch_predicates`, and every step's
     output is a late-materialized :class:`~repro.engine.vector.JoinedBatch`
-    (``stats`` counts the rows a consumer makes it concatenate).  The
-    streaming spine is :meth:`iter_batches`, which emits bounded batches
-    (``batch_size`` rows) so ``LIMIT`` consumers touch O(batch) rows.
+    (``stats`` counts the rows a consumer makes it concatenate).
+    :meth:`execute_batch` is the one way a pipeline runs: the executor
+    windows its output for projection, so ``LIMIT`` stops the projection,
+    not the join.
     """
 
     def __init__(
@@ -514,14 +488,12 @@ class JoinPipeline:
         steps: list[_JoinStep],
         final_residuals: list,
         schema: list[tuple[Optional[str], str]],
-        batch_size: int = DEFAULT_BATCH_SIZE,
         stats=None,
     ) -> None:
         self._first = first
         self._steps = steps
         self._final_residuals = final_residuals
         self.schema = schema
-        self._batch_size = batch_size
         self._stats = stats
 
     def execute_batch(self, outers: tuple) -> RowBatch:
@@ -547,54 +519,17 @@ class JoinPipeline:
         return current
 
     def _join_batch(
-        self, step: _JoinStep, current: RowBatch, width: int, outers: tuple, built=None
+        self, step: _JoinStep, current: RowBatch, width: int, outers: tuple
     ) -> RowBatch:
         """One join step: ``current`` (``width`` slots) joined to the step's
-        source (``built`` when the caller reuses one, see
-        :meth:`_JoinStep.build`), then the step's residual filters."""
-        positions, matched = step.match(current, outers, self._stats, built)
+        source, then the step's residual filters."""
+        positions, matched = step.match(current, outers, self._stats)
         joined = JoinedBatch.extend(
             current, width, positions, matched, len(step.source.schema), self._stats
         )
         if step.residuals and joined.n:
             joined = apply_batch_predicates(joined, step.residuals, outers)
         return joined
-
-    def iter_batches(self, outers: tuple, batch_size: Optional[int] = None):
-        """Yield joined rows lazily as bounded batches (the streaming spine of
-        :meth:`repro.engine.executor.PreparedSelect.stream`).
-
-        Each source still materializes its own (filtered) scan and each join
-        step takes its table's index or builds its hash table when first
-        pulled (unreduced: many windows probe it), but left rows flow
-        through the spine ``batch_size`` at a time and every yielded batch
-        is re-bounded to at most ``batch_size`` rows — an early-``LIMIT``
-        consumer therefore materializes O(batch) rows, never the join
-        output.
-        """
-        size = batch_size or self._batch_size
-        current = _windows(RowBatch(self._first.rows(outers)), size)
-        width = len(self._first.schema)
-        for step in self._steps:
-            current = self._iter_step_batch(step, current, width, outers, size)
-            width += len(step.source.schema)
-        for batch in current:
-            if self._final_residuals:
-                batch = apply_batch_predicates(batch, self._final_residuals, outers)
-            if batch.n:
-                yield batch
-
-    def _iter_step_batch(
-        self, step: _JoinStep, current, width: int, outers: tuple, batch_size: int
-    ):
-        built = None
-        for batch in current:
-            if built is None:
-                # built on first demand: a spine nobody pulls builds nothing
-                built = step.build(outers, self._stats)
-            joined = self._join_batch(step, batch, width, outers, built)
-            # one-to-many joins can fan a batch out past the bound; re-slice
-            yield from _windows(joined, batch_size)
 
     def children(self) -> list["PreparedSelect"]:
         """Nested plans of every source, in join order."""
@@ -619,10 +554,6 @@ class EmptyPipeline:
     def execute_batch(self, outers: tuple) -> RowBatch:
         """The single empty row as a one-row batch."""
         return RowBatch([()])
-
-    def iter_batches(self, outers: tuple, batch_size: Optional[int] = None):
-        """The single empty row as a one-row batch."""
-        yield RowBatch([()])
 
     def children(self) -> list["PreparedSelect"]:
         """No sources, no nested plans."""
@@ -656,7 +587,6 @@ class Planner:
         self._parent_scope = parent_scope
         self.created_scopes: list[Scope] = []
         self._binding_columns: dict[str, set[str]] = {}
-        self._batch_size = context.database.batch_size
         # binding (lower) -> column names (lower) the table's schema declares
         # NOT NULL (enforced by every INSERT / UPDATE / bulk load); populated
         # as base tables are planned, cleared for relations on the
@@ -1075,7 +1005,6 @@ class Planner:
             steps,
             final_residuals,
             placed_schema,
-            batch_size=self._batch_size,
             stats=self._context.database.stats,
         )
 

@@ -876,14 +876,14 @@ class BatchExpressionCompiler:
         negated = expr.negated
         if prepared.correlated:
             return lambda batch, outers: [
-                bool(prepared.run((row,) + outers, limit=1)) != negated
+                bool(prepared.run((row,) + outers)) != negated
                 for row in batch.rows
             ]
 
         def kernel(batch: RowBatch, outers: tuple) -> list:
             if batch.n == 0:
                 return []
-            return [bool(prepared.run(outers, limit=1)) != negated] * batch.n
+            return [bool(prepared.run(outers)) != negated] * batch.n
 
         return kernel
 

@@ -131,10 +131,10 @@ class RowStream(ColumnAccess):
     """An incrementally produced SELECT result: columns now, rows on demand.
 
     Backends return a ``RowStream`` from ``execute_stream`` when they can
-    yield rows before the full result set exists (the engine's lazy pipeline,
-    SQLite's incremental cursor, the cluster's single-shard path); backends
-    that must materialize simply wrap the finished row list — the consumer
-    cannot tell the difference.
+    yield rows before the full result set exists (the engine's windowed
+    projection, SQLite's incremental cursor, the cluster's single-shard
+    path); backends that must materialize simply wrap the finished row
+    list — the consumer cannot tell the difference.
 
     The stream is single-use and forward-only: ``__iter__``/:meth:`fetch`
     consume it, :meth:`materialize` drains the remainder into an ordinary

@@ -4,7 +4,8 @@ The proof strategy is a counting UDF in the SELECT list: the projection runs
 once per row of a *pulled batch* (one ``RowBatch`` of rows at a time), so if
 ``fetchmany`` returns the first rows while the counter is at most one batch
 — far below the table's row count — the backend demonstrably did not materialize the
-result.  Covered: the engine's lazy pipeline, SQLite's incremental cursor,
+result.  Covered: the engine's windowed projection (over scans and over
+joins, which a stream joins in full first), SQLite's incremental cursor,
 the cluster's single-shard fast path delegation, plus the
 :class:`~repro.result.RowStream` container semantics and the lazy
 ``iter_dicts`` protocol.
@@ -105,6 +106,39 @@ def test_engine_barrier_shapes_still_stream_correct_rows():
         assert cursor.fetchall() == [(597,), (596,)]
         cursor.execute("SELECT COUNT(*) FROM t")
         assert cursor.fetchone() == (ROWS,)
+
+
+@pytest.mark.parametrize(
+    "from_where",
+    [
+        "FROM t, u WHERE t.a = u.k",
+        "FROM t JOIN u ON t.a = u.k",
+        "FROM t LEFT JOIN u ON t.a = u.k AND u.w > 0",
+    ],
+    ids=["comma", "on", "left"],
+)
+def test_engine_streamed_joins_match_query(from_where):
+    """A streamed join gives ``query()``'s rows in ``query()``'s order — one
+    join pass for both — and a first page projects at most one batch."""
+    database = Database(batch_size=BATCH)
+    probe = _Probe()
+    database.register_python_function("probe", probe)
+    database.execute("CREATE TABLE t (a INTEGER NOT NULL)")
+    database.execute("CREATE TABLE u (k INTEGER NOT NULL, w INTEGER NOT NULL)")
+    database.insert_rows("t", [(index,) for index in range(ROWS)])
+    # every other key twice (one-to-many), the odd ones not at all
+    database.insert_rows(
+        "u", [(key, copy) for key in range(0, ROWS, 2) for copy in range(2)]
+    )
+    sql = f"SELECT probe(t.a), u.w {from_where}"
+    expected = database.query(sql).rows
+    # 300 keys matched twice; LEFT: 300 matched once plus 300 null-padded
+    assert len(expected) == ROWS
+    probe.calls = 0
+    stream = database.execute_stream(sql)
+    first = stream.fetchmany(3)
+    assert probe.calls <= BATCH
+    assert first + stream.materialize().rows == expected
 
 
 def test_cluster_single_shard_path_delegates_the_stream(tiny_mth_sharded):

@@ -137,7 +137,6 @@ class TestReadOnlyScans:
         from repro.engine.planner import TableSource
 
         table = db.catalog.table("small")
-        assert TableSource(table, "small").rows(()) is table.rows
         assert TableSource(table, "small").batch(()).rows is table.rows
 
     def test_join_does_not_disturb_the_heap(self, db):

@@ -264,6 +264,13 @@ class TestStress:
         assert totals["reads"] > 0 and totals["writes"] > 0
         assert (totals["errors"], totals["torn"], totals["stale"]) == (0, 0, 0), totals
 
+    def test_a_streamed_read_is_judged_on_the_rows_it_pulled(self):
+        group = [(7, 10), (-7, 90), (3, 50), (-3, 50)]
+        assert not stress_writers.torn_rows([]) and not stress_writers.torn_rows(group)
+        assert stress_writers.torn_rows(group[1:])  # a row short: count
+        assert stress_writers.torn_rows([(7, 10), (7, 90), (3, 50), (-3, 50)])  # sum
+        assert stress_writers.torn_rows([(7, 10), (-7, 91), (3, 50), (-3, 50)])  # b range
+
     def test_the_tool_reports_and_exits_zero(self, capsys):
         assert stress_writers.main(["--seconds", "0.5", "--rows", "500"]) == 0
         out = capsys.readouterr().out

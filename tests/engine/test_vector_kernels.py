@@ -315,6 +315,73 @@ def test_limit_and_fetchmany_consume_at_most_one_extra_batch():
         assert probe.calls == 1000
 
 
+def test_query_limit_stops_the_projection_early():
+    """``query()`` runs the plan the way a stream does: without ORDER BY or
+    DISTINCT, LIMIT stops the windowed projection instead of slicing a
+    fully projected result."""
+    db = _db(batch_size=32)
+    probe = _Probe()
+    db.register_python_function("probe", probe)
+    db.execute("CREATE TABLE t (a INTEGER NOT NULL)")
+    db.insert_rows("t", [(i,) for i in range(1000)])
+    assert db.query("SELECT probe(a) FROM t LIMIT 5").rows == [(i,) for i in range(5)]
+    assert probe.calls <= 32
+    # a barrier still sees every row before LIMIT applies
+    probe.calls = 0
+    assert db.query("SELECT probe(a) FROM t ORDER BY a DESC LIMIT 2").rows == [(999,), (998,)]
+    assert probe.calls == 1000
+
+
+def test_a_sparse_scan_builds_no_table_column_for_its_few_rows():
+    """A scan keeping fewer than one row per window of its table hands its
+    rows on as tuples, executed or streamed: projecting them builds no
+    column list or typed payload of the whole version (which every later
+    write would copy); the filter's own column is built as before."""
+    db = _db(batch_size=64)
+    db.execute("CREATE TABLE t (k INTEGER NOT NULL, a INTEGER NOT NULL, b INTEGER NOT NULL)")
+    db.insert_rows("t", [(i, 2 * i, 3 * i) for i in range(3000)])
+    sql = "SELECT a, b + 1 FROM t WHERE k = 7"
+    assert db.query(sql).rows == [(14, 22)]
+    assert db.execute_stream(sql).materialize().rows == [(14, 22)]
+    data = db.catalog.table("t").data
+    assert {1, 2}.isdisjoint(data._columns) and {1, 2}.isdisjoint(data._typed)
+    # a selection of at least one row per window keeps the version's caches
+    assert len(db.query("SELECT a FROM t WHERE k < 100").rows) == 100
+    assert 1 in data._columns or 1 in data._typed
+
+
+def test_stream_profiles_count_the_projection_not_the_consumer():
+    """A streamed statement records operator profiles, and the projection's
+    seconds are its own windows': the consumer's pauses between fetches
+    count in no stage."""
+    import time
+
+    db = _db(batch_size=64)
+    db.execute("CREATE TABLE t (a INTEGER NOT NULL)")
+    db.insert_rows("t", [(i,) for i in range(600)])
+    db.stats.reset()
+    stream = db.execute_stream("SELECT a + 1 FROM t")
+    pages = []
+    for _ in range(2):
+        pages.append(stream.fetchmany(100))
+        time.sleep(0.05)
+    pages.append(stream.materialize().rows)
+    assert [row for page in pages for row in page] == [(i + 1,) for i in range(600)]
+    profiles = {p.operator: p for p in db.stats.operator_snapshot()}
+    assert profiles["scan+join"].rows == 600
+    assert (profiles["project"].rows, profiles["project"].batches) == (600, 10)
+    # the consumer slept 100 ms between pulls; projecting 600 rows takes ~1 ms
+    assert profiles["project"].seconds < 0.05
+
+    # a stream closed early records the windows it projected
+    db.stats.reset()
+    stream = db.execute_stream("SELECT a + 1 FROM t")
+    assert stream.fetchmany(3) == [(1,), (2,), (3,)]
+    stream.close()
+    profiles = {p.operator: p for p in db.stats.operator_snapshot()}
+    assert (profiles["project"].rows, profiles["project"].batches) == (64, 1)
+
+
 # ---------------------------------------------------------------------------
 # date column vs date column: day ordinals, not sql_compare per row
 # ---------------------------------------------------------------------------

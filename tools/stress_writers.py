@@ -18,7 +18,10 @@ by judging one row on two versions — a *torn answer*.  Readers also look a
 base row up by primary key and join the static table ``k`` (one row per
 writer) to ``t`` on ``w`` — every writer row once, so the same invariant,
 probed through the index of whatever version of ``t`` the join pinned.
-The scan and the join are parsed once and every reader executes those two
+A third kind of read streams the join's rows (:data:`STREAM`) in pieces of
+seven while writers publish, and checks the invariant over the rows it
+pulled: a stream reads one version of each table however long it is held.
+The scan, the join and the stream are parsed once and every reader executes those two
 statement objects with one shared memo space, so where the engine memoizes
 plans (see :class:`repro.engine.executor.Executor`) the readers run one
 prepared plan concurrently; a checkout without the memo ignores it.
@@ -45,6 +48,7 @@ from repro.sql.parser import parse_query
 LOW, HIGH = 10, 90
 SCAN = f"SELECT COUNT(*), SUM(a), MIN(b), MAX(b) FROM t WHERE w > 0 AND b >= {LOW}"
 JOIN = "SELECT COUNT(*), SUM(a), MIN(b), MAX(b) FROM k, t WHERE k.w = t.w"
+STREAM = "SELECT t.a, t.b FROM k, t WHERE k.w = t.w"
 #: what each thread counts (a report may also hold its ``first_error``)
 COUNTS = ("reads", "writes", "errors", "torn")
 
@@ -56,6 +60,15 @@ def torn(row: tuple) -> bool:
     if count == 0:
         return (total, low, high) != (None, None, None)
     return count % 4 != 0 or total != 0 or low != LOW or high != HIGH
+
+
+def torn_rows(rows: list) -> bool:
+    """Whether the ``(a, b)`` rows of a :data:`STREAM` break the invariant."""
+    return (
+        len(rows) % 4 != 0
+        or sum(a for a, _ in rows) != 0
+        or any(not LOW <= b <= HIGH for _, b in rows)
+    )
 
 
 def cells(values) -> list:
@@ -115,12 +128,14 @@ def _writer(database: Database, writer: int, rng: random.Random, stop, report: d
 
 
 class _Shapes:
-    """The pre-parsed :data:`SCAN` and :data:`JOIN`, and the memo space the
-    readers share for them (it stands in for a compiled artifact's)."""
+    """The pre-parsed :data:`SCAN`, :data:`JOIN` and :data:`STREAM`, and the
+    memo space the readers share for them (it stands in for a compiled
+    artifact's)."""
 
     def __init__(self) -> None:
         self.scan = parse_query(SCAN)
         self.join = parse_query(JOIN)
+        self.stream = parse_query(STREAM)
         self.attachments: dict = {}
 
 
@@ -129,10 +144,16 @@ def _reader(database: Database, shapes: _Shapes, rows: int, rng, stop, report: d
     while not stop.is_set():
         try:
             choice = rng.random()
-            if choice < 0.8:
-                statement = shapes.scan if choice < 0.5 else shapes.join
+            if choice < 0.6:
+                statement = shapes.scan if choice < 0.35 else shapes.join
                 result = connection.execute_scoped(statement, compiled=shapes)
                 report["torn"] += torn(result.rows[0])
+            elif choice < 0.8:
+                stream = connection.execute_stream(shapes.stream, compiled=shapes)
+                pulled: list = []
+                while page := stream.fetchmany(7):
+                    pulled.extend(page)
+                report["torn"] += torn_rows(pulled)
             else:
                 key = rng.randrange(rows)
                 found = database.query(f"SELECT id, a FROM t WHERE id = {key} AND w = 0").rows
