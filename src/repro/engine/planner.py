@@ -4,8 +4,9 @@ The planner turns the FROM clause plus the conjunctive WHERE predicate into a
 :class:`JoinPipeline`:
 
 * each base table / view / derived table becomes a :class:`SourcePlan` with
-  its single-relation filters pushed down (including primary-key point
-  look-ups when a filter compares the key against a per-run constant),
+  its single-relation filters pushed down (a base table's become a
+  :class:`KeyLookup` when they fix its whole primary key against per-run
+  values, see :func:`match_key_lookup`),
 * equality predicates between two relations become hash-join edges,
 * the remaining conjuncts are applied as residual filters as soon as every
   relation they mention is available.
@@ -45,13 +46,14 @@ from __future__ import annotations
 
 from itertools import compress
 from operator import and_
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, NamedTuple, Optional, Sequence
 
 from ..compile.cost import predicate_selectivity
 from ..errors import ExecutionError
 from ..sql import ast
+from ..sql.types import SQLType
 from .expressions import Scope, contains_subquery, referenced_columns
-from .storage import HashIndex, TableData, hash_rows
+from .storage import HashIndex, TableData, TableSchema, hash_rows
 from .vector import (
     DEFAULT_BATCH_SIZE,
     BatchExpressionCompiler,
@@ -199,9 +201,11 @@ class SourcePlan:
 class TableSource(SourcePlan):
     """A scan over a base table with pushed-down filters.
 
-    When one of the pushed filters is ``<primary key column> = <expr>`` and
-    the expression does not reference this table, the scan becomes a point
-    look-up in a lazily-built hash index on that key column.
+    When the pushed filters fix every primary-key column (see
+    :func:`match_key_lookup`), the scan becomes one probe of the table
+    version's index on the key, and the filters the probe does not answer
+    run over the rows it finds.  The scan stays the fallback of a probe
+    value the index cannot decide exactly.
 
     The scan batch exposes that version's
     :class:`~repro.engine.columns.TypedColumn` payloads, which is what lets
@@ -217,21 +221,12 @@ class TableSource(SourcePlan):
         schema = [(binding, column.name) for column in table.schema.columns]
         super().__init__(schema, {binding.lower()})
         self.table = table
-        self._key_lookup: Optional[tuple[int, BatchKernel]] = None
-
-    def set_key_lookup(self, column_index: int, value_fn: BatchKernel) -> None:
-        """Turn the scan into a point look-up ``key column = value_fn``; the
-        kernel reads no column of its own, only ``outers``."""
-        self._key_lookup = (column_index, value_fn)
-
-    @property
-    def has_key_lookup(self) -> bool:
-        """Whether a primary-key point look-up replaced the scan."""
-        return self._key_lookup is not None
+        #: the point look-up that replaces the scan, if the filters fix the key
+        self.key_lookup: Optional[KeyLookup] = None
 
     def estimate(self) -> int:
         """1 for a point look-up, else the table's row count."""
-        if self._key_lookup is not None:
+        if self.key_lookup is not None:
             return 1
         return max(len(self.table.rows), 1)
 
@@ -246,8 +241,11 @@ class TableSource(SourcePlan):
         every later write then copies into the next — for a handful of rows.
         """
         data = self.table.data
-        if self._key_lookup is not None:
-            return self._filter_batch(RowBatch(self._bucket(data, outers)), outers)
+        lookup = self.key_lookup
+        if lookup is not None:
+            found = lookup.batch(data, self._batch_filters, outers)
+            if found is not None:
+                return found
         batch = self._filter_batch(scan_batch(data), outers)
         if batch.n * DEFAULT_BATCH_SIZE < len(data.rows):
             return RowBatch(batch.rows)
@@ -258,7 +256,7 @@ class TableSource(SourcePlan):
         side — nothing is scanned or hashed per statement — or ``None`` when
         the scan is not the whole table (a pushed filter, a key look-up).
         Building it (once per version) counts in ``stats.join_rows_hashed``."""
-        if self._key_lookup is not None or self._batch_filters:
+        if self._batch_filters:
             return None
         data = self.table.data
         known = columns in data.indexes
@@ -267,11 +265,130 @@ class TableSource(SourcePlan):
             stats.add(join_rows_hashed=index.size)
         return index
 
-    def _bucket(self, data: TableData, outers: tuple) -> Sequence[tuple]:
-        """The rows of ``data`` the point look-up's key value selects
-        (``key = NULL`` is never true: the index holds no NULL key)."""
-        column_index, value_fn = self._key_lookup
-        return data.hash_index(column_index).rows(value_fn(RowBatch([()]), outers)[0])
+
+#: by a key column's declared type, the probe values a dict look-up judges
+#: exactly as the scan's ``=`` / ``IN`` does: numbers (``bool`` included)
+#: hash and compare alike across ``int`` and ``float``, a string only
+#: equals a string.  Any other value — a string against a number, which the
+#: scan refuses — is left to the scan.  So is every value against a DATE:
+#: its cells are often ISO strings (stored as inserted), which the scan
+#: parses to compare with a ``Date`` and a dict look-up would miss; a key
+#: with a DATE column makes no look-up.
+_PROBE_TYPES = {
+    SQLType.INTEGER: (int, float, bool),
+    SQLType.DECIMAL: (int, float, bool),
+    SQLType.BOOLEAN: (int, float, bool),
+    SQLType.VARCHAR: (str,),
+}
+
+
+class KeyLookup(NamedTuple):
+    """Conjuncts that fix every primary-key column, answered by one probe
+    of a table version's index on the key instead of a scan.
+
+    ``values`` are the fixed values' kernels (they read ``outers``, no
+    column of the table), aligned with ``columns``, the key's column
+    indexes in key order; ``used`` holds the positions of the conjuncts the
+    probe answers — every other conjunct still filters the rows found.
+    Like a hash join, the probe takes the stored key values to be of their
+    column's declared type.
+    """
+
+    columns: tuple[int, ...]
+    values: tuple[BatchKernel, ...]
+    probe_types: tuple[tuple[type, ...], ...]
+    used: frozenset[int]
+
+    def batch(
+        self, data: TableData, conjuncts: Sequence[BatchKernel], outers: tuple
+    ) -> Optional[RowBatch]:
+        """The rows of ``data`` whose key the values fix, filtered in order
+        by the ``conjuncts`` (compiled kernels) the probe does not answer; or
+        ``None`` when a value's type would make the scan's comparison coerce
+        or raise (the caller scans instead).  A NULL value matches no row."""
+        one_row = RowBatch([()])
+        values = [value_fn(one_row, outers)[0] for value_fn in self.values]
+        for value, probe_types in zip(values, self.probe_types):
+            if value is not None and type(value) not in probe_types:
+                return None
+        if any(value is None for value in values):
+            return RowBatch(())
+        index = data.hash_index(*self.columns)
+        rows = index.rows(values[0] if len(values) == 1 else tuple(values))
+        residual = [kernel for position, kernel in enumerate(conjuncts) if position not in self.used]
+        return apply_batch_predicates(RowBatch(rows), residual, outers)
+
+
+def match_key_lookup(
+    schema: TableSchema,
+    bindings: set[str],
+    conjuncts: Sequence[ast.Expression],
+    compile_value: Callable[[ast.Expression], BatchKernel],
+) -> Optional[KeyLookup]:
+    """The point look-up ``conjuncts`` make of a scan of ``schema``'s table
+    (bound as ``bindings``), or ``None`` when they do not fix its whole
+    primary key.
+
+    A conjunct fixes a key column by ``column = value`` (either way round)
+    or ``column IN (value)``, where ``value`` reads no column of the table
+    and holds no sub-query; the first conjunct that fixes a column is used.
+    ``compile_value`` compiles a value over no columns of its own; a value
+    it rejects leaves the scan in place.
+    """
+    key = [schema.column_index(name) for name in schema.primary_key]
+    if not key or any(schema.columns[index].sql_type not in _PROBE_TYPES for index in key):
+        return None
+    fixed: dict[int, tuple[int, ast.Expression]] = {}
+    for position, conjunct in enumerate(conjuncts):
+        for column, value in _fixings(conjunct):
+            if column.table is not None and column.table.lower() not in bindings:
+                continue
+            if not schema.has_column(column.name):
+                continue
+            index = schema.column_index(column.name)
+            if index not in key or index in fixed:
+                continue
+            if contains_subquery(value) or _reads_table(value, schema, bindings):
+                continue
+            fixed[index] = (position, value)
+            break
+    if len(fixed) < len(key):
+        return None
+    try:
+        values = tuple(compile_value(fixed[index][1]) for index in key)
+    except ExecutionError:
+        return None
+    return KeyLookup(
+        tuple(key),
+        values,
+        tuple(_PROBE_TYPES[schema.columns[index].sql_type] for index in key),
+        frozenset(fixed[index][0] for index in key),
+    )
+
+
+def _fixings(conjunct: ast.Expression) -> list[tuple[ast.Column, ast.Expression]]:
+    """The ``(column, value)`` pairs an equality conjunct may fix."""
+    if isinstance(conjunct, ast.BinaryOp) and conjunct.op == "=":
+        pairs = [(conjunct.left, conjunct.right), (conjunct.right, conjunct.left)]
+    elif isinstance(conjunct, ast.InList) and not conjunct.negated and len(conjunct.items) == 1:
+        pairs = [(conjunct.expr, conjunct.items[0])]
+    else:
+        return []
+    return [(column, value) for column, value in pairs if isinstance(column, ast.Column)]
+
+
+def _reads_table(expr: ast.Expression, schema: TableSchema, bindings: set[str]) -> bool:
+    """Whether ``expr`` reads a column of the table ``schema`` describes."""
+    for column in referenced_columns(expr):
+        if column.name.startswith("$"):
+            continue
+        if column.table is not None:
+            if column.table.lower() in bindings:
+                return True
+            continue
+        if schema.has_column(column.name):
+            return True
+    return False
 
 
 class PreparedSource(SourcePlan):
@@ -846,50 +963,14 @@ class Planner:
     def _apply_pushdown(self, source: SourcePlan, predicates: list[ast.Expression]) -> None:
         compiler = self._batch_compiler(source.schema)
         for predicate in predicates:
-            if isinstance(source, TableSource) and self._try_key_lookup(source, predicate):
-                continue
             source.add_batch_filter(compiler.compile_predicate(predicate))
-
-    def _try_key_lookup(self, source: TableSource, predicate: ast.Expression) -> bool:
-        if source.has_key_lookup:
-            return False
-        primary_key = source.table.schema.primary_key
-        if len(primary_key) != 1:
-            return False
-        key_column = primary_key[0].lower()
-        if not (isinstance(predicate, ast.BinaryOp) and predicate.op == "="):
-            return False
-        for column_side, value_side in (
-            (predicate.left, predicate.right),
-            (predicate.right, predicate.left),
-        ):
-            if not isinstance(column_side, ast.Column):
-                continue
-            if column_side.name.lower() != key_column:
-                continue
-            if self._references_source(value_side, source):
-                continue
-            value_compiler = self._batch_compiler([])
-            try:
-                value_fn = value_compiler.compile(value_side)
-            except ExecutionError:
-                continue
-            column_index = source.table.schema.column_index(key_column)
-            source.set_key_lookup(column_index, value_fn)
-            return True
-        return False
-
-    def _references_source(self, expr: ast.Expression, source: TableSource) -> bool:
-        for column in referenced_columns(expr):
-            if column.name.startswith("$"):
-                continue
-            if column.table is not None:
-                if column.table.lower() in source.bindings:
-                    return True
-                continue
-            if source.table.schema.has_column(column.name):
-                return True
-        return False
+        if isinstance(source, TableSource):
+            source.key_lookup = match_key_lookup(
+                source.table.schema,
+                source.bindings,
+                predicates,
+                lambda value: self._batch_compiler([]).compile(value),
+            )
 
     # -- join ordering -----------------------------------------------------------
 

@@ -13,7 +13,6 @@ the original spelling for display purposes.
 
 from __future__ import annotations
 
-from array import array
 from dataclasses import dataclass, field
 from itertools import compress
 from operator import itemgetter
@@ -119,13 +118,25 @@ def hash_rows(keys: Sequence, rows: Sequence[tuple]) -> HashIndex:
     return HashIndex(dict(zip(buckets, map(tuple, buckets.values()))), False, len(rows))
 
 
-def _without(values: array, positions: Sequence[int]) -> array:
-    """``values`` less the items at ascending ``positions``: the slices
-    between them, each a ``memcpy``, appended in one pass."""
+def _without(values: Any, positions: Sequence[int]) -> Any:
+    """``values`` (a list, tuple or array) less the items at ascending
+    ``positions``: the slices between them, each a C-level copy, glued in
+    one pass.  A tuple comes back as a list."""
     kept = values[: positions[0]] if positions else values[:]
+    if type(kept) is tuple:
+        kept = list(kept)
     for start, stop in zip(positions, [*positions[1:], len(values)]):
         kept += values[start + 1 : stop]
     return kept
+
+
+def _keyed(columns: tuple[int, ...], rows: Sequence[tuple]) -> list[tuple[Any, tuple]]:
+    """``(key, row)`` for each of ``rows`` whose key on ``columns`` has no
+    NULL component: the entries an index on ``columns`` holds for them."""
+    keys = map(itemgetter(*columns), rows)
+    if len(columns) == 1:
+        return [(key, row) for key, row in zip(keys, rows) if key is not None]
+    return [(key, row) for key, row in zip(keys, rows) if None not in key]
 
 
 class TableData:
@@ -141,14 +152,16 @@ class TableData:
     equi-join asked for, so the schema bounds their number.
 
     :meth:`appended`, :meth:`replaced` and :meth:`removed` make the next
-    version from this one and start its column lists and typed payloads
-    from this one's: a ``dict.copy()`` of each cache (atomic under the GIL
-    while lock-free readers fill them) plus the change.  Only new or
-    replaced values go through :func:`build_typed_column`, and an entry
-    the change cannot derive exactly (a refusal a replace or remove may
-    lift, a ``parsed`` DATE payload) is left unbuilt: every derived entry
-    equals what the lazy build gives over the new version's rows.  Hash
-    indexes stay per version and lazy.
+    version from this one and start its column lists, typed payloads and
+    unique hash indexes from this one's: a ``dict.copy()`` of each cache
+    (atomic under the GIL while lock-free readers fill them) plus the
+    change.  Only new or replaced values go through
+    :func:`build_typed_column`, and an entry the change cannot derive
+    exactly is left unbuilt: a refusal a replace or remove may lift, a
+    ``parsed`` DATE payload, a non-unique index, and a unique index that an
+    appended key would repeat or whose key columns a replace assigns.
+    Every derived entry equals what the lazy build gives over the new
+    version's rows.
     """
 
     __slots__ = ("schema", "rows", "version", "_columns", "_typed", "_indexes")
@@ -204,19 +217,22 @@ class TableData:
         look-ups and join build sides alike).
 
         One column keys on its value, several on the value tuple; a row
-        with a NULL key component matches nothing and is left out.
+        with a NULL key component matches nothing and is left out (a key
+        the schema declares NOT NULL is not searched for one: writers
+        refuse a NULL there).
         """
         index = self._indexes.get(columns)
         if index is None:
             rows: Sequence[tuple] = self.rows
             keys = list(map(itemgetter(*columns), rows))
-            if len(columns) == 1:
-                keep = [key is not None for key in keys]
-            else:
-                keep = [None not in key for key in keys]
-            if not all(keep):
-                keys = list(compress(keys, keep))
-                rows = list(compress(rows, keep))
+            if not all(self.schema.columns[column].not_null for column in columns):
+                if len(columns) == 1:
+                    keep = [key is not None for key in keys]
+                else:
+                    keep = [None not in key for key in keys]
+                if not all(keep):
+                    keys = list(compress(keys, keep))
+                    rows = list(compress(rows, keep))
             index = self._indexes[columns] = hash_rows(keys, rows)
         return index
 
@@ -237,6 +253,12 @@ class TableData:
                     typed.kind, typed.values + added.values, typed.parsed or added.parsed
                 )
             data._typed[index] = typed
+        for columns, index in self._unique_indexes():
+            entries = _keyed(columns, new_rows)
+            table = index.table.copy()
+            table.update(entries)
+            if len(table) == index.size + len(entries):  # no key repeats
+                data._indexes[columns] = HashIndex(table, True, len(table))
         return data
 
     def replaced(
@@ -269,26 +291,40 @@ class TableData:
                         payload[position] = value
                     changed = TypedColumn(typed.kind, payload, changed.parsed)
                 data._typed[index] = changed
+        changed_rows = [data.rows[position] for position in positions]
+        for columns, index in self._unique_indexes():
+            if assigned.keys().isdisjoint(columns):
+                table = index.table.copy()
+                table.update(_keyed(columns, changed_rows))
+                data._indexes[columns] = HashIndex(table, True, index.size)
         return data
 
     def removed(self, positions: Sequence[int], version: int) -> "TableData":
-        """The version without the rows at ascending ``positions``: one keep
-        mask compresses the rows and every cached column list alike, typed
-        payloads are glued from the slices between them.  Removing every
-        row (a DELETE without WHERE, a scratch table's refresh) derives
-        nothing."""
+        """The version without the rows at ascending ``positions``: the rows,
+        every cached column list and typed payload are glued from the slices
+        between them, and each unique index drops the removed rows' keys.
+        Removing every row (a DELETE without WHERE, a scratch table's
+        refresh) derives nothing."""
         if len(positions) == len(self.rows):
             return TableData(self.schema, (), version)
-        keep = [True] * len(self.rows)
-        for position in positions:
-            keep[position] = False
-        data = TableData(self.schema, tuple(compress(self.rows, keep)), version)
+        data = TableData(self.schema, tuple(_without(self.rows, positions)), version)
         for index, column in self._columns.copy().items():
-            data._columns[index] = list(compress(column, keep))
+            data._columns[index] = _without(column, positions)
         for index, typed in self._typed.copy().items():
             if typed is not None and not typed.parsed:
                 data._typed[index] = TypedColumn(typed.kind, _without(typed.values, positions))
+        removed_rows = [self.rows[position] for position in positions]
+        for columns, index in self._unique_indexes():
+            table = index.table.copy()
+            for key, _ in _keyed(columns, removed_rows):
+                del table[key]
+            data._indexes[columns] = HashIndex(table, True, len(table))
         return data
+
+    def _unique_indexes(self) -> list[tuple[tuple[int, ...], HashIndex]]:
+        """This version's unique indexes so far: the ones a write derives (a
+        non-unique one is left to the next version's lazy build)."""
+        return [(columns, index) for columns, index in self._indexes.copy().items() if index.unique]
 
 
 class Table:

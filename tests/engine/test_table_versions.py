@@ -94,8 +94,9 @@ def _ids(database: Database, sql: str) -> list:
 
 
 def _stale_entries(data: TableData) -> list:
-    """The cached column lists and typed payloads of ``data`` (only those
-    it holds; nothing is built) that differ from a fresh build of its rows."""
+    """The cached column lists, typed payloads and hash indexes of ``data``
+    (only those it holds; nothing is built) that differ from a fresh build
+    of its rows."""
     fresh = TableData(data.schema, data.rows)
     stale = [
         ("column", index)
@@ -106,6 +107,11 @@ def _stale_entries(data: TableData) -> list:
         ("typed", index)
         for index, typed in data._typed.copy().items()
         if stress_writers.payload(typed) != stress_writers.payload(fresh.typed_column(index))
+    ]
+    stale += [
+        ("index", columns)
+        for columns, index in data.indexes.copy().items()
+        if index != fresh.hash_index(*columns)
     ]
     return stale
 

@@ -7,7 +7,9 @@ calls every revision has, so the same file stresses a parent checkout and a
 change.  In process: one :class:`repro.engine.Database`, one table of
 ``--rows`` base rows that never change, and on top of them each writer thread
 inserts, negates (``UPDATE``) and deletes *groups* of four rows of its own,
-one statement per group.  Every statement keeps, over the writers' rows,
+one statement per group, and updates and deletes single rows by primary key
+(:func:`_keyed_write`), racing the readers' key look-ups.  Every statement
+keeps, over the writers' rows,
 
 * ``COUNT(*)`` a multiple of four, ``SUM(a) = 0``,
 * ``MIN(b) = 10`` and ``MAX(b) = 90`` (all three NULL while the count is 0),
@@ -25,9 +27,10 @@ The scan, the join and the stream are parsed once and every reader executes thos
 statement objects with one shared memo space, so where the engine memoizes
 plans (see :class:`repro.engine.executor.Executor`) the readers run one
 prepared plan concurrently; a checkout without the memo ignores it.
-At the end the table's last version must hold the column lists and typed
-payloads a fresh build of its rows gives (where writes derive a version's
-caches from the one they read, a wrong derivation shows here as *stale*).
+At the end the table's last version must hold the column lists, typed
+payloads and hash indexes a fresh build of its rows gives (where writes
+derive a version's caches from the one they read, a wrong derivation shows
+here as *stale*).
 Prints reads / writes / stale / errors / torn answers; the exit code is 1 if
 any read raised or was torn, or a cache was stale.
 """
@@ -85,13 +88,16 @@ def payload(typed) -> tuple | None:
 
 
 def stale(data: TableData) -> int:
-    """How many column lists and typed payloads of ``data`` differ from
-    what a fresh build of its rows gives."""
+    """How many column lists, typed payloads and hash indexes of ``data``
+    differ from what a fresh build of its rows gives."""
     fresh = TableData(data.schema, data.rows)
     return sum(
         (cells(data.column_array(index)) != cells(fresh.column_array(index)))
         + (payload(data.typed_column(index)) != payload(fresh.typed_column(index)))
         for index in range(len(data.schema.columns))
+    ) + sum(
+        index != fresh.hash_index(*columns)
+        for columns, index in data.indexes.copy().items()
     )
 
 
@@ -100,8 +106,28 @@ def _failed(report: dict, exc: Exception) -> None:
     report.setdefault("first_error", f"{type(exc).__name__}: {exc}")
 
 
+def _keyed_write(
+    database: Database, writer: int, rng: random.Random, live: list[int], scratch: list[int]
+) -> None:
+    """One statement by primary key (``WHERE id = …``): move the middle
+    ``b`` of a live group's third row (it stays within ``LOW..HIGH``), or
+    toggle a scratch row — ``w = 0``, a negative ``id`` — that no reader's
+    answer includes, inserting it or updating and deleting it by key."""
+    if rng.random() < 0.5:
+        key = writer * 10**9 + rng.choice(live) * 4 + 2
+        database.execute(f"UPDATE t SET b = {rng.randint(LOW, HIGH)} WHERE id = {key}")
+    elif not scratch:
+        scratch.append(-(writer * 10**9 + rng.randint(1, 10**6)))
+        database.execute(f"INSERT INTO t VALUES ({scratch[0]}, 0, 0, 0, 0)")
+    elif rng.random() < 0.5:
+        database.execute(f"UPDATE t SET g = g + 1 WHERE id = {scratch[0]}")
+    else:
+        database.execute(f"DELETE FROM t WHERE id = {scratch.pop()}")
+
+
 def _writer(database: Database, writer: int, rng: random.Random, stop, report: dict) -> None:
     live: list[int] = []
+    scratch: list[int] = []
     group = 0
     while not stop.is_set():
         choice = rng.random()
@@ -116,9 +142,11 @@ def _writer(database: Database, writer: int, rng: random.Random, stop, report: d
                 )
                 database.execute(f"INSERT INTO t VALUES {values}")
                 live.append(group)
-            elif choice < 0.75:
+            elif choice < 0.6:
                 target = rng.choice(live)
                 database.execute(f"UPDATE t SET a = -a WHERE w = {writer} AND g = {target}")
+            elif choice < 0.8:
+                _keyed_write(database, writer, rng, live, scratch)
             else:
                 target = live.pop(rng.randrange(len(live)))
                 database.execute(f"DELETE FROM t WHERE w = {writer} AND g = {target}")
