@@ -25,7 +25,6 @@ is already durable would be a correctness trap.
 
 from __future__ import annotations
 
-import os
 import threading
 from collections import OrderedDict
 from typing import TYPE_CHECKING, Any, Optional, Union
@@ -268,12 +267,6 @@ def connect(
     ``optimization`` and ``scope`` mean the same as on
     ``MTBase.connect``/``QueryGateway.session``; ``profile`` only applies
     when a backend is created from a spec string.
-
-    When the ``REPRO_API_VIA_SERVER`` environment variable is ``1``,
-    middleware and gateway targets are transparently fronted by an
-    in-process loopback :class:`~repro.server.ReproServer` — the connection
-    then runs over a real TCP socket and the frame protocol with identical
-    semantics (see :mod:`repro.server.loopback`).
     """
     from ..core.client import MTConnection as _MTConnection
     from ..core.middleware import MTBase as _MTBase
@@ -283,15 +276,11 @@ def connect(
     if isinstance(target, _QueryGateway):
         if client is None:
             raise BackendError("connect(gateway) requires a client tenant id")
-        if _via_loopback_server():
-            return _server_connection(target, client, optimization, scope)
         session = target.session(client, optimization=optimization, scope=scope)
         return Connection(_GatewayTarget(session, owned=True))
     if isinstance(target, _MTBase):
         if client is None:
             raise BackendError("connect(middleware) requires a client tenant id")
-        if _via_loopback_server():
-            return _server_connection(target, client, optimization, scope)
         connection = target.connect(client, optimization=optimization)
         if scope is not None:
             connection.set_scope(scope)
@@ -333,30 +322,6 @@ def connect(
         f"QueryGateway, GatewaySession, MTConnection, Backend(Connection) or a "
         f"backend spec string"
     )
-
-
-def _via_loopback_server() -> bool:
-    """Whether ``REPRO_API_VIA_SERVER`` reroutes through a loopback server.
-
-    A membership probe (not a value read — the env-knob linter's rule)
-    keeps the common case import-free; the strict parse lives in
-    :func:`repro.server.loopback.loopback_enabled`.
-    """
-    if "REPRO_API_VIA_SERVER" not in os.environ:
-        return False  # the common case stays import-free
-    from ..server.loopback import loopback_enabled
-
-    return loopback_enabled()
-
-
-def _server_connection(target, client, optimization, scope) -> Connection:
-    """Front ``target`` with its loopback server and connect through it."""
-    from ..server.client import SyncSession
-    from ..server.loopback import ensure_loopback
-
-    host, port = ensure_loopback(target)
-    session = SyncSession(host, port, client, scope=scope, optimization=optimization)
-    return Connection(_GatewayTarget(session, owned=True))
 
 
 def _parse_server_spec(spec: str) -> tuple[str, int]:

@@ -36,11 +36,11 @@ from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Callable, Optional, Sequence, Union
 
 from ..engine.database import Database
+from ..engine.executor import output_name
 from ..engine.functions import BUILTIN_SCALARS
 from ..result import QueryResult
 from ..sql import ast
 from ..sql.params import bind_parameters
-from ..sql.printer import to_sql
 from ..sql.transform import MERGE_RELATION
 from .planner import PartialAggregatePlan, Plan, RowStreamPlan, SingleShardPlan
 
@@ -159,7 +159,7 @@ class ShardCoordinator:
         gathered: list[tuple] = []
         for result in results:
             gathered.extend(result.rows)
-        columns = [_output_name(item) for item in plan.statement.items]
+        columns = [output_name(item) for item in plan.statement.items]
         if split.merge_query is None:  # a plain row stream: the union is the answer
             return QueryResult(columns=columns, rows=gathered)
         query = plan.attachments.get("merge-query")
@@ -181,11 +181,3 @@ class ShardCoordinator:
         )
         return QueryResult(columns=columns, rows=merged.rows)
 
-
-def _output_name(item: ast.SelectItem) -> str:
-    """Result-column naming, matching the engine's convention."""
-    if item.alias:
-        return item.alias
-    if isinstance(item.expr, ast.Column):
-        return item.expr.name
-    return to_sql(item.expr)

@@ -4,8 +4,8 @@ This package turns the paper's rewrite flow (§3.1 canonical rewrite + §4
 optimization levels, Table 6) into one explicit, instrumented compiler whose
 artifact every layer consumes exactly once:
 
-* :mod:`repro.compile.passes`   — the :class:`CompilerPass` protocol, the
-  pass registry and the declarative ``OptimizationLevel → [passes]`` table,
+* :mod:`repro.compile.passes`   — the declarative ``OptimizationLevel →
+  [optimizer classes]`` table,
 * :mod:`repro.compile.compiler` — :class:`QueryCompiler`, the staged pipeline
   (context → canonical rewrite → passes) with per-stage wall time, AST-size
   deltas and fired-rule counts,
@@ -75,14 +75,8 @@ _LAZY_EXPORTS = {
     "CompilerStats": ("compiler", "CompilerStats"),
     "QueryCompiler": ("compiler", "QueryCompiler"),
     "ExplainReport": ("explain", "ExplainReport"),
-    "CompilerPass": ("passes", "CompilerPass"),
     "LEVEL_PASSES": ("passes", "LEVEL_PASSES"),
-    "PASS_REGISTRY": ("passes", "PASS_REGISTRY"),
-    "PassResult": ("passes", "PassResult"),
     "applies_trivial": ("passes", "applies_trivial"),
-    "level_pass_names": ("passes", "level_pass_names"),
-    "passes_for_level": ("passes", "passes_for_level"),
-    "register_pass": ("passes", "register_pass"),
 }
 
 __all__ = [

@@ -8,7 +8,7 @@ into executable SQL.  It runs an explicit pipeline —
    §4.1 trivial-optimization flags here,
 2. **canonical** — the Algorithm-1 rewrite
    (:class:`~repro.core.rewrite.canonical.CanonicalRewriter`),
-3. **passes** — the level's registered passes in :data:`~repro.compile.passes.
+3. **passes** — the level's optimizers in :data:`~repro.compile.passes.
    LEVEL_PASSES` order (push-up, distribution, inlining) —
 
 and records per-stage wall time, AST node-count deltas, fired-rule counts and
@@ -40,7 +40,7 @@ from ..sql import ast
 from ..sql.params import statement_parameters
 from ..sql.transform import count_nodes
 from .artifact import CompiledQuery, ConversionCensus, PassRecord, conversion_census
-from .passes import applies_trivial, passes_for_level
+from .passes import LEVEL_PASSES, applies_trivial
 from .typecheck import TypeChecker
 from ..core.optimizer.levels import OptimizationLevel
 
@@ -152,19 +152,20 @@ class QueryCompiler:
         )
 
         current = canonical
-        for compiler_pass in passes_for_level(level):
+        for optimizer_class in LEVEL_PASSES[level]:
             nodes_in = records[-1].nodes_after
             stage_started = time.perf_counter()
-            result = compiler_pass.run(current, context)
+            # a fresh optimizer per compilation: it counts its fired rules
+            optimizer = optimizer_class(context)
+            current = optimizer.apply(current)
             stage_seconds = time.perf_counter() - stage_started
-            current = result.query
             records.append(
                 PassRecord(
-                    name=compiler_pass.name,
+                    name=optimizer.name,
                     seconds=stage_seconds,
                     nodes_before=nodes_in,
                     nodes_after=count_nodes(current),
-                    fired=result.fired,
+                    fired=optimizer.fired,
                     snapshot=current,
                 )
             )

@@ -1,17 +1,14 @@
-"""The compiler's pass protocol, registry and per-level pass lists.
+"""The compiler's per-level pass lists (Table 6 of the paper).
 
 The paper's Table 6 assigns each optimization level a set of post-rewrite
-passes.  Historically that mapping was spread over boolean ``applies_*``
-properties of :class:`~repro.core.optimizer.levels.OptimizationLevel`; here
-it is one declarative table, :data:`LEVEL_PASSES`, consumed by the staged
-compiler (:mod:`repro.compile.compiler`) and by the back-compat
-:func:`repro.core.optimizer.apply_optimizations` helper.
-
-A pass is a named, instrumented unit of work: ``run(query, context)`` returns
-the transformed query plus how many rewrite rules fired, which the compiler
-records per stage (:class:`~repro.compile.artifact.PassRecord`).  Passes are
-registered by name with :func:`register_pass`, so new optimizations plug in
-by adding a class and extending :data:`LEVEL_PASSES`.
+passes.  That mapping is one declarative table, :data:`LEVEL_PASSES`,
+consumed by the staged compiler (:mod:`repro.compile.compiler`).  Each entry
+is an optimizer class of :mod:`repro.core.optimizer`: the compiler builds a
+fresh one per compilation from the rewrite context, runs its
+``apply(query)``, and records the pass under the class's ``name`` with the
+optimizer's ``fired`` rule count
+(:class:`~repro.compile.artifact.PassRecord`).  A new optimization plugs in
+by adding such a class and naming it in :data:`LEVEL_PASSES`.
 
 The *trivial semantic optimizations* (§4.1, level o1) are intentionally not a
 pass: they are :class:`~repro.core.rewrite.context.RewriteOptions` flags that
@@ -20,102 +17,23 @@ switch parts of the canonical rewrite off — see :func:`applies_trivial`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Protocol
-
 from ..core.optimizer.distribution import AggregationDistributionOptimizer
 from ..core.optimizer.inlining import InliningOptimizer
 from ..core.optimizer.levels import OptimizationLevel
 from ..core.optimizer.pushup import PushUpOptimizer
-from ..core.rewrite.context import RewriteContext
-from ..errors import MTSQLError
-from ..sql import ast
-
-
-@dataclass(frozen=True)
-class PassResult:
-    """What one pass produced: the transformed query and its fired-rule count."""
-
-    query: ast.Select
-    fired: int
-
-
-class CompilerPass(Protocol):
-    """One named, instrumented compilation pass.
-
-    Implementations are cheap, stateless-to-construct objects; the compiler
-    instantiates a fresh one per compilation (fired-rule counting happens on
-    the wrapped optimizer instance, which must not be shared).
-    """
-
-    name: str
-    description: str
-
-    def run(self, query: ast.Select, context: RewriteContext) -> PassResult:
-        """Transform ``query`` for ``context``; report how many rules fired."""
-        ...
-
-
-#: registered pass factories by name (see :func:`register_pass`)
-PASS_REGISTRY: dict[str, Callable[[], CompilerPass]] = {}
-
-
-def register_pass(factory: Callable[[], CompilerPass]):
-    """Class decorator: register a pass factory under its ``name``."""
-    name = factory.name  # type: ignore[attr-defined]
-    if name in PASS_REGISTRY:
-        raise MTSQLError(f"compiler pass {name!r} is already registered")
-    PASS_REGISTRY[name] = factory
-    return factory
-
-
-@register_pass
-class PushUpPass:
-    """Client presentation push-up + conversion push-up (§4.2.1)."""
-
-    name = "pushup"
-    description = "convert constants instead of attributes; compare in universal format"
-
-    def run(self, query: ast.Select, context: RewriteContext) -> PassResult:
-        """Apply :class:`~repro.core.optimizer.pushup.PushUpOptimizer`."""
-        optimizer = PushUpOptimizer(context)
-        return PassResult(query=optimizer.apply(query), fired=optimizer.fired)
-
-
-@register_pass
-class DistributionPass:
-    """Conversion function distribution over aggregates (§4.2.2)."""
-
-    name = "distribution"
-    description = "aggregate raw values per tenant, convert the partials (2N → T+1 calls)"
-
-    def run(self, query: ast.Select, context: RewriteContext) -> PassResult:
-        """Apply :class:`~repro.core.optimizer.distribution.AggregationDistributionOptimizer`."""
-        optimizer = AggregationDistributionOptimizer(context)
-        return PassResult(query=optimizer.apply(query), fired=optimizer.fired)
-
-
-@register_pass
-class InliningPass:
-    """Conversion function inlining (§4.2.3)."""
-
-    name = "inlining"
-    description = "replace conversion UDF calls with their inline expression form"
-
-    def run(self, query: ast.Select, context: RewriteContext) -> PassResult:
-        """Apply :class:`~repro.core.optimizer.inlining.InliningOptimizer`."""
-        optimizer = InliningOptimizer(context)
-        return PassResult(query=optimizer.apply(query), fired=optimizer.fired)
-
 
 #: Table 6: the post-rewrite passes each optimization level runs, in order.
-LEVEL_PASSES: dict[OptimizationLevel, tuple[str, ...]] = {
+LEVEL_PASSES: dict[OptimizationLevel, tuple[type, ...]] = {
     OptimizationLevel.CANONICAL: (),
     OptimizationLevel.O1: (),
-    OptimizationLevel.O2: ("pushup",),
-    OptimizationLevel.O3: ("pushup", "distribution"),
-    OptimizationLevel.O4: ("pushup", "distribution", "inlining"),
-    OptimizationLevel.INL_ONLY: ("inlining",),
+    OptimizationLevel.O2: (PushUpOptimizer,),
+    OptimizationLevel.O3: (PushUpOptimizer, AggregationDistributionOptimizer),
+    OptimizationLevel.O4: (
+        PushUpOptimizer,
+        AggregationDistributionOptimizer,
+        InliningOptimizer,
+    ),
+    OptimizationLevel.INL_ONLY: (InliningOptimizer,),
 }
 
 
@@ -127,16 +45,3 @@ def applies_trivial(level: OptimizationLevel) -> bool:
     :meth:`~repro.core.rewrite.context.RewriteOptions.trivially_optimized`.
     """
     return level is not OptimizationLevel.CANONICAL
-
-
-def level_pass_names(level: OptimizationLevel) -> tuple[str, ...]:
-    """The names of the passes ``level`` runs, in execution order."""
-    try:
-        return LEVEL_PASSES[level]
-    except KeyError as exc:  # pragma: no cover - every enum member is mapped
-        raise MTSQLError(f"no pass list registered for level {level!r}") from exc
-
-
-def passes_for_level(level: OptimizationLevel) -> tuple[CompilerPass, ...]:
-    """Fresh pass instances for ``level``, in execution order."""
-    return tuple(PASS_REGISTRY[name]() for name in level_pass_names(level))

@@ -16,7 +16,7 @@ from .conversion import (
 from .dml import DMLRewriter
 from .middleware import MTBase
 from .mtschema import AttributeInfo, MTSchema, TableInfo
-from .optimizer import OptimizationLevel, apply_optimizations
+from .optimizer import OptimizationLevel
 from .privileges import PrivilegeManager
 from .rewrite import CanonicalRewriter, RewriteContext, RewriteOptions
 from .scope import ComplexScope, DefaultScope, SimpleScope, parse_scope
@@ -35,7 +35,6 @@ __all__ = [
     "verify_conversion_pair",
     "DMLRewriter",
     "OptimizationLevel",
-    "apply_optimizations",
     "PrivilegeManager",
     "CanonicalRewriter",
     "RewriteContext",

@@ -187,15 +187,7 @@ class MTConnection:
         if not isinstance(statement, ast.Select):
             raise MTSQLError("query_stream() expects a SELECT statement")
         values = resolve_parameters(statement_parameters(statement), parameters)
-        compiled = self.compile(statement)
-        self._check_bind_values(compiled, values)
-        self.last_rewritten = [compiled.rewritten]
-        return self.backend.execute_stream(
-            compiled.rewritten,
-            dataset=compiled.dataset,
-            parameters=values or None,
-            compiled=compiled,
-        )
+        return self.execute_compiled(self.compile(statement), values, stream=True)
 
     # -- compilation entry points (used by the gateway, tests, examples, bench) -------
 
@@ -389,35 +381,37 @@ class MTConnection:
     # -- internals ----------------------------------------------------------------------
 
     def _execute_query(self, query: ast.Select, parameters: tuple = ()) -> QueryResult:
-        compiled = self.compile(query)
-        self._check_bind_values(compiled, parameters)
+        return self.execute_compiled(self.compile(query), parameters)
+
+    def execute_compiled(
+        self, compiled: "CompiledQuery", parameters: tuple = (), stream: bool = False
+    ) -> Union[QueryResult, RowStream]:
+        """Run a compiled SELECT on this connection's backend.
+
+        The one execution step of every SELECT path (direct, streamed and
+        through the gateway's cache): bind values are checked against the
+        analyzer's inferred slot types first, so a mistyped value (say a
+        string bound into a slot compared with a DECIMAL column) fails with a
+        :class:`~repro.errors.TypeCheckError` naming the slot before the
+        backend sees the statement.  ``stream`` selects ``execute_stream``
+        over ``execute_scoped``.
+        """
+        if parameters and compiled.facts.parameter_types:
+            from ..compile.typecheck import check_parameter_values
+
+            check_parameter_values(compiled.facts.parameter_types, tuple(parameters))
         self.last_rewritten = [compiled.rewritten]
         # D' is routing metadata: a sharded backend prunes its fan-out to the
         # shards owning these tenants (single-database backends ignore it);
         # the artifact rides along so the cluster planner reuses its analysis,
         # and bind values travel separately from the parameterized statement
-        return self.backend.execute_scoped(
+        run = self.backend.execute_stream if stream else self.backend.execute_scoped
+        return run(
             compiled.rewritten,
             dataset=compiled.dataset,
             parameters=parameters or None,
             compiled=compiled,
         )
-
-    @staticmethod
-    def _check_bind_values(compiled: "CompiledQuery", values: tuple) -> None:
-        """Check bind values against the analyzer's inferred slot types.
-
-        A mistyped value (say a string bound into a slot compared with an
-        INTEGER column) fails here with a
-        :class:`~repro.errors.TypeCheckError` naming the slot, instead of
-        surfacing as a coercion surprise deep in the engine.
-        """
-        facts = compiled.facts
-        if not values or not facts.parameter_types:
-            return
-        from ..compile.typecheck import check_parameter_values
-
-        check_parameter_values(facts.parameter_types, tuple(values))
 
     def prune_dataset(
         self,

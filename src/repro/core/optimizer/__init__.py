@@ -1,43 +1,25 @@
 """MTSQL-specific query optimizations (§4 of the paper).
 
-:func:`apply_optimizations` runs the post-rewrite passes belonging to an
-:class:`~repro.core.optimizer.levels.OptimizationLevel` on a canonically
-rewritten query.  Which passes a level runs is declared once, in
-:data:`repro.compile.passes.LEVEL_PASSES`; this helper merely replays that
-pass list without the compiler's instrumentation (the middleware itself
-compiles through :class:`repro.compile.QueryCompiler`).  The *trivial
-semantic optimizations* (o1) are not a pass: they are expressed as
-:class:`~repro.core.rewrite.context.RewriteOptions` computed from C and D
+The §4.2 optimizations are one class each — :class:`PushUpOptimizer`,
+:class:`AggregationDistributionOptimizer` and :class:`InliningOptimizer` —
+run on a canonically rewritten query by the staged compiler.  Which of them
+a level runs is declared once, in :data:`repro.compile.passes.LEVEL_PASSES`.
+The *trivial semantic optimizations* (o1) are not a pass: they are expressed
+as :class:`~repro.core.rewrite.context.RewriteOptions` computed from C and D
 before the canonical rewrite runs.
 """
 
 from __future__ import annotations
 
-from ...sql import ast
-from ..rewrite.context import RewriteContext
 from .distribution import AggregationDistributionOptimizer
 from .inlining import InliningOptimizer
 from .levels import ALL_LEVELS, OptimizationLevel
 from .patterns import find_wraps, match_from_wrap, match_full_wrap, match_to_wrap
 from .pushup import PushUpOptimizer
 
-
-def apply_optimizations(
-    query: ast.Select, level: OptimizationLevel, context: RewriteContext
-) -> ast.Select:
-    """Run the §4.2 passes required by ``level`` on a rewritten query."""
-    # local import: repro.compile builds on this package's optimizer classes
-    from ...compile.passes import passes_for_level
-
-    for compiler_pass in passes_for_level(level):
-        query = compiler_pass.run(query, context).query
-    return query
-
-
 __all__ = [
     "OptimizationLevel",
     "ALL_LEVELS",
-    "apply_optimizations",
     "PushUpOptimizer",
     "AggregationDistributionOptimizer",
     "InliningOptimizer",

@@ -77,6 +77,10 @@ class _AggregateInfo:
 class AggregationDistributionOptimizer:
     """Applies aggregation distribution to every (sub-)query where it is valid."""
 
+    #: the compiler pass this optimizer is (``PassRecord.name``)
+    name = "distribution"
+    description = "aggregate raw values per tenant, convert the partials (2N → T+1 calls)"
+
     def __init__(self, context: RewriteContext) -> None:
         self.context = context
         self.registry = context.conversions

@@ -24,6 +24,10 @@ from ..rewrite.context import RewriteContext
 class InliningOptimizer:
     """Replaces calls to conversion UDFs with their inline expression form."""
 
+    #: the compiler pass this optimizer is (``PassRecord.name``)
+    name = "inlining"
+    description = "replace conversion UDF calls with their inline expression form"
+
     def __init__(self, context: RewriteContext) -> None:
         self.registry: ConversionRegistry = context.conversions
         #: conversion calls inlined across one apply() (compiler instrumentation)

@@ -40,6 +40,10 @@ _ORDER_OPS = {"<", "<=", ">", ">="}
 class PushUpOptimizer:
     """Applies the §4.2.1 push-up transformations to a rewritten query."""
 
+    #: the compiler pass this optimizer is (``PassRecord.name``)
+    name = "pushup"
+    description = "convert constants instead of attributes; compare in universal format"
+
     def __init__(self, context: RewriteContext) -> None:
         self.context = context
         self.registry = context.conversions

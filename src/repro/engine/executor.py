@@ -242,6 +242,16 @@ class ExecutionContext:
         return self.executor.prepare(select, parent_scope)
 
 
+def output_name(item: ast.SelectItem) -> str:
+    """A result column's name: its alias, a bare column's name, else its SQL
+    (the engine's rule; the cluster coordinator names merged results by it)."""
+    if item.alias:
+        return item.alias
+    if isinstance(item.expr, ast.Column):
+        return item.expr.name
+    return to_sql(item.expr)
+
+
 class PreparedSelect:
     """A fully compiled SELECT plan, runnable for any outer-row context."""
 
@@ -280,7 +290,7 @@ class PreparedSelect:
         ]
 
         items = self._expand_stars(select.items)
-        self.output_columns = [self._output_name(item) for item in items]
+        self.output_columns = [output_name(item) for item in items]
         alias_map = {
             item.alias.lower(): item.expr for item in items if item.alias is not None
         }
@@ -441,14 +451,6 @@ class PreparedSelect:
         if not expanded:
             raise ExecutionError("SELECT list is empty after star expansion")
         return expanded
-
-    @staticmethod
-    def _output_name(item: ast.SelectItem) -> str:
-        if item.alias:
-            return item.alias
-        if isinstance(item.expr, ast.Column):
-            return item.expr.name
-        return to_sql(item.expr)
 
     # -- execution ----------------------------------------------------------------
 

@@ -296,24 +296,9 @@ class GatewaySession:
         else:
             self.stats.cache_hits += 1
         self.stats.executed += 1
-        connection.last_rewritten = [plan.rewritten]
-        # pass D', the bind values and the compiled artifact along: a sharded
-        # backend prunes its shard fan-out with D' and reuses the artifact's
-        # analysis/plan; parameters bind at the backend (natively where the
-        # DBMS supports placeholders, by literal substitution elsewhere)
-        if stream:
-            return connection.backend.execute_stream(
-                plan.rewritten,
-                dataset=pruned,
-                parameters=parameters or None,
-                compiled=plan.compiled,
-            )
-        return connection.backend.execute_scoped(
-            plan.rewritten,
-            dataset=pruned,
-            parameters=parameters or None,
-            compiled=plan.compiled,
-        )
+        # the artifact was compiled for D' (part of its cache key), so the
+        # connection's own execution step checks the bind values and runs it
+        return connection.execute_compiled(plan.compiled, parameters, stream=stream)
 
     def __repr__(self) -> str:
         return (

@@ -16,8 +16,9 @@ Server side::
 
     from repro.server import serve
 
-    with serve(middleware, port=5433) as server:   # or a QueryGateway
-        ...                                         # server.address is live
+    config = ServerConfig(port=5433, concurrency=4)
+    with serve(middleware, config=config) as server:   # or a QueryGateway
+        ...                                             # server.address is live
 
 Client side — natively async, or the unchanged DB-API surface::
 
@@ -27,16 +28,14 @@ Client side — natively async, or the unchanged DB-API surface::
     from repro import api
     connection = api.connect("server://db.host:5433", client=3)
 
-Setting ``REPRO_API_VIA_SERVER=1`` makes ``api.connect`` front middleware and
-gateway targets with an in-process loopback server transparently (see
-:mod:`repro.server.loopback`) — how CI runs the whole api suite over the
-wire.  See ``docs/server.md`` for the protocol and operational details.
+A :class:`ServerConfig` is the one way to configure a server; the package
+reads no environment variables.  See ``docs/server.md`` for the protocol and
+operational details.
 """
 
 from .admission import AdmissionController, AdmissionSnapshot, TenantGate
 from .client import AsyncSession, RemoteRowStream, SyncSession
 from .config import ServerConfig
-from .loopback import ensure_loopback, loopback_enabled, shutdown_loopbacks
 from .protocol import (
     MAX_FRAME_BYTES,
     PROTOCOL_VERSION,
@@ -57,9 +56,6 @@ __all__ = [
     "AdmissionController",
     "AdmissionSnapshot",
     "TenantGate",
-    "ensure_loopback",
-    "loopback_enabled",
-    "shutdown_loopbacks",
     "PROTOCOL_VERSION",
     "MAX_FRAME_BYTES",
     "WIRE_CODES",

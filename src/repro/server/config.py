@@ -1,102 +1,18 @@
 """Serving-tier configuration: admission, worker-pool and timeout knobs.
 
 A :class:`ServerConfig` gathers every tunable of :class:`repro.server.
-ReproServer`.  Deployments configure through environment variables — the
-same convention (and the same strictness) as the benchmark harness's
-``REPRO_BENCH_*`` family: a malformed value raises
-:class:`~repro.errors.ConfigurationError` instead of being silently replaced
-by a default, because a typo in an admission bound must not quietly run a
-server with the wrong capacity.
-
-+--------------------------------+-----------------------------------------+
-| variable                       | meaning                                 |
-+================================+=========================================+
-| ``REPRO_SERVER_PORT``          | TCP port to bind (0 = ephemeral)        |
-| ``REPRO_SERVER_QUEUE_DEPTH``   | per-tenant bounded admission queue      |
-| ``REPRO_SERVER_CONCURRENCY``   | per-tenant in-flight request limit      |
-| ``REPRO_SERVER_WORKERS``       | blocking-backend worker threads         |
-| ``REPRO_SERVER_TIMEOUT``       | per-request timeout in seconds          |
-+--------------------------------+-----------------------------------------+
+ReproServer`; it is the one way to configure a server.  Its values come from
+outside the program (a deployment script, a command line), so a config is
+checked when it is built: a value out of range raises
+:class:`~repro.errors.ConfigurationError` instead of starting a server with
+the wrong capacity.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
-from typing import Optional
 
 from ..errors import ConfigurationError
-
-
-def _env_int(name: str, default: int, minimum: int) -> int:
-    """Read an integer knob; malformed/out-of-range values are configuration
-    errors, mirroring the ``REPRO_BENCH_SF`` handling."""
-    value = os.environ.get(name, "").strip()
-    if not value:
-        return default
-    try:
-        parsed = int(value)
-    except ValueError:
-        raise ConfigurationError(
-            f"the {name} environment variable must be an integer "
-            f"(got {value!r})"
-        ) from None
-    if parsed < minimum:
-        raise ConfigurationError(
-            f"the {name} environment variable must be >= {minimum} "
-            f"(got {parsed})"
-        )
-    return parsed
-
-
-def _env_seconds(name: str, default: float) -> float:
-    """Read a positive duration knob (seconds) with strict validation."""
-    value = os.environ.get(name, "").strip()
-    if not value:
-        return default
-    try:
-        parsed = float(value)
-    except ValueError:
-        raise ConfigurationError(
-            f"the {name} environment variable must be a number of seconds "
-            f"(got {value!r})"
-        ) from None
-    if parsed <= 0:
-        raise ConfigurationError(
-            f"the {name} environment variable must be positive (got {parsed})"
-        )
-    return parsed
-
-
-def env_port(default: int = 0) -> int:
-    """Port override via ``REPRO_SERVER_PORT`` (0 picks an ephemeral port)."""
-    port = _env_int("REPRO_SERVER_PORT", default, minimum=0)
-    if port > 65535:
-        raise ConfigurationError(
-            f"the REPRO_SERVER_PORT environment variable must be a TCP port "
-            f"(0-65535, got {port})"
-        )
-    return port
-
-
-def env_queue_depth(default: int = 32) -> int:
-    """Per-tenant admission queue bound via ``REPRO_SERVER_QUEUE_DEPTH``."""
-    return _env_int("REPRO_SERVER_QUEUE_DEPTH", default, minimum=0)
-
-
-def env_concurrency(default: int = 8) -> int:
-    """Per-tenant in-flight limit via ``REPRO_SERVER_CONCURRENCY``."""
-    return _env_int("REPRO_SERVER_CONCURRENCY", default, minimum=1)
-
-
-def env_workers(default: int = 8) -> int:
-    """Worker-thread count via ``REPRO_SERVER_WORKERS``."""
-    return _env_int("REPRO_SERVER_WORKERS", default, minimum=1)
-
-
-def env_timeout(default: float = 30.0) -> float:
-    """Per-request timeout via ``REPRO_SERVER_TIMEOUT`` (seconds)."""
-    return _env_seconds("REPRO_SERVER_TIMEOUT", default)
 
 
 @dataclass(frozen=True)
@@ -107,7 +23,7 @@ class ServerConfig:
     ``concurrency`` in-flight ones before admission sheds with
     ``SERVER_BUSY``; ``request_timeout`` bounds one request's wall time
     (admission wait included); ``drain_timeout`` bounds the graceful
-    shutdown's wait for in-flight work.
+    shutdown's wait for in-flight work.  ``port`` 0 picks an ephemeral port.
     """
 
     host: str = "127.0.0.1"
@@ -118,19 +34,33 @@ class ServerConfig:
     request_timeout: float = 30.0
     drain_timeout: float = 5.0
 
-    @classmethod
-    def from_env(cls, **overrides) -> "ServerConfig":
-        """Build a config from the ``REPRO_SERVER_*`` environment knobs.
+    def __post_init__(self) -> None:
+        if not 0 <= _integer("port", self.port) <= 65535:
+            raise ConfigurationError(
+                f"the server port must be a TCP port (0-65535, got {self.port})"
+            )
+        for name, minimum in (("queue_depth", 0), ("concurrency", 1), ("workers", 1)):
+            value = _integer(name, getattr(self, name))
+            if value < minimum:
+                raise ConfigurationError(
+                    f"the server {name} must be >= {minimum} (got {value})"
+                )
+        for name in ("request_timeout", "drain_timeout"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise ConfigurationError(
+                    f"the server {name} must be a number of seconds (got {value!r})"
+                )
+            if not value > 0:
+                raise ConfigurationError(
+                    f"the server {name} must be positive (got {value})"
+                )
 
-        Keyword ``overrides`` win over the environment (the constructor-arg
-        escape hatch for tests and embedded servers).
-        """
-        values = {
-            "port": env_port(),
-            "queue_depth": env_queue_depth(),
-            "concurrency": env_concurrency(),
-            "workers": env_workers(),
-            "request_timeout": env_timeout(),
-        }
-        values.update(overrides)
-        return cls(**values)
+
+def _integer(name: str, value) -> int:
+    """``value`` if it is an integer (not a bool), else a configuration error."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigurationError(
+            f"the server {name} must be an integer (got {value!r})"
+        )
+    return value

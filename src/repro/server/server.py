@@ -129,19 +129,13 @@ class ReproServer:
     server opens (and owns) a gateway of its own.
     """
 
-    def __init__(
-        self,
-        target,
-        host: Optional[str] = None,
-        port: Optional[int] = None,
-        config: Optional[ServerConfig] = None,
-    ) -> None:
+    def __init__(self, target, config: Optional[ServerConfig] = None) -> None:
         from ..core.middleware import MTBase
         from ..gateway.gateway import QueryGateway
 
-        self.config = config or ServerConfig.from_env()
-        self.host = host if host is not None else self.config.host
-        self.port = port if port is not None else self.config.port
+        self.config = config or ServerConfig()
+        self.host = self.config.host
+        self.port = self.config.port
         if isinstance(target, QueryGateway):
             self.gateway = target
             self._owns_gateway = False
@@ -695,14 +689,9 @@ def _required_int(frame: dict, field: str) -> int:
 
 
 @contextlib.contextmanager
-def serve(
-    target,
-    host: Optional[str] = None,
-    port: Optional[int] = None,
-    config: Optional[ServerConfig] = None,
-):
+def serve(target, config: Optional[ServerConfig] = None):
     """Context manager: a started :class:`ReproServer`, stopped on exit."""
-    server = ReproServer(target, host=host, port=port, config=config)
+    server = ReproServer(target, config=config)
     server.start()
     try:
         yield server

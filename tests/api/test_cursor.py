@@ -177,14 +177,14 @@ def test_cursor_context_manager_closes(backend_conn):
 # ---------------------------------------------------------------------------
 
 
-def test_connect_fronts_middleware_and_gateway():
+def test_connect_fronts_middleware_and_gateway(mt_connect):
     mt = build_paper_example()
     gateway = mt.gateway()
     sql = "SELECT E_name FROM Employees ORDER BY E_name"
 
-    with api.connect(mt, client=0, optimization="o4", scope="IN (0, 1)") as direct:
+    with mt_connect(mt, client=0, optimization="o4", scope="IN (0, 1)") as direct:
         direct_rows = direct.cursor().execute(sql).fetchall()
-    with api.connect(gateway, client=0, optimization="o4", scope="IN (0, 1)") as cached:
+    with mt_connect(gateway, client=0, optimization="o4", scope="IN (0, 1)") as cached:
         cached_rows = cached.cursor().execute(sql).fetchall()
     assert direct_rows == cached_rows
     assert len(direct_rows) == 6
@@ -271,13 +271,13 @@ def test_executemany_routes_partitioned_inserts_on_a_sharded_backend():
     backend.close()
 
 
-def test_gateway_target_prepared_handles_are_bounded():
+def test_gateway_target_prepared_handles_are_bounded(mt_connect):
     """A literal-churn workload must not grow the prepared-handle map forever."""
     from repro.api.connection import _GatewayTarget
 
     mt = build_paper_example()
     gateway = mt.gateway()
-    connection = api.connect(gateway, client=0, scope="IN (0)")
+    connection = mt_connect(gateway, client=0, scope="IN (0)")
     target = connection._target
     assert isinstance(target, _GatewayTarget)
     cursor = connection.cursor()
@@ -289,10 +289,10 @@ def test_gateway_target_prepared_handles_are_bounded():
     gateway.close()
 
 
-def test_dml_through_the_mt_pipeline():
+def test_dml_through_the_mt_pipeline(mt_connect):
     """Cursor DML goes through the per-owner MTSQL rewrite, not raw SQL."""
     mt = build_paper_example()
-    with api.connect(mt, client=0, scope="IN (0)", optimization="o4") as connection:
+    with mt_connect(mt, client=0, scope="IN (0)", optimization="o4") as connection:
         cursor = connection.cursor()
         cursor.execute(
             "INSERT INTO Employees VALUES (?, ?, ?, ?, ?, ?)",

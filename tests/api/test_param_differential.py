@@ -121,14 +121,14 @@ def mth_instance(request):
 
 
 @pytest.mark.parametrize("query_id", sorted(PARAM_QUERIES))
-def test_parameterized_queries_match_originals(mth_instance, query_id):
+def test_parameterized_queries_match_originals(mth_instance, mt_connect, query_id):
     """Literal-lifted queries are row-set-identical to the originals."""
     sql, bindings = PARAM_QUERIES[query_id]
     for name, scope in DATASETS.items():
         connection = mth_instance.middleware.connect(CLIENT, optimization="o4")
         connection.set_scope(scope)
         reference = connection.query(query_text(query_id))
-        with api.connect(
+        with mt_connect(
             mth_instance.middleware, client=CLIENT, optimization="o4", scope=scope
         ) as dbapi:
             cursor = dbapi.cursor()
@@ -140,13 +140,13 @@ def test_parameterized_queries_match_originals(mth_instance, query_id):
 
 
 def test_parameterized_rowsets_identical_across_backends(
-    tiny_mth_engine, tiny_mth_sqlite, tiny_mth_sharded
+    tiny_mth_engine, tiny_mth_sqlite, tiny_mth_sharded, mt_connect
 ):
     """The same parameterized cursor execution agrees across all backends."""
     for query_id, (sql, bindings) in sorted(PARAM_QUERIES.items()):
         results = []
         for instance in (tiny_mth_engine, tiny_mth_sqlite, tiny_mth_sharded):
-            with api.connect(
+            with mt_connect(
                 instance.middleware, client=CLIENT, optimization="o4", scope="IN ()"
             ) as dbapi:
                 results.append(dbapi.cursor().execute(sql, bindings).fetchall())
@@ -168,13 +168,13 @@ PARAM_SQL = (
 BINDINGS = [(1000.0,), (5000.0,), (20000.0,), (100000.0,)]
 
 
-def test_one_compilation_serves_n_bindings_for_m_clients(tiny_mth_engine):
+def test_one_compilation_serves_n_bindings_for_m_clients(tiny_mth_engine, mt_connect):
     """The PR's acceptance criterion, asserted on the compiler's counters."""
     middleware = tiny_mth_engine.middleware
     gateway = middleware.gateway(cache_size=64)
     try:
         connections = [
-            api.connect(gateway, client=CLIENT, optimization="o4", scope="IN ()")
+            mt_connect(gateway, client=CLIENT, optimization="o4", scope="IN ()")
             for _ in range(3)  # M = 3 client connections of the same tenant
         ]
         compilations_before = middleware.compiler.stats.compilations

@@ -105,7 +105,9 @@ def test_pass_trace_taxonomy_pinned(level_pair, query_id):
         connection = engine.middleware.connect(CLIENT, optimization=level)
         connection.set_scope(SCOPE)
         compiled = connection.compile(query_text(query_id))
-        assert compiled.pass_trace == ("canonical",) + LEVEL_PASSES[level], (
+        assert compiled.pass_trace == ("canonical",) + tuple(
+            optimizer.name for optimizer in LEVEL_PASSES[level]
+        ), (
             f"Q{query_id}@{level.value}: unexpected stage list"
         )
         fired = tuple(

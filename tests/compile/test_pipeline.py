@@ -1,4 +1,4 @@
-"""The staged compiler: pass registry, CompiledQuery artifact, explain()."""
+"""The staged compiler: per-level passes, CompiledQuery artifact, explain()."""
 
 from __future__ import annotations
 
@@ -6,12 +6,10 @@ import pytest
 
 from repro.compile import (
     LEVEL_PASSES,
-    PASS_REGISTRY,
     CompiledQuery,
     ExplainReport,
     QueryAnalysis,
     ShardabilityAnalyzer,
-    register_pass,
 )
 from repro.core.optimizer.levels import ALL_LEVELS, OptimizationLevel
 from repro.errors import MTSQLError
@@ -19,6 +17,11 @@ from repro.sql.parser import parse_statement
 
 CONVERSION_QUERY = "SELECT E_name FROM Employees WHERE E_salary > 100000"
 AGGREGATE_QUERY = "SELECT SUM(E_salary) AS total FROM Employees"
+
+
+def level_trace(level):
+    """The stage names a compile at ``level`` records, per ``LEVEL_PASSES``."""
+    return ("canonical",) + tuple(optimizer.name for optimizer in LEVEL_PASSES[level])
 
 
 def connection_at(middleware, level, scope="IN (0, 1)", client=0):
@@ -45,24 +48,6 @@ def cluster_analysis(middleware, level, sql):
     return analyzer.analyze(compiled.rewritten)
 
 
-class TestPassRegistry:
-    def test_registered_passes(self):
-        assert set(PASS_REGISTRY) == {"pushup", "distribution", "inlining"}
-
-    def test_level_passes_only_name_registered_passes(self):
-        for level, names in LEVEL_PASSES.items():
-            for name in names:
-                assert name in PASS_REGISTRY, (level, name)
-
-    def test_duplicate_registration_rejected(self):
-        class Duplicate:
-            name = "pushup"
-            description = "clash"
-
-        with pytest.raises(MTSQLError, match="already registered"):
-            register_pass(Duplicate)
-
-
 class TestCompiledQuery:
     def test_artifact_carries_the_resolved_pipeline_state(self, paper_mt_session):
         connection = connection_at(paper_mt_session, "o4")
@@ -81,7 +66,7 @@ class TestCompiledQuery:
         for level in ALL_LEVELS:
             connection = connection_at(paper_mt_session, level.value)
             compiled = connection.compile(CONVERSION_QUERY)
-            assert compiled.pass_trace == ("canonical",) + LEVEL_PASSES[level], level
+            assert compiled.pass_trace == level_trace(level), level
 
     def test_records_carry_timing_and_size_deltas(self, paper_mt_session):
         connection = connection_at(paper_mt_session, "o4")
@@ -149,7 +134,7 @@ class TestExplain:
             connection = connection_at(paper_mt_session, level.value)
             report = connection.explain(AGGREGATE_QUERY)
             assert isinstance(report, ExplainReport)
-            assert report.pass_trace == ("canonical",) + LEVEL_PASSES[level]
+            assert report.pass_trace == level_trace(level)
             for record in report.compiled.passes:
                 assert record.seconds >= 0.0
                 assert record.nodes_after > 0

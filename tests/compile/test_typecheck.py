@@ -215,6 +215,40 @@ def test_mistyped_bind_value_rejected_at_execute(conn):
     assert "parameter 1 expects DECIMAL, got VARCHAR" in str(excinfo.value)
 
 
+def _mistyped_on(mt, target, sql):
+    """Execute ``sql`` with the bind value ``'oops'`` through ``target``."""
+    if target in ("connection", "connection-stream"):
+        connection = mt.connect(0, optimization="o4")
+        connection.set_scope("IN (0, 1)")
+        run = connection.query_stream if target.endswith("stream") else connection.query
+        return run(sql, parameters=("oops",))
+    if target in ("gateway", "gateway-stream"):
+        gateway = mt.gateway()
+        try:
+            session = gateway.session(0, optimization="o4", scope="IN (0, 1)")
+            run = session.execute_stream if target.endswith("stream") else session.query
+            return run(sql, parameters=("oops",))
+        finally:
+            gateway.close()
+    with serve(mt) as live:
+        host, port = live.address
+        spec = f"server://{host}:{port}"
+        with api.connect(spec, client=0, optimization="o4", scope="IN (0, 1)") as remote:
+            return remote.cursor().execute(sql, ("oops",))
+
+
+@pytest.mark.parametrize(
+    "target",
+    ["connection", "connection-stream", "gateway", "gateway-stream", "server"],
+)
+def test_mistyped_bind_value_rejected_on_every_target(mt, target):
+    """Every SELECT path checks bind values before the backend runs anything."""
+    before = mt.backend.stats.statements
+    with pytest.raises(TypeCheckError, match="parameter 1 expects DECIMAL, got VARCHAR"):
+        _mistyped_on(mt, target, "SELECT E_name FROM Employees WHERE E_salary > ?")
+    assert mt.backend.stats.statements == before
+
+
 def test_typecheck_error_travels_the_wire_as_itself(mt):
     assert WIRE_CODES["TYPECHECK"] is TypeCheckError
     with serve(mt) as live:

@@ -8,6 +8,11 @@ rewrite (the optimization is semantics preserving).
 import pytest
 
 from repro.compile import LEVEL_PASSES, applies_trivial
+from repro.core.optimizer import (
+    AggregationDistributionOptimizer,
+    InliningOptimizer,
+    PushUpOptimizer,
+)
 from repro.core.optimizer.levels import ALL_LEVELS, OptimizationLevel
 
 
@@ -52,10 +57,18 @@ class TestOptimizationLevels:
     def test_pass_mapping_matches_table_6(self):
         assert LEVEL_PASSES[OptimizationLevel.CANONICAL] == ()
         assert LEVEL_PASSES[OptimizationLevel.O1] == ()
-        assert LEVEL_PASSES[OptimizationLevel.O2] == ("pushup",)
-        assert LEVEL_PASSES[OptimizationLevel.O3] == ("pushup", "distribution")
-        assert LEVEL_PASSES[OptimizationLevel.O4] == ("pushup", "distribution", "inlining")
-        assert LEVEL_PASSES[OptimizationLevel.INL_ONLY] == ("inlining",)
+        assert LEVEL_PASSES[OptimizationLevel.O2] == (PushUpOptimizer,)
+        assert LEVEL_PASSES[OptimizationLevel.O3] == (
+            PushUpOptimizer, AggregationDistributionOptimizer,
+        )
+        assert LEVEL_PASSES[OptimizationLevel.O4] == (
+            PushUpOptimizer, AggregationDistributionOptimizer, InliningOptimizer,
+        )
+        assert LEVEL_PASSES[OptimizationLevel.INL_ONLY] == (InliningOptimizer,)
+        # the stage names explain() and pass_trace show
+        assert [optimizer.name for optimizer in LEVEL_PASSES[OptimizationLevel.O4]] == [
+            "pushup", "distribution", "inlining",
+        ]
         # §4.1 is not a pass: every level but CANONICAL enables it as flags
         assert not applies_trivial(OptimizationLevel.CANONICAL)
         assert all(

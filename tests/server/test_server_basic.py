@@ -25,7 +25,6 @@ from repro.gateway.session import GatewaySession
 from repro.result import RowStream
 from repro.server import ReproServer, ServerConfig, SyncSession, serve
 from repro.server.client import AsyncSession, RemoteRowStream
-from repro.server.loopback import loopback_server, shutdown_loopbacks
 from repro.server.protocol import (
     PAGE_ROWS,
     PROTOCOL_VERSION,
@@ -212,38 +211,6 @@ def test_async_incremental_cursor_protocol(server):
         await session.close()
 
     asyncio.run(main())
-
-
-# ---------------------------------------------------------------------------
-# loopback rerouting (the CI mechanism)
-# ---------------------------------------------------------------------------
-
-
-def test_loopback_reroutes_middleware_and_gateway(monkeypatch):
-    monkeypatch.setenv("REPRO_API_VIA_SERVER", "1")
-    mt = build_paper_example()
-    gateway = mt.gateway()
-    try:
-        with api.connect(mt, client=0, optimization="o4", scope="IN (0, 1)") as conn:
-            target_session = conn._target._session
-            assert isinstance(target_session, SyncSession)
-            assert len(conn.cursor().execute(SQL_BY_NAME).fetchall()) == 6
-        assert loopback_server(mt) is not None
-        with api.connect(gateway, client=1, optimization="o4", scope="IN (1)") as conn:
-            assert isinstance(conn._target._session, SyncSession)
-            assert len(conn.cursor().execute(SQL_BY_NAME).fetchall()) == 3
-        assert loopback_server(gateway) is not None
-        # one server per target object, reused across connections
-        first = loopback_server(mt)
-        with api.connect(mt, client=1, optimization="o4") as conn:
-            conn.cursor().execute("SELECT COUNT(*) FROM Employees").fetchall()
-        assert loopback_server(mt) is first
-        # missing client ids still fail fast, before any server boots
-        with pytest.raises(Exception, match="requires a client"):
-            api.connect(mt)
-    finally:
-        shutdown_loopbacks()
-        gateway.close()
 
 
 # ---------------------------------------------------------------------------

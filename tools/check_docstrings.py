@@ -64,7 +64,6 @@ PUBLIC_MODULES = (
     "repro/server/admission.py",
     "repro/server/server.py",
     "repro/server/client.py",
-    "repro/server/loopback.py",
     "repro/engine/columns.py",
     "repro/engine/vector.py",
     "repro/engine/planner.py",

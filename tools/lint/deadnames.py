@@ -13,8 +13,8 @@ uses only need to *spell* the name somewhere.  Definitions reached without
 ever being spelled are exempt by rule:
 
 * dunder names — the interpreter calls them,
-* a class or function decorated by something ``src/`` itself defines
-  (``@register_pass``): the decorator is its caller,
+* a class or function decorated by something ``src/`` itself defines:
+  the decorator is its caller,
 * a name some ``getattr(obj, f"prefix{...}")`` in ``src/`` can build
   (``_compile_<node>`` / ``_infer_<node>`` dispatch targets),
 * public names of the ``repro.api`` package: PEP 249 fixes that surface.

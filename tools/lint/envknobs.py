@@ -19,7 +19,7 @@ Three rules, enforced over ``src/`` and ``benchmarks/`` with :mod:`ast`:
 3. **Live** — every full ``REPRO_*`` name mentioned in ``README.md`` or
    ``docs/`` must be read in ``src/`` or ``benchmarks/``; a retired knob
    belongs in ``CHANGES.md``, not in the user-facing docs.  A family
-   wildcard (``REPRO_SERVER_*``) is exempt.
+   wildcard (``REPRO_BENCH_*``) is exempt.
 
 Run directly (``python tools/lint/envknobs.py``) or via
 ``tools/lint/run.py``.
