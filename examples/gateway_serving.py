@@ -1,15 +1,17 @@
 #!/usr/bin/env python3
-"""Serving demo: N concurrent tenant sessions through the query gateway.
+"""Gateway demo: tenant sessions served cold, then warm, by the rewrite cache.
 
 Loads a micro MT-H instance, opens one gateway session per tenant plus a
-cross-tenant "research" session, and pushes two rounds of a mixed query
-workload through the concurrent executor:
+cross-tenant "research" session, and runs a mixed query workload through
+every session in two passes:
 
-* round 1 is cold — every statement pays parse + rewrite + optimization,
-* round 2 is warm — the rewrite cache serves every statement.
+* the cold pass pays parse + rewrite + optimization for every statement,
+* the warm passes are served from the rewrite cache.
 
-The script prints per-round throughput/latency and the cache hit rate, and
-verifies that warm results equal the cold ones.
+The script prints each pass's mean per-statement latency and the cache hit
+rate, and verifies that warm results equal the cold ones.  Serving many
+tenants concurrently is the network tier's job: see
+``examples/network_serving.py``.
 
 Run with ``PYTHONPATH=src python examples/gateway_serving.py``; pass
 ``--backend sqlite`` to serve the workload from the SQLite execution backend
@@ -17,6 +19,8 @@ instead of the in-memory engine.
 """
 
 import argparse
+import statistics
+import time
 
 from repro.backends import BACKEND_NAMES
 from repro.mth import load_mth, query_text
@@ -37,15 +41,26 @@ def parse_args() -> argparse.Namespace:
     return parser.parse_args()
 
 
-def build_batches(gateway, tenants):
+def open_sessions(gateway, tenants):
     """One session per tenant (own scope) plus one all-tenant research session."""
-    batches = []
-    for ttid in range(1, tenants + 1):
-        session = gateway.session(ttid, optimization="o4", scope=f"IN ({ttid})")
-        batches.append((session, [query_text(query_id) for query_id in QUERY_IDS]))
-    research = gateway.session(1, optimization="o4", scope="IN ()")
-    batches.append((research, [query_text(query_id) for query_id in QUERY_IDS]))
-    return batches
+    sessions = [
+        gateway.session(ttid, optimization="o4", scope=f"IN ({ttid})")
+        for ttid in range(1, tenants + 1)
+    ]
+    sessions.append(gateway.session(1, optimization="o4", scope="IN ()"))
+    return sessions
+
+
+def run_pass(sessions, statements):
+    """Every statement on every session: ``(rows per statement, mean seconds)``."""
+    rows, latencies = [], []
+    for session in sessions:
+        for sql in statements:
+            began = time.perf_counter()
+            result = session.query(sql)
+            latencies.append(time.perf_counter() - began)
+            rows.append(result.rows)
+    return rows, statistics.fmean(latencies)
 
 
 def main() -> None:
@@ -53,29 +68,27 @@ def main() -> None:
     print(f"loading MT-H: sf={SCALE_FACTOR}, {TENANTS} tenants, backend={args.backend} ...")
     instance = load_mth(scale_factor=SCALE_FACTOR, tenants=TENANTS, backend=args.backend)
     gateway = instance.middleware.gateway(cache_size=512)
-    batches = build_batches(gateway, TENANTS)
-    sessions = len(batches)
+    sessions = open_sessions(gateway, TENANTS)
+    statements = [query_text(query_id) for query_id in QUERY_IDS]
     backend = instance.middleware.backend
     print(
-        f"{sessions} sessions x {len(QUERY_IDS)} queries, O4, concurrent, "
+        f"{len(sessions)} sessions x {len(statements)} queries, O4, "
         f"served by the {backend.name!r} backend ({backend.dialect.name} dialect)\n"
     )
 
-    cold = gateway.run_concurrent(batches)
-    print(f"cold (parse + rewrite + execute): {cold.describe()}")
+    cold_rows, cold_mean = run_pass(sessions, statements)
+    print(f"cold (parse + rewrite + execute): mean {cold_mean * 1e3:.2f}ms per statement")
 
-    # micro-scale rounds are scheduler-noisy; report the median of three warm
-    # rounds (benchmarks/test_ablation_gateway_cache.py has controlled numbers)
-    warm_rounds = [gateway.run_concurrent(batches) for _ in range(3)]
-    warm = sorted(warm_rounds, key=lambda report: report.latency.mean)[1]
-    print(f"warm (rewrite cache hits):        {warm.describe()}")
+    # micro-scale passes are scheduler-noisy; report the median of three warm
+    # passes (benchmarks/test_ablation_gateway_cache.py has controlled numbers)
+    warm_passes = sorted((run_pass(sessions, statements) for _ in range(3)),
+                         key=lambda warm: warm[1])
+    warm_rows, warm_mean = warm_passes[1]
+    print(f"warm (rewrite cache hits):        mean {warm_mean * 1e3:.2f}ms per statement")
 
-    for session, _ in batches:
-        for first, second in zip(cold.outcomes_for(session), warm.outcomes_for(session)):
-            if first.error is not None or second.error is not None:
-                raise SystemExit(f"statement failed on {session!r}: {first.error or second.error}")
-            if first.result.rows != second.result.rows:
-                raise SystemExit(f"warm/cold mismatch on {session!r}: {first.statement[:60]}")
+    for rows, _ in warm_passes:
+        if rows != cold_rows:
+            raise SystemExit("warm/cold mismatch: a cached rewrite changed the rows")
     print("\nwarm results identical to cold results: ok")
 
     stats = gateway.cache_stats
@@ -84,11 +97,12 @@ def main() -> None:
         f"(hit rate {stats.hit_rate:.1%}), {stats.misses} misses, "
         f"{stats.evictions} evictions"
     )
-    speedup = cold.latency.mean / warm.latency.mean if warm.latency.mean else float("inf")
-    print(f"mean per-statement latency: cold {cold.latency.mean * 1e3:.2f}ms -> "
-          f"warm {warm.latency.mean * 1e3:.2f}ms ({speedup:.1f}x)")
+    speedup = cold_mean / warm_mean if warm_mean else float("inf")
+    print(f"mean per-statement latency: cold {cold_mean * 1e3:.2f}ms -> "
+          f"warm {warm_mean * 1e3:.2f}ms ({speedup:.1f}x)")
     for session in gateway.sessions:
         print(f"  {session!r}")
+    gateway.close()
 
 
 if __name__ == "__main__":

@@ -20,10 +20,10 @@ cluster width.
 
 import argparse
 import asyncio
+import statistics
 import time
 
 from repro.errors import ServerBusyError
-from repro.gateway import summarize
 from repro.mth.loader import load_mth
 from repro.server import ServerConfig, SyncSession, serve
 from repro.server.client import AsyncSession
@@ -137,11 +137,11 @@ def main() -> None:
         elapsed = time.perf_counter() - began
 
         assert len(latencies) == total  # every request answered eventually
-        summary = summarize(latencies)
+        cuts = statistics.quantiles(latencies, n=100, method="inclusive")
         print(f"throughput: {total / elapsed:.1f} requests/s "
               f"({total} requests in {elapsed:.2f}s)")
-        print(f"latency: p50 {summary.p50 * 1e3:.2f}ms, "
-              f"p95 {summary.p95 * 1e3:.2f}ms, p99 {summary.p99 * 1e3:.2f}ms")
+        print(f"latency: p50 {cuts[49] * 1e3:.2f}ms, "
+              f"p95 {cuts[94] * 1e3:.2f}ms, p99 {cuts[98] * 1e3:.2f}ms")
 
         snapshot = server.admission_snapshot()
         print(f"admission: {snapshot.describe()}")

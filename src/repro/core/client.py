@@ -318,8 +318,6 @@ class MTConnection:
     ) -> tuple:
         """Execute a compiled statement; return its operator-profile delta
         and the run's result cardinality."""
-        from ..result import OperatorProfile
-
         stats = getattr(self.backend, "stats", None)
         snapshot = getattr(stats, "operator_snapshot", None)
         before = (
@@ -337,35 +335,9 @@ class MTConnection:
         operators: list = []
         if snapshot is not None:
             for profile in snapshot():
-                prior = before.get(profile.operator)
-                batches = profile.batches - (prior.batches if prior else 0)
-                rows = profile.rows - (prior.rows if prior else 0)
-                seconds = profile.seconds - (prior.seconds if prior else 0.0)
-                generic = profile.generic_kernels - (
-                    prior.generic_kernels if prior else 0
-                )
-                proven = profile.proven_kernels - (
-                    prior.proven_kernels if prior else 0
-                )
-                materialized = profile.join_rows_materialized - (
-                    prior.join_rows_materialized if prior else 0
-                )
-                hashed = profile.join_rows_hashed - (
-                    prior.join_rows_hashed if prior else 0
-                )
-                if batches > 0 or rows > 0:
-                    operators.append(
-                        OperatorProfile(
-                            operator=profile.operator,
-                            batches=batches,
-                            rows=rows,
-                            seconds=seconds,
-                            generic_kernels=generic,
-                            proven_kernels=proven,
-                            join_rows_materialized=materialized,
-                            join_rows_hashed=hashed,
-                        )
-                    )
+                delta = profile.since(before.get(profile.operator))
+                if delta.batches > 0 or delta.rows > 0:
+                    operators.append(delta)
         return operators, actual_rows
 
     def _resolve_dialect(

@@ -37,15 +37,12 @@ class MTBase:
 
     def __init__(
         self,
-        database=None,
         profile: str = "postgres",
         default_optimization: OptimizationLevel = OptimizationLevel.O4,
         backend: Optional[Union[Backend, BackendConnection, str]] = None,
     ) -> None:
         if backend is None:
-            backend = EngineBackend(profile=profile, database=database)
-        elif database is not None:
-            raise MTSQLError("pass either database= (engine shortcut) or backend=, not both")
+            backend = EngineBackend(profile=profile)
         # local import: repro.compile builds on repro.core's rewrite/optimizer
         from ..compile.compiler import QueryCompiler
         from ..compile.typecheck import UDFSignature
@@ -301,8 +298,8 @@ class MTBase:
         routed = self.backend if backend is None else as_backend_connection(backend)
         return MTConnection(self, ttid, level, backend=routed)
 
-    def gateway(self, cache_size: int = 256, max_workers: Optional[int] = None):
-        """Open a :class:`repro.gateway.QueryGateway` serving layer over this instance."""
+    def gateway(self, cache_size: int = 256):
+        """Open a :class:`repro.gateway.QueryGateway` rewrite cache over this instance."""
         from ..gateway import QueryGateway  # local import: gateway depends on core
 
-        return QueryGateway(self, cache_size=cache_size, max_workers=max_workers)
+        return QueryGateway(self, cache_size=cache_size)

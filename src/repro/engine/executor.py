@@ -27,7 +27,7 @@ from time import perf_counter
 from typing import Any, Callable, Optional, Sequence
 
 from ..errors import ExecutionError, FunctionError
-from ..result import QueryResult, RowStream
+from ..result import OperatorProfile, QueryResult, RowStream
 from ..sql import ast
 from ..sql.printer import to_sql
 from ..sql.transform import (
@@ -116,6 +116,8 @@ class _Profile:
         self._paused: Optional[tuple] = None
 
     def _mark(self) -> tuple:
+        """The stage counters now, in :class:`OperatorProfile` field order
+        after ``rows``."""
         stats = self._stats
         _, generic, proven = stats.kernels.snapshot()
         return (
@@ -138,16 +140,8 @@ class _Profile:
     def record(self, operator: str, rows: int, batches: int = 1) -> None:
         """End the current stage as ``operator``'s; the next one starts."""
         now = self._paused or self._mark()
-        seconds, generic, proven, materialized, hashed = map(sub, now, self._since)
         self._stats.record_operator(
-            operator,
-            rows,
-            seconds,
-            batches=batches,
-            generic_kernels=generic,
-            proven_kernels=proven,
-            join_rows_materialized=materialized,
-            join_rows_hashed=hashed,
+            OperatorProfile(operator, batches, rows, *map(sub, now, self._since))
         )
         self._since, self._paused = now, None
 

@@ -1,9 +1,10 @@
-"""repro.gateway — a caching, concurrent multi-tenant query gateway.
+"""repro.gateway — a caching multi-tenant query gateway.
 
-The serving layer on top of the paper's middleware (Figure 4): statement
+The rewrite cache in front of the paper's middleware (Figure 4): statement
 fingerprinting, a rewrite cache with LRU eviction and metadata-driven
-invalidation, per-tenant sessions with a prepared-statement API, and a
-thread-pool executor for concurrent tenant traffic.
+invalidation, and per-tenant sessions with a prepared-statement API.
+Serving many tenants at once is :mod:`repro.server`'s job: its worker pool
+runs the sessions of its connections concurrently.
 
 Typical use::
 
@@ -18,17 +19,8 @@ Typical use::
 """
 
 from .cache import CacheKey, CachedPlan, CacheStats, RewriteCache, StatementInfo
-from .executor import ConcurrentExecutor, ExecutionReport, SessionBatch, StatementOutcome
 from .fingerprint import Fingerprint, fingerprint_statement
 from .gateway import QueryGateway
-from .metrics import (
-    LatencyRecorder,
-    LatencySummary,
-    LoadGauge,
-    LoadSnapshot,
-    percentile,
-    summarize,
-)
 from .session import GatewaySession, PreparedStatement, SessionStats
 
 __all__ = [
@@ -36,10 +28,6 @@ __all__ = [
     "GatewaySession",
     "PreparedStatement",
     "SessionStats",
-    "ConcurrentExecutor",
-    "ExecutionReport",
-    "SessionBatch",
-    "StatementOutcome",
     "RewriteCache",
     "CacheKey",
     "CachedPlan",
@@ -47,10 +35,4 @@ __all__ = [
     "StatementInfo",
     "Fingerprint",
     "fingerprint_statement",
-    "LatencyRecorder",
-    "LatencySummary",
-    "LoadGauge",
-    "LoadSnapshot",
-    "percentile",
-    "summarize",
 ]

@@ -23,8 +23,8 @@ registrations — must invalidate explicitly; :class:`~repro.gateway.gateway.
 QueryGateway` subscribes to the middleware's metadata-change signal for
 that.
 
-Both maps are LRU with a bounded capacity and are safe to share between
-threads (a single re-entrant lock; every operation is a dict move, far
+Both maps are LRU with a bounded capacity (the statement-info map holds
+four entries per plan slot) and are safe to share between threads (a single re-entrant lock; every operation is a dict move, far
 cheaper than the rewrite it saves).
 """
 
@@ -130,13 +130,11 @@ class RewriteCache:
     def __init__(
         self,
         capacity: int = 256,
-        info_capacity: Optional[int] = None,
         version_source: Optional[Callable[[], int]] = None,
     ) -> None:
         if capacity < 1:
             raise ValueError(f"cache capacity must be positive, got {capacity}")
         self.capacity = capacity
-        self.info_capacity = info_capacity if info_capacity is not None else 4 * capacity
         self._plans: OrderedDict[CacheKey, CachedPlan] = OrderedDict()
         self._info: OrderedDict[str, StatementInfo] = OrderedDict()
         self._lock = threading.RLock()
@@ -168,7 +166,7 @@ class RewriteCache:
                 return
             self._info[digest] = info
             self._info.move_to_end(digest)
-            while len(self._info) > self.info_capacity:
+            while len(self._info) > 4 * self.capacity:
                 self._info.popitem(last=False)
 
     # -- rewritten plans --------------------------------------------------------

@@ -28,7 +28,8 @@ metadata-change signal, which flushes the cache.
 
 Each session serializes its own statements with a lock (the paper's client
 connections are single-threaded too); *different* sessions execute
-concurrently — see :mod:`repro.gateway.executor`.
+concurrently — :mod:`repro.server` runs each connection's session on its
+worker pool.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional, Union
 
 from ..errors import InvalidStatementError, LexerError, MTSQLError
-from ..result import QueryResult, RowStream
+from ..result import QueryResult
 from ..sql import ast
 from ..sql.params import (
     ParameterValues,
@@ -153,29 +154,16 @@ class GatewaySession:
         """
         return self._run(statement, scope, parameters, stream=False)
 
-    def execute_stream(
-        self, statement: Union[str, int], scope=None, parameters=None
-    ) -> RowStream:
-        """Execute a SELECT through the cache as an incremental row stream.
-
-        The warm path is identical to :meth:`execute` up to the backend call,
-        which goes through ``execute_stream`` instead — on backends with a
-        streaming fast path the first rows arrive before the result set is
-        materialized.
-        """
-        with self._lock:
-            info, values = self._prepare_execution(statement, scope, parameters)
-            if not isinstance(info.statement, ast.Select):
-                raise MTSQLError("execute_stream() expects a SELECT statement")
-            return self._execute_select(info, values, stream=True)
-
     def execute_incremental(self, statement: Union[str, int], scope=None, parameters=None):
         """Statement-kind-agnostic streaming execution (the DB-API entry).
 
-        SELECTs return a :class:`~repro.result.RowStream` (exactly
-        :meth:`execute_stream`); every other statement kind executes through
-        the connection pipeline and returns its ordinary result — so a cursor
-        can submit any statement without knowing its kind up front.
+        SELECTs return a :class:`~repro.result.RowStream`: the warm path is
+        :meth:`execute`'s up to the backend call, which goes through the
+        backend's ``execute_stream``, so on backends with a streaming fast
+        path the first rows arrive before the result set is materialized.
+        Every other statement kind executes through the connection pipeline
+        and returns its ordinary result — so a cursor can submit any
+        statement without knowing its kind up front.
         """
         return self._run(statement, scope, parameters, stream=True)
 
@@ -233,7 +221,7 @@ class GatewaySession:
         scope,
         parameters: Optional[ParameterValues],
     ) -> tuple[StatementInfo, tuple]:
-        """Shared front half of execute/execute_stream: scope, info, bindings."""
+        """Shared front half of execute/execute_incremental: scope, info, bindings."""
         if scope is not None:
             self.connection.set_scope(scope)
         if isinstance(statement, int):

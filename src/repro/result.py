@@ -20,8 +20,9 @@ Import them from here: this module is their only home.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 from itertools import islice
+from operator import add, attrgetter, sub
 from typing import Any, Callable, Iterable, Iterator, Optional, Union
 
 from .errors import ExecutionError
@@ -295,6 +296,21 @@ class OperatorProfile:
     join_rows_materialized: int = 0
     join_rows_hashed: int = 0
 
+    def plus(self, other: "OperatorProfile") -> "OperatorProfile":
+        """A new profile: this one's counters with ``other``'s added."""
+        return OperatorProfile(
+            self.operator, *map(add, _profile_counters(self), _profile_counters(other))
+        )
+
+    def since(self, prior: Optional["OperatorProfile"]) -> "OperatorProfile":
+        """What accumulated after ``prior``, an earlier copy of this profile
+        (everything, when there was none)."""
+        if prior is None:
+            return self
+        return OperatorProfile(
+            self.operator, *map(sub, _profile_counters(self), _profile_counters(prior))
+        )
+
     @property
     def rows_per_batch(self) -> float:
         """Mean rows per batch (0.0 before any batch was recorded)."""
@@ -317,12 +333,16 @@ class OperatorProfile:
         return line
 
 
+#: every counter of a profile, in field order (all fields but ``operator``)
+_profile_counters = attrgetter(*(f.name for f in fields(OperatorProfile)[1:]))
+
+
 @dataclass
 class ExecutionStats:
     """Statement-level counters surfaced to tests and the benchmark harness.
 
     Counters are incremented through :meth:`add` so that concurrent sessions
-    (the gateway runs many threads against one backend) do not lose updates
+    (the server runs many threads against one backend) do not lose updates
     to read-modify-write races.  Besides the scalar counters, the engine
     records a per-operator execution profile (batch counts, row counts,
     wall time) via :meth:`record_operator`; :meth:`operator_snapshot` hands
@@ -367,55 +387,18 @@ class ExecutionStats:
             self.udf_executions += executed
             self.udf_cache_hits += 1 - executed
 
-    def record_operator(
-        self,
-        operator: str,
-        rows: int,
-        seconds: float,
-        batches: int = 1,
-        generic_kernels: int = 0,
-        proven_kernels: int = 0,
-        join_rows_materialized: int = 0,
-        join_rows_hashed: int = 0,
-    ) -> None:
-        """Fold one measurement into an operator's profile.
-
-        ``batches`` carries the number of bounded windows the operator
-        consumed (1 for single-batch stages);
-        ``generic_kernels`` / ``proven_kernels`` the kernel-dispatch deltas
-        attributed to this stage, and
-        ``join_rows_materialized`` the joined rows it forced into tuples,
-        ``join_rows_hashed`` the build-side rows it hashed.
-        """
+    def record_operator(self, measured: OperatorProfile) -> None:
+        """Fold one stage's measurement into its operator's profile."""
         with self._lock:
-            profile = self.operator_profiles.get(operator)
-            if profile is None:
-                profile = OperatorProfile(operator=operator)
-                self.operator_profiles[operator] = profile
-            profile.batches += batches
-            profile.rows += rows
-            profile.seconds += seconds
-            profile.generic_kernels += generic_kernels
-            profile.proven_kernels += proven_kernels
-            profile.join_rows_materialized += join_rows_materialized
-            profile.join_rows_hashed += join_rows_hashed
+            prior = self.operator_profiles.get(measured.operator)
+            self.operator_profiles[measured.operator] = (
+                measured if prior is None else prior.plus(measured)
+            )
 
     def operator_snapshot(self) -> list[OperatorProfile]:
         """A point-in-time copy of the operator profiles (insertion order)."""
         with self._lock:
-            return [
-                OperatorProfile(
-                    operator=profile.operator,
-                    batches=profile.batches,
-                    rows=profile.rows,
-                    seconds=profile.seconds,
-                    generic_kernels=profile.generic_kernels,
-                    proven_kernels=profile.proven_kernels,
-                    join_rows_materialized=profile.join_rows_materialized,
-                    join_rows_hashed=profile.join_rows_hashed,
-                )
-                for profile in self.operator_profiles.values()
-            ]
+            return [replace(profile) for profile in self.operator_profiles.values()]
 
     def reset(self) -> None:
         """Zero every counter and drop operator profiles (between runs)."""

@@ -18,21 +18,84 @@ or closed, so one slow consumer throttles *its own tenant* (further
 statements shed) instead of stalling the event loop or other tenants — that
 is the backpressure story.
 
-Load is tracked with the same :class:`~repro.gateway.metrics.LoadGauge` the
-thread-pool :class:`~repro.gateway.executor.ConcurrentExecutor` uses, so the
-two serving tiers report comparable in-flight/queue-depth numbers; every gate
-updates its own gauge and the controller's, so the server-wide peaks are
-peaks that really happened, not sums of per-tenant peaks.
+Load is tracked by a :class:`LoadGauge` per gate — requests in flight and
+requests queued, with their peaks; every gate updates its own gauge and the
+controller's, so the server-wide peaks are peaks that really happened, not
+sums of per-tenant peaks.
 """
 
 from __future__ import annotations
 
 import asyncio
+import threading
 from dataclasses import dataclass
 from typing import Optional
 
 from ..errors import ServerBusyError
-from ..gateway.metrics import LoadGauge, LoadSnapshot
+
+
+@dataclass(frozen=True)
+class LoadSnapshot:
+    """Point-in-time load reading of a :class:`LoadGauge`."""
+
+    in_flight: int
+    queued: int
+    peak_in_flight: int
+    peak_queued: int
+
+    def describe(self) -> str:
+        """One-line human-readable load summary."""
+        return (
+            f"in-flight {self.in_flight} (peak {self.peak_in_flight}), "
+            f"queued {self.queued} (peak {self.peak_queued})"
+        )
+
+
+class LoadGauge:
+    """Thread-safe in-flight/queue-depth gauge with peak tracking.
+
+    ``enqueue``/``dequeue`` bracket the time a request waits for a slot;
+    ``enter``/``exit`` bracket the time it holds one.
+    """
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._in_flight = 0
+        self._queued = 0
+        self._peak_in_flight = 0
+        self._peak_queued = 0
+
+    def enqueue(self) -> None:
+        """A request started waiting for an execution slot."""
+        with self._lock:
+            self._queued += 1
+            self._peak_queued = max(self._peak_queued, self._queued)
+
+    def dequeue(self) -> None:
+        """A waiting request left the queue (admitted or shed)."""
+        with self._lock:
+            self._queued -= 1
+
+    def enter(self) -> None:
+        """A request began executing."""
+        with self._lock:
+            self._in_flight += 1
+            self._peak_in_flight = max(self._peak_in_flight, self._in_flight)
+
+    def exit(self) -> None:
+        """A request finished executing (successfully or not)."""
+        with self._lock:
+            self._in_flight -= 1
+
+    def snapshot(self) -> LoadSnapshot:
+        """A consistent reading of the current and peak load."""
+        with self._lock:
+            return LoadSnapshot(
+                in_flight=self._in_flight,
+                queued=self._queued,
+                peak_in_flight=self._peak_in_flight,
+                peak_queued=self._peak_queued,
+            )
 
 
 @dataclass(frozen=True)

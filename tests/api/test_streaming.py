@@ -149,7 +149,7 @@ def test_cluster_single_shard_path_delegates_the_stream(tiny_mth_sharded):
     gateway = mth.middleware.gateway()
     try:
         session = gateway.session(1, optimization="o4", scope="IN (1)")
-        stream = session.execute_stream(
+        stream = session.execute_incremental(
             "SELECT o_orderkey FROM orders WHERE o_totalprice > ?",
             parameters=(0.0,),
         )
@@ -159,7 +159,7 @@ def test_cluster_single_shard_path_delegates_the_stream(tiny_mth_sharded):
         assert isinstance(mth.backend.last_plan, SingleShardPlan)
         stream.close()
         # scatter-gather shapes materialize but stay row-identical
-        merged = session.execute_stream(
+        merged = session.execute_incremental(
             "SELECT l_returnflag, SUM(l_quantity) FROM lineitem "
             "WHERE l_quantity < ? GROUP BY l_returnflag",
             scope="IN ()",

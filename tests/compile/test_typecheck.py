@@ -226,7 +226,7 @@ def _mistyped_on(mt, target, sql):
         gateway = mt.gateway()
         try:
             session = gateway.session(0, optimization="o4", scope="IN (0, 1)")
-            run = session.execute_stream if target.endswith("stream") else session.query
+            run = session.execute_incremental if target.endswith("stream") else session.query
             return run(sql, parameters=("oops",))
         finally:
             gateway.close()

@@ -1,10 +1,11 @@
-"""Concurrent executor: multi-threaded smoke tests and metrics sanity."""
+"""Gateway sessions driven from many threads at once."""
 
 import threading
 
 import pytest
 
-from repro.gateway import ConcurrentExecutor, QueryGateway
+from repro.errors import ReproError
+from repro.gateway import QueryGateway
 
 from tests.conftest import build_paper_example
 
@@ -30,6 +31,30 @@ def expected_rows(mt, client, sql):
     return connection.query(sql).rows
 
 
+def run_in_threads(batches):
+    """Run each ``(session, statements)`` batch on a thread of its own, all
+    at once; return each batch's results in order, and what any raised."""
+    results = [[] for _ in batches]
+    failures = []
+
+    def drive(session, statements, out):
+        try:
+            for statement in statements:
+                out.append(session.execute(statement))
+        except Exception as exc:  # pragma: no cover - only on failure
+            failures.append(exc)
+
+    threads = [
+        threading.Thread(target=drive, args=(session, statements, out))
+        for (session, statements), out in zip(batches, results)
+    ]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    return results, failures
+
+
 def test_concurrent_sessions_return_correct_results(mt):
     gateway = mt.gateway(cache_size=64)
     statements = [SQL_BY_NAME, SQL_TOTALS, SQL_JOIN] * 4
@@ -37,44 +62,31 @@ def test_concurrent_sessions_return_correct_results(mt):
         (gateway.session(client, optimization="o4", scope="IN (0, 1)"), statements)
         for client in (0, 1, 0, 1)
     ]
-    report = gateway.run_concurrent(batches)
+    results, failures = run_in_threads(batches)
 
-    assert report.statements == len(batches) * len(statements)
-    assert report.errors == []
-    assert report.elapsed > 0
-    assert report.throughput > 0
-    assert report.latency.count == report.statements
-    for session, _ in batches:
-        outcomes = report.outcomes_for(session)
-        # per-session order is preserved
-        assert [outcome.statement for outcome in outcomes] == statements
-        for outcome, sql in zip(outcomes, statements):
-            assert outcome.result.rows == expected_rows(mt, session.client, sql)
+    assert failures == []
+    for (session, _), session_results in zip(batches, results):
+        assert [result.rows for result in session_results] == [
+            expected_rows(mt, session.client, sql) for sql in statements
+        ]
     # 6 distinct (digest, client, D', level) plans; same-key sessions racing the
     # first rewrite can each record a miss, so the floor is exact, the count not
     stats = gateway.cache_stats
     assert stats.misses >= 6
-    assert stats.hits + stats.misses == report.statements
+    assert stats.hits + stats.misses == len(batches) * len(statements)
     assert len(gateway.cache) == 6
     gateway.close()
 
 
-def test_errors_are_captured_per_statement_not_raised(mt):
+def test_a_failing_statement_leaves_its_session_usable(mt):
     gateway = mt.gateway()
-    good = gateway.session(0, optimization="o4", scope="IN (0, 1)")
-    batches = [(good, [SQL_BY_NAME, "SELECT nonsense_column FROM Employees", SQL_BY_NAME])]
-    report = gateway.run_concurrent(batches)
-    assert report.statements == 3
-    assert len(report.errors) == 1
-    assert report.outcomes[0].ok and report.outcomes[2].ok
-    assert report.outcomes[1].error is not None
+    session = gateway.session(0, optimization="o4", scope="IN (0, 1)")
+    reference = expected_rows(mt, 0, SQL_BY_NAME)
+    assert session.query(SQL_BY_NAME).rows == reference
+    with pytest.raises(ReproError):
+        session.execute("SELECT nonsense_column FROM Employees")
+    assert session.query(SQL_BY_NAME).rows == reference
     gateway.close()
-
-
-def test_empty_run_is_a_noop(mt):
-    report = ConcurrentExecutor().run([])
-    assert report.statements == 0
-    assert report.throughput == 0.0
 
 
 def test_one_session_shared_by_many_threads_is_serialized(mt):
@@ -102,7 +114,7 @@ def test_one_session_shared_by_many_threads_is_serialized(mt):
 
 
 def test_concurrent_dml_loses_no_writes(mt):
-    """The engine's write lock: racing INSERT/UPDATE batches must all land."""
+    """The engine's write lock: racing INSERT batches must all land."""
     gateway = mt.gateway()
     writers = 6
     per_writer = 5
@@ -115,8 +127,8 @@ def test_concurrent_dml_loses_no_writes(mt):
             for i in range(per_writer)
         ]
         batches.append((session, statements))
-    report = gateway.run_concurrent(batches)
-    assert report.errors == []
+    _, failures = run_in_threads(batches)
+    assert failures == []
     count = mt.connect(0).query("SELECT COUNT(*) AS n FROM Employees").rows[0][0]
     assert count == 3 + writers * per_writer  # 3 seed rows for tenant 0
     gateway.close()
@@ -131,36 +143,14 @@ def test_gateway_context_manager_detaches_listener(mt):
     assert gateway.cache_stats.invalidations == 0
 
 
-def test_report_tracks_load_and_tail_latency(mt):
-    """The run report carries the load gauge and the p99 tail percentile."""
-    gateway = mt.gateway()
-    batches = [
-        (gateway.session(client, optimization="o4", scope="IN (0, 1)"),
-         [SQL_BY_NAME] * 3)
-        for client in (0, 1, 0, 1)
-    ]
-    report = gateway.run_concurrent(batches)
-    assert report.load.peak_in_flight >= 1
-    assert report.load.in_flight == 0 and report.load.queued == 0  # run drained
-    assert report.load.peak_queued >= 0
-    assert report.latency.p99 >= report.latency.p95 >= report.latency.p50
-    described = report.describe()
-    assert "in-flight" in described and "queued" in described
-    assert "p99" in described
+def test_the_gateway_is_a_cache_and_runs_no_worker_pool(mt):
+    """Concurrency belongs to the server: the gateway takes no worker count."""
+    with pytest.raises(TypeError):
+        mt.gateway(max_workers=4)
+    with pytest.raises(TypeError):
+        QueryGateway(mt, max_workers=4)
+    gateway = mt.gateway(cache_size=8)
+    assert not hasattr(gateway, "run_concurrent")
+    assert not hasattr(gateway, "executor")
+    assert gateway.cache.capacity == 8
     gateway.close()
-
-
-def test_load_gauge_counts_and_peaks():
-    from repro.gateway import LoadGauge
-
-    gauge = LoadGauge()
-    gauge.enqueue()
-    gauge.enqueue()
-    gauge.dequeue()
-    gauge.enter()
-    gauge.enter()
-    gauge.exit()
-    snapshot = gauge.snapshot()
-    assert (snapshot.queued, snapshot.peak_queued) == (1, 2)
-    assert (snapshot.in_flight, snapshot.peak_in_flight) == (1, 2)
-    assert "peak 2" in snapshot.describe()

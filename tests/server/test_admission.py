@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import asyncio
+import threading
 
 import pytest
 
 from repro.errors import ServerBusyError
 from repro.server import AdmissionController
+from repro.server.admission import LoadGauge
 
 
 def test_the_server_wide_peak_is_a_peak_that_happened_not_a_sum_of_peaks():
@@ -64,3 +66,44 @@ def test_queue_depth_gauge_follows_the_queue_not_the_waiters_wakeup():
             assert snapshot.load.peak_in_flight == 1 and snapshot.load.in_flight == 0
 
     asyncio.run(main())
+
+
+def test_load_gauge_counts_and_peaks():
+    gauge = LoadGauge()
+    gauge.enqueue()
+    gauge.enqueue()
+    gauge.dequeue()
+    gauge.enter()
+    gauge.enter()
+    gauge.exit()
+    snapshot = gauge.snapshot()
+    assert (snapshot.queued, snapshot.peak_queued) == (1, 2)
+    assert (snapshot.in_flight, snapshot.peak_in_flight) == (1, 2)
+    assert "peak 2" in snapshot.describe()
+
+
+def test_load_gauge_is_exact_under_racing_threads():
+    gauge = LoadGauge()
+    threads = 8
+    rounds = 500
+    start = threading.Barrier(threads)
+
+    def churn():
+        start.wait()
+        for _ in range(rounds):
+            gauge.enqueue()
+            gauge.dequeue()
+            gauge.enter()
+            gauge.exit()
+
+    workers = [threading.Thread(target=churn) for _ in range(threads)]
+    for worker in workers:
+        worker.start()
+    for worker in workers:
+        worker.join()
+    snapshot = gauge.snapshot()
+    assert snapshot.in_flight == 0 and snapshot.queued == 0  # every bracket closed
+    assert 1 <= snapshot.peak_in_flight <= threads
+    assert 1 <= snapshot.peak_queued <= threads
+    described = snapshot.describe()
+    assert "in-flight 0" in described and "queued 0" in described

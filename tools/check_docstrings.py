@@ -56,7 +56,6 @@ PUBLIC_MODULES = (
     "repro/gateway/gateway.py",
     "repro/gateway/session.py",
     "repro/gateway/cache.py",
-    "repro/gateway/executor.py",
     "repro/gateway/fingerprint.py",
     "repro/server/__init__.py",
     "repro/server/protocol.py",

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Lock-discipline checker for the registered shared-mutable classes.
 
-The gateway runs many sessions against one backend, so a handful of
+The server runs many sessions against one backend, so a handful of
 classes are mutated from concurrent threads and guard themselves with a
 ``self._lock``.  The invariant is easy to state and easy to silently break
 in review: **every attribute mutation after construction happens inside a
@@ -11,7 +11,7 @@ thread-safe counters/caches:
 
 * ``repro/result.py`` — ``ExecutionStats``
 * ``repro/gateway/cache.py`` — ``RewriteCache``
-* ``repro/gateway/metrics.py`` — ``LoadGauge``
+* ``repro/server/admission.py`` — ``LoadGauge``
 
 Flagged: ``self.x = ...``, ``self.x += ...`` and item stores
 ``self.x[k] = ...`` in any method other than ``__init__`` /
@@ -40,7 +40,7 @@ else:
 GUARDED_CLASSES = (
     ("repro/result.py", "ExecutionStats"),
     ("repro/gateway/cache.py", "RewriteCache"),
-    ("repro/gateway/metrics.py", "LoadGauge"),
+    ("repro/server/admission.py", "LoadGauge"),
 )
 
 #: methods that run before the object is shared (no lock needed)
