@@ -139,22 +139,22 @@ def test_parameterization_ablation_hit_rate(workload):
     compiler = middleware.compiler
 
     literal_session = gateway.session(1, optimization="o4", scope="IN ()")
-    before = compiler.stats.compilations
+    before, hits_before = compiler.stats.compilations, gateway.cache_stats.hits
     literal_results = [
         literal_session.query(_literal_spelling(bindings)).rows
         for bindings in PARAM_BINDINGS
     ]
     literal_compilations = compiler.stats.compilations - before
-    literal_hits = literal_session.stats.cache_hits
+    literal_hits = gateway.cache_stats.hits - hits_before
 
     param_session = gateway.session(1, optimization="o4", scope="IN ()")
-    before = compiler.stats.compilations
+    before, hits_before = compiler.stats.compilations, gateway.cache_stats.hits
     param_results = [
         param_session.query(PARAM_TEMPLATE, parameters=bindings).rows
         for bindings in PARAM_BINDINGS
     ]
     param_compilations = compiler.stats.compilations - before
-    param_hits = param_session.stats.cache_hits
+    param_hits = gateway.cache_stats.hits - hits_before
 
     # identical answers, radically different cache behaviour
     assert param_results == literal_results

@@ -100,8 +100,9 @@ def main() -> None:
     speedup = cold_mean / warm_mean if warm_mean else float("inf")
     print(f"mean per-statement latency: cold {cold_mean * 1e3:.2f}ms -> "
           f"warm {warm_mean * 1e3:.2f}ms ({speedup:.1f}x)")
-    for session in gateway.sessions:
+    for session in sessions:
         print(f"  {session!r}")
+        session.close()
     gateway.close()
 
 

@@ -39,8 +39,6 @@ from .cursor import Cursor
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..core.client import MTConnection
-    from ..core.middleware import MTBase
-    from ..gateway.gateway import QueryGateway
     from ..gateway.session import GatewaySession
 
 RunResult = Union[RowStream, ExecuteResult]

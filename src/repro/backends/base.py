@@ -43,7 +43,7 @@ class BackendConnection(abc.ABC):
 
     Connections are long-lived: the middleware opens one and funnels every
     rewritten statement through it.  Implementations must be safe to share
-    between the gateway's worker threads.
+    between threads: the server's worker pool runs many sessions on it.
     """
 
     #: backend family name, e.g. ``"engine"`` or ``"sqlite"``

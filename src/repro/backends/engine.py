@@ -15,7 +15,7 @@ execution.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Callable, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Any, Callable, Optional, Sequence
 
 from ..engine.database import Database
 from ..errors import BackendError

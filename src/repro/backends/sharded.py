@@ -37,7 +37,6 @@ from ..compile.stats import StatisticsCatalog, merge_catalogs
 from ..errors import ClusterError
 from ..result import ExecuteResult, ExecutionStats, RowStream, StatementResult
 from ..sql import ast
-from ..sql.dialect import Dialect
 from ..sql.params import bind_parameters, statement_parameters
 from ..sql.parser import parse_query, parse_statement
 from ..sql.transform import referenced_table_names
@@ -75,26 +74,6 @@ class _TableSchema:
         return ""
 
 
-class _ClusterDialect:
-    """The shard dialect with a cluster-distinct name.
-
-    Rewritten plans cached by the gateway are keyed on the dialect *name*; a
-    sharded connection must never share cache accounting with a plain
-    connection of the same dialect, so the name carries the shard count.
-    Everything else delegates to the shards' real dialect.
-    """
-
-    def __init__(self, inner: Dialect, shard_count: int) -> None:
-        self._inner = inner
-        self.name = f"{inner.name}+{shard_count}sh"
-
-    def __getattr__(self, attribute: str) -> Any:
-        return getattr(self._inner, attribute)
-
-    def __repr__(self) -> str:  # pragma: no cover - repr convenience
-        return f"_ClusterDialect({self.name!r})"
-
-
 class ShardedConnection(BackendConnection):
     """One logical connection fanning out over the cluster's shards."""
 
@@ -106,7 +85,7 @@ class ShardedConnection(BackendConnection):
             shard.connect() for shard in backend.shards
         ]
         self.placement = backend.placement
-        self.dialect = _ClusterDialect(self._shards[0].dialect, len(self._shards))
+        self.dialect = self._shards[0].dialect
         self.stats = ExecutionStats()
         self.catalog = ClusterCatalog()
         self.coordinator = ShardCoordinator(self._shards)
@@ -843,17 +822,7 @@ class ShardedConnection(BackendConnection):
         if self._scratch is not None:
             connections.append(self._scratch)
         for connection in connections:
-            stats = connection.stats
-            total.add(
-                udf_calls=stats.udf_calls,
-                udf_executions=stats.udf_executions,
-                udf_cache_hits=stats.udf_cache_hits,
-                subquery_runs=stats.subquery_runs,
-                statements=stats.statements,
-                join_rows_materialized=stats.join_rows_materialized,
-                join_rows_hashed=stats.join_rows_hashed,
-                plans_prepared=stats.plans_prepared,
-            )
+            total.add(**connection.stats.counters())
         return total
 
     def reset_stats(self) -> None:

@@ -37,29 +37,22 @@ from ..sql.transform import referenced_table_names
 from .dml import DMLRewriter
 from .optimizer.levels import OptimizationLevel
 from .rewrite.canonical import CanonicalRewriter
-from .scope import ComplexScope, DefaultScope, Scope, SimpleScope, parse_scope, scope_dataset
+from .scope import ComplexScope, DefaultScope, Scope, parse_scope, scope_dataset
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..backends import BackendConnection
     from ..compile import CompiledQuery, ExplainReport
     from .middleware import MTBase
 
 
 class MTConnection:
-    """A client connection with its own C, SCOPE, optimization level and backend."""
+    """A client connection with its own C, SCOPE and optimization level."""
 
-    def __init__(
-        self,
-        middleware: "MTBase",
-        client: int,
-        level: OptimizationLevel,
-        backend: Optional["BackendConnection"] = None,
-    ) -> None:
+    def __init__(self, middleware: "MTBase", client: int, level: OptimizationLevel) -> None:
         self.middleware = middleware
         self.client = client
         self.optimization = level
         #: the execution backend this connection's statements are sent to
-        self.backend = backend if backend is not None else middleware.backend
+        self.backend = middleware.backend
         self.scope: Scope = DefaultScope()
         #: the most recently executed rewritten statement(s), for inspection
         self.last_rewritten: list[ast.Statement] = []
@@ -136,28 +129,12 @@ class MTConnection:
         if isinstance(statement, (ast.Insert, ast.Update, ast.Delete)):
             return self._execute_dml(statement)
         if isinstance(statement, ast.CreateView):
-            self._reject_routed_ddl(statement)
             return self._execute_create_view(statement)
         if isinstance(
             statement, (ast.CreateTable, ast.CreateFunction, ast.DropTable, ast.DropView)
         ):
-            self._reject_routed_ddl(statement)
             return self.middleware.execute_ddl(statement)
         raise MTSQLError(f"unsupported MTSQL statement {type(statement).__name__}")
-
-    def _reject_routed_ddl(self, statement: ast.Statement) -> None:
-        """Schema changes are not allowed through a backend-routed connection.
-
-        DDL updates the shared middleware metadata and must land on the
-        middleware's primary backend; executing it from a connection routed
-        to a replica would split the physical schema across backends.
-        """
-        if self.backend is not self.middleware.backend:
-            raise MTSQLError(
-                f"{type(statement).__name__} is not allowed on a connection routed "
-                f"to an alternate backend; issue DDL through the middleware's "
-                f"primary backend"
-            )
 
     def query(
         self,
@@ -435,7 +412,7 @@ class MTConnection:
                 dataset=dataset,
             )
             self.last_rewritten = []
-            self.middleware.notify_metadata_change("privilege")
+            self.middleware.notify_metadata_change()
             return StatementResult("GRANT")
         self.middleware.privileges.revoke(
             owner=self.client,
@@ -445,7 +422,7 @@ class MTConnection:
             dataset=dataset,
         )
         self.last_rewritten = []
-        self.middleware.notify_metadata_change("privilege")
+        self.middleware.notify_metadata_change()
         return StatementResult("REVOKE")
 
     # -- DML --------------------------------------------------------------------------
@@ -520,5 +497,5 @@ class MTConnection:
         self.backend.execute(
             ast.CreateView(name=statement.name, query=compiled.rewritten)
         )
-        self.middleware.notify_metadata_change("ddl")
+        self.middleware.notify_metadata_change()
         return StatementResult("CREATE VIEW")

@@ -19,7 +19,7 @@ builders*: callables producing the AST expression that replaces a UDF call.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable, Optional
 
 from ..errors import ConversionError

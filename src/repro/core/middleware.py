@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import replace
-from typing import Callable, Optional, Union
+from typing import Optional, Union
 
 from ..backends import Backend, BackendConnection, EngineBackend, as_backend_connection
 from ..errors import MTSQLError
@@ -57,9 +57,8 @@ class MTBase:
         self.conversions = ConversionRegistry()
         self.privileges = PrivilegeManager()
         self.default_optimization = default_optimization
-        #: bumped on every metadata change; cached rewrites are stale across bumps
+        #: bumped on every metadata change; caches of rewrites key on it
         self.metadata_version = 0
-        self._metadata_listeners: list[Callable[[str], None]] = []
         self._metadata_lock = threading.Lock()
         #: the staged MTSQL→SQL compiler every connection compiles through
         self.compiler = QueryCompiler(self)
@@ -79,36 +78,21 @@ class MTBase:
             )
         return engine_database
 
-    # -- metadata-change signal ---------------------------------------------------
+    # -- metadata version ---------------------------------------------------------
     #
     # The MTSQL→SQL rewrite of a statement depends on middleware metadata:
     # the MT schema (DDL), privileges (GRANT/REVOKE), the tenant population
     # (the "D = all tenants" trivial optimization) and the conversion
-    # registry.  Layers that cache rewrites (:mod:`repro.gateway`) subscribe
-    # here and flush whenever any of those change.
+    # registry.  Layers that cache rewrites (:mod:`repro.gateway`) put the
+    # version into their cache keys, so a bump makes every older entry
+    # unreachable.
 
-    def on_metadata_change(self, listener: Callable[[str], None]) -> Callable[[str], None]:
-        """Register ``listener(reason)`` to run after every metadata change."""
-        with self._metadata_lock:
-            self._metadata_listeners.append(listener)
-        return listener
-
-    def remove_metadata_listener(self, listener: Callable[[str], None]) -> None:
-        """Unsubscribe a metadata-change listener (idempotent)."""
-        with self._metadata_lock:
-            if listener in self._metadata_listeners:
-                self._metadata_listeners.remove(listener)
-
-    def notify_metadata_change(self, reason: str) -> None:
-        """Bump the metadata version and run every registered listener."""
-        # the increment must not lose updates: a cache's stale-put guard
-        # (RewriteCache) compares version snapshots, and two concurrent
-        # changes collapsing into one bump would let a stale plan slip in
+    def notify_metadata_change(self) -> None:
+        """Bump the metadata version after a change to the rewrite's inputs."""
+        # the increment must not lose updates: two concurrent changes
+        # collapsing into one bump would leave one of them unseen by caches
         with self._metadata_lock:
             self.metadata_version += 1
-            listeners = list(self._metadata_listeners)
-        for listener in listeners:
-            listener(reason)
 
     # -- tenants ---------------------------------------------------------------
 
@@ -116,7 +100,7 @@ class MTBase:
         """Make a tenant known to the middleware (and grant the §2.3 defaults)."""
         self.privileges.register_tenant(ttid, name=name, **metadata)
         # a new tenant can turn an "all tenants" data set into a partial one
-        self.notify_metadata_change("tenant")
+        self.notify_metadata_change()
 
     def tenants(self) -> tuple[int, ...]:
         """The ttids of every registered tenant."""
@@ -134,14 +118,14 @@ class MTBase:
         targets = tables or tuple(table.name for table in self.schema.tenant_specific_tables())
         for table in targets:
             self.privileges.grant_public(table, privileges)
-        self.notify_metadata_change("privilege")
+        self.notify_metadata_change()
 
     # -- conversion functions -----------------------------------------------------
 
     def register_conversion_pair(self, pair: ConversionPair) -> ConversionPair:
-        """Register a toUniversal/fromUniversal pair (§2.2.2) and notify caches."""
+        """Register a toUniversal/fromUniversal pair (§2.2.2)."""
         registered = self.conversions.register(pair)
-        self.notify_metadata_change("conversion")
+        self.notify_metadata_change()
         return registered
 
     # -- statistics ------------------------------------------------------------------
@@ -180,13 +164,13 @@ class MTBase:
                 self.udf_signatures[statement.name.lower()] = UDFSignature.from_create(
                     statement
                 )
-            self.notify_metadata_change("ddl")
+            self.notify_metadata_change()
             return result
         if isinstance(statement, (ast.DropTable, ast.DropView)):
             if isinstance(statement, ast.DropTable):
                 self.schema.drop_table(statement.name)
             result = self.backend.execute(statement)
-            self.notify_metadata_change("ddl")
+            self.notify_metadata_change()
             return result
         raise MTSQLError(f"not an MTSQL DDL statement: {type(statement).__name__}")
 
@@ -243,7 +227,7 @@ class MTBase:
                 ),
             )
         self.backend.execute(physical)
-        self.notify_metadata_change("ddl")
+        self.notify_metadata_change()
         return info
 
     def _physical_constraint(
@@ -271,22 +255,8 @@ class MTBase:
         self,
         ttid: int,
         optimization: Optional[Union[str, OptimizationLevel]] = None,
-        backend: Optional[Union[Backend, BackendConnection]] = None,
     ) -> MTConnection:
-        """Open a client connection; C is derived from the connection (§2.1).
-
-        ``backend`` routes this connection's statements to an alternate
-        execution backend (a replica holding the same physical schema and
-        data); the default is the middleware's own backend.  A bare backend
-        *name* is rejected here — it would create a fresh, empty database,
-        which can never be the replica this parameter promises.
-        """
-        if isinstance(backend, str):
-            raise MTSQLError(
-                "connect(backend=...) needs a Backend or BackendConnection that "
-                "already holds this middleware's data; a name would create an "
-                "empty database"
-            )
+        """Open a client connection; C is derived from the connection (§2.1)."""
         if not self.privileges.has_tenant(ttid):
             raise MTSQLError(f"tenant {ttid} is not registered")
         if optimization is None:
@@ -295,8 +265,7 @@ class MTBase:
             level = optimization
         else:
             level = OptimizationLevel.from_name(optimization)
-        routed = self.backend if backend is None else as_backend_connection(backend)
-        return MTConnection(self, ttid, level, backend=routed)
+        return MTConnection(self, ttid, level)
 
     def gateway(self, cache_size: int = 256):
         """Open a :class:`repro.gateway.QueryGateway` rewrite cache over this instance."""

@@ -23,7 +23,6 @@ corresponding part of the rewrite when C and D allow it.
 from __future__ import annotations
 
 import copy
-from dataclasses import replace
 from typing import Optional
 
 from ...errors import RewriteError

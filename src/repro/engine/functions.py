@@ -43,7 +43,7 @@ class Function:
         self.name = name
         self.immutable = immutable
         self._cache: dict[tuple, Any] = {}
-        # the memo cache is shared across the gateway's worker threads
+        # the memo cache is shared across the server's worker threads
         self._lock = threading.Lock()
 
     def invoke(self, args: Sequence[Any], context, use_cache: bool) -> tuple[Any, int]:

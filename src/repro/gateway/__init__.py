@@ -1,10 +1,11 @@
 """repro.gateway — a caching multi-tenant query gateway.
 
 The rewrite cache in front of the paper's middleware (Figure 4): statement
-fingerprinting, a rewrite cache with LRU eviction and metadata-driven
-invalidation, and per-tenant sessions with a prepared-statement API.
-Serving many tenants at once is :mod:`repro.server`'s job: its worker pool
-runs the sessions of its connections concurrently.
+fingerprinting, a rewrite cache with LRU eviction whose keys carry the
+middleware's metadata version, and per-tenant sessions with a
+prepared-statement API.  Serving many tenants at once is
+:mod:`repro.server`'s job: its worker pool runs the sessions of its
+connections concurrently.
 
 Typical use::
 
@@ -18,21 +19,18 @@ Typical use::
     print(gateway.cache_stats.hit_rate)
 """
 
-from .cache import CacheKey, CachedPlan, CacheStats, RewriteCache, StatementInfo
-from .fingerprint import Fingerprint, fingerprint_statement
+from .cache import CacheKey, CacheStats, RewriteCache, StatementInfo
+from .fingerprint import fingerprint_statement
 from .gateway import QueryGateway
-from .session import GatewaySession, PreparedStatement, SessionStats
+from .session import GatewaySession, PreparedStatement
 
 __all__ = [
     "QueryGateway",
     "GatewaySession",
     "PreparedStatement",
-    "SessionStats",
     "RewriteCache",
     "CacheKey",
-    "CachedPlan",
     "CacheStats",
     "StatementInfo",
-    "Fingerprint",
     "fingerprint_statement",
 ]

@@ -5,27 +5,31 @@ canonical MTSQL→SQL rewrite → optimization passes — runs on every statemen
 (`benchmarks/test_ablation_rewrite_overhead.py` measures that cost).  The
 :class:`RewriteCache` amortizes it across repeat executions:
 
-* a **statement-info cache** maps a fingerprint digest to the parsed AST and
-  the tenant-specific tables it touches, so a repeat execution skips the
-  parse and the table walk needed for privilege pruning,
-* a **plan cache** maps ``(digest, client ttid, resolved D', optimization
-  level)`` to the whole :class:`~repro.compile.CompiledQuery` artifact, so a
-  repeat execution skips the entire compilation — and, because the artifact
-  carries the shardability analysis and memoizes the backend's derived plan,
-  a warm hit on a sharded backend skips shard planning too.
+* a **statement-info cache** maps ``(fingerprint, metadata version)`` to the
+  parsed AST and the tenant-specific tables it touches, so a repeat
+  execution skips the parse and the table walk needed for privilege pruning,
+* a **plan cache** maps a :class:`CacheKey` — ``(fingerprint, client ttid,
+  resolved D', optimization level, metadata version)`` — to the whole
+  :class:`~repro.compile.CompiledQuery` artifact, so a repeat execution
+  skips the entire compilation — and, because the artifact carries the
+  shardability analysis and memoizes the backend's derived plan, a warm hit
+  on a sharded backend skips shard planning too.
 
 The resolved data set ``D'`` is part of the key because the rewritten SQL
 embeds it (ttid IN-lists, per-tenant conversion constants); a scope or
 privilege change that yields a different ``D'`` naturally misses.  Metadata
-changes that alter the rewrite *for the same key* — DDL, GRANT/REVOKE, new
-tenants (they flip the "D = all tenants" trivial optimization), conversion
-registrations — must invalidate explicitly; :class:`~repro.gateway.gateway.
-QueryGateway` subscribes to the middleware's metadata-change signal for
-that.
+changes that alter the rewrite *for the same* ``D'`` — DDL, GRANT/REVOKE,
+new tenants (they flip the "D = all tenants" trivial optimization),
+conversion registrations — bump :attr:`MTBase.metadata_version
+<repro.core.middleware.MTBase.metadata_version>`.  The session reads that
+version before it parses or compiles and puts it into both keys, so an
+entry built from older metadata is never looked up again: it ages out by
+LRU instead of being flushed.
 
 Both maps are LRU with a bounded capacity (the statement-info map holds
-four entries per plan slot) and are safe to share between threads (a single re-entrant lock; every operation is a dict move, far
-cheaper than the rewrite it saves).
+four entries per plan slot) and are safe to share between threads (a
+single re-entrant lock; every operation is a dict move, far cheaper than
+the rewrite it saves).
 """
 
 from __future__ import annotations
@@ -33,60 +37,41 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Callable, Optional
+from typing import TYPE_CHECKING, Optional
 
 from ..core.optimizer.levels import OptimizationLevel
 from ..sql import ast
-from .fingerprint import Fingerprint
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..compile.artifact import CompiledQuery
     from ..sql.params import ParameterSlot
 
+#: a statement-info key: ``(fingerprint, metadata version)``
+InfoKey = tuple[str, int]
+
 
 @dataclass(frozen=True)
 class CacheKey:
-    """Identity of one cached rewrite.
-
-    ``dialect`` is the executing backend's dialect name: sessions of one
-    gateway may route to different backends, and although the cached value
-    is a dialect-neutral AST, sharing entries across dialects would corrupt
-    the per-backend hit/invalidation accounting the benchmarks rely on.
-    """
+    """Identity of one cached rewrite."""
 
     digest: str
     client: int
     dataset: tuple[int, ...]
     level: OptimizationLevel
-    dialect: str = "default"
+    #: the middleware metadata version the rewrite was built against
+    version: int
 
 
 @dataclass(frozen=True)
 class StatementInfo:
-    """Parse-time facts about a statement, cached per fingerprint digest."""
+    """Parse-time facts about a statement, cached per fingerprint and version."""
 
     statement: ast.Statement
     tables: tuple[str, ...]
-    fingerprint: Fingerprint
     #: the statement's bind-parameter slots (empty when unparameterized); the
     #: session resolves client-supplied values against these without
     #: re-walking the AST
     parameters: tuple["ParameterSlot", ...] = ()
-
-
-@dataclass(frozen=True)
-class CachedPlan:
-    """One cache entry: a compiled statement ready for the DBMS."""
-
-    #: the full compilation artifact (what the session executes and the
-    #: sharded backend memoizes its plan on)
-    compiled: "CompiledQuery"
-    key: CacheKey
-
-    @property
-    def rewritten(self) -> ast.Select:
-        """The rewritten statement to execute."""
-        return self.compiled.rewritten
 
 
 @dataclass
@@ -114,88 +99,62 @@ class CacheStats:
         return replace(self, invalidation_reasons=dict(self.invalidation_reasons))
 
 
+def _insert(entries: OrderedDict, key, value, bound: int) -> int:
+    """Store ``value`` as the most recent entry, drop the oldest entries
+    beyond ``bound`` and return how many were dropped."""
+    entries[key] = value
+    entries.move_to_end(key)
+    dropped = 0
+    while len(entries) > bound:
+        entries.popitem(last=False)
+        dropped += 1
+    return dropped
+
+
 class RewriteCache:
-    """Bounded, thread-safe LRU cache for statement info and rewritten plans.
+    """Bounded, thread-safe LRU cache for statement info and compiled plans."""
 
-    ``version_source`` (typically ``lambda: middleware.metadata_version``)
-    closes the put-after-invalidate race: a writer snapshots the version via
-    :meth:`current_version` *before* parsing/rewriting and passes it to
-    :meth:`put`/:meth:`put_info`, which reject the entry (under the same lock
-    :meth:`invalidate` takes) if the metadata changed in between.  The caller
-    still executes its freshly computed plan once — equivalent to a direct
-    connection racing the metadata change — but a stale plan can never be
-    *cached* past the flush that was meant to remove it.
-    """
-
-    def __init__(
-        self,
-        capacity: int = 256,
-        version_source: Optional[Callable[[], int]] = None,
-    ) -> None:
+    def __init__(self, capacity: int = 256) -> None:
         if capacity < 1:
             raise ValueError(f"cache capacity must be positive, got {capacity}")
         self.capacity = capacity
-        self._plans: OrderedDict[CacheKey, CachedPlan] = OrderedDict()
-        self._info: OrderedDict[str, StatementInfo] = OrderedDict()
+        self._plans: OrderedDict[CacheKey, "CompiledQuery"] = OrderedDict()
+        self._info: OrderedDict[InfoKey, StatementInfo] = OrderedDict()
         self._lock = threading.RLock()
-        self._version_source = version_source if version_source is not None else (lambda: 0)
-        self._disabled = False
         self.stats = CacheStats()
-
-    def current_version(self) -> int:
-        """The metadata version to snapshot before computing a cacheable entry."""
-        return self._version_source()
-
-    def _version_is_stale(self, version: Optional[int]) -> bool:
-        return version is not None and version != self._version_source()
 
     # -- statement info ---------------------------------------------------------
 
-    def get_info(self, digest: str) -> Optional[StatementInfo]:
-        """Cached parse-time facts for a fingerprint digest (LRU-touched)."""
+    def get_info(self, key: InfoKey) -> Optional[StatementInfo]:
+        """Cached parse-time facts for ``(fingerprint, version)`` (LRU-touched)."""
         with self._lock:
-            info = self._info.get(digest)
+            info = self._info.get(key)
             if info is not None:
-                self._info.move_to_end(digest)
+                self._info.move_to_end(key)
             return info
 
-    def put_info(self, digest: str, info: StatementInfo, version: Optional[int] = None) -> None:
-        """Cache parse-time facts; rejected when ``version`` is stale."""
+    def put_info(self, key: InfoKey, info: StatementInfo) -> None:
+        """Cache parse-time facts."""
         with self._lock:
-            if self._disabled or self._version_is_stale(version):
-                return
-            self._info[digest] = info
-            self._info.move_to_end(digest)
-            while len(self._info) > 4 * self.capacity:
-                self._info.popitem(last=False)
+            _insert(self._info, key, info, 4 * self.capacity)
 
-    # -- rewritten plans --------------------------------------------------------
+    # -- compiled plans ---------------------------------------------------------
 
-    def get(self, key: CacheKey) -> Optional[CachedPlan]:
+    def get(self, key: CacheKey) -> Optional["CompiledQuery"]:
         """Probe the plan cache (counts a hit/miss, LRU-touches on hit)."""
         with self._lock:
-            plan = self._plans.get(key)
-            if plan is None:
+            compiled = self._plans.get(key)
+            if compiled is None:
                 self.stats.misses += 1
                 return None
             self._plans.move_to_end(key)
             self.stats.hits += 1
-            return plan
+            return compiled
 
-    def put(
-        self, key: CacheKey, compiled: "CompiledQuery", version: Optional[int] = None
-    ) -> CachedPlan:
-        """Cache a compiled statement; rejected (but returned) when stale."""
-        plan = CachedPlan(compiled=compiled, key=key)
+    def put(self, key: CacheKey, compiled: "CompiledQuery") -> None:
+        """Cache a compiled statement."""
         with self._lock:
-            if self._disabled or self._version_is_stale(version):
-                return plan  # computed from pre-change metadata: execute, don't cache
-            self._plans[key] = plan
-            self._plans.move_to_end(key)
-            while len(self._plans) > self.capacity:
-                self._plans.popitem(last=False)
-                self.stats.evictions += 1
-        return plan
+            self.stats.evictions += _insert(self._plans, key, compiled, self.capacity)
 
     # -- maintenance ------------------------------------------------------------
 
@@ -204,21 +163,8 @@ class RewriteCache:
         with self._lock:
             return self.stats.snapshot()
 
-    def disable(self) -> None:
-        """Flush and permanently disable caching.
-
-        Called when a gateway detaches from the middleware's metadata-change
-        signal: without invalidation the cache could silently go stale, so
-        orphaned sessions fall back to cold (correct, merely uncached)
-        execution instead.
-        """
-        with self._lock:
-            self._disabled = True
-            self._plans.clear()
-            self._info.clear()
-
     def invalidate(self, reason: str = "") -> int:
-        """Drop every entry (DDL / privilege / tenant metadata changed)."""
+        """Drop every entry; returns the number of plans dropped."""
         with self._lock:
             dropped = len(self._plans)
             self._plans.clear()

@@ -1,19 +1,13 @@
 """Statement fingerprinting: normalize SQL text into a rewrite-cache key.
 
 The gateway must decide *without parsing* whether it has already rewritten a
-statement.  A :class:`Fingerprint` is therefore computed from the token
-stream alone (lexing is an order of magnitude cheaper than a parse + the
-canonical rewrite): whitespace and comments vanish, literals are extracted
-into a parameter vector, and the remaining tokens form a *template*.
-
-Two digests are derived:
-
-* ``digest`` covers the template *and* the literal values — the cache key.
-  Two statements share a ``digest`` exactly when they tokenize identically,
-  so serving a cached rewrite for a matching digest is always sound.
-* ``template_digest`` covers only the template (literals become ``?``) and
-  groups executions of the same statement *shape* for statistics, the way
-  `pg_stat_statements` buckets queries.
+statement.  The key is therefore computed from the token stream alone
+(lexing is an order of magnitude cheaper than a parse + the canonical
+rewrite): whitespace and comments vanish, every remaining token — its type
+and its text, literals included — goes into one SHA-256 digest.  Each token
+is length-prefixed, so two texts share a key only if they tokenize
+identically, and serving a cached rewrite for a matching key is always
+sound.
 
 Normalization is deliberately conservative: identifiers keep their original
 spelling (aliases determine result column names, so case-folding them could
@@ -24,63 +18,13 @@ casing simply costs one extra cache miss — never a wrong result.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
-from typing import Union
 
-from ..sql import ast
-from ..sql.lexer import TokenType, tokenize
-from ..sql.printer import to_sql
-
-_SEPARATOR = "\x1f"
+from ..sql.lexer import tokenize
 
 
-@dataclass(frozen=True)
-class Fingerprint:
-    """The cache identity of one SQL statement."""
-
-    digest: str
-    template_digest: str
-    template: str
-    literals: tuple[str, ...]
-
-    def __repr__(self) -> str:  # keep debug output short: digests are 64 hex chars
-        return (
-            f"Fingerprint(digest={self.digest[:12]}…, "
-            f"template={self.template[:60]!r}, literals={len(self.literals)})"
-        )
-
-
-def _hash(text: str) -> str:
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
-
-
-def fingerprint_statement(statement: Union[str, ast.Node]) -> Fingerprint:
-    """Fingerprint SQL text (or an already-parsed AST node).
-
-    AST nodes are printed back to canonical SQL first, so a parsed statement
-    and its printed text produce the same fingerprint.
-    """
-    text = to_sql(statement) if isinstance(statement, ast.Node) else statement
-    pieces: list[str] = []
-    literals: list[str] = []
-    for token in tokenize(text):
-        if token.type is TokenType.EOF:
-            break
-        if token.type in (TokenType.NUMBER, TokenType.STRING):
-            marker = "?" if token.type is TokenType.NUMBER else "?s"
-            literals.append(token.text)
-            pieces.append(marker)
-        else:
-            pieces.append(token.text)
-    template = " ".join(pieces)
-    template_digest = _hash(template)
-    # length-prefix each literal so different literal vectors can never
-    # concatenate to the same byte string (e.g. values containing \x1f)
-    literal_blob = "".join(f"{len(literal)}:{literal}{_SEPARATOR}" for literal in literals)
-    digest = _hash(template + _SEPARATOR + literal_blob)
-    return Fingerprint(
-        digest=digest,
-        template_digest=template_digest,
-        template=template,
-        literals=tuple(literals),
+def fingerprint_statement(text: str) -> str:
+    """The rewrite-cache key of SQL text: a hex digest of its token stream."""
+    tokens = "\n".join(
+        [f"{token.type.value} {len(token.text)} {token.text}" for token in tokenize(text)]
     )
+    return hashlib.sha256(tokens.encode("utf-8")).hexdigest()

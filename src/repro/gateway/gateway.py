@@ -1,18 +1,20 @@
 """The query gateway: a rewrite cache in front of MTBase.
 
-:class:`QueryGateway` owns
-
-* one shared :class:`~repro.gateway.cache.RewriteCache` (statement info +
-  rewritten plans) for all sessions,
-* the per-tenant :class:`~repro.gateway.session.GatewaySession` objects.
+:class:`QueryGateway` owns one shared
+:class:`~repro.gateway.cache.RewriteCache` (statement info + compiled plans)
+and hands out per-tenant :class:`~repro.gateway.session.GatewaySession`
+objects, each over an :class:`~repro.core.client.MTConnection` to the
+middleware's one backend.  It keeps no list of its sessions: a session is
+the caller's to hold and close.
 
 It runs no threads of its own: :class:`repro.server.ReproServer` serves
 many sessions of one gateway concurrently, and any caller may drive its
 sessions from threads of its own.
 
-The gateway subscribes to the middleware's metadata-change signal, so any
-DDL, GRANT/REVOKE, tenant registration or conversion-pair registration
-flushes the cache before the next statement can observe a stale rewrite.
+Nothing needs to tell the gateway about metadata changes: cache keys carry
+the middleware's metadata version (see :mod:`repro.gateway.cache`), so a
+rewrite built before DDL, GRANT/REVOKE, a tenant or a conversion-pair
+registration is never served after it.
 """
 
 from __future__ import annotations
@@ -31,58 +33,24 @@ class QueryGateway:
 
     def __init__(self, middleware: MTBase, cache_size: int = 256) -> None:
         self.middleware = middleware
-        self.cache = RewriteCache(
-            capacity=cache_size,
-            version_source=lambda: middleware.metadata_version,
-        )
-        self._sessions: list[GatewaySession] = []
-        self._next_session_id = 1
+        self.cache = RewriteCache(capacity=cache_size)
+        self._next_session_id = 1  # HELLO replies carry the id
         self._lock = threading.Lock()
-        self._listener = middleware.on_metadata_change(self._on_metadata_change)
-        self._closed = False
-
-    # -- sessions -----------------------------------------------------------------
 
     def session(
         self,
         ttid: int,
         optimization: Optional[Union[str, OptimizationLevel]] = None,
         scope=None,
-        backend=None,
     ) -> GatewaySession:
-        """Open a serving session for tenant ``ttid``.
-
-        ``backend`` routes the session to an alternate execution backend (a
-        replica of the middleware's data); the rewrite cache keys entries on
-        the backend's dialect, so differently-routed sessions never share a
-        cached plan.
-        """
-        connection = self.middleware.connect(ttid, optimization=optimization, backend=backend)
+        """Open a serving session for tenant ``ttid``."""
+        connection = self.middleware.connect(ttid, optimization=optimization)
         if scope is not None:
             connection.set_scope(scope)
         with self._lock:
-            session = GatewaySession(self, connection, self._next_session_id)
+            session_id = self._next_session_id
             self._next_session_id += 1
-            self._sessions.append(session)
-            return session
-
-    @property
-    def sessions(self) -> list[GatewaySession]:
-        """Snapshot of the currently registered sessions."""
-        with self._lock:
-            return list(self._sessions)
-
-    def release(self, session: GatewaySession) -> None:
-        """Forget a session (long-running gateways would otherwise accumulate
-        one session object per connect forever); idempotent."""
-        with self._lock:
-            if session in self._sessions:
-                self._sessions.remove(session)
-
-    # -- cache maintenance ---------------------------------------------------------
-
-    def _on_metadata_change(self, reason: str) -> None:
-        self.cache.invalidate(reason=reason)
+        return GatewaySession(self, connection, session_id)
 
     def invalidate_cache(self, reason: str = "manual") -> int:
         """Flush the rewrite cache by hand; returns the dropped entry count."""
@@ -94,16 +62,12 @@ class QueryGateway:
         return self.cache.stats_snapshot()
 
     def close(self) -> None:
-        """Detach from the middleware and disable the cache.
+        """Drop every cached entry.
 
-        A detached cache would no longer see invalidations, so it is flushed
-        and disabled: sessions still held by callers keep working, they just
-        pay the cold path from here on.
+        Sessions still held by callers keep working: their next statements
+        compile again and refill the cache.
         """
-        if not self._closed:
-            self.middleware.remove_metadata_listener(self._listener)
-            self.cache.disable()
-            self._closed = True
+        self.invalidate_cache("close")
 
     def __enter__(self) -> "QueryGateway":
         return self
@@ -112,9 +76,8 @@ class QueryGateway:
         self.close()
 
     def __repr__(self) -> str:
-        stats = self.cache.stats
+        stats = self.cache_stats
         return (
-            f"QueryGateway(sessions={len(self._sessions)}, cache={len(self.cache)}/"
-            f"{self.cache.capacity}, hit_rate={stats.hit_rate:.1%}, "
-            f"invalidations={stats.invalidations})"
+            f"QueryGateway(cache={len(self.cache)}/{self.cache.capacity}, "
+            f"hit_rate={stats.hit_rate:.1%}, invalidations={stats.invalidations})"
         )

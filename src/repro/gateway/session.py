@@ -22,9 +22,12 @@ Scope resolution and privilege pruning are **never** cached: ``D'`` is
 recomputed per execution and is part of the cache key, so a session that
 changes its scope (or loses a privilege) can never be served a stale plan.
 
-Non-SELECT statements (DML, DDL, GRANT/REVOKE, SET SCOPE) are delegated to
-the underlying connection unchanged; DDL and DCL trigger the middleware's
-metadata-change signal, which flushes the cache.
+Every execution reads the middleware's metadata version before it parses
+or compiles, and both cache keys carry it: after DDL, GRANT/REVOKE, a tenant
+or a conversion-pair registration the next execution misses and recompiles
+against the new metadata, and the entries built before the change age out
+by LRU.  Non-SELECT statements (DML, DDL, GRANT/REVOKE, SET SCOPE) are
+delegated to the underlying connection unchanged.
 
 Each session serializes its own statements with a lock (the paper's client
 connections are single-threaded too); *different* sessions execute
@@ -49,7 +52,7 @@ from ..sql.params import (
 )
 from ..sql.parser import parse_submitted_statement
 from .cache import CacheKey, StatementInfo
-from .fingerprint import Fingerprint, fingerprint_statement
+from .fingerprint import fingerprint_statement
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..core.client import MTConnection
@@ -63,17 +66,7 @@ class PreparedStatement:
 
     handle: int
     text: str
-    fingerprint: Fingerprint
-
-
-@dataclass
-class SessionStats:
-    """Per-session execution counters."""
-
-    executed: int = 0
-    cache_hits: int = 0
-    cache_misses: int = 0
-    delegated: int = 0
+    fingerprint: str
 
 
 class GatewaySession:
@@ -83,7 +76,6 @@ class GatewaySession:
         self.gateway = gateway
         self.connection = connection
         self.session_id = session_id
-        self.stats = SessionStats()
         self._prepared: dict[int, PreparedStatement] = {}
         self._next_handle = 1
         self._lock = threading.RLock()
@@ -121,7 +113,7 @@ class GatewaySession:
         """
         with self._lock:
             fingerprint = self._fingerprint(sql)
-            self._statement_info(sql, fingerprint)  # parse eagerly, fail fast
+            self._statement_info(sql, fingerprint, self._metadata_version())  # fail fast
             handle = self._next_handle
             self._next_handle += 1
             self._prepared[handle] = PreparedStatement(
@@ -135,10 +127,9 @@ class GatewaySession:
             self._prepared.pop(handle, None)
 
     def close(self) -> None:
-        """Release the session: drop prepared statements and detach from the gateway."""
+        """Release the session: drop its prepared statements (idempotent)."""
         with self._lock:
             self._prepared.clear()
-        self.gateway.release(self)
 
     # -- execution ---------------------------------------------------------------
 
@@ -193,14 +184,27 @@ class GatewaySession:
     ):
         """Shared execution body of :meth:`execute`/:meth:`execute_incremental`."""
         with self._lock:
-            info, values = self._prepare_execution(statement, scope, parameters)
+            if scope is not None:
+                self.connection.set_scope(scope)
+            if isinstance(statement, int):
+                try:
+                    prepared = self._prepared[statement]
+                except KeyError as exc:
+                    raise MTSQLError(f"unknown prepared-statement handle {statement}") from exc
+                text, fingerprint = prepared.text, prepared.fingerprint
+            else:
+                text, fingerprint = statement, self._fingerprint(statement)
+            # read before parsing or compiling: an entry built from metadata
+            # that changes meanwhile lands under this older version, which no
+            # later execution looks up
+            version = self._metadata_version()
+            info = self._statement_info(text, fingerprint, version)
+            values = resolve_parameters(info.parameters, parameters)
             if isinstance(info.statement, ast.Select):
-                return self._execute_select(info, values, stream=stream)
+                return self._execute_select(fingerprint, version, info, values, stream)
             # non-SELECT: the connection pipeline handles DML/DDL/DCL/SET
             # SCOPE; parameters bind by literal substitution because the DML
             # rewrite routes on concrete values (per-owner INSERTs)
-            self.stats.delegated += 1
-            self.stats.executed += 1
             bound = (
                 bind_parameters(info.statement, values) if values else info.statement
             )
@@ -215,83 +219,47 @@ class GatewaySession:
 
     # -- internals ----------------------------------------------------------------
 
-    def _prepare_execution(
-        self,
-        statement: Union[str, int],
-        scope,
-        parameters: Optional[ParameterValues],
-    ) -> tuple[StatementInfo, tuple]:
-        """Shared front half of execute/execute_incremental: scope, info, bindings."""
-        if scope is not None:
-            self.connection.set_scope(scope)
-        if isinstance(statement, int):
-            try:
-                prepared = self._prepared[statement]
-            except KeyError as exc:
-                raise MTSQLError(f"unknown prepared-statement handle {statement}") from exc
-            text, fingerprint = prepared.text, prepared.fingerprint
-        else:
-            text, fingerprint = statement, self._fingerprint(statement)
-        info = self._statement_info(text, fingerprint)
-        values = resolve_parameters(info.parameters, parameters)
-        return info, values
+    def _metadata_version(self) -> int:
+        return self.connection.middleware.metadata_version
 
     @staticmethod
-    def _fingerprint(text: str) -> Fingerprint:
+    def _fingerprint(text: str) -> str:
         try:
             return fingerprint_statement(text)
         except LexerError as exc:
             raise InvalidStatementError.from_sql(text, exc) from exc
 
-    def _statement_info(self, text: str, fingerprint: Fingerprint) -> StatementInfo:
+    def _statement_info(self, text: str, fingerprint: str, version: int) -> StatementInfo:
         cache = self.gateway.cache
-        info = cache.get_info(fingerprint.digest)
+        info = cache.get_info((fingerprint, version))
         if info is None:
-            version = cache.current_version()  # snapshot before reading the schema
             parsed = parse_submitted_statement(text)
-            tables = tuple(sorted(self.connection.statement_tables(parsed)))
             info = StatementInfo(
                 statement=parsed,
-                tables=tables,
-                fingerprint=fingerprint,
+                tables=tuple(sorted(self.connection.statement_tables(parsed))),
                 parameters=statement_parameters(parsed),
             )
-            cache.put_info(fingerprint.digest, info, version=version)
+            cache.put_info((fingerprint, version), info)
         return info
 
     def _execute_select(
-        self, info: StatementInfo, parameters: tuple = (), stream: bool = False
+        self, fingerprint: str, version: int, info: StatementInfo, parameters: tuple, stream: bool
     ):
         connection = self.connection
-        dataset = connection.dataset()
-        pruned = connection.prune_dataset(dataset, info.tables, privilege="READ")
-        key = CacheKey(
-            digest=info.fingerprint.digest,
-            client=connection.client,
-            dataset=pruned,
-            level=connection.optimization,
-            dialect=connection.backend.dialect.name,
-        )
+        pruned = connection.prune_dataset(connection.dataset(), info.tables, privilege="READ")
+        key = CacheKey(fingerprint, connection.client, pruned, connection.optimization, version)
         cache = self.gateway.cache
-        plan = cache.get(key)
-        if plan is None:
-            version = cache.current_version()  # snapshot before reading metadata
-            compiled = connection.compile_resolved(
-                info.statement, pruned, tables=info.tables
-            )
-            plan = cache.put(key, compiled, version=version)
-            self.stats.cache_misses += 1
-        else:
-            self.stats.cache_hits += 1
-        self.stats.executed += 1
+        compiled = cache.get(key)
+        if compiled is None:
+            compiled = connection.compile_resolved(info.statement, pruned, tables=info.tables)
+            cache.put(key, compiled)
         # the artifact was compiled for D' (part of its cache key), so the
         # connection's own execution step checks the bind values and runs it
-        return connection.execute_compiled(plan.compiled, parameters, stream=stream)
+        return connection.execute_compiled(compiled, parameters, stream=stream)
 
     def __repr__(self) -> str:
         return (
             f"GatewaySession(id={self.session_id}, client={self.client}, "
             f"scope={self.scope.describe()!r}, "
-            f"optimization={self.connection.optimization.value}, "
-            f"executed={self.stats.executed}, hits={self.stats.cache_hits})"
+            f"optimization={self.connection.optimization.value})"
         )

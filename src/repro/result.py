@@ -400,16 +400,19 @@ class ExecutionStats:
         with self._lock:
             return [replace(profile) for profile in self.operator_profiles.values()]
 
+    def counters(self) -> dict[str, int]:
+        """A point-in-time copy of every int counter, by field name."""
+        with self._lock:
+            return {name: getattr(self, name) for name in _EXECUTION_COUNTERS}
+
     def reset(self) -> None:
         """Zero every counter and drop operator profiles (between runs)."""
         with self._lock:
-            self.udf_calls = 0
-            self.udf_executions = 0
-            self.udf_cache_hits = 0
-            self.subquery_runs = 0
-            self.statements = 0
-            self.join_rows_materialized = 0
-            self.join_rows_hashed = 0
-            self.plans_prepared = 0
+            for name in _EXECUTION_COUNTERS:
+                setattr(self, name, 0)
             self.operator_profiles = {}
             self.kernels.reset()
+
+
+#: every int counter of :class:`ExecutionStats`, in field order
+_EXECUTION_COUNTERS = tuple(f.name for f in fields(ExecutionStats) if f.type == "int")

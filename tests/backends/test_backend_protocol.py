@@ -218,14 +218,17 @@ class TestNormalization:
 
 
 class TestRoutingGuards:
-    def test_connect_rejects_backend_names(self):
+    def test_connections_take_no_backend(self):
+        """One backend per middleware: no connection or session routes elsewhere."""
         from repro.core import MTBase
-        from repro.errors import MTSQLError
 
         mt = MTBase()
         mt.register_tenant(1)
-        with pytest.raises(MTSQLError, match="empty database"):
+        with pytest.raises(TypeError):
             mt.connect(1, backend="sqlite")
+        with pytest.raises(TypeError):
+            mt.gateway().session(1, backend=mt.backend)
+        assert mt.connect(1).backend is mt.backend
 
     def test_sqlite_temp_file_removed_without_explicit_close(self):
         import gc

@@ -7,6 +7,8 @@ small hand-built schemas.
 
 from __future__ import annotations
 
+from dataclasses import fields
+
 import pytest
 
 from repro.backends import ShardedBackend, normalized_rows
@@ -18,6 +20,7 @@ from repro.cluster import (
     SingleShardPlan,
 )
 from repro.errors import ClusterError
+from repro.result import ExecutionStats
 from repro.sql.parser import parse_query
 
 
@@ -281,6 +284,25 @@ class TestBackendSpecs:
         client.query("SELECT COUNT(*) FROM Employees")
         assert connection.stats.statements == 1  # one logical statement
         assert connection.aggregate_stats().statements >= 2  # fanned out
+
+    def test_aggregate_stats_sums_every_counter(self, sharded_paper):
+        """Every int counter of ExecutionStats, over the shards and scratch."""
+        _mt, backend = sharded_paper
+        connection = backend.connect()
+        members = [*connection.shard_connections, connection._ensure_scratch()]
+        connection.reset_stats()
+        counters = [f.name for f in fields(ExecutionStats) if f.type == "int"]
+        assert len(counters) >= 8 and "plans_prepared" in counters
+        for position, member in enumerate(members, start=1):
+            member.stats.add(
+                **{name: position * 10 + offset for offset, name in enumerate(counters)}
+            )
+        total = connection.aggregate_stats()
+        for offset, name in enumerate(counters):
+            expected = sum(position * 10 + offset for position in range(1, len(members) + 1))
+            assert getattr(total, name) == expected, name
+        connection.reset_stats()
+        assert all(value == 0 for value in connection.aggregate_stats().counters().values())
 
 
 class TestClusterDMLGuards:

@@ -91,7 +91,7 @@ class TestWarmGatewayHitCompilesNothing:
             warm = session.query(AGGREGATE_QUERY).rows
             assert warm == cold
             assert paper_mt.compiler.stats.compilations == compilations
-            assert session.stats.cache_hits == 1
+            assert gateway.cache_stats.hits == 1
         finally:
             gateway.close()
 

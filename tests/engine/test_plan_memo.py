@@ -404,8 +404,8 @@ def test_a_dropped_artifacts_plan_is_freed(data):
         session.query(query_text(6))
         (plan,) = [
             entry[0]
-            for cached in gateway.cache._plans.values()
-            for key, entry in cached.compiled.attachments.items()
+            for compiled in gateway.cache._plans.values()
+            for key, entry in compiled.attachments.items()
             if key[0] == "engine-plan"
         ]
         dropped = weakref.ref(plan)

@@ -109,7 +109,9 @@ def test_one_session_shared_by_many_threads_is_serialized(mt):
     for thread in threads:
         thread.join()
     assert failures == []
-    assert session.stats.executed == 40
+    # serialized on the session lock: the first statement misses, 39 hit
+    stats = gateway.cache_stats
+    assert (stats.misses, stats.hits) == (1, 39)
     gateway.close()
 
 
@@ -134,13 +136,13 @@ def test_concurrent_dml_loses_no_writes(mt):
     gateway.close()
 
 
-def test_gateway_context_manager_detaches_listener(mt):
+def test_gateway_context_manager_drops_its_entries(mt):
     with QueryGateway(mt) as gateway:
         session = gateway.session(0, optimization="o4", scope="IN (0, 1)")
         session.query(SQL_BY_NAME)
         assert len(gateway.cache) == 1
-    mt.execute_ddl("CREATE TABLE Scratch GLOBAL (S_id INTEGER NOT NULL)")
-    assert gateway.cache_stats.invalidations == 0
+    assert len(gateway.cache) == 0
+    assert session.query(SQL_BY_NAME).rows == expected_rows(mt, 0, SQL_BY_NAME)
 
 
 def test_the_gateway_is_a_cache_and_runs_no_worker_pool(mt):

@@ -411,6 +411,48 @@ def test_deadnames_flags_unmentioned_definitions(local_paths):
     assert deadnames.check(roots=(local_paths,), mention_roots=(local_paths,)) == []
 
 
+def test_deadnames_flags_an_unused_import(local_paths):
+    _write(
+        local_paths,
+        "unused_import.py",
+        """
+        from typing import Iterable, Optional
+
+        def first(items: Optional[list]):
+            return items[0] if items else None
+
+        ONE = first([1])
+        """,
+    )
+    findings = deadnames.check(roots=(local_paths,), mention_roots=(local_paths,))
+    assert [(v.line, v.message.split()[0]) for v in findings] == [(2, "Iterable")]
+    assert "imported but never used" in findings[0].message
+
+
+def test_deadnames_counts_quoted_annotations_and_all_as_uses(local_paths):
+    _write(
+        local_paths,
+        "typing_only.py",
+        """
+        from __future__ import annotations
+
+        from typing import TYPE_CHECKING
+        from json import dumps
+
+        if TYPE_CHECKING:
+            from decimal import Decimal
+
+        __all__ = ["dumps", "halve"]
+
+        def halve(value: "Decimal") -> "Decimal":
+            return value / 2
+        """,
+    )
+    # a package __init__ imports to re-export: exempt
+    _write(local_paths, "__init__.py", "from json import loads\n")
+    assert deadnames.check(roots=(local_paths,), mention_roots=(local_paths,)) == []
+
+
 # ---------------------------------------------------------------------------
 # modsize: a module over the line limit is caught, one at the limit is not
 # ---------------------------------------------------------------------------

@@ -20,7 +20,8 @@ Six checkers police invariants the generic linters cannot express:
 * :mod:`tools.lint.deadnames` — every function, class and method defined
   under ``src/`` is mentioned somewhere else in the repository (code, tests,
   benchmark, tools or docs); decorator-registered, ``getattr``-dispatched,
-  dunder and DB-API names are exempt by rule;
+  dunder and DB-API names are exempt by rule; and no ``src/`` module
+  other than a package ``__init__`` imports a name it never uses;
 * :mod:`tools.lint.modsize` — no module under ``src/`` is longer than
   1 500 lines.
 

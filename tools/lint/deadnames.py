@@ -6,6 +6,10 @@ at its own ``def`` / ``class`` line — not in ``src/``, ``tests/``, ``perf/``,
 ``benchmarks/``, ``examples/``, ``tools/`` or ``docs/`` — is code nobody
 calls, tests or documents: a back-compat wrapper that outlived its callers,
 a helper a refactor orphaned.  It fails the lint; delete it (or use it).
+The same goes for a name imported into a ``src/`` module (other than a
+package ``__init__``, which imports to re-export) and never used there:
+a use is a ``Name`` node, an identifier in a string annotation, or an
+entry of ``__all__``.
 
 The test is textual on purpose: an identifier token anywhere in those trees
 (a call, an import, a string, a docs page) counts as a mention, so dynamic
@@ -85,8 +89,68 @@ def _dispatch_prefixes(tree: ast.Module) -> set[str]:
     return prefixes
 
 
+def _imported_names(tree: ast.Module):
+    """``(name, line)`` for every name an import statement binds."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield (alias.asname or alias.name.split(".")[0]), node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                if alias.name != "*":
+                    yield alias.asname or alias.name, node.lineno
+
+
+def _annotations(tree: ast.Module):
+    """Every annotation expression: arguments, returns, annotated assignments."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.AnnAssign):
+            yield node.annotation
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            arguments = node.args
+            for argument in (
+                *arguments.posonlyargs, *arguments.args, *arguments.kwonlyargs,
+                arguments.vararg, arguments.kwarg,
+            ):
+                if argument is not None and argument.annotation is not None:
+                    yield argument.annotation
+            if node.returns is not None:
+                yield node.returns
+
+
+def _used_names(tree: ast.Module) -> set[str]:
+    """Names a module reads: ``Name`` nodes, string annotations, ``__all__``."""
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    quoted = [
+        node.value
+        for annotation in _annotations(tree)
+        for node in ast.walk(annotation)
+        if isinstance(node, ast.Constant) and isinstance(node.value, str)
+    ]
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(target, ast.Name) and target.id == "__all__" for target in node.targets
+        ):
+            quoted.extend(
+                item.value for item in ast.walk(node.value) if isinstance(item, ast.Constant)
+            )
+    for text in quoted:
+        used.update(_IDENTIFIER.findall(str(text)))
+    return used
+
+
+def _unused_imports(path: Path, tree: ast.Module) -> list[Violation]:
+    used = _used_names(tree)
+    return [
+        Violation(relative(path), line, f"{name} is imported but never used here — delete it")
+        for name, line in _imported_names(tree)
+        if name not in used
+    ]
+
+
 def check(roots=None, mention_roots=None) -> list[Violation]:
-    """Find every definition under ``roots`` that is never mentioned."""
+    """Find every definition under ``roots`` that is never mentioned, and
+    every name a module there imports and never uses."""
     roots = roots if roots is not None else (SRC,)
     mention_roots = mention_roots if mention_roots is not None else MENTION_ROOTS
     mentions: Counter = Counter()
@@ -97,10 +161,13 @@ def check(roots=None, mention_roots=None) -> list[Violation]:
 
     defined: list[tuple[Path, ast.AST]] = []
     prefixes: set[str] = set()
+    unused_imports: list[Violation] = []
     for path in python_files(*roots):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         prefixes |= _dispatch_prefixes(tree)
         defined.extend((path, node) for node in _definitions(tree))
+        if path.name != "__init__.py":
+            unused_imports.extend(_unused_imports(path, tree))
     times_defined = Counter(node.name for _, node in defined)
 
     violations: list[Violation] = []
@@ -125,7 +192,7 @@ def check(roots=None, mention_roots=None) -> list[Violation]:
                 f"benchmarks/, examples/, tools/ or docs/ — delete it",
             )
         )
-    return violations
+    return violations + unused_imports
 
 
 def main() -> int:
