@@ -4,13 +4,14 @@
 pure-Python DBMS stand-in with its "postgres" / "system_c" UDF-caching
 profiles — to the :class:`~repro.backends.base.Backend` protocol.  The
 adapter is thin: the engine already executes the default dialect natively,
-so statements pass through unchanged (parameters are bound by literal
-substitution, :func:`repro.sql.params.bind_parameters`).  A SELECT that
-arrives with its compiled artifact and no parameters keeps its engine plan
-in the artifact's ``attachments`` (see
-:class:`repro.engine.executor.Executor`), so a gateway cache hit runs
-without preparing; a bound statement is a fresh AST and prepares per
-execution.
+so statements pass through unchanged.  A SELECT keeps its ``?`` / ``$n``
+parameters: the engine reads their values per run (see
+:class:`repro.engine.executor.RunState`), and a SELECT that arrives with its
+compiled artifact keeps its engine plan in the artifact's ``attachments``
+(see :class:`repro.engine.executor.Executor`), one per value types, so a
+gateway cache hit runs without preparing whatever it binds.  Other
+statements bind by literal substitution
+(:func:`repro.sql.params.bind_parameters`).
 """
 
 from __future__ import annotations
@@ -62,12 +63,8 @@ class EngineConnection(BackendConnection):
     def execute(
         self, statement: Statement, parameters: Optional[Sequence[Any]] = None
     ) -> ExecuteResult:
-        """Execute on the in-memory engine (parameters bound as literals)."""
-        if parameters:
-            if isinstance(statement, str):
-                statement = parse_statement(statement)
-            statement = bind_parameters(statement, parameters)
-        return self._database.execute(statement)
+        """Execute on the in-memory engine (see :meth:`execute_scoped`)."""
+        return self.execute_scoped(statement, parameters=parameters)
 
     def execute_scoped(
         self,
@@ -76,12 +73,18 @@ class EngineConnection(BackendConnection):
         parameters: Optional[Sequence[Any]] = None,
         compiled: Optional["CompiledQuery"] = None,
     ) -> ExecuteResult:
-        """Execute; a parameterless SELECT reuses the engine plan memoized
-        in ``compiled.attachments`` — the statement's artifact, or the
-        cluster plan that sent it to this shard.  ``dataset`` is ignored."""
-        if compiled is None or parameters or not isinstance(statement, ast.Select):
-            return self.execute(statement, parameters=parameters)
-        return self._database.execute(statement, plans=compiled.attachments)
+        """Execute; a SELECT runs with its parameter values and reuses the
+        engine plan memoized in ``compiled.attachments`` — the statement's
+        artifact, or the cluster plan that sent it to this shard.  Other
+        statements bind their values as literals.  ``dataset`` is ignored."""
+        if isinstance(statement, str):
+            statement = parse_statement(statement)
+        if not isinstance(statement, ast.Select):
+            if parameters:
+                statement = bind_parameters(statement, parameters)
+            return self._database.execute(statement)
+        plans = None if compiled is None else compiled.attachments
+        return self._database.execute(statement, plans=plans, parameters=parameters or ())
 
     def execute_stream(
         self,
@@ -101,13 +104,10 @@ class EngineConnection(BackendConnection):
         """
         if isinstance(statement, str):
             statement = parse_statement(statement)
-        plans = None if compiled is None else compiled.attachments
-        if parameters:
-            statement = bind_parameters(statement, parameters)
-            plans = None
         if not isinstance(statement, ast.Select):
             raise BackendError("execute_stream() expects a SELECT statement")
-        return self._database.execute_stream(statement, plans)
+        plans = None if compiled is None else compiled.attachments
+        return self._database.execute_stream(statement, plans, parameters or ())
 
     # -- UDF registration ----------------------------------------------------
 

@@ -19,9 +19,9 @@ Engine plans live on the cluster plan (``plan.attachments``): every shard
 is sent the statement through ``execute_scoped`` with the plan as its
 owner (``compiled=plan``), so an engine shard prepares the shard statement
 once per plan; the merge engine prepares the merge query once per plan, its
-input an inline relation each run binds to its own gathered rows.  Bound
-parameters are substituted as literals, so a parameterized execution
-prepares afresh.
+input an inline relation each run binds to its own gathered rows.  Bind
+parameters travel as values, to the shards and into the merge run, so a
+parameterized execution reuses the same plans (one per value types).
 
 Federated plans are *not* handled here — they need the owning
 :class:`~repro.backends.sharded.ShardedConnection`'s scratch backend and are
@@ -40,7 +40,6 @@ from ..engine.executor import output_name
 from ..engine.functions import BUILTIN_SCALARS
 from ..result import QueryResult
 from ..sql import ast
-from ..sql.params import bind_parameters
 from ..sql.transform import MERGE_RELATION
 from .planner import PartialAggregatePlan, Plan, RowStreamPlan, SingleShardPlan
 
@@ -173,11 +172,11 @@ class ShardCoordinator:
             ]
             # racing first runs agree on one query, so on one memoized plan
             query = plan.attachments.setdefault("merge-query", query)
-        plans = plan.attachments
-        if parameters:
-            query, plans = bind_parameters(query, parameters), None
         merged = self.merge_database.query(
-            query, plans=plans, relations={MERGE_RELATION: gathered}
+            query,
+            plans=plan.attachments,
+            relations={MERGE_RELATION: gathered},
+            parameters=parameters or (),
         )
         return QueryResult(columns=columns, rows=merged.rows)
 

@@ -94,18 +94,25 @@ class Database:
         statement: Union[str, ast.Statement],
         plans: Optional[dict] = None,
         relations: Optional[dict[str, Sequence[tuple]]] = None,
+        parameters: Sequence[Any] = (),
     ) -> ExecuteResult:
         """Execute one statement (SQL text or an already-parsed AST node).
 
-        A SELECT's ``plans`` and ``relations`` are those of
+        A SELECT's ``plans``, ``relations`` and ``parameters`` are those of
         :meth:`repro.engine.executor.Executor.execute`: the memo space of the
-        statement's owner, and the rows this run binds inline relations to.
+        statement's owner, the rows this run binds inline relations to and
+        the values of its bind parameters.  Other statements take no
+        parameters (bind them first: :func:`repro.sql.params.bind_parameters`).
         """
         if isinstance(statement, str):
             statement = parse_statement(statement)
         self.stats.add(statements=1)
         if isinstance(statement, ast.Select):
-            return self.executor.execute(statement, plans, relations)
+            return self.executor.execute(statement, plans, relations, parameters)
+        if parameters:
+            raise ExecutionError(
+                f"{type(statement).__name__} takes no parameters here; bind them first"
+            )
         if isinstance(statement, ast.CreateTable):
             with self._write_lock:
                 execute_create_table(self.catalog, statement)
@@ -157,7 +164,10 @@ class Database:
         return [self.execute(statement) for statement in parse_statements(sql)]
 
     def execute_stream(
-        self, statement: Union[str, ast.Select], plans: Optional[dict] = None
+        self,
+        statement: Union[str, ast.Select],
+        plans: Optional[dict] = None,
+        parameters: Sequence[Any] = (),
     ) -> RowStream:
         """Execute a SELECT as a lazily produced row stream.
 
@@ -169,17 +179,18 @@ class Database:
         if not isinstance(statement, ast.Select):
             raise ExecutionError("execute_stream() expects a SELECT statement")
         self.stats.add(statements=1)
-        return self.executor.execute_stream(statement, plans)
+        return self.executor.execute_stream(statement, plans, parameters)
 
     def query(
         self,
         sql: Union[str, ast.Select],
         plans: Optional[dict] = None,
         relations: Optional[dict[str, Sequence[tuple]]] = None,
+        parameters: Sequence[Any] = (),
     ) -> QueryResult:
         """Execute a SELECT and return its :class:`QueryResult` (arguments
         as for :meth:`execute`)."""
-        result = self.execute(sql, plans, relations)
+        result = self.execute(sql, plans, relations, parameters)
         if not isinstance(result, QueryResult):
             raise ExecutionError("query() expects a SELECT statement")
         return result

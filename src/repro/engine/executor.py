@@ -13,7 +13,8 @@ groups, and projects in bounded windows — without ``ORDER BY`` or
 ends the projection.  A plan holds nothing a run produces: each execution (or
 stream) has a :class:`RunState` where uncorrelated sub-plans keep their
 result, so that ``x IN (SELECT ...)`` style predicates cost one execution
-per run, not one per row, and where inline relations find their rows.
+per run, not one per row, and where inline relations find their rows and
+bind parameters their values.
 """
 
 from __future__ import annotations
@@ -30,11 +31,7 @@ from ..errors import ExecutionError, FunctionError
 from ..result import OperatorProfile, QueryResult, RowStream
 from ..sql import ast
 from ..sql.printer import to_sql
-from ..sql.transform import (
-    find_aggregate_calls,
-    referenced_table_names,
-    transform_expression,
-)
+from ..sql.transform import find_aggregate_calls, transform_expression
 from ..sql.types import sort_key
 from .expressions import Scope
 from .functions import BUILTIN_SCALARS, Function, aggregate_factory, is_count_star
@@ -72,17 +69,28 @@ class RunState:
     A prepared plan is shared by every execution of its statement, so it
     holds nothing a run produces.  The run's own state lives here for the
     run's duration: the results of uncorrelated sub-plans (``x IN (SELECT
-    ...)`` costs one sub-query execution per run, not one per row) and the
+    ...)`` costs one sub-query execution per run, not one per row), the
     rows each inline relation (:class:`~repro.sql.ast.RowsRef`, by alias) is
-    bound to.
+    bound to and the values of the statement's bind parameters (``?N`` and
+    ``$N`` read ``parameters[N - 1]``).  A plan prepared for the run is
+    prepared under it: its kernels take their shapes from the types of
+    these values, and ``estimated`` collects ``(table, version)`` for each
+    table whose row count a join-order choice read (see
+    :meth:`Executor._statement_plan`).
     """
 
-    __slots__ = ("rows", "value_sets", "relations")
+    __slots__ = ("rows", "value_sets", "relations", "parameters", "estimated")
 
-    def __init__(self, relations: Optional[dict[str, Sequence[tuple]]] = None) -> None:
+    def __init__(
+        self,
+        relations: Optional[dict[str, Sequence[tuple]]] = None,
+        parameters: Sequence[Any] = (),
+    ) -> None:
         self.rows: dict[PreparedSelect, list[tuple]] = {}
         self.value_sets: dict[PreparedSelect, ValueSet] = {}
         self.relations = relations or {}
+        self.parameters = tuple(parameters)
+        self.estimated: list[tuple[Any, int]] = []
 
 
 #: the run state of the execution in progress on this thread (``None``
@@ -220,6 +228,19 @@ class ExecutionContext:
         if rows is None:
             raise ExecutionError(f"inline relation {alias!r} is not bound to rows")
         return rows
+
+    def parameter_values(self) -> tuple:
+        """The bind values of the run in progress, or being prepared (``()``
+        outside one): a parameter's kernel reads its value here per call."""
+        run = _RUN.get()
+        return () if run is None else run.parameters
+
+    def note_estimates(self, reads: Sequence[tuple[Any, int]]) -> None:
+        """Record the ``(table, version)`` row counts a join-order choice of
+        the plan being prepared read: they stamp the statement's plan."""
+        run = _RUN.get()
+        if run is not None:
+            run.estimated.extend(reads)
 
     def run_function_body(self, function: Function, args: list[Any]) -> Any:
         prepared = self.executor.function_body_plan(function, len(args))
@@ -448,8 +469,9 @@ class PreparedSelect:
 
     # -- execution ----------------------------------------------------------------
 
-    def estimate(self) -> int:
-        return self._pipeline.estimate()
+    def estimate(self, reads: list) -> int:
+        """The pipeline's row estimate (see :meth:`JoinPipeline.estimate`)."""
+        return self._pipeline.estimate(reads)
 
     def run(self, outers: tuple = ()) -> list[tuple]:
         """The plan's rows for ``outers``; an uncorrelated plan runs once
@@ -485,17 +507,16 @@ class PreparedSelect:
             run.value_sets[self] = value_set
         return value_set
 
-    def stream(self, outers: tuple = ()):
+    def stream(self, run: RunState):
         """Yield the plan's rows as :meth:`run` computes them, a projected
         window at a time (see :meth:`_produce`): without ``ORDER BY`` or
         ``DISTINCT`` a consumer that stops early never projects the rest.
 
-        The stream owns one :class:`RunState`, current while a window is
+        The stream owns its :class:`RunState`, current while a window is
         pulled, so streams interleaved on one thread keep their sub-query
-        results apart.
+        results and parameter values apart.
         """
-        run = RunState()
-        chunks = self._produce(outers)
+        chunks = self._produce(())
         try:
             while True:
                 chunk = _within(run, next, chunks, None)
@@ -673,13 +694,12 @@ class Executor:
 
     :meth:`execute` and :meth:`execute_stream` take an optional ``plans``
     mapping, the memo space of whatever owns the statement (a compiled
-    artifact's ``attachments``, a cluster plan's): the statement's
-    :class:`PreparedSelect` is stored there under this executor and the
-    statement, and reused while a fresh prepare would build the same plan —
-    the same catalog generation (DDL calls :meth:`invalidate`), the same
-    statistics version and the same version of every table the statement
-    scans.  The plan dies with its owner; the executor keeps no table of
-    statements.
+    artifact's ``attachments``, a cluster plan's), and the run's bind
+    ``parameters``: the statement's :class:`PreparedSelect` is stored there
+    under this executor, the statement and the types of the values, and
+    reused while a fresh prepare would build the same plan (see
+    :meth:`_statement_plan`).  The plan dies with its owner; the executor
+    keeps no table of statements.
     """
 
     def __init__(self, database) -> None:
@@ -696,11 +716,14 @@ class Executor:
         select: ast.Select,
         plans: Optional[dict] = None,
         relations: Optional[dict[str, Sequence[tuple]]] = None,
+        parameters: Sequence[Any] = (),
     ) -> QueryResult:
         """Run a SELECT; ``relations`` bind inline relations (by alias) to
-        this run's rows (see :class:`RunState`)."""
-        prepared = self._statement_plan(select, plans)
-        rows = _within(RunState(relations), prepared.run, ())
+        this run's rows, ``parameters`` its ``?N`` / ``$N`` slots to values
+        (see :class:`RunState`)."""
+        run = RunState(relations, parameters)
+        prepared = self._statement_plan(select, plans, run)
+        rows = _within(run, prepared.run, ())
         return QueryResult(columns=prepared.output_columns, rows=rows)
 
     def write(self, apply: Callable[[ExecutionContext, Any], int], statement: Any) -> int:
@@ -709,7 +732,12 @@ class Executor:
         not once per row or per outer row of a correlated one."""
         return _within(RunState(), apply, self.context, statement)
 
-    def execute_stream(self, select: ast.Select, plans: Optional[dict] = None) -> RowStream:
+    def execute_stream(
+        self,
+        select: ast.Select,
+        plans: Optional[dict] = None,
+        parameters: Sequence[Any] = (),
+    ) -> RowStream:
         """Execute a SELECT as a lazily produced :class:`RowStream`.
 
         The plan runs as for :meth:`execute` (see
@@ -718,63 +746,66 @@ class Executor:
         ``ORDER BY`` or ``DISTINCT`` every row is projected before the first
         one is handed out.
         """
-        prepared = self._statement_plan(select, plans)
-        return RowStream(columns=prepared.output_columns, rows=prepared.stream(()))
+        run = RunState(parameters=parameters)
+        prepared = self._statement_plan(select, plans, run)
+        return RowStream(columns=prepared.output_columns, rows=prepared.stream(run))
 
     def prepare(self, select: ast.Select, parent_scope: Optional[Scope]) -> PreparedSelect:
         return PreparedSelect(self, select, parent_scope)
 
-    def _statement_plan(self, select: ast.Select, plans: Optional[dict]) -> PreparedSelect:
-        """The statement's plan: reused from ``plans`` while valid, else
-        prepared (and stored there when ``plans`` is given).
+    def _statement_plan(
+        self, select: ast.Select, plans: Optional[dict], run: RunState
+    ) -> PreparedSelect:
+        """The statement's plan for ``run``: reused from ``plans`` while
+        valid, else prepared under ``run`` (and stored there when ``plans``
+        is given).
 
-        An entry is ``(plan, tables, stamp)``; it holds the statement, so
-        the ids in its key cannot be reused while it exists.  The stamp is
-        taken before preparing: a write that lands meanwhile only makes the
-        next run prepare again.
+        Plans are keyed by the statement and the types of the run's
+        parameter values, which pick every kernel's shape; the values
+        themselves are read when a kernel runs.  An entry is ``(plan,
+        tables, stamp)`` and is valid while its stamp holds: the catalog
+        generation (DDL calls :meth:`invalidate`) and, only for a plan whose
+        join order was chosen on row counts, the statistics version and the
+        version of each table a count was read of.  Any other write leaves
+        the plan as a fresh prepare would build it — a scan reads its
+        table's current version when it runs.  Generation and statistics
+        are read before preparing, a table's version when its count is: a
+        write that lands meanwhile only makes the next run prepare again.
+        The entry holds the statement, so the ids in its key cannot be
+        reused while it exists.
         """
         if plans is None:
             self.database.stats.add(plans_prepared=1)
-            return self.prepare(select, None)
-        key = ("engine-plan", id(self), id(select))
+            return _within(run, self.prepare, select, None)
+        key = ("engine-plan", id(self), id(select), tuple(map(type, run.parameters)))
         entry = plans.get(key)
         if entry is not None:
             prepared, tables, stamp = entry
             if self._stamp(tables) == stamp:
                 return prepared
-        tables = self._scanned_tables(select)
-        stamp = self._stamp(tables)
-        prepared = self.prepare(select, None)
+        generation, statistics = self._generation, self.database.statistics().version
+        prepared = _within(run, self.prepare, select, None)
         self.database.stats.add(plans_prepared=1)
+        versions: dict = {}
+        for table, version in run.estimated:
+            versions.setdefault(table, version)  # the first count read
+        tables = tuple(versions)
+        stamp = (generation, statistics if tables else None, tuple(versions.values()))
         plans[key] = (prepared, tables, stamp)
         return prepared
 
     def _stamp(self, tables: tuple) -> tuple:
-        """What a fresh prepare of a statement scanning ``tables`` reads:
-        the catalog generation, the statistics version (refreshed first,
-        as preparing would) and each table's version."""
+        """What a fresh prepare of a plan whose join orders read the row
+        counts of ``tables`` reads: the catalog generation and, if there
+        are such tables, the statistics version (refreshed first, as
+        preparing would) and each table's version."""
+        if not tables:
+            return (self._generation, None, ())
         return (
             self._generation,
             self.database.statistics().version,
             tuple(table.data.version for table in tables),
         )
-
-    def _scanned_tables(self, select: ast.Select) -> tuple:
-        """The base tables ``select`` reads, through views and sub-queries."""
-        catalog = self.database.catalog
-        tables: dict[str, Any] = {}
-        seen: set[str] = set()
-        pending = [select]
-        while pending:
-            for name in referenced_table_names(pending.pop()):
-                if name in seen:
-                    continue
-                seen.add(name)
-                if catalog.has_view(name):
-                    pending.append(catalog.view(name))
-                elif catalog.has_table(name):
-                    tables[name] = catalog.table(name)
-        return tuple(tables.values())
 
     def function_body_plan(self, function: Function, arg_count: int) -> PreparedSelect:
         # lock-free fast path (dict reads are atomic under the GIL), locked
@@ -787,7 +818,11 @@ class Executor:
                     parameter_scope = Scope(
                         [(None, f"${position + 1}") for position in range(arg_count)]
                     )
-                    plan = self.prepare(function.body, parameter_scope)
+                    # under a run of its own: a ``$n`` beyond the body's
+                    # arguments reads no value of the calling statement
+                    plan = _within(
+                        RunState(), self.prepare, function.body, parameter_scope
+                    )
                     self._function_body_plans[function.name.lower()] = plan
         return plan
 

@@ -15,7 +15,10 @@ Join order is chosen greedily at prepare time.  Each relation's cardinality
 is scaled by the estimated selectivity of its pushed-down predicates using
 the database's collected statistics (:mod:`repro.compile.cost`): start from
 the smallest *filtered* relation and repeatedly attach the connected
-relation with the smallest filtered estimate.
+relation with the smallest filtered estimate.  Those row counts and
+statistics are all a prepared plan takes from the data: each choice reports
+the table versions it counted (``ExecutionContext.note_estimates``), and a
+FROM list of one item chooses nothing.
 
 Every predicate, join key and look-up value is a batch kernel
 (:mod:`repro.engine.vector`).  Joins are *late-materialized*: a join step
@@ -189,8 +192,9 @@ class SourcePlan:
         selection view alive up to the projection/aggregation stage."""
         raise NotImplementedError
 
-    def estimate(self) -> int:
-        """Unfiltered cardinality guess used for join ordering."""
+    def estimate(self, reads: list) -> int:
+        """Unfiltered cardinality guess used for join ordering; appends
+        ``(table, version)`` to ``reads`` for each base table it counts."""
         raise NotImplementedError
 
     def children(self) -> list["PreparedSelect"]:
@@ -224,11 +228,13 @@ class TableSource(SourcePlan):
         #: the point look-up that replaces the scan, if the filters fix the key
         self.key_lookup: Optional[KeyLookup] = None
 
-    def estimate(self) -> int:
+    def estimate(self, reads: list) -> int:
         """1 for a point look-up, else the table's row count."""
         if self.key_lookup is not None:
             return 1
-        return max(len(self.table.rows), 1)
+        data = self.table.data
+        reads.append((self.table, data.version))
+        return max(len(data.rows), 1)
 
     def batch(self, outers: tuple) -> RowBatch:
         """The filtered scan as a selection over one version's column caches
@@ -403,9 +409,9 @@ class PreparedSource(SourcePlan):
         """The nested plan."""
         return [self._prepared]
 
-    def estimate(self) -> int:
+    def estimate(self, reads: list) -> int:
         """The nested plan's estimate."""
-        return self._prepared.estimate()
+        return self._prepared.estimate(reads)
 
     def batch(self, outers: tuple) -> RowBatch:
         """The nested plan's (possibly cached) result, filtered."""
@@ -427,7 +433,7 @@ class RowsSource(SourcePlan):
         self._alias = item.alias
         self._context = context
 
-    def estimate(self) -> int:
+    def estimate(self, reads: list) -> int:
         """1: the rows are not known until a run binds them."""
         return 1
 
@@ -471,9 +477,9 @@ class JoinSource(SourcePlan):
         """Nested plans of both sides."""
         return self._left.children() + self._step.source.children()
 
-    def estimate(self) -> int:
+    def estimate(self, reads: list) -> int:
         """The larger side's estimate."""
-        return max(self._left.estimate(), self._step.source.estimate())
+        return max(self._left.estimate(reads), self._step.source.estimate(reads))
 
     def batch(self, outers: tuple) -> RowBatch:
         """Batch ON-clause join: key columns, one residual mask, index padding.
@@ -655,11 +661,11 @@ class JoinPipeline:
             collected.extend(step.source.children())
         return collected
 
-    def estimate(self) -> int:
+    def estimate(self, reads: list) -> int:
         """The largest source estimate along the pipeline."""
-        estimate = self._first.estimate()
+        estimate = self._first.estimate(reads)
         for step in self._steps:
-            estimate = max(estimate, step.source.estimate())
+            estimate = max(estimate, step.source.estimate(reads))
         return estimate
 
 
@@ -676,7 +682,7 @@ class EmptyPipeline:
         """No sources, no nested plans."""
         return []
 
-    def estimate(self) -> int:
+    def estimate(self, reads: list) -> int:
         """One row."""
         return 1
 
@@ -985,17 +991,22 @@ class Planner:
         selectivity of its pushed-down predicates (with table statistics
         where collected, the model's default leaf selectivities otherwise),
         so a big-but-filtered table can order before a small-but-unfiltered
-        one.
+        one.  The versions counted are reported to the plan's stamp; one
+        source has nothing to order, so nothing is counted.
         """
+        if len(sources) == 1:
+            return {id(sources[0]): 1.0}
         statistics = self._context.database.statistics()
         estimates: dict[int, float] = {}
+        reads: list = []
         for source in sources:
             table_stats = None
             if isinstance(source, TableSource):
                 table_stats = statistics.table(source.table.schema.name)
             predicate = ast.and_(*pushdown.get(source, []))
             selectivity = predicate_selectivity(predicate, table_stats)
-            estimates[id(source)] = max(float(source.estimate()) * selectivity, 1.0)
+            estimates[id(source)] = max(float(source.estimate(reads)) * selectivity, 1.0)
+        self._context.note_estimates(reads)
         return estimates
 
     def _choose_next(

@@ -36,7 +36,7 @@ table declares NOT NULL (``Scope.proven``), numeric comparison / arithmetic
 / BETWEEN / IN-list kernels are code-generated as tight loops over the
 ``array('q')`` / ``array('d')`` payloads of :mod:`repro.engine.columns` —
 no ``sql_compare`` coercion, no per-element type guard, no NULL test — and
-date-vs-literal comparisons reduce to integer day-ordinal comparisons.  A
+date-vs-constant comparisons reduce to integer day-ordinal comparisons.  A
 column that may hold NULL (any column on the null-padded side of a LEFT
 JOIN included) compiles straight to the generic kernel.  Every specialized
 kernel keeps its generic twin and falls back *per batch* whenever a
@@ -45,20 +45,37 @@ column holding a value of another type), so semantics never depend on the
 data.  Filter compaction is selection-index based: :meth:`RowBatch.filter`
 produces an index view over the shared payload instead of rebuilding
 row-tuple lists between conjuncts.
+
+A constant operand — a literal, or a bind parameter whose value each run
+supplies — shapes its kernel by its type when the plan is prepared and is
+read once per call (:mod:`repro.engine.constants`), so one plan serves
+every value of a statement's parameter types.
 """
 
 from __future__ import annotations
 
-import operator
 from functools import lru_cache
-from itertools import chain
+from itertools import chain, compress
 from typing import Any, Callable, Optional, Sequence
 
 from ..errors import ExecutionError
 from ..sql import ast
+from ..sql.dialect import DEFAULT_DIALECT
+from ..sql.params import short_vector_error
 from ..sql.types import Date, date_days, date_from_string, sql_compare, sql_equal
 from .columns import NUMERIC_KINDS, TypedColumn
-from .expressions import Scope, _date_arithmetic, _like_regex
+from .constants import (
+    ORDERING_TESTS,
+    Constant,
+    arith_const_kernel,
+    arith_kernel,
+    compare_const_kernel,
+    equal_const_kernel,
+    fixed,
+    fold_literal,
+    is_plain_number,
+)
+from .expressions import Scope, _like_regex
 from .functions import _fn_mod as _modulo  # ``a % b`` is ``MOD(a, b)``
 
 #: a compiled batch kernel: one call evaluates a node over a whole batch
@@ -169,18 +186,17 @@ class RowBatch:
         return source(index) if source is not None else None
 
     def filter(self, mask: Sequence[Any]) -> "RowBatch":
-        """A batch keeping exactly the rows whose mask entry ``is True``
-        (SQL predicates: NULL and False both drop the row).
+        """A batch keeping exactly the rows whose mask entry is True (SQL
+        predicates: NULL and False both drop the row).  A mask is a
+        predicate kernel's column, which holds only True, False and None
+        (see :meth:`BatchExpressionCompiler.compile_predicate`).
 
         Compaction is selection-index based: the result is a view over the
         shared payload, and the incoming batch is returned unchanged (cached
         columns intact) when the mask keeps every row.
         """
         sel = self._sel
-        if sel is None:
-            kept = [i for i, keep in enumerate(mask) if keep is True]
-        else:
-            kept = [sel[i] for i, keep in enumerate(mask) if keep is True]
+        kept = list(compress(range(self.n) if sel is None else sel, mask))
         if len(kept) == self.n:
             return self
         return RowBatch._selection(self, kept)
@@ -286,8 +302,8 @@ class JoinedBatch(RowBatch):
         return col
 
     def filter(self, mask: Sequence[Any]) -> "RowBatch":
-        """The rows whose mask entry ``is True`` (``self`` when all are)."""
-        kept = [i for i, keep in enumerate(mask) if keep is True]
+        """The rows whose mask entry is True (``self`` when all are)."""
+        kept = list(compress(range(self.n), mask))
         return self if len(kept) == self.n else self.select(kept)
 
     def select(self, indices: Sequence[int]) -> "RowBatch":
@@ -336,21 +352,6 @@ def key_column(fns: Sequence[BatchKernel], batch: RowBatch, outers: tuple) -> Se
 # kernel compiler
 # ---------------------------------------------------------------------------
 
-_PY_OPS = {
-    "<": operator.lt,
-    "<=": operator.le,
-    ">": operator.gt,
-    ">=": operator.ge,
-}
-
-_ORDERING_TESTS = {
-    "<": lambda ordering: ordering < 0,
-    "<=": lambda ordering: ordering <= 0,
-    ">": lambda ordering: ordering > 0,
-    ">=": lambda ordering: ordering >= 0,
-}
-
-
 class BatchExpressionCompiler:
     """Compiles AST expressions against a scope into batch kernels.
 
@@ -382,8 +383,18 @@ class BatchExpressionCompiler:
         return method(expr)
 
     def compile_predicate(self, expr: ast.Expression) -> BatchKernel:
-        """Compile a predicate; callers keep rows whose mask entry is True."""
-        return self.compile(expr)
+        """Compile a predicate into a mask kernel: its column holds only
+        True, False and None, and callers keep the rows whose entry is True.
+
+        The comparison, logic and membership kernels yield nothing else; any
+        other expression (a column, a UDF call, a ``CASE``, a parameter) is
+        a predicate as far as its value ``is True``, so its column is mapped
+        to that here, the one place a value becomes a mask.
+        """
+        kernel = self.compile(expr)
+        if _is_boolean(expr):
+            return kernel
+        return lambda batch, outers: [value is True for value in kernel(batch, outers)]
 
     # -- leaves -------------------------------------------------------------
 
@@ -391,10 +402,17 @@ class BatchExpressionCompiler:
         value = expr.value
         return lambda batch, outers: [value] * batch.n
 
+    def _constant_kernel(self, const: Constant) -> BatchKernel:
+        read = const.read
+        return lambda batch, outers: [read()] * batch.n
+
     def _compile_column(self, expr: ast.Column) -> BatchKernel:
         resolved = self.scope.resolve(expr.name, expr.table)
         if resolved is None:
-            raise ExecutionError(f"unknown column {expr.qualified!r}")
+            const = self._dollar_parameter(expr)
+            if const is None:
+                raise ExecutionError(f"unknown column {expr.qualified!r}")
+            return self._constant_kernel(const)
         depth, index = resolved
         if depth == 0:
             return lambda batch, outers: batch.column(index)
@@ -405,11 +423,46 @@ class BatchExpressionCompiler:
         raise ExecutionError("'*' is only valid in SELECT lists and COUNT(*)")
 
     def _compile_parameter(self, expr: ast.Parameter) -> BatchKernel:
-        name = f":{expr.name}" if expr.name else f"?{expr.index}"
-        raise ExecutionError(
-            f"statement has an unbound parameter {name}; supply values via "
-            f"execute(..., parameters=...) or the repro.api cursor"
-        )
+        return self._constant_kernel(self._constant(expr))
+
+    # -- run constants: literals and bind parameters -------------------------
+
+    def _constant(self, expr: ast.Expression) -> Optional[Constant]:
+        """``expr`` as a :class:`Constant` — a literal-only subtree (folded,
+        see :func:`fold_literal`) or a bind parameter — else ``None``."""
+        folded = fold_literal(expr)
+        if folded is not None:
+            return fixed(folded.value)
+        if isinstance(expr, ast.Parameter):
+            name = f":{expr.name}" if expr.name else f"?{expr.index}"
+            return self._parameter(expr.index, name, dollar=False)
+        if isinstance(expr, ast.Column):
+            return self._dollar_parameter(expr)
+        return None
+
+    def _dollar_parameter(self, expr: ast.Column) -> Optional[Constant]:
+        """A ``$n`` reference no scope resolves (a UDF body's arguments do)
+        as bind parameter ``n``, else ``None``."""
+        if expr.table is not None or not expr.name.startswith("$"):
+            return None
+        index = DEFAULT_DIALECT.parameter_index(expr.name)
+        if index is None or self.scope.resolve(expr.name, None) is not None:
+            return None
+        return self._parameter(index, expr.name, dollar=True)
+
+    def _parameter(self, index: int, name: str, dollar: bool) -> Constant:
+        """Bind parameter ``index`` (1-based) of the run being prepared: its
+        value now picks the kernel, the run in progress supplies it later."""
+        values = self.context.parameter_values()
+        if not values:
+            raise ExecutionError(
+                f"statement has an unbound parameter {name}; supply values via "
+                f"execute(..., parameters=...) or the repro.api cursor"
+            )
+        if not 1 <= index <= len(values):
+            raise short_vector_error(index, len(values), dollar)
+        current, position = self.context.parameter_values, index - 1
+        return Constant(values[position], lambda: current()[position])
 
     # -- operators ----------------------------------------------------------
 
@@ -447,10 +500,10 @@ class BatchExpressionCompiler:
         return generic if typed is None else typed
 
     def _generic_equality(self, expr: ast.BinaryOp, negated: bool) -> BatchKernel:
-        const_side, value_side = _constant_operand(expr)
-        if const_side is not None:
-            value_k = self.compile(value_side)
-            return _equal_const_kernel(value_k, const_side.value, negated)
+        for const_side, value_side in ((expr.right, expr.left), (expr.left, expr.right)):
+            const = self._constant(const_side)
+            if const is not None and const.value is not None:
+                return equal_const_kernel(self.compile(value_side), const, negated)
         left, right = self.compile(expr.left), self.compile(expr.right)
 
         def kernel(batch: RowBatch, outers: tuple) -> list:
@@ -472,18 +525,16 @@ class BatchExpressionCompiler:
         return generic if typed is None else typed
 
     def _generic_comparison(self, expr: ast.BinaryOp, op: str) -> BatchKernel:
-        right_lit = _fold_literal(expr.right)
-        if right_lit is not None and right_lit.value is not None:
-            value_k = self.compile(expr.left)
-            return _compare_const_kernel(value_k, right_lit.value, op)
-        left_lit = _fold_literal(expr.left)
-        if left_lit is not None and left_lit.value is not None:
+        right = self._constant(expr.right)
+        if right is not None and right.value is not None:
+            return compare_const_kernel(self.compile(expr.left), right, op)
+        left = self._constant(expr.left)
+        if left is not None and left.value is not None:
             # const OP col  ==  col FLIPPED_OP const
             flipped = {"<": ">", "<=": ">=", ">": "<", ">=": "<="}[op]
-            value_k = self.compile(expr.right)
-            return _compare_const_kernel(value_k, left_lit.value, flipped)
+            return compare_const_kernel(self.compile(expr.right), left, flipped)
         left, right = self.compile(expr.left), self.compile(expr.right)
-        test = _ORDERING_TESTS[op]
+        test = ORDERING_TESTS[op]
 
         def kernel(batch: RowBatch, outers: tuple) -> list:
             out = []
@@ -508,19 +559,17 @@ class BatchExpressionCompiler:
         return self._typed_numeric_kernel(plan, generic)
 
     def _generic_arithmetic(self, expr: ast.BinaryOp, op: str) -> BatchKernel:
-        folded = _fold_literal(expr)
+        folded = fold_literal(expr)
         if folded is not None:
             return self._compile_literal(folded)
-        right_lit = _fold_literal(expr.right)
-        if right_lit is not None and right_lit.value is not None:
-            value_k = self.compile(expr.left)
-            return _arith_const_kernel(value_k, right_lit.value, op, const_right=True)
-        left_lit = _fold_literal(expr.left)
-        if left_lit is not None and left_lit.value is not None:
-            value_k = self.compile(expr.right)
-            return _arith_const_kernel(value_k, left_lit.value, op, const_right=False)
+        right = self._constant(expr.right)
+        if right is not None and right.value is not None:
+            return arith_const_kernel(self.compile(expr.left), right, op, const_right=True)
+        left = self._constant(expr.left)
+        if left is not None and left.value is not None:
+            return arith_const_kernel(self.compile(expr.right), left, op, const_right=False)
         left, right = self.compile(expr.left), self.compile(expr.right)
-        return _arith_kernel(left, right, op)
+        return arith_kernel(left, right, op)
 
     def _compile_unaryop(self, expr: ast.UnaryOp) -> BatchKernel:
         operand = self.compile(expr.operand)
@@ -662,15 +711,20 @@ class BatchExpressionCompiler:
 
     def _generic_between(self, expr: ast.Between) -> BatchKernel:
         value_k = self.compile(expr.expr)
-        low_lit = _fold_literal(expr.low)
-        high_lit = _fold_literal(expr.high)
-        low_k = self.compile(low_lit if low_lit is not None else expr.low)
-        high_k = self.compile(high_lit if high_lit is not None else expr.high)
+        low, high = self._constant(expr.low), self._constant(expr.high)
+        low_k = self.compile(expr.low) if low is None else self._constant_kernel(low)
+        high_k = self.compile(expr.high) if high is None else self._constant_kernel(high)
         negated = expr.negated
-        low_const = low_lit.value if low_lit is not None else None
-        high_const = high_lit.value if high_lit is not None else None
-        if _is_plain_number(low_const) and _is_plain_number(high_const):
+        if (
+            low is not None
+            and high is not None
+            and is_plain_number(low.value)
+            and is_plain_number(high.value)
+        ):
+            read_low, read_high = low.read, high.read
+
             def fast(batch: RowBatch, outers: tuple) -> list:
+                low_const, high_const = read_low(), read_high()
                 out = []
                 append = out.append
                 for value in value_k(batch, outers):
@@ -921,9 +975,9 @@ class BatchExpressionCompiler:
         the generic kernel's runtime ``ExecutionError``).  Anything not
         provably numeric raises :class:`_TypedUnsupported`.
         """
-        folded = _fold_literal(expr)
+        folded = fold_literal(expr)
         if folded is not None:
-            if not _is_plain_number(folded.value):
+            if not is_plain_number(folded.value):
                 raise _TypedUnsupported
             text = repr(folded.value)
             return text, text
@@ -943,10 +997,10 @@ class BatchExpressionCompiler:
                 right_d, right_s = self._typed_render(expr.right, slot_vars)
                 return f"({left_d} {op} {right_d})", f"({left_s} {op} {right_s})"
             if op == "/":
-                divisor = _fold_literal(expr.right)
+                divisor = fold_literal(expr.right)
                 if (
                     divisor is None
-                    or not _is_plain_number(divisor.value)
+                    or not is_plain_number(divisor.value)
                     or divisor.value == 0
                 ):
                     raise _TypedUnsupported
@@ -960,38 +1014,43 @@ class BatchExpressionCompiler:
         dense_body: str,
         selected_body: str,
         slot_vars: dict[int, int],
-        names: Optional[dict[str, Any]] = None,
+        names: Optional[dict[str, Constant]] = None,
     ) -> tuple:
         """``exec`` the loop variants of one rendered expression.
 
-        Returns ``(slots, dense, selected)``: the storage slots feeding the
-        expression in payload-argument order, and its loops over full
-        payloads and over the payload positions of a selection.  ``names``
-        are the constants the bodies refer to by name.
+        Returns ``(slots, dense, selected, reads)``: the storage slots
+        feeding the expression in payload-argument order, its loops over
+        full payloads and over the payload positions of a selection, and
+        the readers of ``names`` — the constants the bodies refer to by
+        name, which the loops take as trailing arguments, read per call.
         """
+        names = names or {}
         slots = [0] * len(slot_vars)
         for slot, var in slot_vars.items():
             slots[var] = slot
         count = len(slots)
         args = ", ".join(f"c{k}" for k in range(count))
+        consts = "".join(f", {name}" for name in names)
         if count == 1:
-            dense_src = f"def dense(c0):\n    return [{dense_body} for v0 in c0]\n"
+            dense_src = f"def dense(c0{consts}):\n    return [{dense_body} for v0 in c0]\n"
         else:
             unpack = ", ".join(f"v{k}" for k in range(count))
             dense_src = (
-                f"def dense({args}):\n"
+                f"def dense({args}{consts}):\n"
                 f"    return [{dense_body} for {unpack} in zip({args})]\n"
             )
         selected_src = (
-            f"def selected({args}, sel):\n    return [{selected_body} for i in sel]\n"
+            f"def selected({args}, sel{consts}):\n"
+            f"    return [{selected_body} for i in sel]\n"
         )
         namespace: dict[str, Any] = {}
         exec(  # noqa: S102 - source assembled from vetted fragments only
             _kernel_code(dense_src + selected_src),
-            {"__builtins__": {}, "zip": zip, **(names or {})},
+            {"__builtins__": {}, "zip": zip},
             namespace,
         )
-        return slots, namespace["dense"], namespace["selected"]
+        reads = tuple(const.read for const in names.values())
+        return slots, namespace["dense"], namespace["selected"], reads
 
     def _typed_numeric_kernel(
         self, plan: tuple, generic: BatchKernel, accepts: str = "numeric"
@@ -1003,13 +1062,13 @@ class BatchExpressionCompiler:
         column-vs-column comparison) also takes DATE columns stored as dates
         — day ordinals order and equal exactly like the dates, while a DATE
         column holding ISO strings stays generic, where two strings compare
-        as text; ``"date"`` (a DATE column against literal day ordinals)
+        as text; ``"date"`` (a DATE column against constant day ordinals)
         takes any date payload.
 
         Every referenced slot is declared NOT NULL (:meth:`_depth0_slot`),
         so a typed dispatch counts as *proven* and a fallback as *generic*.
         """
-        slots, dense, selected = plan
+        slots, dense, selected, reads = plan
         counters = self._kernels
 
         def typed_columns(batch: RowBatch) -> Optional[list[TypedColumn]]:
@@ -1034,15 +1093,16 @@ class BatchExpressionCompiler:
                 return generic(batch, outers)
             counters.proven += 1
             payloads = [typed.values for typed in columns]
+            consts = [read() for read in reads]
             sel = batch.sel
             if sel is None:
-                return dense(*payloads)
-            return selected(*payloads, sel)
+                return dense(*payloads, *consts)
+            return selected(*payloads, sel, *consts)
 
         return kernel
 
     def _typed_slot_kernel(
-        self, slot: int, body: str, generic: BatchKernel, accepts: str, **names: Any
+        self, slot: int, body: str, generic: BatchKernel, accepts: str, **names: Constant
     ) -> BatchKernel:
         """Typed kernel of a one-column ``body`` (``{v}`` is the element)."""
         plan = self._typed_plan(
@@ -1058,18 +1118,19 @@ class BatchExpressionCompiler:
         generic: BatchKernel,
     ) -> Optional[BatchKernel]:
         """Typed kernel for ``left OP right``: codegen over numeric payloads
-        (or two DATE columns' day ordinals), else ``date_column OP literal``.
+        (or two DATE columns' day ordinals), else ``date_column OP constant``.
 
-        A side that is a literal is passed by name, not rendered: ``id = 7``
-        and ``id = 8`` are one source text, so one cached code object."""
+        A side that is a constant is passed by name, not rendered: ``id = 7``
+        and ``id = 8`` are one source text, so one cached code object, and
+        ``id = ?`` reads its value per call."""
         slot_vars: dict[int, int] = {}
-        names: dict[str, Any] = {}
+        names: dict[str, Constant] = {}
 
         def side(expr: ast.Expression, name: str) -> tuple[str, str]:
-            const = _fold_literal(expr)
-            if const is None or not _is_plain_number(const.value):
+            const = self._constant(expr)
+            if const is None or not is_plain_number(const.value):
                 return self._typed_render(expr, slot_vars)
-            names[name] = const.value
+            names[name] = const
             return name, name
 
         try:
@@ -1097,18 +1158,19 @@ class BatchExpressionCompiler:
         op_src: str,
         generic: BatchKernel,
     ) -> Optional[BatchKernel]:
-        """``date_column OP DATE-literal`` (either way round) reduced to a
+        """``date_column OP DATE-constant`` (either way round) reduced to a
         day-ordinal compare: dates order by their
         :func:`~repro.sql.types.date_days` ordinal."""
-        for column, literal, body in (
+        for column, other, body in (
             (left, right, "({{v}} {op} days)"),
             (right, left, "(days {op} {{v}})"),
         ):
-            slot, const = self._depth0_slot(column), _fold_literal(literal)
-            if slot is not None and const is not None and type(const.value) is Date:
+            slot = self._depth0_slot(column)
+            const = None if slot is None else self._constant(other)
+            if const is not None and type(const.value) is Date:
                 body = body.format(op=op_src)
                 return self._typed_slot_kernel(
-                    slot, body, generic, "date", days=date_days(const.value)
+                    slot, body, generic, "date", days=const.derive(date_days)
                 )
         return None
 
@@ -1116,12 +1178,11 @@ class BatchExpressionCompiler:
         self, expr: ast.Between, generic: BatchKernel
     ) -> Optional[BatchKernel]:
         """Typed ``x BETWEEN low AND high`` for numeric or date shapes."""
-        low = _fold_literal(expr.low)
-        high = _fold_literal(expr.high)
+        low, high = self._constant(expr.low), self._constant(expr.high)
         if low is None or high is None:
             return None
         negation = "not " if expr.negated else ""
-        if _is_plain_number(low.value) and _is_plain_number(high.value):
+        if is_plain_number(low.value) and is_plain_number(high.value):
             slot_vars: dict[int, int] = {}
             try:
                 dense, selected = self._typed_render(expr.expr, slot_vars)
@@ -1133,7 +1194,7 @@ class BatchExpressionCompiler:
                 f"({negation}(low <= {dense} <= high))",
                 f"({negation}(low <= {selected} <= high))",
                 slot_vars,
-                {"low": low.value, "high": high.value},
+                {"low": low, "high": high},
             )
             return self._typed_numeric_kernel(plan, generic)
         if type(low.value) is Date and type(high.value) is Date:
@@ -1145,8 +1206,8 @@ class BatchExpressionCompiler:
                 f"({negation}(low <= {{v}} <= high))",
                 generic,
                 "date",
-                low=date_days(low.value),
-                high=date_days(high.value),
+                low=low.derive(date_days),
+                high=high.derive(date_days),
             )
         return None
 
@@ -1164,7 +1225,9 @@ class BatchExpressionCompiler:
             body = f"({not negated} if {{v}} in members else None)"
         else:
             body = "({v} not in members)" if negated else "({v} in members)"
-        return self._typed_slot_kernel(slot, body, generic, "numeric", members=members)
+        return self._typed_slot_kernel(
+            slot, body, generic, "numeric", members=fixed(members)
+        )
 
 
 @lru_cache(maxsize=256)
@@ -1184,53 +1247,19 @@ class _TypedUnsupported(Exception):
 # ---------------------------------------------------------------------------
 
 
-def _fold_literal(expr: ast.Expression) -> Optional[ast.Literal]:
-    """Fold a literal-only arithmetic subtree into one literal, else None.
-
-    Rewrites routinely leave constant subtrees like ``DATE '1994-01-01' +
-    INTERVAL '1' year`` or ``.06 - 0.01`` in predicates; recomputing them per
-    row gives an identical result, so folding once at compile time is
-    observationally equivalent — except for *when* errors surface.  A
-    constant whose evaluation raises (e.g. a literal division by zero)
-    therefore refuses to fold and stays a runtime kernel, raising only when
-    a row reaches it.
-    """
-    if isinstance(expr, ast.Literal):
-        return expr
-    if isinstance(expr, ast.UnaryOp) and expr.op == "-":
-        inner = _fold_literal(expr.operand)
-        if inner is None or inner.value is None:
-            return None
-        try:
-            return ast.Literal(value=-inner.value)
-        except Exception:
-            return None
-    if isinstance(expr, ast.BinaryOp) and expr.op in ("+", "-", "*", "/"):
-        left, right = _fold_literal(expr.left), _fold_literal(expr.right)
-        if left is None or right is None:
-            return None
-        try:
-            return ast.Literal(value=_arith_value(left.value, right.value, expr.op))
-        except Exception:
-            return None
-    return None
+#: operators whose kernels yield only True / False / None
+_BOOLEAN_OPS = frozenset(("AND", "OR", "=", "<>", "<", "<=", ">", ">="))
+_BOOLEAN_NODES = (ast.IsNull, ast.Like, ast.InList, ast.Between, ast.InSubquery, ast.Exists)
 
 
-def _constant_operand(
-    expr: ast.BinaryOp,
-) -> tuple[Optional[ast.Literal], Optional[ast.Expression]]:
-    """``(literal, other)`` when one operand folds to a non-NULL constant."""
-    right = _fold_literal(expr.right)
-    if right is not None and right.value is not None:
-        return right, expr.left
-    left = _fold_literal(expr.left)
-    if left is not None and left.value is not None:
-        return left, expr.right
-    return None, None
-
-
-def _is_plain_number(value: Any) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+def _is_boolean(expr: ast.Expression) -> bool:
+    """Whether ``expr``'s kernel is a mask as it stands (see
+    :meth:`BatchExpressionCompiler.compile_predicate`)."""
+    if isinstance(expr, ast.BinaryOp):
+        return expr.op.upper() in _BOOLEAN_OPS
+    if isinstance(expr, ast.UnaryOp):
+        return expr.op.upper() == "NOT"
+    return isinstance(expr, _BOOLEAN_NODES)
 
 
 def _value_family(values: list) -> Optional[tuple]:
@@ -1242,7 +1271,7 @@ def _value_family(values: list) -> Optional[tuple]:
     """
     if not values:
         return None
-    if all(_is_plain_number(value) for value in values):
+    if all(is_plain_number(value) for value in values):
         return (int, float)
     if all(type(value) is str for value in values):
         return (str,)
@@ -1305,140 +1334,3 @@ def _logic_kernel(left: BatchKernel, right: BatchKernel, op: str) -> BatchKernel
         return out
 
     return kernel
-
-
-def _compare_const_kernel(value_k: BatchKernel, const: Any, op: str) -> BatchKernel:
-    """``column OP constant`` with a monomorphic fast path.
-
-    When an element's concrete type matches the constant's family the Python
-    operator applies directly (numbers, dates, strings order exactly like
-    :func:`sql_compare`); any other element falls back to the shared
-    coercion helper so mixed columns keep identical semantics and errors.
-    """
-    py_op = _PY_OPS[op]
-    test = _ORDERING_TESTS[op]
-    if _is_plain_number(const):
-        fast_types = (int, float)
-    elif type(const) is Date:
-        fast_types = (Date,)
-    elif type(const) is str:
-        fast_types = (str,)
-    else:
-        fast_types = ()
-
-    def kernel(batch: RowBatch, outers: tuple) -> list:
-        out = []
-        append = out.append
-        for value in value_k(batch, outers):
-            if value is None:
-                append(None)
-            elif type(value) in fast_types:
-                append(py_op(value, const))
-            else:
-                ordering = sql_compare(value, const)
-                append(None if ordering is None else test(ordering))
-        return out
-
-    return kernel
-
-
-def _equal_const_kernel(value_k: BatchKernel, const: Any, negated: bool) -> BatchKernel:
-    """``column = constant`` / ``column <> constant`` with a fast path."""
-    if _is_plain_number(const):
-        fast_types = (int, float)
-    elif type(const) is Date:
-        fast_types = (Date,)
-    elif type(const) is str:
-        fast_types = (str,)
-    else:
-        fast_types = ()
-
-    def kernel(batch: RowBatch, outers: tuple) -> list:
-        out = []
-        append = out.append
-        for value in value_k(batch, outers):
-            if value is None:
-                append(None)
-            elif type(value) in fast_types:
-                equal = value == const
-                append(not equal if negated else equal)
-            else:
-                equal = sql_equal(value, const)
-                if equal is None:
-                    append(None)
-                else:
-                    append(not equal if negated else equal)
-        return out
-
-    return kernel
-
-
-def _arith_kernel(left: BatchKernel, right: BatchKernel, op: str) -> BatchKernel:
-    """Column-vs-column ``+ - * /`` with NULL propagation and date math."""
-    def kernel(batch: RowBatch, outers: tuple) -> list:
-        out = []
-        append = out.append
-        for a, b in zip(left(batch, outers), right(batch, outers)):
-            append(_arith_value(a, b, op))
-        return out
-
-    return kernel
-
-
-def _arith_const_kernel(
-    value_k: BatchKernel, const: Any, op: str, const_right: bool
-) -> BatchKernel:
-    """``column OP constant`` (or flipped) arithmetic with a numeric fast path."""
-    numeric_const = _is_plain_number(const)
-    if const_right:
-        if numeric_const and op == "+":
-            fast = lambda a: a + const  # noqa: E731
-        elif numeric_const and op == "-":
-            fast = lambda a: a - const  # noqa: E731
-        elif numeric_const and op == "*":
-            fast = lambda a: a * const  # noqa: E731
-        elif numeric_const and op == "/" and const != 0:
-            fast = lambda a: a / const  # noqa: E731
-        else:
-            fast = None
-    elif numeric_const and op == "+":
-        fast = lambda b: const + b  # noqa: E731
-    elif numeric_const and op == "-":
-        fast = lambda b: const - b  # noqa: E731
-    elif numeric_const and op == "*":
-        fast = lambda b: const * b  # noqa: E731
-    else:
-        fast = None
-
-    def kernel(batch: RowBatch, outers: tuple) -> list:
-        out = []
-        append = out.append
-        for value in value_k(batch, outers):
-            if value is None:
-                append(None)
-            elif fast is not None and (type(value) is float or type(value) is int):
-                append(fast(value))
-            elif const_right:
-                append(_arith_value(value, const, op))
-            else:
-                append(_arith_value(const, value, op))
-        return out
-
-    return kernel
-
-
-def _arith_value(a: Any, b: Any, op: str) -> Any:
-    """One arithmetic evaluation: NULL-strict, date math, checked division."""
-    if a is None or b is None:
-        return None
-    if isinstance(a, Date) or isinstance(b, Date):
-        return _date_arithmetic(a, b, op)
-    if op == "+":
-        return a + b
-    if op == "-":
-        return a - b
-    if op == "*":
-        return a * b
-    if b == 0:
-        raise ExecutionError("division by zero")
-    return a / b

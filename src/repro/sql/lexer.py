@@ -16,6 +16,7 @@ from ..errors import LexerError
 
 class TokenType(Enum):
     IDENT = "IDENT"
+    QUOTED_IDENT = "QUOTED_IDENT"  # "name": an identifier, never a keyword
     NUMBER = "NUMBER"
     STRING = "STRING"
     PARAM = "PARAM"  # $1, $2 ... inside SQL function bodies
@@ -164,7 +165,8 @@ def _lex_string(text: str, index: int) -> tuple[Token, int]:
 
 
 def _lex_quoted_identifier(text: str, index: int) -> tuple[Token, int]:
-    """Lex a double-quoted identifier (also used for SET SCOPE = "...")."""
+    """Lex a double-quoted identifier (the parser also takes one as the
+    scope text of ``SET SCOPE = "..."``)."""
     start = index
     index += 1
     chunks: list[str] = []
@@ -175,7 +177,7 @@ def _lex_quoted_identifier(text: str, index: int) -> tuple[Token, int]:
                 chunks.append('"')
                 index += 2
                 continue
-            return Token(TokenType.STRING, "".join(chunks), start), index + 1
+            return Token(TokenType.QUOTED_IDENT, "".join(chunks), start), index + 1
         chunks.append(char)
         index += 1
     raise LexerError("unterminated quoted identifier", start)

@@ -12,14 +12,17 @@ module is the one place the rest of the system reasons about them:
   sequence or a ``{name: value}`` mapping) into the positional tuple every
   backend consumes,
 * :func:`bind_parameters` substitutes resolved values as literals into a new
-  statement tree — the binding strategy for backends without native
-  placeholder support (the in-memory engine, and the cluster's merge
-  queries); the SQLite backend instead renders ``?NNN`` text and binds
-  natively.
+  statement tree — the binding strategy for DML, whose multi-tenant rewrite
+  and shard routing read concrete values.  A SELECT keeps its parameters:
+  the in-memory engine (and the cluster's merge queries) reads each value
+  per run from a plan prepared once per value types (see
+  :class:`repro.engine.executor.RunState`), and the SQLite backend renders
+  ``?NNN`` text and binds natively.
 
 All validation failures raise :class:`~repro.errors.ParameterError`, except
 a short value vector for the engine's ``$n`` references, which stays the
-:class:`~repro.errors.BackendError` it was when the engine backend bound them.
+:class:`~repro.errors.BackendError` it was when the engine backend bound them
+(:func:`short_vector_error` is that rule, for the binder and the engine).
 """
 
 from __future__ import annotations
@@ -124,6 +127,20 @@ def resolve_parameters(
     return values
 
 
+def short_vector_error(index: int, supplied: int, dollar: bool = False) -> Exception:
+    """The error of a statement referencing slot ``index`` (``$index`` when
+    ``dollar``) with only ``supplied`` values."""
+    if dollar:
+        return BackendError(
+            f"statement references ${index} but only {supplied} parameter(s) "
+            f"were supplied"
+        )
+    return ParameterError(
+        f"statement references parameter {index} but only {supplied} value(s) "
+        f"were supplied"
+    )
+
+
 def bind_parameters(
     statement: ast.Statement, values: Sequence[Any]
 ) -> ast.Statement:
@@ -141,19 +158,13 @@ def bind_parameters(
     def replacer(node: ast.Expression) -> Optional[ast.Expression]:
         if isinstance(node, ast.Parameter):
             if not 1 <= node.index <= len(values):
-                raise ParameterError(
-                    f"statement references parameter {node.index} but only "
-                    f"{len(values)} value(s) were supplied"
-                )
+                raise short_vector_error(node.index, len(values))
             return ast.Literal(values[node.index - 1])
         if isinstance(node, ast.Column) and node.table is None:
             index = DEFAULT_DIALECT.parameter_index(node.name)
             if index is not None:
                 if not 1 <= index <= len(values):
-                    raise BackendError(
-                        f"statement references ${index} but only "
-                        f"{len(values)} parameter(s) were supplied"
-                    )
+                    raise short_vector_error(index, len(values), dollar=True)
                 return ast.Literal(values[index - 1])
         return None
 

@@ -17,6 +17,9 @@ from . import ast
 from .lexer import Token, TokenType, tokenize
 from .types import Interval, IntervalUnit, date_from_string
 
+#: the tokens that spell a name: a word, or a double-quoted identifier
+_NAMES = (TokenType.IDENT, TokenType.QUOTED_IDENT)
+
 # Words that terminate a table reference / cannot be used as an implicit alias.
 _RESERVED = {
     "SELECT",
@@ -203,7 +206,7 @@ class Parser:
 
     def expect_identifier(self) -> str:
         token = self._peek()
-        if token.type is TokenType.IDENT:
+        if token.type in _NAMES:
             self._advance()
             return token.text
         raise ParseError(f"expected identifier, got {token.text!r}", token.position)
@@ -310,7 +313,7 @@ class Parser:
         alias = None
         if self.accept_keyword("AS"):
             alias = self.expect_identifier()
-        elif self._peek().type is TokenType.IDENT and self._peek().upper not in _RESERVED:
+        elif self._at_alias():
             alias = self.expect_identifier()
         return ast.SelectItem(expr=expr, alias=alias)
 
@@ -363,12 +366,17 @@ class Parser:
         return ast.TableRef(name=name, alias=alias)
 
     def _parse_optional_alias(self) -> Optional[str]:
-        if self.accept_keyword("AS"):
-            return self.expect_identifier()
-        token = self._peek()
-        if token.type is TokenType.IDENT and token.upper not in _RESERVED:
+        if self.accept_keyword("AS") or self._at_alias():
             return self.expect_identifier()
         return None
+
+    def _at_alias(self) -> bool:
+        """Whether the next token names an alias: a quoted identifier, or an
+        unquoted one that is no reserved word."""
+        token = self._peek()
+        if token.type is TokenType.QUOTED_IDENT:
+            return True
+        return token.type is TokenType.IDENT and token.upper not in _RESERVED
 
     # -- expressions --------------------------------------------------------
 
@@ -495,6 +503,8 @@ class Parser:
             return ast.Star()
         if token.type is TokenType.IDENT:
             return self._parse_identifier_expression()
+        if token.type is TokenType.QUOTED_IDENT:
+            return self._parse_name_expression()
         raise ParseError(f"unexpected token {token.text!r} in expression", token.position)
 
     def _parse_identifier_expression(self) -> ast.Expression:
@@ -548,7 +558,10 @@ class Parser:
                     length = self.parse_expr()
             self.expect_punct(")")
             return ast.Substring(expr=inner, start=start, length=length)
+        return self._parse_name_expression()
 
+    def _parse_name_expression(self) -> ast.Expression:
+        """A function call, ``name.*`` or a (qualified) column reference."""
         name = self.expect_identifier()
 
         # function call
@@ -882,10 +895,7 @@ class Parser:
         if token.type is TokenType.NUMBER:
             self._advance()
             return int(float(token.text))
-        if token.type is TokenType.IDENT:
-            self._advance()
-            return token.text
-        if token.type is TokenType.STRING:
+        if token.type in _NAMES or token.type is TokenType.STRING:
             self._advance()
             return token.text
         raise ParseError(f"expected grantee, got {token.text!r}", token.position)
@@ -895,7 +905,7 @@ class Parser:
         self.expect_keyword("SCOPE")
         self.expect_operator("=")
         token = self._peek()
-        if token.type is TokenType.STRING:
+        if token.type in (TokenType.STRING, TokenType.QUOTED_IDENT):
             self._advance()
             return ast.SetScope(scope_text=token.text)
         raise ParseError("SET SCOPE expects a quoted scope expression", token.position)

@@ -65,6 +65,17 @@ class TestConnectionScopesAndPrivileges:
         connection.reset_scope()
         assert connection.dataset() == (0,)
 
+    def test_a_double_quoted_name_is_a_column_and_a_scope_text_still_parses(
+        self, paper_mt_session
+    ):
+        connection = paper_mt_session.connect(0)
+        quoted = connection.query('SELECT "E_name" FROM Employees ORDER BY "E_name"').rows
+        plain = connection.query("SELECT E_name FROM Employees ORDER BY E_name").rows
+        assert quoted == plain and len(set(quoted)) == 3
+        assert ("E_name",) not in quoted
+        connection.execute('SET SCOPE = "IN (0,1)"')
+        assert connection.dataset() == (0, 1)
+
     def test_empty_scope_means_all_tenants(self, paper_mt_session):
         connection = paper_mt_session.connect(1)
         connection.set_scope("IN ()")

@@ -4,12 +4,14 @@ The owner is whatever holds the statement — a compiled artifact
 (``compiled.attachments``) on one engine, the memoized cluster plan
 (``plan.attachments``) for shard statements and merge queries.  The tests
 pin that a warm gateway round prepares nothing but a federated query's
-pull statements, that a memoized
-plan is prepared again exactly when a fresh prepare could differ (DDL,
-statistics, a new table version) and never returns stale rows, that runs
-sharing one plan keep their sub-query results apart (threads, interleaved
-streams), that bound-parameter statements stay out of the memo, and that a
-plan dies with its owner.
+pull statements, that a memoized plan is prepared again exactly when a
+fresh prepare could differ — DDL always; statistics and a new table version
+only for a plan whose join order counted that table's rows, so a plan with
+one FROM item at every level survives writes — and never returns stale
+rows, that runs sharing one plan keep their sub-query results apart
+(threads, interleaved streams), that a bind-parameter statement runs one
+plan per value types whatever values it binds, and that a plan dies with
+its owner.
 """
 
 from __future__ import annotations
@@ -37,6 +39,16 @@ SUBQUERY = (
     "SELECT id FROM t WHERE a > (SELECT AVG(a) FROM t WHERE b = 3)"
     " AND b IN (SELECT b FROM t WHERE id < 5)"
 )
+#: two FROM items: the join order is chosen on ``t``'s row count
+JOIN = "SELECT t.id FROM t, t AS u WHERE t.id = u.id AND u.b = 3 AND t.a > 10"
+#: the statements' DDL and DML changes
+CHANGES = [
+    "CREATE TABLE u (x INTEGER)",
+    "CREATE VIEW w AS SELECT id FROM t",
+    "INSERT INTO t VALUES (99, 1, 3)",
+    "UPDATE t SET a = a + 1 WHERE id = 1",
+    "DELETE FROM t WHERE id = 35",
+]
 
 
 class _Owner:
@@ -131,7 +143,8 @@ class TestReuse:
 
     def test_a_write_between_two_runs_is_seen(self, monkeypatch):
         """The in-flight run answers from the version its scan pinned, the
-        next run from the write's version — through one re-prepare."""
+        next run from the write's version — through the same plan: one FROM
+        item, so no join order read the table's row count."""
         database = _database()
         owner = _Owner()
         statement = parse_query("SELECT id FROM t WHERE b = 3 AND a > 10")
@@ -142,19 +155,37 @@ class TestReuse:
         assert fired == ["DELETE FROM t WHERE id < 20"]
         assert database.stats.plans_prepared == 1
         assert [row[0] for row in _run(database, statement, owner)] == [23, 33]
+        assert database.stats.plans_prepared == 1
+
+    def test_a_write_between_two_runs_of_a_join_is_seen(self):
+        """A join's order was chosen on the table's row count: the next run
+        after a write to it prepares once more."""
+        database = _database()
+        owner, statement = _Owner(), parse_query(JOIN)
+        assert [row[0] for row in _run(database, statement, owner)] == [13, 23, 33]
+        database.execute("DELETE FROM t WHERE id < 20")
+        assert [row[0] for row in _run(database, statement, owner)] == [23, 33]
+        assert [row[0] for row in _run(database, statement, owner)] == [23, 33]
         assert database.stats.plans_prepared == 2
 
-    @pytest.mark.parametrize(
-        "change",
-        [
-            "CREATE TABLE u (x INTEGER)",
-            "CREATE VIEW w AS SELECT id FROM t",
-            "INSERT INTO t VALUES (99, 1, 3)",
-            "UPDATE t SET a = a + 1 WHERE id = 1",
-            "DELETE FROM t WHERE id = 35",
-        ],
-    )
+    @pytest.mark.parametrize("change", CHANGES)
     def test_ddl_or_a_new_table_version_prepares_once_more(self, change):
+        """A join plan: DDL changes the catalog, DML the row count its join
+        order was chosen on."""
+        database = _database()
+        owner, statement = _Owner(), parse_query(JOIN)
+        _run(database, statement, owner)
+        database.execute(change)
+        expected = database.query(JOIN).rows  # fresh, unmemoized
+        prepared = database.stats.plans_prepared
+        assert _run(database, statement, owner) == expected
+        assert _run(database, statement, owner) == expected
+        assert database.stats.plans_prepared == prepared + 1
+
+    @pytest.mark.parametrize("change", CHANGES)
+    def test_a_single_source_plan_is_prepared_again_only_after_ddl(self, change):
+        """One FROM item at every level: a write leaves the plan a fresh
+        prepare would build (each scan reads the current version)."""
         database = _database()
         owner, statement = _Owner(), parse_query(SUBQUERY)
         _run(database, statement, owner)
@@ -163,11 +194,12 @@ class TestReuse:
         prepared = database.stats.plans_prepared
         assert _run(database, statement, owner) == expected
         assert _run(database, statement, owner) == expected
-        assert database.stats.plans_prepared == prepared + 1
+        ddl = change.startswith("CREATE")
+        assert database.stats.plans_prepared == prepared + (1 if ddl else 0)
 
     def test_a_statistics_refresh_prepares_once_more(self):
         database = _database()
-        owner, statement = _Owner(), parse_query("SELECT id FROM t WHERE id < 3")
+        owner, statement = _Owner(), parse_query(JOIN)
         _run(database, statement, owner)
         _run(database, statement, owner)
         assert database.stats.plans_prepared == 1
@@ -175,6 +207,15 @@ class TestReuse:
         _run(database, statement, owner)
         _run(database, statement, owner)
         assert database.stats.plans_prepared == 2
+
+    def test_a_statistics_refresh_keeps_a_single_source_plan(self):
+        """Statistics only price join orders: a plan with none keeps them."""
+        database = _database()
+        owner, statement = _Owner(), parse_query("SELECT id FROM t WHERE id < 3")
+        _run(database, statement, owner)
+        database.collect_statistics()
+        assert _run(database, statement, owner) == [(0,), (1,), (2,)]
+        assert database.stats.plans_prepared == 1
 
     def test_a_write_to_an_unscanned_table_keeps_the_plan(self):
         database = _database()
@@ -186,11 +227,26 @@ class TestReuse:
         assert database.stats.plans_prepared == 1
 
     def test_a_view_reads_its_tables_versions(self):
+        """The view's scan reads the current version of its table; nothing
+        orders a join, so the plan stays."""
         database = _database()
         database.execute("CREATE VIEW v AS SELECT id, a FROM t WHERE b = 3")
         owner, statement = _Owner(), parse_query("SELECT COUNT(*) FROM v")
         assert _run(database, statement, owner) == [(4,)]
         database.execute("DELETE FROM t WHERE id = 3")
+        assert _run(database, statement, owner) == [(3,)]
+        assert database.stats.plans_prepared == 1
+
+    def test_a_joined_view_counts_its_tables_versions(self):
+        """Joined, the view's estimate counts its table's rows: a write to
+        the table prepares the join once more."""
+        database = _database()
+        database.execute("CREATE VIEW v AS SELECT id, a FROM t WHERE b = 3")
+        owner = _Owner()
+        statement = parse_query("SELECT COUNT(*) FROM v, t AS u WHERE v.id = u.id")
+        assert _run(database, statement, owner) == [(4,)]
+        database.execute("DELETE FROM t WHERE id = 3")
+        assert _run(database, statement, owner) == [(3,)]
         assert _run(database, statement, owner) == [(3,)]
         assert database.stats.plans_prepared == 2
 
@@ -335,11 +391,14 @@ def test_a_udf_bodys_sub_query_runs_once_per_statement_and_sees_writes():
 
 
 # ---------------------------------------------------------------------------
-# bound parameters skip the memo
+# bound parameters: one plan per value types
 # ---------------------------------------------------------------------------
 
 
-def test_bound_parameter_statements_never_enter_the_memo():
+def test_bound_parameter_statements_share_one_plan():
+    """``$1`` stays a parameter: every value of one type runs the plan its
+    first execution prepared, executed or streamed; a value of another
+    type prepares its own."""
     database = _database()
     connection = EngineConnection(database)
     owner = _Owner()
@@ -349,23 +408,28 @@ def test_bound_parameter_statements_never_enter_the_memo():
         assert result.rows == [(value,)]
         stream = connection.execute_stream(statement, parameters=[value], compiled=owner)
         assert list(stream) == [(value,)]
-    assert owner.attachments == {}
-    assert database.stats.plans_prepared == 6
+    assert len(_engine_plans(owner.attachments)) == 1
+    assert database.stats.plans_prepared == 1
+    result = connection.execute_scoped(statement, parameters=[4.0], compiled=owner)
+    assert result.rows == [(4,)]
+    assert len(_engine_plans(owner.attachments)) == 2
+    assert database.stats.plans_prepared == 2
 
 
-def test_bound_parameter_statements_skip_the_memo_on_a_cluster(data):
+def test_bound_parameter_statements_share_one_plan_on_a_cluster(data):
     instance = load_mth(data=data, tenants=4, shards=2)
     connection = instance.middleware.backend
     gateway = instance.middleware.gateway(cache_size=64)
     session = gateway.session(1, optimization="o4", scope="IN ()")
     sql = "SELECT COUNT(*) FROM orders WHERE o_totalprice > ?"
     try:
-        for value in (1000.0, 2000.0, 1000.0):
-            session.query(sql, parameters=[value])
+        counts = [session.query(sql, parameters=[value]).rows for value in (1000.0, 2000.0, 1000.0)]
+        assert counts[0] == counts[2] != counts[1]
         plan = connection.last_plan
         assert isinstance(plan, PartialAggregatePlan)
-        assert _engine_plans(plan.attachments) == []
-        assert connection.coordinator.merge_database.stats.plans_prepared == 3
+        # one plan on each shard's engine and one on the merge engine
+        assert len(_engine_plans(plan.attachments)) == 3
+        assert connection.coordinator.merge_database.stats.plans_prepared == 1
     finally:
         session.close()
         gateway.close()

@@ -33,8 +33,10 @@ class TestBasicTokens:
         assert tokens[0].text == "it's"
 
     def test_double_quoted_scope_string(self):
+        """A double-quoted token is an identifier; the parser takes it as
+        the scope text of ``SET SCOPE``."""
         tokens = tokenize('SET SCOPE = "IN (1,2)"')
-        assert tokens[3].type is TokenType.STRING
+        assert tokens[3].type is TokenType.QUOTED_IDENT
         assert tokens[3].text == "IN (1,2)"
 
     def test_parameters(self):

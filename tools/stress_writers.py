@@ -23,10 +23,15 @@ probed through the index of whatever version of ``t`` the join pinned.
 A third kind of read streams the join's rows (:data:`STREAM`) in pieces of
 seven while writers publish, and checks the invariant over the rows it
 pulled: a stream reads one version of each table however long it is held.
-The scan, the join and the stream are parsed once and every reader executes those two
-statement objects with one shared memo space, so where the engine memoizes
-plans (see :class:`repro.engine.executor.Executor`) the readers run one
-prepared plan concurrently; a checkout without the memo ignores it.
+A fourth scans the base rows, which no version changes, with a bind
+parameter (:data:`BOUND`, ``b >= ?``) and an int or float value drawn per
+read, and checks the exact answer (:func:`bound_answer`): a plan that kept
+an earlier run's value answers wrong.
+The scan, the join, the stream and the bound scan are parsed once and every
+reader executes those statement objects with one shared memo space, so where
+the engine memoizes plans (see :class:`repro.engine.executor.Executor`) the
+readers run one prepared plan concurrently (per value types, for the bound
+scan); a checkout without the memo ignores it.
 At the end the table's last version must hold the column lists, typed
 payloads and hash indexes a fresh build of its rows gives (where writes
 derive a version's caches from the one they read, a wrong derivation shows
@@ -52,6 +57,7 @@ LOW, HIGH = 10, 90
 SCAN = f"SELECT COUNT(*), SUM(a), MIN(b), MAX(b) FROM t WHERE w > 0 AND b >= {LOW}"
 JOIN = "SELECT COUNT(*), SUM(a), MIN(b), MAX(b) FROM k, t WHERE k.w = t.w"
 STREAM = "SELECT t.a, t.b FROM k, t WHERE k.w = t.w"
+BOUND = "SELECT COUNT(*), SUM(a) FROM t WHERE w = 0 AND id >= 0 AND b >= ?"
 #: what each thread counts (a report may also hold its ``first_error``)
 COUNTS = ("reads", "writes", "errors", "torn")
 
@@ -63,6 +69,19 @@ def torn(row: tuple) -> bool:
     if count == 0:
         return (total, low, high) != (None, None, None)
     return count % 4 != 0 or total != 0 or low != LOW or high != HIGH
+
+
+def bound_answer(rows: int, value) -> tuple:
+    """The :data:`BOUND` answer for ``b >= value`` over ``rows`` base rows
+    (row ``i`` has ``a = i``, ``b = i % 100``): per residue ``r``, the
+    count and sum of ``range(r, rows, 100)``."""
+    count = total = 0
+    for residue in range(100):
+        if residue >= value:
+            n = len(range(residue, rows, 100))
+            count += n
+            total += n * residue + 100 * n * (n - 1) // 2
+    return count, total if count else None
 
 
 def torn_rows(rows: list) -> bool:
@@ -156,14 +175,15 @@ def _writer(database: Database, writer: int, rng: random.Random, stop, report: d
 
 
 class _Shapes:
-    """The pre-parsed :data:`SCAN`, :data:`JOIN` and :data:`STREAM`, and the
-    memo space the readers share for them (it stands in for a compiled
-    artifact's)."""
+    """The pre-parsed :data:`SCAN`, :data:`JOIN`, :data:`STREAM` and
+    :data:`BOUND`, and the memo space the readers share for them (it stands
+    in for a compiled artifact's)."""
 
     def __init__(self) -> None:
         self.scan = parse_query(SCAN)
         self.join = parse_query(JOIN)
         self.stream = parse_query(STREAM)
+        self.bound = parse_query(BOUND)
         self.attachments: dict = {}
 
 
@@ -172,10 +192,16 @@ def _reader(database: Database, shapes: _Shapes, rows: int, rng, stop, report: d
     while not stop.is_set():
         try:
             choice = rng.random()
-            if choice < 0.6:
-                statement = shapes.scan if choice < 0.35 else shapes.join
+            if choice < 0.45:
+                statement = shapes.scan if choice < 0.25 else shapes.join
                 result = connection.execute_scoped(statement, compiled=shapes)
                 report["torn"] += torn(result.rows[0])
+            elif choice < 0.6:
+                value = rng.choice((rng.randint(-5, 105), rng.randint(0, 99) + 0.5))
+                result = connection.execute_scoped(
+                    shapes.bound, parameters=[value], compiled=shapes
+                )
+                report["torn"] += result.rows[0] != bound_answer(rows, value)
             elif choice < 0.8:
                 stream = connection.execute_stream(shapes.stream, compiled=shapes)
                 pulled: list = []
