@@ -4,14 +4,13 @@
 pure-Python DBMS stand-in with its "postgres" / "system_c" UDF-caching
 profiles — to the :class:`~repro.backends.base.Backend` protocol.  The
 adapter is thin: the engine already executes the default dialect natively,
-so statements pass through unchanged.  A SELECT keeps its ``?`` / ``$n``
-parameters: the engine reads their values per run (see
-:class:`repro.engine.executor.RunState`), and a SELECT that arrives with its
-compiled artifact keeps its engine plan in the artifact's ``attachments``
-(see :class:`repro.engine.executor.Executor`), one per value types, so a
-gateway cache hit runs without preparing whatever it binds.  Other
-statements bind by literal substitution
-(:func:`repro.sql.params.bind_parameters`).
+so statements pass through unchanged.  SELECT, INSERT, UPDATE and DELETE
+keep their ``?`` / ``$n`` parameters: the engine reads their values per run
+(see :class:`repro.engine.executor.RunState`).  A statement that arrives with
+its owner — a SELECT's compiled artifact, a DML rewrite, a cluster plan —
+keeps its engine plan in the owner's ``attachments`` (see
+:class:`repro.engine.executor.Executor`), one per value types, so a gateway
+cache hit runs without preparing whatever it binds.
 """
 
 from __future__ import annotations
@@ -23,7 +22,6 @@ from ..errors import BackendError
 from ..result import ExecuteResult, ExecutionStats, RowStream
 from ..sql import ast
 from ..sql.dialect import DEFAULT_DIALECT
-from ..sql.params import bind_parameters
 from ..sql.parser import parse_statement
 from .base import Backend, BackendConnection, Statement
 
@@ -73,16 +71,12 @@ class EngineConnection(BackendConnection):
         parameters: Optional[Sequence[Any]] = None,
         compiled: Optional["CompiledQuery"] = None,
     ) -> ExecuteResult:
-        """Execute; a SELECT runs with its parameter values and reuses the
+        """Execute with the statement's parameter values, reusing the
         engine plan memoized in ``compiled.attachments`` — the statement's
-        artifact, or the cluster plan that sent it to this shard.  Other
-        statements bind their values as literals.  ``dataset`` is ignored."""
+        artifact or DML rewrite, or the cluster plan that sent it to this
+        shard.  ``dataset`` is ignored."""
         if isinstance(statement, str):
             statement = parse_statement(statement)
-        if not isinstance(statement, ast.Select):
-            if parameters:
-                statement = bind_parameters(statement, parameters)
-            return self._database.execute(statement)
         plans = None if compiled is None else compiled.attachments
         return self._database.execute(statement, plans=plans, parameters=parameters or ())
 

@@ -161,7 +161,9 @@ class ShardedConnection(BackendConnection):
         ``compiled`` (a middleware-compiled statement's artifact) hands the
         planner the static analyzer's column provenance and lets this
         connection memoize the resulting plan on the artifact, so a gateway
-        cache hit re-executes without planning at all.
+        cache hit re-executes without planning at all.  An INSERT, UPDATE
+        or DELETE hands its owner (the DML rewrite) on to the shards that
+        run it, which memoize their write plans there.
         """
         if isinstance(statement, str):
             statement = parse_statement(statement)
@@ -169,9 +171,9 @@ class ShardedConnection(BackendConnection):
         if isinstance(statement, ast.Select):
             return self._execute_select(statement, dataset, parameters, compiled)
         if isinstance(statement, ast.Insert):
-            return self._execute_insert(statement, parameters)
+            return self._execute_insert(statement, parameters, compiled)
         if isinstance(statement, (ast.Update, ast.Delete)):
-            return self._execute_update_delete(statement, parameters)
+            return self._execute_update_delete(statement, parameters, compiled)
         if isinstance(
             statement,
             (ast.CreateTable, ast.CreateView, ast.CreateFunction, ast.DropTable, ast.DropView),
@@ -325,28 +327,36 @@ class ShardedConnection(BackendConnection):
     # -- DML ------------------------------------------------------------------
 
     def _execute_insert(
-        self, statement: ast.Insert, parameters: Optional[Sequence[Any]]
+        self,
+        statement: ast.Insert,
+        parameters: Optional[Sequence[Any]],
+        compiled: Optional["CompiledQuery"],
     ) -> ExecuteResult:
         if statement.query is not None:
             raise ClusterError(
                 "INSERT ... SELECT cannot be routed by the sharded backend; "
                 "the middleware materializes it into per-owner VALUES first"
             )
-        if parameters and statement_parameters(statement):
-            # routing reads concrete row values (the ttid column), so bind
-            # before inspecting the rows rather than passing through; $n-style
-            # values (no Parameter slots) keep the historic pass-through
-            statement = bind_parameters(statement, tuple(parameters))
-            parameters = None
         self._mark_scratch_stale(statement.table)
         info = self.catalog.partitioned.get(statement.table.lower())
         if info is None:
             # global table: replicate on every shard
             result: ExecuteResult = StatementResult("INSERT")
             for shard in self._shards:
-                result = shard.execute(statement, parameters=parameters)
+                result = shard.execute_scoped(
+                    statement, parameters=parameters, compiled=compiled
+                )
             return result
         ttid_index = self._ttid_index(statement, info)
+        if parameters and statement_parameters(statement) and (
+            len(statement.rows) > 1 or isinstance(statement.rows[0][ttid_index], ast.Parameter)
+        ):
+            # routing reads the ttid value, and one shard's share of several
+            # rows may leave slots unreferenced, which a positional vector
+            # cannot bind natively: bind those first.  The rewrite's one-row
+            # INSERT names its ttid as a literal and keeps its parameters.
+            statement = bind_parameters(statement, tuple(parameters))
+            parameters = compiled = None
         routed: dict[int, list[tuple]] = {}
         for row in statement.rows:
             ttid_value = row[ttid_index]
@@ -357,6 +367,14 @@ class ShardedConnection(BackendConnection):
                 )
             shard = self.placement.shard_of(int(ttid_value.value))
             routed.setdefault(shard, []).append(row)
+        if len(routed) == 1:
+            # every row goes to one shard: it runs the statement itself, so
+            # its plan stays memoized on the statement's owner
+            (shard,) = routed
+            result = self._shards[shard].execute_scoped(
+                statement, parameters=parameters, compiled=compiled
+            )
+            return StatementResult("INSERT", rowcount=result.rowcount)
         total = 0
         for shard, rows in sorted(routed.items()):
             shard_statement = ast.Insert(
@@ -393,6 +411,7 @@ class ShardedConnection(BackendConnection):
         self,
         statement: Union[ast.Update, ast.Delete],
         parameters: Optional[Sequence[Any]],
+        compiled: Optional["CompiledQuery"],
     ) -> ExecuteResult:
         partitioned = self.catalog.is_partitioned(statement.table)
         kind = "UPDATE" if isinstance(statement, ast.Update) else "DELETE"
@@ -430,7 +449,9 @@ class ShardedConnection(BackendConnection):
         total = 0
         first: Optional[int] = None
         for shard in self._shards:
-            rowcount = shard.execute(statement, parameters=parameters).rowcount
+            rowcount = shard.execute_scoped(
+                statement, parameters=parameters, compiled=compiled
+            ).rowcount
             total += rowcount
             if first is None:
                 first = rowcount

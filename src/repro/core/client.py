@@ -21,20 +21,15 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Optional, Sequence, Union
 
-from ..errors import MTSQLError, PrivilegeError
+from ..errors import MTSQLError, ParameterError, PrivilegeError
 from ..result import QueryResult, RowStream, StatementResult
 from ..sql import ast
 from ..sql.dialect import Dialect, get_dialect
-from ..sql.params import (
-    ParameterValues,
-    bind_parameters,
-    resolve_parameters,
-    statement_parameters,
-)
+from ..sql.params import ParameterValues, resolve_parameters, statement_parameters
 from ..sql.parser import parse_submitted_statement
 from ..sql.printer import to_sql
 from ..sql.transform import referenced_table_names
-from .dml import DMLRewriter
+from .dml import DMLRewriter, RewrittenDML
 from .optimizer.levels import OptimizationLevel
 from .rewrite.canonical import CanonicalRewriter
 from .scope import ComplexScope, DefaultScope, Scope, parse_scope, scope_dataset
@@ -42,6 +37,9 @@ from .scope import ComplexScope, DefaultScope, Scope, parse_scope, scope_dataset
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..compile import CompiledQuery, ExplainReport
     from .middleware import MTBase
+
+#: the privilege each DML statement kind needs on the tenants it writes
+DML_PRIVILEGES = {ast.Insert: "INSERT", ast.Update: "UPDATE", ast.Delete: "DELETE"}
 
 
 class MTConnection:
@@ -104,30 +102,32 @@ class MTConnection:
 
         ``parameters`` bind a parameterized statement's ``?``/``:name``
         placeholders (positional sequence or ``{name: value}`` mapping).
-        SELECT statements keep their parameters through compilation and bind
-        at the backend; DML binds by literal substitution up front because
-        the MTSQL rewrite routes on concrete values (per-owner INSERTs).
+        SELECT, INSERT, UPDATE and DELETE keep their parameters through the
+        rewrite and bind at the backend: the MTSQL rewrite reads no bound
+        value (see :mod:`repro.core.dml`).
         Unparsable SQL raises :class:`~repro.errors.InvalidStatementError`
         with the offending fragment.
         """
         if isinstance(statement, str):
             statement = parse_submitted_statement(statement)
         slots = statement_parameters(statement)
+        values: tuple = ()
         if parameters is not None or slots:
             values = resolve_parameters(slots, parameters)
-            if isinstance(statement, ast.Select):
-                return self._execute_query(statement, values)
-            statement = bind_parameters(statement, values)
+        if isinstance(statement, ast.Select):
+            return self._execute_query(statement, values)
+        if isinstance(statement, (ast.Insert, ast.Update, ast.Delete)):
+            return self._execute_dml(statement, values)
+        if values:
+            raise ParameterError(
+                f"cannot bind parameters into a {type(statement).__name__} statement"
+            )
         if isinstance(statement, ast.SetScope):
             self.set_scope(statement.scope_text)
             self.last_rewritten = []
             return StatementResult("SET SCOPE")
-        if isinstance(statement, ast.Select):
-            return self._execute_query(statement)
         if isinstance(statement, (ast.Grant, ast.Revoke)):
             return self._execute_dcl(statement)
-        if isinstance(statement, (ast.Insert, ast.Update, ast.Delete)):
-            return self._execute_dml(statement)
         if isinstance(statement, ast.CreateView):
             return self._execute_create_view(statement)
         if isinstance(
@@ -427,48 +427,50 @@ class MTConnection:
 
     # -- DML --------------------------------------------------------------------------
 
-    def _execute_dml(self, statement: Union[ast.Insert, ast.Update, ast.Delete]):
-        privilege = {
-            ast.Insert: "INSERT",
-            ast.Update: "UPDATE",
-            ast.Delete: "DELETE",
-        }[type(statement)]
-        dataset = self._pruned_dataset(statement, privilege=privilege)
-        # the DML rewrite needs the canonical form regardless of the level
-        context = self.middleware.compiler.rewrite_context(
-            self.client, dataset, self.optimization, force_canonical=True
-        )
-        rewriter = DMLRewriter(context)
-        database = self.backend
+    def _execute_dml(
+        self, statement: Union[ast.Insert, ast.Update, ast.Delete], parameters: tuple = ()
+    ) -> StatementResult:
+        dataset = self._pruned_dataset(statement, privilege=DML_PRIVILEGES[type(statement)])
+        if isinstance(statement, ast.Insert) and statement.query is not None:
+            return self._execute_insert_select(statement, dataset, parameters)
+        return self.execute_rewritten(self.rewrite_dml(statement, dataset), parameters)
 
-        if isinstance(statement, ast.Delete):
-            rewritten = rewriter.rewrite_delete(statement)
-            self.last_rewritten = [rewritten]
-            return database.execute(rewritten)
+    def rewrite_dml(
+        self, statement: Union[ast.Insert, ast.Update, ast.Delete], dataset: tuple[int, ...]
+    ) -> RewrittenDML:
+        """Rewrite an INSERT … VALUES, UPDATE or DELETE for an already
+        resolved and pruned D' (the cacheable step: the gateway keys it like
+        a compiled query and pays it only on a miss)."""
+        return self._dml_rewriter(dataset).rewrite(statement)
 
-        if isinstance(statement, ast.Update):
-            statements = rewriter.rewrite_update(statement)
-            self.last_rewritten = list(statements)
-            total = 0
-            for rewritten in statements:
-                total += database.execute(rewritten).rowcount
-            return StatementResult("UPDATE", rowcount=total)
-
-        # INSERT
-        if statement.query is not None:
-            return self._execute_insert_select(statement, rewriter, dataset)
-        statements = rewriter.rewrite_insert_values(statement)
-        self.last_rewritten = list(statements)
+    def execute_rewritten(
+        self, rewritten: RewrittenDML, parameters: tuple = ()
+    ) -> StatementResult:
+        """Run a DML rewrite's statements on this connection's backend, each
+        with the execution's bind values; the rewrite is the statements'
+        owner, so the backend's write plans are memoized on it."""
+        self.last_rewritten = list(rewritten.statements)
         total = 0
-        for rewritten in statements:
-            total += database.execute(rewritten).rowcount
-        return StatementResult("INSERT", rowcount=total)
+        for statement in rewritten.statements:
+            total += self.backend.execute_scoped(
+                statement, parameters=parameters or None, compiled=rewritten
+            ).rowcount
+        return StatementResult(rewritten.kind, rowcount=total)
+
+    def _dml_rewriter(self, dataset: tuple[int, ...]) -> DMLRewriter:
+        # the DML rewrite needs the canonical form regardless of the level
+        return DMLRewriter(
+            self.middleware.compiler.rewrite_context(
+                self.client, dataset, self.optimization, force_canonical=True
+            )
+        )
 
     def _execute_insert_select(
-        self, statement: ast.Insert, rewriter: DMLRewriter, dataset: tuple[int, ...]
+        self, statement: ast.Insert, dataset: tuple[int, ...], parameters: tuple
     ) -> StatementResult:
         """Appendix A.2: run the sub-query on behalf of C, then insert per owner."""
-        query_result = self._execute_query(statement.query)
+        query_result = self._execute_query(statement.query, parameters)
+        rewriter = self._dml_rewriter(dataset)
         columns = rewriter.insert_columns(statement)
         if query_result.rows and len(query_result.rows[0]) != len(columns):
             raise MTSQLError(
@@ -480,12 +482,7 @@ class MTConnection:
             columns=tuple(columns),
             rows=[tuple(ast.Literal(value) for value in row) for row in query_result.rows],
         )
-        statements = rewriter.rewrite_insert_values(values_statement)
-        self.last_rewritten = list(statements)
-        total = 0
-        for rewritten in statements:
-            total += self.backend.execute(rewritten).rowcount
-        return StatementResult("INSERT", rowcount=total)
+        return self.execute_rewritten(rewriter.rewrite(values_statement))
 
     # -- views ------------------------------------------------------------------------
 

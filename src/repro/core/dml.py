@@ -4,12 +4,18 @@ With ``D = {C}`` DML behaves exactly like plain SQL.  Otherwise the statement
 is applied *to each tenant in D separately*: constants and WHERE clauses are
 interpreted with respect to C (just like queries) and values written into
 convertible attributes are converted into each owner's format.
+
+The rewrite reads no bound value: a ``?`` stays a parameter, wrapped in
+the conversion calls like any written value, and each per-owner INSERT
+names its owner as a literal ttid.  So one :class:`RewrittenDML` serves
+every binding of a prepared statement, and the backends memoize their
+write plans in its ``attachments``.
 """
 
 from __future__ import annotations
 
-from dataclasses import replace
-from typing import Optional
+from dataclasses import dataclass, field, replace
+from typing import Optional, Union
 
 from ..errors import RewriteError
 from ..sql import ast
@@ -19,6 +25,26 @@ from .rewrite.canonical import CanonicalRewriter
 from .rewrite.context import RewriteContext, RewriteOptions
 
 
+@dataclass
+class RewrittenDML:
+    """One INSERT … VALUES / UPDATE / DELETE rewritten for a client and D'.
+
+    ``statements`` are what the backend runs, in order (one DELETE, one
+    UPDATE or INSERT per owner); their parameters bind per execution.
+    Like :class:`~repro.compile.CompiledQuery`, the object is mutable only
+    through ``attachments``, where backends memoize what they derive from
+    the statements.
+    """
+
+    #: the statement kind the result reports (``"INSERT"``, ...)
+    kind: str
+    statements: tuple[ast.Statement, ...]
+    #: the resolved, privilege-pruned data set D' the rewrite applies to
+    dataset: tuple[int, ...]
+    #: backend-owned memo space for derived execution artifacts
+    attachments: dict = field(default_factory=dict, repr=False, compare=False)
+
+
 class DMLRewriter:
     """Rewrites MTSQL INSERT / UPDATE / DELETE statements into plain SQL."""
 
@@ -26,6 +52,20 @@ class DMLRewriter:
         self.context = context
         self.schema: MTSchema = context.schema
         self.conversions: ConversionRegistry = context.conversions
+
+    def rewrite(
+        self, statement: Union[ast.Insert, ast.Update, ast.Delete]
+    ) -> RewrittenDML:
+        """The statements an INSERT … VALUES, UPDATE or DELETE runs as."""
+        if isinstance(statement, ast.Delete):
+            statements = [self.rewrite_delete(statement)]
+        elif isinstance(statement, ast.Update):
+            statements = self.rewrite_update(statement)
+        else:
+            statements = self.rewrite_insert_values(statement)
+        return RewrittenDML(
+            type(statement).__name__.upper(), tuple(statements), tuple(self.context.dataset)
+        )
 
     # -- DELETE -------------------------------------------------------------------
 

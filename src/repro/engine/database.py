@@ -29,7 +29,6 @@ from .ddl import (
     execute_drop_table,
     execute_drop_view,
 )
-from .dml import execute_delete, execute_insert, execute_update
 from .executor import Executor
 from .functions import PythonFunction, SQLFunction
 from .vector import DEFAULT_BATCH_SIZE
@@ -98,21 +97,25 @@ class Database:
     ) -> ExecuteResult:
         """Execute one statement (SQL text or an already-parsed AST node).
 
-        A SELECT's ``plans``, ``relations`` and ``parameters`` are those of
-        :meth:`repro.engine.executor.Executor.execute`: the memo space of the
-        statement's owner, the rows this run binds inline relations to and
-        the values of its bind parameters.  Other statements take no
-        parameters (bind them first: :func:`repro.sql.params.bind_parameters`).
+        ``plans`` is the memo space of the statement's owner and
+        ``parameters`` the values of its bind parameters: a SELECT runs as
+        :meth:`repro.engine.executor.Executor.execute` (``relations`` bind
+        its inline relations to this run's rows), INSERT / UPDATE / DELETE
+        as :meth:`~repro.engine.executor.Executor.write`.  Other statements
+        take no parameters.
         """
         if isinstance(statement, str):
             statement = parse_statement(statement)
         self.stats.add(statements=1)
         if isinstance(statement, ast.Select):
             return self.executor.execute(statement, plans, relations, parameters)
+        if isinstance(statement, (ast.Insert, ast.Update, ast.Delete)):
+            with self._write_lock:
+                count = self.executor.write(statement, plans, parameters)
+                self._note_mutations(statement.table, count)
+            return StatementResult(type(statement).__name__.upper(), rowcount=count)
         if parameters:
-            raise ExecutionError(
-                f"{type(statement).__name__} takes no parameters here; bind them first"
-            )
+            raise ExecutionError(f"{type(statement).__name__} takes no parameters")
         if isinstance(statement, ast.CreateTable):
             with self._write_lock:
                 execute_create_table(self.catalog, statement)
@@ -140,21 +143,6 @@ class Database:
                 execute_drop_view(self.catalog, statement)
                 self.executor.invalidate()
             return StatementResult("DROP VIEW")
-        if isinstance(statement, ast.Insert):
-            with self._write_lock:
-                count = self.executor.write(execute_insert, statement)
-                self._note_mutations(statement.table, count)
-            return StatementResult("INSERT", rowcount=count)
-        if isinstance(statement, ast.Update):
-            with self._write_lock:
-                count = self.executor.write(execute_update, statement)
-                self._note_mutations(statement.table, count)
-            return StatementResult("UPDATE", rowcount=count)
-        if isinstance(statement, ast.Delete):
-            with self._write_lock:
-                count = self.executor.write(execute_delete, statement)
-                self._note_mutations(statement.table, count)
-            return StatementResult("DELETE", rowcount=count)
         raise ExecutionError(
             f"statement type {type(statement).__name__} is not executable by the engine"
         )

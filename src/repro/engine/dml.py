@@ -1,9 +1,17 @@
 """Execution of INSERT / UPDATE / DELETE statements.
 
-Each statement reads the table's current
+A write runs in two steps.  :func:`prepare_write` compiles the statement
+into a *write plan* — its target table, the WHERE conjunct kernels, the
+key look-up they make, the SET and VALUES kernels — under the run that
+needs it, so a bind parameter is a run constant (see
+:mod:`repro.engine.constants`): its value's type shapes the kernels, each
+run reads its value.  :meth:`WritePlan.run` then reads the table's current
 :class:`~repro.engine.storage.TableData` once — its *base* — and publishes
 what it changed against that base: rows appended, rows replaced at
 positions, rows removed at positions (see :class:`~repro.engine.storage.Table`).
+A plan reads no row counts and no table version, so the executor reuses it
+until DDL changes the catalog (:meth:`repro.engine.executor.Executor.write`).
+
 UPDATE and DELETE whose WHERE fixes the whole primary key find their row
 through the base's key index when the base already holds it and it is
 unique (:func:`~repro.engine.planner.match_key_lookup`, the matcher scans
@@ -17,7 +25,7 @@ rows, so a row the statement does not touch raises nothing.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional, Sequence, Union
+from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence, Union
 
 from ..sql import ast
 from .expressions import Scope
@@ -29,24 +37,84 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from .storage import Table, TableData
 
 
-def execute_insert(context: "ExecutionContext", statement: ast.Insert) -> int:
-    """Insert literal rows or the result of a SELECT, all or none; returns
-    the row count."""
+class InsertPlan(NamedTuple):
+    """INSERT: the rows of its VALUES kernels, or of its SELECT."""
+
+    table: "Table"
+    columns: Sequence[str]
+    #: one kernel list per VALUES row (empty for INSERT ... SELECT)
+    values: list[list[BatchKernel]]
+    query: Optional[ast.Select]
+
+    def run(self, context: "ExecutionContext") -> int:
+        """Insert the rows, all or none; returns the row count."""
+        base = self.table.data
+        if self.query is not None:
+            rows = context.executor.execute(
+                self.query, parameters=context.parameter_values()
+            ).rows
+        else:
+            one_row = RowBatch([()])
+            rows = [[kernel(one_row, ())[0] for kernel in kernels] for kernels in self.values]
+        if self.columns:
+            rows = [self.table.complete_row(self.columns, row) for row in rows]
+        self.table.append(base, rows)
+        return len(rows)
+
+
+class UpdatePlan(NamedTuple):
+    """UPDATE: the rows its WHERE matches take its SET kernels' values."""
+
+    table: "Table"
+    predicates: list[BatchKernel]
+    lookup: Optional[KeyLookup]
+    #: ``(column index, kernel)`` per SET assignment
+    assignments: list[tuple[int, BatchKernel]]
+
+    def run(self, context: "ExecutionContext") -> int:
+        """Publish the table with the matching rows rewritten; returns the
+        number of rows changed."""
+        base, matched, positions = _matching(self.table, self.predicates, self.lookup)
+        assigned = {index: kernel(matched, ()) for index, kernel in self.assignments}
+        self.table.replace(base, positions, assigned)
+        return len(positions)
+
+
+class DeletePlan(NamedTuple):
+    """DELETE: the rows its WHERE matches go."""
+
+    table: "Table"
+    predicates: list[BatchKernel]
+    lookup: Optional[KeyLookup]
+
+    def run(self, context: "ExecutionContext") -> int:
+        """Publish the table without the matching rows; returns the number
+        of rows removed."""
+        base, _, positions = _matching(self.table, self.predicates, self.lookup)
+        self.table.remove(base, positions)
+        return len(positions)
+
+
+WritePlan = Union[InsertPlan, UpdatePlan, DeletePlan]
+
+
+def prepare_write(
+    context: "ExecutionContext", statement: Union[ast.Insert, ast.Update, ast.Delete]
+) -> WritePlan:
+    """Compile a DML statement into its write plan (see the module docstring)."""
     table = context.database.catalog.table(statement.table)
-    base = table.data
-    if statement.query is not None:
-        rows = context.executor.execute(statement.query).rows
-    else:
-        compiler = BatchExpressionCompiler(Scope([]), context)
-        one_row = RowBatch([()])
-        rows = [
-            [compiler.compile(expr)(one_row, ())[0] for expr in value_exprs]
-            for value_exprs in statement.rows
-        ]
-    if statement.columns:
-        rows = [table.complete_row(statement.columns, row) for row in rows]
-    table.append(base, rows)
-    return len(rows)
+    if isinstance(statement, ast.Insert):
+        compile_value = BatchExpressionCompiler(Scope([]), context).compile
+        values = [list(map(compile_value, row)) for row in statement.rows]
+        return InsertPlan(table, statement.columns, values, statement.query)
+    compiler, predicates, lookup = _where(context, table, statement)
+    if isinstance(statement, ast.Delete):
+        return DeletePlan(table, predicates, lookup)
+    assignments = [
+        (table.schema.column_index(assignment.column), compiler.compile(assignment.value))
+        for assignment in statement.assignments
+    ]
+    return UpdatePlan(table, predicates, lookup, assignments)
 
 
 def _where(
@@ -91,27 +159,3 @@ def _matching(
             return base, matched, [base.rows.index(row) for row in matched.rows]
     matched = apply_batch_predicates(scan_batch(base), predicates, ())
     return base, matched, matched.sel if matched.sel is not None else range(matched.n)
-
-
-def execute_update(context: "ExecutionContext", statement: ast.Update) -> int:
-    """Publish the table with the matching rows rewritten; returns the
-    number of rows changed."""
-    table = context.database.catalog.table(statement.table)
-    compiler, predicates, lookup = _where(context, table, statement)
-    assignments = [
-        (table.schema.column_index(assignment.column), compiler.compile(assignment.value))
-        for assignment in statement.assignments
-    ]
-    base, matched, positions = _matching(table, predicates, lookup)
-    table.replace(base, positions, {index: kernel(matched, ()) for index, kernel in assignments})
-    return len(positions)
-
-
-def execute_delete(context: "ExecutionContext", statement: ast.Delete) -> int:
-    """Publish the table without the matching rows; returns the number of
-    rows removed."""
-    table = context.database.catalog.table(statement.table)
-    _, predicates, lookup = _where(context, table, statement)
-    base, _, positions = _matching(table, predicates, lookup)
-    table.remove(base, positions)
-    return len(positions)

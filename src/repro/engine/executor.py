@@ -33,6 +33,7 @@ from ..sql import ast
 from ..sql.printer import to_sql
 from ..sql.transform import find_aggregate_calls, transform_expression
 from ..sql.types import sort_key
+from .dml import prepare_write
 from .expressions import Scope
 from .functions import BUILTIN_SCALARS, Function, aggregate_factory, is_count_star
 from .planner import Planner
@@ -726,11 +727,38 @@ class Executor:
         rows = _within(run, prepared.run, ())
         return QueryResult(columns=prepared.output_columns, rows=rows)
 
-    def write(self, apply: Callable[[ExecutionContext, Any], int], statement: Any) -> int:
-        """``apply(context, statement)`` for a DML statement, under one
-        :class:`RunState`: the statement's uncorrelated sub-queries run once,
-        not once per row or per outer row of a correlated one."""
-        return _within(RunState(), apply, self.context, statement)
+    def write(
+        self,
+        statement: Any,
+        plans: Optional[dict] = None,
+        parameters: Sequence[Any] = (),
+    ) -> int:
+        """Run a DML statement under one :class:`RunState` carrying its bind
+        ``parameters``; returns its row count.  The statement's uncorrelated
+        sub-queries run once, not once per row or per outer row of a
+        correlated one.
+
+        Its write plan (:func:`repro.engine.dml.prepare_write`) is kept in
+        ``plans``, the memo space of the statement's owner, under this
+        executor, the statement and the types of the values, and reused
+        until :meth:`invalidate`: a write plan reads no row counts, so the
+        catalog generation is its whole stamp.  The entry holds the
+        statement, so the ids in its key cannot be reused while it exists.
+        """
+        run = RunState(parameters=parameters)
+        return _within(run, self._write, statement, plans, run)
+
+    def _write(self, statement: Any, plans: Optional[dict], run: RunState) -> int:
+        if plans is None:
+            self.database.stats.add(write_plans_prepared=1)
+            return prepare_write(self.context, statement).run(self.context)
+        key = ("engine-write", id(self), id(statement), tuple(map(type, run.parameters)))
+        entry = plans.get(key)
+        if entry is None or entry[1] != self._generation:
+            entry = (prepare_write(self.context, statement), self._generation, statement)
+            self.database.stats.add(write_plans_prepared=1)
+            plans[key] = entry
+        return entry[0].run(self.context)
 
     def execute_stream(
         self,

@@ -13,7 +13,9 @@ canonical MTSQL→SQL rewrite → optimization passes — runs on every statemen
   :class:`~repro.compile.CompiledQuery` artifact, so a repeat execution
   skips the entire compilation — and, because the artifact carries the
   shardability analysis and memoizes the backend's derived plan, a warm hit
-  on a sharded backend skips shard planning too.
+  on a sharded backend skips shard planning too.  An INSERT … VALUES,
+  UPDATE or DELETE caches its :class:`~repro.core.dml.RewrittenDML` under
+  the same key shape, where the engine memoizes its write plans.
 
 The resolved data set ``D'`` is part of the key because the rewritten SQL
 embeds it (ttid IN-lists, per-tenant conversion constants); a scope or
@@ -37,14 +39,18 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Optional, Union
 
 from ..core.optimizer.levels import OptimizationLevel
 from ..sql import ast
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..compile.artifact import CompiledQuery
+    from ..core.dml import RewrittenDML
     from ..sql.params import ParameterSlot
+
+    #: what the plan cache holds: a SELECT's artifact or a write's rewrite
+    Rewrite = Union[CompiledQuery, RewrittenDML]
 
 #: a statement-info key: ``(fingerprint, metadata version)``
 InfoKey = tuple[str, int]
@@ -118,7 +124,7 @@ class RewriteCache:
         if capacity < 1:
             raise ValueError(f"cache capacity must be positive, got {capacity}")
         self.capacity = capacity
-        self._plans: OrderedDict[CacheKey, "CompiledQuery"] = OrderedDict()
+        self._plans: OrderedDict[CacheKey, "Rewrite"] = OrderedDict()
         self._info: OrderedDict[InfoKey, StatementInfo] = OrderedDict()
         self._lock = threading.RLock()
         self.stats = CacheStats()
@@ -140,7 +146,7 @@ class RewriteCache:
 
     # -- compiled plans ---------------------------------------------------------
 
-    def get(self, key: CacheKey) -> Optional["CompiledQuery"]:
+    def get(self, key: CacheKey) -> Optional["Rewrite"]:
         """Probe the plan cache (counts a hit/miss, LRU-touches on hit)."""
         with self._lock:
             compiled = self._plans.get(key)
@@ -151,8 +157,8 @@ class RewriteCache:
             self.stats.hits += 1
             return compiled
 
-    def put(self, key: CacheKey, compiled: "CompiledQuery") -> None:
-        """Cache a compiled statement."""
+    def put(self, key: CacheKey, compiled: "Rewrite") -> None:
+        """Cache a compiled statement (or a DML rewrite)."""
         with self._lock:
             self.stats.evictions += _insert(self._plans, key, compiled, self.capacity)
 

@@ -1,7 +1,8 @@
 """Per-tenant gateway sessions with a prepared-statement API.
 
 A :class:`GatewaySession` wraps an :class:`~repro.core.client.MTConnection`
-and routes SELECT statements through the gateway's rewrite cache:
+and routes SELECT, INSERT … VALUES, UPDATE and DELETE statements through the
+gateway's rewrite cache:
 
 * **cold path** — fingerprint, parse, resolve the scope to ``D`` and prune it
   to ``D'``, compile through the middleware's staged pipeline, cache the
@@ -12,11 +13,16 @@ and routes SELECT statements through the gateway's rewrite cache:
   shard planning (the artifact memoizes the cluster plan) are skipped
   entirely — zero compilations on a warm hit.
 
+A write is cached the same way: its :class:`~repro.core.dml.RewrittenDML`
+(the per-owner statements) under the same kind of key, with ``D'`` pruned
+under the statement's DML privilege.
+
 Statements may carry ``?``/``:name`` **bind parameters**: the cache is keyed
-on the *parameterized* fingerprint, so one compiled artifact serves every
-binding — values resolve per execution and bind at the backend (natively on
-SQLite, by literal substitution on the engine, by pass-through on a
-cluster).  This is what makes the cache a true prepared-statement cache.
+on the *parameterized* fingerprint, so one compiled artifact (or DML
+rewrite) serves every binding — values resolve per execution and bind at
+the backend (natively on SQLite, as run constants of a memoized plan on the
+engine, by pass-through on a cluster).  This is what makes the cache a true
+prepared-statement cache.
 
 Scope resolution and privilege pruning are **never** cached: ``D'`` is
 recomputed per execution and is part of the cache key, so a session that
@@ -26,8 +32,8 @@ Every execution reads the middleware's metadata version before it parses
 or compiles, and both cache keys carry it: after DDL, GRANT/REVOKE, a tenant
 or a conversion-pair registration the next execution misses and recompiles
 against the new metadata, and the entries built before the change age out
-by LRU.  Non-SELECT statements (DML, DDL, GRANT/REVOKE, SET SCOPE) are
-delegated to the underlying connection unchanged.
+by LRU.  Every other statement (INSERT … SELECT, DDL, GRANT/REVOKE, SET
+SCOPE) is delegated to the underlying connection unchanged.
 
 Each session serializes its own statements with a lock (the paper's client
 connections are single-threaded too); *different* sessions execute
@@ -39,17 +45,13 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional, Union
+from typing import TYPE_CHECKING, Callable, Optional, Union
 
+from ..core.client import DML_PRIVILEGES
 from ..errors import InvalidStatementError, LexerError, MTSQLError
 from ..result import QueryResult
 from ..sql import ast
-from ..sql.params import (
-    ParameterValues,
-    bind_parameters,
-    resolve_parameters,
-    statement_parameters,
-)
+from ..sql.params import ParameterValues, resolve_parameters, statement_parameters
 from ..sql.parser import parse_submitted_statement
 from .cache import CacheKey, StatementInfo
 from .fingerprint import fingerprint_statement
@@ -57,6 +59,7 @@ from .fingerprint import fingerprint_statement
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..core.client import MTConnection
     from ..core.scope import Scope
+    from .cache import Rewrite
     from .gateway import QueryGateway
 
 
@@ -200,15 +203,25 @@ class GatewaySession:
             version = self._metadata_version()
             info = self._statement_info(text, fingerprint, version)
             values = resolve_parameters(info.parameters, parameters)
-            if isinstance(info.statement, ast.Select):
-                return self._execute_select(fingerprint, version, info, values, stream)
-            # non-SELECT: the connection pipeline handles DML/DDL/DCL/SET
-            # SCOPE; parameters bind by literal substitution because the DML
-            # rewrite routes on concrete values (per-owner INSERTs)
-            bound = (
-                bind_parameters(info.statement, values) if values else info.statement
-            )
-            return self.connection.execute(bound)
+            statement, connection = info.statement, self.connection
+            if isinstance(statement, ast.Select):
+                compiled = self._cached(
+                    fingerprint, version, info, "READ",
+                    lambda pruned: connection.compile_resolved(statement, pruned, info.tables),
+                )
+                # the artifact was compiled for D' (part of its cache key), so
+                # the connection's own execution step checks the bind values
+                return connection.execute_compiled(compiled, values, stream=stream)
+            if isinstance(statement, (ast.Update, ast.Delete)) or (
+                isinstance(statement, ast.Insert) and statement.query is None
+            ):
+                rewritten = self._cached(
+                    fingerprint, version, info, DML_PRIVILEGES[type(statement)],
+                    lambda pruned: connection.rewrite_dml(statement, pruned),
+                )
+                return connection.execute_rewritten(rewritten, values)
+            # INSERT … SELECT, DDL, DCL and SET SCOPE: the connection pipeline
+            return connection.execute(statement, values)
 
     def query(self, statement: Union[str, int], scope=None, parameters=None) -> QueryResult:
         """Execute a SELECT (text or prepared handle) through the cache."""
@@ -242,20 +255,25 @@ class GatewaySession:
             cache.put_info((fingerprint, version), info)
         return info
 
-    def _execute_select(
-        self, fingerprint: str, version: int, info: StatementInfo, parameters: tuple, stream: bool
-    ):
+    def _cached(
+        self,
+        fingerprint: str,
+        version: int,
+        info: StatementInfo,
+        privilege: str,
+        build: Callable[[tuple[int, ...]], "Rewrite"],
+    ) -> "Rewrite":
+        """The statement's cached rewrite for this execution's D' (pruned
+        under ``privilege``), or ``build(D')`` cached on a miss."""
         connection = self.connection
-        pruned = connection.prune_dataset(connection.dataset(), info.tables, privilege="READ")
+        pruned = connection.prune_dataset(connection.dataset(), info.tables, privilege=privilege)
         key = CacheKey(fingerprint, connection.client, pruned, connection.optimization, version)
         cache = self.gateway.cache
-        compiled = cache.get(key)
-        if compiled is None:
-            compiled = connection.compile_resolved(info.statement, pruned, tables=info.tables)
-            cache.put(key, compiled)
-        # the artifact was compiled for D' (part of its cache key), so the
-        # connection's own execution step checks the bind values and runs it
-        return connection.execute_compiled(compiled, parameters, stream=stream)
+        rewrite = cache.get(key)
+        if rewrite is None:
+            rewrite = build(pruned)
+            cache.put(key, rewrite)
+        return rewrite
 
     def __repr__(self) -> str:
         return (

@@ -363,6 +363,9 @@ class ExecutionStats:
     #: statements whose engine plan was prepared rather than reused from
     #: the memo of the artifact or cluster plan that owns the statement
     plans_prepared: int = 0
+    #: DML statements whose engine write plan was prepared rather than
+    #: reused from the memo of the DML rewrite that owns the statement
+    write_plans_prepared: int = 0
     operator_profiles: dict = field(default_factory=dict, compare=False)
     #: typed-vs-generic kernel dispatch tally; identity-stable for the
     #: engine's lifetime because compiled kernels close over it

@@ -96,8 +96,8 @@ class Parameter(Expression):
     one slot per name, so ``:low`` appearing twice binds one value.  The
     whole compilation pipeline treats a parameter as an opaque scalar; values
     are bound at execute time — natively on backends whose DBMS supports
-    numbered placeholders, by literal substitution elsewhere (see
-    :mod:`repro.sql.params`).
+    numbered placeholders, as run constants of a memoized plan on the engine
+    (see :mod:`repro.sql.params`).
     """
 
     index: int

@@ -28,23 +28,38 @@ _SAFE_IDENTIFIER = re.compile(r"[A-Za-z_][A-Za-z0-9_$]*\Z")
 _PARAMETER = re.compile(r"\$(\d+)\Z")
 
 
+#: the words the ``repro`` grammar reads as keywords somewhere
+GRAMMAR_KEYWORDS = frozenset(
+    """
+    AND AS ASC BETWEEN BY CASE CHECK COMPARABLE CONSTRAINT CONVERTIBLE CREATE
+    CROSS DATE DAY DEFAULT DELETE DESC DISTINCT DROP ELSE END EXISTS EXTRACT
+    FALSE FOR FOREIGN FROM FULL FUNCTION GLOBAL GRANT GROUP HAVING IF IMMUTABLE
+    IN INNER INSERT INTERVAL INTO IS JOIN KEY LANGUAGE LEFT LIKE LIMIT MONTH NOT
+    NULL ON OR ORDER OUTER PRIMARY REFERENCES RETURNS REVOKE RIGHT SCOPE SELECT
+    SET SPECIFIC SQL SUBSTRING TABLE THEN TO TRUE UNION UNIQUE UPDATE VALUES
+    VIEW WHEN WHERE YEAR
+    """.split()
+)
+
+
 class Dialect:
     """The default dialect: the ``repro`` SQL grammar itself.
 
-    Its output is what the in-memory engine parses, so it never quotes
-    identifiers (the grammar has no quoting) and keeps ``DATE``/``INTERVAL``
-    literals in ANSI form.
+    Its output is what the in-memory engine parses: a name that is no safe
+    identifier or is one of the grammar's keywords prints double-quoted, so
+    it parses back as the same name, and ``DATE``/``INTERVAL`` literals keep
+    their ANSI form.
     """
 
     name = "default"
     identifier_quote = '"'
     #: words that must be quoted when used as an identifier
-    reserved_words: frozenset[str] = frozenset()
+    reserved_words: frozenset[str] = GRAMMAR_KEYWORDS
 
     # -- identifiers ---------------------------------------------------------
 
     def quote_identifier(self, name: str) -> str:
-        """Quote ``name`` if this dialect requires it (the default never does)."""
+        """Quote ``name`` if this dialect requires it (see :meth:`needs_quoting`)."""
         if self.needs_quoting(name):
             quote = self.identifier_quote
             return f"{quote}{name.replace(quote, quote * 2)}{quote}"
@@ -58,11 +73,7 @@ class Dialect:
 
     def needs_quoting(self, name: str) -> bool:
         """Whether ``name`` must be quoted (reserved word or unsafe chars)."""
-        if not self.reserved_words:
-            return False
-        return (
-            not _SAFE_IDENTIFIER.match(name) or name.upper() in self.reserved_words
-        )
+        return not _SAFE_IDENTIFIER.match(name) or name.upper() in self.reserved_words
 
     # -- placeholders --------------------------------------------------------
 
@@ -189,10 +200,6 @@ class SQLiteDialect(Dialect):
         "BOOLEAN": "INTEGER",
         "BOOL": "INTEGER",
     }
-
-    def needs_quoting(self, name: str) -> bool:
-        """SQLite quotes unsafe names and its (long) reserved-word list."""
-        return not _SAFE_IDENTIFIER.match(name) or name.upper() in self.reserved_words
 
     def placeholder(self, index: int) -> str:
         """SQLite's numbered ``?NNN`` parameter style."""

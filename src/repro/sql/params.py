@@ -12,12 +12,13 @@ module is the one place the rest of the system reasons about them:
   sequence or a ``{name: value}`` mapping) into the positional tuple every
   backend consumes,
 * :func:`bind_parameters` substitutes resolved values as literals into a new
-  statement tree — the binding strategy for DML, whose multi-tenant rewrite
-  and shard routing read concrete values.  A SELECT keeps its parameters:
-  the in-memory engine (and the cluster's merge queries) reads each value
-  per run from a plan prepared once per value types (see
-  :class:`repro.engine.executor.RunState`), and the SQLite backend renders
-  ``?NNN`` text and binds natively.
+  statement tree — left to a cluster routing an INSERT whose ttid is itself
+  a parameter, or splitting one INSERT's rows over shards.  Every other
+  statement keeps its parameters: the in-memory engine (and the cluster's
+  merge queries) reads each value per run from a plan prepared once per
+  value types (see :class:`repro.engine.executor.RunState`), the SQLite
+  backend renders ``?NNN`` text and binds natively, and the MTSQL DML
+  rewrite reads no value (see :mod:`repro.core.dml`).
 
 All validation failures raise :class:`~repro.errors.ParameterError`, except
 a short value vector for the engine's ``$n`` references, which stays the

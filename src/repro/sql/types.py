@@ -215,9 +215,9 @@ def _coerce_pair(left: Any, right: Any) -> tuple[Any, Any]:
         return left, right
     if isinstance(left, Date) or isinstance(right, Date):
         if isinstance(left, str):
-            return date_from_string(left), right
+            return _compared_date(left), right
         if isinstance(right, str):
-            return left, date_from_string(right)
+            return left, _compared_date(right)
         raise TypeMismatchError(
             f"cannot compare {type(left).__name__} with {type(right).__name__}"
         )
@@ -229,6 +229,15 @@ def _coerce_pair(left: Any, right: Any) -> tuple[Any, Any]:
     raise TypeMismatchError(
         f"cannot compare {type(left).__name__} with {type(right).__name__}"
     )
+
+
+def _compared_date(text: str) -> Date:
+    """A string compared with a DATE, parsed; one that is no ISO date is a
+    type mismatch, as a number would be."""
+    try:
+        return date_from_string(text)
+    except ValueError:
+        raise TypeMismatchError(f"cannot compare date with {text!r}: not an ISO date") from None
 
 
 def sort_key(value: Any) -> tuple:

@@ -184,6 +184,27 @@ def test_executing_unbound_parameters_fails_clearly():
         database.execute("SELECT a FROM t WHERE a = ?")
 
 
+@pytest.mark.parametrize(
+    "sql",
+    (
+        "SELECT o_orderkey FROM orders WHERE o_orderdate >= ?",
+        "UPDATE orders SET o_comment = o_comment WHERE o_orderdate >= ?",
+    ),
+)
+def test_a_non_iso_string_bound_against_a_date_is_a_type_mismatch(
+    mt_connect, tiny_mth_engine, sql
+):
+    from repro.errors import TypeMismatchError
+    from repro.gateway import QueryGateway
+
+    for target in (tiny_mth_engine.middleware, QueryGateway(tiny_mth_engine.middleware)):
+        with mt_connect(target, client=2) as connection:
+            cursor = connection.cursor()
+            with pytest.raises(TypeMismatchError, match="not an ISO date"):
+                cursor.execute(sql, ("3",))
+                cursor.fetchall()
+
+
 # ---------------------------------------------------------------------------
 # fingerprints: one digest per parameterized text, across bindings
 # ---------------------------------------------------------------------------

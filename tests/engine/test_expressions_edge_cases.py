@@ -103,6 +103,26 @@ class TestErrorsAndDates:
         with pytest.raises(TypeMismatchError):
             db.query("SELECT a FROM t WHERE s > 5")
 
+    @pytest.mark.parametrize(
+        "sql",
+        (
+            "SELECT d FROM t WHERE d >= '3'",
+            "SELECT d FROM t WHERE '3' <= d",
+            "SELECT d FROM t WHERE d BETWEEN 'x' AND '2001-01-01'",
+            "UPDATE t SET d = d WHERE d >= '3'",
+        ),
+    )
+    def test_comparing_a_date_with_a_non_iso_string_is_a_type_mismatch(self, db, sql):
+        from repro.errors import TypeMismatchError
+
+        with pytest.raises(TypeMismatchError, match="not an ISO date"):
+            db.execute(sql)
+        database = Database()  # a NOT NULL date column compares through typed kernels
+        database.execute("CREATE TABLE t (d DATE NOT NULL)")
+        database.execute("INSERT INTO t VALUES (DATE '2000-02-29')")
+        with pytest.raises(TypeMismatchError, match="not an ISO date"):
+            database.execute(sql)
+
     def test_leap_day_date_round_trip(self, db):
         rows = db.query("SELECT EXTRACT(DAY FROM d) AS day FROM t WHERE a = 1").rows
         assert rows == [(29,)]

@@ -37,10 +37,19 @@ class TestDialectRegistry:
 
 
 class TestIdentifierQuoting:
-    def test_default_never_quotes(self):
-        # the default dialect feeds the repro parser, which has no quoting
-        assert DEFAULT_DIALECT.quote_identifier("order") == "order"
-        assert DEFAULT_DIALECT.quote_identifier("weird name") == "weird name"
+    def test_default_quotes_keywords_and_unsafe_names(self):
+        # the default dialect feeds the repro parser, which reads "..." as a name
+        assert DEFAULT_DIALECT.quote_identifier("order") == '"order"'
+        assert DEFAULT_DIALECT.quote_identifier("Date") == '"Date"'
+        assert DEFAULT_DIALECT.quote_identifier("weird name") == '"weird name"'
+        assert DEFAULT_DIALECT.quote_identifier('has"quote') == '"has""quote"'
+        assert DEFAULT_DIALECT.quote_identifier("lineitem") == "lineitem"
+
+    def test_every_word_that_ends_a_name_is_quoted(self):
+        from repro.sql.dialect import GRAMMAR_KEYWORDS
+        from repro.sql.parser import _RESERVED
+
+        assert _RESERVED <= GRAMMAR_KEYWORDS
 
     def test_sqlite_quotes_reserved_words(self):
         assert SQLITE_DIALECT.quote_identifier("order") == '"order"'
@@ -178,6 +187,21 @@ class TestDefaultDialectRoundTrip:
         once = to_sql(parse_query(text))
         twice = to_sql(parse_query(once))
         assert once == twice
+
+    @pytest.mark.parametrize(
+        "text",
+        (
+            'SELECT a AS "x y" FROM t',
+            'SELECT "select", "t t"."from" FROM "t t" WHERE "date" = 1 AND "Year" > 2',
+            'SELECT "null" AS "order" FROM t GROUP BY "null" ORDER BY "order"',
+            'INSERT INTO "my table" ("a b", "values") VALUES (1, 2)',
+            'UPDATE t SET "set" = 1 WHERE "where" IS NULL',
+            'CREATE TABLE "t-1" ("key" INTEGER NOT NULL, "a""b" DATE)',
+        ),
+    )
+    def test_a_name_that_needs_quoting_round_trips(self, text):
+        statement = parse_statement(text)
+        assert parse_statement(to_sql(statement)) == statement
 
 
 class TestNegativeIntervals:

@@ -269,9 +269,10 @@ def test_short_value_vectors_keep_their_errors():
     assert bind_parameters(drop, ()) is drop
 
 
-def test_engine_backend_binds_through_the_one_binder():
-    """The engine backend keeps no binder of its own: ``$n`` and ``?`` bind in
-    every statement kind, a parameterized ``INSERT ... SELECT`` included."""
+def test_engine_backend_reads_parameters_in_every_statement_kind():
+    """The engine backend substitutes no literal: ``$n`` and ``?`` are run
+    constants in every statement kind, a parameterized ``INSERT ... SELECT``
+    included, and a short vector raises the binder's error."""
     connection = EngineBackend().connect()
     connection.execute("CREATE TABLE t (a INTEGER, b INTEGER)")
     connection.execute("CREATE TABLE u (a INTEGER, b INTEGER)")
@@ -284,3 +285,7 @@ def test_engine_backend_binds_through_the_one_binder():
     assert connection.query("SELECT COUNT(*) FROM u").rows == [(0,)]
     with pytest.raises(BackendError, match=r"references \$2 but only 1 parameter"):
         connection.execute("SELECT a FROM t WHERE a = $2", (1,))
+    with pytest.raises(BackendError, match=r"references \$2 but only 1 parameter"):
+        connection.execute("DELETE FROM u WHERE a = $2", (1,))
+    with pytest.raises(ParameterError, match="references parameter 2 but only 1 value"):
+        connection.execute("UPDATE u SET b = ?2", (1,))

@@ -8,7 +8,12 @@ change.  In process: one :class:`repro.engine.Database`, one table of
 ``--rows`` base rows that never change, and on top of them each writer thread
 inserts, negates (``UPDATE``) and deletes *groups* of four rows of its own,
 one statement per group, and updates and deletes single rows by primary key
-(:func:`_keyed_write`), racing the readers' key look-ups.  Every statement
+(:func:`_keyed_write`), racing the readers' key look-ups.  The keyed writes
+are parsed once (:data:`KEYED`) and every writer executes those statement
+objects with ``?`` values drawn per write and one shared memo space, so
+where the engine memoizes write plans the writers run one plan each; every
+keyed write must change exactly one row, and one that does not (a plan that
+kept an earlier write's key) counts as a torn answer.  Every statement
 keeps, over the writers' rows,
 
 * ``COUNT(*)`` a multiple of four, ``SUM(a) = 0``,
@@ -51,13 +56,20 @@ import time
 from repro.backends.engine import EngineConnection
 from repro.engine import Database
 from repro.engine.storage import TableData
-from repro.sql.parser import parse_query
+from repro.sql.parser import parse_query, parse_statement
 
 LOW, HIGH = 10, 90
 SCAN = f"SELECT COUNT(*), SUM(a), MIN(b), MAX(b) FROM t WHERE w > 0 AND b >= {LOW}"
 JOIN = "SELECT COUNT(*), SUM(a), MIN(b), MAX(b) FROM k, t WHERE k.w = t.w"
 STREAM = "SELECT t.a, t.b FROM k, t WHERE k.w = t.w"
 BOUND = "SELECT COUNT(*), SUM(a) FROM t WHERE w = 0 AND id >= 0 AND b >= ?"
+#: the writers' statements by primary key, each changing one row
+KEYED = {
+    "move": "UPDATE t SET b = ? WHERE id = ?",
+    "insert": "INSERT INTO t VALUES (?, 0, 0, 0, 0)",
+    "bump": "UPDATE t SET g = g + 1 WHERE id = ?",
+    "delete": "DELETE FROM t WHERE id = ?",
+}
 #: what each thread counts (a report may also hold its ``first_error``)
 COUNTS = ("reads", "writes", "errors", "torn")
 
@@ -126,25 +138,37 @@ def _failed(report: dict, exc: Exception) -> None:
 
 
 def _keyed_write(
-    database: Database, writer: int, rng: random.Random, live: list[int], scratch: list[int]
-) -> None:
-    """One statement by primary key (``WHERE id = …``): move the middle
+    connection: EngineConnection,
+    shapes: "_Shapes",
+    writer: int,
+    rng: random.Random,
+    live: list[int],
+    scratch: list[int],
+) -> int:
+    """One statement by primary key (``WHERE id = ?``): move the middle
     ``b`` of a live group's third row (it stays within ``LOW..HIGH``), or
     toggle a scratch row — ``w = 0``, a negative ``id`` — that no reader's
-    answer includes, inserting it or updating and deleting it by key."""
+    answer includes, inserting it or updating and deleting it by key.
+    Returns the number of rows it changed."""
     if rng.random() < 0.5:
         key = writer * 10**9 + rng.choice(live) * 4 + 2
-        database.execute(f"UPDATE t SET b = {rng.randint(LOW, HIGH)} WHERE id = {key}")
+        name, values = "move", [rng.randint(LOW, HIGH), key]
     elif not scratch:
         scratch.append(-(writer * 10**9 + rng.randint(1, 10**6)))
-        database.execute(f"INSERT INTO t VALUES ({scratch[0]}, 0, 0, 0, 0)")
+        name, values = "insert", [scratch[0]]
     elif rng.random() < 0.5:
-        database.execute(f"UPDATE t SET g = g + 1 WHERE id = {scratch[0]}")
+        name, values = "bump", [scratch[0]]
     else:
-        database.execute(f"DELETE FROM t WHERE id = {scratch.pop()}")
+        name, values = "delete", [scratch.pop()]
+    return connection.execute_scoped(
+        shapes.keyed[name], parameters=values, compiled=shapes
+    ).rowcount
 
 
-def _writer(database: Database, writer: int, rng: random.Random, stop, report: dict) -> None:
+def _writer(
+    database: Database, writer: int, shapes: "_Shapes", rng: random.Random, stop, report: dict
+) -> None:
+    connection = EngineConnection(database)
     live: list[int] = []
     scratch: list[int] = []
     group = 0
@@ -165,7 +189,7 @@ def _writer(database: Database, writer: int, rng: random.Random, stop, report: d
                 target = rng.choice(live)
                 database.execute(f"UPDATE t SET a = -a WHERE w = {writer} AND g = {target}")
             elif choice < 0.8:
-                _keyed_write(database, writer, rng, live, scratch)
+                report["torn"] += _keyed_write(connection, shapes, writer, rng, live, scratch) != 1
             else:
                 target = live.pop(rng.randrange(len(live)))
                 database.execute(f"DELETE FROM t WHERE w = {writer} AND g = {target}")
@@ -175,15 +199,16 @@ def _writer(database: Database, writer: int, rng: random.Random, stop, report: d
 
 
 class _Shapes:
-    """The pre-parsed :data:`SCAN`, :data:`JOIN`, :data:`STREAM` and
-    :data:`BOUND`, and the memo space the readers share for them (it stands
-    in for a compiled artifact's)."""
+    """The pre-parsed :data:`SCAN`, :data:`JOIN`, :data:`STREAM`,
+    :data:`BOUND` and :data:`KEYED` statements, and the memo space every
+    thread shares for them (it stands in for a compiled artifact's)."""
 
     def __init__(self) -> None:
         self.scan = parse_query(SCAN)
         self.join = parse_query(JOIN)
         self.stream = parse_query(STREAM)
         self.bound = parse_query(BOUND)
+        self.keyed = {name: parse_statement(sql) for name, sql in KEYED.items()}
         self.attachments: dict = {}
 
 
@@ -233,7 +258,7 @@ def run(seconds: float, writers: int, readers: int, rows: int, seed: int = 0) ->
     threads = []
     for k, report in enumerate(reports):
         rng = random.Random(seed * 1000 + k)
-        args = (k + 1,) if k < writers else (shapes, rows)
+        args = (k + 1, shapes) if k < writers else (shapes, rows)
         threads.append(
             threading.Thread(
                 target=_writer if k < writers else _reader,
