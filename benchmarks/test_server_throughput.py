@@ -1,6 +1,6 @@
 """Network serving tier: throughput, tail latency and bounded-memory streaming.
 
-Drives the asyncio :class:`~repro.server.ReproServer` with a fleet of
+Drives the thread-per-connection :class:`~repro.server.ReproServer` with a fleet of
 concurrent network clients issuing parameterized Q1/Q6-class MT-H queries,
 and reports:
 

@@ -1,11 +1,12 @@
-"""repro.server — the asyncio network serving tier.
+"""repro.server — the network serving tier.
 
 The layer that turns the in-process serving stack into a database *service*:
-an asyncio TCP server speaking a length-prefixed JSON frame protocol
-(HELLO / PREPARE / EXECUTE / FETCH / EXPLAIN / CLOSE), with per-tenant
-admission control — bounded queues, concurrency caps, retryable
-``SERVER_BUSY`` shedding, per-request timeouts — and graceful drain.
-Blocking backend work runs on a worker-thread pool behind the event loop;
+a thread-per-connection TCP server speaking a length-prefixed JSON frame
+protocol (HELLO / PREPARE / EXECUTE / FETCH / EXPLAIN / CLOSE), with
+per-tenant admission control — bounded queues, concurrency caps, retryable
+``SERVER_BUSY`` shedding, per-request timeouts — and graceful drain.  Each
+connection's thread reads its requests, runs them on the backend (at most
+``workers`` at once, server-wide) and writes the replies itself;
 an EXECUTE reply carries a SELECT's first page (a result that fits it is one
 round trip), the rest streams to clients in demand-sized FETCH batches, and
 an open result cursor keeps holding its tenant's admission slot, which is

@@ -1,11 +1,11 @@
 """Per-tenant admission control: bounded queues, concurrency caps, shedding.
 
 Every EXECUTE request passes through the connection's tenant gate before it
-may touch a worker thread:
+may run backend work:
 
 * up to ``concurrency`` requests of one tenant run (or hold an open cursor)
   at once,
-* up to ``queue_depth`` more may *wait* for a slot,
+* up to ``queue_depth`` more may *wait* for a slot, in arrival order,
 * anything beyond that is **shed immediately** with a retryable
   ``SERVER_BUSY`` error frame — the request never consumes backend
   resources, and the client knows a backoff-and-retry is safe.
@@ -15,20 +15,24 @@ stream**: a result that fits the first page of its EXECUTE reply gives the
 slot back before that reply is written, but a client that executes a large
 SELECT and stops fetching keeps its slot pinned until the cursor is exhausted
 or closed, so one slow consumer throttles *its own tenant* (further
-statements shed) instead of stalling the event loop or other tenants — that
-is the backpressure story.
+statements shed) instead of stalling other connections or tenants — that is
+the backpressure story.
 
-Load is tracked by a :class:`LoadGauge` per gate — requests in flight and
-requests queued, with their peaks; every gate updates its own gauge and the
+Gates are shared by the server's connection threads: a gate's counters and
+queue live under its own lock (a :class:`threading.Condition` its waiters
+sleep on), and the controller creates each gate exactly once.  Load is
+tracked by a :class:`LoadGauge` per gate — requests in flight and requests
+queued, with their peaks; every gate updates its own gauge and the
 controller's, so the server-wide peaks are peaks that really happened, not
 sums of per-tenant peaks.
 """
 
 from __future__ import annotations
 
-import asyncio
 import threading
+from collections import deque
 from dataclasses import dataclass
+from time import monotonic
 from typing import Optional
 
 from ..errors import ServerBusyError
@@ -111,13 +115,23 @@ class AdmissionSnapshot:
         return f"admitted {self.admitted}, shed {self.shed}, {self.load.describe()}"
 
 
+class _Waiter:
+    """One queued admission request; ``granted`` once a release handed it a slot."""
+
+    __slots__ = ("granted",)
+
+    def __init__(self) -> None:
+        self.granted = False
+
+
 class TenantGate:
     """One tenant's bounded admission queue + concurrency cap.
 
-    Single-loop discipline: ``admit``/``release`` run on the event-loop
-    thread (worker threads release via ``loop.call_soon_threadsafe``), so the
-    counters need no locking; the :class:`LoadGauge` pair — this tenant's and
-    the controller's server-wide ``total`` — is thread-safe on its own.
+    Every counter and the queue change under ``_lock``, the condition queued
+    requests wait on; a release hands its slot to the oldest waiter before
+    the lock is let go, so a newcomer can never take it first.  The
+    :class:`LoadGauge` pair — this tenant's and the controller's server-wide
+    ``total`` — is thread-safe on its own.
     """
 
     def __init__(
@@ -131,75 +145,68 @@ class TenantGate:
         self.admitted = 0
         self.shed = 0
         self._in_flight = 0
-        self._waiters: list[asyncio.Future] = []
+        self._waiters: deque[_Waiter] = deque()
+        self._lock = threading.Condition()  # re-entrant: ``admit`` tries first
 
     def try_admit(self) -> bool:
         """Take one execution slot if one is free and nobody queues for it."""
-        if self._in_flight < self.concurrency and not self._waiters:
-            self._grant()
+        with self._lock:
+            if self._in_flight >= self.concurrency or self._waiters:
+                return False
+            self._in_flight += 1
+            self.admitted += 1
+            for gauge in self._gauges:
+                gauge.enter()
             return True
-        return False
 
-    async def admit(self) -> None:
-        """Take one execution slot, waiting in the bounded queue if needed.
+    def admit(self, timeout: float) -> bool:
+        """Take one execution slot, waiting up to ``timeout`` seconds in the
+        bounded queue; ``False`` when the wait ran out without a slot.
 
         Raises :class:`~repro.errors.ServerBusyError` without waiting when
         the queue is already full — the load-shedding path.
         """
-        if self.try_admit():
-            return
-        if len(self._waiters) >= self.queue_depth:
-            self.shed += 1
-            raise ServerBusyError(
-                f"tenant {self.ttid} is at capacity ({self._in_flight} in "
-                f"flight, {len(self._waiters)} queued); retry after a backoff"
-            )
-        waiter: asyncio.Future = asyncio.get_running_loop().create_future()
-        self._waiters.append(waiter)
-        for gauge in self._gauges:
-            gauge.enqueue()
-        try:
-            await waiter
-        except asyncio.CancelledError:
-            if waiter in self._waiters:
-                # timed out / disconnected while still queued: withdraw
-                self._waiters.remove(waiter)
-                self._dequeued()
-            elif waiter.done() and not waiter.cancelled():
-                # granted in the same instant the wait was cancelled: hand
-                # the slot straight back (to the next waiter, if any)
-                self._release_slot()
-            # else: _release_slot already skipped the cancelled waiter
-            raise
-
-    def _dequeued(self) -> None:
-        """A waiter left ``_waiters``: the gauges' queue depth tracks the list
-        itself, not the moment the waiting coroutine next runs."""
-        for gauge in self._gauges:
-            gauge.dequeue()
-
-    def _grant(self) -> None:
-        self._in_flight += 1
-        self.admitted += 1
-        for gauge in self._gauges:
-            gauge.enter()
+        with self._lock:
+            if self.try_admit():
+                return True
+            if len(self._waiters) >= self.queue_depth:
+                self.shed += 1
+                raise ServerBusyError(
+                    f"tenant {self.ttid} is at capacity ({self._in_flight} in "
+                    f"flight, {len(self._waiters)} queued); retry after a backoff"
+                )
+            waiter = _Waiter()
+            self._waiters.append(waiter)
+            for gauge in self._gauges:
+                gauge.enqueue()
+            deadline = monotonic() + timeout
+            while not waiter.granted:
+                remaining = deadline - monotonic()
+                if remaining <= 0:  # timed out while still queued: withdraw
+                    self._waiters.remove(waiter)
+                    for gauge in self._gauges:
+                        gauge.dequeue()
+                    return False
+                self._lock.wait(remaining)
+            return True
 
     def release(self) -> None:
-        """Give one slot back; a queued waiter (if any) takes it over."""
-        self._release_slot()
+        """Give one slot back; the oldest queued waiter (if any) takes it over.
 
-    def _release_slot(self) -> None:
-        self._in_flight -= 1
-        for gauge in self._gauges:
-            gauge.exit()
-        while self._waiters:
-            waiter = self._waiters.pop(0)
-            self._dequeued()
-            if waiter.cancelled():
-                continue
-            self._grant()
-            waiter.set_result(None)
-            return
+        The gauges' queue depth follows the queue itself, not the moment the
+        woken waiter next runs."""
+        with self._lock:
+            for gauge in self._gauges:
+                gauge.exit()
+            if not self._waiters:
+                self._in_flight -= 1
+                return
+            self._waiters.popleft().granted = True
+            self.admitted += 1
+            for gauge in self._gauges:
+                gauge.dequeue()
+                gauge.enter()
+            self._lock.notify_all()
 
     @property
     def in_flight(self) -> int:
@@ -213,9 +220,9 @@ class TenantGate:
 
     def snapshot(self) -> AdmissionSnapshot:
         """This gate's counters plus its gauge reading."""
-        return AdmissionSnapshot(
-            admitted=self.admitted, shed=self.shed, load=self.gauge.snapshot()
-        )
+        with self._lock:
+            admitted, shed = self.admitted, self.shed
+        return AdmissionSnapshot(admitted=admitted, shed=shed, load=self.gauge.snapshot())
 
 
 class AdmissionController:
@@ -227,23 +234,30 @@ class AdmissionController:
         #: server-wide load, updated by every gate alongside its own gauge
         self.gauge = LoadGauge()
         self._gates: dict[int, TenantGate] = {}
+        self._lock = threading.Lock()
 
     def gate(self, ttid: int) -> TenantGate:
-        """The (lazily created) gate of tenant ``ttid``."""
+        """The (lazily created) gate of tenant ``ttid``; racing first callers
+        of one tenant get the same gate."""
         gate = self._gates.get(ttid)
         if gate is None:
-            gate = TenantGate(ttid, self.concurrency, self.queue_depth, self.gauge)
-            self._gates[ttid] = gate
+            with self._lock:
+                gate = self._gates.get(ttid)
+                if gate is None:
+                    gate = TenantGate(ttid, self.concurrency, self.queue_depth, self.gauge)
+                    self._gates[ttid] = gate
         return gate
 
     def snapshot(self) -> AdmissionSnapshot:
         """Server-wide counters: admitted/shed summed over the tenant gates,
         ``load`` the controller's own gauge — its peaks are the most requests
         that ever held a slot (or queued) *at the same time* on this server."""
-        gates = list(self._gates.values())
+        with self._lock:
+            gates = list(self._gates.values())
+        snapshots = [gate.snapshot() for gate in gates]
         return AdmissionSnapshot(
-            admitted=sum(gate.admitted for gate in gates),
-            shed=sum(gate.shed for gate in gates),
+            admitted=sum(snapshot.admitted for snapshot in snapshots),
+            shed=sum(snapshot.shed for snapshot in snapshots),
             load=self.gauge.snapshot(),
         )
 

@@ -1,4 +1,4 @@
-"""Serving-tier configuration: admission, worker-pool and timeout knobs.
+"""Serving-tier configuration: admission, backend-concurrency and timeout knobs.
 
 A :class:`ServerConfig` gathers every tunable of :class:`repro.server.
 ReproServer`; it is the one way to configure a server.  Its values come from
@@ -22,7 +22,9 @@ class ServerConfig:
     ``queue_depth`` bounds how many requests *per tenant* may wait behind the
     ``concurrency`` in-flight ones before admission sheds with
     ``SERVER_BUSY``; ``request_timeout`` bounds one request's wall time
-    (admission wait included); ``drain_timeout`` bounds the graceful
+    (admission wait included); ``workers`` bounds how many requests run
+    backend work at once, server-wide (each connection has its own thread;
+    connections are not capped); ``drain_timeout`` bounds the graceful
     shutdown's wait for in-flight work.  ``port`` 0 picks an ephemeral port.
     """
 

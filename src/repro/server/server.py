@@ -1,60 +1,57 @@
-"""The asyncio TCP server fronting a query gateway.
+"""The threaded TCP server fronting a query gateway.
 
 :class:`ReproServer` turns the in-process serving stack (gateway → compile →
-backend/cluster) into a network service.  One asyncio event loop accepts
-connections and speaks the frame protocol of :mod:`repro.server.protocol`;
-**all blocking backend work runs on a worker-thread pool behind the loop**
-(``ThreadPoolExecutor``), so one slow tenant statement can never stall frame
-handling for everybody else.
+backend/cluster) into a network service speaking the frame protocol of
+:mod:`repro.server.protocol`.  One accept thread starts **one thread per
+connection**, and that thread serves the connection's requests itself: it
+reads a frame, passes admission, runs the connection's
+:class:`~repro.gateway.session.GatewaySession` and writes the reply, so a
+served statement crosses no thread between its request and its reply.  A
+slow statement stalls only its own connection, and at most ``workers``
+requests run backend work at once, server-wide.
 
-Per connection the server holds one
-:class:`~repro.gateway.session.GatewaySession` (bound by HELLO) plus the
-connection's open server-side cursors.  EXECUTE requests pass through
-per-tenant admission gates (:mod:`repro.server.admission`): bounded queues,
-concurrency caps, ``SERVER_BUSY`` shedding and per-request timeouts — an
-admission slot is held for the whole life of a request *including its result
-stream*, which is what gives slow consumers backpressure instead of
-unbounded server-side buffering.
+EXECUTE requests pass through per-tenant admission gates
+(:mod:`repro.server.admission`): bounded queues, concurrency caps,
+``SERVER_BUSY`` shedding and per-request timeouts — an admission slot is
+held for the whole life of a request *including its result stream*, which is
+what gives slow consumers backpressure instead of unbounded server-side
+buffering.
 
 SELECT results stream: EXECUTE answers with the column names and the **first
-page** — as many rows as the request's ``fetch`` field asked for, taken by the
-worker that ran the statement.  A result that fits the page is complete in
-that one reply: no cursor is registered and the admission slot is free before
-the reply is written.  Otherwise the reply names a cursor, and FETCH frames
-pull further row batches straight off the backend's
-:class:`~repro.result.RowStream` — the server never materializes a result
-set on behalf of a client.  The worker that produced a page also encodes it
-to frame bytes, so the event loop only ever writes them.
+page** of ``fetch`` rows.  A result that fits the page is complete in that one
+reply, its slot free before the reply is written; otherwise the reply names a
+cursor, and FETCH frames pull further row batches straight off the backend's
+:class:`~repro.result.RowStream` — the server never materializes a result set
+on behalf of a client.
 
-The event loop spends no task or timer on a request that needs none: a
-connection handler awaits its next frame directly, a free admission slot is
-taken synchronously, and a worker call is one wrapped future with one
-deadline handle.
+Deadlines cancel the wait, never the work.  A request still queued for an
+admission slot or a worker at its deadline answers ``REQUEST_TIMEOUT`` and
+never runs.  Running work cannot be stopped: one watcher thread per server
+answers ``REQUEST_TIMEOUT`` for it at its deadline, and once the work
+returns, the connection's thread closes what it produced, frees the slot,
+writes nothing and reads the connection's next frame.
 
-The server runs on a background thread (:meth:`start`/:meth:`stop`, or the
-:func:`serve` context manager), so synchronous programs and tests can embed
-it; :meth:`stop` drains gracefully — in-flight requests finish (up to the
-configured drain timeout) before the loop shuts down.
+:meth:`ReproServer.stop` drains gracefully: idle connections close at once,
+and requests in flight get up to the configured drain timeout to answer.
 """
 
 from __future__ import annotations
 
-import asyncio
 import contextlib
+import heapq
+import itertools
 import logging
+import socket
 import threading
-from concurrent.futures import ThreadPoolExecutor
+from time import monotonic
 from typing import Any, Callable, Optional, Union
 
 from ..errors import (
-    BackendError,
-    ProtocolError,
-    ReproError,
-    RequestTimeoutError,
+    BackendError, ProtocolError, ReproError, RequestTimeoutError, ServerBusyError,
     ServerError,
 )
 from ..result import QueryResult, RowStream, StatementResult
-from .admission import AdmissionController, AdmissionSnapshot, TenantGate
+from .admission import AdmissionController, AdmissionSnapshot
 from .config import ServerConfig
 from .protocol import (
     PROTOCOL_VERSION,
@@ -63,24 +60,44 @@ from .protocol import (
     encode_rows,
     encode_rows_reply,
     error_frame,
-    read_frame,
+    read_frame_blocking,
 )
 
 logger = logging.getLogger("repro.server")
 
+#: a request's states: waiting for a slot or a worker (it answers its own
+#: timeout), running its work (the watcher answers one), answered, and
+#: answered by the watcher while its work ran on
+_WAITING, _RUNNING, _DONE, _ABANDONED = range(4)
 
-class _ReleaseOnce:
-    """Idempotent admission-slot release shared between paths of one request."""
 
-    def __init__(self, gate: TenantGate) -> None:
-        self._gate = gate
-        self._released = False
+class _Abandoned(Exception):
+    """The watcher answered this request's timeout: write nothing for it."""
 
-    def release(self) -> None:
-        """Release the slot (first call wins; later calls are no-ops)."""
-        if not self._released:
-            self._released = True
-            self._gate.release()
+
+class _Connection:
+    """Per-TCP-connection state: the socket, the bound session, open cursors."""
+
+    def __init__(self, sock: socket.socket) -> None:
+        self.sock = sock
+        self.reader = sock.makefile("rb")
+        #: serializes the connection's replies with the watcher's timeouts
+        self.write_lock = threading.Lock()
+        #: between reading a request and answering it (``stop`` drains these)
+        self.busy = False
+        self.session = None  # GatewaySession, set by HELLO
+        self.gate = None  # the tenant's TenantGate, set by HELLO
+        self.cursors: dict[int, _Cursor] = {}
+        self.next_cursor = 1
+
+    def send(self, data: bytes) -> None:
+        with self.write_lock:
+            self.sock.sendall(data)
+
+    def shutdown(self) -> None:
+        """Wake a thread blocked on this socket: its read sees end of file."""
+        with contextlib.suppress(OSError):
+            self.sock.shutdown(socket.SHUT_RDWR)
 
 
 class _Cursor:
@@ -90,38 +107,32 @@ class _Cursor:
     one frame left out; the next FETCH serves them first.
     """
 
-    def __init__(
-        self,
-        cursor_id: int,
-        stream: RowStream,
-        release: Callable[[], None],
-        held: list[tuple],
-    ) -> None:
+    __slots__ = ("cursor_id", "stream", "release", "held")
+
+    def __init__(self, cursor_id: int, stream: RowStream,
+                 release: Callable[[], None], held: list[tuple]) -> None:
         self.cursor_id = cursor_id
         self.stream = stream
         self.release = release
         self.held = held
 
 
-class _Connection:
-    """Per-TCP-connection state: the bound session and its open cursors."""
+class _Request:
+    """One request's deadline and state; ``_RUNNING`` ends under the
+    connection's write lock, as ``_DONE`` (its thread) or ``_ABANDONED``
+    (the watcher)."""
 
-    def __init__(self) -> None:
-        self.session = None  # GatewaySession, set by HELLO
-        self.gate: Optional[TenantGate] = None
-        self.cursors: dict[int, _Cursor] = {}
-        self.next_cursor = 1
+    __slots__ = ("conn", "deadline", "state")
 
-    def reserve_cursor_id(self) -> int:
-        """The id the next cursor will carry (known before its worker runs,
-        so the worker can encode the whole reply; unused if the page hits eof)."""
-        cursor_id = self.next_cursor
-        self.next_cursor += 1
-        return cursor_id
+    def __init__(self, conn: _Connection, deadline: float) -> None:
+        self.conn = conn
+        self.deadline = deadline
+        self.state = _WAITING
 
 
 class ReproServer:
-    """An asyncio TCP serving tier over a gateway (or a bare middleware).
+    """A thread-per-connection TCP serving tier over a gateway (or a bare
+    middleware).
 
     ``target`` is either a :class:`~repro.gateway.gateway.QueryGateway`
     (shared with in-process callers — cache counters and sessions are the
@@ -150,19 +161,24 @@ class ReproServer:
         self.admission = AdmissionController(
             concurrency=self.config.concurrency, queue_depth=self.config.queue_depth
         )
-        self._pool = ThreadPoolExecutor(
-            max_workers=self.config.workers, thread_name_prefix="repro-server"
-        )
-        self._thread: Optional[threading.Thread] = None
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._stop_event: Optional[asyncio.Event] = None
-        self._ready = threading.Event()
-        self._startup_error: Optional[BaseException] = None
-        self._handlers: set[asyncio.Task] = set()
-        #: handlers waiting for their connection's next request frame
-        self._idle: set[asyncio.Task] = set()
+        #: at most ``workers`` requests run backend work at once, server-wide
+        self._workers = threading.BoundedSemaphore(self.config.workers)
+        self._listener: Optional[socket.socket] = None
+        self._threads: list[threading.Thread] = []  # the accept thread, the watcher
+        #: guards the counters, ``_connections`` and ``_stopping``
+        self._lock = threading.Lock()
+        self._connections: dict[_Connection, threading.Thread] = {}
+        self._stopping = False
         self._stopped = False
-        # monotonic counters (plain ints under the GIL: safe to read anywhere)
+        #: ``(deadline, sequence, request)`` of every request with backend
+        #: work, pushed under ``_watch``, which the watcher sleeps on
+        self._deadlines: list[tuple[float, int, _Request]] = []
+        self._sequence = itertools.count()
+        self._watch = threading.Condition(threading.Lock())
+        self._watching = True
+        #: ``request_timeout`` within what a blocking wait accepts
+        self._timeout = min(self.config.request_timeout, threading.TIMEOUT_MAX)
+        # monotonic counters, incremented under ``_lock``
         self.connections_accepted = 0
         self.requests_served = 0
         self.timeouts = 0
@@ -170,39 +186,59 @@ class ReproServer:
     # -- lifecycle ----------------------------------------------------------------
 
     def start(self) -> "ReproServer":
-        """Boot the serving loop on a background thread; returns when bound.
+        """Bind the listener and start serving on background threads.
 
         After this returns, :attr:`address` is the live ``(host, port)`` —
         with ``port=0`` the kernel-assigned ephemeral port is filled in.
         """
-        if self._thread is not None:
+        if self._listener is not None:
             raise ServerError("this server has already been started")
-        self._thread = threading.Thread(
-            target=self._thread_main, name="repro-server-loop", daemon=True
-        )
-        self._thread.start()
-        self._ready.wait()
-        if self._startup_error is not None:
-            error = self._startup_error
-            self._thread.join()
-            raise ServerError(f"server failed to start: {error}") from error
+        family = socket.AF_INET6 if ":" in self.host else socket.AF_INET
+        try:
+            self._listener = socket.create_server((self.host, self.port), family=family)
+        except OSError as exc:
+            raise ServerError(f"server failed to start: {exc}") from exc
+        self.port = self._listener.getsockname()[1]
+        for target, name in ((self._accept, "accept"), (self._watch_deadlines, "watcher")):
+            thread = threading.Thread(target=target, name=f"repro-server-{name}", daemon=True)
+            thread.start()
+            self._threads.append(thread)
         return self
 
     def stop(self) -> None:
         """Gracefully drain and shut the server down; idempotent.
 
-        New connections are refused immediately; requests already in flight
-        get up to ``config.drain_timeout`` seconds to finish and answer.
+        New connections are refused and idle ones closed immediately;
+        requests already in flight get up to ``config.drain_timeout`` seconds
+        to answer, and every thread the server started is joined.  A
+        connection whose work outlives the drain has its socket shut down;
+        its thread ends when that work returns.
         """
         if self._stopped:
             return
         self._stopped = True
-        if self._loop is not None and self._stop_event is not None:
-            with contextlib.suppress(RuntimeError):
-                self._loop.call_soon_threadsafe(self._stop_event.set)
-        if self._thread is not None:
-            self._thread.join(timeout=self.config.drain_timeout + 10.0)
-        self._pool.shutdown(wait=False)
+        if self._listener is not None:
+            with self._lock:
+                self._stopping = True
+                idle = [conn for conn in self._connections if not conn.busy]
+            with contextlib.suppress(OSError):
+                self._listener.shutdown(socket.SHUT_RDWR)  # wakes accept()
+            self._listener.close()
+            for conn in idle:
+                conn.shutdown()
+            drain_until = monotonic() + self.config.drain_timeout
+            accept, watcher = self._threads
+            accept.join()
+            with self._lock:
+                draining = list(self._connections.items())
+            for conn, thread in draining:
+                thread.join(max(0.0, drain_until - monotonic()))
+                if thread.is_alive():  # no answer within the drain
+                    conn.shutdown()
+            with self._watch:
+                self._watching = False
+                self._watch.notify()
+            watcher.join()
         if self._owns_gateway:
             self.gateway.close()
 
@@ -216,121 +252,116 @@ class ReproServer:
         return self.admission.snapshot()
 
     def __enter__(self) -> "ReproServer":
-        return self.start() if self._thread is None else self
+        return self.start() if self._listener is None else self
 
     def __exit__(self, *exc_info) -> None:
         self.stop()
 
     def __repr__(self) -> str:
-        state = "stopped" if self._stopped else ("live" if self._ready.is_set() else "new")
+        state = "stopped" if self._stopped else ("live" if self._listener else "new")
         return (
             f"ReproServer({self.host}:{self.port}, {state}, "
             f"served={self.requests_served}, timeouts={self.timeouts})"
         )
 
-    # -- event loop ---------------------------------------------------------------
+    # -- threads ------------------------------------------------------------------
 
-    def _thread_main(self) -> None:
+    def _accept(self) -> None:
+        """Start one thread per accepted connection until ``stop``."""
+        while True:
+            try:
+                sock, _ = self._listener.accept()
+            except OSError:  # stop() shut the listener down
+                return
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            conn = _Connection(sock)
+            with self._lock:
+                if self._stopping:
+                    sock.close()
+                    return
+                self.connections_accepted += 1
+                thread = threading.Thread(
+                    target=self._serve_connection, args=(conn,), daemon=True,
+                    name=f"repro-server_{self.connections_accepted}",
+                )
+                self._connections[conn] = thread
+            thread.start()
+
+    def _serve_connection(self, conn: _Connection) -> None:
+        """Serve one connection's requests in order, on this thread."""
         try:
-            asyncio.run(self._main())
-        except BaseException as exc:  # pragma: no cover - loop crash safety net
-            if not self._ready.is_set():
-                self._startup_error = exc
-                self._ready.set()
-            else:
-                logger.exception("server loop crashed: %s", exc)
-
-    async def _main(self) -> None:
-        self._loop = asyncio.get_running_loop()
-        self._stop_event = asyncio.Event()
-        try:
-            server = await asyncio.start_server(
-                self._on_connection, host=self.host, port=self.port
-            )
-        except OSError as exc:
-            self._startup_error = exc
-            self._ready.set()
-            return
-        self.port = server.sockets[0].getsockname()[1]
-        self._ready.set()
-        await self._stop_event.wait()
-        server.close()
-        # graceful drain: handlers idle between requests are cancelled now,
-        # busy ones answer their in-flight request and then see the stop event
-        for task in list(self._idle):
-            task.cancel()
-        await server.wait_closed()
-        pending = {task for task in self._handlers if not task.done()}
-        if pending:
-            await asyncio.wait(pending, timeout=self.config.drain_timeout)
-        for task in list(self._handlers):
-            if not task.done():
-                task.cancel()
-        if self._handlers:
-            await asyncio.gather(*list(self._handlers), return_exceptions=True)
-
-    def _on_connection(self, reader, writer) -> None:
-        self.connections_accepted += 1
-        task = asyncio.ensure_future(self._serve_connection(reader, writer))
-        self._handlers.add(task)
-        task.add_done_callback(self._handlers.discard)
-
-    async def _serve_connection(self, reader, writer) -> None:
-        conn = _Connection()
-        task = asyncio.current_task()
-        try:
-            while not self._stop_event.is_set():
-                self._idle.add(task)  # stop() may cancel the wait below
+            while (frame := read_frame_blocking(conn.reader)) is not None:
+                with self._lock:
+                    if self._stopping:
+                        break
+                    conn.busy = True
+                    self.requests_served += 1
                 try:
-                    frame = await read_frame(reader)  # a ProtocolError closes below
-                finally:
-                    self._idle.discard(task)
-                if frame is None:  # clean EOF
-                    break
-                self.requests_served += 1
-                try:
-                    reply, close = await self._dispatch(conn, frame)
+                    reply, close = self._dispatch(conn, frame)
+                except _Abandoned:  # answered already; its results are closed
+                    reply, close = None, False
                 except ProtocolError as exc:
                     reply, close = error_frame(exc), True
                 except ReproError as exc:
                     reply, close = error_frame(exc), False
-                except asyncio.CancelledError:
-                    raise
                 except Exception as exc:  # noqa: BLE001 - must answer the client
                     logger.exception("unexpected error handling %r", frame.get("op"))
                     reply, close = error_frame(ServerError(str(exc))), False
-                # EXECUTE/FETCH replies arrive as frame bytes, encoded on their worker
-                writer.write(reply if isinstance(reply, bytes) else encode_frame(reply))
-                await writer.drain()
-                if close:
-                    break
+                if reply is not None:  # EXECUTE/FETCH replies are frame bytes already
+                    conn.send(reply if isinstance(reply, bytes) else encode_frame(reply))
+                with self._lock:
+                    conn.busy = False
+                    if close or self._stopping:
+                        break
         except ProtocolError as exc:
             # the byte stream is unusable: best-effort error frame, then close
-            with contextlib.suppress(Exception):
-                writer.write(encode_frame(error_frame(exc)))
-                await writer.drain()
-        except (ConnectionError, asyncio.CancelledError):
+            with contextlib.suppress(OSError):
+                conn.send(encode_frame(error_frame(exc)))
+        except OSError:
             pass
         finally:
-            self._cleanup_connection(conn)
-            writer.close()
-            with contextlib.suppress(Exception):
-                await writer.wait_closed()
+            for cursor in list(conn.cursors.values()):
+                self._drop_cursor(conn, cursor)
+            if conn.session is not None:
+                conn.session.close()
+            conn.reader.close()
+            conn.sock.close()
+            with self._lock:
+                del self._connections[conn]
 
-    def _cleanup_connection(self, conn: _Connection) -> None:
-        """Release every resource a dropped/closed connection still holds."""
-        for cursor in list(conn.cursors.values()):
-            with contextlib.suppress(Exception):
-                cursor.stream.close()
-            cursor.release()
-        conn.cursors.clear()
-        if conn.session is not None:
-            conn.session.close()
-            conn.session = None
+    def _watch_deadlines(self) -> None:
+        """Answer ``REQUEST_TIMEOUT`` for every request whose work outlives
+        its deadline.  Every deadline pushed lies a whole ``request_timeout``
+        ahead, so sleeping that long on an empty heap misses none, and no
+        request has to wake this thread."""
+        while True:
+            with self._watch:
+                if not self._watching:
+                    return
+                now = monotonic()
+                expired = []
+                while self._deadlines and self._deadlines[0][0] <= now:
+                    expired.append(heapq.heappop(self._deadlines)[2])
+                if not expired:
+                    self._watch.wait(
+                        self._deadlines[0][0] - now if self._deadlines else self._timeout
+                    )
+                    continue
+            for request in expired:
+                with request.conn.write_lock:
+                    if request.state != _RUNNING:
+                        continue  # answered, or answering its own timeout
+                    request.state = _ABANDONED
+                    error = self._timed_out(
+                        f"request exceeded the {self.config.request_timeout:.1f}s "
+                        f"per-request timeout; the backend work was abandoned"
+                    )
+                    with contextlib.suppress(OSError):
+                        request.conn.sock.sendall(encode_frame(error_frame(error)))
 
     # -- request dispatch ---------------------------------------------------------
 
-    async def _dispatch(
+    def _dispatch(
         self, conn: _Connection, frame: dict[str, Any]
     ) -> tuple[Union[dict[str, Any], bytes], bool]:
         op = frame.get("op")
@@ -343,9 +374,9 @@ class ReproServer:
         handler = self._OPS.get(op)
         if handler is None:
             raise ProtocolError(f"unknown request op {op!r}")
-        return await handler(self, conn, frame), False
+        return handler(self, conn, frame), False
 
-    async def _op_hello(self, conn: _Connection, frame: dict) -> dict:
+    def _op_hello(self, conn: _Connection, frame: dict) -> dict:
         if conn.session is not None:
             raise ProtocolError("duplicate HELLO on this connection")
         client = frame.get("client")
@@ -358,44 +389,33 @@ class ReproServer:
             )
         scope = frame.get("scope")
         optimization = frame.get("optimization")
-        session = await self._call(
-            lambda: self.gateway.session(
-                client, optimization=optimization, scope=scope
-            ),
-            timeout=self.config.request_timeout,
+        conn.session = self._call(
+            conn,
+            lambda: self.gateway.session(client, optimization=optimization, scope=scope),
+            abandon=lambda session: session.close(),
         )
-        conn.session = session
         conn.gate = self.admission.gate(client)
-        return {
-            "ok": True,
-            "session_id": session.session_id,
-            "protocol": PROTOCOL_VERSION,
-        }
+        return {"ok": True, "session_id": conn.session.session_id, "protocol": PROTOCOL_VERSION}
 
-    async def _op_prepare(self, conn: _Connection, frame: dict) -> dict:
+    def _op_prepare(self, conn: _Connection, frame: dict) -> dict:
         sql = _required_str(frame, "sql")
-        handle = await self._call(
-            lambda: conn.session.prepare(sql), timeout=self.config.request_timeout
-        )
+        handle = self._call(conn, lambda: conn.session.prepare(sql))
         return {"ok": True, "handle": handle}
 
-    async def _op_close_prepared(self, conn: _Connection, frame: dict) -> dict:
+    def _op_close_prepared(self, conn: _Connection, frame: dict) -> dict:
         handle = _required_int(frame, "handle")
         conn.session.close_prepared(handle)
         return {"ok": True}
 
-    async def _op_set_scope(self, conn: _Connection, frame: dict) -> dict:
+    def _op_set_scope(self, conn: _Connection, frame: dict) -> dict:
         scope = frame.get("scope")
         if scope is None:
             conn.session.reset_scope()
         else:
-            await self._call(
-                lambda: conn.session.set_scope(scope),
-                timeout=self.config.request_timeout,
-            )
+            self._call(conn, lambda: conn.session.set_scope(scope))
         return {"ok": True}
 
-    async def _op_execute(self, conn: _Connection, frame: dict) -> bytes:
+    def _op_execute(self, conn: _Connection, frame: dict) -> bytes:
         statement = frame.get("statement")
         if isinstance(statement, bool) or not isinstance(statement, (str, int)):
             raise ProtocolError("EXECUTE requires a 'statement' (SQL text or handle)")
@@ -408,11 +428,14 @@ class ReproServer:
         parameters = decode_parameters(frame.get("parameters"))
         scope = frame.get("scope")
         session = conn.session
-        cursor_id = conn.reserve_cursor_id()
+        # the id a cursor would carry, known before the statement runs so the
+        # whole reply is encoded at once (unused if the first page hits eof)
+        cursor_id = conn.next_cursor
+        conn.next_cursor += 1
 
         def run() -> tuple[bytes, Optional[RowStream], list[tuple]]:
-            # the statement, its first page and the reply's encoding all stay
-            # on this worker; the stream comes back only if rows remain
+            # the statement, its first page and the reply's encoding; the
+            # stream comes back only if rows remain
             handle = None
             if prepare:
                 handle, result = session.prepare_execute(
@@ -432,42 +455,39 @@ class ReproServer:
                     session.close_prepared(handle)
                 raise
 
-        loop = asyncio.get_running_loop()
-        deadline = loop.time() + self.config.request_timeout
-        await self._admit(conn.gate, deadline)
-        release = _ReleaseOnce(conn.gate)
+        gate = conn.gate
+        request = self._request(conn)  # the deadline covers the admission wait
         try:
-            reply, stream, held = await self._call(
-                run,
-                timeout=deadline - loop.time(),
-                abandoned=lambda value: self._abandon_result(value, release),
-            )
-        except RequestTimeoutError as exc:
-            # the worker is still running: the abandoned callback releases
-            # the slot when it finishes — unless the work never started
-            if not getattr(exc, "work_pending", False):
-                release.release()
+            admitted = gate.admit(request.deadline - monotonic())
+        except ServerBusyError:
+            request.state = _DONE
             raise
+        if not admitted:
+            request.state = _DONE
+            raise self._timed_out(
+                f"request spent {self.config.request_timeout:.1f}s queued for "
+                f"tenant {gate.ttid} without getting a slot"
+            )
+        try:
+            reply, stream, held = self._call(conn, run, request, abandon=_close_stream)
         except BaseException:
-            release.release()
+            gate.release()
             raise
         if stream is None:
             # complete in this reply: the slot is free before it is written
-            release.release()
+            gate.release()
         else:
             # the slot stays pinned until the cursor hits eof or is closed
-            conn.cursors[cursor_id] = _Cursor(cursor_id, stream, release.release, held)
+            conn.cursors[cursor_id] = _Cursor(cursor_id, stream, gate.release, held)
         return reply
 
-    async def _op_fetch(self, conn: _Connection, frame: dict) -> bytes:
+    def _op_fetch(self, conn: _Connection, frame: dict) -> bytes:
         cursor = self._cursor_for(conn, frame)
         n = _required_int(frame, "n")
         if n <= 0:
             raise ProtocolError("FETCH requires a positive row count 'n'")
 
         def page() -> tuple[bytes, bool]:
-            # encoding a page is as blocking as producing it: both stay on
-            # the worker, the event loop only writes the finished bytes
             rows = cursor.held[:n]
             del cursor.held[:n]
             if len(rows) < n:
@@ -480,39 +500,27 @@ class ReproServer:
             return reply, len(rows) < n and not left
 
         try:
-            reply, eof = await self._call(
-                page,
-                timeout=self.config.request_timeout,
-                abandoned=lambda _value: self._abandon_cursor(cursor),
-            )
-        except RequestTimeoutError:
-            # retire the cursor now so a retry cannot race the stuck worker;
-            # the abandoned callback closes the stream and frees the slot
-            conn.cursors.pop(cursor.cursor_id, None)
-            raise
+            reply, eof = self._call(conn, page)
         except BaseException:
-            # a failing producer poisons the cursor: release and drop it
+            # a failing, timed-out or abandoned page poisons the cursor
             self._drop_cursor(conn, cursor)
             raise
         if eof:
-            self._drop_cursor(conn, cursor)
+            self._drop_cursor(conn, cursor, close=False)
         return reply
 
-    async def _op_close_cursor(self, conn: _Connection, frame: dict) -> dict:
+    def _op_close_cursor(self, conn: _Connection, frame: dict) -> dict:
         cursor = self._cursor_for(conn, frame)
-        await self._call(
-            lambda: cursor.stream.close(), timeout=self.config.request_timeout
-        )
-        self._drop_cursor(conn, cursor)
+        try:
+            self._call(conn, cursor.stream.close)
+        finally:
+            self._drop_cursor(conn, cursor, close=False)
         return {"ok": True}
 
-    async def _op_explain(self, conn: _Connection, frame: dict) -> dict:
+    def _op_explain(self, conn: _Connection, frame: dict) -> dict:
         sql = _required_str(frame, "statement")
         session = conn.session
-        text = await self._call(
-            lambda: session.connection.explain(sql).render(),
-            timeout=self.config.request_timeout,
-        )
+        text = self._call(conn, lambda: session.connection.explain(sql).render())
         return {"ok": True, "text": text}
 
     #: request op -> handler; HELLO is the only one served before a session
@@ -536,99 +544,83 @@ class ReproServer:
             raise BackendError(f"unknown (or already closed) cursor {cursor_id}")
         return cursor
 
-    def _drop_cursor(self, conn: _Connection, cursor: _Cursor) -> None:
+    def _drop_cursor(self, conn: _Connection, cursor: _Cursor, close: bool = True) -> None:
+        """Retire a cursor: close its stream (unless drained or closed
+        already) and free its admission slot."""
         conn.cursors.pop(cursor.cursor_id, None)
-        cursor.release()
-
-    def _abandon_cursor(self, cursor: _Cursor) -> None:
-        """A timed-out FETCH finally finished on its worker: retire the cursor."""
-        with contextlib.suppress(Exception):
-            cursor.stream.close()
-        cursor.release()
-
-    def _abandon_result(
-        self,
-        value: Optional[tuple[bytes, Optional[RowStream], list[tuple]]],
-        release: _ReleaseOnce,
-    ) -> None:
-        """A timed-out EXECUTE finally produced a reply nobody will read."""
-        if value is not None and value[1] is not None:
+        if close:
             with contextlib.suppress(Exception):
-                value[1].close()
-        release.release()
+                cursor.stream.close()
+        cursor.release()
 
-    async def _admit(self, gate: TenantGate, deadline: float) -> None:
-        """Admission with the request deadline: shed fast, queue bounded."""
-        if gate.try_admit():  # a free slot costs no task and no timer
-            return
-        loop = asyncio.get_running_loop()
-        remaining = deadline - loop.time()
-        if remaining <= 0:
-            self.timeouts += 1
-            raise RequestTimeoutError("request timed out before admission")
-        try:
-            await asyncio.wait_for(gate.admit(), timeout=remaining)
-        except asyncio.TimeoutError:
-            self.timeouts += 1
-            raise RequestTimeoutError(
-                f"request spent {self.config.request_timeout:.1f}s queued for "
-                f"tenant {gate.ttid} without getting a slot"
-            ) from None
+    def _request(self, conn: _Connection) -> _Request:
+        """A new request of ``conn``, its deadline pushed for the watcher."""
+        request = _Request(conn, monotonic() + self._timeout)
+        with self._watch:
+            heap = self._deadlines
+            while heap and heap[0][2].state >= _DONE:  # answered: no need to wait
+                heapq.heappop(heap)
+            heapq.heappush(heap, (request.deadline, next(self._sequence), request))
+        return request
 
-    async def _call(
+    def _timed_out(self, message: str) -> RequestTimeoutError:
+        """Count one timeout; the error that answers it."""
+        with self._lock:
+            self.timeouts += 1
+        return RequestTimeoutError(message)
+
+    def _call(
         self,
+        conn: _Connection,
         fn: Callable[[], Any],
-        timeout: float,
-        abandoned: Optional[Callable[[Any], None]] = None,
+        request: Optional[_Request] = None,
+        abandon: Optional[Callable[[Any], None]] = None,
     ) -> Any:
-        """Run blocking backend work on the pool, bounded by ``timeout``.
+        """Run blocking backend work on this thread within the request's
+        deadline (a new request's unless ``request`` is given).
 
-        On timeout the worker thread cannot be killed — the call is
-        *abandoned*: the client gets a ``REQUEST_TIMEOUT`` frame now, and
-        ``abandoned(result)`` runs on the event loop when the work eventually
-        finishes (to close streams / free admission slots), so a timeout can
-        never leak a slot or over-admit.  The raised error carries
-        ``work_pending=True`` when an abandoned callback will fire later.
+        The work first takes one of the ``workers`` permits; a request still
+        waiting for one at its deadline answers ``REQUEST_TIMEOUT`` and never
+        runs.  Running work cannot be stopped: past its deadline the watcher
+        answers the timeout, and when the work returns, ``abandon(value)``
+        cleans up what it produced and :class:`_Abandoned` is raised.
         """
-        loop = asyncio.get_running_loop()
-        if timeout <= 0:
-            self.timeouts += 1
-            raise RequestTimeoutError("request deadline already passed")
-        future = self._pool.submit(fn)
-        wrapped = asyncio.wrap_future(future, loop=loop)
-        timed_out = False
-
-        def expire() -> None:
-            # cancels the wait, never the work: the cancellation reaches a
-            # still-queued work item (it then never runs), not a running one
-            nonlocal timed_out
-            timed_out = wrapped.cancel()
-
-        deadline = loop.call_later(timeout, expire)
-        try:
-            return await wrapped
-        except asyncio.CancelledError:
-            if not timed_out:
-                raise  # the handler itself was cancelled (drain, disconnect)
-            self.timeouts += 1
-            if abandoned is not None:
-
-                def _on_done(done_future) -> None:
-                    try:
-                        value = done_future.result()
-                    except BaseException:  # noqa: BLE001 - abandoned failure
-                        value = None
-                    loop.call_soon_threadsafe(abandoned, value)
-
-                future.add_done_callback(_on_done)
-            error = RequestTimeoutError(
-                f"request exceeded the {self.config.request_timeout:.1f}s "
-                f"per-request timeout; the backend work was abandoned"
+        if request is None:
+            request = self._request(conn)
+        if not self._workers.acquire(timeout=max(0.0, request.deadline - monotonic())):
+            request.state = _DONE
+            raise self._timed_out(
+                f"request spent {self.config.request_timeout:.1f}s waiting for a free worker"
             )
-            error.work_pending = abandoned is not None
-            raise error from None
+        try:
+            with conn.write_lock:  # the watcher sees either state, never a gap
+                started = monotonic() < request.deadline
+                request.state = _RUNNING if started else _DONE
+            if not started:
+                raise self._timed_out("request deadline passed before its work started")
+            try:
+                value, error = fn(), None
+            except Exception as exc:  # noqa: BLE001 - re-raised unless abandoned
+                value, error = None, exc
+            with conn.write_lock:
+                abandoned = request.state == _ABANDONED
+                request.state = _DONE
+            if abandoned:
+                if error is None and abandon is not None:
+                    with contextlib.suppress(Exception):
+                        abandon(value)
+                raise _Abandoned()
+            if error is not None:
+                raise error
+            return value
         finally:
-            deadline.cancel()
+            self._workers.release()
+
+
+def _close_stream(value: tuple[bytes, Optional[RowStream], list[tuple]]) -> None:
+    """Clean up an abandoned EXECUTE's ``_execute_reply`` value."""
+    if value[1] is not None:
+        value[1].close()
 
 
 def _execute_reply(

@@ -11,7 +11,8 @@ thread-safe counters/caches:
 
 * ``repro/result.py`` — ``ExecutionStats``
 * ``repro/gateway/cache.py`` — ``RewriteCache``
-* ``repro/server/admission.py`` — ``LoadGauge``
+* ``repro/server/admission.py`` — ``LoadGauge``, ``TenantGate``,
+  ``AdmissionController``
 
 Flagged: ``self.x = ...``, ``self.x += ...`` and item stores
 ``self.x[k] = ...`` in any method other than ``__init__`` /
@@ -41,6 +42,8 @@ GUARDED_CLASSES = (
     ("repro/result.py", "ExecutionStats"),
     ("repro/gateway/cache.py", "RewriteCache"),
     ("repro/server/admission.py", "LoadGauge"),
+    ("repro/server/admission.py", "TenantGate"),
+    ("repro/server/admission.py", "AdmissionController"),
 )
 
 #: methods that run before the object is shared (no lock needed)

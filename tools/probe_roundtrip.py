@@ -8,8 +8,10 @@ against the perf harness's server settings, MT-H on sqlite, the cached point
 read ``SELECT … FROM nation WHERE n_nationkey = ?``; each line is the p50 of
 ``--rounds`` trips in µs:
 
-* ``loop_only``   — ``set_scope`` reset: answered on the event loop,
-* ``pool``        — ``prepare`` of a cached text: one hop to the worker pool,
+* ``loop_only``   — a ``set_scope`` reset: a trip answered without backend
+  work,
+* ``pool``        — a PREPARE of a cached text (both key names date from the
+  asyncio server and are kept, so one file measures every server revision),
 * ``select``      — the served point read, rows fetched,
 * ``in_process``  — the same statement through a ``GatewaySession``,
 * ``select_busy`` — ``select`` while a second client hammers the same server,
